@@ -2,7 +2,7 @@
 
 All randomness flows from the single seed in the resolved config; the
 EDITNET_WORKERS environment variable bounds parallel labeling workers
-(default 1 for bit-reproducibility).
+(a positive integer, default 1 for bit-reproducibility).
 """
 from __future__ import annotations
 
@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import editor, oracle, text, trainer
+from . import editor, oracle, summarizers, text, trainer
 from .config import ExperimentConfig
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EDITNET_WORKERS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("EDITNET_WORKERS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"EDITNET_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -69,6 +69,7 @@ def cmd_label(args) -> int:
     out = _out_dir(cfg)
     extractor = cfg.make_extractor()
     abstractor = cfg.make_abstractor()
+    workers = _workers()
     status = 0
     for split in args.splits:
         examples = text.load_dataset(_dataset_path(cfg, split))
@@ -81,7 +82,7 @@ def cmd_label(args) -> int:
             weights=cfg.reward_weights(),
             cap=cfg.cap,
             cache_path=cache_path,
-            workers=_workers(),
+            workers=workers,
         )
         elapsed = time.monotonic() - start
         print(
@@ -145,17 +146,18 @@ def cmd_summarize(args) -> int:
     if cfg.extractor == "greedy":
         # The greedy extractor scores against the reference, so highlights
         # are required; the lead extractor works on bare articles.
-        documents = [ex.document for ex in text.load_dataset(args.document)]
-        extracts = [cfg.make_extractor()(ex) for ex in text.load_dataset(args.document)]
+        examples = text.load_dataset(args.document)
+        documents = [ex.document for ex in examples]
+        extractor = cfg.make_extractor()
+        extracts = [extractor(ex) for ex in examples]
     else:
-        from .summarizers import extract_lead
-
         documents = text.load_documents(args.document)
-        extracts = [extract_lead(doc, cfg.k) for doc in documents]
+        extracts = [summarizers.extract_lead(doc, cfg.k) for doc in documents]
     if not documents:
         raise SystemExit(f"no usable records in {args.document}")
     for document, extract in zip(documents, extracts):
-        ctx = editor.prepare_context(document, extract, abstractor, enc_config)
+        abstractions = editor.abstractions_for(document, extract, abstractor)
+        ctx = editor.context_from_abstractions(document, extract, abstractions, enc_config)
         summary = editor.decode(ctx, params)
         print(f"# {document.id}")
         for step in summary.steps:

@@ -4,22 +4,25 @@ Per step the network sees [e, a, g_prev, d] (extracted and abstracted
 sentence vectors, running summary state, document vector), produces a
 three-way softmax over {E, A, R} through two fully-connected layers, and
 updates the additive summary state through tanh(W_g @ h) where h follows the
-chosen sentence version. Training minimizes a soft cross-entropy against
-enumeration-derived label distributions; gradients are exact and analytic
-(the base sentence encoder is frozen).
+chosen sentence version. The recurrence, including the document vector
+d = tanh(W_d @ mean(e) + b_d), is computed in one place, `forward`: `decode`
+runs it free (argmax of p) and `loss_and_gradients` runs it teacher-forced
+(argmax of the label) before its backward pass. Training minimizes a soft
+cross-entropy against enumeration-derived label distributions; gradients are
+exact and analytic (the base sentence encoder is frozen).
 """
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoder import DocParams, EncoderConfig, encode_abstracted, encode_sentences
+from .encoder import EncoderConfig, encode_abstracted, encode_sentences
 from .summarizers import Abstractor, ExtractResult, make_chunk
-from .text import Document, Example
+from .text import Document
 
 LOG_CLAMP = 1e-12
 
@@ -58,10 +61,6 @@ class EditorParams:
     @property
     def n(self) -> int:
         return self.W_g.shape[0]
-
-    @property
-    def doc_params(self) -> DocParams:
-        return DocParams(W_d=self.W_d, b_d=self.b_d)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -106,32 +105,11 @@ def zero_grads(params: EditorParams) -> dict[str, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class StepInput:
-    e: np.ndarray
-    a: np.ndarray
-    g_prev: np.ndarray
-    d: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecisionDistribution:
-    p_e: float
-    p_a: float
-    p_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_e, self.p_a, self.p_r])
-
-    def argmax(self) -> Decision:
-        return DECISIONS[int(np.argmax(self.as_array()))]
-
-
-@dataclass(frozen=True)
 class EditStep:
     sentence_index: int
     decision: Decision
     tokens: tuple[str, ...] | None
-    distribution: DecisionDistribution
+    distribution: np.ndarray = field(compare=False)  # (3,) p over E, A, R
 
 
 @dataclass(frozen=True)
@@ -146,32 +124,6 @@ class MixedSummary:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
-
-
-def decision_distribution(step: StepInput, params: EditorParams) -> DecisionDistribution:
-    """softmax(V tanh(W_c [e, a, g_prev, d] + b_c) + b)."""
-    x = np.concatenate([step.e, step.a, step.g_prev, step.d])
-    if x.shape[0] != params.W_c.shape[1]:
-        raise ValueError("step input size does not match W_c")
-    t = np.tanh(params.W_c @ x + params.b_c)
-    p = _softmax(params.V @ t + params.b)
-    return DecisionDistribution(float(p[0]), float(p[1]), float(p[2]))
-
-
-def update_state(
-    g_prev: np.ndarray,
-    decision: Decision,
-    e: np.ndarray,
-    a: np.ndarray,
-    W_g: np.ndarray,
-) -> np.ndarray:
-    """g = g_prev + tanh(W_g @ h), h in {e, a, 0} by decision."""
-    if decision is Decision.REJECT:
-        return g_prev.copy()
-    h = e if decision is Decision.EXTRACT else a
-    if W_g.shape[1] != h.shape[0]:
-        raise ValueError("state shapes do not match")
-    return g_prev + np.tanh(W_g @ h)
 
 
 @dataclass
@@ -203,16 +155,6 @@ def abstractions_for(
     return tuple(out)
 
 
-def prepare_context(
-    document: Document,
-    extract: ExtractResult,
-    abstractor: Abstractor,
-    config: EncoderConfig,
-) -> EditContext:
-    abstractions = abstractions_for(document, extract, abstractor)
-    return context_from_abstractions(document, extract, abstractions, config)
-
-
 def context_from_abstractions(
     document: Document,
     extract: ExtractResult,
@@ -239,40 +181,78 @@ def context_from_abstractions(
     )
 
 
+@dataclass
+class ForwardPass:
+    """One run of the recurrence over an extract of length l.
+
+    `d` is the document vector and `g` the states g_0 ... g_l. Per step i it
+    keeps the input x, the hidden activation t, the distribution p, the chosen
+    decision, the version h of the sentence that entered the state and the
+    state increment q = tanh(W_g h); h and q are None on REJECT.
+    """
+
+    d: np.ndarray
+    g: list[np.ndarray]
+    x: list[np.ndarray]
+    t: list[np.ndarray]
+    p: list[np.ndarray]
+    decisions: list[Decision]
+    h: list[np.ndarray | None]
+    q: list[np.ndarray | None]
+
+
+def forward(
+    ctx: EditContext,
+    params: EditorParams,
+    choose: Callable[[int, np.ndarray], Decision],
+) -> ForwardPass:
+    """Run the editor over ctx; choose(i, p) names the decision taken at step i.
+
+    p_i = softmax(V tanh(W_c [e_i, a_i, g_i, d] + b_c) + b), d = tanh(W_d e_bar
+    + b_d), and g_{i+1} = g_i + tanh(W_g h_i) with h_i the extracted (E) or
+    abstracted (A) sentence vector; on REJECT g_{i+1} is g_i itself.
+    """
+    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
+    g = np.zeros(params.n)
+    gs, xs, ts, ps, decisions, hs, qs = [g], [], [], [], [], [], []
+    for i in range(ctx.l):
+        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
+        t = np.tanh(params.W_c @ x + params.b_c)
+        p = _softmax(params.V @ t + params.b)
+        decision = choose(i, p)
+        if decision is Decision.REJECT:
+            h = q = None
+        else:
+            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
+            q = np.tanh(params.W_g @ h)
+            g = g + q
+        gs.append(g); xs.append(x); ts.append(t); ps.append(p)
+        decisions.append(decision); hs.append(h); qs.append(q)
+    return ForwardPass(d, gs, xs, ts, ps, decisions, hs, qs)
+
+
+def _argmax_choice(i: int, p: np.ndarray) -> Decision:
+    """The model's own decision: argmax p, ties broken E > A > R."""
+    return DECISIONS[int(np.argmax(p))]
+
+
 def decode(ctx: EditContext, params: EditorParams) -> MixedSummary:
     """Greedy free-running decode: argmax decision per step (ties E > A > R)."""
-    n = params.n
-    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
-    g = np.zeros(n)
+    run = forward(ctx, params, _argmax_choice)
     steps = []
-    for i, idx in enumerate(ctx.extract.order):
-        dist = decision_distribution(StepInput(ctx.e[i], ctx.a[i], g, d), params)
-        decision = dist.argmax()
+    for i, (idx, decision) in enumerate(zip(ctx.extract.order, run.decisions)):
         if decision is Decision.EXTRACT:
             tokens = ctx.extracted_tokens[i]
         elif decision is Decision.ABSTRACT:
             tokens = ctx.abstractions[i]
         else:
             tokens = None
-        g = update_state(g, decision, ctx.e[i], ctx.a[i], params.W_g)
-        steps.append(EditStep(idx, decision, tokens, dist))
+        steps.append(EditStep(idx, decision, tokens, run.p[i]))
     return MixedSummary(steps=tuple(steps))
 
 
-def edit(
-    example: Example,
-    extract: ExtractResult,
-    abstractor: Abstractor,
-    config: EncoderConfig,
-    params: EditorParams,
-) -> MixedSummary:
-    """Run the editor over an extract, emitting the mixed summary."""
-    return decode(prepare_context(example.document, extract, abstractor, config), params)
-
-
 def soft_cross_entropy(
-    distributions: Sequence[DecisionDistribution | np.ndarray],
-    labels: Sequence[Sequence[float]],
+    distributions: Sequence[np.ndarray], labels: Sequence[Sequence[float]]
 ) -> float:
     """-(1/l) sum_i sum_k y_ik log p_ik, with p clamped below for finiteness."""
     if len(distributions) != len(labels):
@@ -280,9 +260,8 @@ def soft_cross_entropy(
     if not distributions:
         raise ValueError("need at least one step")
     total = 0.0
-    for dist, y in zip(distributions, labels):
-        p = dist.as_array() if isinstance(dist, DecisionDistribution) else np.asarray(dist)
-        total += float(np.dot(np.asarray(y), np.log(np.maximum(p, LOG_CLAMP))))
+    for p, y in zip(distributions, labels):
+        total += float(np.dot(np.asarray(y), np.log(np.maximum(np.asarray(p), LOG_CLAMP))))
     return -total / len(distributions)
 
 
@@ -304,25 +283,12 @@ def loss_and_gradients(
         raise ValueError(f"labels must have shape ({l}, 3)")
     n = params.n
 
-    d_pre = params.W_d @ ctx.e_bar + params.b_d
-    d = np.tanh(d_pre)
-
-    xs, ts, ps, qs, hs, decisions = [], [], [], [], [], []
-    g = np.zeros(n)
-    for i in range(l):
-        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
-        t = np.tanh(params.W_c @ x + params.b_c)
-        p = _softmax(params.V @ t + params.b)
-        decision = DECISIONS[int(np.argmax(labels[i] if teacher_forcing else p))]
-        if decision is Decision.REJECT:
-            h, q = None, None
-        else:
-            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
-            q = np.tanh(params.W_g @ h)
-            g = g + q
-        xs.append(x); ts.append(t); ps.append(p); qs.append(q); hs.append(h)
-        decisions.append(decision)
-
+    if teacher_forcing:
+        teacher = [DECISIONS[k] for k in labels.argmax(axis=1)]
+        run = forward(ctx, params, lambda i, p: teacher[i])
+    else:
+        run = forward(ctx, params, _argmax_choice)
+    d, xs, ts, ps, qs, hs = run.d, run.x, run.t, run.p, run.q, run.h
     loss = soft_cross_entropy(ps, labels)
 
     grads = zero_grads(params)
@@ -345,25 +311,6 @@ def loss_and_gradients(
     grads["W_d"] += np.outer(dzd, ctx.e_bar)
     grads["b_d"] += dzd
     return loss, grads
-
-
-def gradients(
-    example: Example,
-    extract: ExtractResult,
-    labels,
-    abstractor: Abstractor,
-    config: EncoderConfig,
-    params: EditorParams,
-    teacher_forcing: bool = True,
-) -> dict[str, np.ndarray]:
-    """Gradient of the training loss for one example (see loss_and_gradients).
-
-    `labels` is an (l, 3) array-like or any object exposing a `.labels` field.
-    """
-    y = np.asarray(getattr(labels, "labels", labels), dtype=float)
-    ctx = prepare_context(example.document, extract, abstractor, config)
-    _, grads = loss_and_gradients(ctx, y, params, teacher_forcing)
-    return grads
 
 
 CHECKPOINT_VERSION = 1

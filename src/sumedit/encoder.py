@@ -3,7 +3,9 @@
 Sentences are embedded by seeded feature hashing of unigram+bigram counts with
 random signs, L2-normalized, then mixed with neighboring sentences so that
 replacing one sentence has an observable effect on its neighbors' context.
-The document vector is tanh(W_d @ mean(e) + b_d) with learnable W_d, b_d.
+The document vector tanh(W_d @ mean(e) + b_d) has learnable W_d, b_d, so it
+is computed by the editor (`sumedit.editor.forward`) from the mean sentence
+vector kept in its EditContext.
 """
 from __future__ import annotations
 
@@ -27,12 +29,6 @@ class EncoderConfig:
             raise ValueError("representation width n must be >= 1")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
-
-
-@dataclass
-class DocParams:
-    W_d: np.ndarray  # (n, n)
-    b_d: np.ndarray  # (n,)
 
 
 def _hash32(seed: int, feature: str) -> int:
@@ -67,18 +63,6 @@ def encode_sentences(document: Document, config: EncoderConfig) -> np.ndarray:
         lo, hi = max(0, i - w), min(n_sent, i + w + 1)
         mixed[i] = _normalize(raw[lo:hi].mean(axis=0))
     return mixed
-
-
-def doc_representation(sentence_vecs: np.ndarray, params: DocParams) -> np.ndarray:
-    """d = tanh(W_d @ mean(e) + b_d)."""
-    vecs = np.asarray(sentence_vecs, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[0] == 0:
-        raise ValueError("sentence_vecs must be a non-empty (N, n) array")
-    n = vecs.shape[1]
-    if params.W_d.shape != (n, n) or params.b_d.shape != (n,):
-        raise ValueError("doc parameter shapes do not match n")
-    e_bar = vecs.mean(axis=0)
-    return np.tanh(params.W_d @ e_bar + params.b_d)
 
 
 def encode_abstracted(

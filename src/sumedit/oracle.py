@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import editor
 from .editor import DECISIONS, Decision
 from .rouge import RewardWeights, reward
 from .summarizers import Abstractor, ExtractResult, Extractor
@@ -131,10 +132,8 @@ def label_example(
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
 ) -> LabeledExample:
-    from .editor import abstractions_for
-
     extract = extractor(example)
-    abstractions = abstractions_for(example.document, extract, abstractor)
+    abstractions = editor.abstractions_for(example.document, extract, abstractor)
     rewards = enumerate_rewards(
         example, extract, abstractions, weights=weights, cap=cap
     )

@@ -89,36 +89,47 @@ class IngestReport:
             self.reject_reasons = []
 
 
-def _parse_record(lineno: int, line: str) -> Example | None:
-    """Parse one dataset line. Returns None (with a diagnostic appended by the
-    caller) only for empty-content records; structural problems raise."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(rec, dict):
-        raise DatasetError(f"line {lineno}: record is not an object")
-    for field in ("id", "article_sentences", "highlights"):
-        if field not in rec:
-            raise DatasetError(f"line {lineno}: missing field {field!r}")
-    if not isinstance(rec["id"], str):
-        raise DatasetError(f"line {lineno}: id must be a string")
-    for field in ("article_sentences", "highlights"):
-        v = rec[field]
-        if not isinstance(v, list) or any(not isinstance(s, str) for s in v):
-            raise DatasetError(f"line {lineno}: {field} must be a list of strings")
-    article = [tokenize(s) for s in rec["article_sentences"]]
-    highlights = [tokenize(s) for s in rec["highlights"]]
-    if not article or any(not s for s in article):
-        return None
-    if not highlights or any(not s for s in highlights):
-        return None
-    doc = Document(
-        id=rec["id"],
+def _records(path, highlights_required: bool = True):
+    """Yield (line number, record) for every non-blank line of a dataset.
+
+    Structural problems raise DatasetError naming the line: invalid JSON, a
+    record that is not an object, a missing field (highlights may be missing
+    unless `highlights_required`), a non-string id, or sentences that are not
+    a list of strings.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise DatasetError(f"line {lineno}: record is not an object")
+            for field in ("id", "article_sentences", "highlights"):
+                if field not in rec and (highlights_required or field != "highlights"):
+                    raise DatasetError(f"line {lineno}: missing field {field!r}")
+            if not isinstance(rec["id"], str):
+                raise DatasetError(f"line {lineno}: id must be a string")
+            for field in ("article_sentences", "highlights"):
+                v = rec.get(field, [])
+                if not isinstance(v, list) or any(not isinstance(s, str) for s in v):
+                    raise DatasetError(f"line {lineno}: {field} must be a list of strings")
+            yield lineno, rec
+
+
+def _tokenized(sentences: list[str]) -> list[list[str]] | None:
+    """Tokens of every sentence; None if there are none or one is empty."""
+    out = [tokenize(s) for s in sentences]
+    return out if out and all(out) else None
+
+
+def _document(doc_id: str, article: list[list[str]]) -> Document:
+    return Document(
+        id=doc_id,
         sentences=tuple(Sentence(i, tuple(t)) for i, t in enumerate(article)),
     )
-    ref = ReferenceSummary(sentences=tuple(tuple(t) for t in highlights))
-    return Example(document=doc, reference=ref)
 
 
 def ingest_dataset(path) -> tuple[list[Example], IngestReport]:
@@ -129,19 +140,18 @@ def ingest_dataset(path) -> tuple[list[Example], IngestReport]:
     """
     examples: list[Example] = []
     report = IngestReport()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ex = _parse_record(lineno, line)
-            if ex is None:
-                report.rejected += 1
-                reason = f"line {lineno}: empty article or highlights"
-                report.reject_reasons.append(reason)
-                log.warning("rejected record: %s", reason)
-            else:
-                examples.append(ex)
-                report.accepted += 1
+    for lineno, rec in _records(path):
+        article = _tokenized(rec["article_sentences"])
+        highlights = _tokenized(rec["highlights"])
+        if article is None or highlights is None:
+            report.rejected += 1
+            reason = f"line {lineno}: empty article or highlights"
+            report.reject_reasons.append(reason)
+            log.warning("rejected record: %s", reason)
+            continue
+        ref = ReferenceSummary(sentences=tuple(tuple(t) for t in highlights))
+        examples.append(Example(document=_document(rec["id"], article), reference=ref))
+        report.accepted += 1
     return examples, report
 
 
@@ -152,27 +162,16 @@ def load_dataset(path) -> list[Example]:
 
 
 def load_documents(path) -> list[Document]:
-    """Load article documents only; highlights are optional and ignored."""
+    """Load article documents only; highlights are optional and ignored.
+
+    Records are validated as in ingest_dataset; an empty article raises.
+    """
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "id" not in rec or "article_sentences" not in rec:
-                raise DatasetError(f"line {lineno}: missing field 'id' or 'article_sentences'")
-            article = [tokenize(s) for s in rec["article_sentences"]]
-            if not article or any(not s for s in article):
-                raise DatasetError(f"line {lineno}: empty article")
-            docs.append(
-                Document(
-                    id=rec["id"],
-                    sentences=tuple(Sentence(i, tuple(t)) for i, t in enumerate(article)),
-                )
-            )
+    for lineno, rec in _records(path, highlights_required=False):
+        article = _tokenized(rec["article_sentences"])
+        if article is None:
+            raise DatasetError(f"line {lineno}: empty article")
+        docs.append(_document(rec["id"], article))
     return docs
 
 

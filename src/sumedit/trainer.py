@@ -25,7 +25,7 @@ from .editor import (
 )
 from .encoder import EncoderConfig
 from .oracle import LabeledExample
-from .rouge import RewardWeights, reward
+from .rouge import RewardWeights, reward, rouge_l, rouge_n
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
@@ -163,8 +163,6 @@ def evaluate(
     weights: RewardWeights = RewardWeights(),
 ) -> dict:
     """Decode a split and report corpus metrics and decision statistics."""
-    from .rouge import rouge_l, rouge_n
-
     ctxs, _ = _contexts(test_set, encoder_config)
     refs = [ex.reference for ex, _ in test_set]
     counts = {d: 0 for d in Decision}

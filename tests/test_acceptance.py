@@ -17,19 +17,21 @@ from sumedit import cli, text
 from sumedit.editor import (
     DECISIONS,
     Decision,
+    EditContext,
     abstractions_for,
     context_from_abstractions,
     decode,
+    forward,
     init_params,
     loss_and_gradients,
     soft_cross_entropy,
-    update_state,
 )
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import best_sequence, enumerate_rewards, label_dataset, soft_labels
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import (
     AttentionMap,
+    ExtractResult,
     LeadExtractor,
     SalienceAbstractor,
     extract_lead,
@@ -68,7 +70,9 @@ def forward_loss_reference(ctx, labels, params, teacher_forcing):
         p = exp / exp.sum()
         total += float(np.dot(labels[i], np.log(np.maximum(p, 1e-12))))
         decision = DECISIONS[int(np.argmax(labels[i] if teacher_forcing else p))]
-        g = update_state(g, decision, ctx.e[i], ctx.a[i], params.W_g)
+        if decision is not Decision.REJECT:
+            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
+            g = g + np.tanh(params.W_g @ h)
     return -total / ctx.l
 
 
@@ -276,14 +280,21 @@ def test_criterion_5_attention_rescaling():
 
 def test_criterion_6_recurrence_identities():
     rng = np.random.default_rng(0)
+    l = 3
+    extract = ExtractResult(order=tuple(range(l)), likelihood={i: 1.0 for i in range(l)})
+    chosen = (E, R, R)
     for _ in range(20):
         n = int(rng.integers(2, 10))
-        g = rng.normal(size=n)
-        out = update_state(
-            g, Decision.REJECT, rng.normal(size=n), rng.normal(size=n),
-            rng.normal(size=(n, n)),
+        ctx = EditContext(
+            "rej", extract, rng.normal(size=(l, n)), rng.normal(size=(l, n)),
+            rng.normal(size=n), (("e",),) * l, (("a",),) * l,
         )
-        assert np.array_equal(out, g)
+        params = init_params(3, n, rng)
+        params.W_g[:] = rng.normal(size=(n, n))
+        run = forward(ctx, params, lambda i, p: chosen[i])
+        assert not np.array_equal(run.g[1], run.g[0])
+        for i in (1, 2):
+            assert np.array_equal(run.g[i + 1], run.g[i])
     ex = make_example(["a b c", "d e f", "g h"], ["a b c"])
     cfg = EncoderConfig(n=10, context_window=1)
     extract = extract_lead(ex.document, 3)

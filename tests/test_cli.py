@@ -103,19 +103,20 @@ class TestLabelAndTrain:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
-class TestSummarizeAndEvaluate:
-    def checkpoint(self, tmp_path, bias):
-        rng = np.random.default_rng(0)
-        params = editor.init_params(8, 12, rng)
-        for arr in params.arrays().values():
-            arr[:] = 0.0
-        params.b[:] = bias
-        path = tmp_path / "ckpt.json"
-        editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), path)
-        return path
+def checkpoint(tmp_path, bias):
+    rng = np.random.default_rng(0)
+    params = editor.init_params(8, 12, rng)
+    for arr in params.arrays().values():
+        arr[:] = 0.0
+    params.b[:] = bias
+    path = tmp_path / "ckpt.json"
+    editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), path)
+    return path
 
+
+class TestSummarizeAndEvaluate:
     def test_all_extract_annotations(self, workspace, capsys):
-        ckpt = self.checkpoint(workspace, [0.0, 0.0, 0.0])
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
         rc = cli.main(
             ["summarize", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -127,7 +128,7 @@ class TestSummarizeAndEvaluate:
         assert decisions and set(decisions) == {"E"}
 
     def test_all_reject_empty_summary(self, workspace, capsys):
-        ckpt = self.checkpoint(workspace, [-10.0, -10.0, 10.0])
+        ckpt = checkpoint(workspace, [-10.0, -10.0, 10.0])
         cfg = write_config(workspace)
         rc = cli.main(
             ["summarize", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -141,7 +142,7 @@ class TestSummarizeAndEvaluate:
         assert all(not b.strip() or b.lstrip().startswith("#") for b in blocks[1:])
 
     def test_evaluate_writes_valid_report(self, workspace, capsys):
-        ckpt = self.checkpoint(workspace, [0.0, 0.0, 0.0])
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
         assert cli.main(["label", "--config", str(cfg), "--split", "test"]) == 0
         capsys.readouterr()
@@ -152,3 +153,52 @@ class TestSummarizeAndEvaluate:
         assert sum(report["decision_fractions"].values()) == pytest.approx(1.0, abs=1e-9)
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
+
+
+class TestSummarizeInput:
+    def summarize(self, workspace, records):
+        path = workspace / "docs.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = write_config(workspace)
+        return cli.main(
+            ["summarize", "--config", str(cfg), "--checkpoint", str(ckpt),
+             "--document", str(path)]
+        )
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "x", "article_sentences": "xy"},
+            {"id": "x", "article_sentences": [1, 2]},
+            {"id": 7, "article_sentences": ["a b c"]},
+        ],
+        ids=["sentences-string", "sentences-not-strings", "id-not-string"],
+    )
+    def test_malformed_record_names_line(self, workspace, capsys, record):
+        assert self.summarize(workspace, [record]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_lead_without_highlights(self, workspace, capsys):
+        records = [
+            {"id": "p", "article_sentences": ["a b c", "d e f", "g h", "i j"]},
+            {"id": "q", "article_sentences": ["k l m", "n o"]},
+        ]
+        assert self.summarize(workspace, records) == 0
+        out = capsys.readouterr().out
+        assert [ln for ln in out.splitlines() if ln.startswith("#")] == ["# p", "# q"]
+        decisions = [ln.split(":")[0] for ln in out.splitlines() if ln[:2] in ("E:", "A:", "R:")]
+        assert decisions == ["E"] * 5
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_bad_value_is_an_error(self, workspace, capsys, monkeypatch, value):
+        monkeypatch.setenv("EDITNET_WORKERS", value)
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train"]) == 1
+        assert "EDITNET_WORKERS" in capsys.readouterr().err
+        assert not (workspace / "out" / "labels_train.jsonl").exists()

@@ -5,23 +5,20 @@ import pytest
 
 from sumedit.editor import (
     Decision,
+    EditContext,
     EditorParams,
-    StepInput,
     abstractions_for,
     context_from_abstractions,
-    decision_distribution,
     decode,
-    edit,
+    forward,
     init_params,
     load_checkpoint,
     loss_and_gradients,
-    prepare_context,
     save_checkpoint,
     soft_cross_entropy,
-    update_state,
 )
 from sumedit.encoder import EncoderConfig
-from sumedit.summarizers import SalienceAbstractor, extract_lead
+from sumedit.summarizers import ExtractResult, SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary, document_from_strings
 
 
@@ -37,10 +34,33 @@ def zero_params(m, n):
     )
 
 
-def step_input(n, rng=None):
+def vector_context(e, a, e_bar):
+    """EditContext over len(e) one-token sentences with the given vectors."""
+    l = len(e)
+    return EditContext(
+        example_id="d",
+        extract=ExtractResult(order=tuple(range(l)), likelihood={i: 1.0 for i in range(l)}),
+        e=np.asarray(e, dtype=float),
+        a=np.asarray(a, dtype=float),
+        e_bar=np.asarray(e_bar, dtype=float),
+        extracted_tokens=tuple((f"e{i}",) for i in range(l)),
+        abstractions=tuple((f"a{i}",) for i in range(l)),
+    )
+
+
+def step_context(n, rng=None, l=1):
     if rng is None:
-        return StepInput(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
-    return StepInput(*(rng.normal(size=n) for _ in range(4)))
+        return vector_context(np.zeros((l, n)), np.zeros((l, n)), np.zeros(n))
+    return vector_context(rng.normal(size=(l, n)), rng.normal(size=(l, n)), rng.normal(size=n))
+
+
+def always(*decisions):
+    """choose() that takes decisions[i] at step i."""
+    return lambda i, p: decisions[i]
+
+
+def first_distribution(ctx, params):
+    return decode(ctx, params).steps[0].distribution
 
 
 def make_example(sentences, highlights=("placeholder",), doc_id="d"):
@@ -49,17 +69,17 @@ def make_example(sentences, highlights=("placeholder",), doc_id="d"):
     return Example(document=doc, reference=ref)
 
 
-class TestDecisionDistribution:
+class TestStepDistribution:
     def test_zero_parameters_uniform(self):
-        dist = decision_distribution(step_input(4), zero_params(3, 4))
-        assert dist.as_array() == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
+        p = first_distribution(step_context(4), zero_params(3, 4))
+        assert p == pytest.approx(np.full(3, 1 / 3), abs=1e-12)
 
     def test_bias_only_logits(self):
         params = zero_params(3, 4)
         params.b[:] = [10.0, 0.0, 0.0]
-        dist = decision_distribution(step_input(4), params)
+        p = first_distribution(step_context(4), params)
         expected = math.exp(10) / (math.exp(10) + 2)
-        assert dist.p_e == pytest.approx(expected, abs=1e-12)
+        assert p[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dense_recomputation(self):
         rng = np.random.default_rng(5)
@@ -67,8 +87,13 @@ class TestDecisionDistribution:
         params = init_params(m, n, rng)
         params.b_c[:] = rng.normal(size=m)
         params.b[:] = rng.normal(size=3)
-        step = step_input(n, rng)
-        x = np.concatenate([step.e, step.a, step.g_prev, step.d])
+        params.b_d[:] = rng.normal(size=n)
+        ctx = step_context(n, rng)
+        d = [
+            math.tanh(sum(params.W_d[r, c] * ctx.e_bar[c] for c in range(n)) + params.b_d[r])
+            for r in range(n)
+        ]
+        x = list(ctx.e[0]) + list(ctx.a[0]) + [0.0] * n + d
         t = [
             math.tanh(sum(params.W_c[r, c] * x[c] for c in range(4 * n)) + params.b_c[r])
             for r in range(m)
@@ -78,38 +103,43 @@ class TestDecisionDistribution:
         ]
         exps = [math.exp(v) for v in logits]
         expected = np.array(exps) / sum(exps)
-        dist = decision_distribution(step, params)
-        assert dist.as_array() == pytest.approx(expected, abs=1e-12)
+        assert first_distribution(ctx, params) == pytest.approx(expected, abs=1e-12)
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(6)
         params = init_params(3, 4, rng)
-        step = step_input(4, rng)
-        dist = decision_distribution(step, params)
-        assert abs(sum(dist.as_array()) - 1.0) < 1e-9
+        ctx = step_context(4, rng)
+        p = first_distribution(ctx, params)
+        assert abs(sum(p) - 1.0) < 1e-9
         shifted = EditorParams(**{k: v.copy() for k, v in params.arrays().items()})
         shifted.b += 3.7
-        dist2 = decision_distribution(step, shifted)
-        assert dist.as_array() == pytest.approx(dist2.as_array(), abs=1e-12)
+        p2 = first_distribution(ctx, shifted)
+        assert p == pytest.approx(p2, abs=1e-12)
 
 
 class TestUpdateState:
     def test_reject_is_identity(self):
         rng = np.random.default_rng(0)
-        g = rng.normal(size=4)
-        out = update_state(g, Decision.REJECT, rng.normal(size=4), rng.normal(size=4), rng.normal(size=(4, 4)))
-        assert np.array_equal(out, g)
+        params = init_params(3, 4, rng)
+        params.W_g[:] = rng.normal(size=(4, 4))
+        run = forward(step_context(4, rng, l=2), params, always(Decision.EXTRACT, Decision.REJECT))
+        assert not np.array_equal(run.g[1], np.zeros(4))
+        assert np.array_equal(run.g[2], run.g[1])
 
     def test_zero_weight_matrix_is_identity(self):
-        g = np.array([1.0, -2.0])
-        e = np.array([0.5, 0.5])
-        out = update_state(g, Decision.EXTRACT, e, e, np.zeros((2, 2)))
-        assert np.array_equal(out, g)
+        e = np.array([[0.5, 0.5], [1.0, -2.0]])
+        ctx = vector_context(e, e, np.zeros(2))
+        run = forward(ctx, zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
+        for i in range(2):
+            assert np.array_equal(run.g[i + 1], run.g[i])
 
     def test_abstract_with_identity_weights(self):
         a = np.array([0.3, -0.7, 1.2])
-        out = update_state(np.zeros(3), Decision.ABSTRACT, np.ones(3), a, np.eye(3))
-        assert np.allclose(out, np.tanh(a), atol=1e-15)
+        ctx = vector_context([np.ones(3)], [a], np.zeros(3))
+        params = zero_params(3, 3)
+        params.W_g[:] = np.eye(3)
+        run = forward(ctx, params, always(Decision.ABSTRACT))
+        assert np.allclose(run.g[1], np.tanh(a), atol=1e-15)
 
 
 class TestEdit:
@@ -118,29 +148,26 @@ class TestEdit:
     def context(self, sentences):
         ex = make_example(sentences)
         extract = extract_lead(ex.document, len(sentences))
-        abstractor = SalienceAbstractor(0.8)
-        return ex, extract, abstractor
+        abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
+        return ex, extract, context_from_abstractions(ex.document, extract, abstractions, self.CFG)
 
     def test_zero_params_decides_extract_everywhere(self):
-        ex, extract, abstractor = self.context(["a b c", "d e f", "g h"])
-        summary = edit(ex, extract, abstractor, self.CFG, zero_params(4, 12))
+        ex, extract, ctx = self.context(["a b c", "d e f", "g h"])
+        summary = decode(ctx, zero_params(4, 12))
         assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
         assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
 
     def test_reject_bias_empties_summary(self):
-        ex, extract, abstractor = self.context(["a b c", "d e f"])
+        _, _, ctx = self.context(["a b c", "d e f"])
         params = zero_params(4, 12)
         params.b[:] = [-10.0, -10.0, 10.0]
-        summary = edit(ex, extract, abstractor, self.CFG, params)
+        summary = decode(ctx, params)
         assert [s.decision for s in summary.steps] == [Decision.REJECT] * 2
         assert summary.text == ()
 
     def test_forced_abstract_then_reject(self):
-        ex, extract, abstractor = self.context(["the alpha beta words", "gamma delta e"])
+        _, _, ctx = self.context(["the alpha beta words", "gamma delta e"])
         n = self.CFG.n
-        ctx = prepare_context(
-            ex.document, extract, abstractor, self.CFG
-        )
         params = zero_params(1, n)
         # hidden layer reads only the summary state; at step 1 the state is
         # zero, so logits reduce to b and A wins; after the A update the
@@ -156,12 +183,11 @@ class TestEdit:
         assert summary.text == (ctx.abstractions[0],)
 
     def test_emitted_versions_follow_decisions(self):
-        ex, extract, abstractor = self.context(["a b c", "d e f", "g h"])
+        _, _, ctx = self.context(["a b c", "d e f", "g h"])
         rng = np.random.default_rng(2)
         params = init_params(5, 12, rng)
         for arr in params.arrays().values():
             arr += rng.normal(0, 1.0, size=arr.shape)
-        ctx = prepare_context(ex.document, extract, abstractor, self.CFG)
         summary = decode(ctx, params)
         for i, step in enumerate(summary.steps):
             if step.decision is Decision.EXTRACT:

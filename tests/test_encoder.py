@@ -3,19 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from sumedit.editor import Decision, EditorParams, context_from_abstractions, forward
 from sumedit.encoder import (
-    DocParams,
     EncoderConfig,
     _raw_sentence_vector,
-    doc_representation,
     encode_abstracted,
     encode_sentences,
 )
+from sumedit.summarizers import extract_lead
 from sumedit.text import document_from_strings
 
 
 def make_doc(sentences, doc_id="d"):
     return document_from_strings(doc_id, sentences)
+
+
+def doc_vector(doc, cfg, W_d, b_d):
+    """The editor's document vector d for doc, from forward's record."""
+    n = cfg.n
+    params = EditorParams(
+        W_c=np.zeros((1, 4 * n)), b_c=np.zeros(1), V=np.zeros((3, 1)), b=np.zeros(3),
+        W_g=np.zeros((n, n)), W_d=W_d, b_d=b_d,
+    )
+    extract = extract_lead(doc, 1)
+    ctx = context_from_abstractions(doc, extract, [doc.tokens_at(0)], cfg)
+    return forward(ctx, params, lambda i, p: Decision.REJECT).d
 
 
 class TestEncodeSentences:
@@ -54,37 +66,39 @@ class TestEncodeSentences:
 
 class TestDocRepresentation:
     def test_zero_params_zero_vector(self):
-        vecs = np.ones((2, 4))
-        params = DocParams(W_d=np.zeros((4, 4)), b_d=np.zeros(4))
-        assert np.array_equal(doc_representation(vecs, params), np.zeros(4))
+        doc = make_doc(["a b c", "d e"])
+        d = doc_vector(doc, EncoderConfig(n=4), np.zeros((4, 4)), np.zeros(4))
+        assert np.array_equal(d, np.zeros(4))
 
     def test_identity_single_sentence(self):
-        v = np.array([0.1, -0.2, 0.3, 0.0])
-        params = DocParams(W_d=np.eye(4), b_d=np.zeros(4))
-        assert np.allclose(doc_representation(v[None, :], params), np.tanh(v))
+        doc = make_doc(["a b c"])
+        cfg = EncoderConfig(n=4)
+        v = encode_sentences(doc, cfg)[0]
+        assert np.allclose(doc_vector(doc, cfg, np.eye(4), np.zeros(4)), np.tanh(v))
 
     def test_matches_plain_loop_recomputation(self):
         rng = np.random.default_rng(0)
-        vecs = rng.normal(size=(2, 4))
+        doc = make_doc(["a b c", "d e f g"])
+        cfg = EncoderConfig(n=4, context_window=0)
+        vecs = encode_sentences(doc, cfg)
         W, b = rng.normal(size=(4, 4)), rng.normal(size=4)
         mean = [sum(vecs[i][j] for i in range(2)) / 2 for j in range(4)]
         expected = [
             math.tanh(sum(W[r][c] * mean[c] for c in range(4)) + b[r]) for r in range(4)
         ]
-        out = doc_representation(vecs, DocParams(W_d=W, b_d=b))
+        out = doc_vector(doc, cfg, W, b)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_entries_strictly_inside_tanh_range(self):
         rng = np.random.default_rng(1)
-        vecs = rng.normal(size=(3, 6))
-        params = DocParams(W_d=rng.normal(size=(6, 6)) * 5, b_d=rng.normal(size=6))
-        d = doc_representation(vecs, params)
+        doc = make_doc(["a b", "c d e", "f g h i"])
+        d = doc_vector(doc, EncoderConfig(n=6), rng.normal(size=(6, 6)) * 5, rng.normal(size=6))
         assert np.all(np.abs(d) < 1.0)
 
     def test_shape_mismatch_errors(self):
-        params = DocParams(W_d=np.eye(3), b_d=np.zeros(3))
+        doc = make_doc(["a b c", "d e"])
         with pytest.raises(ValueError):
-            doc_representation(np.ones((2, 4)), params)
+            doc_vector(doc, EncoderConfig(n=4), np.eye(3), np.zeros(3))
 
 
 class TestEncodeAbstracted:

@@ -3,7 +3,16 @@ import pytest
 
 from synthetic import make_corpus
 from sumedit import trainer as trainer_mod
-from sumedit.editor import Decision, context_from_abstractions, decode, init_params
+from sumedit.editor import (
+    DECISIONS,
+    Decision,
+    context_from_abstractions,
+    decode,
+    forward,
+    init_params,
+    loss_and_gradients,
+    soft_cross_entropy,
+)
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import label_dataset
 from sumedit.rouge import RewardWeights, reward
@@ -113,32 +122,28 @@ class TestTrain:
             assert np.array_equal(best1.arrays()[name], best2.arrays()[name])
 
     def test_teacher_forcing_state_ignores_model_outputs(self):
-        # corrupting the logit layer must not change the state trajectory;
-        # compare W_g gradients, which flow only through the state path
-        from sumedit.editor import loss_and_gradients
-
+        # corrupting the logit bias changes every distribution but must not
+        # change the teacher-forced decisions or the state trajectory
         pairs = labeled_pairs(1, seed=6)
         ex, lab = pairs[0]
         ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
         y = np.asarray(lab.labels)
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
-        forward_states = []
+        teacher = lambda i, p: DECISIONS[int(np.argmax(y[i]))]
+        runs = []
         for corrupt in (0.0, 5.0):
             p = params.copy()
-            p.b[:] += corrupt
-            n = ENC.n
-            g = np.zeros(n)
-            d = np.tanh(p.W_d @ ctx.e_bar + p.b_d)
-            from sumedit.editor import DECISIONS, update_state
-
-            traj = []
-            for i in range(ctx.l):
-                teacher = DECISIONS[int(np.argmax(y[i]))]
-                g = update_state(g, teacher, ctx.e[i], ctx.a[i], p.W_g)
-                traj.append(g.copy())
-            forward_states.append(traj)
-        for a, b in zip(*forward_states):
+            p.b[:] += np.array([corrupt, 0.0, -corrupt])
+            runs.append(forward(ctx, p, teacher))
+            # the training loss is the one of this teacher-forced run
+            loss, _ = loss_and_gradients(ctx, y, p, teacher_forcing=True)
+            assert loss == soft_cross_entropy(runs[-1].p, y)
+        clean, corrupted = runs
+        assert not np.allclose(clean.p[0], corrupted.p[0])
+        assert clean.decisions == corrupted.decisions == [teacher(i, None) for i in range(ctx.l)]
+        assert len(clean.g) == len(corrupted.g) == ctx.l + 1
+        for a, b in zip(clean.g, corrupted.g):
             assert np.array_equal(a, b)
 
 
