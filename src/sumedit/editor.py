@@ -146,11 +146,20 @@ class EditContext:
 def abstractions_for(
     document: Document, extract: ExtractResult, abstractor: Abstractor
 ) -> tuple[tuple[str, ...], ...]:
-    """Abstracted version of every extracted sentence, in extract order."""
+    """Abstracted version of every extracted sentence, in extract order.
+
+    Raises ValueError if the extract's likelihood misses a chunk member.
+    """
     out = []
     for idx in extract.order:
         chunk = make_chunk(document, idx)
-        member_p = {s.index: extract.likelihood[s.index] for s in chunk.members}
+        try:
+            member_p = {s.index: extract.likelihood[s.index] for s in chunk.members}
+        except KeyError as exc:
+            raise ValueError(
+                f"{document.id}: extract likelihood has no entry for sentence "
+                f"{exc.args[0]} (chunk of extracted sentence {idx})"
+            ) from None
         out.append(tuple(abstractor(chunk, member_p).tokens))
     return tuple(out)
 

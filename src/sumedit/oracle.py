@@ -1,9 +1,14 @@
 """Soft-label generation by exhaustive enumeration of decision sequences.
 
-All 3^l keep/abstract/reject sequences over an extract are realized and
-scored with the composite reward. The best sequence and prefix-conditioned
-reward averages yield one soft label distribution per step; labels for a
-whole dataset are written to a reproducible line-delimited JSON cache.
+The composite reward of every one of the 3^l keep/abstract/reject sequences
+over an extract is computed from per-sentence ROUGE statistics
+(`rouge.sentence_stats`): the 2l sentence versions' count rows are added and
+their LCS-position rows OR-ed over the `(3,)*l` grid, one decision axis at a
+time, and the summed statistics are scored with `reward`'s float expressions,
+so no summary is realized and every reward is bit-identical to `reward` on
+it. The best sequence and prefix-conditioned reward averages yield one soft
+label distribution per step; labels for a whole dataset are written to a
+reproducible line-delimited JSON cache.
 """
 from __future__ import annotations
 
@@ -12,13 +17,15 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import editor
-from .editor import DECISIONS, Decision
-from .rouge import RewardWeights, reward
+from .editor import DECISION_INDEX, DECISIONS, Decision
+# `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
+# `oracle.reward` by name.
+from .rouge import RewardWeights, reward, sentence_stats
 from .summarizers import Abstractor, ExtractResult, Extractor
 from .text import Document, Example
 
@@ -27,6 +34,14 @@ log = logging.getLogger(__name__)
 DecisionSequence = tuple[Decision, ...]
 
 DEFAULT_CAP = 12
+
+# Largest number of (summary, statistic) entries one enumeration chunk holds.
+CHUNK_ENTRIES = 1 << 21
+
+
+class LabelingError(ValueError):
+    """An example that cannot be labeled (e.g. its extract exceeds the
+    enumeration cap); `label_dataset` records it as a per-example failure."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,16 @@ def realize(
     return tuple(out)
 
 
+def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray:
+    """Row-wise `combine` of one (3, W) option block per decision axis over
+    all 3^len(blocks) choices, in `itertools.product` order, starting from
+    the row `none`: (3^len(blocks), W)."""
+    acc = none[None]
+    for block in blocks:
+        acc = combine(acc[:, None], block[None]).reshape(-1, len(none))
+    return acc
+
+
 def enumerate_rewards(
     example: Example,
     extract: ExtractResult,
@@ -64,62 +89,71 @@ def enumerate_rewards(
     reward_fn: Callable | None = None,
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
-) -> dict[DecisionSequence, float]:
-    """Reward of every one of the 3^l decision sequences.
+) -> np.ndarray:
+    """Reward of every one of the 3^l decision sequences, as a `(3,)*l`
+    array indexed by decision (E = 0, A = 1, R = 2), i.e. in
+    `itertools.product(DECISIONS, repeat=l)` order.
 
-    Rewards are memoized by realized-summary identity; distinct sequences can
-    share a realized summary (e.g. any all-reject suffix permutation).
+    By default rewards come from per-sentence statistics (see the module
+    docstring); the grid is built in chunks over a leading decision prefix so
+    that memory stays bounded at the cap. With `reward_fn`, every sequence's
+    realized summary is scored by `reward_fn` instead: the slow reference.
     """
     l = len(extract.order)
     if l > cap:
-        raise ValueError(f"enumeration cap exceeded (l={l}, cap={cap})")
-    if reward_fn is None:
-        reward_fn = lambda cand: reward(cand, example.reference, weights)
-    memo: dict[tuple, float] = {}
-    rewards: dict[DecisionSequence, float] = {}
-    for seq in itertools.product(DECISIONS, repeat=l):
-        summary = realize(example.document, extract, abstractions, seq)
-        if summary not in memo:
-            memo[summary] = float(reward_fn(summary))
-        rewards[seq] = memo[summary]
-    return rewards
+        raise LabelingError(f"enumeration cap exceeded (l={l}, cap={cap})")
+    if len(abstractions) != l:
+        raise ValueError("extract, abstractions, and sequence lengths differ")
+    if reward_fn is not None:
+        return np.array(
+            [
+                float(reward_fn(realize(example.document, extract, abstractions, seq)))
+                for seq in itertools.product(DECISIONS, repeat=l)
+            ]
+        ).reshape((3,) * l)
+    versions = [example.document.tokens_at(i) for i in extract.order] + list(abstractions)
+    stats = sentence_stats(versions, example.reference)
+    # Per decision axis, the E, A and R rows; R contributes nothing.
+    no_counts, no_lcs = np.zeros_like(stats.counts[0]), np.zeros_like(stats.lcs[0])
+    counts = [np.stack([stats.counts[i], stats.counts[l + i], no_counts]) for i in range(l)]
+    lcs = [np.stack([stats.lcs[i], stats.lcs[l + i], no_lcs]) for i in range(l)]
+    width = stats.counts.shape[1] + stats.lcs.shape[1]
+    tail = 1
+    while tail < l and 3 ** (tail + 1) * width <= CHUNK_ENTRIES:
+        tail += 1
+    head = l - tail
+    tail_counts = _grid(counts[head:], no_counts, np.add)
+    tail_lcs = _grid(lcs[head:], no_lcs, np.logical_or)
+    chunks = zip(_grid(counts[:head], no_counts, np.add), _grid(lcs[:head], no_lcs, np.logical_or))
+    return np.concatenate(
+        [stats.rewards(c + tail_counts, m | tail_lcs, weights) for c, m in chunks]
+    ).reshape((3,) * l)
 
 
-def best_sequence(rewards: Mapping[DecisionSequence, float]) -> DecisionSequence:
-    """Argmax by reward; ties resolved lexicographically with E < A < R."""
-    if not rewards:
-        raise ValueError("rewards map is empty")
-    rank = {d: i for i, d in enumerate(DECISIONS)}
-    best: DecisionSequence | None = None
-    best_r = -np.inf
-    for seq in sorted(rewards, key=lambda s: tuple(rank[d] for d in s)):
-        if rewards[seq] > best_r:
-            best, best_r = seq, rewards[seq]
-    return best
+def _indices(sequence: DecisionSequence) -> tuple[int, ...]:
+    return tuple(DECISION_INDEX[d] for d in sequence)
 
 
-def soft_labels(
-    rewards: Mapping[DecisionSequence, float], best: DecisionSequence
-) -> np.ndarray:
+def best_sequence(rewards: np.ndarray) -> DecisionSequence:
+    """Argmax by reward; ties resolved lexicographically with E < A < R (the
+    first maximum in product order)."""
+    best = np.unravel_index(np.argmax(rewards), rewards.shape)
+    return tuple(DECISIONS[int(i)] for i in best)
+
+
+def soft_labels(rewards: np.ndarray, best: DecisionSequence) -> np.ndarray:
     """Per-step label distributions from prefix-conditioned reward averages.
 
     For step i, the three bucket averages are over all complete sequences
     sharing the best sequence's (i-1)-prefix, keyed by their i-th decision;
     labels are the normalized averages, uniform if the normalizer is zero.
     """
-    l = len(best)
-    sums = np.zeros((l, 3))
-    counts = np.zeros((l, 3))
-    for seq, r in rewards.items():
-        for i in range(l):
-            if i > 0 and seq[i - 1] is not best[i - 1]:
-                break
-            k = DECISIONS.index(seq[i])
-            sums[i, k] += r
-            counts[i, k] += 1
-    labels = np.empty((l, 3))
-    for i in range(l):
-        means = np.where(counts[i] > 0, sums[i] / np.maximum(counts[i], 1), 0.0)
+    labels = np.empty((len(best), 3))
+    for i in range(len(best)):
+        buckets = rewards[_indices(best[:i])].reshape(3, -1)
+        # Sequential sums in product order, as the reference loop adds them
+        # (ndarray.sum is pairwise and would move labels by about 1e-16).
+        means = np.cumsum(buckets, axis=1)[:, -1] / buckets.shape[1]
         z = means.sum()
         labels[i] = means / z if z > 0 else np.full(3, 1.0 / 3.0)
     return labels
@@ -145,7 +179,7 @@ def label_example(
         abstractions=abstractions,
         labels=tuple(tuple(float(v) for v in row) for row in labels),
         best=best,
-        best_reward=float(rewards[best]),
+        best_reward=float(rewards[_indices(best)]),
     )
 
 
@@ -153,7 +187,7 @@ def _label_worker(args) -> tuple[str, object]:
     example, extractor, abstractor, weights, cap = args
     try:
         return "ok", label_example(example, extractor, abstractor, weights, cap)
-    except Exception as exc:  # per-example failures are reported, not fatal
+    except LabelingError as exc:
         return "err", f"{example.document.id}: {exc}"
 
 

@@ -4,12 +4,19 @@ ROUGE-L is the summary-level variant: for each reference sentence, the union
 of LCS-matched token positions against all candidate sentences. All scores are
 full-length F; degenerate inputs yield zeros rather than NaN so the reward is
 a total function.
+
+`reward` scores one summary. `sentence_stats` precomputes per-sentence n-gram
+counts and LCS-matched reference positions, from which
+`SentenceStats.rewards` scores many summaries built from the same sentences
+at once, with `reward`'s float expressions (the results are bit-identical).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 TokenList = Sequence[str]
 
@@ -135,3 +142,82 @@ def reward(
     r2 = rouge_n(candidate, ref_sents, 2).f1
     rl = rouge_l(candidate, ref_sents).f1
     return weights.alpha * r1 + weights.beta * r2 + weights.gamma * rl
+
+
+@dataclass(frozen=True)
+class SentenceStats:
+    """Per-sentence ROUGE statistics of candidate sentence versions against
+    one reference.
+
+    Row v of `counts` holds version v's unigram counts over the reference
+    unigram vocabulary, then its bigram counts over the reference bigram
+    vocabulary, then its token and bigram totals. Row v of `lcs` marks the
+    positions of the concatenated reference tokens that `_lcs_positions`
+    matches against version v, over every reference sentence.
+
+    N-grams never cross a sentence boundary and summary-level ROUGE-L is a
+    union of per-sentence matched positions, so a summary made of some of the
+    versions has the sum of their `counts` rows and the OR of their `lcs`
+    rows as its statistics, and `rewards` turns those into `reward`'s value
+    bit for bit.
+    """
+
+    counts: np.ndarray  # (V, U1 + U2 + 2) int64
+    lcs: np.ndarray  # (V, T) bool, T reference tokens
+    ref_counts: np.ndarray  # (U1 + U2,) reference n-gram counts
+    unigrams: int  # U1
+    ref_bigrams: int  # reference bigram total
+
+    def rewards(
+        self, counts: np.ndarray, lcs: np.ndarray, weights: RewardWeights = RewardWeights()
+    ) -> np.ndarray:
+        """`reward` of every summary whose summed `counts` rows and OR-ed
+        `lcs` rows are given, along the leading axes."""
+        overlap = np.minimum(counts[..., :-2], self.ref_counts)
+        tokens = counts[..., -2]
+        ref_tokens = self.lcs.shape[1]
+        r1 = _f1_array(overlap[..., : self.unigrams].sum(axis=-1), tokens, ref_tokens)
+        r2 = _f1_array(overlap[..., self.unigrams :].sum(axis=-1), counts[..., -1], self.ref_bigrams)
+        rl = _f1_array(lcs.sum(axis=-1), tokens, ref_tokens, clamp=True)
+        return weights.alpha * r1 + weights.beta * r2 + weights.gamma * rl
+
+
+def _f1_array(overlap: np.ndarray, total: np.ndarray, ref_total: int, clamp: bool = False) -> np.ndarray:
+    """Elementwise F-measure in `rouge_n`'s (and, clamped, `rouge_l`'s) float
+    expressions; zero where either total is zero or p + r is not positive."""
+    valid = (total > 0) & (ref_total > 0)
+    p = overlap / np.where(valid, total, 1)
+    r = overlap / (ref_total or 1)
+    if clamp:
+        p = np.minimum(1.0, p)
+        r = np.minimum(1.0, r)
+    s = p + r
+    valid &= s > 0
+    return np.where(valid, 2 * p * r / np.where(valid, s, 1.0), 0.0)
+
+
+def sentence_stats(versions: Sequence[TokenList], reference) -> SentenceStats:
+    """`SentenceStats` of each sentence version against `reference` (a
+    ReferenceSummary or a plain list of token lists)."""
+    ref_sents = getattr(reference, "sentences", reference)
+    ref_grams = [_pooled_ngrams(ref_sents, n) for n in (1, 2)]
+    column = {g: i for i, g in enumerate(g for grams in ref_grams for g in grams)}
+    offsets = np.cumsum([0] + [len(s) for s in ref_sents])
+    counts = np.zeros((len(versions), len(column) + 2), dtype=np.int64)
+    lcs = np.zeros((len(versions), int(offsets[-1])), dtype=bool)
+    for v, sent in enumerate(versions):
+        for n in (1, 2):
+            for g, c in _ngrams(sent, n).items():
+                if g in column:
+                    counts[v, column[g]] += c
+        counts[v, -2:] = len(sent), max(len(sent) - 1, 0)
+        for ref_sent, start in zip(ref_sents, offsets):
+            for pos in _lcs_positions(ref_sent, sent):
+                lcs[v, start + pos] = True
+    return SentenceStats(
+        counts=counts,
+        lcs=lcs,
+        ref_counts=np.array([c for grams in ref_grams for c in grams.values()], dtype=np.int64),
+        unigrams=len(ref_grams[0]),
+        ref_bigrams=sum(ref_grams[1].values()),
+    )

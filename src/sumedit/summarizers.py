@@ -15,7 +15,9 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
-from .rouge import RewardWeights, reward
+# `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
+# `summarizers.reward` by name.
+from .rouge import RewardWeights, reward, sentence_stats
 from .text import Document, Example, Sentence
 
 STOPWORDS = frozenset(
@@ -99,27 +101,30 @@ def extract_greedy_oracle(example: Example, k: int, weights: RewardWeights) -> E
 
     Adds the sentence with the best marginal reward gain (ties: lowest index)
     until k sentences are selected or no addition strictly improves the
-    reward. Selected sentences get P(s) = softmax over their selection-step
-    gains; unselected ones get a small positive floor.
+    reward. Each step scores every candidate at once from per-sentence ROUGE
+    statistics (the selection's running sums plus the candidate's row).
+    Selected sentences get P(s) = softmax over their selection-step gains;
+    unselected ones get a small positive floor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    doc, ref = example.document, example.reference
+    doc = example.document
+    stats = sentence_stats([doc.tokens_at(i) for i in range(len(doc))], example.reference)
+    counts, lcs = np.zeros_like(stats.counts[0]), np.zeros_like(stats.lcs[0])
+    unselected = np.ones(len(doc), dtype=bool)
     selected: list[int] = []
     gains: list[float] = []
     current = 0.0
     while len(selected) < min(k, len(doc)):
-        best_idx, best_reward = -1, -math.inf
-        for i in range(len(doc)):
-            if i in selected:
-                continue
-            cand = [doc.tokens_at(j) for j in selected] + [doc.tokens_at(i)]
-            r = reward(cand, ref, weights)
-            if r > best_reward:
-                best_idx, best_reward = i, r
+        rewards = stats.rewards(counts + stats.counts, lcs | stats.lcs, weights)
+        best_idx = int(np.argmax(np.where(unselected, rewards, -np.inf)))
+        best_reward = float(rewards[best_idx])
         if selected and best_reward <= current:
             break
         selected.append(best_idx)
+        unselected[best_idx] = False
+        counts += stats.counts[best_idx]
+        lcs |= stats.lcs[best_idx]
         gains.append(best_reward - current)
         current = best_reward
     g = np.array(gains)

@@ -27,7 +27,7 @@ from sumedit.editor import (
     soft_cross_entropy,
 )
 from sumedit.encoder import EncoderConfig
-from sumedit.oracle import best_sequence, enumerate_rewards, label_dataset, soft_labels
+from sumedit.oracle import best_sequence, enumerate_rewards, label_dataset, realize, soft_labels
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import (
     AttentionMap,
@@ -157,6 +157,14 @@ def naive_best(rewards):
     return best
 
 
+def as_array(rewards):
+    """Dense (3,)*l array, in product order, of a {sequence: reward} dict
+    covering every sequence (the oracle's reward format)."""
+    l = len(next(iter(rewards)))
+    seqs = itertools.product(DECISIONS, repeat=l)
+    return np.array([rewards[seq] for seq in seqs]).reshape((3,) * l)
+
+
 def injected_fixture(l, seed):
     """Synthetic example whose realized summaries are all distinct, plus a
     seeded reward function keyed on the realized summary."""
@@ -177,11 +185,16 @@ def test_criterion_2_oracle_equivalence():
         for seed in range(50):
             ex, extract, abstractions, reward_fn = injected_fixture(l, seed)
             rewards = enumerate_rewards(ex, extract, abstractions, reward_fn=reward_fn)
-            assert len(rewards) == 3**l
+            assert rewards.size == 3**l
+            by_seq = {
+                seq: reward_fn(realize(ex.document, extract, abstractions, seq))
+                for seq in itertools.product(DECISIONS, repeat=l)
+            }
+            assert rewards.tobytes() == as_array(by_seq).tobytes()
             best = best_sequence(rewards)
-            assert best == naive_best(rewards)
+            assert best == naive_best(by_seq)
             got = soft_labels(rewards, best)
-            want = naive_soft_labels(rewards, best)
+            want = naive_soft_labels(by_seq, best)
             assert np.max(np.abs(got - want)) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"oracle equivalence took {elapsed:.1f}s"
@@ -190,7 +203,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_degenerate_and_scaling():
     for l in (1, 2, 3):
-        zero = {seq: 0.0 for seq in itertools.product(DECISIONS, repeat=l)}
+        zero = as_array({seq: 0.0 for seq in itertools.product(DECISIONS, repeat=l)})
         labels = soft_labels(zero, best_sequence(zero))
         assert np.max(np.abs(labels - 1 / 3)) <= 1e-12
     rng = np.random.default_rng(0)
@@ -201,7 +214,8 @@ def test_criterion_3_degenerate_and_scaling():
                 for seq in itertools.product(DECISIONS, repeat=l)
             }
             scale = float(rng.uniform(0.1, 50))
-            scaled = {seq: scale * r for seq, r in rewards.items()}
+            scaled = as_array({seq: scale * r for seq, r in rewards.items()})
+            rewards = as_array(rewards)
             best = best_sequence(rewards)
             assert best_sequence(scaled) == best
             delta = soft_labels(rewards, best) - soft_labels(scaled, best)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sumedit.rouge import RewardWeights, reward
 from sumedit.summarizers import (
+    UNSELECTED_LIKELIHOOD,
     AttentionMap,
     abstract_salience,
     extract_greedy_oracle,
@@ -34,7 +37,54 @@ class TestExtractLead:
         assert result.likelihood == {0: 1.0, 1: 0.5, 2: pytest.approx(1 / 3)}
 
 
+def loop_greedy_oracle(example, k, weights):
+    """The per-candidate `reward` loop that the statistics-based extractor
+    replaced; its selections and likelihoods must match bit for bit."""
+    doc, ref = example.document, example.reference
+    selected, gains, current = [], [], 0.0
+    while len(selected) < min(k, len(doc)):
+        best_idx, best_reward = -1, -math.inf
+        for i in range(len(doc)):
+            if i in selected:
+                continue
+            cand = [doc.tokens_at(j) for j in selected] + [doc.tokens_at(i)]
+            r = reward(cand, ref, weights)
+            if r > best_reward:
+                best_idx, best_reward = i, r
+        if selected and best_reward <= current:
+            break
+        selected.append(best_idx)
+        gains.append(best_reward - current)
+        current = best_reward
+    g = np.array(gains)
+    p_sel = np.exp(g - g.max())
+    p_sel /= p_sel.sum()
+    likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(len(doc))}
+    for i, p in zip(selected, p_sel):
+        likelihood[i] = float(p)
+    return tuple(selected), likelihood
+
+
 class TestGreedyOracle:
+    def test_matches_reward_loop(self):
+        rng = np.random.default_rng(0)
+        vocab = [f"w{i}" for i in range(12)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 9))))
+
+        for _ in range(40):
+            sentences = [sentence() for _ in range(int(rng.integers(1, 12)))]
+            if len(sentences) > 2:
+                sentences[-1] = sentences[0]  # a duplicated sentence
+            ex = make_example(sentences, [sentence() for _ in range(int(rng.integers(1, 4)))])
+            k = int(rng.integers(1, 6))
+            w = RewardWeights(*(float(x) for x in rng.uniform(0.1, 1.0, size=3)))
+            result = extract_greedy_oracle(ex, k, w)
+            order, likelihood = loop_greedy_oracle(ex, k, w)
+            assert result.order == order
+            assert result.likelihood == likelihood
+
     def test_verbatim_match_selected(self):
         ex = make_example(["a b", "c d", "the exact summary", "e f"], ["the exact summary"])
         result = extract_greedy_oracle(ex, 1, RewardWeights())
