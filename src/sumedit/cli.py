@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -75,7 +76,7 @@ def cmd_label(args) -> int:
         examples = text.load_dataset(_dataset_path(cfg, split))
         cache_path = out / f"labels_{split}.jsonl"
         start = time.monotonic()
-        labeled, failures = oracle.label_dataset(
+        labeled, _ = oracle.label_dataset(
             examples,
             extractor,
             abstractor,
@@ -90,8 +91,6 @@ def cmd_label(args) -> int:
             f"-> {cache_path}",
             file=sys.stderr,
         )
-        for msg in failures:
-            print(f"{split}: failed {msg}", file=sys.stderr)
         if not labeled and examples:
             status = 1
     cfg.write(out / "resolved_config.json")
@@ -131,7 +130,7 @@ def cmd_train(args) -> int:
     )
     ckpt_path = out / "checkpoint.json"
     editor.save_checkpoint(best, cfg.encoder_config(), ckpt_path)
-    with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
+    with text.atomic_open(out / "train_log.jsonl") as fh:
         for entry in log:
             fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
     cfg.write(out / "resolved_config.json")
@@ -155,10 +154,13 @@ def cmd_summarize(args) -> int:
         extracts = [summarizers.extract_lead(doc, cfg.k) for doc in documents]
     if not documents:
         raise SystemExit(f"no usable records in {args.document}")
-    for document, extract in zip(documents, extracts):
-        abstractions = editor.abstractions_for(document, extract, abstractor)
-        ctx = editor.context_from_abstractions(document, extract, abstractions, enc_config)
-        summary = editor.decode(ctx, params)
+    ctxs = [
+        editor.context_from_abstractions(
+            document, extract, editor.abstractions_for(document, extract, abstractor), enc_config
+        )
+        for document, extract in zip(documents, extracts)
+    ]
+    for document, summary in zip(documents, editor.decode(ctxs, params)):
         print(f"# {document.id}")
         for step in summary.steps:
             if step.tokens is not None:
@@ -179,7 +181,7 @@ def cmd_evaluate(args) -> int:
     pairs = _paired_split(cfg, "test", out)
     report = trainer.evaluate(pairs, params, enc_config, cfg.reward_weights())
     report_path = out / "evaluation.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with text.atomic_open(report_path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(json.dumps(report, sort_keys=True))
@@ -206,6 +208,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sumedit")
+    parser.add_argument(
+        "--log-level",
+        default="WARNING",
+        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
+        help="threshold for messages such as per-example labeling failures",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
@@ -244,11 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # One handler for this invocation on the package logger, so each logged
+    # message is printed once, to the stderr of the call.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("sumedit")
+    logger.setLevel(args.log_level)
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except (OSError, ValueError, text.DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .encoder import EncoderConfig
 from .rouge import RewardWeights
 from .summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor
+from .text import atomic_open
 from .trainer import TrainConfig
 
 
@@ -55,7 +56,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 

@@ -5,24 +5,27 @@ sentence vectors, running summary state, document vector), produces a
 three-way softmax over {E, A, R} through two fully-connected layers, and
 updates the additive summary state through tanh(W_g @ h) where h follows the
 chosen sentence version. The recurrence, including the document vector
-d = tanh(W_d @ mean(e) + b_d), is computed in one place, `forward`: `decode`
+d = tanh(W_d @ mean(e) + b_d), is computed in one place, `forward`, over a
+padded batch of extracts: each step is one matrix product for the whole
+batch, and the padded steps past an extract's end count as REJECT. `decode`
 runs it free (argmax of p) and `loss_and_gradients` runs it teacher-forced
-(argmax of the label) before its backward pass. Training minimizes a soft
-cross-entropy against enumeration-derived label distributions; gradients are
-exact and analytic (the base sentence encoder is frozen).
+(argmax of the label) before its backward pass, whose weight gradients are
+one matrix product each over all the batch's steps. Training minimizes a
+soft cross-entropy against enumeration-derived label distributions;
+gradients are exact and analytic (the base sentence encoder is frozen).
 """
 from __future__ import annotations
 
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, encode_abstracted, encode_sentences
+from .encoder import EncoderConfig, encode_abstracted, mix_context, raw_vectors
 from .summarizers import Abstractor, ExtractResult, make_chunk
-from .text import Document
+from .text import Document, atomic_open
 
 LOG_CLAMP = 1e-12
 
@@ -40,6 +43,7 @@ class Decision(enum.Enum):
 # Fixed index order; argmax ties therefore break E > A > R.
 DECISIONS = (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
 DECISION_INDEX = {d: i for i, d in enumerate(DECISIONS)}
+EXTRACT, ABSTRACT, REJECT = range(3)
 
 PARAM_NAMES = ("W_c", "b_c", "V", "b", "W_g", "W_d", "b_d")
 
@@ -121,11 +125,6 @@ class MixedSummary:
         return tuple(s.tokens for s in self.steps if s.tokens is not None)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
 @dataclass
 class EditContext:
     """Frozen-encoder quantities for one example, precomputable once."""
@@ -171,11 +170,12 @@ def context_from_abstractions(
     config: EncoderConfig,
 ) -> EditContext:
     doc = document
-    vecs = encode_sentences(doc, config)
+    raw = raw_vectors(doc, config)
+    vecs = mix_context(raw, config)
     e = np.stack([vecs[i] for i in extract.order])
     a = np.stack(
         [
-            encode_abstracted(doc, idx, list(toks), config)
+            encode_abstracted(raw, idx, list(toks), config)
             for idx, toks in zip(extract.order, abstractions)
         ]
     )
@@ -192,133 +192,157 @@ def context_from_abstractions(
 
 @dataclass
 class ForwardPass:
-    """One run of the recurrence over an extract of length l.
+    """One run of the recurrence over a batch of B extracts padded to the
+    longest length L; arrays are step-major.
 
-    `d` is the document vector and `g` the states g_0 ... g_l. Per step i it
-    keeps the input x, the hidden activation t, the distribution p, the chosen
-    decision, the version h of the sentence that entered the state and the
-    state increment q = tanh(W_g h); h and q are None on REJECT.
+    `d` (B, n) holds the document vectors and `g` (L + 1, B, n) the states
+    g_0 ... g_L. Per step i: the input `x` (L, B, 4n), the hidden activation
+    `t` (L, B, m), the distribution `p` (L, B, 3), the decision index into
+    DECISIONS `decisions` (L, B), the version `h` of the sentence that entered
+    the state and the state increment `q` = tanh(W_g h), both (L, B, n) and
+    zero on REJECT. `mask` (L, B) marks the steps inside each extract; the
+    others take REJECT.
     """
 
     d: np.ndarray
-    g: list[np.ndarray]
-    x: list[np.ndarray]
-    t: list[np.ndarray]
-    p: list[np.ndarray]
-    decisions: list[Decision]
-    h: list[np.ndarray | None]
-    q: list[np.ndarray | None]
+    g: np.ndarray
+    x: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+    decisions: np.ndarray
+    h: np.ndarray
+    q: np.ndarray
+    mask: np.ndarray
 
 
 def forward(
-    ctx: EditContext,
+    ctxs: Sequence[EditContext],
     params: EditorParams,
-    choose: Callable[[int, np.ndarray], Decision],
+    forced: np.ndarray | None = None,
 ) -> ForwardPass:
-    """Run the editor over ctx; choose(i, p) names the decision taken at step i.
+    """Run the editor over a non-empty batch of contexts.
 
+    forced (L, B) gives the decision index taken at every step (teacher
+    forcing); without it each step takes argmax p, ties broken E > A > R.
     p_i = softmax(V tanh(W_c [e_i, a_i, g_i, d] + b_c) + b), d = tanh(W_d e_bar
     + b_d), and g_{i+1} = g_i + tanh(W_g h_i) with h_i the extracted (E) or
-    abstracted (A) sentence vector; on REJECT g_{i+1} is g_i itself.
+    abstracted (A) sentence vector; on REJECT, and on every padded step,
+    g_{i+1} is g_i itself.
     """
-    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
-    g = np.zeros(params.n)
-    gs, xs, ts, ps, decisions, hs, qs = [g], [], [], [], [], [], []
-    for i in range(ctx.l):
-        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
-        t = np.tanh(params.W_c @ x + params.b_c)
-        p = _softmax(params.V @ t + params.b)
-        decision = choose(i, p)
-        if decision is Decision.REJECT:
-            h = q = None
-        else:
-            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
-            q = np.tanh(params.W_g @ h)
-            g = g + q
-        gs.append(g); xs.append(x); ts.append(t); ps.append(p)
-        decisions.append(decision); hs.append(h); qs.append(q)
-    return ForwardPass(d, gs, xs, ts, ps, decisions, hs, qs)
+    n, m, B = params.n, params.m, len(ctxs)
+    lengths = np.array([ctx.l for ctx in ctxs])
+    L = int(lengths.max())
+    mask = np.arange(L)[:, None] < lengths
+    d = np.tanh(np.stack([ctx.e_bar for ctx in ctxs]) @ params.W_d.T + params.b_d)
+    x = np.zeros((L, B, 4 * n))
+    for j, ctx in enumerate(ctxs):
+        x[: ctx.l, j, :n] = ctx.e
+        x[: ctx.l, j, n : 2 * n] = ctx.a
+    x[:, :, 3 * n :] = d
+    g = np.zeros((L + 1, B, n))
+    t = np.empty((L, B, m))
+    p = np.empty((L, B, 3))
+    decisions = np.empty((L, B), dtype=np.intp)
+    h = np.empty((L, B, n))
+    q = np.empty((L, B, n))
+    for i in range(L):
+        x[i, :, 2 * n : 3 * n] = g[i]
+        t[i] = np.tanh(x[i] @ params.W_c.T + params.b_c)
+        logits = t[i] @ params.V.T + params.b
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p[i] = shifted / shifted.sum(axis=1, keepdims=True)
+        chosen = p[i].argmax(axis=1) if forced is None else forced[i]
+        decisions[i] = np.where(mask[i], chosen, REJECT)
+        h[i] = np.where(
+            (decisions[i] == EXTRACT)[:, None],
+            x[i, :, :n],
+            np.where((decisions[i] == ABSTRACT)[:, None], x[i, :, n : 2 * n], 0.0),
+        )
+        # tanh(W_g 0) is exactly 0, so REJECT leaves the state as it is
+        q[i] = np.tanh(h[i] @ params.W_g.T)
+        g[i + 1] = g[i] + q[i]
+    return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
 
 
-def _argmax_choice(i: int, p: np.ndarray) -> Decision:
-    """The model's own decision: argmax p, ties broken E > A > R."""
-    return DECISIONS[int(np.argmax(p))]
-
-
-def decode(ctx: EditContext, params: EditorParams) -> MixedSummary:
-    """Greedy free-running decode: argmax decision per step (ties E > A > R)."""
-    run = forward(ctx, params, _argmax_choice)
-    steps = []
-    for i, (idx, decision) in enumerate(zip(ctx.extract.order, run.decisions)):
-        if decision is Decision.EXTRACT:
-            tokens = ctx.extracted_tokens[i]
-        elif decision is Decision.ABSTRACT:
-            tokens = ctx.abstractions[i]
-        else:
-            tokens = None
-        steps.append(EditStep(idx, decision, tokens, run.p[i]))
-    return MixedSummary(steps=tuple(steps))
+def decode(ctxs: Sequence[EditContext], params: EditorParams) -> list[MixedSummary]:
+    """Greedy free-running decode of every context in one batched pass:
+    argmax decision per step (ties E > A > R), one summary per context."""
+    if not ctxs:
+        return []
+    run = forward(ctxs, params)
+    summaries = []
+    for j, (ctx, decisions) in enumerate(zip(ctxs, run.decisions.T.tolist())):
+        steps = []
+        for i, idx in enumerate(ctx.extract.order):
+            k = decisions[i]
+            tokens = (ctx.extracted_tokens[i], ctx.abstractions[i], None)[k]
+            steps.append(EditStep(idx, DECISIONS[k], tokens, run.p[i, j]))
+        summaries.append(MixedSummary(steps=tuple(steps)))
+    return summaries
 
 
 def soft_cross_entropy(
     distributions: Sequence[np.ndarray], labels: Sequence[Sequence[float]]
 ) -> float:
     """-(1/l) sum_i sum_k y_ik log p_ik, with p clamped below for finiteness."""
-    if len(distributions) != len(labels):
+    p = np.asarray(distributions, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if len(p) != len(y):
         raise ValueError("distributions and labels differ in length")
-    if not distributions:
+    if not len(p):
         raise ValueError("need at least one step")
-    total = 0.0
-    for p, y in zip(distributions, labels):
-        total += float(np.dot(np.asarray(y), np.log(np.maximum(np.asarray(p), LOG_CLAMP))))
-    return -total / len(distributions)
+    return -float(np.sum(y * np.log(np.maximum(p, LOG_CLAMP)))) / len(p)
 
 
 def loss_and_gradients(
-    ctx: EditContext,
-    labels: np.ndarray,
+    ctxs: Sequence[EditContext],
+    labels: Sequence[np.ndarray],
     params: EditorParams,
     teacher_forcing: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Soft cross-entropy loss and its exact gradient for every parameter.
+    """Summed soft cross-entropy of a batch and its exact summed gradient
+    for every parameter; labels[j] is the (l, 3) label array of ctxs[j].
 
     With teacher forcing the state recurrence follows the label argmax; without
     it, the model's own argmax decision. The discrete decisions are treated as
     constants of the backward pass; sentence vectors are frozen.
     """
-    labels = np.asarray(labels, dtype=float)
-    l = ctx.l
-    if labels.shape != (l, 3):
-        raise ValueError(f"labels must have shape ({l}, 3)")
-    n = params.n
+    if not ctxs or len(labels) != len(ctxs):
+        raise ValueError("need one label array per context, and at least one context")
+    n, m, B = params.n, params.m, len(ctxs)
+    L = max(ctx.l for ctx in ctxs)
+    y = np.zeros((L, B, 3))
+    for j, (ctx, lab) in enumerate(zip(ctxs, labels)):
+        lab = np.asarray(lab, dtype=float)
+        if lab.shape != (ctx.l, 3):
+            raise ValueError(f"{ctx.example_id}: labels must have shape ({ctx.l}, 3)")
+        y[: ctx.l, j] = lab
+    run = forward(ctxs, params, y.argmax(axis=2) if teacher_forcing else None)
+    loss = sum(
+        soft_cross_entropy(run.p[: ctx.l, j], y[: ctx.l, j]) for j, ctx in enumerate(ctxs)
+    )
 
-    if teacher_forcing:
-        teacher = [DECISIONS[k] for k in labels.argmax(axis=1)]
-        run = forward(ctx, params, lambda i, p: teacher[i])
-    else:
-        run = forward(ctx, params, _argmax_choice)
-    d, xs, ts, ps, qs, hs = run.d, run.x, run.t, run.p, run.q, run.h
-    loss = soft_cross_entropy(ps, labels)
-
-    grads = zero_grads(params)
-    G = np.zeros(n)  # dL/dg_i flowing back from later steps
-    dd = np.zeros(n)
-    for i in reversed(range(l)):
-        if qs[i] is not None:
-            dq = G * (1 - qs[i] ** 2)
-            grads["W_g"] += np.outer(dq, hs[i])
-        du = (ps[i] - labels[i]) / l
-        grads["V"] += np.outer(du, ts[i])
-        grads["b"] += du
-        dz = (params.V.T @ du) * (1 - ts[i] ** 2)
-        grads["W_c"] += np.outer(dz, xs[i])
-        grads["b_c"] += dz
-        dx = params.W_c.T @ dz
-        G = G + dx[2 * n : 3 * n]
-        dd += dx[3 * n : 4 * n]
-    dzd = dd * (1 - d**2)
-    grads["W_d"] += np.outer(dzd, ctx.e_bar)
-    grads["b_d"] += dzd
+    lengths = run.mask.sum(axis=0)
+    du = ((run.p - y) / lengths[:, None] * run.mask[:, :, None]).reshape(-1, 3)
+    t = run.t.reshape(-1, m)
+    dz = (du @ params.V) * (1 - t**2)
+    dx = (dz @ params.W_c).reshape(L, B, 4 * n)
+    # dL/dg_{i+1}: g_{i+1} enters the inputs of steps i+1 .. L-1
+    dg = dx[:, :, 2 * n : 3 * n]
+    G = np.zeros((L, B, n))
+    G[:-1] = np.cumsum(dg[:0:-1], axis=0)[::-1]
+    dq = (G * (1 - run.q**2)).reshape(-1, n)
+    dzd = dx[:, :, 3 * n :].sum(axis=0) * (1 - run.d**2)
+    e_bar = np.stack([ctx.e_bar for ctx in ctxs])
+    grads = {
+        "W_c": dz.T @ run.x.reshape(-1, 4 * n),
+        "b_c": dz.sum(axis=0),
+        "V": du.T @ t,
+        "b": du.sum(axis=0),
+        "W_g": dq.T @ run.h.reshape(-1, n),
+        "W_d": dzd.T @ e_bar,
+        "b_d": dzd.sum(axis=0),
+    }
     return loss, grads
 
 
@@ -334,7 +358,7 @@ def save_checkpoint(params: EditorParams, encoder_config: EncoderConfig, path) -
         "hash_seed": encoder_config.hash_seed,
         "context_window": encoder_config.context_window,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -1,8 +1,11 @@
 """Deterministic sentence and document representations.
 
 Sentences are embedded by seeded feature hashing of unigram+bigram counts with
-random signs, L2-normalized, then mixed with neighboring sentences so that
-replacing one sentence has an observable effect on its neighbors' context.
+random signs, L2-normalized (`raw_vectors`), then mixed with neighboring
+sentences (`mix_context`) so that replacing one sentence has an observable
+effect on its neighbors' context. Sentence i's vector depends only on the raw
+rows of its window i-w .. i+w, so `encode_abstracted` hashes the abstracted
+sentence alone and mixes it with the document's existing raw rows.
 The document vector tanh(W_d @ mean(e) + b_d) has learnable W_d, b_d, so it
 is computed by the editor (`sumedit.editor.forward`) from the mean sentence
 vector kept in its EditContext.
@@ -15,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .text import Document, Sentence
+from .text import Document
 
 
 @dataclass(frozen=True)
@@ -51,38 +54,45 @@ def _raw_sentence_vector(tokens: Sequence[str], config: EncoderConfig) -> np.nda
     return _normalize(v)
 
 
-def encode_sentences(document: Document, config: EncoderConfig) -> np.ndarray:
-    """Encode every sentence; returns an (N, n) array, one row per sentence."""
-    raw = np.stack([_raw_sentence_vector(s.tokens, config) for s in document.sentences])
-    if config.context_window == 0:
-        return raw
-    n_sent = raw.shape[0]
-    mixed = np.empty_like(raw)
-    w = config.context_window
-    for i in range(n_sent):
-        lo, hi = max(0, i - w), min(n_sent, i + w + 1)
-        mixed[i] = _normalize(raw[lo:hi].mean(axis=0))
-    return mixed
+def raw_vectors(document: Document, config: EncoderConfig) -> np.ndarray:
+    """Hashed vector of every sentence before mixing; an (N, n) array."""
+    return np.stack([_raw_sentence_vector(s.tokens, config) for s in document.sentences])
+
+
+def _mixed_row(raw: np.ndarray, i: int, w: int) -> np.ndarray:
+    """Row i after mixing: the normalized mean of raw rows i-w .. i+w that
+    exist; with w = 0 the raw row itself."""
+    if w == 0:
+        return raw[i]
+    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+    return _normalize(raw[lo:hi].mean(axis=0))
+
+
+def mix_context(raw: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Every sentence's vector, mixed with its neighbors, from the document's
+    raw vectors; an (N, n) array, one row per sentence."""
+    return np.stack([_mixed_row(raw, i, config.context_window) for i in range(len(raw))])
 
 
 def encode_abstracted(
-    document: Document,
+    raw: np.ndarray,
     i: int,
     abstracted: Sequence[str],
     config: EncoderConfig,
 ) -> np.ndarray:
     """Representation of an abstracted sentence in document context.
 
-    The sentence at position i is replaced with the abstracted tokens, the
-    modified document is re-encoded, and the vector at position i is returned.
+    raw holds the document's raw sentence vectors (`raw_vectors`). The result
+    is the vector at position i of the document with sentence i replaced by
+    the abstracted tokens: only those tokens are hashed, and they are mixed
+    with the raw rows of their window.
     """
-    if not 0 <= i < len(document):
+    if not 0 <= i < len(raw):
         raise IndexError(f"sentence index {i} out of range")
     if not abstracted:
         raise ValueError("abstracted sentence must be non-empty")
-    replaced = tuple(
-        Sentence(j, tuple(abstracted)) if j == i else s
-        for j, s in enumerate(document.sentences)
-    )
-    modified = Document(id=document.id, sentences=replaced)
-    return encode_sentences(modified, config)[i]
+    w = config.context_window
+    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+    window = raw[lo:hi].copy()
+    window[i - lo] = _raw_sentence_vector(abstracted, config)
+    return _mixed_row(window, i - lo, w)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ from .editor import DECISION_INDEX, DECISIONS, Decision
 # `oracle.reward` by name.
 from .rouge import RewardWeights, reward, sentence_stats
 from .summarizers import Abstractor, ExtractResult, Extractor
-from .text import Document, Example
+from .text import Document, Example, atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -235,7 +236,7 @@ def write_label_cache(
         "reward_weights": [weights.alpha, weights.beta, weights.gamma],
         "cap": cap,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for lab in labeled:
             rec = {
@@ -250,30 +251,71 @@ def write_label_cache(
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty label cache")
-    header = json.loads(lines[0])
-    if header.get("cache_version") != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version")
-    by_label = {d.label: d for d in DECISIONS}
-    labeled = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        extract = ExtractResult(
+CACHE_FIELDS = {
+    "id": str, "order": list, "P": dict, "abstractions": list, "labels": list,
+    "best": str, "best_reward": (int, float),
+}
+DECISION_OF_LABEL = {d.label: d for d in DECISIONS}
+
+
+def _cache_record(rec) -> LabeledExample:
+    """The LabeledExample of one parsed cache record; a ValueError says what
+    is wrong with a record this program cannot have written."""
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    for name, kind in CACHE_FIELDS.items():
+        if name not in rec:
+            raise ValueError(f"missing field {name!r}")
+        if not isinstance(rec[name], kind):
+            raise ValueError(f"field {name!r} has the wrong type")
+    # type(...) is, not isinstance: JSON true/false must not pass as numbers
+    if not all(type(i) is int and i >= 0 for i in rec["order"]):
+        raise ValueError(f"order {rec['order']!r} is not a list of sentence indices")
+    if not all(type(t) is list and t and all(type(w) is str for w in t) for t in rec["abstractions"]):
+        raise ValueError("abstractions are not non-empty lists of tokens")
+    l = len(rec["order"])
+    for name in ("labels", "abstractions", "best"):
+        if len(rec[name]) != l:
+            raise ValueError(f"{name} has {len(rec[name])} entries, order has {l}")
+    for row in rec["labels"]:
+        # 0 <= v < inf is false for NaN, infinities and negative numbers
+        if not (type(row) is list and len(row) == 3 and all(type(v) in (int, float) and 0 <= v < math.inf for v in row)):
+            raise ValueError(f"label row {row!r} is not three finite non-negative numbers")
+    if not set(rec["best"]) <= DECISION_OF_LABEL.keys():
+        raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
+    return LabeledExample(
+        example_id=rec["id"],
+        extract=ExtractResult(
             order=tuple(rec["order"]),
             likelihood={int(k): v for k, v in rec["P"].items()},
-        )
-        labeled.append(
-            LabeledExample(
-                example_id=rec["id"],
-                extract=extract,
-                abstractions=tuple(tuple(t) for t in rec["abstractions"]),
-                labels=tuple(tuple(row) for row in rec["labels"]),
-                best=tuple(by_label[c] for c in rec["best"]),
-                best_reward=rec["best_reward"],
-            )
-        )
+        ),
+        abstractions=tuple(tuple(t) for t in rec["abstractions"]),
+        labels=tuple(tuple(row) for row in rec["labels"]),
+        best=tuple(DECISION_OF_LABEL[c] for c in rec["best"]),
+        best_reward=rec["best_reward"],
+    )
+
+
+def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
+    """Labeled examples and header of a cache file; a malformed line raises
+    ValueError("<path>:<line>: ...")."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty label cache")
+    records = []
+    for no, ln in lines:
+        try:
+            records.append(json.loads(ln))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{no}: not valid JSON ({exc.msg})") from None
+    header = records[0]
+    if not isinstance(header, dict) or header.get("cache_version") != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported cache version")
+    labeled = []
+    for (no, _), rec in zip(lines[1:], records[1:]):
+        try:
+            labeled.append(_cache_record(rec))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
     return labeled, header

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 log = logging.getLogger(__name__)
 
@@ -173,6 +176,23 @@ def load_documents(path) -> list[Document]:
             raise DatasetError(f"line {lineno}: empty article")
         docs.append(_document(rec["id"], article))
     return docs
+
+
+@contextmanager
+def atomic_open(path):
+    """Text file to write `path` through: the block writes a temporary file
+    in the same directory, which replaces `path` only when the block
+    completes, so a write that fails part-way leaves the previous file as
+    it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(examples: list[Example], path) -> None:

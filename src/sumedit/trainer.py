@@ -1,10 +1,12 @@
 """ADAM optimization, the teacher-forced training loop, and evaluation.
 
-Training shuffles with a seeded generator, averages gradients over each
-batch, applies one bias-corrected ADAM update per batch, decodes the
-validation split free-running after every epoch, and returns the checkpoint
-with the highest validation mean reward (ties: earliest epoch). Runs are
-bitwise reproducible under a fixed seed with a single worker.
+Training shuffles with a seeded generator, computes each batch's loss and
+gradients in one batched editor pass, averages the gradients, applies one
+bias-corrected ADAM update per batch, decodes the whole validation split
+free-running in one pass after every epoch, and returns the checkpoint with
+the highest validation mean reward (ties: earliest epoch). A non-finite loss
+or gradient stops training with an error naming the epoch and the batch.
+Runs are bitwise reproducible under a fixed seed with a single worker.
 """
 from __future__ import annotations
 
@@ -122,17 +124,20 @@ def train(
         loss_total = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
-            grad_sum = zero_grads(params)
-            for j in batch:
-                loss, grads = loss_and_gradients(
-                    ctxs[j], labels[j], params, teacher_forcing=True
+            loss, grads = loss_and_gradients(
+                [ctxs[j] for j in batch], [labels[j] for j in batch], params,
+                teacher_forcing=True,
+            )
+            if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
+                ids = ", ".join(ctxs[j].example_id for j in batch)
+                raise ValueError(
+                    f"epoch {epoch}: non-finite training loss or gradient "
+                    f"(loss {loss}) on the batch of examples {ids}"
                 )
-                loss_total += loss
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
-            for name in grad_sum:
-                grad_sum[name] /= len(batch)
-            params, state = adam_step(params, grad_sum, state)
+            loss_total += loss
+            for name in grads:
+                grads[name] /= len(batch)
+            params, state = adam_step(params, grads, state)
         train_loss = loss_total / len(ctxs)
         val_reward = mean_reward(val_ctxs, val_refs, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})
@@ -150,8 +155,7 @@ def mean_reward(
     if not ctxs:
         return 0.0
     total = 0.0
-    for ctx, ref in zip(ctxs, references):
-        summary = decode(ctx, params)
+    for summary, ref in zip(decode(ctxs, params), references):
         total += reward(summary.text, ref, weights)
     return total / len(ctxs)
 
@@ -168,8 +172,7 @@ def evaluate(
     counts = {d: 0 for d in Decision}
     r1 = r2 = rl = rew = 0.0
     abstracted_fractions: list[float] = []
-    for ctx, ref in zip(ctxs, refs):
-        summary = decode(ctx, params)
+    for summary, ref in zip(decode(ctxs, params), refs):
         for step in summary.steps:
             counts[step.decision] += 1
         emitted = [s for s in summary.steps if s.tokens is not None]

@@ -15,6 +15,7 @@ import pytest
 from synthetic import make_corpus
 from sumedit import cli, text
 from sumedit.editor import (
+    DECISION_INDEX,
     DECISIONS,
     Decision,
     EditContext,
@@ -105,7 +106,7 @@ def test_criterion_1_gradient_exactness():
     for seed in range(100):
         teacher_forcing = seed % 2 == 0
         ctx, y, params = random_gradient_instance(seed)
-        _, grads = loss_and_gradients(ctx, y, params, teacher_forcing)
+        _, grads = loss_and_gradients([ctx], [y], params, teacher_forcing)
         for name, arr in params.arrays().items():
             flat = arr.ravel()
             gflat = grads[name].ravel()
@@ -296,7 +297,7 @@ def test_criterion_6_recurrence_identities():
     rng = np.random.default_rng(0)
     l = 3
     extract = ExtractResult(order=tuple(range(l)), likelihood={i: 1.0 for i in range(l)})
-    chosen = (E, R, R)
+    chosen = np.array([[DECISION_INDEX[d]] for d in (E, R, R)])
     for _ in range(20):
         n = int(rng.integers(2, 10))
         ctx = EditContext(
@@ -305,10 +306,10 @@ def test_criterion_6_recurrence_identities():
         )
         params = init_params(3, n, rng)
         params.W_g[:] = rng.normal(size=(n, n))
-        run = forward(ctx, params, lambda i, p: chosen[i])
-        assert not np.array_equal(run.g[1], run.g[0])
+        run = forward([ctx], params, chosen)
+        assert not np.array_equal(run.g[1, 0], run.g[0, 0])
         for i in (1, 2):
-            assert np.array_equal(run.g[i + 1], run.g[i])
+            assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
     ex = make_example(["a b c", "d e f", "g h"], ["a b c"])
     cfg = EncoderConfig(n=10, context_window=1)
     extract = extract_lead(ex.document, 3)
@@ -317,7 +318,7 @@ def test_criterion_6_recurrence_identities():
     params = init_params(4, 10, np.random.default_rng(0))
     for arr in params.arrays().values():
         arr[:] = 0.0
-    summary = decode(ctx, params)
+    (summary,) = decode([ctx], params)
     assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
     assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
     ok(6)
@@ -351,7 +352,7 @@ def test_criterion_7_end_to_end_learning():
     model_reward = baseline_reward = 0.0
     for ex, lab in zip(test_ex, te_lab):
         ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        summary = decode(ctx, best)
+        (summary,) = decode([ctx], best)
         for step, target in zip(summary.steps, lab.best):
             correct += step.decision is target
             total += 1
@@ -442,7 +443,7 @@ def test_criterion_10_reporting():
     fracs = []
     for ex, lab in pairs:
         ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        summary = decode(ctx, params)
+        (summary,) = decode([ctx], params)
         emitted = abstracted = 0
         for step in summary.steps:
             tally[step.decision] += 1

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,102 @@ class TestLabelAndTrain:
             outs.append(workspace / name)
         for artifact in ("labels_train.jsonl", "checkpoint.json", "train_log.jsonl"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+def rewrite_first_record(cache, change):
+    """Replace line 2 of a label cache (its first record) by change(line)."""
+    lines = cache.read_text().splitlines(keepends=True)
+    lines[1] = change(lines[1])
+    cache.write_text("".join(lines))
+
+
+def edit_record(edit):
+    def change(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec) + "\n"
+
+    return change
+
+
+def set_label_row(row):
+    def edit(rec):
+        rec["labels"][0] = row
+
+    return edit
+
+
+class TestLabelCacheValidation:
+    @pytest.fixture
+    def labeled(self, workspace, capsys):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        capsys.readouterr()
+        return cfg, workspace / "out" / "labels_train.jsonl"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (edit_record(lambda rec: rec.pop("best")), "missing field 'best'"),
+            (lambda line: line[: len(line) // 2] + "\n", "not valid JSON"),
+            (edit_record(lambda rec: rec["labels"].pop()), "labels has 2 entries, order has 3"),
+            (edit_record(lambda rec: rec["abstractions"].append(["x"])), "abstractions has 4 entries"),
+            (edit_record(lambda rec: rec.update(best=rec["best"][:2])), "best has 2 entries"),
+            (edit_record(set_label_row([float("nan"), 0.5, 0.5])), "not three finite non-negative"),
+            (edit_record(set_label_row([-0.1, 0.6, 0.5])), "not three finite non-negative"),
+            (edit_record(set_label_row([0.5, 0.5])), "not three finite non-negative"),
+        ],
+        ids=["missing-field", "truncated-line", "labels-length", "abstractions-length",
+             "best-length", "nan-label", "negative-label", "short-label-row"],
+    )
+    def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
+        cfg, cache = labeled
+        rewrite_first_record(cache, change)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}:2: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (cache.parent / "checkpoint.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_loss_stops_train(self, labeled, capsys):
+        # finite, non-negative label rows pass validation but overflow the loss
+        cfg, cache = labeled
+        rewrite_first_record(cache, edit_record(lambda rec: rec.update(labels=[[1e308] * 3] * 3)))
+        example_id = json.loads(cache.read_text().splitlines()[1])["id"]
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: non-finite training loss")
+        assert example_id in err
+        assert not (cache.parent / "checkpoint.json").exists()
+        assert not (cache.parent / "train_log.jsonl").exists()
+
+
+class TestLogLevel:
+    def label_over_cap(self, workspace, *pre):
+        """`sumedit label` in a child process, as users run it, so that no
+        handler of the test runner stands in for the program's logging."""
+        cfg = write_config(workspace, cap=2)  # every extract has l = 3
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "sumedit.cli", *pre, "label", "--config", str(cfg), "--split", "val"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_one_line_per_failed_example(self, workspace):
+        proc = self.label_over_cap(workspace)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        ids = [ex.document.id for ex in text.load_dataset(workspace / "val.jsonl")]
+        assert len([ln for ln in lines if "labeling failed" in ln]) == len(ids) == 6
+        for example_id in ids:
+            assert sum(example_id in ln for ln in lines) == 1
+
+    def test_level_above_warning_silences_failures(self, workspace):
+        proc = self.label_over_cap(workspace, "--log-level", "ERROR")
+        assert proc.returncode == 1
+        assert "labeling failed" not in proc.stderr
 
 
 def checkpoint(tmp_path, bias):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sumedit.editor import (
+    DECISION_INDEX,
+    DECISIONS,
     Decision,
     EditContext,
     EditorParams,
@@ -55,12 +57,12 @@ def step_context(n, rng=None, l=1):
 
 
 def always(*decisions):
-    """choose() that takes decisions[i] at step i."""
-    return lambda i, p: decisions[i]
+    """forced decisions for a one-context batch: decisions[i] at step i."""
+    return np.array([[DECISION_INDEX[d]] for d in decisions])
 
 
 def first_distribution(ctx, params):
-    return decode(ctx, params).steps[0].distribution
+    return decode([ctx], params)[0].steps[0].distribution
 
 
 def make_example(sentences, highlights=("placeholder",), doc_id="d"):
@@ -122,24 +124,24 @@ class TestUpdateState:
         rng = np.random.default_rng(0)
         params = init_params(3, 4, rng)
         params.W_g[:] = rng.normal(size=(4, 4))
-        run = forward(step_context(4, rng, l=2), params, always(Decision.EXTRACT, Decision.REJECT))
-        assert not np.array_equal(run.g[1], np.zeros(4))
-        assert np.array_equal(run.g[2], run.g[1])
+        run = forward([step_context(4, rng, l=2)], params, always(Decision.EXTRACT, Decision.REJECT))
+        assert not np.array_equal(run.g[1, 0], np.zeros(4))
+        assert np.array_equal(run.g[2, 0], run.g[1, 0])
 
     def test_zero_weight_matrix_is_identity(self):
         e = np.array([[0.5, 0.5], [1.0, -2.0]])
         ctx = vector_context(e, e, np.zeros(2))
-        run = forward(ctx, zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
+        run = forward([ctx], zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
         for i in range(2):
-            assert np.array_equal(run.g[i + 1], run.g[i])
+            assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
 
     def test_abstract_with_identity_weights(self):
         a = np.array([0.3, -0.7, 1.2])
         ctx = vector_context([np.ones(3)], [a], np.zeros(3))
         params = zero_params(3, 3)
         params.W_g[:] = np.eye(3)
-        run = forward(ctx, params, always(Decision.ABSTRACT))
-        assert np.allclose(run.g[1], np.tanh(a), atol=1e-15)
+        run = forward([ctx], params, always(Decision.ABSTRACT))
+        assert np.allclose(run.g[1, 0], np.tanh(a), atol=1e-15)
 
 
 class TestEdit:
@@ -153,7 +155,7 @@ class TestEdit:
 
     def test_zero_params_decides_extract_everywhere(self):
         ex, extract, ctx = self.context(["a b c", "d e f", "g h"])
-        summary = decode(ctx, zero_params(4, 12))
+        (summary,) = decode([ctx], zero_params(4, 12))
         assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
         assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
 
@@ -161,7 +163,7 @@ class TestEdit:
         _, _, ctx = self.context(["a b c", "d e f"])
         params = zero_params(4, 12)
         params.b[:] = [-10.0, -10.0, 10.0]
-        summary = decode(ctx, params)
+        (summary,) = decode([ctx], params)
         assert [s.decision for s in summary.steps] == [Decision.REJECT] * 2
         assert summary.text == ()
 
@@ -178,7 +180,7 @@ class TestEdit:
         s1 = float(np.sum(np.tanh(ctx.a[0])))
         assert abs(s1) > 1e-6
         params.V[2, 0] = 20.0 * np.sign(s1)
-        summary = decode(ctx, params)
+        (summary,) = decode([ctx], params)
         assert [s.decision for s in summary.steps] == [Decision.ABSTRACT, Decision.REJECT]
         assert summary.text == (ctx.abstractions[0],)
 
@@ -188,7 +190,7 @@ class TestEdit:
         params = init_params(5, 12, rng)
         for arr in params.arrays().values():
             arr += rng.normal(0, 1.0, size=arr.shape)
-        summary = decode(ctx, params)
+        (summary,) = decode([ctx], params)
         for i, step in enumerate(summary.steps):
             if step.decision is Decision.EXTRACT:
                 assert step.tokens == ctx.extracted_tokens[i]
@@ -261,19 +263,19 @@ class TestGradients:
         # force p == y by solving for the bias with everything else zeroed
         params = zero_params(4, 6)
         params.b[:] = np.log(y[0])
-        _, grads = loss_and_gradients(ctx, y, params)
+        _, grads = loss_and_gradients([ctx], [y], params)
         assert np.allclose(grads["b"], 0.0, atol=1e-12)
         assert np.allclose(grads["V"], 0.0, atol=1e-12)
 
     def test_finite_difference_single_entry(self):
         ctx, y, params = self.fixture(seed=1, l=1)
-        _, grads = loss_and_gradients(ctx, y, params)
+        _, grads = loss_and_gradients([ctx], [y], params)
         h = 1e-5
         i, j = 1, 2
         params.V[i, j] += h
-        up, _ = loss_and_gradients(ctx, y, params)
+        up, _ = loss_and_gradients([ctx], [y], params)
         params.V[i, j] -= 2 * h
-        down, _ = loss_and_gradients(ctx, y, params)
+        down, _ = loss_and_gradients([ctx], [y], params)
         params.V[i, j] += h
         fd = (up - down) / (2 * h)
         assert abs(fd - grads["V"][i, j]) / max(abs(grads["V"][i, j]), 1e-12) < 1e-4
@@ -281,8 +283,129 @@ class TestGradients:
     def test_state_gradient_zero_when_all_labels_reject(self):
         ctx, _, params = self.fixture(seed=2, l=2)
         y = np.array([[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]])
-        _, grads = loss_and_gradients(ctx, y, params, teacher_forcing=True)
+        _, grads = loss_and_gradients([ctx], [y], params, teacher_forcing=True)
         assert np.array_equal(grads["W_g"], np.zeros_like(params.W_g))
+
+
+def reference_forward(ctx, params, choose):
+    """Slow reference: the recurrence over one context, one step at a time.
+    choose(i, p) names the decision taken at step i."""
+    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
+    g = np.zeros(params.n)
+    xs, ts, ps, decisions, hs, qs = [], [], [], [], [], []
+    for i in range(ctx.l):
+        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
+        t = np.tanh(params.W_c @ x + params.b_c)
+        logits = params.V @ t + params.b
+        shifted = np.exp(logits - logits.max())
+        p = shifted / shifted.sum()
+        decision = choose(i, p)
+        if decision is Decision.REJECT:
+            h = q = None
+        else:
+            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
+            q = np.tanh(params.W_g @ h)
+            g = g + q
+        xs.append(x); ts.append(t); ps.append(p)
+        decisions.append(decision); hs.append(h); qs.append(q)
+    return d, xs, ts, ps, decisions, hs, qs
+
+
+def reference_decisions(ctx, params):
+    """Slow reference of a free-running decode: argmax p, ties E > A > R."""
+    return reference_forward(ctx, params, lambda i, p: DECISIONS[int(np.argmax(p))])[4]
+
+
+def reference_loss_and_gradients(ctx, labels, params, teacher_forcing):
+    """Slow reference: one example's loss and gradients, backpropagated one
+    step at a time with outer products."""
+    labels = np.asarray(labels, dtype=float)
+    l, n = ctx.l, params.n
+    if teacher_forcing:
+        choose = lambda i, p: DECISIONS[int(np.argmax(labels[i]))]
+    else:
+        choose = lambda i, p: DECISIONS[int(np.argmax(p))]
+    d, xs, ts, ps, _, hs, qs = reference_forward(ctx, params, choose)
+    loss = -sum(
+        float(np.dot(y, np.log(np.maximum(p, 1e-12)))) for p, y in zip(ps, labels)
+    ) / l
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    G = np.zeros(n)
+    dd = np.zeros(n)
+    for i in reversed(range(l)):
+        if qs[i] is not None:
+            grads["W_g"] += np.outer(G * (1 - qs[i] ** 2), hs[i])
+        du = (ps[i] - labels[i]) / l
+        grads["V"] += np.outer(du, ts[i])
+        grads["b"] += du
+        dz = (params.V.T @ du) * (1 - ts[i] ** 2)
+        grads["W_c"] += np.outer(dz, xs[i])
+        grads["b_c"] += dz
+        dx = params.W_c.T @ dz
+        G = G + dx[2 * n : 3 * n]
+        dd += dx[3 * n : 4 * n]
+    dzd = dd * (1 - d**2)
+    grads["W_d"] += np.outer(dzd, ctx.e_bar)
+    grads["b_d"] += dzd
+    return loss, grads
+
+
+class TestBatchedAgainstReference:
+    LENGTHS = (3, 1, 5, 2, 4, 5, 1, 2)
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 8)), int(rng.integers(2, 7))
+        ctxs = [step_context(n, rng, l=l) for l in self.LENGTHS]
+        labels = [rng.dirichlet(np.ones(3), size=l) for l in self.LENGTHS]
+        params = init_params(m, n, rng)
+        for arr in params.arrays().values():
+            arr += rng.normal(0, 0.5, size=arr.shape)
+        return ctxs, labels, params
+
+    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    def test_loss_and_gradients_equal_per_example_sums(self, teacher_forcing):
+        for seed in range(10):
+            ctxs, labels, params = self.batch(seed)
+            loss, grads = loss_and_gradients(ctxs, labels, params, teacher_forcing)
+            want_loss = 0.0
+            want = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+            for ctx, y in zip(ctxs, labels):
+                one_loss, one = reference_loss_and_gradients(ctx, y, params, teacher_forcing)
+                want_loss += one_loss
+                for name in want:
+                    want[name] += one[name]
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), seed
+            for name in want:
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, (seed, name)
+
+    def test_decode_decisions_equal_per_example(self):
+        for seed in range(10):
+            ctxs, _, params = self.batch(seed)
+            summaries = decode(ctxs, params)
+            assert len(summaries) == len(ctxs)
+            for ctx, summary in zip(ctxs, summaries):
+                assert [s.decision for s in summary.steps] == reference_decisions(ctx, params)
+                assert [s.sentence_index for s in summary.steps] == list(ctx.extract.order)
+
+    def test_padded_steps_leave_state_and_gradients_alone(self):
+        # steps past an extract's end take REJECT and keep the state, and a
+        # batch's gradient is the sum of its parts' gradients
+        ctxs, labels, params = self.batch(3)
+        run = forward(ctxs, params)
+        for j, ctx in enumerate(ctxs):
+            for i in range(ctx.l, max(self.LENGTHS)):
+                assert run.decisions[i, j] == DECISION_INDEX[Decision.REJECT]
+                assert np.array_equal(run.g[i + 1, j], run.g[i, j])
+        _, whole = loss_and_gradients(ctxs, labels, params)
+        _, first = loss_and_gradients(ctxs[:3], labels[:3], params)
+        _, rest = loss_and_gradients(ctxs[3:], labels[3:], params)
+        for name in whole:
+            assert np.allclose(whole[name], first[name] + rest[name], rtol=1e-12, atol=1e-15)
+
+    def test_empty_decode(self):
+        assert decode([], zero_params(3, 4)) == []
 
 
 class TestCheckpoint:

@@ -3,19 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from sumedit.editor import Decision, EditorParams, context_from_abstractions, forward
+from sumedit.editor import EditorParams, context_from_abstractions, forward
 from sumedit.encoder import (
     EncoderConfig,
     _raw_sentence_vector,
     encode_abstracted,
-    encode_sentences,
+    mix_context,
+    raw_vectors,
 )
 from sumedit.summarizers import extract_lead
-from sumedit.text import document_from_strings
+from sumedit.text import Document, Sentence, document_from_strings
 
 
 def make_doc(sentences, doc_id="d"):
     return document_from_strings(doc_id, sentences)
+
+
+def encode_sentences(doc, cfg):
+    return mix_context(raw_vectors(doc, cfg), cfg)
+
+
+def whole_document_encode_abstracted(document, i, abstracted, config):
+    """Slow reference: replace sentence i, re-encode the whole modified
+    document and return its row i."""
+    replaced = tuple(
+        Sentence(j, tuple(abstracted)) if j == i else s
+        for j, s in enumerate(document.sentences)
+    )
+    return encode_sentences(Document(id=document.id, sentences=replaced), config)[i]
 
 
 def doc_vector(doc, cfg, W_d, b_d):
@@ -27,7 +42,7 @@ def doc_vector(doc, cfg, W_d, b_d):
     )
     extract = extract_lead(doc, 1)
     ctx = context_from_abstractions(doc, extract, [doc.tokens_at(0)], cfg)
-    return forward(ctx, params, lambda i, p: Decision.REJECT).d
+    return forward([ctx], params, np.array([[2]])).d[0]
 
 
 class TestEncodeSentences:
@@ -107,15 +122,15 @@ class TestEncodeAbstracted:
         cfg = EncoderConfig(n=16, context_window=1)
         vecs = encode_sentences(doc, cfg)
         for i in range(3):
-            out = encode_abstracted(doc, i, doc.tokens_at(i), cfg)
+            out = encode_abstracted(raw_vectors(doc, cfg), i, doc.tokens_at(i), cfg)
             assert np.array_equal(out, vecs[i])
 
     def test_local_without_context_window(self):
         doc_a = make_doc(["a b", "x y z", "c d"])
         doc_b = make_doc(["p q", "x y z", "r s"])
         cfg = EncoderConfig(n=16, context_window=0)
-        out_a = encode_abstracted(doc_a, 1, ["new", "words"], cfg)
-        out_b = encode_abstracted(doc_b, 1, ["new", "words"], cfg)
+        out_a = encode_abstracted(raw_vectors(doc_a, cfg), 1, ["new", "words"], cfg)
+        out_b = encode_abstracted(raw_vectors(doc_b, cfg), 1, ["new", "words"], cfg)
         assert np.array_equal(out_a, out_b)
 
     def test_matches_full_modified_document_encoding(self):
@@ -123,7 +138,7 @@ class TestEncodeAbstracted:
         cfg = EncoderConfig(n=16, context_window=1)
         modified = make_doc(["a b c", "shorter now", "g h i"])
         expected = encode_sentences(modified, cfg)
-        out = encode_abstracted(doc, 1, ["shorter", "now"], cfg)
+        out = encode_abstracted(raw_vectors(doc, cfg), 1, ["shorter", "now"], cfg)
         assert np.array_equal(out, expected[1])
         # neighbors of the modified document change too, but only the
         # replaced position is returned
@@ -131,12 +146,32 @@ class TestEncodeAbstracted:
         assert not np.array_equal(expected[0], original[0])
         assert not np.array_equal(expected[2], original[2])
 
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    def test_window_equals_whole_document_reencoding(self, window):
+        doc = make_doc(["a b c", "d e f g", "h i", "j k l", "m n o p", "q r"])
+        cfg = EncoderConfig(n=16, hash_seed=4, context_window=window)
+        raw = raw_vectors(doc, cfg)
+        for i in range(len(doc)):  # both document edges included
+            for tokens in (["new", "words"], ["d", "e"], list(doc.tokens_at(i))):
+                want = whole_document_encode_abstracted(doc, i, tokens, cfg)
+                assert np.array_equal(encode_abstracted(raw, i, tokens, cfg), want), (i, tokens)
+
+    def test_context_uses_windowed_vectors(self):
+        doc = make_doc(["a b c", "d e f g", "h i", "j k l"])
+        cfg = EncoderConfig(n=16, context_window=1)
+        extract = extract_lead(doc, 4)
+        abstractions = [["abs", str(i)] for i in range(4)]
+        ctx = context_from_abstractions(doc, extract, abstractions, cfg)
+        for row, (i, tokens) in enumerate(zip(extract.order, abstractions)):
+            assert np.array_equal(ctx.a[row], whole_document_encode_abstracted(doc, i, tokens, cfg))
+        assert np.array_equal(ctx.e, encode_sentences(doc, cfg))
+
     def test_index_out_of_range(self):
         doc = make_doc(["a b"])
         with pytest.raises(IndexError):
-            encode_abstracted(doc, 1, ["x"], EncoderConfig(n=8))
+            encode_abstracted(raw_vectors(doc, EncoderConfig(n=8)), 1, ["x"], EncoderConfig(n=8))
 
     def test_empty_abstraction_rejected(self):
         doc = make_doc(["a b"])
         with pytest.raises(ValueError):
-            encode_abstracted(doc, 0, [], EncoderConfig(n=8))
+            encode_abstracted(raw_vectors(doc, EncoderConfig(n=8)), 0, [], EncoderConfig(n=8))

@@ -376,6 +376,19 @@ class TestLabelDataset:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_cache_write_that_raises_keeps_previous_cache(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        labeled, _ = label_dataset(
+            self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8), cache_path=path
+        )
+        before = path.read_bytes()
+        # the second record is not a LabeledExample: the write fails after
+        # the header and the first record
+        with pytest.raises(AttributeError):
+            write_label_cache(path, [labeled[0], object()], RewardWeights(), 12)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:

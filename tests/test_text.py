@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sumedit.text import (
     DatasetError,
+    atomic_open,
     document_from_strings,
     ingest_dataset,
     load_dataset,
@@ -110,3 +111,17 @@ class TestDocumentInvariants:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             document_from_strings("d", [])
+
+
+class TestAtomicOpen:
+    def test_write_that_raises_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        with atomic_open(path) as fh:
+            fh.write("previous\n")
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("half of the new conte")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from synthetic import make_corpus
 from sumedit import trainer as trainer_mod
 from sumedit.editor import (
-    DECISIONS,
     Decision,
     context_from_abstractions,
     decode,
@@ -121,6 +122,25 @@ class TestTrain:
         for name in best1.arrays():
             assert np.array_equal(best1.arrays()[name], best2.arrays()[name])
 
+    def test_empty_validation_split_gives_zero_reward(self):
+        pairs = labeled_pairs(5, seed=10)
+        params = init_params(4, ENC.n, np.random.default_rng(0))
+        best, log = train(pairs, [], TrainConfig(batch_size=2, epochs=2), params, ENC)
+        assert [entry["val_reward"] for entry in log] == [0.0, 0.0]
+        assert all(np.all(np.isfinite(arr)) for arr in best.arrays().values())
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        pairs = labeled_pairs(4, seed=11)
+        ex, lab = pairs[2]
+        nan_labels = (lab.labels[0], (float("nan"), 0.5, 0.5)) + lab.labels[2:]
+        pairs[2] = (ex, dataclasses.replace(lab, labels=nan_labels))
+        params = init_params(4, ENC.n, np.random.default_rng(0))
+        config = TrainConfig(batch_size=4, epochs=2)
+        with pytest.raises(ValueError, match="epoch 1: non-finite") as info:
+            train(pairs, pairs, config, params, ENC)
+        for example, _ in pairs:
+            assert example.document.id in str(info.value)
+
     def test_teacher_forcing_state_ignores_model_outputs(self):
         # corrupting the logit bias changes every distribution but must not
         # change the teacher-forced decisions or the state trajectory
@@ -130,21 +150,21 @@ class TestTrain:
         y = np.asarray(lab.labels)
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
-        teacher = lambda i, p: DECISIONS[int(np.argmax(y[i]))]
+        teacher = y.argmax(axis=1)[:, None]
         runs = []
         for corrupt in (0.0, 5.0):
             p = params.copy()
             p.b[:] += np.array([corrupt, 0.0, -corrupt])
-            runs.append(forward(ctx, p, teacher))
+            runs.append(forward([ctx], p, teacher))
             # the training loss is the one of this teacher-forced run
-            loss, _ = loss_and_gradients(ctx, y, p, teacher_forcing=True)
-            assert loss == soft_cross_entropy(runs[-1].p, y)
+            loss, _ = loss_and_gradients([ctx], [y], p, teacher_forcing=True)
+            assert loss == soft_cross_entropy(runs[-1].p[:, 0], y)
         clean, corrupted = runs
-        assert not np.allclose(clean.p[0], corrupted.p[0])
-        assert clean.decisions == corrupted.decisions == [teacher(i, None) for i in range(ctx.l)]
-        assert len(clean.g) == len(corrupted.g) == ctx.l + 1
-        for a, b in zip(clean.g, corrupted.g):
-            assert np.array_equal(a, b)
+        assert not np.allclose(clean.p[0, 0], corrupted.p[0, 0])
+        assert np.array_equal(clean.decisions, teacher)
+        assert np.array_equal(corrupted.decisions, teacher)
+        assert clean.g.shape == corrupted.g.shape == (ctx.l + 1, 1, ENC.n)
+        assert np.array_equal(clean.g, corrupted.g)
 
 
 class TestEvaluate:
@@ -181,7 +201,7 @@ class TestEvaluate:
         fracs = []
         for ex, lab in pairs:
             ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
-            summary = decode(ctx, params)
+            (summary,) = decode([ctx], params)
             emitted = abstracted = 0
             for step in summary.steps:
                 tally[step.decision] += 1
