@@ -138,6 +138,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _print_summary(document, summary) -> None:
+    print(f"# {document.id}")
+    for step in summary.steps:
+        if step.tokens is not None:
+            print(f"{step.decision.label}: {' '.join(step.tokens)}")
+        else:
+            struck = " ".join(document.tokens_at(step.sentence_index))
+            print(f"{step.decision.label}: {struck}")
+    print("summary:")
+    for sent in summary.text:
+        print("  " + " ".join(sent))
+
+
 def cmd_summarize(args) -> int:
     cfg = _load_config(args)
     params, enc_config = editor.load_checkpoint(args.checkpoint)
@@ -154,23 +167,21 @@ def cmd_summarize(args) -> int:
         extracts = [summarizers.extract_lead(doc, cfg.k) for doc in documents]
     if not documents:
         raise SystemExit(f"no usable records in {args.document}")
-    ctxs = [
-        editor.context_from_abstractions(
-            document, extract, editor.abstractions_for(document, extract, abstractor), enc_config
-        )
-        for document, extract in zip(documents, extracts)
-    ]
-    for document, summary in zip(documents, editor.decode(ctxs, params)):
-        print(f"# {document.id}")
-        for step in summary.steps:
-            if step.tokens is not None:
-                print(f"{step.decision.label}: {' '.join(step.tokens)}")
-            else:
-                struck = " ".join(document.tokens_at(step.sentence_index))
-                print(f"{step.decision.label}: {struck}")
-        print("summary:")
-        for sent in summary.text:
-            print("  " + " ".join(sent))
+    # Contexts are built and decoded one decode pass at a time, so memory
+    # stays bounded and each pass is printed before the next is built.
+    for start in range(0, len(documents), editor.DECODE_CHUNK):
+        chunk = range(start, min(start + editor.DECODE_CHUNK, len(documents)))
+        ctxs = [
+            editor.context_from_abstractions(
+                documents[j],
+                extracts[j],
+                editor.abstractions_for(documents[j], extracts[j], abstractor),
+                enc_config,
+            )
+            for j in chunk
+        ]
+        for j, summary in zip(chunk, editor.decode(ctxs, params)):
+            _print_summary(documents[j], summary)
     return 0
 
 
@@ -208,12 +219,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sumedit")
-    parser.add_argument(
-        "--log-level",
-        default="WARNING",
-        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
-        help="threshold for messages such as per-example labeling failures",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
@@ -252,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # One handler for this invocation on the package logger, so each logged
-    # message is printed once, to the stderr of the call.
+    # One WARNING handler for this invocation on the package logger, so each
+    # warning (such as a failed example) is printed once, to the call's stderr.
     handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     logger = logging.getLogger("sumedit")
-    logger.setLevel(args.log_level)
     logger.addHandler(handler)
     try:
         return args.func(args)

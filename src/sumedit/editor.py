@@ -43,7 +43,6 @@ class Decision(enum.Enum):
 # Fixed index order; argmax ties therefore break E > A > R.
 DECISIONS = (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
 DECISION_INDEX = {d: i for i, d in enumerate(DECISIONS)}
-EXTRACT, ABSTRACT, REJECT = range(3)
 
 PARAM_NAMES = ("W_c", "b_c", "V", "b", "W_g", "W_d", "b_d")
 
@@ -230,6 +229,9 @@ def forward(
     g_{i+1} is g_i itself.
     """
     n, m, B = params.n, params.m, len(ctxs)
+    extract, abstract, reject = (
+        DECISION_INDEX[d] for d in (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
+    )
     lengths = np.array([ctx.l for ctx in ctxs])
     L = int(lengths.max())
     mask = np.arange(L)[:, None] < lengths
@@ -252,11 +254,11 @@ def forward(
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         p[i] = shifted / shifted.sum(axis=1, keepdims=True)
         chosen = p[i].argmax(axis=1) if forced is None else forced[i]
-        decisions[i] = np.where(mask[i], chosen, REJECT)
+        decisions[i] = np.where(mask[i], chosen, reject)
         h[i] = np.where(
-            (decisions[i] == EXTRACT)[:, None],
+            (decisions[i] == extract)[:, None],
             x[i, :, :n],
-            np.where((decisions[i] == ABSTRACT)[:, None], x[i, :, n : 2 * n], 0.0),
+            np.where((decisions[i] == abstract)[:, None], x[i, :, n : 2 * n], 0.0),
         )
         # tanh(W_g 0) is exactly 0, so REJECT leaves the state as it is
         q[i] = np.tanh(h[i] @ params.W_g.T)
@@ -264,20 +266,29 @@ def forward(
     return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
 
 
+# Most contexts one batched decode pass holds at once; the arrays of a pass
+# grow with it, so longer inputs are decoded in passes of this size.
+DECODE_CHUNK = 256
+
+
 def decode(ctxs: Sequence[EditContext], params: EditorParams) -> list[MixedSummary]:
-    """Greedy free-running decode of every context in one batched pass:
-    argmax decision per step (ties E > A > R), one summary per context."""
-    if not ctxs:
-        return []
-    run = forward(ctxs, params)
+    """Greedy free-running decode of every context in batched passes of at
+    most DECODE_CHUNK contexts: argmax decision per step (ties E > A > R),
+    one summary per context."""
     summaries = []
-    for j, (ctx, decisions) in enumerate(zip(ctxs, run.decisions.T.tolist())):
-        steps = []
-        for i, idx in enumerate(ctx.extract.order):
-            k = decisions[i]
-            tokens = (ctx.extracted_tokens[i], ctx.abstractions[i], None)[k]
-            steps.append(EditStep(idx, DECISIONS[k], tokens, run.p[i, j]))
-        summaries.append(MixedSummary(steps=tuple(steps)))
+    for start in range(0, len(ctxs), DECODE_CHUNK):
+        chunk = ctxs[start : start + DECODE_CHUNK]
+        run = forward(chunk, params)
+        for j, (ctx, decisions) in enumerate(zip(chunk, run.decisions.T.tolist())):
+            steps = []
+            for i, idx in enumerate(ctx.extract.order):
+                decision = DECISIONS[decisions[i]]
+                versions = {
+                    Decision.EXTRACT: ctx.extracted_tokens[i],
+                    Decision.ABSTRACT: ctx.abstractions[i],
+                }
+                steps.append(EditStep(idx, decision, versions.get(decision), run.p[i, j]))
+            summaries.append(MixedSummary(steps=tuple(steps)))
     return summaries
 
 

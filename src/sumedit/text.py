@@ -182,8 +182,9 @@ def load_documents(path) -> list[Document]:
 def atomic_open(path):
     """Text file to write `path` through: the block writes a temporary file
     in the same directory, which replaces `path` only when the block
-    completes, so a write that fails part-way leaves the previous file as
-    it was."""
+    completes, so a write that raises part-way leaves the previous file as
+    it was. The data is not fsynced before the rename: a power loss just
+    after it can leave a short file where the filesystem reorders writes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -3,10 +3,11 @@
 Training shuffles with a seeded generator, computes each batch's loss and
 gradients in one batched editor pass, averages the gradients, applies one
 bias-corrected ADAM update per batch, decodes the whole validation split
-free-running in one pass after every epoch, and returns the checkpoint with
-the highest validation mean reward (ties: earliest epoch). A non-finite loss
-or gradient stops training with an error naming the epoch and the batch.
-Runs are bitwise reproducible under a fixed seed with a single worker.
+free-running in one `decode` call after every epoch, and returns the
+checkpoint with the highest validation mean reward (ties: earliest epoch).
+A non-finite loss or gradient stops training with an error naming the epoch
+and the batch. Runs are bitwise reproducible under a fixed seed with a
+single worker.
 """
 from __future__ import annotations
 

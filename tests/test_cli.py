@@ -177,30 +177,22 @@ class TestLabelCacheValidation:
         assert not (cache.parent / "train_log.jsonl").exists()
 
 
-class TestLogLevel:
-    def label_over_cap(self, workspace, *pre):
-        """`sumedit label` in a child process, as users run it, so that no
-        handler of the test runner stands in for the program's logging."""
+class TestLabelFailureLog:
+    def test_one_line_per_failed_example(self, workspace):
+        """`sumedit label` runs in a child process, as users run it, so that
+        no handler of the test runner stands in for the program's logging."""
         cfg = write_config(workspace, cap=2)  # every extract has l = 3
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        return subprocess.run(
-            [sys.executable, "-m", "sumedit.cli", *pre, "label", "--config", str(cfg), "--split", "val"],
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumedit.cli", "label", "--config", str(cfg), "--split", "val"],
             env=env, capture_output=True, text=True, timeout=60,
         )
-
-    def test_one_line_per_failed_example(self, workspace):
-        proc = self.label_over_cap(workspace)
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         ids = [ex.document.id for ex in text.load_dataset(workspace / "val.jsonl")]
         assert len([ln for ln in lines if "labeling failed" in ln]) == len(ids) == 6
         for example_id in ids:
             assert sum(example_id in ln for ln in lines) == 1
-
-    def test_level_above_warning_silences_failures(self, workspace):
-        proc = self.label_over_cap(workspace, "--log-level", "ERROR")
-        assert proc.returncode == 1
-        assert "labeling failed" not in proc.stderr
 
 
 def checkpoint(tmp_path, bias):
@@ -240,6 +232,26 @@ class TestSummarizeAndEvaluate:
         assert decisions and set(decisions) == {"R"}
         blocks = out.split("summary:")
         assert all(not b.strip() or b.lstrip().startswith("#") for b in blocks[1:])
+
+    def test_output_does_not_depend_on_decode_chunk(self, workspace, capsys, monkeypatch):
+        rng = np.random.default_rng(0)
+        params = editor.init_params(8, 12, rng)
+        for arr in params.arrays().values():
+            arr += rng.normal(0, 0.5, size=arr.shape)
+        ckpt = workspace / "random.json"
+        editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), ckpt)
+        argv = ["summarize", "--config", str(write_config(workspace)), "--checkpoint",
+                str(ckpt), "--document", str(workspace / "test.jsonl")]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(editor, "DECODE_CHUNK", 2)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+        decisions = {ln[:2] for ln in whole.splitlines() if ln[:2] in ("E:", "A:", "R:")}
+        assert len(decisions) > 1
+        ids = [ex.document.id for ex in text.load_dataset(workspace / "test.jsonl")]
+        assert [ln[2:] for ln in whole.splitlines() if ln.startswith("# ")] == ids
+        assert len(ids) > 2
 
     def test_evaluate_writes_valid_report(self, workspace, capsys):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sumedit import editor
 from sumedit.editor import (
     DECISION_INDEX,
     DECISIONS,
@@ -406,6 +407,24 @@ class TestBatchedAgainstReference:
 
     def test_empty_decode(self):
         assert decode([], zero_params(3, 4)) == []
+
+    def test_decode_runs_in_passes_of_at_most_decode_chunk(self, monkeypatch):
+        ctxs, _, params = self.batch(4)
+        whole = decode(ctxs, params)
+        widths = []
+
+        def counted_forward(chunk, params):
+            widths.append(len(chunk))
+            return forward(chunk, params)
+
+        monkeypatch.setattr(editor, "DECODE_CHUNK", 3)
+        monkeypatch.setattr(editor, "forward", counted_forward)
+        chunked = decode(ctxs, params)
+        assert widths == [3, 3, 2]
+        assert chunked == whole
+        for a, b in zip(chunked, whole):
+            for sa, sb in zip(a.steps, b.steps):
+                assert np.allclose(sa.distribution, sb.distribution, rtol=1e-12, atol=0)
 
 
 class TestCheckpoint:
