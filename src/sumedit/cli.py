@@ -109,7 +109,15 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
     for lab in labeled:
         if lab.example_id not in examples:
             raise SystemExit(f"cache entry {lab.example_id!r} not found in {split} dataset")
-        pairs.append((examples[lab.example_id], lab))
+        example = examples[lab.example_id]
+        sentences = len(example.document)
+        for idx in lab.extract.order:
+            if idx >= sentences:
+                raise ValueError(
+                    f"{cache_path}: example {lab.example_id!r} extracts sentence {idx}, "
+                    f"but its document has {sentences} sentences"
+                )
+        pairs.append((example, lab))
     return pairs
 
 

@@ -329,11 +329,14 @@ def loss_and_gradients(
             raise ValueError(f"{ctx.example_id}: labels must have shape ({ctx.l}, 3)")
         y[: ctx.l, j] = lab
     run = forward(ctxs, params, y.argmax(axis=2) if teacher_forcing else None)
-    loss = sum(
-        soft_cross_entropy(run.p[: ctx.l, j], y[: ctx.l, j]) for j, ctx in enumerate(ctxs)
-    )
-
     lengths = run.mask.sum(axis=0)
+    # Each example's `soft_cross_entropy`: its steps' terms in one row, summed
+    # as that function sums its (l, 3) array (y is 0 on the padded steps, so
+    # they add zeros), and the batch's losses added in order.
+    terms = y * np.log(np.maximum(run.p, LOG_CLAMP))
+    losses = -terms.transpose(1, 0, 2).reshape(B, -1).sum(axis=1) / lengths
+    loss = float(np.cumsum(losses)[-1])
+
     du = ((run.p - y) / lengths[:, None] * run.mask[:, :, None]).reshape(-1, 3)
     t = run.t.reshape(-1, m)
     dz = (du @ params.V) * (1 - t**2)

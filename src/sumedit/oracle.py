@@ -16,7 +16,6 @@ import itertools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -208,6 +207,10 @@ def label_dataset(
     """
     tasks = [(ex, extractor, abstractor, weights, cap) for ex in examples]
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a single worker
+        # (the default, and every command but a parallel `label`) never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_label_worker, tasks))
     else:

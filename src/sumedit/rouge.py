@@ -6,9 +6,12 @@ full-length F; degenerate inputs yield zeros rather than NaN so the reward is
 a total function.
 
 `reward` scores one summary. `sentence_stats` precomputes per-sentence n-gram
-counts and LCS-matched reference positions, from which
-`SentenceStats.rewards` scores many summaries built from the same sentences
-at once, with `reward`'s float expressions (the results are bit-identical).
+counts and LCS-matched reference positions. A summary built from some of those
+sentences has the sum of their count rows and the OR of their LCS rows as its
+statistics; `SentenceStats.totals` reduces these to five integer totals, and
+`f_measures` turns the totals of any number of summaries, of one reference or
+of many, into ROUGE-1/2/L F-measures with `reward`'s float expressions (the
+results are bit-identical). `SentenceStats.rewards` chains the two.
 """
 from __future__ import annotations
 
@@ -43,6 +46,10 @@ class RewardWeights:
             raise ValueError("weights must be non-negative")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one weight must be positive")
+
+    def combine(self, r1, r2, rl):
+        """alpha*R1 + beta*R2 + gamma*RL, of floats or of arrays alike."""
+        return self.alpha * r1 + self.beta * r2 + self.gamma * rl
 
 
 def _f1(p: float, r: float) -> float:
@@ -141,7 +148,11 @@ def reward(
     r1 = rouge_n(candidate, ref_sents, 1).f1
     r2 = rouge_n(candidate, ref_sents, 2).f1
     rl = rouge_l(candidate, ref_sents).f1
-    return weights.alpha * r1 + weights.beta * r2 + weights.gamma * rl
+    return weights.combine(r1, r2, rl)
+
+
+# Columns of `SentenceStats.totals`.
+UNIGRAM_OVERLAP, BIGRAM_OVERLAP, TOKENS, BIGRAMS, LCS_MATCHES = range(5)
 
 
 @dataclass(frozen=True)
@@ -168,26 +179,55 @@ class SentenceStats:
     unigrams: int  # U1
     ref_bigrams: int  # reference bigram total
 
+    @property
+    def ref_tokens(self) -> int:
+        return self.lcs.shape[1]
+
+    def totals(self, counts: np.ndarray, lcs: np.ndarray) -> np.ndarray:
+        """Integer totals (..., 5) of every summary whose summed `counts`
+        rows and OR-ed `lcs` rows are given, along the leading axes: clipped
+        unigram and bigram overlap, tokens, bigrams and LCS-matched reference
+        tokens (columns UNIGRAM_OVERLAP ... LCS_MATCHES)."""
+        overlap = np.minimum(counts[..., :-2], self.ref_counts)
+        return np.stack(
+            [
+                overlap[..., : self.unigrams].sum(axis=-1),
+                overlap[..., self.unigrams :].sum(axis=-1),
+                counts[..., -2],
+                counts[..., -1],
+                lcs.sum(axis=-1),
+            ],
+            axis=-1,
+        )
+
     def rewards(
         self, counts: np.ndarray, lcs: np.ndarray, weights: RewardWeights = RewardWeights()
     ) -> np.ndarray:
         """`reward` of every summary whose summed `counts` rows and OR-ed
         `lcs` rows are given, along the leading axes."""
-        overlap = np.minimum(counts[..., :-2], self.ref_counts)
-        tokens = counts[..., -2]
-        ref_tokens = self.lcs.shape[1]
-        r1 = _f1_array(overlap[..., : self.unigrams].sum(axis=-1), tokens, ref_tokens)
-        r2 = _f1_array(overlap[..., self.unigrams :].sum(axis=-1), counts[..., -1], self.ref_bigrams)
-        rl = _f1_array(lcs.sum(axis=-1), tokens, ref_tokens, clamp=True)
-        return weights.alpha * r1 + weights.beta * r2 + weights.gamma * rl
+        totals = self.totals(counts, lcs)
+        return weights.combine(*f_measures(totals, self.ref_tokens, self.ref_bigrams))
 
 
-def _f1_array(overlap: np.ndarray, total: np.ndarray, ref_total: int, clamp: bool = False) -> np.ndarray:
+def f_measures(totals: np.ndarray, ref_tokens, ref_bigrams) -> tuple[np.ndarray, ...]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L F of every summary with the given
+    `SentenceStats.totals`, against references of `ref_tokens` tokens and
+    `ref_bigrams` bigrams (scalars, or arrays that broadcast against the
+    leading axes of `totals`), as `rouge_n` and `rouge_l` compute them."""
+    tokens = totals[..., TOKENS]
+    return (
+        _f1_array(totals[..., UNIGRAM_OVERLAP], tokens, ref_tokens),
+        _f1_array(totals[..., BIGRAM_OVERLAP], totals[..., BIGRAMS], ref_bigrams),
+        _f1_array(totals[..., LCS_MATCHES], tokens, ref_tokens, clamp=True),
+    )
+
+
+def _f1_array(overlap: np.ndarray, total: np.ndarray, ref_total, clamp: bool = False) -> np.ndarray:
     """Elementwise F-measure in `rouge_n`'s (and, clamped, `rouge_l`'s) float
     expressions; zero where either total is zero or p + r is not positive."""
     valid = (total > 0) & (ref_total > 0)
     p = overlap / np.where(valid, total, 1)
-    r = overlap / (ref_total or 1)
+    r = overlap / np.where(ref_total > 0, ref_total, 1)
     if clamp:
         p = np.minimum(1.0, p)
         r = np.minimum(1.0, r)

@@ -3,24 +3,34 @@
 Training shuffles with a seeded generator, computes each batch's loss and
 gradients in one batched editor pass, averages the gradients, applies one
 bias-corrected ADAM update per batch, decodes the whole validation split
-free-running in one `decode` call after every epoch, and returns the
-checkpoint with the highest validation mean reward (ties: earliest epoch).
-A non-finite loss or gradient stops training with an error naming the epoch
-and the batch. Runs are bitwise reproducible under a fixed seed with a
-single worker.
+free-running after every epoch, and returns the checkpoint with the highest
+validation mean reward (ties: earliest epoch). A non-finite loss or gradient
+stops training with an error naming the epoch and the batch. Runs are
+bitwise reproducible under a fixed seed with a single worker.
+
+Decoded summaries are scored without realizing them: each summary is one of
+the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
+totals are the summed `rouge.sentence_stats` rows of the chosen sentence
+versions (extracted sentences, then abstractions). The statistics of a split
+are computed once (before the first epoch for validation), and one
+vectorized `rouge.f_measures` pass scores the whole split, bit-identical to
+`rouge.reward` on every summary. Means over a split are sequential sums, the
+order of a running float total.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .editor import (
+    DECISION_INDEX,
     Decision,
     EditContext,
     EditorParams,
+    MixedSummary,
     context_from_abstractions,
     decode,
     loss_and_gradients,
@@ -28,7 +38,9 @@ from .editor import (
 )
 from .encoder import EncoderConfig
 from .oracle import LabeledExample
-from .rouge import RewardWeights, reward, rouge_l, rouge_n
+# `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
+# `trainer.reward` by name.
+from .rouge import RewardWeights, SentenceStats, f_measures, reward, sentence_stats
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
@@ -98,6 +110,41 @@ def _contexts(
     return ctxs, labels
 
 
+def _split_stats(pairs: Sequence[LabeledPair], ctxs: Sequence[EditContext]) -> list[SentenceStats]:
+    """Per example, the statistics of its 2l sentence versions (the
+    extracted sentences, then their abstractions) against its reference."""
+    return [
+        sentence_stats(ctx.extracted_tokens + ctx.abstractions, example.reference)
+        for ctx, (example, _) in zip(ctxs, pairs)
+    ]
+
+
+def _f_measures(
+    summaries: Sequence[MixedSummary], stats: Sequence[SentenceStats]
+) -> tuple[np.ndarray, ...]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L F of each decoded summary, from its
+    example's statistics: the step i decision d of an l-step summary takes
+    version row DECISION_INDEX[d] * l + i, and REJECT takes none."""
+    totals = np.empty((len(summaries), 5), dtype=np.int64)
+    for j, (summary, st) in enumerate(zip(summaries, stats)):
+        l = len(summary.steps)
+        rows = [
+            DECISION_INDEX[step.decision] * l + i
+            for i, step in enumerate(summary.steps)
+            if step.decision is not Decision.REJECT
+        ]
+        totals[j] = st.totals(st.counts[rows].sum(axis=0), st.lcs[rows].any(axis=0))
+    ref_tokens = np.array([st.ref_tokens for st in stats], dtype=np.int64)
+    ref_bigrams = np.array([st.ref_bigrams for st in stats], dtype=np.int64)
+    return f_measures(totals, ref_tokens, ref_bigrams)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean of a sequential sum in order, 0.0 when empty. (Builtin `sum`
+    compensates float rounding from Python 3.12 on, so it would not.)"""
+    return float(np.cumsum(values)[-1] / len(values)) if len(values) else 0.0
+
+
 def train(
     train_set: Sequence[LabeledPair],
     val_set: Sequence[LabeledPair],
@@ -115,7 +162,7 @@ def train(
         raise ValueError("empty train set")
     ctxs, labels = _contexts(train_set, encoder_config)
     val_ctxs, _ = _contexts(val_set, encoder_config)
-    val_refs = [ex.reference for ex, _ in val_set]
+    val_stats = _split_stats(val_set, val_ctxs)
     rng = np.random.default_rng(config.seed)
     state = AdamState.fresh(params, lr=config.lr)
     best_params, best_reward = params.copy(), -math.inf
@@ -140,7 +187,7 @@ def train(
                 grads[name] /= len(batch)
             params, state = adam_step(params, grads, state)
         train_loss = loss_total / len(ctxs)
-        val_reward = mean_reward(val_ctxs, val_refs, params, weights)
+        val_reward = mean_reward(val_ctxs, val_stats, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})
         if val_reward > best_reward:
             best_params, best_reward = params.copy(), val_reward
@@ -149,16 +196,13 @@ def train(
 
 def mean_reward(
     ctxs: Sequence[EditContext],
-    references: Sequence,
+    stats: Sequence[SentenceStats],
     params: EditorParams,
     weights: RewardWeights,
 ) -> float:
-    if not ctxs:
-        return 0.0
-    total = 0.0
-    for summary, ref in zip(decode(ctxs, params), references):
-        total += reward(summary.text, ref, weights)
-    return total / len(ctxs)
+    """Mean reward of the free-running decodes of `ctxs`, scored from each
+    example's statistics (see `_split_stats`); 0.0 for no contexts."""
+    return _mean(weights.combine(*_f_measures(decode(ctxs, params), stats)))
 
 
 def evaluate(
@@ -169,37 +213,27 @@ def evaluate(
 ) -> dict:
     """Decode a split and report corpus metrics and decision statistics."""
     ctxs, _ = _contexts(test_set, encoder_config)
-    refs = [ex.reference for ex, _ in test_set]
+    summaries = decode(ctxs, params)
     counts = {d: 0 for d in Decision}
-    r1 = r2 = rl = rew = 0.0
     abstracted_fractions: list[float] = []
-    for summary, ref in zip(decode(ctxs, params), refs):
+    for summary in summaries:
         for step in summary.steps:
             counts[step.decision] += 1
         emitted = [s for s in summary.steps if s.tokens is not None]
         if emitted:
             frac = sum(s.decision is Decision.ABSTRACT for s in emitted) / len(emitted)
             abstracted_fractions.append(frac)
-        text = summary.text
-        r1 += rouge_n(text, ref.sentences, 1).f1
-        r2 += rouge_n(text, ref.sentences, 2).f1
-        rl += rouge_l(text, ref.sentences).f1
-        rew += reward(text, ref, weights)
-    n = len(test_set)
+    r1, r2, rl = _f_measures(summaries, _split_stats(test_set, ctxs))
     total_steps = sum(counts.values())
     fractions = {
         d.label: (counts[d] / total_steps if total_steps else 0.0) for d in Decision
     }
     return {
-        "examples": n,
-        "rouge1": r1 / n if n else 0.0,
-        "rouge2": r2 / n if n else 0.0,
-        "rougeL": rl / n if n else 0.0,
-        "mean_reward": rew / n if n else 0.0,
+        "examples": len(test_set),
+        "rouge1": _mean(r1),
+        "rouge2": _mean(r2),
+        "rougeL": _mean(rl),
+        "mean_reward": _mean(weights.combine(r1, r2, rl)),
         "decision_fractions": fractions,
-        "abstracted_emitted_fraction": (
-            sum(abstracted_fractions) / len(abstracted_fractions)
-            if abstracted_fractions
-            else 0.0
-        ),
+        "abstracted_emitted_fraction": _mean(abstracted_fractions),
     }

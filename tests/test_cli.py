@@ -177,6 +177,42 @@ class TestLabelCacheValidation:
         assert not (cache.parent / "train_log.jsonl").exists()
 
 
+def order_past_document(cache):
+    """Point the first record's last extracted sentence past its document
+    (every synthetic document here has 3 sentences); returns the record's id."""
+    rewrite_first_record(cache, edit_record(lambda rec: rec["order"].__setitem__(-1, 9)))
+    return json.loads(cache.read_text().splitlines()[1])["id"]
+
+
+class TestCacheAgainstDataset:
+    def test_order_past_document_stops_train(self, workspace, capsys):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        cache = workspace / "out" / "labels_val.jsonl"
+        example_id = order_past_document(cache)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: example {example_id!r} extracts sentence 9, ")
+        assert err.endswith("but its document has 3 sentences\n")
+        assert "Traceback" not in err
+        assert not (cache.parent / "checkpoint.json").exists()
+
+    def test_order_past_document_stops_evaluate(self, workspace, capsys):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "test"]) == 0
+        cache = workspace / "out" / "labels_test.jsonl"
+        example_id = order_past_document(cache)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cache}: example {example_id!r} extracts sentence 9, ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (cache.parent / "evaluation.json").exists()
+
+
 class TestLabelFailureLog:
     def test_one_line_per_failed_example(self, workspace):
         """`sumedit label` runs in a child process, as users run it, so that
@@ -304,6 +340,22 @@ class TestSummarizeInput:
         assert [ln for ln in out.splitlines() if ln.startswith("#")] == ["# p", "# q"]
         decisions = [ln.split(":")[0] for ln in out.splitlines() if ln[:2] in ("E:", "A:", "R:")]
         assert decisions == ["E"] * 5
+
+
+class TestStartup:
+    def test_cli_import_loads_no_worker_pool(self):
+        """Only `label` with more than one worker uses a process pool, so
+        starting the CLI must not pay for importing one."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        code = (
+            "import sys, sumedit.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestWorkers:

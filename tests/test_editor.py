@@ -381,6 +381,26 @@ class TestBatchedAgainstReference:
                 scale = np.max(np.abs(want[name]))
                 assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, (seed, name)
 
+    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    def test_equal_length_batch_loss_is_the_in_order_sum(self, teacher_forcing):
+        # one example, or several of one length: the batch loss is each
+        # example's `soft_cross_entropy` exactly, added in batch order
+        rng = np.random.default_rng(5)
+        params = init_params(5, 4, rng)
+        for arr in params.arrays().values():
+            arr += rng.normal(0, 0.5, size=arr.shape)
+        for l in range(1, 13):
+            for B in (1, 13):
+                ctxs = [step_context(4, rng, l=l) for _ in range(B)]
+                labels = [rng.dirichlet(np.ones(3), size=l) for _ in range(B)]
+                forced = np.stack([y.argmax(axis=1) for y in labels], axis=1)
+                run = forward(ctxs, params, forced if teacher_forcing else None)
+                want = 0.0
+                for j, y in enumerate(labels):
+                    want += soft_cross_entropy(run.p[:, j], y)
+                loss, _ = loss_and_gradients(ctxs, labels, params, teacher_forcing)
+                assert loss == want, (l, B)
+
     def test_decode_decisions_equal_per_example(self):
         for seed in range(10):
             ctxs, _, params = self.batch(seed)

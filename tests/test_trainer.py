@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synthetic import make_corpus
 from sumedit import trainer as trainer_mod
@@ -15,10 +17,11 @@ from sumedit.editor import (
     soft_cross_entropy,
 )
 from sumedit.encoder import EncoderConfig
-from sumedit.oracle import label_dataset
-from sumedit.rouge import RewardWeights, reward
-from sumedit.summarizers import LeadExtractor, SalienceAbstractor
-from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, train
+from sumedit.oracle import LabeledExample, label_dataset
+from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
+from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
+from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7, context_window=1)
 
@@ -217,3 +220,172 @@ class TestEvaluate:
         expected_frac = sum(fracs) / len(fracs) if fracs else 0.0
         assert report["abstracted_emitted_fraction"] == pytest.approx(expected_frac)
         assert sum(report["decision_fractions"].values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights()):
+    """The slow reference for `evaluate`: `rouge_n`, `rouge_l` and `reward`
+    on every decoded summary, added in order."""
+    ctxs = [
+        context_from_abstractions(ex.document, lab.extract, lab.abstractions, encoder_config)
+        for ex, lab in test_set
+    ]
+    counts = {d: 0 for d in Decision}
+    r1 = r2 = rl = rew = 0.0
+    abstracted_fractions = []
+    for summary, (ex, _) in zip(decode(ctxs, params), test_set):
+        for step in summary.steps:
+            counts[step.decision] += 1
+        emitted = [s for s in summary.steps if s.tokens is not None]
+        if emitted:
+            frac = sum(s.decision is Decision.ABSTRACT for s in emitted) / len(emitted)
+            abstracted_fractions.append(frac)
+        text = summary.text
+        r1 += rouge_n(text, ex.reference.sentences, 1).f1
+        r2 += rouge_n(text, ex.reference.sentences, 2).f1
+        rl += rouge_l(text, ex.reference.sentences).f1
+        rew += reward(text, ex.reference, weights)
+    n = len(test_set)
+    total_steps = sum(counts.values())
+    frac_total = 0.0
+    for frac in abstracted_fractions:
+        frac_total += frac
+    return {
+        "examples": n,
+        "rouge1": r1 / n if n else 0.0,
+        "rouge2": r2 / n if n else 0.0,
+        "rougeL": rl / n if n else 0.0,
+        "mean_reward": rew / n if n else 0.0,
+        "decision_fractions": {
+            d.label: (counts[d] / total_steps if total_steps else 0.0) for d in Decision
+        },
+        "abstracted_emitted_fraction": (
+            frac_total / len(abstracted_fractions) if abstracted_fractions else 0.0
+        ),
+    }
+
+
+# Logit biases that force every decision to E, A or R: |V tanh(.)| <= 2 for
+# m = 4 and init_params' V, far below 10.
+FORCING = {
+    "E": [10.0, -10.0, -10.0],
+    "A": [-10.0, 10.0, -10.0],
+    "R": [-10.0, -10.0, 10.0],
+}
+
+
+def random_params(seed, forced=None):
+    rng = np.random.default_rng(seed)
+    params = init_params(4, ENC.n, rng)
+    for arr in params.arrays().values():
+        arr += rng.normal(0, 0.8, size=arr.shape)
+    if forced is not None:
+        params.b[:] = FORCING[forced]
+    return params
+
+
+class TestEvaluateAgainstPerSummaryScoring:
+    @pytest.mark.parametrize("forced", [None, "E", "A", "R"])
+    def test_report_equals_per_summary_report(self, forced):
+        # extracts of 1, 2 and 3 sentences in one split
+        pairs = []
+        for k in (3, 1, 2):
+            examples = make_corpus(4, seed=20 + k, k=1, id_prefix=f"k{k}")
+            labeled, _ = label_dataset(examples, LeadExtractor(k), SalienceAbstractor(0.95))
+            pairs += zip(examples, labeled)
+        weights = RewardWeights(0.3, 0.9, 0.7)
+        for seed in range(3):
+            params = random_params(seed, forced)
+            report = evaluate(pairs, params, ENC, weights)
+            assert report == per_summary_evaluate(pairs, params, ENC, weights)
+        if forced is None:
+            assert sum(v > 0 for v in report["decision_fractions"].values()) > 1
+
+    def test_empty_split(self):
+        params = random_params(0)
+        assert evaluate([], params, ENC) == per_summary_evaluate([], params, ENC)
+
+
+words = st.sampled_from("a b c d e".split())
+sentences = st.lists(words, min_size=1, max_size=6).map(tuple)
+
+
+def scored_pair(example_id, doc, order, abstractions, ref):
+    """(Example, LabeledExample) of token-list sentences; labels uniform."""
+    example = Example(
+        document=document_from_strings(example_id, [" ".join(s) for s in doc]),
+        reference=ReferenceSummary(tuple(ref)),
+    )
+    lab = LabeledExample(
+        example_id=example_id,
+        extract=ExtractResult(order=order, likelihood={i: 1.0 for i in range(len(doc))}),
+        abstractions=abstractions,
+        labels=((1 / 3, 1 / 3, 1 / 3),) * len(order),
+        best=(Decision.EXTRACT,) * len(order),
+        best_reward=0.0,
+    )
+    return example, lab
+
+
+@st.composite
+def scored_examples(draw):
+    """Labeled pairs with extracts of 1 to 7 sentences; an abstraction is
+    its source sentence or any sentence."""
+    pairs = []
+    for j in range(draw(st.integers(1, 5))):
+        doc = draw(st.lists(sentences, min_size=1, max_size=8))
+        l = draw(st.integers(1, min(7, len(doc))))
+        order = tuple(draw(st.permutations(range(len(doc))))[:l])
+        abstractions = tuple(draw(st.one_of(st.just(doc[i]), sentences)) for i in order)
+        ref = draw(st.lists(st.lists(words, min_size=1, max_size=12).map(tuple), min_size=1, max_size=3))
+        pairs.append(scored_pair(f"h{j}", doc, order, abstractions, ref))
+    return pairs
+
+
+weight_values = st.floats(0.0, 2.0, allow_nan=False)
+
+
+class TestMeanRewardAgainstReward:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=scored_examples(),
+        weights=st.tuples(weight_values, weight_values, weight_values).filter(lambda w: max(w) > 0),
+        seed=st.integers(0, 2**16),
+        forced=st.sampled_from([None, None, "E", "A", "R"]),
+    )
+    # every decision A, and one abstraction equal to its source sentence
+    @example(
+        pairs=[scored_pair(
+            "x", [("a", "b", "c"), ("d", "e"), ("b", "c", "a")], (2, 0, 1),
+            (("c", "a"), ("a", "b", "c"), ("e",)), [("a", "b", "c", "d"), ("e", "a")],
+        )],
+        weights=(0.4, 1.0, 0.5), seed=0, forced="A",
+    )
+    # both reference sentences match the one summary token: ROUGE-L clamps p
+    @example(
+        pairs=[scored_pair("y", [("a",)], (0,), (("b",),), [("a",), ("a",)])],
+        weights=(0.0, 0.0, 1.0), seed=0, forced="E",
+    )
+    def test_equals_sequential_sum_of_reward(self, pairs, weights, seed, forced):
+        weights = RewardWeights(*weights)
+        ctxs = [
+            context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
+            for ex, lab in pairs
+        ]
+        params = random_params(seed, forced)
+        total = 0.0
+        for summary, (ex, _) in zip(decode(ctxs, params), pairs):
+            total += reward(summary.text, ex.reference, weights)
+        stats = trainer_mod._split_stats(pairs, ctxs)
+        assert mean_reward(ctxs, stats, params, weights) == total / len(pairs)
+
+    def test_split_means_add_in_order(self, monkeypatch):
+        # Builtin `sum` compensates float rounding from Python 3.12 on; stand
+        # in for it on every Python, so that a mean taken with it fails here.
+        monkeypatch.setattr(trainer_mod, "sum", math.fsum, raising=False)
+        values = [1.0] + [1e-16] * 10
+        running = 0.0
+        for v in values:
+            running += v
+        assert running == 1.0 != math.fsum(values)
+        assert trainer_mod._mean(values) == running / len(values)
+        assert trainer_mod._mean([]) == 0.0
