@@ -27,7 +27,7 @@ from .editor import DECISION_INDEX, DECISIONS, Decision
 # `oracle.reward` by name.
 from .rouge import RewardWeights, reward, sentence_stats
 from .summarizers import Abstractor, ExtractResult, Extractor
-from .text import Document, Example, atomic_open
+from .text import Document, Example, atomic_open, json_line
 
 log = logging.getLogger(__name__)
 
@@ -309,9 +309,9 @@ def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
     records = []
     for no, ln in lines:
         try:
-            records.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{no}: not valid JSON ({exc.msg})") from None
+            records.append(json_line(ln))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: not valid JSON ({exc})") from None
     header = records[0]
     if not isinstance(header, dict) or header.get("cache_version") != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version")

@@ -12,11 +12,18 @@ statistics; `SentenceStats.totals` reduces these to five integer totals, and
 `f_measures` turns the totals of any number of summaries, of one reference or
 of many, into ROUGE-1/2/L F-measures with `reward`'s float expressions (the
 results are bit-identical). `SentenceStats.rewards` chains the two.
+
+Both paths align sentences with `_lcs_positions`, which keeps each row of the
+LCS table as one int of bits over the candidate's positions (the bit-vector
+LCS of Allison & Dix 1986, "A bit-string longest-common-subsequence
+algorithm") and walks the canonical traceback on it. The full-table dynamic
+program it replaced is the slow reference in tests/test_rouge.py.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -92,29 +99,59 @@ def rouge_n(candidate, reference: Sequence[TokenList], n: int) -> RougeScore:
     return RougeScore(p, r, _f1(p, r))
 
 
-def _lcs_positions(ref: TokenList, cand: TokenList) -> set[int]:
-    """Positions in `ref` matched by one canonical LCS alignment with `cand`."""
-    nr, nc = len(ref), len(cand)
-    dp = [[0] * (nc + 1) for _ in range(nr + 1)]
-    for i in range(1, nr + 1):
-        row, prev = dp[i], dp[i - 1]
-        ri = ref[i - 1]
-        for j in range(1, nc + 1):
-            if ri == cand[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
-    matched: set[int] = set()
-    i, j = nr, nc
-    while i > 0 and j > 0:
-        if ref[i - 1] == cand[j - 1] and dp[i][j] == dp[i - 1][j - 1] + 1:
-            matched.add(i - 1)
-            i -= 1
+def _match_masks(tokens: TokenList) -> dict[str, int]:
+    """Bit j of `masks[t]` is set when `tokens[j] == t`."""
+    masks: dict[str, int] = {}
+    for j, t in enumerate(tokens):
+        masks[t] = masks.get(t, 0) | 1 << j
+    return masks
+
+
+def _lcs_positions(ref: TokenList, cand: TokenList, masks: dict[str, int]) -> list[int]:
+    """Positions in `ref` matched by one canonical LCS alignment with `cand`,
+    in descending order; `masks` is `_match_masks(cand)`.
+
+    Row i of the LCS table dp (over `ref[:i]` and `cand[:j]`) is kept as one
+    int: bit j-1 is clear exactly where dp[i][j] = dp[i][j-1] + 1, so
+    dp[i][j] = j - popcount(row & (2^j - 1)) (Allison & Dix 1986). A
+    reference token that `cand` lacks leaves its row equal to the one above,
+    so only the rows of `hits`, the reference tokens that `cand` has, are
+    computed. The traceback is the textbook one from (|ref|, |cand|):
+    diagonal on a token match, else up when dp[i-1][j] >= dp[i][j-1], else
+    left. It goes straight up through rows outside `hits` and stops where
+    dp reaches 0.
+    """
+    if masks.keys().isdisjoint(ref):
+        return []
+    hits = [(i, masks[t]) for i, t in enumerate(ref) if t in masks]
+    full = (1 << len(cand)) - 1
+    v = full
+    rows = [v]  # rows[k + 1] is the row of hits[k], rows[k] the one above it
+    for _, m in hits:
+        u = v & m
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    matched: list[int] = []
+    k, j, low = len(hits) - 1, len(cand), full
+    d = j - v.bit_count()
+    while d:
+        i, m = hits[k]
+        if m >> (j - 1) & 1:
+            matched.append(i)
+            k -= 1
             j -= 1
-        elif dp[i - 1][j] >= dp[i][j - 1]:
-            i -= 1
+            d -= 1
+            low >>= 1
+            continue
+        up = j - (rows[k] & low).bit_count()
+        left = d - 1 + (rows[k + 1] >> (j - 1) & 1)
+        if up >= left:
+            k -= 1
+            d = up
         else:
             j -= 1
+            d = left
+            low >>= 1
     return matched
 
 
@@ -124,11 +161,12 @@ def rouge_l(candidate: Sequence[TokenList], reference: Sequence[TokenList]) -> R
     cand_total = sum(len(s) for s in candidate)
     if ref_total == 0 or cand_total == 0:
         return RougeScore.zero()
+    masks = [_match_masks(cand_sent) for cand_sent in candidate]
     matched = 0
     for ref_sent in reference:
         union: set[int] = set()
-        for cand_sent in candidate:
-            union |= _lcs_positions(ref_sent, cand_sent)
+        for cand_sent, cand_masks in zip(candidate, masks):
+            union.update(_lcs_positions(ref_sent, cand_sent, cand_masks))
         matched += len(union)
     p = min(1.0, matched / cand_total)
     r = min(1.0, matched / ref_total)
@@ -241,19 +279,28 @@ def sentence_stats(versions: Sequence[TokenList], reference) -> SentenceStats:
     ReferenceSummary or a plain list of token lists)."""
     ref_sents = getattr(reference, "sentences", reference)
     ref_grams = [_pooled_ngrams(ref_sents, n) for n in (1, 2)]
-    column = {g: i for i, g in enumerate(g for grams in ref_grams for g in grams)}
+    # Unigram columns are keyed by the token, bigram columns by the pair.
+    keys = [g[0] for g in ref_grams[0]] + list(ref_grams[1])
+    column = {g: i for i, g in enumerate(keys)}
+    width = len(column) + 2
     offsets = np.cumsum([0] + [len(s) for s in ref_sents])
-    counts = np.zeros((len(versions), len(column) + 2), dtype=np.int64)
-    lcs = np.zeros((len(versions), int(offsets[-1])), dtype=bool)
+    ref_tokens = int(offsets[-1])
+    cells: list[int] = []  # flat indices into counts, one per n-gram hit
+    matched: list[int] = []  # flat indices into lcs
     for v, sent in enumerate(versions):
-        for n in (1, 2):
-            for g, c in _ngrams(sent, n).items():
-                if g in column:
-                    counts[v, column[g]] += c
-        counts[v, -2:] = len(sent), max(len(sent) - 1, 0)
-        for ref_sent, start in zip(ref_sents, offsets):
-            for pos in _lcs_positions(ref_sent, sent):
-                lcs[v, start + pos] = True
+        base = v * width
+        cells += [base + c for c in map(column.get, chain(sent, zip(sent, sent[1:]))) if c is not None]
+        masks = _match_masks(sent)
+        base = v * ref_tokens
+        for ref_sent, start in zip(ref_sents, offsets.tolist()):
+            matched += [base + start + pos for pos in _lcs_positions(ref_sent, sent, masks)]
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(versions) * width)
+    counts = counts.astype(np.int64, copy=False).reshape(len(versions), width)
+    lengths = np.array([len(sent) for sent in versions], dtype=np.int64)
+    counts[:, -2] = lengths
+    counts[:, -1] = np.maximum(lengths - 1, 0)
+    lcs = np.zeros((len(versions), ref_tokens), dtype=bool)
+    lcs.reshape(-1)[matched] = True
     return SentenceStats(
         counts=counts,
         lcs=lcs,

@@ -34,7 +34,7 @@ class Sentence:
         if not self.tokens:
             raise ValueError("sentence has no tokens")
         for t in self.tokens:
-            if not t or any(c.isspace() for c in t):
+            if t.split() != [t]:  # empty, or holds whitespace
                 raise ValueError(f"bad token {t!r}")
 
 
@@ -92,6 +92,18 @@ class IngestReport:
             self.reject_reasons = []
 
 
+def json_line(line: str):
+    """The JSON value of one line. Whatever `json.loads` rejects raises
+    ValueError with a one-line reason, including nesting past the recursion
+    limit (which `json.loads` reports as RecursionError)."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(exc.msg) from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def _records(path, highlights_required: bool = True):
     """Yield (line number, record) for every non-blank line of a dataset.
 
@@ -105,9 +117,9 @@ def _records(path, highlights_required: bool = True):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                rec = json_line(line)
+            except ValueError as exc:
+                raise DatasetError(f"line {lineno}: invalid JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise DatasetError(f"line {lineno}: record is not an object")
             for field in ("id", "article_sentences", "highlights"):
@@ -197,8 +209,9 @@ def atomic_open(path):
 
 
 def write_dataset(examples: list[Example], path) -> None:
-    """Write examples in the canonical line-delimited JSON form."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write examples in the canonical line-delimited JSON form, through
+    `atomic_open`."""
+    with atomic_open(path) as fh:
         for ex in examples:
             rec = {
                 "id": ex.document.id,

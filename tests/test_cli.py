@@ -1,11 +1,17 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synthetic import make_corpus
 from sumedit import cli, editor, text
@@ -71,6 +77,64 @@ class TestIngest:
         rc = cli.main(["ingest", str(tmp_path / "missing.jsonl"), str(tmp_path / "out.jsonl")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+# Inputs for the ingest fuzz test: random JSON values, records with fields of
+# the wrong type, blank, whitespace-only and non-ASCII-whitespace sentences,
+# nesting past the recursion limit, and raw text lines.
+WHITESPACE = " \t\u00a0\u1680\u2003\u2028\u3000\x1c\x85"
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+fuzz_sentences = st.text(alphabet=st.sampled_from(WHITESPACE + "abXé."), max_size=8)
+fuzz_field = st.lists(fuzz_sentences, max_size=3) | json_values
+fuzz_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.text(max_size=4) | json_values,
+        "article_sentences": fuzz_field,
+        "highlights": fuzz_field,
+    },
+)
+fuzz_lines = st.lists(
+    st.one_of(
+        st.tuples(fuzz_records | json_values, st.booleans()).map(
+            lambda value_ascii: json.dumps(value_ascii[0], ensure_ascii=value_ascii[1])
+        ),
+        st.integers(900, 5000).map(lambda depth: "[" * depth),
+        st.integers(900, 5000).map(lambda depth: '{"id": ' * depth),
+        st.sampled_from(["", "   ", WHITESPACE, "1" * 5000]),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20),
+    ),
+    max_size=6,
+)
+
+
+class TestIngestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_lines)
+    def test_exits_cleanly_and_keeps_previous_output_on_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+            src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            out.write_bytes(b"previous\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                rc = cli.main(["ingest", str(src), str(out)])
+            err = stderr.getvalue().split("\n")
+            assert err.pop() == ""
+            if rc == 1:
+                # one error line, after a warning per record rejected before it
+                assert re.fullmatch(r"error: line \d+: .+", err.pop())
+                assert all(e.startswith("WARNING sumedit.text: rejected record: line ") for e in err)
+                assert out.read_bytes() == b"previous\n"
+            else:
+                assert rc == 0
+                report = json.loads(stdout.getvalue())
+                assert len(err) == report["rejected"]
+                assert len(out.read_text(encoding="utf-8").splitlines()) == report["accepted"]
 
 
 class TestLabelAndTrain:
@@ -143,6 +207,7 @@ class TestLabelCacheValidation:
         [
             (edit_record(lambda rec: rec.pop("best")), "missing field 'best'"),
             (lambda line: line[: len(line) // 2] + "\n", "not valid JSON"),
+            (lambda line: "[" * 5000 + "\n", "not valid JSON (nested too deeply)"),
             (edit_record(lambda rec: rec["labels"].pop()), "labels has 2 entries, order has 3"),
             (edit_record(lambda rec: rec["abstractions"].append(["x"])), "abstractions has 4 entries"),
             (edit_record(lambda rec: rec.update(best=rec["best"][:2])), "best has 2 entries"),
@@ -150,7 +215,7 @@ class TestLabelCacheValidation:
             (edit_record(set_label_row([-0.1, 0.6, 0.5])), "not three finite non-negative"),
             (edit_record(set_label_row([0.5, 0.5])), "not three finite non-negative"),
         ],
-        ids=["missing-field", "truncated-line", "labels-length", "abstractions-length",
+        ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
              "best-length", "nan-label", "negative-label", "short-label-row"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):

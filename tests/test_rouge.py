@@ -1,10 +1,23 @@
 import itertools
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
+from sumedit.rouge import (
+    RewardWeights,
+    _lcs_positions,
+    _match_masks,
+    _ngrams,
+    _pooled_ngrams,
+    reward,
+    rouge_l,
+    rouge_n,
+    sentence_stats,
+)
 
 tokens = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8)
 
@@ -22,6 +35,116 @@ def brute_force_lcs(a, b):
         if best:
             break
     return best
+
+
+def lcs_positions(ref, cand):
+    return _lcs_positions(ref, cand, _match_masks(cand))
+
+
+def dp_lcs_positions(ref, cand):
+    """Slow reference for `_lcs_positions`: the full (|ref|+1) x (|cand|+1)
+    LCS table, then the same canonical traceback."""
+    nr, nc = len(ref), len(cand)
+    dp = [[0] * (nc + 1) for _ in range(nr + 1)]
+    for i in range(1, nr + 1):
+        row, prev = dp[i], dp[i - 1]
+        ri = ref[i - 1]
+        for j in range(1, nc + 1):
+            if ri == cand[j - 1]:
+                row[j] = prev[j - 1] + 1
+            else:
+                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
+    matched: set[int] = set()
+    i, j = nr, nc
+    while i > 0 and j > 0:
+        if ref[i - 1] == cand[j - 1] and dp[i][j] == dp[i - 1][j - 1] + 1:
+            matched.add(i - 1)
+            i -= 1
+            j -= 1
+        elif dp[i - 1][j] >= dp[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return matched
+
+
+def reference_sentence_stats(versions, reference):
+    """Slow reference for `sentence_stats`: one Counter per version and
+    n-gram order, and `dp_lcs_positions` per reference sentence."""
+    ref_grams = [_pooled_ngrams(reference, n) for n in (1, 2)]
+    column = {g: i for i, g in enumerate(g for grams in ref_grams for g in grams)}
+    offsets = np.cumsum([0] + [len(s) for s in reference])
+    counts = np.zeros((len(versions), len(column) + 2), dtype=np.int64)
+    lcs = np.zeros((len(versions), int(offsets[-1])), dtype=bool)
+    for v, sent in enumerate(versions):
+        for n in (1, 2):
+            for g, c in _ngrams(sent, n).items():
+                if g in column:
+                    counts[v, column[g]] += c
+        counts[v, -2:] = len(sent), max(len(sent) - 1, 0)
+        for ref_sent, start in zip(reference, offsets):
+            for pos in dp_lcs_positions(ref_sent, sent):
+                lcs[v, start + pos] = True
+    ref_counts = np.array([c for grams in ref_grams for c in grams.values()], dtype=np.int64)
+    return counts, lcs, ref_counts, len(ref_grams[0]), sum(ref_grams[1].values())
+
+
+def token_lists(alphabet, sizes=(0, 8)):
+    return st.lists(st.sampled_from(alphabet), min_size=sizes[0], max_size=sizes[1])
+
+
+# Alphabets of one to three tokens (many ties), sides from empty to past 64
+# and past 128 tokens.
+@st.composite
+def lcs_pairs(draw):
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    side = st.one_of(token_lists(alphabet), token_lists(alphabet, (65, 80)), token_lists(alphabet, (129, 150)))
+    return draw(side), draw(side)
+
+
+class TestLcsPositions:
+    @given(lcs_pairs())
+    def test_equals_dp_reference(self, pair):
+        ref, cand = pair
+        got = lcs_positions(ref, cand)
+        assert len(got) == len(set(got))
+        assert set(got) == dp_lcs_positions(ref, cand)
+
+    def test_long_random_pairs_equal_dp_reference(self):
+        rng = random.Random(0)
+        for _ in range(60):
+            alphabet = "abcdefgh"[: rng.randint(1, 8)]
+            ref = rng.choices(alphabet, k=rng.randint(0, 200))
+            cand = rng.choices(alphabet + "xy", k=rng.randint(0, 200))
+            assert set(lcs_positions(ref, cand)) == dp_lcs_positions(ref, cand)
+
+    def test_no_common_token(self):
+        assert lcs_positions(["a", "b"], ["c", "d", "c"]) == []
+
+    def test_canonical_alignment_among_ties(self):
+        # "a b" against "b a" has LCS 1 either way; the walk prefers up over
+        # left on a tie, so it matches the earlier reference token
+        assert lcs_positions(["a", "b"], ["b", "a"]) == [0]
+        assert dp_lcs_positions(["a", "b"], ["b", "a"]) == {0}
+
+
+class TestSentenceStats:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda a: st.tuples(
+                st.lists(token_lists("abcd"[:a], (0, 12)), max_size=6),
+                st.lists(token_lists("abcd"[:a], (1, 12)), min_size=1, max_size=4),
+            )
+        )
+    )
+    def test_equals_reference_implementation(self, case):
+        versions, reference = case
+        stats = sentence_stats(versions, reference)
+        counts, lcs, ref_counts, unigrams, ref_bigrams = reference_sentence_stats(versions, reference)
+        for got, want in ((stats.counts, counts), (stats.lcs, lcs), (stats.ref_counts, ref_counts)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert (stats.unigrams, stats.ref_bigrams) == (unigrams, ref_bigrams)
 
 
 class TestRougeN:

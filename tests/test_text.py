@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sumedit.text import (
     DatasetError,
+    Sentence,
     atomic_open,
     document_from_strings,
     ingest_dataset,
@@ -66,6 +67,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
+    def test_nesting_past_recursion_limit_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [GOOD, "[" * 5000])
+        with pytest.raises(DatasetError, match=r"^line 2: invalid JSON \(nested too deeply\)$"):
+            load_dataset(path)
+
     def test_three_sentence_article_indices(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD])
@@ -93,6 +100,17 @@ class TestLoadDataset:
         assert examples == []
         assert report.rejected == 1
 
+    def test_write_that_raises_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [GOOD])
+        examples = load_dataset(path)
+        before = path.read_bytes()
+        # the second entry is not an Example: the write fails after one line
+        with pytest.raises(AttributeError):
+            write_dataset([examples[0], None], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD, dict(GOOD, id="doc-2")])
@@ -107,6 +125,11 @@ class TestDocumentInvariants:
     def test_contiguous_indices_required(self):
         doc = document_from_strings("d", ["a b", "c d"])
         assert [s.index for s in doc.sentences] == [0, 1]
+
+    @pytest.mark.parametrize("token", ["", "a b", "a ", "\x1cb"])
+    def test_token_with_whitespace_or_empty_rejected(self, token):
+        with pytest.raises(ValueError, match="bad token"):
+            Sentence(0, ("ok", token))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
