@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import editor, oracle, summarizers, text, trainer
+from . import editor, encoder, oracle, summarizers, text, trainer
 from .config import ExperimentConfig
 
 
@@ -175,21 +175,19 @@ def cmd_summarize(args) -> int:
         extracts = [summarizers.extract_lead(doc, cfg.k) for doc in documents]
     if not documents:
         raise SystemExit(f"no usable records in {args.document}")
-    # Contexts are built and decoded one decode pass at a time, so memory
-    # stays bounded and each pass is printed before the next is built.
+    # Documents are encoded and decoded one decode pass at a time, so memory
+    # stays bounded and each pass is printed before the next is encoded.
     for start in range(0, len(documents), editor.DECODE_CHUNK):
         chunk = range(start, min(start + editor.DECODE_CHUNK, len(documents)))
-        ctxs = [
-            editor.context_from_abstractions(
-                documents[j],
-                extracts[j],
-                editor.abstractions_for(documents[j], extracts[j], abstractor),
-                enc_config,
-            )
-            for j in chunk
+        abstractions = [
+            editor.abstractions_for(documents[j], extracts[j], abstractor) for j in chunk
         ]
-        for j, summary in zip(chunk, editor.decode(ctxs, params)):
-            _print_summary(documents[j], summary)
+        vectors = encoder.encode_split(
+            [documents[j] for j in chunk], [extracts[j].order for j in chunk], abstractions, enc_config
+        )
+        decisions, _ = editor.decode(vectors, params)
+        for j, abstracted, row in zip(chunk, abstractions, decisions.tolist()):
+            _print_summary(documents[j], editor.mixed_summary(documents[j], extracts[j], abstracted, row))
     return 0
 
 

@@ -12,8 +12,17 @@ from dataclasses import dataclass
 from .encoder import EncoderConfig
 from .rouge import RewardWeights
 from .summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor
-from .text import atomic_open
+from .text import atomic_open, read_json_object
 from .trainer import TrainConfig
+
+# What a field of each annotated type takes, and how an error names it; a
+# bool is not a number here.
+_ACCEPTS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 
 
 @dataclass
@@ -38,10 +47,16 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            types, expected = _ACCEPTS[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {f.name!r} must be {expected}, got {value!r}")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_object(path)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

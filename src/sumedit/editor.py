@@ -6,26 +6,30 @@ three-way softmax over {E, A, R} through two fully-connected layers, and
 updates the additive summary state through tanh(W_g @ h) where h follows the
 chosen sentence version. The recurrence, including the document vector
 d = tanh(W_d @ mean(e) + b_d), is computed in one place, `forward`, over a
-padded batch of extracts: each step is one matrix product for the whole
-batch, and the padded steps past an extract's end count as REJECT. `decode`
-runs it free (argmax of p) and `loss_and_gradients` runs it teacher-forced
-(argmax of the label) before its backward pass, whose weight gradients are
-one matrix product each over all the batch's steps. Training minimizes a
-soft cross-entropy against enumeration-derived label distributions;
-gradients are exact and analytic (the base sentence encoder is frozen).
+padded batch of extracts (`encoder.SplitVectors`): each step is one matrix
+product for the whole batch, and the padded steps past an extract's end
+count as REJECT. `decode` runs it free (argmax of p) and returns decision
+arrays; `loss_and_gradients` runs it teacher-forced (argmax of the label)
+before its backward pass, whose weight gradients are one matrix product each
+over all the batch's steps. Training minimizes a soft cross-entropy against
+enumeration-derived label distributions; gradients are exact and analytic
+(the base sentence encoder is frozen). The parameters, and a gradient, are
+named views into one flat vector (`EditorParams`).
 """
 from __future__ import annotations
 
 import enum
+import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, encode_abstracted, mix_context, raw_vectors
+from .encoder import EncoderConfig, SplitVectors, encode_split
 from .summarizers import Abstractor, ExtractResult, make_chunk
-from .text import Document, atomic_open
+from .text import Document, atomic_open, read_json_object
 
 LOG_CLAMP = 1e-12
 
@@ -43,68 +47,71 @@ class Decision(enum.Enum):
 # Fixed index order; argmax ties therefore break E > A > R.
 DECISIONS = (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
 DECISION_INDEX = {d: i for i, d in enumerate(DECISIONS)}
+EXTRACT, ABSTRACT, REJECT = (DECISION_INDEX[d] for d in Decision)
 
 PARAM_NAMES = ("W_c", "b_c", "V", "b", "W_g", "W_d", "b_d")
 
 
-@dataclass
+def param_shapes(m: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in PARAM_NAMES order."""
+    return {
+        "W_c": (m, 4 * n), "b_c": (m,), "V": (3, m), "b": (3,),
+        "W_g": (n, n), "W_d": (n, n), "b_d": (n,),
+    }
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(m: int, n: int) -> tuple[int, tuple]:
+    """Size of the flat vector, and per parameter (name, slice, shape)."""
+    parts, offset = [], 0
+    for name, shape in param_shapes(m, n).items():
+        parts.append((name, slice(offset, offset + math.prod(shape)), shape))
+        offset += math.prod(shape)
+    return offset, tuple(parts)
+
+
 class EditorParams:
-    W_c: np.ndarray  # (m, 4n)
-    b_c: np.ndarray  # (m,)
-    V: np.ndarray  # (3, m)
-    b: np.ndarray  # (3,)
-    W_g: np.ndarray  # (n, n)
-    W_d: np.ndarray  # (n, n)
-    b_d: np.ndarray  # (n,)
+    """The editor's parameters W_c (m, 4n), b_c (m,), V (3, m), b (3,),
+    W_g (n, n), W_d (n, n) and b_d (n,): named views into one flat float64
+    vector `flat`, in PARAM_NAMES order. A name cannot be rebound, so every
+    write into a parameter is a write into `flat`."""
 
-    @property
-    def m(self) -> int:
-        return self.W_c.shape[0]
+    W_c: np.ndarray
+    b_c: np.ndarray
+    V: np.ndarray
+    b: np.ndarray
+    W_g: np.ndarray
+    W_d: np.ndarray
+    b_d: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.W_g.shape[0]
+    def __init__(self, m: int, n: int, flat: np.ndarray | None = None):
+        size, parts = _layout(m, n)
+        flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (size,):
+            raise ValueError(f"m = {m}, n = {n} takes {size} parameters, not shape {flat.shape}")
+        self.__dict__.update({name: flat[part].reshape(shape) for name, part, shape in parts})
+        self.__dict__.update(m=m, n=n, flat=flat)
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EditorParams.{name} cannot be rebound; write into its array")
 
     def copy(self) -> "EditorParams":
-        return EditorParams(**{k: v.copy() for k, v in self.arrays().items()})
+        return EditorParams(self.m, self.n, self.flat.copy())
 
     def validate(self) -> None:
-        m, n = self.m, self.n
-        expected = {
-            "W_c": (m, 4 * n), "b_c": (m,), "V": (3, m), "b": (3,),
-            "W_g": (n, n), "W_d": (n, n), "b_d": (n,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+        for name in PARAM_NAMES:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
 
 
 def init_params(m: int, n: int, rng: np.random.Generator) -> EditorParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] matrices, zero biases."""
-
-    def mat(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    return EditorParams(
-        W_c=mat(m, 4 * n),
-        b_c=np.zeros(m),
-        V=mat(3, m),
-        b=np.zeros(3),
-        W_g=mat(n, n),
-        W_d=mat(n, n),
-        b_d=np.zeros(n),
-    )
-
-
-def zero_grads(params: EditorParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    params = EditorParams(m, n)
+    for name in ("W_c", "V", "W_g", "W_d"):
+        view = getattr(params, name)
+        bound = 1.0 / np.sqrt(view.shape[1])
+        view[:] = rng.uniform(-bound, bound, size=view.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,6 @@ class EditStep:
     sentence_index: int
     decision: Decision
     tokens: tuple[str, ...] | None
-    distribution: np.ndarray = field(compare=False)  # (3,) p over E, A, R
 
 
 @dataclass(frozen=True)
@@ -124,21 +130,20 @@ class MixedSummary:
         return tuple(s.tokens for s in self.steps if s.tokens is not None)
 
 
-@dataclass
-class EditContext:
-    """Frozen-encoder quantities for one example, precomputable once."""
-
-    example_id: str
-    extract: ExtractResult
-    e: np.ndarray  # (l, n) extracted-sentence vectors, in extract order
-    a: np.ndarray  # (l, n) abstracted-sentence vectors, in extract order
-    e_bar: np.ndarray  # (n,) document mean sentence vector
-    extracted_tokens: tuple[tuple[str, ...], ...]
-    abstractions: tuple[tuple[str, ...], ...]
-
-    @property
-    def l(self) -> int:
-        return len(self.extract.order)
+def mixed_summary(
+    document: Document,
+    extract: ExtractResult,
+    abstractions: Sequence[Sequence[str]],
+    decisions: Sequence[int],
+) -> MixedSummary:
+    """The summary that `decisions` (per step, an index into DECISIONS)
+    make of an extract: the extracted sentence on E, its abstraction on A,
+    nothing on R."""
+    steps = []
+    for idx, abstracted, k in zip(extract.order, abstractions, decisions):
+        versions = {EXTRACT: document.tokens_at(idx), ABSTRACT: tuple(abstracted)}
+        steps.append(EditStep(idx, DECISIONS[k], versions.get(k)))
+    return MixedSummary(steps=tuple(steps))
 
 
 def abstractions_for(
@@ -167,32 +172,15 @@ def context_from_abstractions(
     extract: ExtractResult,
     abstractions: Sequence[Sequence[str]],
     config: EncoderConfig,
-) -> EditContext:
-    doc = document
-    raw = raw_vectors(doc, config)
-    vecs = mix_context(raw, config)
-    e = np.stack([vecs[i] for i in extract.order])
-    a = np.stack(
-        [
-            encode_abstracted(raw, idx, list(toks), config)
-            for idx, toks in zip(extract.order, abstractions)
-        ]
-    )
-    return EditContext(
-        example_id=doc.id,
-        extract=extract,
-        e=e,
-        a=a,
-        e_bar=vecs.mean(axis=0),
-        extracted_tokens=tuple(doc.tokens_at(i) for i in extract.order),
-        abstractions=tuple(tuple(t) for t in abstractions),
-    )
+) -> SplitVectors:
+    """The vectors of one example: `encode_split` of a one-document split."""
+    return encode_split([document], [extract.order], [abstractions], config)
 
 
 @dataclass
 class ForwardPass:
-    """One run of the recurrence over a batch of B extracts padded to the
-    longest length L; arrays are step-major.
+    """One run of the recurrence over a batch of B extracts padded to L
+    steps; arrays are step-major.
 
     `d` (B, n) holds the document vectors and `g` (L + 1, B, n) the states
     g_0 ... g_L. Per step i: the input `x` (L, B, 4n), the hidden activation
@@ -215,11 +203,11 @@ class ForwardPass:
 
 
 def forward(
-    ctxs: Sequence[EditContext],
+    vectors: SplitVectors,
     params: EditorParams,
     forced: np.ndarray | None = None,
 ) -> ForwardPass:
-    """Run the editor over a non-empty batch of contexts.
+    """Run the editor over a non-empty batch of extracts.
 
     forced (L, B) gives the decision index taken at every step (teacher
     forcing); without it each step takes argmax p, ties broken E > A > R.
@@ -228,18 +216,13 @@ def forward(
     abstracted (A) sentence vector; on REJECT, and on every padded step,
     g_{i+1} is g_i itself.
     """
-    n, m, B = params.n, params.m, len(ctxs)
-    extract, abstract, reject = (
-        DECISION_INDEX[d] for d in (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
-    )
-    lengths = np.array([ctx.l for ctx in ctxs])
-    L = int(lengths.max())
-    mask = np.arange(L)[:, None] < lengths
-    d = np.tanh(np.stack([ctx.e_bar for ctx in ctxs]) @ params.W_d.T + params.b_d)
+    n, m = params.n, params.m
+    B, L = vectors.e.shape[:2]
+    mask = np.arange(L)[:, None] < vectors.lengths
+    d = np.tanh(vectors.e_bar @ params.W_d.T + params.b_d)
     x = np.zeros((L, B, 4 * n))
-    for j, ctx in enumerate(ctxs):
-        x[: ctx.l, j, :n] = ctx.e
-        x[: ctx.l, j, n : 2 * n] = ctx.a
+    x[:, :, :n] = vectors.e.transpose(1, 0, 2)
+    x[:, :, n : 2 * n] = vectors.a.transpose(1, 0, 2)
     x[:, :, 3 * n :] = d
     g = np.zeros((L + 1, B, n))
     t = np.empty((L, B, m))
@@ -254,11 +237,11 @@ def forward(
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         p[i] = shifted / shifted.sum(axis=1, keepdims=True)
         chosen = p[i].argmax(axis=1) if forced is None else forced[i]
-        decisions[i] = np.where(mask[i], chosen, reject)
+        decisions[i] = np.where(mask[i], chosen, REJECT)
         h[i] = np.where(
-            (decisions[i] == extract)[:, None],
+            (decisions[i] == EXTRACT)[:, None],
             x[i, :, :n],
-            np.where((decisions[i] == abstract)[:, None], x[i, :, n : 2 * n], 0.0),
+            np.where((decisions[i] == ABSTRACT)[:, None], x[i, :, n : 2 * n], 0.0),
         )
         # tanh(W_g 0) is exactly 0, so REJECT leaves the state as it is
         q[i] = np.tanh(h[i] @ params.W_g.T)
@@ -266,73 +249,56 @@ def forward(
     return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
 
 
-# Most contexts one batched decode pass holds at once; the arrays of a pass
+# Most extracts one batched decode pass holds at once; the arrays of a pass
 # grow with it, so longer inputs are decoded in passes of this size.
 DECODE_CHUNK = 256
 
 
-def decode(ctxs: Sequence[EditContext], params: EditorParams) -> list[MixedSummary]:
-    """Greedy free-running decode of every context in batched passes of at
-    most DECODE_CHUNK contexts: argmax decision per step (ties E > A > R),
-    one summary per context."""
-    summaries = []
-    for start in range(0, len(ctxs), DECODE_CHUNK):
-        chunk = ctxs[start : start + DECODE_CHUNK]
-        run = forward(chunk, params)
-        for j, (ctx, decisions) in enumerate(zip(chunk, run.decisions.T.tolist())):
-            steps = []
-            for i, idx in enumerate(ctx.extract.order):
-                decision = DECISIONS[decisions[i]]
-                versions = {
-                    Decision.EXTRACT: ctx.extracted_tokens[i],
-                    Decision.ABSTRACT: ctx.abstractions[i],
-                }
-                steps.append(EditStep(idx, decision, versions.get(decision), run.p[i, j]))
-            summaries.append(MixedSummary(steps=tuple(steps)))
-    return summaries
+def decode(vectors: SplitVectors, params: EditorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy free-running decode of every extract in batched passes of at
+    most DECODE_CHUNK extracts: argmax decision per step, ties E > A > R.
 
-
-def soft_cross_entropy(
-    distributions: Sequence[np.ndarray], labels: Sequence[Sequence[float]]
-) -> float:
-    """-(1/l) sum_i sum_k y_ik log p_ik, with p clamped below for finiteness."""
-    p = np.asarray(distributions, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(p) != len(y):
-        raise ValueError("distributions and labels differ in length")
-    if not len(p):
-        raise ValueError("need at least one step")
-    return -float(np.sum(y * np.log(np.maximum(p, LOG_CLAMP)))) / len(p)
+    Returns the decisions (N, L), indices into DECISIONS that are REJECT past
+    each extract's end, and the distributions p (N, L, 3), zero there.
+    """
+    N, L = vectors.e.shape[:2]
+    decisions = np.full((N, L), REJECT, dtype=np.intp)
+    p = np.zeros((N, L, 3))
+    for start in range(0, N, DECODE_CHUNK):
+        chunk = slice(start, start + DECODE_CHUNK)
+        run = forward(vectors.take(chunk), params)
+        width = len(run.p)
+        decisions[chunk, :width] = run.decisions.T
+        p[chunk, :width] = np.where(run.mask[:, :, None], run.p, 0.0).transpose(1, 0, 2)
+    return decisions, p
 
 
 def loss_and_gradients(
-    ctxs: Sequence[EditContext],
-    labels: Sequence[np.ndarray],
+    vectors: SplitVectors,
+    labels: np.ndarray,
     params: EditorParams,
     teacher_forcing: bool = True,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed soft cross-entropy of a batch and its exact summed gradient
-    for every parameter; labels[j] is the (l, 3) label array of ctxs[j].
+) -> tuple[float, EditorParams]:
+    """Summed soft cross-entropy of a batch of B extracts and its exact
+    summed gradient, as named views into one flat vector. labels (B, L, 3)
+    holds each extract's soft labels, padded like its vectors.
 
-    With teacher forcing the state recurrence follows the label argmax; without
-    it, the model's own argmax decision. The discrete decisions are treated as
-    constants of the backward pass; sentence vectors are frozen.
+    Each example's loss is -(1/l) sum_i sum_k y_ik log p_ik over its l steps,
+    with p clamped below at LOG_CLAMP. With teacher forcing the state
+    recurrence follows the label argmax; without it, the model's own argmax
+    decision. The discrete decisions are treated as constants of the
+    backward pass; sentence vectors are frozen.
     """
-    if not ctxs or len(labels) != len(ctxs):
-        raise ValueError("need one label array per context, and at least one context")
-    n, m, B = params.n, params.m, len(ctxs)
-    L = max(ctx.l for ctx in ctxs)
-    y = np.zeros((L, B, 3))
-    for j, (ctx, lab) in enumerate(zip(ctxs, labels)):
-        lab = np.asarray(lab, dtype=float)
-        if lab.shape != (ctx.l, 3):
-            raise ValueError(f"{ctx.example_id}: labels must have shape ({ctx.l}, 3)")
-        y[: ctx.l, j] = lab
-    run = forward(ctxs, params, y.argmax(axis=2) if teacher_forcing else None)
-    lengths = run.mask.sum(axis=0)
-    # Each example's `soft_cross_entropy`: its steps' terms in one row, summed
-    # as that function sums its (l, 3) array (y is 0 on the padded steps, so
-    # they add zeros), and the batch's losses added in order.
+    if labels.shape != vectors.e.shape[:2] + (3,) or not len(labels):
+        raise ValueError("need one (L, 3) label array per extract, and at least one extract")
+    n, m = params.n, params.m
+    B, L = labels.shape[:2]
+    y = np.ascontiguousarray(labels.transpose(1, 0, 2))  # step-major, as the run
+    run = forward(vectors, params, y.argmax(axis=2) if teacher_forcing else None)
+    lengths = vectors.lengths
+    # Each example's loss sums its steps' terms as one row, in the order
+    # np.sum takes over an (l, 3) array (y is 0 on the padded steps, so they
+    # add zeros); the batch's losses are added in order.
     terms = y * np.log(np.maximum(run.p, LOG_CLAMP))
     losses = -terms.transpose(1, 0, 2).reshape(B, -1).sum(axis=1) / lengths
     loss = float(np.cumsum(losses)[-1])
@@ -347,17 +313,15 @@ def loss_and_gradients(
     G[:-1] = np.cumsum(dg[:0:-1], axis=0)[::-1]
     dq = (G * (1 - run.q**2)).reshape(-1, n)
     dzd = dx[:, :, 3 * n :].sum(axis=0) * (1 - run.d**2)
-    e_bar = np.stack([ctx.e_bar for ctx in ctxs])
-    grads = {
-        "W_c": dz.T @ run.x.reshape(-1, 4 * n),
-        "b_c": dz.sum(axis=0),
-        "V": du.T @ t,
-        "b": du.sum(axis=0),
-        "W_g": dq.T @ run.h.reshape(-1, n),
-        "W_d": dzd.T @ e_bar,
-        "b_d": dzd.sum(axis=0),
-    }
-    return loss, grads
+    grad = EditorParams(m, n)
+    np.matmul(dz.T, run.x.reshape(-1, 4 * n), out=grad.W_c)
+    dz.sum(axis=0, out=grad.b_c)
+    np.matmul(du.T, t, out=grad.V)
+    du.sum(axis=0, out=grad.b)
+    np.matmul(dq.T, run.h.reshape(-1, n), out=grad.W_g)
+    np.matmul(dzd.T, vectors.e_bar, out=grad.W_d)
+    dzd.sum(axis=0, out=grad.b_d)
+    return loss, grad
 
 
 CHECKPOINT_VERSION = 1
@@ -365,8 +329,8 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(params: EditorParams, encoder_config: EncoderConfig, path) -> None:
     payload: dict = {"version": CHECKPOINT_VERSION, "m": params.m, "n": params.n}
-    for name, arr in params.arrays().items():
-        payload[name] = arr.tolist()
+    for name in PARAM_NAMES:
+        payload[name] = getattr(params, name).tolist()
     payload["encoder"] = {
         "n": encoder_config.n,
         "hash_seed": encoder_config.hash_seed,
@@ -377,18 +341,37 @@ def save_checkpoint(params: EditorParams, encoder_config: EncoderConfig, path) -
         fh.write("\n")
 
 
+def _field(obj: dict, key: str, path, where: str = "checkpoint"):
+    if key not in obj:
+        raise ValueError(f"{path}: {where} has no {key!r}")
+    return obj[key]
+
+
 def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json_object(path)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    params = EditorParams(**{name: np.array(payload[name], dtype=float) for name in PARAM_NAMES})
+    m, n = (_field(payload, key, path) for key in ("m", "n"))
+    for key, value in (("m", m), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{path}: checkpoint {key} must be a positive integer, got {value!r}")
+    arrays = []
+    for name, shape in param_shapes(m, n).items():
+        value = _field(payload, name, path)
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != shape:
+            raise ValueError(f"{path}: {name} is not a number array of shape {shape}")
+        arrays.append(arr.ravel())
+    params = EditorParams(m, n, np.concatenate(arrays))
     params.validate()
-    if params.m != payload["m"] or params.n != payload["n"]:
-        raise ValueError("checkpoint dims disagree with stored arrays")
-    enc = payload["encoder"]
+    enc = _field(payload, "encoder", path)
+    if not isinstance(enc, dict):
+        raise ValueError(f"{path}: checkpoint 'encoder' must be an object")
     config = EncoderConfig(
-        n=enc["n"], hash_seed=enc["hash_seed"], context_window=enc["context_window"]
+        **{key: _field(enc, key, path, "checkpoint encoder") for key in ("n", "hash_seed", "context_window")}
     )
     if config.n != params.n:
         raise ValueError("encoder width disagrees with editor n")

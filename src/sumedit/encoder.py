@@ -1,14 +1,26 @@
 """Deterministic sentence and document representations.
 
 Sentences are embedded by seeded feature hashing of unigram+bigram counts with
-random signs, L2-normalized (`raw_vectors`), then mixed with neighboring
-sentences (`mix_context`) so that replacing one sentence has an observable
-effect on its neighbors' context. Sentence i's vector depends only on the raw
-rows of its window i-w .. i+w, so `encode_abstracted` hashes the abstracted
-sentence alone and mixes it with the document's existing raw rows.
+random signs, L2-normalized (the raw rows), then mixed with neighboring
+sentences so that replacing one sentence has an observable effect on its
+neighbors' context: with a context window w >= 1, sentence i's vector is the
+normalized mean of the raw rows i-w .. i+w of its document that exist; with
+w = 0 it is the raw row itself. An abstracted sentence is encoded at its
+source's position, in the document with that one sentence replaced.
+
+`encode_split` encodes a whole split at once into one `SplitVectors` record,
+padded to the longest extract. Each distinct feature of the split is hashed
+once and all raw rows come from one `np.bincount`. A raw row is a sum of
++-1.0 terms, so it is exact in any order; a window is added in document
+order, one shifted add per offset, as a per-document mean adds its rows; and
+each mixed row is normalized by the same per-row dot product that
+`np.linalg.norm` takes. The vectors are therefore the ones of a sentence-at-
+a-time encoding, bit for bit; that encoding is the slow reference in
+`tests/test_encoder.py`.
+
 The document vector tanh(W_d @ mean(e) + b_d) has learnable W_d, b_d, so it
 is computed by the editor (`sumedit.editor.forward`) from the mean sentence
-vector kept in its EditContext.
+vector `e_bar` of the record.
 """
 from __future__ import annotations
 
@@ -28,71 +40,143 @@ class EncoderConfig:
     context_window: int = 1
 
     def __post_init__(self):
+        for name in ("n", "hash_seed", "context_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"encoder {name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("representation width n must be >= 1")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
 
 
+@dataclass(frozen=True)
+class SplitVectors:
+    """The frozen-encoder inputs of N extracts, padded to the longest
+    extract length L.
+
+    `e` and `a` (N, L, n) hold the extracted and the abstracted sentence
+    vectors in extract order, zero past each extract's end; `e_bar` (N, n)
+    holds each document's mean sentence vector and `lengths` (N,) the
+    extract lengths.
+    """
+
+    e: np.ndarray
+    a: np.ndarray
+    e_bar: np.ndarray
+    lengths: np.ndarray
+
+    def take(self, index) -> "SplitVectors":
+        """The extracts at `index` (an index array or a slice), cut to the
+        longest of them."""
+        lengths = self.lengths[index]
+        L = int(lengths.max(initial=0))
+        return SplitVectors(self.e[index, :L], self.a[index, :L], self.e_bar[index], lengths)
+
+
 def _hash32(seed: int, feature: str) -> int:
     return zlib.crc32(f"{seed}\x00{feature}".encode("utf-8"))
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0 else v
+def _raw_rows(sentences: Sequence[Sequence[str]], config: EncoderConfig) -> np.ndarray:
+    """The L2-normalized hashed vector of every sentence; an (S, n) array.
+
+    Feature f adds sign(h) to bucket h % n, h = crc32 of the seeded feature
+    and sign + where its top bit is set. Every distinct unigram and bigram is
+    hashed once."""
+    vocab: dict[str, int] = {}
+    tokens = np.array([vocab.setdefault(t, len(vocab)) for s in sentences for t in s], dtype=np.int64)
+    row = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    inner = row[1:] == row[:-1]  # adjacent tokens of one sentence
+    V = len(vocab)
+    pairs, pair_of = np.unique(tokens[:-1][inner] * V + tokens[1:][inner], return_inverse=True)
+    words = list(vocab)
+    features = [f"1:{w}" for w in words]
+    features += [f"2:{words[p // V]}\x1f{words[p % V]}" for p in pairs.tolist()]
+    h = np.array([_hash32(config.hash_seed, f) for f in features], dtype=np.int64)
+    bucket, sign = h % config.n, np.where(h & 0x80000000, 1.0, -1.0)
+    feature = np.concatenate([tokens, V + pair_of.ravel()])
+    owner = np.concatenate([row, row[1:][inner]])
+    raw = np.bincount(
+        owner * config.n + bucket[feature], weights=sign[feature], minlength=len(sentences) * config.n
+    ).reshape(-1, config.n)
+    # integer-valued rows: their squared norms are exact in any order
+    return raw / _nonzero(np.sqrt((raw * raw).sum(axis=1)))
 
 
-def _raw_sentence_vector(tokens: Sequence[str], config: EncoderConfig) -> np.ndarray:
-    v = np.zeros(config.n)
-    feats = [f"1:{t}" for t in tokens]
-    feats += [f"2:{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-    for feat in feats:
-        h = _hash32(config.hash_seed, feat)
-        sign = 1.0 if h & 0x80000000 else -1.0
-        v[h % config.n] += sign
-    return _normalize(v)
+def _nonzero(norms: np.ndarray) -> np.ndarray:
+    """Row norms as a divisor column: a zero row stays as it is."""
+    return np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def raw_vectors(document: Document, config: EncoderConfig) -> np.ndarray:
-    """Hashed vector of every sentence before mixing; an (N, n) array."""
-    return np.stack([_raw_sentence_vector(s.tokens, config) for s in document.sentences])
-
-
-def _mixed_row(raw: np.ndarray, i: int, w: int) -> np.ndarray:
-    """Row i after mixing: the normalized mean of raw rows i-w .. i+w that
-    exist; with w = 0 the raw row itself."""
-    if w == 0:
-        return raw[i]
-    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
-    return _normalize(raw[lo:hi].mean(axis=0))
-
-
-def mix_context(raw: np.ndarray, config: EncoderConfig) -> np.ndarray:
-    """Every sentence's vector, mixed with its neighbors, from the document's
-    raw vectors; an (N, n) array, one row per sentence."""
-    return np.stack([_mixed_row(raw, i, config.context_window) for i in range(len(raw))])
-
-
-def encode_abstracted(
-    raw: np.ndarray,
-    i: int,
-    abstracted: Sequence[str],
-    config: EncoderConfig,
+def _window_means(
+    raw: np.ndarray, center: np.ndarray, pos: np.ndarray, size: np.ndarray, w: int, own: np.ndarray
 ) -> np.ndarray:
-    """Representation of an abstracted sentence in document context.
+    """Row k: the normalized mean of raw rows center[k] + o, o = -w .. w, that
+    lie in its document (0 <= pos[k] + o < size[k]), added in that order,
+    with own[k] in place of row center[k]."""
+    total = np.zeros(own.shape)
+    count = np.zeros(len(own))
+    for o in range(-w, w + 1):
+        inside = (pos + o >= 0) & (pos + o < size)
+        add = own if o == 0 else raw[np.where(inside, center + o, 0)]
+        # adding +0.0 to a sum that is never -0.0 leaves it as it is
+        total += np.where(inside[:, None], add, 0.0)
+        count += inside
+    mean = total / count[:, None]
+    # the per-row dot of np.linalg.norm, not a vectorized sum of squares
+    norms = np.sqrt(np.matmul(mean[:, None, :], mean[:, :, None])[:, 0, 0])
+    return mean / _nonzero(norms)
 
-    raw holds the document's raw sentence vectors (`raw_vectors`). The result
-    is the vector at position i of the document with sentence i replaced by
-    the abstracted tokens: only those tokens are hashed, and they are mixed
-    with the raw rows of their window.
-    """
-    if not 0 <= i < len(raw):
-        raise IndexError(f"sentence index {i} out of range")
-    if not abstracted:
-        raise ValueError("abstracted sentence must be non-empty")
+
+def encode_split(
+    documents: Sequence[Document],
+    orders: Sequence[Sequence[int]],
+    abstractions: Sequence[Sequence[Sequence[str]]],
+    config: EncoderConfig,
+) -> SplitVectors:
+    """Encode N examples at once: example j extracts sentences orders[j] of
+    documents[j], and abstractions[j] holds the abstracted version of each
+    extracted sentence, in extract order."""
+    if not len(documents) == len(orders) == len(abstractions):
+        raise ValueError("need one extract order and one abstraction list per document")
+    for doc, order, abstracted in zip(documents, orders, abstractions):
+        if len(abstracted) != len(order):
+            raise ValueError(
+                f"{doc.id}: {len(order)} extracted sentences but {len(abstracted)} abstractions"
+            )
+        for i in order:
+            if not 0 <= i < len(doc):
+                raise IndexError(f"{doc.id}: sentence index {i} out of range")
+        if not all(abstracted):
+            raise ValueError(f"{doc.id}: abstracted sentence must be non-empty")
     w = config.context_window
-    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
-    window = raw[lo:hi].copy()
-    window[i - lo] = _raw_sentence_vector(abstracted, config)
-    return _mixed_row(window, i - lo, w)
+    sizes = np.array([len(doc) for doc in documents], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    lengths = np.array([len(order) for order in orders], dtype=np.intp)
+    sentences = [s.tokens for doc in documents for s in doc.sentences]
+    raw = _raw_rows(sentences + [tuple(t) for a in abstractions for t in a], config)
+    raw, own = raw[: len(sentences)], raw[len(sentences) :]
+    # every sentence, and the source sentence of every extracted one
+    doc_of = np.repeat(np.arange(len(documents)), sizes)
+    pos = np.arange(len(sentences)) - starts[doc_of]
+    step_doc = np.repeat(np.arange(len(documents)), lengths)
+    step_pos = np.array([i for order in orders for i in order], dtype=np.intp)
+    source = starts[step_doc] + step_pos
+    if w == 0:
+        mixed, abstracted = raw, own
+    else:
+        mixed = _window_means(raw, np.arange(len(sentences)), pos, sizes[doc_of], w, raw)
+        abstracted = _window_means(raw, source, step_pos, sizes[step_doc], w, own)
+    # each document's mean vector, its rows added in order
+    total = np.zeros((len(documents), config.n))
+    for p in range(int(sizes.max(initial=0))):
+        inside = p < sizes
+        total += np.where(inside[:, None], mixed[np.where(inside, starts + p, 0)], 0.0)
+    L = int(lengths.max(initial=0))
+    step = np.arange(len(step_pos)) - (np.cumsum(lengths) - lengths)[step_doc]
+    e = np.zeros((len(documents), L, config.n))
+    a = np.zeros((len(documents), L, config.n))
+    e[step_doc, step] = mixed[source]
+    a[step_doc, step] = abstracted
+    return SplitVectors(e=e, a=a, e_bar=total / sizes[:, None], lengths=lengths)

@@ -104,6 +104,19 @@ def json_line(line: str):
         raise ValueError("nested too deeply") from None
 
 
+def read_json_object(path) -> dict:
+    """The JSON object a whole file holds (a config or a checkpoint);
+    anything else raises ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json_line(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _records(path, highlights_required: bool = True):
     """Yield (line number, record) for every non-blank line of a dataset.
 

@@ -1,12 +1,17 @@
 """ADAM optimization, the teacher-forced training loop, and evaluation.
 
-Training shuffles with a seeded generator, computes each batch's loss and
-gradients in one batched editor pass, averages the gradients, applies one
-bias-corrected ADAM update per batch, decodes the whole validation split
-free-running after every epoch, and returns the checkpoint with the highest
-validation mean reward (ties: earliest epoch). A non-finite loss or gradient
-stops training with an error naming the epoch and the batch. Runs are
-bitwise reproducible under a fixed seed with a single worker.
+Each split is encoded once into one record (`encoder.encode_split`: the
+extracted and abstracted sentence vectors padded to the split's longest
+extract, the document mean vectors and the extract lengths) with its soft
+labels padded the same way. Training shuffles with a seeded generator, takes
+each batch as a fancy index into the record cut to the batch's longest
+extract, computes its loss and gradient in one batched editor pass, averages
+the gradient, applies one bias-corrected ADAM update to the flat parameter
+vector per batch, decodes the whole validation split free-running after
+every epoch, and returns the checkpoint with the highest validation mean
+reward (ties: earliest epoch). A non-finite loss or gradient stops training
+with an error naming the epoch and the batch. Runs are bitwise reproducible
+under a fixed seed with a single worker.
 
 Decoded summaries are scored without realizing them: each summary is one of
 the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
@@ -25,21 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .editor import (
-    DECISION_INDEX,
-    Decision,
-    EditContext,
-    EditorParams,
-    MixedSummary,
-    context_from_abstractions,
-    decode,
-    loss_and_gradients,
-    zero_grads,
-)
-from .encoder import EncoderConfig
+from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, loss_and_gradients
+from .encoder import EncoderConfig, SplitVectors, encode_split
 from .oracle import LabeledExample
-# `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
-# `trainer.reward` by name.
+# `context_from_abstractions` and `reward` stay module attributes although
+# training no longer calls them: the benchmark's tracer (perfbench) wraps
+# `trainer.context_from_abstractions` and `trainer.reward` by name.
+from .editor import context_from_abstractions
 from .rouge import RewardWeights, SentenceStats, f_measures, reward, sentence_stats
 from .text import Example
 
@@ -48,8 +45,10 @@ LabeledPair = tuple[Example, LabeledExample]
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moment estimates, flat like the parameters."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -58,30 +57,26 @@ class AdamState:
 
     @classmethod
     def fresh(cls, params: EditorParams, lr: float = 1e-4) -> "AdamState":
-        return cls(m=zero_grads(params), v=zero_grads(params), lr=lr)
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 def adam_step(
-    params: EditorParams, grads: dict[str, np.ndarray], state: AdamState
+    params: EditorParams, grad: np.ndarray, state: AdamState
 ) -> tuple[EditorParams, AdamState]:
-    """One bias-corrected ADAM update; pure, returns new params and state."""
+    """One bias-corrected ADAM update of the flat parameter vector from the
+    flat gradient `grad`; pure, returns new params and state."""
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} differs from parameter shape {params.flat.shape}")
     t = state.t + 1
-    new_arrays, new_m, new_v = {}, {}, {}
-    for name, value in params.arrays().items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        new_arrays[name] = value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name], new_v[name] = m, v
+    m = state.beta1 * state.m + (1 - state.beta1) * grad
+    v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
+    m_hat = m / (1 - state.beta1**t)
+    v_hat = v / (1 - state.beta2**t)
+    flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     new_state = AdamState(
-        m=new_m, v=new_v, t=t, lr=state.lr,
-        beta1=state.beta1, beta2=state.beta2, eps=state.eps,
+        m=m, v=v, t=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
     )
-    return EditorParams(**new_arrays), new_state
+    return EditorParams(params.m, params.n, flat), new_state
 
 
 @dataclass
@@ -96,43 +91,49 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
 
 
-def _contexts(
-    pairs: Sequence[LabeledPair], encoder_config: EncoderConfig
-) -> tuple[list[EditContext], list[np.ndarray]]:
-    ctxs, labels = [], []
-    for example, lab in pairs:
-        ctxs.append(
-            context_from_abstractions(
-                example.document, lab.extract, lab.abstractions, encoder_config
-            )
-        )
-        labels.append(np.asarray(lab.labels, dtype=float))
-    return ctxs, labels
+def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
+    return encode_split(
+        [example.document for example, _ in pairs],
+        [lab.extract.order for _, lab in pairs],
+        [lab.abstractions for _, lab in pairs],
+        encoder_config,
+    )
 
 
-def _split_stats(pairs: Sequence[LabeledPair], ctxs: Sequence[EditContext]) -> list[SentenceStats]:
+def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
+    """The soft labels of a split, padded like its vectors: (N, L, 3), zero
+    past each extract's end."""
+    y = np.zeros(vectors.e.shape[:2] + (3,))
+    for j, ((example, lab), l) in enumerate(zip(pairs, vectors.lengths.tolist())):
+        rows = np.asarray(lab.labels, dtype=float)
+        if rows.shape != (l, 3):
+            raise ValueError(f"{example.document.id}: labels must have shape ({l}, 3)")
+        y[j, :l] = rows
+    return y
+
+
+def _split_stats(pairs: Sequence[LabeledPair]) -> list[SentenceStats]:
     """Per example, the statistics of its 2l sentence versions (the
     extracted sentences, then their abstractions) against its reference."""
     return [
-        sentence_stats(ctx.extracted_tokens + ctx.abstractions, example.reference)
-        for ctx, (example, _) in zip(ctxs, pairs)
+        sentence_stats(
+            tuple(example.document.tokens_at(i) for i in lab.extract.order)
+            + tuple(map(tuple, lab.abstractions)),
+            example.reference,
+        )
+        for example, lab in pairs
     ]
 
 
 def _f_measures(
-    summaries: Sequence[MixedSummary], stats: Sequence[SentenceStats]
+    decisions: np.ndarray, lengths: np.ndarray, stats: Sequence[SentenceStats]
 ) -> tuple[np.ndarray, ...]:
     """ROUGE-1, ROUGE-2 and ROUGE-L F of each decoded summary, from its
-    example's statistics: the step i decision d of an l-step summary takes
-    version row DECISION_INDEX[d] * l + i, and REJECT takes none."""
-    totals = np.empty((len(summaries), 5), dtype=np.int64)
-    for j, (summary, st) in enumerate(zip(summaries, stats)):
-        l = len(summary.steps)
-        rows = [
-            DECISION_INDEX[step.decision] * l + i
-            for i, step in enumerate(summary.steps)
-            if step.decision is not Decision.REJECT
-        ]
+    example's statistics: decision k (an index into DECISIONS) at step i of
+    an l-step summary takes version row k * l + i, and REJECT takes none."""
+    totals = np.empty((len(stats), 5), dtype=np.int64)
+    for j, (row, l, st) in enumerate(zip(decisions.tolist(), lengths.tolist(), stats)):
+        rows = [k * l + i for i, k in enumerate(row[:l]) if k != REJECT]
         totals[j] = st.totals(st.counts[rows].sum(axis=0), st.lcs[rows].any(axis=0))
     ref_tokens = np.array([st.ref_tokens for st in stats], dtype=np.int64)
     ref_bigrams = np.array([st.ref_bigrams for st in stats], dtype=np.int64)
@@ -160,34 +161,33 @@ def train(
     """
     if not train_set:
         raise ValueError("empty train set")
-    ctxs, labels = _contexts(train_set, encoder_config)
-    val_ctxs, _ = _contexts(val_set, encoder_config)
-    val_stats = _split_stats(val_set, val_ctxs)
+    vectors = _encode(train_set, encoder_config)
+    labels = _labels(train_set, vectors)
+    val_vectors = _encode(val_set, encoder_config)
+    val_stats = _split_stats(val_set)
     rng = np.random.default_rng(config.seed)
     state = AdamState.fresh(params, lr=config.lr)
     best_params, best_reward = params.copy(), -math.inf
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(ctxs))
+        perm = rng.permutation(len(train_set))
         loss_total = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(
-                [ctxs[j] for j in batch], [labels[j] for j in batch], params,
-                teacher_forcing=True,
+            inputs = vectors.take(batch)
+            loss, grad = loss_and_gradients(
+                inputs, labels[batch, : inputs.e.shape[1]], params, teacher_forcing=True
             )
-            if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
-                ids = ", ".join(ctxs[j].example_id for j in batch)
+            if not (math.isfinite(loss) and np.isfinite(grad.flat).all()):
+                ids = ", ".join(train_set[j][0].document.id for j in batch)
                 raise ValueError(
                     f"epoch {epoch}: non-finite training loss or gradient "
                     f"(loss {loss}) on the batch of examples {ids}"
                 )
             loss_total += loss
-            for name in grads:
-                grads[name] /= len(batch)
-            params, state = adam_step(params, grads, state)
-        train_loss = loss_total / len(ctxs)
-        val_reward = mean_reward(val_ctxs, val_stats, params, weights)
+            params, state = adam_step(params, grad.flat / len(batch), state)
+        train_loss = loss_total / len(train_set)
+        val_reward = mean_reward(val_vectors, val_stats, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})
         if val_reward > best_reward:
             best_params, best_reward = params.copy(), val_reward
@@ -195,14 +195,15 @@ def train(
 
 
 def mean_reward(
-    ctxs: Sequence[EditContext],
+    vectors: SplitVectors,
     stats: Sequence[SentenceStats],
     params: EditorParams,
     weights: RewardWeights,
 ) -> float:
-    """Mean reward of the free-running decodes of `ctxs`, scored from each
-    example's statistics (see `_split_stats`); 0.0 for no contexts."""
-    return _mean(weights.combine(*_f_measures(decode(ctxs, params), stats)))
+    """Mean reward of the free-running decodes of a split, scored from each
+    example's statistics (see `_split_stats`); 0.0 for an empty split."""
+    decisions, _ = decode(vectors, params)
+    return _mean(weights.combine(*_f_measures(decisions, vectors.lengths, stats)))
 
 
 def evaluate(
@@ -212,21 +213,18 @@ def evaluate(
     weights: RewardWeights = RewardWeights(),
 ) -> dict:
     """Decode a split and report corpus metrics and decision statistics."""
-    ctxs, _ = _contexts(test_set, encoder_config)
-    summaries = decode(ctxs, params)
-    counts = {d: 0 for d in Decision}
-    abstracted_fractions: list[float] = []
-    for summary in summaries:
-        for step in summary.steps:
-            counts[step.decision] += 1
-        emitted = [s for s in summary.steps if s.tokens is not None]
-        if emitted:
-            frac = sum(s.decision is Decision.ABSTRACT for s in emitted) / len(emitted)
-            abstracted_fractions.append(frac)
-    r1, r2, rl = _f_measures(summaries, _split_stats(test_set, ctxs))
-    total_steps = sum(counts.values())
+    vectors = _encode(test_set, encoder_config)
+    decisions, _ = decode(vectors, params)
+    steps = np.arange(decisions.shape[1]) < vectors.lengths[:, None]
+    counts = np.bincount(decisions[steps], minlength=len(DECISIONS)).tolist()
+    # per summary, the sentences it emits and how many of them are abstracted
+    emitted = (decisions != REJECT).sum(axis=1)
+    abstracted = (decisions == ABSTRACT).sum(axis=1)
+    abstracted_fractions = abstracted[emitted > 0] / emitted[emitted > 0]
+    r1, r2, rl = _f_measures(decisions, vectors.lengths, _split_stats(test_set))
+    total_steps = sum(counts)
     fractions = {
-        d.label: (counts[d] / total_steps if total_steps else 0.0) for d in Decision
+        d.label: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)
     }
     return {
         "examples": len(test_set),

@@ -12,27 +12,27 @@ import zlib
 import numpy as np
 import pytest
 
+from reference import soft_cross_entropy
 from synthetic import make_corpus
 from sumedit import cli, text
 from sumedit.editor import (
     DECISION_INDEX,
     DECISIONS,
+    PARAM_NAMES,
     Decision,
-    EditContext,
     abstractions_for,
     context_from_abstractions,
     decode,
     forward,
     init_params,
     loss_and_gradients,
-    soft_cross_entropy,
+    mixed_summary,
 )
-from sumedit.encoder import EncoderConfig
+from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
 from sumedit.oracle import best_sequence, enumerate_rewards, label_dataset, realize, soft_labels
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import (
     AttentionMap,
-    ExtractResult,
     LeadExtractor,
     SalienceAbstractor,
     extract_lead,
@@ -57,14 +57,16 @@ def make_example(sentences, highlights, doc_id="d"):
 # --- criterion 1: gradient exactness -----------------------------------------
 
 
-def forward_loss_reference(ctx, labels, params, teacher_forcing):
-    """Independent forward-only loss used as the finite-difference oracle."""
+def forward_loss_reference(vectors, labels, params, teacher_forcing):
+    """Independent forward-only loss of a one-example batch, used as the
+    finite-difference oracle."""
     n = params.n
-    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
+    e, a, e_bar, l = vectors.e[0], vectors.a[0], vectors.e_bar[0], vectors.lengths[0]
+    d = np.tanh(params.W_d @ e_bar + params.b_d)
     g = np.zeros(n)
     total = 0.0
-    for i in range(ctx.l):
-        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
+    for i in range(l):
+        x = np.concatenate([e[i], a[i], g, d])
         t = np.tanh(params.W_c @ x + params.b_c)
         logits = params.V @ t + params.b
         exp = np.exp(logits - logits.max())
@@ -72,9 +74,9 @@ def forward_loss_reference(ctx, labels, params, teacher_forcing):
         total += float(np.dot(labels[i], np.log(np.maximum(p, 1e-12))))
         decision = DECISIONS[int(np.argmax(labels[i] if teacher_forcing else p))]
         if decision is not Decision.REJECT:
-            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
+            h = e[i] if decision is Decision.EXTRACT else a[i]
             g = g + np.tanh(params.W_g @ h)
-    return -total / ctx.l
+    return -total / l
 
 
 def random_gradient_instance(seed):
@@ -91,12 +93,11 @@ def random_gradient_instance(seed):
     cfg = EncoderConfig(n=n, hash_seed=seed, context_window=1)
     extract = extract_lead(doc, l)
     abstractions = abstractions_for(doc, extract, SalienceAbstractor(0.7))
-    ctx = context_from_abstractions(doc, extract, abstractions, cfg)
+    vectors = context_from_abstractions(doc, extract, abstractions, cfg)
     params = init_params(m, n, rng)
-    for arr in params.arrays().values():
-        arr += rng.normal(0, 0.3, size=arr.shape)
+    params.flat[:] += rng.normal(0, 0.3, size=params.flat.size)
     y = rng.dirichlet(np.ones(3), size=l)
-    return ctx, y, params
+    return vectors, y, params
 
 
 def test_criterion_1_gradient_exactness():
@@ -105,17 +106,17 @@ def test_criterion_1_gradient_exactness():
     checked = 0
     for seed in range(100):
         teacher_forcing = seed % 2 == 0
-        ctx, y, params = random_gradient_instance(seed)
-        _, grads = loss_and_gradients([ctx], [y], params, teacher_forcing)
-        for name, arr in params.arrays().items():
-            flat = arr.ravel()
-            gflat = grads[name].ravel()
+        vectors, y, params = random_gradient_instance(seed)
+        _, grads = loss_and_gradients(vectors, y[None], params, teacher_forcing)
+        for name in PARAM_NAMES:
+            flat = getattr(params, name).ravel()
+            gflat = getattr(grads, name).ravel()
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = forward_loss_reference(ctx, y, params, teacher_forcing)
+                up = forward_loss_reference(vectors, y, params, teacher_forcing)
                 flat[j] = orig - h
-                down = forward_loss_reference(ctx, y, params, teacher_forcing)
+                down = forward_loss_reference(vectors, y, params, teacher_forcing)
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 an = gflat[j]
@@ -296,17 +297,16 @@ def test_criterion_5_attention_rescaling():
 def test_criterion_6_recurrence_identities():
     rng = np.random.default_rng(0)
     l = 3
-    extract = ExtractResult(order=tuple(range(l)), likelihood={i: 1.0 for i in range(l)})
     chosen = np.array([[DECISION_INDEX[d]] for d in (E, R, R)])
     for _ in range(20):
         n = int(rng.integers(2, 10))
-        ctx = EditContext(
-            "rej", extract, rng.normal(size=(l, n)), rng.normal(size=(l, n)),
-            rng.normal(size=n), (("e",),) * l, (("a",),) * l,
+        vectors = SplitVectors(
+            e=rng.normal(size=(1, l, n)), a=rng.normal(size=(1, l, n)),
+            e_bar=rng.normal(size=(1, n)), lengths=np.array([l]),
         )
         params = init_params(3, n, rng)
         params.W_g[:] = rng.normal(size=(n, n))
-        run = forward([ctx], params, chosen)
+        run = forward(vectors, params, chosen)
         assert not np.array_equal(run.g[1, 0], run.g[0, 0])
         for i in (1, 2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
@@ -314,11 +314,11 @@ def test_criterion_6_recurrence_identities():
     cfg = EncoderConfig(n=10, context_window=1)
     extract = extract_lead(ex.document, 3)
     abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
-    ctx = context_from_abstractions(ex.document, extract, abstractions, cfg)
+    vectors = context_from_abstractions(ex.document, extract, abstractions, cfg)
     params = init_params(4, 10, np.random.default_rng(0))
-    for arr in params.arrays().values():
-        arr[:] = 0.0
-    (summary,) = decode([ctx], params)
+    params.flat[:] = 0.0
+    decisions, _ = decode(vectors, params)
+    summary = mixed_summary(ex.document, extract, abstractions, decisions[0])
     assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
     assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
     ok(6)
@@ -350,14 +350,19 @@ def test_criterion_7_end_to_end_learning():
     w = RewardWeights()
     correct = total = 0
     model_reward = baseline_reward = 0.0
-    for ex, lab in zip(test_ex, te_lab):
-        ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        (summary,) = decode([ctx], best)
+    vectors = encode_split(
+        [ex.document for ex in test_ex], [lab.extract.order for lab in te_lab],
+        [lab.abstractions for lab in te_lab], enc,
+    )
+    decisions, _ = decode(vectors, best)
+    for ex, lab, row in zip(test_ex, te_lab, decisions):
+        summary = mixed_summary(ex.document, lab.extract, lab.abstractions, row)
         for step, target in zip(summary.steps, lab.best):
             correct += step.decision is target
             total += 1
         model_reward += reward(summary.text, ex.reference, w)
-        baseline_reward += reward(ctx.extracted_tokens, ex.reference, w)
+        extracted = [ex.document.tokens_at(i) for i in lab.extract.order]
+        baseline_reward += reward(extracted, ex.reference, w)
     accuracy = correct / total
     model_reward /= len(test_ex)
     baseline_reward /= len(test_ex)
@@ -435,15 +440,15 @@ def test_criterion_10_reporting():
     enc = EncoderConfig(n=12, hash_seed=7, context_window=1)
     rng = np.random.default_rng(3)
     params = init_params(6, 12, rng)
-    for arr in params.arrays().values():
-        arr += rng.normal(0, 0.8, size=arr.shape)
+    params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)
     report = evaluate(pairs, params, enc)
     assert abs(sum(report["decision_fractions"].values()) - 1.0) <= 1e-9
     tally = {d: 0 for d in Decision}
     fracs = []
     for ex, lab in pairs:
-        ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        (summary,) = decode([ctx], params)
+        vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
+        decisions, _ = decode(vectors, params)
+        summary = mixed_summary(ex.document, lab.extract, lab.abstractions, decisions[0])
         emitted = abstracted = 0
         for step in summary.steps:
             tally[step.decision] += 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from synthetic import make_corpus
 from sumedit import cli, editor, text
+from sumedit.config import ExperimentConfig
 from sumedit.encoder import EncoderConfig
 
 
@@ -299,8 +300,7 @@ class TestLabelFailureLog:
 def checkpoint(tmp_path, bias):
     rng = np.random.default_rng(0)
     params = editor.init_params(8, 12, rng)
-    for arr in params.arrays().values():
-        arr[:] = 0.0
+    params.flat[:] = 0.0
     params.b[:] = bias
     path = tmp_path / "ckpt.json"
     editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), path)
@@ -337,8 +337,7 @@ class TestSummarizeAndEvaluate:
     def test_output_does_not_depend_on_decode_chunk(self, workspace, capsys, monkeypatch):
         rng = np.random.default_rng(0)
         params = editor.init_params(8, 12, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 0.5, size=arr.shape)
+        params.flat[:] += rng.normal(0, 0.5, size=params.flat.size)
         ckpt = workspace / "random.json"
         editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), ckpt)
         argv = ["summarize", "--config", str(write_config(workspace)), "--checkpoint",
@@ -431,3 +430,72 @@ class TestWorkers:
         assert cli.main(["label", "--config", str(cfg), "--split", "train"]) == 1
         assert "EDITNET_WORKERS" in capsys.readouterr().err
         assert not (workspace / "out" / "labels_train.jsonl").exists()
+
+
+def edited(edit):
+    """A checkpoint change: edit(payload) in place, then the payload's JSON."""
+
+    def change(payload):
+        edit(payload)
+        return json.dumps(payload)
+
+    return change
+
+
+class TestConfigAndCheckpointFiles:
+    """A config or a checkpoint that is not what it should be ends the
+    command with one `error: ...` line that names the file or the field."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, message):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[" * 5000, "not valid JSON (nested too deeply)"),
+            ('["seed"]', "expected a JSON object, not list"),
+            ('{"epochs": "3"}', "config field 'epochs' must be an integer, got '3'"),
+            ('{"alpha": "x"}', "config field 'alpha' must be a number, got 'x'"),
+            ('{"encoder_n": true}', "config field 'encoder_n' must be an integer, got True"),
+            ('{"cap": 2.5}', "config field 'cap' must be an integer, got 2.5"),
+            ('{"k": null}', "config field 'k' must be an integer, got None"),
+            ('{"train_path": 3}', "config field 'train_path' must be a string or null, got 3"),
+        ],
+        ids=["deep-nesting", "not-an-object", "str-for-int", "str-for-float", "bool-for-int",
+             "float-for-int", "null-for-int", "int-for-path"],
+    )
+    def test_bad_config(self, workspace, capsys, content, message):
+        path = workspace / "bad_config.json"
+        path.write_text(content)
+        assert cli.main(["train", "--config", str(path)]) == 1
+        self.assert_one_error_line(capsys, message)
+
+    def test_numbers_and_null_paths_accepted_where_declared(self, workspace):
+        cfg = ExperimentConfig.from_file(write_config(workspace, alpha=1, lr=0.5, test_path=None))
+        assert (cfg.alpha, cfg.lr, cfg.test_path) == (1, 0.5, None)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda payload: "[1]", "expected a JSON object, not list"),
+            (lambda payload: "[" * 5000, "not valid JSON (nested too deeply)"),
+            (edited(lambda p: p.pop("W_c")), "checkpoint has no 'W_c'"),
+            (edited(lambda p: p["encoder"].pop("hash_seed")), "checkpoint encoder has no 'hash_seed'"),
+            (edited(lambda p: p.update(m="8")), "checkpoint m must be a positive integer, got '8'"),
+            (edited(lambda p: p["W_g"].pop()), "W_g is not a number array of shape (12, 12)"),
+            (edited(lambda p: p["b"].__setitem__(0, "x")), "b is not a number array of shape (3,)"),
+            (edited(lambda p: p["encoder"].update(n=12.0)), "encoder n must be an integer, got 12.0"),
+        ],
+        ids=["not-an-object", "deep-nesting", "missing-array", "missing-encoder-field",
+             "str-dimension", "ragged-array", "str-entry", "float-encoder-width"],
+    )
+    def test_bad_checkpoint(self, workspace, capsys, change, message):
+        cfg = write_config(workspace)
+        path = checkpoint(workspace, [0.0, 0.0, 0.0])
+        path.write_text(change(json.loads(path.read_text())))
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 1
+        self.assert_one_error_line(capsys, message)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from reference import soft_cross_entropy
 from sumedit import editor
 from sumedit.editor import (
     DECISION_INDEX,
     DECISIONS,
+    PARAM_NAMES,
     Decision,
-    EditContext,
     EditorParams,
     abstractions_for,
     context_from_abstractions,
@@ -17,53 +18,57 @@ from sumedit.editor import (
     init_params,
     load_checkpoint,
     loss_and_gradients,
+    mixed_summary,
     save_checkpoint,
-    soft_cross_entropy,
 )
-from sumedit.encoder import EncoderConfig
-from sumedit.summarizers import ExtractResult, SalienceAbstractor, extract_lead
+from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
+from sumedit.summarizers import SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary, document_from_strings
 
 
 def zero_params(m, n):
-    return EditorParams(
-        W_c=np.zeros((m, 4 * n)),
-        b_c=np.zeros(m),
-        V=np.zeros((3, m)),
-        b=np.zeros(3),
-        W_g=np.zeros((n, n)),
-        W_d=np.zeros((n, n)),
-        b_d=np.zeros(n),
+    return EditorParams(m, n)
+
+
+def padded(examples):
+    """SplitVectors of examples given as (e (l, n), a (l, n), e_bar (n,))."""
+    L = max(len(e) for e, _, _ in examples)
+    pad = lambda rows: np.pad(np.asarray(rows, dtype=float), ((0, L - len(rows)), (0, 0)))
+    return SplitVectors(
+        e=np.stack([pad(e) for e, _, _ in examples]),
+        a=np.stack([pad(a) for _, a, _ in examples]),
+        e_bar=np.stack([np.asarray(e_bar, dtype=float) for _, _, e_bar in examples]),
+        lengths=np.array([len(e) for e, _, _ in examples]),
     )
 
 
 def vector_context(e, a, e_bar):
-    """EditContext over len(e) one-token sentences with the given vectors."""
-    l = len(e)
-    return EditContext(
-        example_id="d",
-        extract=ExtractResult(order=tuple(range(l)), likelihood={i: 1.0 for i in range(l)}),
-        e=np.asarray(e, dtype=float),
-        a=np.asarray(a, dtype=float),
-        e_bar=np.asarray(e_bar, dtype=float),
-        extracted_tokens=tuple((f"e{i}",) for i in range(l)),
-        abstractions=tuple((f"a{i}",) for i in range(l)),
-    )
+    """One extract of len(e) steps with the given vectors."""
+    return padded([(e, a, e_bar)])
+
+
+def step_example(n, rng=None, l=1):
+    if rng is None:
+        return np.zeros((l, n)), np.zeros((l, n)), np.zeros(n)
+    return rng.normal(size=(l, n)), rng.normal(size=(l, n)), rng.normal(size=n)
 
 
 def step_context(n, rng=None, l=1):
-    if rng is None:
-        return vector_context(np.zeros((l, n)), np.zeros((l, n)), np.zeros(n))
-    return vector_context(rng.normal(size=(l, n)), rng.normal(size=(l, n)), rng.normal(size=n))
+    return padded([step_example(n, rng, l)])
 
 
 def always(*decisions):
-    """forced decisions for a one-context batch: decisions[i] at step i."""
+    """forced decisions for a one-extract batch: decisions[i] at step i."""
     return np.array([[DECISION_INDEX[d]] for d in decisions])
 
 
-def first_distribution(ctx, params):
-    return decode([ctx], params)[0].steps[0].distribution
+def first_distribution(vectors, params):
+    return decode(vectors, params)[1][0, 0]
+
+
+def perturb(params, rng, scale):
+    """Add N(0, scale) noise to every parameter, drawn in PARAM_NAMES order."""
+    params.flat[:] += rng.normal(0, scale, size=params.flat.size)
 
 
 def make_example(sentences, highlights=("placeholder",), doc_id="d"):
@@ -91,12 +96,12 @@ class TestStepDistribution:
         params.b_c[:] = rng.normal(size=m)
         params.b[:] = rng.normal(size=3)
         params.b_d[:] = rng.normal(size=n)
-        ctx = step_context(n, rng)
+        e, a, e_bar = step_example(n, rng)
         d = [
-            math.tanh(sum(params.W_d[r, c] * ctx.e_bar[c] for c in range(n)) + params.b_d[r])
+            math.tanh(sum(params.W_d[r, c] * e_bar[c] for c in range(n)) + params.b_d[r])
             for r in range(n)
         ]
-        x = list(ctx.e[0]) + list(ctx.a[0]) + [0.0] * n + d
+        x = list(e[0]) + list(a[0]) + [0.0] * n + d
         t = [
             math.tanh(sum(params.W_c[r, c] * x[c] for c in range(4 * n)) + params.b_c[r])
             for r in range(m)
@@ -106,7 +111,7 @@ class TestStepDistribution:
         ]
         exps = [math.exp(v) for v in logits]
         expected = np.array(exps) / sum(exps)
-        assert first_distribution(ctx, params) == pytest.approx(expected, abs=1e-12)
+        assert first_distribution(vector_context(e, a, e_bar), params) == pytest.approx(expected, abs=1e-12)
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(6)
@@ -114,8 +119,8 @@ class TestStepDistribution:
         ctx = step_context(4, rng)
         p = first_distribution(ctx, params)
         assert abs(sum(p) - 1.0) < 1e-9
-        shifted = EditorParams(**{k: v.copy() for k, v in params.arrays().items()})
-        shifted.b += 3.7
+        shifted = params.copy()
+        shifted.b[:] += 3.7
         p2 = first_distribution(ctx, shifted)
         assert p == pytest.approx(p2, abs=1e-12)
 
@@ -125,14 +130,14 @@ class TestUpdateState:
         rng = np.random.default_rng(0)
         params = init_params(3, 4, rng)
         params.W_g[:] = rng.normal(size=(4, 4))
-        run = forward([step_context(4, rng, l=2)], params, always(Decision.EXTRACT, Decision.REJECT))
+        run = forward(step_context(4, rng, l=2), params, always(Decision.EXTRACT, Decision.REJECT))
         assert not np.array_equal(run.g[1, 0], np.zeros(4))
         assert np.array_equal(run.g[2, 0], run.g[1, 0])
 
     def test_zero_weight_matrix_is_identity(self):
         e = np.array([[0.5, 0.5], [1.0, -2.0]])
         ctx = vector_context(e, e, np.zeros(2))
-        run = forward([ctx], zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
+        run = forward(ctx, zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
         for i in range(2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
 
@@ -141,7 +146,7 @@ class TestUpdateState:
         ctx = vector_context([np.ones(3)], [a], np.zeros(3))
         params = zero_params(3, 3)
         params.W_g[:] = np.eye(3)
-        run = forward([ctx], params, always(Decision.ABSTRACT))
+        run = forward(ctx, params, always(Decision.ABSTRACT))
         assert np.allclose(run.g[1, 0], np.tanh(a), atol=1e-15)
 
 
@@ -152,24 +157,32 @@ class TestEdit:
         ex = make_example(sentences)
         extract = extract_lead(ex.document, len(sentences))
         abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
-        return ex, extract, context_from_abstractions(ex.document, extract, abstractions, self.CFG)
+        vectors = context_from_abstractions(ex.document, extract, abstractions, self.CFG)
+        return ex, extract, abstractions, vectors
+
+    def summary(self, context, params):
+        ex, extract, abstractions, vectors = context
+        decisions, _ = decode(vectors, params)
+        return mixed_summary(ex.document, extract, abstractions, decisions[0])
 
     def test_zero_params_decides_extract_everywhere(self):
-        ex, extract, ctx = self.context(["a b c", "d e f", "g h"])
-        (summary,) = decode([ctx], zero_params(4, 12))
+        context = self.context(["a b c", "d e f", "g h"])
+        ex, extract, _, _ = context
+        summary = self.summary(context, zero_params(4, 12))
         assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
         assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
 
     def test_reject_bias_empties_summary(self):
-        _, _, ctx = self.context(["a b c", "d e f"])
+        context = self.context(["a b c", "d e f"])
         params = zero_params(4, 12)
         params.b[:] = [-10.0, -10.0, 10.0]
-        (summary,) = decode([ctx], params)
+        summary = self.summary(context, params)
         assert [s.decision for s in summary.steps] == [Decision.REJECT] * 2
         assert summary.text == ()
 
     def test_forced_abstract_then_reject(self):
-        _, _, ctx = self.context(["the alpha beta words", "gamma delta e"])
+        context = self.context(["the alpha beta words", "gamma delta e"])
+        _, _, abstractions, vectors = context
         n = self.CFG.n
         params = zero_params(1, n)
         # hidden layer reads only the summary state; at step 1 the state is
@@ -178,25 +191,26 @@ class TestEdit:
         params.b[:] = [-5.0, 5.0, 0.0]
         params.W_c[0, 2 * n : 3 * n] = 1000.0
         params.W_g[:] = np.eye(n)
-        s1 = float(np.sum(np.tanh(ctx.a[0])))
+        s1 = float(np.sum(np.tanh(vectors.a[0, 0])))
         assert abs(s1) > 1e-6
         params.V[2, 0] = 20.0 * np.sign(s1)
-        (summary,) = decode([ctx], params)
+        summary = self.summary(context, params)
         assert [s.decision for s in summary.steps] == [Decision.ABSTRACT, Decision.REJECT]
-        assert summary.text == (ctx.abstractions[0],)
+        assert summary.text == (abstractions[0],)
 
     def test_emitted_versions_follow_decisions(self):
-        _, _, ctx = self.context(["a b c", "d e f", "g h"])
+        context = self.context(["a b c", "d e f", "g h"])
+        ex, extract, abstractions, _ = context
         rng = np.random.default_rng(2)
         params = init_params(5, 12, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 1.0, size=arr.shape)
-        (summary,) = decode([ctx], params)
+        perturb(params, rng, 1.0)
+        summary = self.summary(context, params)
         for i, step in enumerate(summary.steps):
+            assert step.sentence_index == extract.order[i]
             if step.decision is Decision.EXTRACT:
-                assert step.tokens == ctx.extracted_tokens[i]
+                assert step.tokens == ex.document.tokens_at(extract.order[i])
             elif step.decision is Decision.ABSTRACT:
-                assert step.tokens == ctx.abstractions[i]
+                assert step.tokens == abstractions[i]
             else:
                 assert step.tokens is None
 
@@ -252,50 +266,50 @@ class TestGradients:
         extract = extract_lead(ex.document, l)
         abstractor = SalienceAbstractor(0.7)
         abstractions = abstractions_for(ex.document, extract, abstractor)
-        ctx = context_from_abstractions(ex.document, extract, abstractions, self.CFG)
+        vectors = context_from_abstractions(ex.document, extract, abstractions, self.CFG)
         params = init_params(4, 6, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 0.2, size=arr.shape)
+        perturb(params, rng, 0.2)
         y = rng.dirichlet(np.ones(3), size=l)
-        return ctx, y, params
+        return vectors, y[None], params
 
     def test_zero_logit_gradient_at_minimum(self):
-        ctx, y, params = self.fixture(l=1)
+        vectors, y, params = self.fixture(l=1)
         # force p == y by solving for the bias with everything else zeroed
         params = zero_params(4, 6)
-        params.b[:] = np.log(y[0])
-        _, grads = loss_and_gradients([ctx], [y], params)
-        assert np.allclose(grads["b"], 0.0, atol=1e-12)
-        assert np.allclose(grads["V"], 0.0, atol=1e-12)
+        params.b[:] = np.log(y[0, 0])
+        _, grads = loss_and_gradients(vectors, y, params)
+        assert np.allclose(grads.b, 0.0, atol=1e-12)
+        assert np.allclose(grads.V, 0.0, atol=1e-12)
 
     def test_finite_difference_single_entry(self):
-        ctx, y, params = self.fixture(seed=1, l=1)
-        _, grads = loss_and_gradients([ctx], [y], params)
+        vectors, y, params = self.fixture(seed=1, l=1)
+        _, grads = loss_and_gradients(vectors, y, params)
         h = 1e-5
         i, j = 1, 2
         params.V[i, j] += h
-        up, _ = loss_and_gradients([ctx], [y], params)
+        up, _ = loss_and_gradients(vectors, y, params)
         params.V[i, j] -= 2 * h
-        down, _ = loss_and_gradients([ctx], [y], params)
+        down, _ = loss_and_gradients(vectors, y, params)
         params.V[i, j] += h
         fd = (up - down) / (2 * h)
-        assert abs(fd - grads["V"][i, j]) / max(abs(grads["V"][i, j]), 1e-12) < 1e-4
+        assert abs(fd - grads.V[i, j]) / max(abs(grads.V[i, j]), 1e-12) < 1e-4
 
     def test_state_gradient_zero_when_all_labels_reject(self):
-        ctx, _, params = self.fixture(seed=2, l=2)
-        y = np.array([[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]])
-        _, grads = loss_and_gradients([ctx], [y], params, teacher_forcing=True)
-        assert np.array_equal(grads["W_g"], np.zeros_like(params.W_g))
+        vectors, _, params = self.fixture(seed=2, l=2)
+        y = np.array([[[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]]])
+        _, grads = loss_and_gradients(vectors, y, params, teacher_forcing=True)
+        assert np.array_equal(grads.W_g, np.zeros_like(params.W_g))
 
 
-def reference_forward(ctx, params, choose):
-    """Slow reference: the recurrence over one context, one step at a time.
-    choose(i, p) names the decision taken at step i."""
-    d = np.tanh(params.W_d @ ctx.e_bar + params.b_d)
+def reference_forward(example, params, choose):
+    """Slow reference: the recurrence over one extract (e, a, e_bar), one
+    step at a time. choose(i, p) names the decision taken at step i."""
+    e, a, e_bar = example
+    d = np.tanh(params.W_d @ e_bar + params.b_d)
     g = np.zeros(params.n)
     xs, ts, ps, decisions, hs, qs = [], [], [], [], [], []
-    for i in range(ctx.l):
-        x = np.concatenate([ctx.e[i], ctx.a[i], g, d])
+    for i in range(len(e)):
+        x = np.concatenate([e[i], a[i], g, d])
         t = np.tanh(params.W_c @ x + params.b_c)
         logits = params.V @ t + params.b
         shifted = np.exp(logits - logits.max())
@@ -304,7 +318,7 @@ def reference_forward(ctx, params, choose):
         if decision is Decision.REJECT:
             h = q = None
         else:
-            h = ctx.e[i] if decision is Decision.EXTRACT else ctx.a[i]
+            h = e[i] if decision is Decision.EXTRACT else a[i]
             q = np.tanh(params.W_g @ h)
             g = g + q
         xs.append(x); ts.append(t); ps.append(p)
@@ -312,25 +326,25 @@ def reference_forward(ctx, params, choose):
     return d, xs, ts, ps, decisions, hs, qs
 
 
-def reference_decisions(ctx, params):
+def reference_decisions(example, params):
     """Slow reference of a free-running decode: argmax p, ties E > A > R."""
-    return reference_forward(ctx, params, lambda i, p: DECISIONS[int(np.argmax(p))])[4]
+    return reference_forward(example, params, lambda i, p: DECISIONS[int(np.argmax(p))])[4]
 
 
-def reference_loss_and_gradients(ctx, labels, params, teacher_forcing):
+def reference_loss_and_gradients(example, labels, params, teacher_forcing):
     """Slow reference: one example's loss and gradients, backpropagated one
     step at a time with outer products."""
     labels = np.asarray(labels, dtype=float)
-    l, n = ctx.l, params.n
+    l, n = len(labels), params.n
     if teacher_forcing:
         choose = lambda i, p: DECISIONS[int(np.argmax(labels[i]))]
     else:
         choose = lambda i, p: DECISIONS[int(np.argmax(p))]
-    d, xs, ts, ps, _, hs, qs = reference_forward(ctx, params, choose)
+    d, xs, ts, ps, _, hs, qs = reference_forward(example, params, choose)
     loss = -sum(
         float(np.dot(y, np.log(np.maximum(p, 1e-12)))) for p, y in zip(ps, labels)
     ) / l
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
     G = np.zeros(n)
     dd = np.zeros(n)
     for i in reversed(range(l)):
@@ -346,9 +360,15 @@ def reference_loss_and_gradients(ctx, labels, params, teacher_forcing):
         G = G + dx[2 * n : 3 * n]
         dd += dx[3 * n : 4 * n]
     dzd = dd * (1 - d**2)
-    grads["W_d"] += np.outer(dzd, ctx.e_bar)
+    grads["W_d"] += np.outer(dzd, example[2])
     grads["b_d"] += dzd
     return loss, grads
+
+
+def padded_labels(labels):
+    """(B, L, 3) soft labels of per-example (l, 3) arrays, zero-padded."""
+    L = max(len(y) for y in labels)
+    return np.stack([np.pad(y, ((0, L - len(y)), (0, 0))) for y in labels])
 
 
 class TestBatchedAgainstReference:
@@ -357,29 +377,28 @@ class TestBatchedAgainstReference:
     def batch(self, seed):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(3, 8)), int(rng.integers(2, 7))
-        ctxs = [step_context(n, rng, l=l) for l in self.LENGTHS]
+        examples = [step_example(n, rng, l=l) for l in self.LENGTHS]
         labels = [rng.dirichlet(np.ones(3), size=l) for l in self.LENGTHS]
         params = init_params(m, n, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 0.5, size=arr.shape)
-        return ctxs, labels, params
+        perturb(params, rng, 0.5)
+        return examples, labels, params
 
     @pytest.mark.parametrize("teacher_forcing", [True, False])
     def test_loss_and_gradients_equal_per_example_sums(self, teacher_forcing):
         for seed in range(10):
-            ctxs, labels, params = self.batch(seed)
-            loss, grads = loss_and_gradients(ctxs, labels, params, teacher_forcing)
+            examples, labels, params = self.batch(seed)
+            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), params, teacher_forcing)
             want_loss = 0.0
-            want = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-            for ctx, y in zip(ctxs, labels):
-                one_loss, one = reference_loss_and_gradients(ctx, y, params, teacher_forcing)
+            want = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
+            for example, y in zip(examples, labels):
+                one_loss, one = reference_loss_and_gradients(example, y, params, teacher_forcing)
                 want_loss += one_loss
                 for name in want:
                     want[name] += one[name]
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), seed
             for name in want:
                 scale = np.max(np.abs(want[name]))
-                assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, (seed, name)
+                assert np.max(np.abs(getattr(grads, name) - want[name])) <= 1e-12 * scale, (seed, name)
 
     @pytest.mark.parametrize("teacher_forcing", [True, False])
     def test_equal_length_batch_loss_is_the_in_order_sum(self, teacher_forcing):
@@ -387,64 +406,92 @@ class TestBatchedAgainstReference:
         # example's `soft_cross_entropy` exactly, added in batch order
         rng = np.random.default_rng(5)
         params = init_params(5, 4, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 0.5, size=arr.shape)
+        perturb(params, rng, 0.5)
         for l in range(1, 13):
             for B in (1, 13):
-                ctxs = [step_context(4, rng, l=l) for _ in range(B)]
-                labels = [rng.dirichlet(np.ones(3), size=l) for _ in range(B)]
-                forced = np.stack([y.argmax(axis=1) for y in labels], axis=1)
-                run = forward(ctxs, params, forced if teacher_forcing else None)
+                vectors = padded([step_example(4, rng, l=l) for _ in range(B)])
+                labels = np.stack([rng.dirichlet(np.ones(3), size=l) for _ in range(B)])
+                forced = labels.argmax(axis=2).T
+                run = forward(vectors, params, forced if teacher_forcing else None)
                 want = 0.0
                 for j, y in enumerate(labels):
                     want += soft_cross_entropy(run.p[:, j], y)
-                loss, _ = loss_and_gradients(ctxs, labels, params, teacher_forcing)
+                loss, _ = loss_and_gradients(vectors, labels, params, teacher_forcing)
                 assert loss == want, (l, B)
 
     def test_decode_decisions_equal_per_example(self):
         for seed in range(10):
-            ctxs, _, params = self.batch(seed)
-            summaries = decode(ctxs, params)
-            assert len(summaries) == len(ctxs)
-            for ctx, summary in zip(ctxs, summaries):
-                assert [s.decision for s in summary.steps] == reference_decisions(ctx, params)
-                assert [s.sentence_index for s in summary.steps] == list(ctx.extract.order)
+            examples, _, params = self.batch(seed)
+            decisions, p = decode(padded(examples), params)
+            assert decisions.shape == (len(examples), max(self.LENGTHS))
+            assert p.shape == decisions.shape + (3,)
+            for j, example in enumerate(examples):
+                l = len(example[0])
+                assert [DECISIONS[k] for k in decisions[j, :l]] == reference_decisions(example, params)
+                assert (decisions[j, l:] == DECISION_INDEX[Decision.REJECT]).all()
+                assert not p[j, l:].any()
 
     def test_padded_steps_leave_state_and_gradients_alone(self):
         # steps past an extract's end take REJECT and keep the state, and a
         # batch's gradient is the sum of its parts' gradients
-        ctxs, labels, params = self.batch(3)
-        run = forward(ctxs, params)
-        for j, ctx in enumerate(ctxs):
-            for i in range(ctx.l, max(self.LENGTHS)):
+        examples, labels, params = self.batch(3)
+        vectors, y = padded(examples), padded_labels(labels)
+        run = forward(vectors, params)
+        for j, l in enumerate(self.LENGTHS):
+            for i in range(l, max(self.LENGTHS)):
                 assert run.decisions[i, j] == DECISION_INDEX[Decision.REJECT]
                 assert np.array_equal(run.g[i + 1, j], run.g[i, j])
-        _, whole = loss_and_gradients(ctxs, labels, params)
-        _, first = loss_and_gradients(ctxs[:3], labels[:3], params)
-        _, rest = loss_and_gradients(ctxs[3:], labels[3:], params)
-        for name in whole:
-            assert np.allclose(whole[name], first[name] + rest[name], rtol=1e-12, atol=1e-15)
+        _, whole = loss_and_gradients(vectors, y, params)
+        parts = []
+        for index in (np.arange(3), np.arange(3, len(examples))):
+            part = vectors.take(index)
+            parts.append(loss_and_gradients(part, y[index, : part.e.shape[1]], params)[1])
+        assert np.allclose(whole.flat, parts[0].flat + parts[1].flat, rtol=1e-12, atol=1e-15)
 
     def test_empty_decode(self):
-        assert decode([], zero_params(3, 4)) == []
+        vectors = encode_split([], [], [], EncoderConfig(n=4))
+        decisions, p = decode(vectors, zero_params(3, 4))
+        assert decisions.shape == (0, 0) and p.shape == (0, 0, 3)
 
     def test_decode_runs_in_passes_of_at_most_decode_chunk(self, monkeypatch):
-        ctxs, _, params = self.batch(4)
-        whole = decode(ctxs, params)
+        examples, _, params = self.batch(4)
+        vectors = padded(examples)
+        whole = decode(vectors, params)
         widths = []
 
         def counted_forward(chunk, params):
-            widths.append(len(chunk))
+            widths.append(len(chunk.lengths))
             return forward(chunk, params)
 
         monkeypatch.setattr(editor, "DECODE_CHUNK", 3)
         monkeypatch.setattr(editor, "forward", counted_forward)
-        chunked = decode(ctxs, params)
+        chunked = decode(vectors, params)
         assert widths == [3, 3, 2]
-        assert chunked == whole
-        for a, b in zip(chunked, whole):
-            for sa, sb in zip(a.steps, b.steps):
-                assert np.allclose(sa.distribution, sb.distribution, rtol=1e-12, atol=0)
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.allclose(chunked[1], whole[1], rtol=1e-12, atol=0)
+
+
+class TestParams:
+    def test_names_are_views_of_the_flat_vector_in_order(self):
+        params = init_params(3, 2, np.random.default_rng(0))
+        assert np.array_equal(
+            params.flat, np.concatenate([getattr(params, name).ravel() for name in PARAM_NAMES])
+        )
+        # writes through a name land in the flat vector, and back
+        params.W_d[1, 0] = 5.0
+        params.flat[-1] = 7.0
+        before = sum(getattr(params, name).size for name in PARAM_NAMES[: PARAM_NAMES.index("W_d")])
+        assert params.flat[before + 1 * params.n + 0] == 5.0
+        assert params.b_d[-1] == 7.0
+
+    def test_names_cannot_be_rebound(self):
+        params = init_params(3, 2, np.random.default_rng(0))
+        with pytest.raises(AttributeError):
+            params.b = np.zeros(3)
+
+    def test_flat_vector_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError):
+            EditorParams(3, 2, np.zeros(5))
 
 
 class TestCheckpoint:
@@ -456,8 +503,8 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        for name, arr in params.arrays().items():
-            assert np.array_equal(loaded.arrays()[name], arr)
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(loaded, name), getattr(params, name))
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,17 +2,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sumedit.editor import EditorParams, context_from_abstractions, forward
-from sumedit.encoder import (
-    EncoderConfig,
-    _raw_sentence_vector,
-    encode_abstracted,
-    mix_context,
-    raw_vectors,
-)
+from sumedit.encoder import EncoderConfig, _hash32, encode_split
 from sumedit.summarizers import extract_lead
 from sumedit.text import Document, Sentence, document_from_strings
+
+# --- the sentence-at-a-time encoder: the slow reference for `encode_split` ---
+
+
+def _normalize(v):
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0 else v
+
+
+def _raw_sentence_vector(tokens, config):
+    """One sentence's hashed vector: a crc32 per feature occurrence."""
+    v = np.zeros(config.n)
+    feats = [f"1:{t}" for t in tokens]
+    feats += [f"2:{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
+    for feat in feats:
+        h = _hash32(config.hash_seed, feat)
+        sign = 1.0 if h & 0x80000000 else -1.0
+        v[h % config.n] += sign
+    return _normalize(v)
+
+
+def raw_vectors(document, config):
+    """Hashed vector of every sentence before mixing; an (N, n) array."""
+    return np.stack([_raw_sentence_vector(s.tokens, config) for s in document.sentences])
+
+
+def _mixed_row(raw, i, w):
+    """Row i after mixing: the normalized mean of raw rows i-w .. i+w that
+    exist; with w = 0 the raw row itself."""
+    if w == 0:
+        return raw[i]
+    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+    return _normalize(raw[lo:hi].mean(axis=0))
+
+
+def mix_context(raw, config):
+    """Every sentence's vector, mixed with its neighbors; (N, n)."""
+    return np.stack([_mixed_row(raw, i, config.context_window) for i in range(len(raw))])
+
+
+def encode_abstracted(raw, i, abstracted, config):
+    """The vector at position i of the document with sentence i replaced by
+    the abstracted tokens, from the document's raw rows."""
+    w = config.context_window
+    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+    window = raw[lo:hi].copy()
+    window[i - lo] = _raw_sentence_vector(abstracted, config)
+    return _mixed_row(window, i - lo, w)
+
+
+def reference_encode_sentences(doc, cfg):
+    return mix_context(raw_vectors(doc, cfg), cfg)
+
+
+# --- helpers ------------------------------------------------------------------
 
 
 def make_doc(sentences, doc_id="d"):
@@ -20,7 +70,15 @@ def make_doc(sentences, doc_id="d"):
 
 
 def encode_sentences(doc, cfg):
-    return mix_context(raw_vectors(doc, cfg), cfg)
+    """Every sentence's vector from `encode_split`, extracting the whole
+    document in order."""
+    order = tuple(range(len(doc)))
+    return encode_split([doc], [order], [[doc.tokens_at(i) for i in order]], cfg).e[0]
+
+
+def encode_one_abstracted(doc, i, abstracted, cfg):
+    """`encode_split`'s vector of sentence i of doc abstracted as `abstracted`."""
+    return encode_split([doc], [(i,)], [[abstracted]], cfg).a[0, 0]
 
 
 def whole_document_encode_abstracted(document, i, abstracted, config):
@@ -30,19 +88,17 @@ def whole_document_encode_abstracted(document, i, abstracted, config):
         Sentence(j, tuple(abstracted)) if j == i else s
         for j, s in enumerate(document.sentences)
     )
-    return encode_sentences(Document(id=document.id, sentences=replaced), config)[i]
+    return reference_encode_sentences(Document(id=document.id, sentences=replaced), config)[i]
 
 
 def doc_vector(doc, cfg, W_d, b_d):
     """The editor's document vector d for doc, from forward's record."""
-    n = cfg.n
-    params = EditorParams(
-        W_c=np.zeros((1, 4 * n)), b_c=np.zeros(1), V=np.zeros((3, 1)), b=np.zeros(3),
-        W_g=np.zeros((n, n)), W_d=W_d, b_d=b_d,
-    )
+    params = EditorParams(1, len(b_d))
+    params.W_d[:] = W_d
+    params.b_d[:] = b_d
     extract = extract_lead(doc, 1)
-    ctx = context_from_abstractions(doc, extract, [doc.tokens_at(0)], cfg)
-    return forward([ctx], params, np.array([[2]])).d[0]
+    vectors = context_from_abstractions(doc, extract, [doc.tokens_at(0)], cfg)
+    return forward(vectors, params, np.array([[2]])).d[0]
 
 
 class TestEncodeSentences:
@@ -122,15 +178,15 @@ class TestEncodeAbstracted:
         cfg = EncoderConfig(n=16, context_window=1)
         vecs = encode_sentences(doc, cfg)
         for i in range(3):
-            out = encode_abstracted(raw_vectors(doc, cfg), i, doc.tokens_at(i), cfg)
+            out = encode_one_abstracted(doc, i, doc.tokens_at(i), cfg)
             assert np.array_equal(out, vecs[i])
 
     def test_local_without_context_window(self):
         doc_a = make_doc(["a b", "x y z", "c d"])
         doc_b = make_doc(["p q", "x y z", "r s"])
         cfg = EncoderConfig(n=16, context_window=0)
-        out_a = encode_abstracted(raw_vectors(doc_a, cfg), 1, ["new", "words"], cfg)
-        out_b = encode_abstracted(raw_vectors(doc_b, cfg), 1, ["new", "words"], cfg)
+        out_a = encode_one_abstracted(doc_a, 1, ["new", "words"], cfg)
+        out_b = encode_one_abstracted(doc_b, 1, ["new", "words"], cfg)
         assert np.array_equal(out_a, out_b)
 
     def test_matches_full_modified_document_encoding(self):
@@ -138,7 +194,7 @@ class TestEncodeAbstracted:
         cfg = EncoderConfig(n=16, context_window=1)
         modified = make_doc(["a b c", "shorter now", "g h i"])
         expected = encode_sentences(modified, cfg)
-        out = encode_abstracted(raw_vectors(doc, cfg), 1, ["shorter", "now"], cfg)
+        out = encode_one_abstracted(doc, 1, ["shorter", "now"], cfg)
         assert np.array_equal(out, expected[1])
         # neighbors of the modified document change too, but only the
         # replaced position is returned
@@ -155,23 +211,113 @@ class TestEncodeAbstracted:
             for tokens in (["new", "words"], ["d", "e"], list(doc.tokens_at(i))):
                 want = whole_document_encode_abstracted(doc, i, tokens, cfg)
                 assert np.array_equal(encode_abstracted(raw, i, tokens, cfg), want), (i, tokens)
+                assert np.array_equal(encode_one_abstracted(doc, i, tokens, cfg), want), (i, tokens)
 
     def test_context_uses_windowed_vectors(self):
         doc = make_doc(["a b c", "d e f g", "h i", "j k l"])
         cfg = EncoderConfig(n=16, context_window=1)
         extract = extract_lead(doc, 4)
         abstractions = [["abs", str(i)] for i in range(4)]
-        ctx = context_from_abstractions(doc, extract, abstractions, cfg)
+        vectors = context_from_abstractions(doc, extract, abstractions, cfg)
         for row, (i, tokens) in enumerate(zip(extract.order, abstractions)):
-            assert np.array_equal(ctx.a[row], whole_document_encode_abstracted(doc, i, tokens, cfg))
-        assert np.array_equal(ctx.e, encode_sentences(doc, cfg))
+            assert np.array_equal(vectors.a[0, row], whole_document_encode_abstracted(doc, i, tokens, cfg))
+        assert np.array_equal(vectors.e[0], reference_encode_sentences(doc, cfg))
 
     def test_index_out_of_range(self):
         doc = make_doc(["a b"])
         with pytest.raises(IndexError):
-            encode_abstracted(raw_vectors(doc, EncoderConfig(n=8)), 1, ["x"], EncoderConfig(n=8))
+            encode_one_abstracted(doc, 1, ["x"], EncoderConfig(n=8))
 
     def test_empty_abstraction_rejected(self):
         doc = make_doc(["a b"])
         with pytest.raises(ValueError):
-            encode_abstracted(raw_vectors(doc, EncoderConfig(n=8)), 0, [], EncoderConfig(n=8))
+            encode_one_abstracted(doc, 0, [], EncoderConfig(n=8))
+
+    def test_abstraction_count_must_match_extract(self):
+        doc = make_doc(["a b", "c d"])
+        with pytest.raises(ValueError, match="2 extracted sentences but 1 abstractions"):
+            encode_split([doc], [(0, 1)], [[("x",)]], EncoderConfig(n=8))
+
+
+# --- the split-wide encoder against the sentence-at-a-time reference ---------
+
+words = st.sampled_from("a b c d e f".split())
+token_lists = st.lists(words, min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def split_inputs(draw):
+    """Documents (some with repeated sentences), extracts and abstractions
+    (each its source sentence or any sentence)."""
+    documents, orders, abstractions = [], [], []
+    for j in range(draw(st.integers(0, 4))):
+        sentences = draw(st.lists(token_lists, min_size=1, max_size=7))
+        sentences += draw(st.lists(st.sampled_from(sentences), max_size=2))
+        doc = make_doc([" ".join(s) for s in sentences], f"d{j}")
+        l = draw(st.integers(1, len(doc)))
+        order = tuple(draw(st.permutations(range(len(doc))))[:l])
+        documents.append(doc)
+        orders.append(order)
+        abstractions.append(tuple(draw(st.one_of(st.just(doc.tokens_at(i)), token_lists)) for i in order))
+    return documents, orders, abstractions
+
+
+def assert_equals_reference(documents, orders, abstractions, cfg):
+    vectors = encode_split(documents, orders, abstractions, cfg)
+    L = max((len(o) for o in orders), default=0)
+    assert vectors.e.shape == vectors.a.shape == (len(documents), L, cfg.n)
+    assert vectors.e_bar.shape == (len(documents), cfg.n)
+    assert vectors.lengths.tolist() == [len(o) for o in orders]
+    for j, (doc, order, abstracted) in enumerate(zip(documents, orders, abstractions)):
+        raw = raw_vectors(doc, cfg)
+        mixed = mix_context(raw, cfg)
+        l = len(order)
+        assert np.array_equal(vectors.e[j, :l], mixed[list(order)])
+        want_a = [encode_abstracted(raw, i, toks, cfg) for i, toks in zip(order, abstracted)]
+        assert np.array_equal(vectors.a[j, :l], np.stack(want_a))
+        assert np.array_equal(vectors.e_bar[j], mixed.mean(axis=0))
+        assert not vectors.e[j, l:].any() and not vectors.a[j, l:].any()
+
+
+class TestSplitEncoderAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inputs=split_inputs(),
+        n=st.sampled_from([1, 2, 3, 8, 24]),
+        window=st.sampled_from([0, 1, 2]),
+        seed=st.integers(0, 3),
+    )
+    # one-sentence documents, n = 1, every abstraction its source
+    @example(
+        inputs=(
+            [make_doc(["a b"], "x"), make_doc(["c"], "y")],
+            [(0,), (0,)],
+            [(("a", "b"),), (("c",),)],
+        ),
+        n=1, window=1, seed=0,
+    )
+    # a document of one repeated sentence
+    @example(
+        inputs=([make_doc(["a b a"] * 5, "r")], [(4, 0, 2)], [(("a", "b", "a"), ("b",), ("a", "b", "a"))]),
+        n=3, window=2, seed=1,
+    )
+    def test_array_equal_to_sentence_at_a_time_encoding(self, inputs, n, window, seed):
+        cfg = EncoderConfig(n=n, hash_seed=seed, context_window=window)
+        assert_equals_reference(*inputs, cfg)
+
+    def test_seeded_corpus_with_long_documents(self):
+        rng = np.random.default_rng(0)
+        vocab = [f"w{i}" for i in range(40)]
+        documents, orders, abstractions = [], [], []
+        for j in range(12):
+            doc = make_doc(
+                [" ".join(rng.choice(vocab, size=int(rng.integers(1, 19)))) for _ in range(int(rng.integers(1, 31)))],
+                f"g{j}",
+            )
+            order = tuple(int(i) for i in rng.permutation(len(doc))[: int(rng.integers(1, min(len(doc), 6) + 1))])
+            documents.append(doc)
+            orders.append(order)
+            abstractions.append(tuple(tuple(doc.tokens_at(i)[: max(1, len(doc.tokens_at(i)) // 2)]) for i in order))
+        for window in (0, 1, 2):
+            for n in (1, 24, 64):
+                assert_equals_reference(documents, orders, abstractions, EncoderConfig(n=n, context_window=window))

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import soft_cross_entropy
 from synthetic import make_corpus
 from sumedit import trainer as trainer_mod
 from sumedit.editor import (
+    PARAM_NAMES,
     Decision,
+    EditorParams,
     context_from_abstractions,
     decode,
     forward,
     init_params,
     loss_and_gradients,
-    soft_cross_entropy,
+    mixed_summary,
 )
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import LabeledExample, label_dataset
@@ -38,10 +41,36 @@ def labeled_pairs(count, seed, id_prefix="t"):
 def zero_forced_params(bias):
     rng = np.random.default_rng(0)
     params = init_params(4, ENC.n, rng)
-    for arr in params.arrays().values():
-        arr[:] = 0.0
+    params.flat[:] = 0.0
     params.b[:] = bias
     return params
+
+
+def decoded_summary(example, lab, params):
+    """The summary `decode` makes of one labeled example on its own."""
+    vectors = context_from_abstractions(example.document, lab.extract, lab.abstractions, ENC)
+    decisions, _ = decode(vectors, params)
+    return mixed_summary(example.document, lab.extract, lab.abstractions, decisions[0])
+
+
+def reference_adam_step(params, grads, state):
+    """Slow reference: the ADAM update one named parameter at a time, with
+    the moments kept per name in dicts."""
+    t = state["t"] + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, value in params.items():
+        g = grads[name]
+        m = state["beta1"] * state["m"][name] + (1 - state["beta1"]) * g
+        v = state["beta2"] * state["v"][name] + (1 - state["beta2"]) * g * g
+        m_hat = m / (1 - state["beta1"] ** t)
+        v_hat = v / (1 - state["beta2"] ** t)
+        new_params[name] = value - state["lr"] * m_hat / (np.sqrt(v_hat) + state["eps"])
+        new_m[name], new_v[name] = m, v
+    return new_params, {**state, "m": new_m, "v": new_v, "t": t}
+
+
+def named(params):
+    return {name: getattr(params, name) for name in PARAM_NAMES}
 
 
 class TestAdamStep:
@@ -52,10 +81,8 @@ class TestAdamStep:
     def test_zero_gradient_is_identity(self):
         params = self.params()
         state = AdamState.fresh(params)
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        new_params, new_state = adam_step(params, grads, state)
-        for name, arr in params.arrays().items():
-            assert np.array_equal(new_params.arrays()[name], arr)
+        new_params, new_state = adam_step(params, np.zeros_like(params.flat), state)
+        assert np.array_equal(new_params.flat, params.flat)
         assert new_state.t == 1
 
     def test_first_step_closed_form(self):
@@ -63,10 +90,10 @@ class TestAdamStep:
         # update is -lr / (sqrt(1) + eps)
         params = self.params()
         state = AdamState.fresh(params, lr=1e-4)
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        grads["b_d"][0] = 1.0
+        grad = EditorParams(params.m, params.n)
+        grad.b_d[0] = 1.0
         before = params.b_d[0]
-        new_params, _ = adam_step(params, grads, state)
+        new_params, _ = adam_step(params, grad.flat, state)
         expected = before - 1e-4 / (1.0 + 1e-8)
         assert new_params.b_d[0] == pytest.approx(expected, abs=1e-18)
         assert np.array_equal(new_params.b_c, params.b_c)
@@ -75,18 +102,38 @@ class TestAdamStep:
         params = self.params()
         state = AdamState.fresh(params)
         rng = np.random.default_rng(2)
-        grads = {k: rng.normal(size=v.shape) for k, v in params.arrays().items()}
-        out1 = adam_step(params, grads, state)
-        out2 = adam_step(params, grads, state)
-        for name in params.arrays():
-            assert np.array_equal(out1[0].arrays()[name], out2[0].arrays()[name])
+        grad = rng.normal(size=params.flat.shape)
+        out1 = adam_step(params, grad, state)
+        out2 = adam_step(params, grad, state)
+        assert np.array_equal(out1[0].flat, out2[0].flat)
 
     def test_shape_mismatch(self):
         params = self.params()
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        grads["b"] = np.zeros(4)
-        with pytest.raises(ValueError):
-            adam_step(params, grads, AdamState.fresh(params))
+        for size in (1, params.flat.size + 1):
+            with pytest.raises(ValueError):
+                adam_step(params, np.zeros(size), AdamState.fresh(params))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flat_step_equals_per_name_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
+        state = AdamState.fresh(params, lr=float(rng.uniform(1e-4, 1e-1)))
+        want_params = {name: arr.copy() for name, arr in named(params).items()}
+        want_state = {
+            "m": {name: np.zeros_like(arr) for name, arr in want_params.items()},
+            "v": {name: np.zeros_like(arr) for name, arr in want_params.items()},
+            "t": 0, "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2, "eps": state.eps,
+        }
+        for _ in range(6):
+            grad = EditorParams(params.m, params.n, rng.normal(0, 10.0, size=params.flat.shape))
+            params, state = adam_step(params, grad.flat, state)
+            want_params, want_state = reference_adam_step(want_params, named(grad), want_state)
+            for name in PARAM_NAMES:
+                assert np.array_equal(getattr(params, name), want_params[name]), name
+                for moment in ("m", "v"):
+                    got = getattr(EditorParams(params.m, params.n, getattr(state, moment)), name)
+                    assert np.array_equal(got, want_state[moment][name]), (moment, name)
+        assert state.t == want_state["t"] == 6
 
 
 class TestTrain:
@@ -122,15 +169,14 @@ class TestTrain:
         best1, log1 = outs[0]
         best2, log2 = outs[1]
         assert log1 == log2
-        for name in best1.arrays():
-            assert np.array_equal(best1.arrays()[name], best2.arrays()[name])
+        assert np.array_equal(best1.flat, best2.flat)
 
     def test_empty_validation_split_gives_zero_reward(self):
         pairs = labeled_pairs(5, seed=10)
         params = init_params(4, ENC.n, np.random.default_rng(0))
         best, log = train(pairs, [], TrainConfig(batch_size=2, epochs=2), params, ENC)
         assert [entry["val_reward"] for entry in log] == [0.0, 0.0]
-        assert all(np.all(np.isfinite(arr)) for arr in best.arrays().values())
+        assert np.all(np.isfinite(best.flat))
 
     def test_non_finite_loss_names_epoch_and_batch(self):
         pairs = labeled_pairs(4, seed=11)
@@ -149,7 +195,7 @@ class TestTrain:
         # change the teacher-forced decisions or the state trajectory
         pairs = labeled_pairs(1, seed=6)
         ex, lab = pairs[0]
-        ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
+        vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
         y = np.asarray(lab.labels)
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
@@ -158,15 +204,15 @@ class TestTrain:
         for corrupt in (0.0, 5.0):
             p = params.copy()
             p.b[:] += np.array([corrupt, 0.0, -corrupt])
-            runs.append(forward([ctx], p, teacher))
+            runs.append(forward(vectors, p, teacher))
             # the training loss is the one of this teacher-forced run
-            loss, _ = loss_and_gradients([ctx], [y], p, teacher_forcing=True)
+            loss, _ = loss_and_gradients(vectors, y[None], p, teacher_forcing=True)
             assert loss == soft_cross_entropy(runs[-1].p[:, 0], y)
         clean, corrupted = runs
         assert not np.allclose(clean.p[0, 0], corrupted.p[0, 0])
         assert np.array_equal(clean.decisions, teacher)
         assert np.array_equal(corrupted.decisions, teacher)
-        assert clean.g.shape == corrupted.g.shape == (ctx.l + 1, 1, ENC.n)
+        assert clean.g.shape == corrupted.g.shape == (len(y) + 1, 1, ENC.n)
         assert np.array_equal(clean.g, corrupted.g)
 
 
@@ -197,14 +243,12 @@ class TestEvaluate:
         pairs = labeled_pairs(3, seed=9)
         rng = np.random.default_rng(3)
         params = init_params(4, ENC.n, rng)
-        for arr in params.arrays().values():
-            arr += rng.normal(0, 0.8, size=arr.shape)
+        params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)
         report = evaluate(pairs, params, ENC)
         tally = {d: 0 for d in Decision}
         fracs = []
         for ex, lab in pairs:
-            ctx = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
-            (summary,) = decode([ctx], params)
+            summary = decoded_summary(ex, lab, params)
             emitted = abstracted = 0
             for step in summary.steps:
                 tally[step.decision] += 1
@@ -225,14 +269,11 @@ class TestEvaluate:
 def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights()):
     """The slow reference for `evaluate`: `rouge_n`, `rouge_l` and `reward`
     on every decoded summary, added in order."""
-    ctxs = [
-        context_from_abstractions(ex.document, lab.extract, lab.abstractions, encoder_config)
-        for ex, lab in test_set
-    ]
     counts = {d: 0 for d in Decision}
     r1 = r2 = rl = rew = 0.0
     abstracted_fractions = []
-    for summary, (ex, _) in zip(decode(ctxs, params), test_set):
+    for ex, lab in test_set:
+        summary = decoded_summary(ex, lab, params)
         for step in summary.steps:
             counts[step.decision] += 1
         emitted = [s for s in summary.steps if s.tokens is not None]
@@ -276,8 +317,7 @@ FORCING = {
 def random_params(seed, forced=None):
     rng = np.random.default_rng(seed)
     params = init_params(4, ENC.n, rng)
-    for arr in params.arrays().values():
-        arr += rng.normal(0, 0.8, size=arr.shape)
+    params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)
     if forced is not None:
         params.b[:] = FORCING[forced]
     return params
@@ -367,16 +407,15 @@ class TestMeanRewardAgainstReward:
     )
     def test_equals_sequential_sum_of_reward(self, pairs, weights, seed, forced):
         weights = RewardWeights(*weights)
-        ctxs = [
-            context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
-            for ex, lab in pairs
-        ]
+        vectors = trainer_mod._encode(pairs, ENC)
         params = random_params(seed, forced)
+        decisions, _ = decode(vectors, params)
         total = 0.0
-        for summary, (ex, _) in zip(decode(ctxs, params), pairs):
+        for (ex, lab), row in zip(pairs, decisions):
+            summary = mixed_summary(ex.document, lab.extract, lab.abstractions, row)
             total += reward(summary.text, ex.reference, weights)
-        stats = trainer_mod._split_stats(pairs, ctxs)
-        assert mean_reward(ctxs, stats, params, weights) == total / len(pairs)
+        stats = trainer_mod._split_stats(pairs)
+        assert mean_reward(vectors, stats, params, weights) == total / len(pairs)
 
     def test_split_means_add_in_order(self, monkeypatch):
         # Builtin `sum` compensates float rounding from Python 3.12 on; stand
