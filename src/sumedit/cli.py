@@ -103,7 +103,16 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
         raise SystemExit(
             f"missing label cache {cache_path}; run `sumedit label --split {split}` first"
         )
-    labeled, _ = oracle.read_label_cache(cache_path)
+    labeled, header = oracle.read_label_cache(cache_path)
+    # The soft labels depend on the reward weights and the cap, so a cache
+    # labeled under others does not belong to this config.
+    labeled_with = (header.get("reward_weights"), header.get("cap"))
+    config_has = ([cfg.alpha, cfg.beta, cfg.gamma], cfg.cap)
+    if labeled_with != config_has:
+        raise ValueError(
+            "{}: labeled with reward weights {} and cap {}, config has reward weights {} and cap {}; "
+            "rerun sumedit label --split {}".format(cache_path, *labeled_with, *config_has, split)
+        )
     examples = {ex.document.id: ex for ex in text.load_dataset(_dataset_path(cfg, split))}
     pairs = []
     for lab in labeled:

@@ -122,9 +122,10 @@ def _records(path, highlights_required: bool = True):
 
     Structural problems raise DatasetError naming the line: invalid JSON, a
     record that is not an object, a missing field (highlights may be missing
-    unless `highlights_required`), a non-string id, or sentences that are not
-    a list of strings.
+    unless `highlights_required`), a non-string id, an id that an earlier
+    line already has, or sentences that are not a list of strings.
     """
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -140,6 +141,9 @@ def _records(path, highlights_required: bool = True):
                     raise DatasetError(f"line {lineno}: missing field {field!r}")
             if not isinstance(rec["id"], str):
                 raise DatasetError(f"line {lineno}: id must be a string")
+            first = first_line.setdefault(rec["id"], lineno)
+            if first != lineno:
+                raise DatasetError(f"line {lineno}: duplicate id {rec['id']!r} (first at line {first})")
             for field in ("article_sentences", "highlights"):
                 v = rec.get(field, [])
                 if not isinstance(v, list) or any(not isinstance(s, str) for s in v):

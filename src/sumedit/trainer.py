@@ -17,10 +17,12 @@ Decoded summaries are scored without realizing them: each summary is one of
 the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
 totals are the summed `rouge.sentence_stats` rows of the chosen sentence
 versions (extracted sentences, then abstractions). The statistics of a split
-are computed once (before the first epoch for validation), and one
-vectorized `rouge.f_measures` pass scores the whole split, bit-identical to
-`rouge.reward` on every summary. Means over a split are sequential sums, the
-order of a running float total.
+are computed once (before the first epoch for validation) and padded into
+integer records of at most `editor.DECODE_CHUNK` examples (`SplitStats`).
+The decisions select rows of a record as E/A masks, so its totals are one
+integer contraction, one masked `any` and one clip, and `rouge.f_measures`
+turns them into F-measures bit-identical to `rouge.reward` on every summary.
+Means over a split are sequential sums, the order of a running float total.
 """
 from __future__ import annotations
 
@@ -30,14 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, loss_and_gradients
+from . import editor
+from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT, EditorParams, decode, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
 from .oracle import LabeledExample
 # `context_from_abstractions` and `reward` stay module attributes although
 # training no longer calls them: the benchmark's tracer (perfbench) wraps
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
 from .editor import context_from_abstractions
-from .rouge import RewardWeights, SentenceStats, f_measures, reward, sentence_stats
+from .rouge import RewardWeights, f_measures, reward, sentence_stats
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
@@ -112,10 +115,29 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
     return y
 
 
-def _split_stats(pairs: Sequence[LabeledPair]) -> list[SentenceStats]:
-    """Per example, the statistics of its 2l sentence versions (the
-    extracted sentences, then their abstractions) against its reference."""
-    return [
+@dataclass(frozen=True)
+class SplitStats:
+    """ROUGE statistics of the sentence versions of up to DECODE_CHUNK
+    consecutive examples of a split, padded to one integer record.
+
+    `counts[j, 0, i]` is the `rouge.sentence_stats` row of example j's
+    extracted sentence i and `counts[j, 1, i]` that of its abstraction: its
+    reference n-gram counts, zero-padded to C columns, then the version's
+    token and bigram totals. `lcs` marks the matched reference tokens the
+    same way, padded to T. Steps past an extract's end are all zero, so a
+    decision there adds nothing.
+    """
+
+    counts: np.ndarray  # (N, 2, L, C + 2) int64
+    lcs: np.ndarray  # (N, 2, L, T) bool
+    ref_counts: np.ndarray  # (N, C) reference n-gram counts, zero-padded
+    unigram: np.ndarray  # (N, C) bool, the unigram columns
+    ref_tokens: np.ndarray  # (N,) int64
+    ref_bigrams: np.ndarray  # (N,) int64
+
+
+def _padded_stats(pairs: Sequence[LabeledPair]) -> SplitStats:
+    stats = [
         sentence_stats(
             tuple(example.document.tokens_at(i) for i in lab.extract.order)
             + tuple(map(tuple, lab.abstractions)),
@@ -123,21 +145,64 @@ def _split_stats(pairs: Sequence[LabeledPair]) -> list[SentenceStats]:
         )
         for example, lab in pairs
     ]
+    N, L = len(stats), max(len(st.counts) // 2 for st in stats)
+    C, T = max(len(st.ref_counts) for st in stats), max(st.ref_tokens for st in stats)
+    counts = np.zeros((N, 2, L, C + 2), dtype=np.int64)
+    lcs = np.zeros((N, 2, L, T), dtype=bool)
+    ref_counts = np.zeros((N, C), dtype=np.int64)
+    for j, st in enumerate(stats):
+        l, c = len(st.counts) // 2, len(st.ref_counts)
+        rows = st.counts.reshape(2, l, c + 2)
+        counts[j, :, :l, :c] = rows[..., :c]
+        counts[j, :, :l, C:] = rows[..., c:]
+        lcs[j, :, :l, : st.ref_tokens] = st.lcs.reshape(2, l, -1)
+        ref_counts[j, :c] = st.ref_counts
+    return SplitStats(
+        counts=counts,
+        lcs=lcs,
+        ref_counts=ref_counts,
+        unigram=np.arange(C) < np.array([[st.unigrams] for st in stats]),
+        ref_tokens=np.array([st.ref_tokens for st in stats], dtype=np.int64),
+        ref_bigrams=np.array([st.ref_bigrams for st in stats], dtype=np.int64),
+    )
 
 
-def _f_measures(
-    decisions: np.ndarray, lengths: np.ndarray, stats: Sequence[SentenceStats]
-) -> tuple[np.ndarray, ...]:
-    """ROUGE-1, ROUGE-2 and ROUGE-L F of each decoded summary, from its
-    example's statistics: decision k (an index into DECISIONS) at step i of
-    an l-step summary takes version row k * l + i, and REJECT takes none."""
-    totals = np.empty((len(stats), 5), dtype=np.int64)
-    for j, (row, l, st) in enumerate(zip(decisions.tolist(), lengths.tolist(), stats)):
-        rows = [k * l + i for i, k in enumerate(row[:l]) if k != REJECT]
-        totals[j] = st.totals(st.counts[rows].sum(axis=0), st.lcs[rows].any(axis=0))
-    ref_tokens = np.array([st.ref_tokens for st in stats], dtype=np.int64)
-    ref_bigrams = np.array([st.ref_bigrams for st in stats], dtype=np.int64)
-    return f_measures(totals, ref_tokens, ref_bigrams)
+def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
+    """The statistics of a split's 2l sentence versions per example (the
+    extracted sentences, then their abstractions) against its reference, in
+    records of at most DECODE_CHUNK examples, so that no record is as wide
+    as the widest reference of a whole large split."""
+    chunk = editor.DECODE_CHUNK
+    return [_padded_stats(pairs[start : start + chunk]) for start in range(0, len(pairs), chunk)]
+
+
+def _totals(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndarray, ...]:
+    """`SentenceStats.totals` (N, 5) of every decoded summary, with the
+    reference token and bigram totals (N,) of its example: decision k (an
+    index into DECISIONS) at step i takes version row (k, i), and REJECT
+    takes none. All sums are integer sums, so they are exact."""
+    parts = [(np.zeros((0, 5), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    start = 0
+    for record in stats:
+        N, _, L, _ = record.counts.shape
+        rows = decisions[start : start + N, :L]
+        start += N
+        chosen = np.stack([rows == EXTRACT, rows == ABSTRACT], axis=1)  # (N, 2, L)
+        summed = np.einsum("nkl,nklw->nw", chosen, record.counts)
+        matched = (record.lcs & chosen[..., None]).any(axis=(1, 2)).sum(axis=1)
+        overlap = np.minimum(summed[:, :-2], record.ref_counts)
+        unigram = np.where(record.unigram, overlap, 0).sum(axis=1)
+        totals = np.stack(
+            [unigram, overlap.sum(axis=1) - unigram, summed[:, -2], summed[:, -1], matched], axis=1
+        )
+        parts.append((totals, record.ref_tokens, record.ref_bigrams))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _f_measures(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndarray, ...]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L F of each decoded summary (see
+    `_totals`), bit-identical to `rouge.reward`'s."""
+    return f_measures(*_totals(decisions, stats))
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -196,14 +261,14 @@ def train(
 
 def mean_reward(
     vectors: SplitVectors,
-    stats: Sequence[SentenceStats],
+    stats: Sequence[SplitStats],
     params: EditorParams,
     weights: RewardWeights,
 ) -> float:
     """Mean reward of the free-running decodes of a split, scored from each
     example's statistics (see `_split_stats`); 0.0 for an empty split."""
     decisions, _ = decode(vectors, params)
-    return _mean(weights.combine(*_f_measures(decisions, vectors.lengths, stats)))
+    return _mean(weights.combine(*_f_measures(decisions, stats)))
 
 
 def evaluate(
@@ -221,7 +286,7 @@ def evaluate(
     emitted = (decisions != REJECT).sum(axis=1)
     abstracted = (decisions == ABSTRACT).sum(axis=1)
     abstracted_fractions = abstracted[emitted > 0] / emitted[emitted > 0]
-    r1, r2, rl = _f_measures(decisions, vectors.lengths, _split_stats(test_set))
+    r1, r2, rl = _f_measures(decisions, _split_stats(test_set))
     total_steps = sum(counts)
     fractions = {
         d.label: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)

@@ -297,6 +297,90 @@ class TestLabelFailureLog:
             assert sum(example_id in ln for ln in lines) == 1
 
 
+def duplicate_first_id(path):
+    """Append a copy of a dataset's first record with other sentences;
+    returns the shared id and the new record's line number."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["article_sentences"] = ["another document", "with other sentences"]
+    path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+    return record["id"], len(lines) + 1
+
+
+class TestDuplicateIds:
+    """Splits pair cache records with examples by id, so two records of one
+    id would pair one document's labels with another's text."""
+
+    def expected(self, path):
+        example_id, line = duplicate_first_id(path)
+        return f"error: line {line}: duplicate id {example_id!r} (first at line 1)\n"
+
+    def test_ingest(self, tmp_path, capsys):
+        text.write_dataset(make_corpus(3, seed=0, k=1), tmp_path / "in.jsonl")
+        message = self.expected(tmp_path / "in.jsonl")
+        assert cli.main(["ingest", str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_label(self, workspace, capsys):
+        message = self.expected(workspace / "train.jsonl")
+        assert cli.main(["label", "--config", str(write_config(workspace)), "--split", "train"]) == 1
+        assert capsys.readouterr().err == message
+        assert not (workspace / "out" / "labels_train.jsonl").exists()
+
+    def test_train(self, workspace, capsys):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        message = self.expected(workspace / "val.jsonl")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (workspace / "out" / "checkpoint.json").exists()
+
+
+class TestLabelCacheHeader:
+    """A label cache records the reward weights and cap it was labeled
+    with; `train` and `evaluate` stop when the config has others."""
+
+    @pytest.mark.parametrize(
+        "changed, weights, cap",
+        [({"alpha": 0.0, "cap": 5}, [0.0, 1.0, 0.5], 5), ({"gamma": 2}, [0.4, 1.0, 2], 12),
+         ({"cap": 11}, [0.4, 1.0, 0.5], 11)],
+        ids=["weights-and-cap", "weights", "cap"],
+    )
+    def test_train_stops(self, workspace, capsys, changed, weights, cap):
+        labeled = write_config(workspace)
+        assert cli.main(["label", "--config", str(labeled), "--split", "train", "--split", "val"]) == 0
+        (workspace / "out" / "resolved_config.json").unlink()
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(write_config(workspace, **changed))]) == 1
+        cache = workspace / "out" / "labels_train.jsonl"
+        assert capsys.readouterr().err == (
+            f"error: {cache}: labeled with reward weights [0.4, 1.0, 0.5] and cap 12, config has "
+            f"reward weights {weights} and cap {cap}; rerun sumedit label --split train\n"
+        )
+        for artifact in ("checkpoint.json", "train_log.jsonl", "resolved_config.json"):
+            assert not (workspace / "out" / artifact).exists()
+
+    def test_evaluate_stops(self, workspace, capsys):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        assert cli.main(["label", "--config", str(write_config(workspace)), "--split", "test"]) == 0
+        capsys.readouterr()
+        cfg = write_config(workspace, beta=0.5)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workspace / 'out' / 'labels_test.jsonl'}: labeled with ")
+        assert err.endswith("; rerun sumedit label --split test\n")
+        assert not (workspace / "out" / "evaluation.json").exists()
+
+    def test_cap_flag_that_matches_the_cache_is_accepted(self, workspace, capsys):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--cap", "7", "--split", "train", "--split", "val"]) == 0
+        assert cli.main(["train", "--config", str(cfg), "--cap", "7"]) == 0
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "rerun sumedit label --split train" in capsys.readouterr().err
+
+
 def checkpoint(tmp_path, bias):
     rng = np.random.default_rng(0)
     params = editor.init_params(8, 12, rng)

@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reference import soft_cross_entropy
+from reference import soft_cross_entropy, stepwise_forward
 from sumedit import editor
 from sumedit.editor import (
     DECISION_INDEX,
@@ -471,6 +474,57 @@ class TestBatchedAgainstReference:
         assert np.allclose(chunked[1], whole[1], rtol=1e-12, atol=0)
 
 
+# Label rows whose argmax ties (E > A > R breaks them), and one-hot rows.
+TIED_ROWS = ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (1 / 3, 1 / 3, 1 / 3))
+ONE_HOT = {"all-A": (0.0, 1.0, 0.0), "all-R": (0.0, 0.0, 1.0)}
+
+
+class TestTeacherForcedAgainstStepwise:
+    """The teacher-forced `forward` computes the state prefix sum and every
+    product stacked over the steps; `tests/reference.py` runs the same
+    recurrence one step at a time. Every field must agree bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+        n=st.integers(1, 9),
+        m=st.integers(1, 9),
+        rows=st.sampled_from(["random", "ties", "mixed", "all-A", "all-R"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1], n=3, m=2, rows="random", seed=0)
+    @example(lengths=[1], n=1, m=1, rows="all-R", seed=1)
+    @example(lengths=[4, 1, 3], n=5, m=4, rows="ties", seed=2)
+    @example(lengths=[2, 5, 1, 5], n=4, m=6, rows="all-A", seed=3)
+    def test_every_field_equals_the_stepwise_reference(self, lengths, n, m, rows, seed):
+        rng = np.random.default_rng(seed)
+        vectors = padded([step_example(n, rng, l=l) for l in lengths])
+        params = init_params(m, n, rng)
+        perturb(params, rng, 0.5)
+        shape = (len(lengths), max(lengths))
+        if rows in ONE_HOT:
+            labels = np.broadcast_to(ONE_HOT[rows], shape + (3,))
+        else:
+            tied = np.array(TIED_ROWS)[rng.integers(len(TIED_ROWS), size=shape)]
+            share = {"random": 0.0, "mixed": 0.5, "ties": 1.0}[rows]
+            labels = np.where(rng.random(shape + (1,)) < share, tied, rng.dirichlet(np.ones(3), size=shape))
+        # the forced decisions `loss_and_gradients` takes from its labels
+        forced = labels.transpose(1, 0, 2).argmax(axis=2)
+        got, want = forward(vectors, params, forced), stepwise_forward(vectors, params, forced)
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    def test_free_running_equals_the_stepwise_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            vectors = padded([step_example(5, rng, l=l) for l in (3, 1, 5, 2, 5)])
+            params = init_params(4, 5, rng)
+            perturb(params, rng, 0.5)
+            got, want = forward(vectors, params), stepwise_forward(vectors, params)
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
 class TestParams:
     def test_names_are_views_of_the_flat_vector_in_order(self):
         params = init_params(3, 2, np.random.default_rng(0))
@@ -511,3 +565,19 @@ class TestCheckpoint:
         path.write_text('{"version": 99}')
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    def test_bytes_equal_a_json_dump_writer(self, tmp_path):
+        # `save_checkpoint` encodes in one `json.dumps` call; its bytes must
+        # be those that the streaming `json.dump` writes for the same payload
+        rng = np.random.default_rng(11)
+        params = init_params(6, 5, rng)
+        params.flat[:] *= 10.0 ** rng.integers(-30, 30, size=params.flat.size)
+        params.b[:] = [0.0, -0.0, 1e-300]
+        cfg = EncoderConfig(n=5, hash_seed=9, context_window=2)
+        save_checkpoint(params, cfg, tmp_path / "checkpoint.json")
+        payload = {"version": 1, "m": 6, "n": 5, "encoder": {"n": 5, "hash_seed": 9, "context_window": 2}}
+        payload.update({name: getattr(params, name).tolist() for name in PARAM_NAMES})
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import soft_cross_entropy
 from synthetic import make_corpus
-from sumedit import trainer as trainer_mod
+from sumedit import editor, trainer as trainer_mod
 from sumedit.editor import (
+    ABSTRACT,
+    EXTRACT,
     PARAM_NAMES,
+    REJECT,
     Decision,
     EditorParams,
     context_from_abstractions,
@@ -21,7 +25,7 @@ from sumedit.editor import (
 )
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import LabeledExample, label_dataset
-from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
+from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n, sentence_stats
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary, document_from_strings
 from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, mean_reward, train
@@ -367,11 +371,11 @@ def scored_pair(example_id, doc, order, abstractions, ref):
 
 
 @st.composite
-def scored_examples(draw):
+def scored_examples(draw, min_size=1, max_size=5):
     """Labeled pairs with extracts of 1 to 7 sentences; an abstraction is
     its source sentence or any sentence."""
     pairs = []
-    for j in range(draw(st.integers(1, 5))):
+    for j in range(draw(st.integers(min_size, max_size))):
         doc = draw(st.lists(sentences, min_size=1, max_size=8))
         l = draw(st.integers(1, min(7, len(doc))))
         order = tuple(draw(st.permutations(range(len(doc))))[:l])
@@ -428,3 +432,59 @@ class TestMeanRewardAgainstReward:
         assert running == 1.0 != math.fsum(values)
         assert trainer_mod._mean(values) == running / len(values)
         assert trainer_mod._mean([]) == 0.0
+
+
+def reference_totals(decisions, pairs):
+    """Slow reference for `trainer._totals`: per example, `sentence_stats`
+    of its 2l versions, then `SentenceStats.totals` of the rows its
+    decisions choose, with the reference token and bigram totals."""
+    totals, ref_tokens, ref_bigrams = [], [], []
+    for (ex, lab), row in zip(pairs, decisions.tolist()):
+        l = len(lab.extract.order)
+        versions = [ex.document.tokens_at(i) for i in lab.extract.order] + list(lab.abstractions)
+        stats = sentence_stats(versions, ex.reference)
+        rows = [k * l + i for i, k in enumerate(row[:l]) if k != REJECT]
+        totals.append(stats.totals(stats.counts[rows].sum(axis=0), stats.lcs[rows].any(axis=0)))
+        ref_tokens.append(stats.ref_tokens)
+        ref_bigrams.append(stats.ref_bigrams)
+    return np.array(totals, dtype=np.int64).reshape(-1, 5), ref_tokens, ref_bigrams
+
+
+class TestSplitTotalsAgainstPerExampleTotals:
+    """`_split_stats` pads a split into records of at most DECODE_CHUNK
+    examples and `_totals` scores every decoded summary of them at once;
+    the integer totals must be those of each example on its own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=scored_examples(min_size=0, max_size=9),
+        chunk=st.sampled_from([1, 2, 3, 256]),
+        data=st.data(),
+    )
+    def test_equal_per_example_totals(self, pairs, chunk, data):
+        L = max((len(lab.extract.order) for _, lab in pairs), default=0)
+        decisions = np.full((len(pairs), L), REJECT, dtype=np.intp)
+        for j, (_, lab) in enumerate(pairs):
+            l = len(lab.extract.order)
+            steps = data.draw(st.sampled_from([[EXTRACT, ABSTRACT, REJECT], [REJECT], [EXTRACT], [ABSTRACT]]))
+            decisions[j, :l] = data.draw(st.lists(st.sampled_from(steps), min_size=l, max_size=l))
+        with mock.patch.object(editor, "DECODE_CHUNK", chunk):
+            stats = trainer_mod._split_stats(pairs)
+        assert len(stats) == -(-len(pairs) // chunk)
+        totals, ref_tokens, ref_bigrams = trainer_mod._totals(decisions, stats)
+        want, want_tokens, want_bigrams = reference_totals(decisions, pairs)
+        assert totals.dtype == np.int64 and np.array_equal(totals, want)
+        assert ref_tokens.tolist() == want_tokens and ref_bigrams.tolist() == want_bigrams
+
+    def test_every_column_clips(self):
+        # one sentence three times, and once in the reference
+        pairs = [scored_pair("r", [("a", "b")] * 3, (0, 1, 2), (("a", "b"),) * 3, [("a", "b")])]
+        decisions = np.array([[EXTRACT, ABSTRACT, EXTRACT]])
+        totals, _, _ = trainer_mod._totals(decisions, trainer_mod._split_stats(pairs))
+        # 6 tokens and 3 bigrams emitted; the reference has 2 and 1
+        assert totals.tolist() == [[2, 1, 6, 3, 2]]
+        assert np.array_equal(totals, reference_totals(decisions, pairs)[0])
+
+    def test_empty_split(self):
+        totals, ref_tokens, ref_bigrams = trainer_mod._totals(np.zeros((0, 0), dtype=np.intp), [])
+        assert totals.shape == (0, 5) and ref_tokens.shape == ref_bigrams.shape == (0,)
