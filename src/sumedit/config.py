@@ -13,7 +13,6 @@ from .encoder import EncoderConfig
 from .rouge import RewardWeights
 from .summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor
 from .text import atomic_open, read_json_object
-from .trainer import TrainConfig
 
 # What a field of each annotated type takes, and how an error names it; a
 # bool is not a number here.
@@ -23,6 +22,21 @@ _ACCEPTS = {
     "str": ((str,), "a string"),
     "str | None": ((str, type(None)), "a string or null"),
 }
+
+
+@dataclass
+class TrainConfig:
+    """Training-loop settings. They live here, not in `trainer`, so that a
+    command that reads a config does not import the trainer."""
+
+    batch_size: int = 32
+    epochs: int = 20
+    seed: int = 0
+    lr: float = 1e-4
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("batch_size and epochs must be >= 1")
 
 
 @dataclass

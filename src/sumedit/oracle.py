@@ -254,9 +254,11 @@ def write_label_cache(
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# The exact JSON types of a record's fields; type(...) in, not isinstance,
+# so that JSON true/false do not pass as numbers.
 CACHE_FIELDS = {
-    "id": str, "order": list, "P": dict, "abstractions": list, "labels": list,
-    "best": str, "best_reward": (int, float),
+    "id": (str,), "order": (list,), "P": (dict,), "abstractions": (list,), "labels": (list,),
+    "best": (str,), "best_reward": (int, float),
 }
 DECISION_OF_LABEL = {d.label: d for d in DECISIONS}
 
@@ -266,12 +268,11 @@ def _cache_record(rec) -> LabeledExample:
     is wrong with a record this program cannot have written."""
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
-    for name, kind in CACHE_FIELDS.items():
+    for name, kinds in CACHE_FIELDS.items():
         if name not in rec:
             raise ValueError(f"missing field {name!r}")
-        if not isinstance(rec[name], kind):
+        if type(rec[name]) not in kinds:
             raise ValueError(f"field {name!r} has the wrong type")
-    # type(...) is, not isinstance: JSON true/false must not pass as numbers
     if not all(type(i) is int and i >= 0 for i in rec["order"]):
         raise ValueError(f"order {rec['order']!r} is not a list of sentence indices")
     if not all(type(t) is list and t and all(type(w) is str for w in t) for t in rec["abstractions"]):
@@ -286,6 +287,8 @@ def _cache_record(rec) -> LabeledExample:
             raise ValueError(f"label row {row!r} is not three finite non-negative numbers")
     if not set(rec["best"]) <= DECISION_OF_LABEL.keys():
         raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
+    if not all(type(p) in (int, float) for p in rec["P"].values()):
+        raise ValueError(f"P {rec['P']!r} does not map sentence indices to numbers")
     return LabeledExample(
         example_id=rec["id"],
         extract=ExtractResult(
@@ -300,8 +303,8 @@ def _cache_record(rec) -> LabeledExample:
 
 
 def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
-    """Labeled examples and header of a cache file; a malformed line raises
-    ValueError("<path>:<line>: ...")."""
+    """Labeled examples and header of a cache file; a malformed line or a
+    repeated id raises ValueError("<path>:<line>: ...")."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -316,9 +319,14 @@ def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
     if not isinstance(header, dict) or header.get("cache_version") != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version")
     labeled = []
+    first_line: dict[str, int] = {}
     for (no, _), rec in zip(lines[1:], records[1:]):
         try:
-            labeled.append(_cache_record(rec))
+            lab = _cache_record(rec)
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: {exc}") from None
+        first = first_line.setdefault(lab.example_id, no)
+        if first != no:
+            raise ValueError(f"{path}:{no}: duplicate id {lab.example_id!r} (first at line {first})")
+        labeled.append(lab)
     return labeled, header

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import editor
+from .config import TrainConfig
 from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT, EditorParams, decode, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
 from .oracle import LabeledExample
@@ -80,18 +81,6 @@ def adam_step(
         m=m, v=v, t=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
     )
     return EditorParams(params.m, params.n, flat), new_state
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 32
-    epochs: int = 20
-    seed: int = 0
-    lr: float = 1e-4
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
 
 
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:

@@ -195,6 +195,13 @@ def set_label_row(row):
     return edit
 
 
+def set_first_likelihood(value):
+    def edit(rec):
+        rec["P"][next(iter(rec["P"]))] = value
+
+    return edit
+
+
 class TestLabelCacheValidation:
     @pytest.fixture
     def labeled(self, workspace, capsys):
@@ -215,9 +222,14 @@ class TestLabelCacheValidation:
             (edit_record(set_label_row([float("nan"), 0.5, 0.5])), "not three finite non-negative"),
             (edit_record(set_label_row([-0.1, 0.6, 0.5])), "not three finite non-negative"),
             (edit_record(set_label_row([0.5, 0.5])), "not three finite non-negative"),
+            (edit_record(set_first_likelihood("0.5")), "does not map sentence indices to numbers"),
+            (edit_record(set_first_likelihood(True)), "does not map sentence indices to numbers"),
+            (edit_record(lambda rec: rec.update(best_reward="0.5")), "field 'best_reward' has the wrong type"),
+            (edit_record(lambda rec: rec.update(best_reward=True)), "field 'best_reward' has the wrong type"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
-             "best-length", "nan-label", "negative-label", "short-label-row"],
+             "best-length", "nan-label", "negative-label", "short-label-row", "str-likelihood",
+             "bool-likelihood", "str-best-reward", "bool-best-reward"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled
@@ -335,6 +347,21 @@ class TestDuplicateIds:
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == message
+        assert not (workspace / "out" / "checkpoint.json").exists()
+
+    def test_label_cache(self, workspace, capsys):
+        """A copied cache record would train its example twice per epoch."""
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        cache = workspace / "out" / "labels_train.jsonl"
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines + [lines[1]]))
+        example_id = json.loads(lines[1])["id"]
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}:{len(lines) + 1}: duplicate id {example_id!r} (first at line 2)\n"
+        )
         assert not (workspace / "out" / "checkpoint.json").exists()
 
 
@@ -490,20 +517,78 @@ class TestSummarizeInput:
         assert decisions == ["E"] * 5
 
 
+def run_child(*args, **env):
+    """`python <args>` with sumedit on the path and `env` added."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def imported_modules(stderr):
+    """Module names in `python -X importtime` output."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
 class TestStartup:
+    """Every command is a fresh process, so what start-up imports and keeps
+    is paid by every command."""
+
     def test_cli_import_loads_no_worker_pool(self):
         """Only `label` with more than one worker uses a process pool, so
         starting the CLI must not pay for importing one."""
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         code = (
             "import sys, sumedit.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_command_layer_and_freezes_nothing(self):
+        code = (
+            "import gc, sys, sumedit.cli; "
+            "print(sorted({'sumedit.oracle', 'sumedit.trainer', 'sumedit.editor'} & set(sys.modules)), "
+            "gc.get_freeze_count())"
+        )
+        proc = run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] 0"
+
+    def test_label_never_imports_trainer(self, workspace):
+        cfg = write_config(workspace)
+        proc = run_child("-X", "importtime", "-m", "sumedit.cli", "label", "--config", str(cfg),
+                         "--split", "val")
+        assert proc.returncode == 0, proc.stderr
+        modules = imported_modules(proc.stderr)
+        assert "sumedit.oracle" in modules
+        assert "sumedit.trainer" not in modules
+
+    def test_summarize_imports_neither_oracle_nor_trainer(self, workspace):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = write_config(workspace)
+        proc = run_child("-X", "importtime", "-m", "sumedit.cli", "summarize", "--config", str(cfg),
+                         "--checkpoint", str(ckpt), "--document", str(workspace / "val.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# ")
+        modules = imported_modules(proc.stderr)
+        assert "sumedit.editor" in modules
+        assert not {"sumedit.oracle", "sumedit.trainer"} & modules
+
+    def test_pool_after_freeze_labels_like_one_worker(self, workspace):
+        """`run()` freezes the heap before `label` forks its worker pool."""
+        caches = []
+        for workers in ("1", "2"):
+            out = workspace / f"out-{workers}"
+            proc = run_child("-m", "sumedit.cli", "label", "--config", str(write_config(workspace)),
+                             "--split", "train", "--out", str(out), EDITNET_WORKERS=workers)
+            assert proc.returncode == 0, proc.stderr
+            caches.append((out / "labels_train.jsonl").read_bytes())
+        assert caches[0] == caches[1]
 
 
 class TestWorkers:
