@@ -5,14 +5,17 @@ EDITNET_WORKERS environment variable bounds parallel labeling workers
 (a positive integer, default 1 for bit-reproducibility).
 
 Every command runs in a fresh process, so start-up is paid per command.
-The module imports only `text` and `config`; each `cmd_*` imports the
-layers it runs (`label`: oracle; `train` and `evaluate`: editor and
-trainer; `summarize`: editor, encoder and summarizers) and calls them
-through their module attributes. `run()`, the process entry point, freezes
-the start-up heap (`gc.freeze()`) before running the command, so the
-collector, and the final collection at exit, skip the objects the imports
-made. `main()` does not freeze: tests and the benchmark's tracer call it
-in-process.
+The module imports only the standard library; each command names the
+layers it runs (`layers` in `build_parser`: `label` runs the oracle,
+`train` and `evaluate` the editor and trainer, `summarize` the editor,
+encoder and summarizers) and imports them in its `cmd_*` function, calling
+them through their module attributes. `run()`, the process entry point,
+works in this order: it disables the collector, parses the arguments,
+imports the command's layers (numpy and `config` with them), freezes the
+heap (`gc.freeze()`), re-enables the collector and runs the command. So no
+collection runs during the imports, and neither later collections nor the
+final one at exit walk the objects they made. `main()` leaves the collector
+as it is: tests and the benchmark's tracer call it in-process.
 """
 from __future__ import annotations
 
@@ -24,11 +27,10 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import text
-from .config import ExperimentConfig
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def _workers() -> int:
@@ -39,6 +41,8 @@ def _workers() -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    from .config import ExperimentConfig
+
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {
         key: getattr(args, key, None)
@@ -58,6 +62,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_ingest(args) -> int:
+    from . import text
+
     examples, report = text.ingest_dataset(args.input)
     text.write_dataset(examples, args.output)
     summary = {
@@ -77,7 +83,7 @@ def _dataset_path(cfg: ExperimentConfig, split: str) -> str:
 
 
 def cmd_label(args) -> int:
-    from . import oracle
+    from . import oracle, text
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
@@ -111,7 +117,7 @@ def cmd_label(args) -> int:
 
 
 def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
-    from . import oracle
+    from . import oracle, text
 
     cache_path = out / f"labels_{split}.jsonl"
     if not cache_path.exists():
@@ -146,7 +152,9 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
 
 
 def cmd_train(args) -> int:
-    from . import editor, trainer
+    import numpy as np
+
+    from . import editor, text, trainer
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
@@ -186,7 +194,7 @@ def _print_summary(document, summary) -> None:
 
 
 def cmd_summarize(args) -> int:
-    from . import editor, encoder, summarizers
+    from . import editor, encoder, summarizers, text
 
     cfg = _load_config(args)
     params, enc_config = editor.load_checkpoint(args.checkpoint)
@@ -220,7 +228,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import editor, trainer
+    from . import editor, text, trainer
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, layers=("text",))
 
     p = sub.add_parser("label", help="precompute soft-label caches")
     _add_common(p)
@@ -271,28 +279,31 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["train", "val", "test"],
         required=True,
     )
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(func=cmd_label, layers=("config", "oracle"))
 
     p = sub.add_parser("train", help="train the editor")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, layers=("config", "editor", "trainer"))
 
     p = sub.add_parser("summarize", help="decode documents with a checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--document", required=True, help="dataset-format file to summarize")
-    p.set_defaults(func=cmd_summarize)
+    p.set_defaults(func=cmd_summarize, layers=("config", "editor", "encoder", "summarizers"))
 
     p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, layers=("config", "editor", "trainer"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    return _execute(build_parser().parse_args(argv))
+
+
+def _execute(args) -> int:
     # One WARNING handler for this invocation on the package logger, so each
     # warning (such as a failed example) is printed once, to the call's stderr.
     handler = logging.StreamHandler(sys.stderr)
@@ -302,7 +313,7 @@ def main(argv=None) -> int:
     logger.addHandler(handler)
     try:
         return args.func(args)
-    except (OSError, ValueError, text.DatasetError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -310,9 +321,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry point: freeze the start-up heap, then run `main`."""
+    """Process entry point: import the command's layers with the collector
+    off, freeze the heap, then run the command with the collector on."""
+    gc.disable()
+    args = build_parser().parse_args()
+    for layer in args.layers:
+        __import__(f"{__package__}.{layer}")
     gc.freeze()
-    sys.exit(main())
+    gc.enable()
+    sys.exit(_execute(args))
 
 
 if __name__ == "__main__":

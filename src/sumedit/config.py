@@ -5,17 +5,42 @@ experiment can be replayed exactly from the artifacts alone.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .encoder import EncoderConfig
 from .rouge import RewardWeights
 from .summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor
 from .text import atomic_open, read_json_object
 
-# What a field of each annotated type takes, and how an error names it; a
-# bool is not a number here.
+if TYPE_CHECKING:
+    from .encoder import EncoderConfig
+
+# Every config field: the type it takes and its default. `ExperimentConfig`
+# has all of them; `TrainConfig` has four, with the same defaults.
+FIELDS = {
+    "train_path": ("str | None", None),
+    "val_path": ("str | None", None),
+    "test_path": ("str | None", None),
+    "extractor": ("str", "lead"),  # "lead" or "greedy"
+    "k": ("int", 4),
+    "abstract_ratio": ("float", 0.8),
+    "encoder_n": ("int", 64),
+    "hash_seed": ("int", 0),
+    "context_window": ("int", 1),
+    "hidden_m": ("int", 64),
+    "alpha": ("float", 0.4),
+    "beta": ("float", 1.0),
+    "gamma": ("float", 0.5),
+    "cap": ("int", 12),
+    "batch_size": ("int", 32),
+    "epochs": ("int", 20),
+    "lr": ("float", 1e-4),
+    "seed": ("int", 0),
+    "out_dir": ("str", "out"),
+}
+
+# What a field of each type takes, and how an error names it; a bool is not
+# a number here.
 _ACCEPTS = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
@@ -24,65 +49,51 @@ _ACCEPTS = {
 }
 
 
-@dataclass
+def _assign(record, values: dict) -> None:
+    """Set every field of `record` (its `__slots__`) from `values`, or to
+    its default in FIELDS; a name that is not a field is an error."""
+    unknown = values.keys() - record.__slots__
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for name in record.__slots__:
+        setattr(record, name, values.get(name, FIELDS[name][1]))
+
+
 class TrainConfig:
     """Training-loop settings. They live here, not in `trainer`, so that a
     command that reads a config does not import the trainer."""
 
-    batch_size: int = 32
-    epochs: int = 20
-    seed: int = 0
-    lr: float = 1e-4
+    __slots__ = ("batch_size", "epochs", "seed", "lr")
 
-    def __post_init__(self):
+    def __init__(self, /, **values):
+        _assign(self, values)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
 
 
-@dataclass
 class ExperimentConfig:
-    train_path: str | None = None
-    val_path: str | None = None
-    test_path: str | None = None
-    extractor: str = "lead"  # "lead" or "greedy"
-    k: int = 4
-    abstract_ratio: float = 0.8
-    encoder_n: int = 64
-    hash_seed: int = 0
-    context_window: int = 1
-    hidden_m: int = 64
-    alpha: float = 0.4
-    beta: float = 1.0
-    gamma: float = 0.5
-    cap: int = 12
-    batch_size: int = 32
-    epochs: int = 20
-    lr: float = 1e-4
-    seed: int = 0
-    out_dir: str = "out"
+    """Every field of FIELDS, given by keyword and checked against its type."""
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            types, expected = _ACCEPTS[f.type]
-            value = getattr(self, f.name)
+    __slots__ = tuple(FIELDS)
+
+    def __init__(self, /, **values):
+        _assign(self, values)
+        for name, (kind, _) in FIELDS.items():
+            types, expected = _ACCEPTS[kind]
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"config field {f.name!r} must be {expected}, got {value!r}")
+                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        data = read_json_object(path)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**read_json_object(path))
 
     def apply_overrides(self, overrides: dict) -> "ExperimentConfig":
         updates = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **updates)
+        return ExperimentConfig(**{**self.to_dict(), **updates})
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in FIELDS}
 
     def write(self, path) -> None:
         with atomic_open(path) as fh:
@@ -93,6 +104,8 @@ class ExperimentConfig:
         return RewardWeights(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
     def encoder_config(self) -> EncoderConfig:
+        from .encoder import EncoderConfig
+
         return EncoderConfig(
             n=self.encoder_n,
             hash_seed=self.hash_seed,

@@ -24,14 +24,18 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .encoder import EncoderConfig, SplitVectors, encode_split
 from .summarizers import Abstractor, ExtractResult, make_chunk
 from .text import Document, atomic_open, read_json_object
+
+if TYPE_CHECKING:
+    # `encoder` is imported where it is used, so that `label`, which uses
+    # the decisions and `abstractions_for` but encodes nothing, does not
+    # import it.
+    from .encoder import EncoderConfig, SplitVectors
 
 LOG_CLAMP = 1e-12
 
@@ -116,16 +120,20 @@ def init_params(m: int, n: int, rng: np.random.Generator) -> EditorParams:
     return params
 
 
-@dataclass(frozen=True)
 class EditStep:
-    sentence_index: int
-    decision: Decision
-    tokens: tuple[str, ...] | None
+    __slots__ = ("sentence_index", "decision", "tokens")
+
+    def __init__(self, sentence_index: int, decision: Decision, tokens: tuple[str, ...] | None):
+        self.sentence_index = sentence_index
+        self.decision = decision
+        self.tokens = tokens
 
 
-@dataclass(frozen=True)
 class MixedSummary:
-    steps: tuple[EditStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[EditStep, ...]):
+        self.steps = steps
 
     @property
     def text(self) -> tuple[tuple[str, ...], ...]:
@@ -176,10 +184,11 @@ def context_from_abstractions(
     config: EncoderConfig,
 ) -> SplitVectors:
     """The vectors of one example: `encode_split` of a one-document split."""
+    from .encoder import encode_split
+
     return encode_split([document], [extract.order], [abstractions], config)
 
 
-@dataclass
 class ForwardPass:
     """One run of the recurrence over a batch of B extracts padded to L
     steps; arrays are step-major.
@@ -193,15 +202,18 @@ class ForwardPass:
     others take REJECT.
     """
 
-    d: np.ndarray
-    g: np.ndarray
-    x: np.ndarray
-    t: np.ndarray
-    p: np.ndarray
-    decisions: np.ndarray
-    h: np.ndarray
-    q: np.ndarray
-    mask: np.ndarray
+    __slots__ = ("d", "g", "x", "t", "p", "decisions", "h", "q", "mask")
+
+    def __init__(self, d, g, x, t, p, decisions, h, q, mask):
+        self.d = d
+        self.g = g
+        self.x = x
+        self.t = t
+        self.p = p
+        self.decisions = decisions
+        self.h = h
+        self.q = q
+        self.mask = mask
 
 
 def _distribution(x: np.ndarray, params: EditorParams) -> tuple[np.ndarray, np.ndarray]:
@@ -378,6 +390,8 @@ def _field(obj: dict, key: str, path, where: str = "checkpoint"):
 
 
 def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
+    from .encoder import EncoderConfig
+
     payload = read_json_object(path)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")

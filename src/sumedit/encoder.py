@@ -25,7 +25,6 @@ vector `e_bar` of the record.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,24 +32,27 @@ import numpy as np
 from .text import Document
 
 
-@dataclass(frozen=True)
 class EncoderConfig:
-    n: int = 64
-    hash_seed: int = 0
-    context_window: int = 1
+    __slots__ = ("n", "hash_seed", "context_window")
 
-    def __post_init__(self):
-        for name in ("n", "hash_seed", "context_window"):
-            value = getattr(self, name)
+    def __init__(self, n: int = 64, hash_seed: int = 0, context_window: int = 1):
+        for name, value in (("n", n), ("hash_seed", hash_seed), ("context_window", context_window)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"encoder {name} must be an integer, got {value!r}")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("representation width n must be >= 1")
-        if self.context_window < 0:
+        if context_window < 0:
             raise ValueError("context_window must be >= 0")
+        self.n = n
+        self.hash_seed = hash_seed
+        self.context_window = context_window
+
+    def __eq__(self, other):
+        if type(other) is not EncoderConfig:
+            return NotImplemented
+        return (self.n, self.hash_seed, self.context_window) == (other.n, other.hash_seed, other.context_window)
 
 
-@dataclass(frozen=True)
 class SplitVectors:
     """The frozen-encoder inputs of N extracts, padded to the longest
     extract length L.
@@ -61,10 +63,13 @@ class SplitVectors:
     extract lengths.
     """
 
-    e: np.ndarray
-    a: np.ndarray
-    e_bar: np.ndarray
-    lengths: np.ndarray
+    __slots__ = ("e", "a", "e_bar", "lengths")
+
+    def __init__(self, e: np.ndarray, a: np.ndarray, e_bar: np.ndarray, lengths: np.ndarray):
+        self.e = e
+        self.a = a
+        self.e_bar = e_bar
+        self.lengths = lengths
 
     def take(self, index) -> "SplitVectors":
         """The extracts at `index` (an index array or a slice), cut to the

@@ -16,7 +16,6 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,14 +43,32 @@ class LabelingError(ValueError):
     enumeration cap); `label_dataset` records it as a per-example failure."""
 
 
-@dataclass(frozen=True)
 class LabeledExample:
-    example_id: str
-    extract: ExtractResult
-    abstractions: tuple[tuple[str, ...], ...]
-    labels: tuple[tuple[float, float, float], ...]
-    best: DecisionSequence
-    best_reward: float
+    __slots__ = ("example_id", "extract", "abstractions", "labels", "best", "best_reward")
+
+    def __init__(
+        self,
+        example_id: str,
+        extract: ExtractResult,
+        abstractions: tuple[tuple[str, ...], ...],
+        labels: tuple[tuple[float, float, float], ...],
+        best: DecisionSequence,
+        best_reward: float,
+    ):
+        self.example_id = example_id
+        self.extract = extract
+        self.abstractions = abstractions
+        self.labels = labels
+        self.best = best
+        self.best_reward = best_reward
+
+    def _fields(self) -> tuple:
+        return self.example_id, self.extract, self.abstractions, self.labels, self.best, self.best_reward
+
+    def __eq__(self, other):
+        if type(other) is not LabeledExample:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
 def realize(

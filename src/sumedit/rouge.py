@@ -22,7 +22,6 @@ program it replaced is the slow reference in tests/test_rouge.py.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -31,28 +30,35 @@ import numpy as np
 TokenList = Sequence[str]
 
 
-@dataclass(frozen=True)
 class RougeScore:
-    precision: float
-    recall: float
-    f1: float
+    __slots__ = ("precision", "recall", "f1")
+
+    def __init__(self, precision: float, recall: float, f1: float):
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+
+    def __eq__(self, other):
+        if type(other) is not RougeScore:
+            return NotImplemented
+        return (self.precision, self.recall, self.f1) == (other.precision, other.recall, other.f1)
 
     @staticmethod
     def zero() -> "RougeScore":
         return RougeScore(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class RewardWeights:
-    alpha: float = 0.4
-    beta: float = 1.0
-    gamma: float = 0.5
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
+    def __init__(self, alpha: float = 0.4, beta: float = 1.0, gamma: float = 0.5):
+        if min(alpha, beta, gamma) < 0:
             raise ValueError("weights must be non-negative")
-        if self.alpha == self.beta == self.gamma == 0:
+        if alpha == beta == gamma == 0:
             raise ValueError("at least one weight must be positive")
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
 
     def combine(self, r1, r2, rl):
         """alpha*R1 + beta*R2 + gamma*RL, of floats or of arrays alike."""
@@ -193,7 +199,6 @@ def reward(
 UNIGRAM_OVERLAP, BIGRAM_OVERLAP, TOKENS, BIGRAMS, LCS_MATCHES = range(5)
 
 
-@dataclass(frozen=True)
 class SentenceStats:
     """Per-sentence ROUGE statistics of candidate sentence versions against
     one reference.
@@ -211,11 +216,21 @@ class SentenceStats:
     bit for bit.
     """
 
-    counts: np.ndarray  # (V, U1 + U2 + 2) int64
-    lcs: np.ndarray  # (V, T) bool, T reference tokens
-    ref_counts: np.ndarray  # (U1 + U2,) reference n-gram counts
-    unigrams: int  # U1
-    ref_bigrams: int  # reference bigram total
+    __slots__ = ("counts", "lcs", "ref_counts", "unigrams", "ref_bigrams")
+
+    def __init__(
+        self,
+        counts: np.ndarray,  # (V, U1 + U2 + 2) int64
+        lcs: np.ndarray,  # (V, T) bool, T reference tokens
+        ref_counts: np.ndarray,  # (U1 + U2,) reference n-gram counts
+        unigrams: int,  # U1
+        ref_bigrams: int,  # reference bigram total
+    ):
+        self.counts = counts
+        self.lcs = lcs
+        self.ref_counts = ref_counts
+        self.unigrams = unigrams
+        self.ref_bigrams = ref_bigrams
 
     @property
     def ref_tokens(self) -> int:

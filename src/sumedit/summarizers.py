@@ -10,7 +10,6 @@ tokens. Third-party extractors/abstractors plug in behind the same contracts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 import numpy as np
@@ -30,52 +29,57 @@ STOPWORD_SCORE = 1e-6
 UNSELECTED_LIKELIHOOD = 1e-6
 
 
-@dataclass(frozen=True)
 class ExtractResult:
-    order: tuple[int, ...]
-    likelihood: Mapping[int, float]
+    __slots__ = ("order", "likelihood")
 
-    def __post_init__(self):
-        if len(self.order) < 1:
+    def __init__(self, order: tuple[int, ...], likelihood: Mapping[int, float]):
+        if len(order) < 1:
             raise ValueError("extract must select at least one sentence")
-        if len(set(self.order)) != len(self.order):
+        if len(set(order)) != len(order):
             raise ValueError("extract order has duplicate indices")
-        for p in self.likelihood.values():
+        for p in likelihood.values():
             if not 0 < p <= 1:
                 raise ValueError("selection likelihoods must lie in (0, 1]")
+        self.order = order
+        self.likelihood = likelihood
+
+    def __eq__(self, other):
+        if type(other) is not ExtractResult:
+            return NotImplemented
+        return (self.order, self.likelihood) == (other.order, other.likelihood)
 
 
-@dataclass(frozen=True)
 class Chunk:
-    members: tuple[Sentence, ...]
-    center: int
+    __slots__ = ("members", "center")
 
-    def __post_init__(self):
-        if not 0 <= self.center < len(self.members):
+    def __init__(self, members: tuple[Sentence, ...], center: int):
+        if not 0 <= center < len(members):
             raise ValueError("chunk center out of range")
-        idx = [s.index for s in self.members]
+        idx = [s.index for s in members]
         if idx != list(range(idx[0], idx[0] + len(idx))):
             raise ValueError("chunk members must be consecutive")
+        self.members = members
+        self.center = center
 
 
-@dataclass(frozen=True)
 class AttentionMap:
-    # (sentence index, token position, weight)
-    entries: tuple[tuple[int, int, float], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if any(w < 0 for _, _, w in self.entries):
+    # entries: (sentence index, token position, weight)
+    def __init__(self, entries: tuple[tuple[int, int, float], ...]):
+        if any(w < 0 for _, _, w in entries):
             raise ValueError("attention weights must be non-negative")
+        self.entries = entries
 
 
-@dataclass(frozen=True)
 class AbstractResult:
-    tokens: tuple[str, ...]
-    attention: AttentionMap
+    __slots__ = ("tokens", "attention")
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __init__(self, tokens: tuple[str, ...], attention: AttentionMap):
+        if not tokens:
             raise ValueError("abstraction must be non-empty")
+        self.tokens = tokens
+        self.attention = attention
 
 
 class Extractor(Protocol):
@@ -204,26 +208,32 @@ def abstract_salience(chunk: Chunk, likelihood: Mapping[int, float], ratio: floa
     return AbstractResult(tokens=tokens, attention=rescaled)
 
 
-@dataclass(frozen=True)
 class LeadExtractor:
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
 
     def __call__(self, example: Example) -> ExtractResult:
         return extract_lead(example.document, self.k)
 
 
-@dataclass(frozen=True)
 class GreedyOracleExtractor:
-    k: int
-    weights: RewardWeights = RewardWeights()
+    __slots__ = ("k", "weights")
+
+    def __init__(self, k: int, weights: RewardWeights = RewardWeights()):
+        self.k = k
+        self.weights = weights
 
     def __call__(self, example: Example) -> ExtractResult:
         return extract_greedy_oracle(example, self.k, self.weights)
 
 
-@dataclass(frozen=True)
 class SalienceAbstractor:
-    ratio: float = 0.8
+    __slots__ = ("ratio",)
+
+    def __init__(self, ratio: float = 0.8):
+        self.ratio = ratio
 
     def __call__(self, chunk: Chunk, likelihood: Mapping[int, float]) -> AbstractResult:
         return abstract_salience(chunk, likelihood, self.ratio)

@@ -10,7 +10,6 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -25,30 +24,40 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().split()
 
 
-@dataclass(frozen=True)
 class Sentence:
-    index: int
-    tokens: tuple[str, ...]
+    __slots__ = ("index", "tokens")
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __init__(self, index: int, tokens: tuple[str, ...]):
+        if not tokens:
             raise ValueError("sentence has no tokens")
-        for t in self.tokens:
+        for t in tokens:
             if t.split() != [t]:  # empty, or holds whitespace
                 raise ValueError(f"bad token {t!r}")
+        self.index = index
+        self.tokens = tokens
+
+    def __eq__(self, other):
+        if type(other) is not Sentence:
+            return NotImplemented
+        return (self.index, self.tokens) == (other.index, other.tokens)
 
 
-@dataclass(frozen=True)
 class Document:
-    id: str
-    sentences: tuple[Sentence, ...]
+    __slots__ = ("id", "sentences")
 
-    def __post_init__(self):
-        if not self.sentences:
+    def __init__(self, id: str, sentences: tuple[Sentence, ...]):
+        if not sentences:
             raise ValueError("document has no sentences")
-        for i, s in enumerate(self.sentences):
+        for i, s in enumerate(sentences):
             if s.index != i:
                 raise ValueError("sentence indices must be 0..N-1 contiguous")
+        self.id = id
+        self.sentences = sentences
+
+    def __eq__(self, other):
+        if type(other) is not Document:
+            return NotImplemented
+        return (self.id, self.sentences) == (other.id, other.sentences)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -57,19 +66,31 @@ class Document:
         return self.sentences[i].tokens
 
 
-@dataclass(frozen=True)
 class ReferenceSummary:
-    sentences: tuple[tuple[str, ...], ...]
+    __slots__ = ("sentences",)
 
-    def __post_init__(self):
-        if not self.sentences or any(not s for s in self.sentences):
+    def __init__(self, sentences: tuple[tuple[str, ...], ...]):
+        if not sentences or any(not s for s in sentences):
             raise ValueError("reference summary sentences must be non-empty")
+        self.sentences = sentences
+
+    def __eq__(self, other):
+        if type(other) is not ReferenceSummary:
+            return NotImplemented
+        return self.sentences == other.sentences
 
 
-@dataclass(frozen=True)
 class Example:
-    document: Document
-    reference: ReferenceSummary
+    __slots__ = ("document", "reference")
+
+    def __init__(self, document: Document, reference: ReferenceSummary):
+        self.document = document
+        self.reference = reference
+
+    def __eq__(self, other):
+        if type(other) is not Example:
+            return NotImplemented
+        return (self.document, self.reference) == (other.document, other.reference)
 
 
 def document_from_strings(doc_id: str, sentences: list[str]) -> Document:
@@ -81,15 +102,13 @@ def document_from_strings(doc_id: str, sentences: list[str]) -> Document:
     )
 
 
-@dataclass
 class IngestReport:
-    accepted: int = 0
-    rejected: int = 0
-    reject_reasons: list[str] = None
+    __slots__ = ("accepted", "rejected", "reject_reasons")
 
-    def __post_init__(self):
-        if self.reject_reasons is None:
-            self.reject_reasons = []
+    def __init__(self, accepted: int = 0, rejected: int = 0, reject_reasons: list[str] | None = None):
+        self.accepted = accepted
+        self.rejected = rejected
+        self.reject_reasons = [] if reject_reasons is None else reject_reasons
 
 
 def json_line(line: str):

@@ -27,7 +27,6 @@ Means over a split are sequential sums, the order of a running float total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,17 +46,28 @@ from .text import Example
 LabeledPair = tuple[Example, LabeledExample]
 
 
-@dataclass
 class AdamState:
     """First and second moment estimates, flat like the parameters."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    __slots__ = ("m", "v", "t", "lr", "beta1", "beta2", "eps")
+
+    def __init__(
+        self,
+        m: np.ndarray,
+        v: np.ndarray,
+        t: int = 0,
+        lr: float = 1e-4,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
+        self.m = m
+        self.v = v
+        self.t = t
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
 
     @classmethod
     def fresh(cls, params: EditorParams, lr: float = 1e-4) -> "AdamState":
@@ -104,7 +114,6 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
 class SplitStats:
     """ROUGE statistics of the sentence versions of up to DECODE_CHUNK
     consecutive examples of a split, padded to one integer record.
@@ -117,12 +126,23 @@ class SplitStats:
     decision there adds nothing.
     """
 
-    counts: np.ndarray  # (N, 2, L, C + 2) int64
-    lcs: np.ndarray  # (N, 2, L, T) bool
-    ref_counts: np.ndarray  # (N, C) reference n-gram counts, zero-padded
-    unigram: np.ndarray  # (N, C) bool, the unigram columns
-    ref_tokens: np.ndarray  # (N,) int64
-    ref_bigrams: np.ndarray  # (N,) int64
+    __slots__ = ("counts", "lcs", "ref_counts", "unigram", "ref_tokens", "ref_bigrams")
+
+    def __init__(
+        self,
+        counts: np.ndarray,  # (N, 2, L, C + 2) int64
+        lcs: np.ndarray,  # (N, 2, L, T) bool
+        ref_counts: np.ndarray,  # (N, C) reference n-gram counts, zero-padded
+        unigram: np.ndarray,  # (N, C) bool, the unigram columns
+        ref_tokens: np.ndarray,  # (N,) int64
+        ref_bigrams: np.ndarray,  # (N,) int64
+    ):
+        self.counts = counts
+        self.lcs = lcs
+        self.ref_counts = ref_counts
+        self.unigram = unigram
+        self.ref_tokens = ref_tokens
+        self.ref_bigrams = ref_bigrams
 
 
 def _padded_stats(pairs: Sequence[LabeledPair]) -> SplitStats:

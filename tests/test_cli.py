@@ -552,8 +552,8 @@ class TestStartup:
     def test_cli_import_loads_no_command_layer_and_freezes_nothing(self):
         code = (
             "import gc, sys, sumedit.cli; "
-            "print(sorted({'sumedit.oracle', 'sumedit.trainer', 'sumedit.editor'} & set(sys.modules)), "
-            "gc.get_freeze_count())"
+            "print(sorted({'numpy', 'sumedit.config', 'sumedit.text', 'sumedit.oracle', 'sumedit.trainer', "
+            "'sumedit.editor'} & set(sys.modules)), gc.get_freeze_count())"
         )
         proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
@@ -566,7 +566,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         modules = imported_modules(proc.stderr)
         assert "sumedit.oracle" in modules
-        assert "sumedit.trainer" not in modules
+        assert not {"sumedit.trainer", "sumedit.encoder"} & modules
 
     def test_summarize_imports_neither_oracle_nor_trainer(self, workspace):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
@@ -578,6 +578,70 @@ class TestStartup:
         modules = imported_modules(proc.stderr)
         assert "sumedit.editor" in modules
         assert not {"sumedit.oracle", "sumedit.trainer"} & modules
+
+    def test_no_layer_imports_dataclasses(self):
+        """The records are plain classes, so no process pays for
+        `dataclasses` or for generating record methods with `exec`."""
+        code = (
+            "import sys, sumedit.cli; "
+            "from sumedit import config, editor, encoder, oracle, rouge, summarizers, text, trainer; "
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
+        )
+        proc = run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True False"
+
+    @pytest.mark.parametrize(
+        "argv, layer",
+        [
+            (["ingest", "in.jsonl", "out.jsonl"], "sumedit.text"),
+            (["label", "--split", "train"], "sumedit.oracle"),
+            (["train"], "sumedit.trainer"),
+            (["summarize", "--checkpoint", "c.json", "--document", "d.jsonl"], "sumedit.encoder"),
+            (["evaluate", "--checkpoint", "c.json"], "sumedit.trainer"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else v,
+    )
+    def test_run_imports_and_freezes_the_layers_then_runs_with_the_collector_on(self, argv, layer):
+        """`run()` imports a command's layers with the collector off, freezes
+        them, and runs the command with the collector on again."""
+        command = argv[0]
+        code = (
+            "import gc, sys\n"
+            "from sumedit import cli\n"
+            "seen = {}\n"
+            "freeze = gc.freeze\n"
+            "def recording_freeze():\n"
+            f"    seen['at freeze'] = (gc.isenabled(), {layer!r} in sys.modules)\n"
+            "    freeze()\n"
+            "gc.freeze = recording_freeze\n"
+            "def command(args):\n"
+            "    seen['in command'] = (gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "    print(seen)\n"
+            "    return 0\n"
+            f"cli.cmd_{command} = command\n"
+            f"sys.argv = ['sumedit', *{argv!r}]\n"
+            "cli.run()\n"
+        )
+        proc = run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "{'at freeze': (False, True), 'in command': (True, True)}"
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self, tmp_path):
+        text.write_dataset(make_corpus(2, seed=0, k=1), tmp_path / "in.jsonl")
+        code = (
+            "import gc, sys\n"
+            "from sumedit import cli\n"
+            "for enabled in (True, False):\n"
+            "    gc.enable() if enabled else gc.disable()\n"
+            "    before = (gc.isenabled(), gc.get_freeze_count())\n"
+            "    code = cli.main(['ingest', sys.argv[1], sys.argv[2]])\n"
+            "    print(code, before == (gc.isenabled(), gc.get_freeze_count()))\n"
+        )
+        proc = run_child("-c", code, str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        # each ingest prints its report first
+        assert proc.stdout.splitlines()[1::2] == ["0 True", "0 True"]
 
     def test_pool_after_freeze_labels_like_one_worker(self, workspace):
         """`run()` freezes the heap before `label` forks its worker pool."""

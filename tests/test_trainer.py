@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -186,7 +185,7 @@ class TestTrain:
         pairs = labeled_pairs(4, seed=11)
         ex, lab = pairs[2]
         nan_labels = (lab.labels[0], (float("nan"), 0.5, 0.5)) + lab.labels[2:]
-        pairs[2] = (ex, dataclasses.replace(lab, labels=nan_labels))
+        pairs[2] = (ex, LabeledExample(lab.example_id, lab.extract, lab.abstractions, nan_labels, lab.best, lab.best_reward))
         params = init_params(4, ENC.n, np.random.default_rng(0))
         config = TrainConfig(batch_size=4, epochs=2)
         with pytest.raises(ValueError, match="epoch 1: non-finite") as info:
