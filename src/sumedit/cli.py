@@ -15,14 +15,15 @@ imports the command's layers (numpy and `config` with them), freezes the
 heap (`gc.freeze()`), re-enables the collector and runs the command. So no
 collection runs during the imports, and neither later collections nor the
 final one at exit walk the objects they made. `main()` leaves the collector
-as it is: tests and the benchmark's tracer call it in-process.
+as it is: tests and the benchmark's tracer call it in-process. Warnings (a
+rejected record, a failed example) reach the call's stderr through
+`text.command_warnings`, which imports `logging` only when one is logged.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 import time
@@ -199,31 +200,36 @@ def cmd_summarize(args) -> int:
     cfg = _load_config(args)
     params, enc_config = editor.load_checkpoint(args.checkpoint)
     abstractor = cfg.make_abstractor()
-    if cfg.extractor == "greedy":
+    greedy = cfg.extractor == "greedy"
+    if greedy:
         # The greedy extractor scores against the reference, so highlights
         # are required; the lead extractor works on bare articles.
         examples = text.load_dataset(args.document)
         documents = [ex.document for ex in examples]
-        extractor = cfg.make_extractor()
-        extracts = [extractor(ex) for ex in examples]
     else:
         documents = text.load_documents(args.document)
-        extracts = [summarizers.extract_lead(doc, cfg.k) for doc in documents]
     if not documents:
         raise SystemExit(f"no usable records in {args.document}")
-    # Documents are encoded and decoded one decode pass at a time, so memory
-    # stays bounded and each pass is printed before the next is encoded.
+    # Documents are extracted, encoded and decoded one decode pass at a
+    # time, so memory stays bounded and each pass is printed before the
+    # next is extracted.
     for start in range(0, len(documents), editor.DECODE_CHUNK):
         chunk = range(start, min(start + editor.DECODE_CHUNK, len(documents)))
+        if greedy:
+            extracts = summarizers.extract_greedy_oracle(
+                [examples[j] for j in chunk], cfg.k, cfg.reward_weights()
+            )
+        else:
+            extracts = [summarizers.extract_lead(documents[j], cfg.k) for j in chunk]
         abstractions = [
-            editor.abstractions_for(documents[j], extracts[j], abstractor) for j in chunk
+            editor.abstractions_for(documents[j], extract, abstractor) for j, extract in zip(chunk, extracts)
         ]
         vectors = encoder.encode_split(
-            [documents[j] for j in chunk], [extracts[j].order for j in chunk], abstractions, enc_config
+            [documents[j] for j in chunk], [extract.order for extract in extracts], abstractions, enc_config
         )
         decisions, _ = editor.decode(vectors, params)
-        for j, abstracted, row in zip(chunk, abstractions, decisions.tolist()):
-            _print_summary(documents[j], editor.mixed_summary(documents[j], extracts[j], abstracted, row))
+        for j, extract, abstracted, row in zip(chunk, extracts, abstractions, decisions.tolist()):
+            _print_summary(documents[j], editor.mixed_summary(documents[j], extract, abstracted, row))
     return 0
 
 
@@ -304,20 +310,16 @@ def main(argv=None) -> int:
 
 
 def _execute(args) -> int:
-    # One WARNING handler for this invocation on the package logger, so each
-    # warning (such as a failed example) is printed once, to the call's stderr.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger = logging.getLogger("sumedit")
-    logger.addHandler(handler)
-    try:
-        return args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        logger.removeHandler(handler)
+    from . import text
+
+    # Each warning of this invocation (such as a failed example) is printed
+    # once, to the call's stderr.
+    with text.command_warnings(sys.stderr):
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def run() -> None:

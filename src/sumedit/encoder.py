@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import slots_eq
 from .text import Document
 
 
@@ -47,10 +48,7 @@ class EncoderConfig:
         self.hash_seed = hash_seed
         self.context_window = context_window
 
-    def __eq__(self, other):
-        if type(other) is not EncoderConfig:
-            return NotImplemented
-        return (self.n, self.hash_seed, self.context_window) == (other.n, other.hash_seed, other.context_window)
+    __eq__ = slots_eq
 
 
 class SplitVectors:
@@ -79,16 +77,13 @@ class SplitVectors:
         return SplitVectors(self.e[index, :L], self.a[index, :L], self.e_bar[index], lengths)
 
 
-def _hash32(seed: int, feature: str) -> int:
-    return zlib.crc32(f"{seed}\x00{feature}".encode("utf-8"))
-
-
 def _raw_rows(sentences: Sequence[Sequence[str]], config: EncoderConfig) -> np.ndarray:
     """The L2-normalized hashed vector of every sentence; an (S, n) array.
 
-    Feature f adds sign(h) to bucket h % n, h = crc32 of the seeded feature
-    and sign + where its top bit is set. Every distinct unigram and bigram is
-    hashed once."""
+    Feature f adds sign(h) to bucket h % n, h = crc32 of the UTF-8 bytes of
+    f"{seed}\x00{f}" and sign + where its top bit is set. Every distinct
+    unigram and bigram is hashed once, continuing the CRC of the seed prefix
+    (crc32(b, crc32(a)) == crc32(a + b))."""
     vocab: dict[str, int] = {}
     tokens = np.array([vocab.setdefault(t, len(vocab)) for s in sentences for t in s], dtype=np.int64)
     row = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
@@ -98,7 +93,8 @@ def _raw_rows(sentences: Sequence[Sequence[str]], config: EncoderConfig) -> np.n
     words = list(vocab)
     features = [f"1:{w}" for w in words]
     features += [f"2:{words[p // V]}\x1f{words[p % V]}" for p in pairs.tolist()]
-    h = np.array([_hash32(config.hash_seed, f) for f in features], dtype=np.int64)
+    prefix = zlib.crc32(f"{config.hash_seed}\x00".encode())
+    h = np.array([zlib.crc32(f.encode(), prefix) for f in features], dtype=np.int64)
     bucket, sign = h % config.n, np.where(h & 0x80000000, 1.0, -1.0)
     feature = np.concatenate([tokens, V + pair_of.ravel()])
     owner = np.concatenate([row, row[1:][inner]])

@@ -1,34 +1,34 @@
 """Soft-label generation by exhaustive enumeration of decision sequences.
 
 The composite reward of every one of the 3^l keep/abstract/reject sequences
-over an extract is computed from per-sentence ROUGE statistics
-(`rouge.sentence_stats`): the 2l sentence versions' count rows are added and
-their LCS-position rows OR-ed over the `(3,)*l` grid, one decision axis at a
-time, and the summed statistics are scored with `reward`'s float expressions,
-so no summary is realized and every reward is bit-identical to `reward` on
-it. The best sequence and prefix-conditioned reward averages yield one soft
-label distribution per step; labels for a whole dataset are written to a
-reproducible line-delimited JSON cache.
+over an extract is computed from sentence statistics (`rouge.split_stats`):
+the 2l sentence versions' count rows are added and their LCS-position rows
+OR-ed over the `(3,)*l` grid, one decision axis at a time, and the summed
+statistics are scored with `reward`'s float expressions, so no summary is
+realized and every reward is bit-identical to `reward` on it. The best
+sequence and prefix-conditioned reward averages yield one soft label
+distribution per step. A dataset is labeled in runs of consecutive
+examples: the statistics of a run's examples within the cap are built in
+one `split_stats` call, and each example's grid reads its own slice (its own
+n-gram columns and reference tokens, so no grid is wider than the example
+needs). Labels are written to a reproducible line-delimited JSON cache.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import editor
+from . import editor, slots_eq
 from .editor import DECISION_INDEX, DECISIONS, Decision
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
-from .rouge import RewardWeights, reward, sentence_stats
+from .rouge import RewardWeights, SplitStats, reward, split_stats
 from .summarizers import Abstractor, ExtractResult, Extractor
-from .text import Document, Example, atomic_open, json_line
-
-log = logging.getLogger(__name__)
+from .text import Document, Example, atomic_open, json_line, warn
 
 DecisionSequence = tuple[Decision, ...]
 
@@ -62,13 +62,7 @@ class LabeledExample:
         self.best = best
         self.best_reward = best_reward
 
-    def _fields(self) -> tuple:
-        return self.example_id, self.extract, self.abstractions, self.labels, self.best, self.best_reward
-
-    def __eq__(self, other):
-        if type(other) is not LabeledExample:
-            return NotImplemented
-        return self._fields() == other._fields()
+    __eq__ = slots_eq
 
 
 def realize(
@@ -99,6 +93,35 @@ def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray
     return acc
 
 
+def _versions(example: Example, extract: ExtractResult, abstractions: Sequence[Sequence[str]]) -> list:
+    """The 2l sentence versions of an extract: the extracted sentences, then
+    their abstractions."""
+    return [example.document.tokens_at(i) for i in extract.order] + list(abstractions)
+
+
+def _grid_rewards(stats: SplitStats, weights: RewardWeights) -> np.ndarray:
+    """The `(3,)*l` rewards of a one-example record of 2l versions (see the
+    module docstring), built in chunks over a leading decision prefix so
+    that memory stays bounded at the cap."""
+    counts, lcs = stats.counts[0], stats.lcs[0]
+    l = len(counts) // 2
+    # Per decision axis, the E, A and R rows; R contributes nothing.
+    no_counts, no_lcs = np.zeros_like(counts[0]), np.zeros_like(lcs[0])
+    count_rows = [np.stack([counts[i], counts[l + i], no_counts]) for i in range(l)]
+    lcs_rows = [np.stack([lcs[i], lcs[l + i], no_lcs]) for i in range(l)]
+    width = counts.shape[1] + lcs.shape[1]
+    tail = 1
+    while tail < l and 3 ** (tail + 1) * width <= CHUNK_ENTRIES:
+        tail += 1
+    head = l - tail
+    tail_counts = _grid(count_rows[head:], no_counts, np.add)
+    tail_lcs = _grid(lcs_rows[head:], no_lcs, np.logical_or)
+    chunks = zip(_grid(count_rows[:head], no_counts, np.add), _grid(lcs_rows[:head], no_lcs, np.logical_or))
+    return np.concatenate(
+        [stats.rewards((c + tail_counts)[None], (m | tail_lcs)[None], weights)[0] for c, m in chunks]
+    ).reshape((3,) * l)
+
+
 def enumerate_rewards(
     example: Example,
     extract: ExtractResult,
@@ -111,10 +134,9 @@ def enumerate_rewards(
     array indexed by decision (E = 0, A = 1, R = 2), i.e. in
     `itertools.product(DECISIONS, repeat=l)` order.
 
-    By default rewards come from per-sentence statistics (see the module
-    docstring); the grid is built in chunks over a leading decision prefix so
-    that memory stays bounded at the cap. With `reward_fn`, every sequence's
-    realized summary is scored by `reward_fn` instead: the slow reference.
+    By default rewards come from the example's sentence statistics (see the
+    module docstring). With `reward_fn`, every sequence's realized summary
+    is scored by `reward_fn` instead: the slow reference.
     """
     l = len(extract.order)
     if l > cap:
@@ -128,23 +150,8 @@ def enumerate_rewards(
                 for seq in itertools.product(DECISIONS, repeat=l)
             ]
         ).reshape((3,) * l)
-    versions = [example.document.tokens_at(i) for i in extract.order] + list(abstractions)
-    stats = sentence_stats(versions, example.reference)
-    # Per decision axis, the E, A and R rows; R contributes nothing.
-    no_counts, no_lcs = np.zeros_like(stats.counts[0]), np.zeros_like(stats.lcs[0])
-    counts = [np.stack([stats.counts[i], stats.counts[l + i], no_counts]) for i in range(l)]
-    lcs = [np.stack([stats.lcs[i], stats.lcs[l + i], no_lcs]) for i in range(l)]
-    width = stats.counts.shape[1] + stats.lcs.shape[1]
-    tail = 1
-    while tail < l and 3 ** (tail + 1) * width <= CHUNK_ENTRIES:
-        tail += 1
-    head = l - tail
-    tail_counts = _grid(counts[head:], no_counts, np.add)
-    tail_lcs = _grid(lcs[head:], no_lcs, np.logical_or)
-    chunks = zip(_grid(counts[:head], no_counts, np.add), _grid(lcs[:head], no_lcs, np.logical_or))
-    return np.concatenate(
-        [stats.rewards(c + tail_counts, m | tail_lcs, weights) for c, m in chunks]
-    ).reshape((3,) * l)
+    stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
+    return _grid_rewards(stats, weights)
 
 
 def _indices(sequence: DecisionSequence) -> tuple[int, ...]:
@@ -176,6 +183,42 @@ def soft_labels(rewards: np.ndarray, best: DecisionSequence) -> np.ndarray:
     return labels
 
 
+def _label_chunk(
+    examples: Sequence[Example],
+    extractor: Extractor,
+    abstractor: Abstractor,
+    weights: RewardWeights,
+    cap: int,
+) -> list[LabeledExample | LabelingError]:
+    """Label consecutive examples: the statistics of every example within
+    the cap come from one `split_stats` call, and each example's grid reads
+    its own slice of them. An example whose extract exceeds the cap gets a
+    LabelingError in its place."""
+    extracts = [extractor(ex) for ex in examples]
+    abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
+    within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
+    stats = split_stats(
+        [_versions(examples[j], extracts[j], abstractions[j]) for j in within],
+        [examples[j].reference for j in within],
+    )
+    results: list[LabeledExample | LabelingError] = [
+        LabelingError(f"enumeration cap exceeded (l={len(e.order)}, cap={cap})") for e in extracts
+    ]
+    for k, j in enumerate(within):
+        rewards = _grid_rewards(stats.example(k, 2 * len(extracts[j].order)), weights)
+        best = best_sequence(rewards)
+        labels = soft_labels(rewards, best)
+        results[j] = LabeledExample(
+            example_id=examples[j].document.id,
+            extract=extracts[j],
+            abstractions=abstractions[j],
+            labels=tuple(tuple(float(v) for v in row) for row in labels),
+            best=best,
+            best_reward=float(rewards[_indices(best)]),
+        )
+    return results
+
+
 def label_example(
     example: Example,
     extractor: Extractor,
@@ -183,29 +226,11 @@ def label_example(
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
 ) -> LabeledExample:
-    extract = extractor(example)
-    abstractions = editor.abstractions_for(example.document, extract, abstractor)
-    rewards = enumerate_rewards(
-        example, extract, abstractions, weights=weights, cap=cap
-    )
-    best = best_sequence(rewards)
-    labels = soft_labels(rewards, best)
-    return LabeledExample(
-        example_id=example.document.id,
-        extract=extract,
-        abstractions=abstractions,
-        labels=tuple(tuple(float(v) for v in row) for row in labels),
-        best=best,
-        best_reward=float(rewards[_indices(best)]),
-    )
-
-
-def _label_worker(args) -> tuple[str, object]:
-    example, extractor, abstractor, weights, cap = args
-    try:
-        return "ok", label_example(example, extractor, abstractor, weights, cap)
-    except LabelingError as exc:
-        return "err", f"{example.document.id}: {exc}"
+    """Label one example; an extract past the cap raises LabelingError."""
+    (result,) = _label_chunk([example], extractor, abstractor, weights, cap)
+    if isinstance(result, LabelingError):
+        raise result
+    return result
 
 
 def label_dataset(
@@ -219,27 +244,31 @@ def label_dataset(
 ) -> tuple[list[LabeledExample], list[str]]:
     """Label a dataset; optionally write the cache file.
 
+    Examples are labeled in runs of consecutive examples, at most
+    `editor.DECODE_CHUNK` long and split among the workers.
     Returns (labeled examples in input order, per-example failure messages).
     Re-running with the same inputs reproduces a byte-identical cache.
     """
-    tasks = [(ex, extractor, abstractor, weights, cap) for ex in examples]
+    size = max(1, min(editor.DECODE_CHUNK, -(-len(examples) // workers)))
+    chunks = [examples[start : start + size] for start in range(0, len(examples), size)]
+    args = [itertools.repeat(arg) for arg in (extractor, abstractor, weights, cap)]
     if workers > 1:
         # Imported here: it loads multiprocessing, which a single worker
         # (the default, and every command but a parallel `label`) never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_label_worker, tasks))
+            results = list(pool.map(_label_chunk, chunks, *args))
     else:
-        results = [_label_worker(t) for t in tasks]
+        results = list(map(_label_chunk, chunks, *args))
     labeled: list[LabeledExample] = []
     failures: list[str] = []
-    for status, payload in results:
-        if status == "ok":
-            labeled.append(payload)
+    for example, result in zip(examples, (r for chunk in results for r in chunk)):
+        if isinstance(result, LabelingError):
+            failures.append(f"{example.document.id}: {result}")
+            warn(__name__, "labeling failed: %s", failures[-1])
         else:
-            failures.append(payload)
-            log.warning("labeling failed: %s", payload)
+            labeled.append(result)
     if cache_path is not None:
         write_label_cache(cache_path, labeled, weights, cap)
     return labeled, failures

@@ -5,13 +5,18 @@ of LCS-matched token positions against all candidate sentences. All scores are
 full-length F; degenerate inputs yield zeros rather than NaN so the reward is
 a total function.
 
-`reward` scores one summary. `sentence_stats` precomputes per-sentence n-gram
-counts and LCS-matched reference positions. A summary built from some of those
-sentences has the sum of their count rows and the OR of their LCS rows as its
-statistics; `SentenceStats.totals` reduces these to five integer totals, and
-`f_measures` turns the totals of any number of summaries, of one reference or
-of many, into ROUGE-1/2/L F-measures with `reward`'s float expressions (the
-results are bit-identical). `SentenceStats.rewards` chains the two.
+`reward` scores one summary. `split_stats` computes, for a whole split in one
+pass, every sentence version's n-gram counts over its example's reference
+n-grams and its LCS-matched reference positions, padded into one integer
+record (`SplitStats`). A summary built from some of an example's versions has
+the sum of their count rows and the OR of their LCS rows as its statistics;
+`SplitStats.totals` reduces these to five integer totals, and `f_measures`
+turns the totals of any number of summaries, of one reference or of many,
+into ROUGE-1/2/L F-measures with `reward`'s float expressions (the results
+are bit-identical). `SplitStats.rewards` chains the two. The oracle, the
+greedy extractor and the trainer all take their statistics from it; the
+one-example-at-a-time builder it replaced is the slow reference in
+tests/reference.py.
 
 Both paths align sentences with `_lcs_positions`, which keeps each row of the
 LCS table as one int of bits over the candidate's positions (the bit-vector
@@ -22,10 +27,12 @@ program it replaced is the slow reference in tests/test_rouge.py.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+from . import slots_eq
 
 TokenList = Sequence[str]
 
@@ -38,10 +45,7 @@ class RougeScore:
         self.recall = recall
         self.f1 = f1
 
-    def __eq__(self, other):
-        if type(other) is not RougeScore:
-            return NotImplemented
-        return (self.precision, self.recall, self.f1) == (other.precision, other.recall, other.f1)
+    __eq__ = slots_eq
 
     @staticmethod
     def zero() -> "RougeScore":
@@ -195,53 +199,64 @@ def reward(
     return weights.combine(r1, r2, rl)
 
 
-# Columns of `SentenceStats.totals`.
+
+
+# Columns of `SplitStats.totals`.
 UNIGRAM_OVERLAP, BIGRAM_OVERLAP, TOKENS, BIGRAMS, LCS_MATCHES = range(5)
 
 
-class SentenceStats:
-    """Per-sentence ROUGE statistics of candidate sentence versions against
-    one reference.
+def _per_example(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-example `values` (N, ...) shaped to broadcast against (N, ..., ·)
+    arrays of `ndim` dimensions."""
+    return values.reshape(values.shape[:1] + (1,) * (ndim - 2) + values.shape[1:])
 
-    Row v of `counts` holds version v's unigram counts over the reference
-    unigram vocabulary, then its bigram counts over the reference bigram
-    vocabulary, then its token and bigram totals. Row v of `lcs` marks the
-    positions of the concatenated reference tokens that `_lcs_positions`
-    matches against version v, over every reference sentence.
+
+class SplitStats:
+    """ROUGE statistics of the sentence versions of N examples, each against
+    its own reference, padded to one integer record.
+
+    Row `counts[j, v]` holds version v of example j: its counts of the
+    example's reference unigrams in columns 0 .. unigrams - 1 and of its
+    reference bigrams in columns unigrams .. C - 1 (an example fills the
+    start of each block; the rest is zero), then the version's token and
+    bigram totals in columns C and C + 1. `lcs[j, v]` marks the positions of
+    the example's concatenated reference tokens (the first `ref_tokens[j]`
+    of T) that `_lcs_positions` matches against the version, over every
+    reference sentence. An empty version, or one past the end of its
+    example's list, is a zero row.
 
     N-grams never cross a sentence boundary and summary-level ROUGE-L is a
-    union of per-sentence matched positions, so a summary made of some of the
-    versions has the sum of their `counts` rows and the OR of their `lcs`
-    rows as its statistics, and `rewards` turns those into `reward`'s value
-    bit for bit.
+    union of per-sentence matched positions, so a summary made of some of an
+    example's versions has the sum of their `counts` rows and the OR of their
+    `lcs` rows as its statistics, and `rewards` turns those into `reward`'s
+    value bit for bit.
     """
 
-    __slots__ = ("counts", "lcs", "ref_counts", "unigrams", "ref_bigrams")
+    __slots__ = ("counts", "lcs", "ref_counts", "unigrams", "ref_tokens", "ref_bigrams")
 
     def __init__(
         self,
-        counts: np.ndarray,  # (V, U1 + U2 + 2) int64
-        lcs: np.ndarray,  # (V, T) bool, T reference tokens
-        ref_counts: np.ndarray,  # (U1 + U2,) reference n-gram counts
-        unigrams: int,  # U1
-        ref_bigrams: int,  # reference bigram total
+        counts: np.ndarray,  # (N, S, C + 2) int64
+        lcs: np.ndarray,  # (N, S, T) bool
+        ref_counts: np.ndarray,  # (N, C) reference n-gram counts, zero-padded
+        unigrams: int,  # the unigram columns: 0 .. unigrams - 1
+        ref_tokens: np.ndarray,  # (N,) int64
+        ref_bigrams: np.ndarray,  # (N,) int64
     ):
         self.counts = counts
         self.lcs = lcs
         self.ref_counts = ref_counts
         self.unigrams = unigrams
+        self.ref_tokens = ref_tokens
         self.ref_bigrams = ref_bigrams
 
-    @property
-    def ref_tokens(self) -> int:
-        return self.lcs.shape[1]
-
     def totals(self, counts: np.ndarray, lcs: np.ndarray) -> np.ndarray:
-        """Integer totals (..., 5) of every summary whose summed `counts`
-        rows and OR-ed `lcs` rows are given, along the leading axes: clipped
-        unigram and bigram overlap, tokens, bigrams and LCS-matched reference
-        tokens (columns UNIGRAM_OVERLAP ... LCS_MATCHES)."""
-        overlap = np.minimum(counts[..., :-2], self.ref_counts)
+        """Integer totals (N, ..., 5) of every summary whose summed `counts`
+        rows (N, ..., C + 2) and OR-ed `lcs` rows (N, ..., T) are given,
+        example j's summaries along axis 0 at j: clipped unigram and bigram
+        overlap, tokens, bigrams and LCS-matched reference tokens (columns
+        UNIGRAM_OVERLAP ... LCS_MATCHES)."""
+        overlap = np.minimum(counts[..., :-2], _per_example(self.ref_counts, counts.ndim))
         return np.stack(
             [
                 overlap[..., : self.unigrams].sum(axis=-1),
@@ -256,15 +271,36 @@ class SentenceStats:
     def rewards(
         self, counts: np.ndarray, lcs: np.ndarray, weights: RewardWeights = RewardWeights()
     ) -> np.ndarray:
-        """`reward` of every summary whose summed `counts` rows and OR-ed
-        `lcs` rows are given, along the leading axes."""
-        totals = self.totals(counts, lcs)
-        return weights.combine(*f_measures(totals, self.ref_tokens, self.ref_bigrams))
+        """`reward` (N, ...) of every summary whose summed `counts` rows and
+        OR-ed `lcs` rows are given, as in `totals`."""
+        ndim = counts.ndim
+        ref_tokens = _per_example(self.ref_tokens, ndim)
+        ref_bigrams = _per_example(self.ref_bigrams, ndim)
+        return weights.combine(*f_measures(self.totals(counts, lcs), ref_tokens, ref_bigrams))
+
+    def example(self, j: int, rows: int) -> "SplitStats":
+        """Example j's first `rows` versions as a record of their own
+        (N = 1), cut to the example's own n-gram columns and reference
+        tokens."""
+        U, C = self.unigrams, self.ref_counts.shape[1]
+        # an example's columns are the reference n-grams it has, so their
+        # reference counts are positive and its padding columns zero
+        u = int(np.count_nonzero(self.ref_counts[j, :U]))
+        b = int(np.count_nonzero(self.ref_counts[j, U:]))
+        cols = np.r_[0:u, U : U + b, C, C + 1]
+        return SplitStats(
+            counts=self.counts[j : j + 1, :rows, cols],
+            lcs=self.lcs[j : j + 1, :rows, : self.ref_tokens[j]],
+            ref_counts=self.ref_counts[j : j + 1, cols[:-2]],
+            unigrams=u,
+            ref_tokens=self.ref_tokens[j : j + 1],
+            ref_bigrams=self.ref_bigrams[j : j + 1],
+        )
 
 
 def f_measures(totals: np.ndarray, ref_tokens, ref_bigrams) -> tuple[np.ndarray, ...]:
     """ROUGE-1, ROUGE-2 and ROUGE-L F of every summary with the given
-    `SentenceStats.totals`, against references of `ref_tokens` tokens and
+    `SplitStats.totals`, against references of `ref_tokens` tokens and
     `ref_bigrams` bigrams (scalars, or arrays that broadcast against the
     leading axes of `totals`), as `rouge_n` and `rouge_l` compute them."""
     tokens = totals[..., TOKENS]
@@ -289,37 +325,92 @@ def _f1_array(overlap: np.ndarray, total: np.ndarray, ref_total, clamp: bool = F
     return np.where(valid, 2 * p * r / np.where(valid, s, 1.0), 0.0)
 
 
-def sentence_stats(versions: Sequence[TokenList], reference) -> SentenceStats:
-    """`SentenceStats` of each sentence version against `reference` (a
-    ReferenceSummary or a plain list of token lists)."""
-    ref_sents = getattr(reference, "sentences", reference)
-    ref_grams = [_pooled_ngrams(ref_sents, n) for n in (1, 2)]
-    # Unigram columns are keyed by the token, bigram columns by the pair.
-    keys = [g[0] for g in ref_grams[0]] + list(ref_grams[1])
-    column = {g: i for i, g in enumerate(keys)}
-    width = len(column) + 2
-    offsets = np.cumsum([0] + [len(s) for s in ref_sents])
-    ref_tokens = int(offsets[-1])
-    cells: list[int] = []  # flat indices into counts, one per n-gram hit
+def _ngrams_of(ids: list[int], lengths: list[int]) -> tuple[np.ndarray, ...]:
+    """Of sentences given as their concatenated token ids and their lengths:
+    the ids (T,), each token's sentence (T,), and the first and second id
+    and the sentence of every bigram inside one sentence."""
+    tokens = np.array(ids, dtype=np.int64)
+    sentence = np.repeat(np.arange(len(lengths)), np.array(lengths, dtype=np.intp))
+    inner = np.flatnonzero(sentence[1:] == sentence[:-1])
+    return tokens, sentence, tokens[inner], tokens[inner + 1], sentence[inner]
+
+
+def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitStats:
+    """`SplitStats` of the sentence versions `versions[j]` of every example
+    j against `references[j]` (a ReferenceSummary or a plain list of token
+    lists), padded to the longest list of versions.
+
+    One dict pass gives every token an id in its example's reference
+    vocabulary, in order of first appearance (-1 for a token the reference
+    lacks), and a unigram's column is its id. A bigram is a key made of its
+    example and its two ids; an example's bigram columns are its distinct
+    reference keys (`np.unique`), and a version bigram of two known tokens
+    finds its column by `searchsorted`. All counts then come from one
+    `np.bincount`. The LCS rows take one `_lcs_positions` call per
+    (version, reference sentence) pair; one without a common token returns
+    at once.
+    """
+    refs = [getattr(r, "sentences", r) for r in references]
+    N, S = len(versions), max(map(len, versions), default=0)
+    vocabs: list[dict[str, int]] = [{} for _ in refs]
+    ref_ids = [vocab.setdefault(t, len(vocab)) for ref, vocab in zip(refs, vocabs) for sent in ref for t in sent]
+    sentences = [sent for vs in versions for sent in vs]
+    ids = [get(t, -1) for vs, get in zip(versions, [v.get for v in vocabs]) for sent in vs for t in sent]
+    U = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
+    # example j's bigram (a, b) is key offset[j] + a * U[j] + b
+    offset = np.cumsum(U * U) - U * U
+
+    ref_owner = np.repeat(np.arange(N), np.array([len(ref) for ref in refs], dtype=np.intp))
+    tok, sent, first, second, pair_sent = _ngrams_of(ref_ids, [len(s) for ref in refs for s in ref])
+    owner = ref_owner[pair_sent]
+    cols, at, ref_pair_counts = np.unique(
+        offset[owner] + first * U[owner] + second, return_index=True, return_counts=True
+    )
+    col_owner = owner[at]
+    rank = np.arange(len(cols)) - np.searchsorted(col_owner, col_owner)
+    CU = int(U.max(initial=0))
+    C = CU + int(np.bincount(col_owner, minlength=N).max(initial=0))
+    ref_counts = np.zeros((N, C), dtype=np.int64)
+    ref_counts[:, :CU] = np.bincount(ref_owner[sent] * CU + tok, minlength=N * CU).reshape(N, CU)
+    ref_counts[col_owner, CU + rank] = ref_pair_counts
+
+    per_example = np.array([len(vs) for vs in versions], dtype=np.intp)
+    owner = np.repeat(np.arange(N), per_example)
+    row = owner * S + np.arange(len(sentences)) - np.repeat(np.cumsum(per_example) - per_example, per_example)
+    lengths = [len(s) for s in sentences]
+    tok, sent, first, second, pair_sent = _ngrams_of(ids, lengths)
+    known = (first >= 0) & (second >= 0)
+    first, second, pair_sent = first[known], second[known], pair_sent[known]
+    owner = owner[pair_sent]
+    keys = offset[owner] + first * U[owner] + second
+    col = np.searchsorted(cols, keys)
+    hit = np.append(cols, -1)[col] == keys
+    cells = np.concatenate(
+        [(row[sent] * (C + 2) + tok)[tok >= 0], row[pair_sent][hit] * (C + 2) + CU + rank[col[hit]]]
+    )
+    counts = np.bincount(cells, minlength=N * S * (C + 2)).astype(np.int64, copy=False)
+    counts = counts.reshape(N, S, C + 2)
+    length = np.array(lengths, dtype=np.int64)
+    counts.reshape(-1, C + 2)[row, C] = length
+    counts.reshape(-1, C + 2)[row, C + 1] = np.maximum(length - 1, 0)
+
+    ref_tokens = np.array([sum(map(len, ref)) for ref in refs], dtype=np.int64)
+    T = int(ref_tokens.max(initial=0))
     matched: list[int] = []  # flat indices into lcs
-    for v, sent in enumerate(versions):
-        base = v * width
-        cells += [base + c for c in map(column.get, chain(sent, zip(sent, sent[1:]))) if c is not None]
-        masks = _match_masks(sent)
-        base = v * ref_tokens
-        for ref_sent, start in zip(ref_sents, offsets.tolist()):
-            matched += [base + start + pos for pos in _lcs_positions(ref_sent, sent, masks)]
-    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(versions) * width)
-    counts = counts.astype(np.int64, copy=False).reshape(len(versions), width)
-    lengths = np.array([len(sent) for sent in versions], dtype=np.int64)
-    counts[:, -2] = lengths
-    counts[:, -1] = np.maximum(lengths - 1, 0)
-    lcs = np.zeros((len(versions), ref_tokens), dtype=bool)
+    for j, (vs, ref) in enumerate(zip(versions, refs)):
+        starts = list(accumulate(map(len, ref), initial=0))
+        for v, version in enumerate(vs):
+            masks = _match_masks(version)
+            base = (j * S + v) * T
+            for ref_sent, start in zip(ref, starts):
+                matched += [base + start + pos for pos in _lcs_positions(ref_sent, version, masks)]
+    lcs = np.zeros((N, S, T), dtype=bool)
     lcs.reshape(-1)[matched] = True
-    return SentenceStats(
+    return SplitStats(
         counts=counts,
         lcs=lcs,
-        ref_counts=np.array([c for grams in ref_grams for c in grams.values()], dtype=np.int64),
-        unigrams=len(ref_grams[0]),
-        ref_bigrams=sum(ref_grams[1].values()),
+        ref_counts=ref_counts,
+        unigrams=CU,
+        ref_tokens=ref_tokens,
+        ref_bigrams=np.array([sum(max(len(s) - 1, 0) for s in ref) for ref in refs], dtype=np.int64),
     )

@@ -1,22 +1,26 @@
 """Extractor and abstractor interfaces with deterministic defaults.
 
 Extractors return the selected sentence order plus a selection likelihood
-P(s) in (0, 1] for every sentence. The abstractor works on a chunk of up to
-three consecutive sentences, rescales per-word attention by the owning
-sentence's P(s), and compresses the center sentence to its most salient
-tokens. Third-party extractors/abstractors plug in behind the same contracts
-(determinism, P(s) in (0,1], non-empty abstraction).
+P(s) in (0, 1] for every sentence. The greedy oracle extractor runs on a
+batch of documents at once (`extract_greedy_oracle`), from one
+`rouge.split_stats` record of all their sentences; its per-example callable
+(`GreedyOracleExtractor`) is the one-document batch. The abstractor works on
+a chunk of up to three consecutive sentences, rescales per-word attention by
+the owning sentence's P(s), and compresses the center sentence to its most
+salient tokens. Third-party extractors/abstractors plug in behind the same
+contracts (determinism, P(s) in (0,1], non-empty abstraction).
 """
 from __future__ import annotations
 
 import math
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+from . import slots_eq
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `summarizers.reward` by name.
-from .rouge import RewardWeights, reward, sentence_stats
+from .rouge import RewardWeights, reward, split_stats
 from .text import Document, Example, Sentence
 
 STOPWORDS = frozenset(
@@ -43,10 +47,7 @@ class ExtractResult:
         self.order = order
         self.likelihood = likelihood
 
-    def __eq__(self, other):
-        if type(other) is not ExtractResult:
-            return NotImplemented
-        return (self.order, self.likelihood) == (other.order, other.likelihood)
+    __eq__ = slots_eq
 
 
 class Chunk:
@@ -100,44 +101,64 @@ def extract_lead(document: Document, k: int) -> ExtractResult:
     return ExtractResult(order=order, likelihood=likelihood)
 
 
-def extract_greedy_oracle(example: Example, k: int, weights: RewardWeights) -> ExtractResult:
-    """Greedy reward-maximizing extractor used to build training data.
+def extract_greedy_oracle(
+    examples: Sequence[Example], k: int, weights: RewardWeights
+) -> list[ExtractResult]:
+    """Greedy reward-maximizing extractor used to build training data, run
+    on a batch of examples at once.
 
-    Adds the sentence with the best marginal reward gain (ties: lowest index)
-    until k sentences are selected or no addition strictly improves the
-    reward. Each step scores every candidate at once from per-sentence ROUGE
-    statistics (the selection's running sums plus the candidate's row).
-    Selected sentences get P(s) = softmax over their selection-step gains;
-    unselected ones get a small positive floor.
+    For each document, adds the sentence with the best marginal reward gain
+    (ties: lowest index) until k sentences are selected or no addition
+    strictly improves the reward. The ROUGE statistics of every sentence of
+    every document come from one `split_stats` call, and each step scores
+    every candidate of every document at once (the selection's running sums
+    plus the candidate's row); a document that has stopped takes no more
+    sentences. Selected sentences get P(s) = softmax over their
+    selection-step gains; unselected ones get a small positive floor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    doc = example.document
-    stats = sentence_stats([doc.tokens_at(i) for i in range(len(doc))], example.reference)
-    counts, lcs = np.zeros_like(stats.counts[0]), np.zeros_like(stats.lcs[0])
-    unselected = np.ones(len(doc), dtype=bool)
-    selected: list[int] = []
-    gains: list[float] = []
-    current = 0.0
-    while len(selected) < min(k, len(doc)):
+    documents = [ex.document for ex in examples]
+    stats = split_stats([[s.tokens for s in doc.sentences] for doc in documents], [ex.reference for ex in examples])
+    D, S = stats.counts.shape[:2]
+    sizes = np.array([len(doc) for doc in documents], dtype=np.intp)
+    steps = min(k, S)
+    docs = np.arange(D)
+    counts = np.zeros((D, 1, stats.counts.shape[2]), dtype=np.int64)
+    lcs = np.zeros((D, 1, stats.lcs.shape[2]), dtype=bool)
+    unselected = np.arange(S) < sizes[:, None]
+    active = np.ones(D, dtype=bool)
+    current = np.zeros(D)
+    order = np.zeros((D, steps), dtype=np.intp)
+    gains = np.zeros((D, steps))
+    taken = np.zeros(D, dtype=np.intp)
+    for step in range(steps):
         rewards = stats.rewards(counts + stats.counts, lcs | stats.lcs, weights)
-        best_idx = int(np.argmax(np.where(unselected, rewards, -np.inf)))
-        best_reward = float(rewards[best_idx])
-        if selected and best_reward <= current:
+        best = np.argmax(np.where(unselected, rewards, -np.inf), axis=1)
+        best_reward = rewards[docs, best]
+        take = (active & (best_reward > current)) if step else active
+        chosen, sentence = docs[take], best[take]
+        order[take, step] = sentence
+        gains[take, step] = best_reward[take] - current[take]
+        current[take] = best_reward[take]
+        unselected[chosen, sentence] = False
+        counts[chosen, 0] += stats.counts[chosen, sentence]
+        lcs[chosen, 0] |= stats.lcs[chosen, sentence]
+        taken += take
+        active = take & (taken < np.minimum(sizes, k))
+        if not active.any():
             break
-        selected.append(best_idx)
-        unselected[best_idx] = False
-        counts += stats.counts[best_idx]
-        lcs |= stats.lcs[best_idx]
-        gains.append(best_reward - current)
-        current = best_reward
-    g = np.array(gains)
-    p_sel = np.exp(g - g.max())
-    p_sel /= p_sel.sum()
-    likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(len(doc))}
-    for i, p in zip(selected, p_sel):
-        likelihood[i] = float(p)
-    return ExtractResult(order=tuple(selected), likelihood=likelihood)
+    results = []
+    for j, n in enumerate(taken.tolist()):
+        g = gains[j, :n]
+        p_sel = np.exp(g - g.max())
+        p_sel /= p_sel.sum()
+        likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(sizes[j])}
+        selected = order[j, :n].tolist()
+        for i, p in zip(selected, p_sel.tolist()):
+            likelihood[i] = p
+        results.append(ExtractResult(order=tuple(selected), likelihood=likelihood))
+    return results
 
 
 def make_chunk(document: Document, i: int) -> Chunk:
@@ -226,7 +247,7 @@ class GreedyOracleExtractor:
         self.weights = weights
 
     def __call__(self, example: Example) -> ExtractResult:
-        return extract_greedy_oracle(example, self.k, self.weights)
+        return extract_greedy_oracle([example], self.k, self.weights)[0]
 
 
 class SalienceAbstractor:

@@ -7,12 +7,49 @@ Strings are space-separated tokens (the corpus is assumed pre-tokenized).
 from __future__ import annotations
 
 import json
-import logging
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
-log = logging.getLogger(__name__)
+from . import slots_eq
+
+
+# [stream, handler] of each command running in this process, innermost
+# last; the handler is attached by the command's first warning.
+_command_streams: list[list] = []
+
+
+@contextmanager
+def command_warnings(stream):
+    """Print the warnings logged inside the block to `stream`, one line each
+    (`WARNING sumedit.text: rejected record: ...`). The first of them
+    imports `logging` and attaches one WARNING handler for `stream` to the
+    `sumedit` logger, and the block's end detaches it. Only a rejected
+    record or a failed example logs, so a clean command never imports
+    `logging` (nor the threading and traceback modules it loads)."""
+    sink = [stream, None]
+    _command_streams.append(sink)
+    try:
+        yield
+    finally:
+        _command_streams.remove(sink)
+        if sink[1] is not None:
+            import logging
+
+            logging.getLogger("sumedit").removeHandler(sink[1])
+
+
+def warn(name: str, message: str, *args) -> None:
+    """Log a warning on the logger `name` (see `command_warnings`)."""
+    import logging
+
+    if _command_streams and _command_streams[-1][1] is None:
+        handler = logging.StreamHandler(_command_streams[-1][0])
+        handler.setLevel(logging.WARNING)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logging.getLogger("sumedit").addHandler(handler)
+        _command_streams[-1][1] = handler
+    logging.getLogger(name).warning(message, *args)
 
 
 class DatasetError(ValueError):
@@ -36,10 +73,7 @@ class Sentence:
         self.index = index
         self.tokens = tokens
 
-    def __eq__(self, other):
-        if type(other) is not Sentence:
-            return NotImplemented
-        return (self.index, self.tokens) == (other.index, other.tokens)
+    __eq__ = slots_eq
 
 
 class Document:
@@ -54,10 +88,7 @@ class Document:
         self.id = id
         self.sentences = sentences
 
-    def __eq__(self, other):
-        if type(other) is not Document:
-            return NotImplemented
-        return (self.id, self.sentences) == (other.id, other.sentences)
+    __eq__ = slots_eq
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -74,10 +105,7 @@ class ReferenceSummary:
             raise ValueError("reference summary sentences must be non-empty")
         self.sentences = sentences
 
-    def __eq__(self, other):
-        if type(other) is not ReferenceSummary:
-            return NotImplemented
-        return self.sentences == other.sentences
+    __eq__ = slots_eq
 
 
 class Example:
@@ -87,19 +115,7 @@ class Example:
         self.document = document
         self.reference = reference
 
-    def __eq__(self, other):
-        if type(other) is not Example:
-            return NotImplemented
-        return (self.document, self.reference) == (other.document, other.reference)
-
-
-def document_from_strings(doc_id: str, sentences: list[str]) -> Document:
-    return Document(
-        id=doc_id,
-        sentences=tuple(
-            Sentence(i, tuple(tokenize(s))) for i, s in enumerate(sentences)
-        ),
-    )
+    __eq__ = slots_eq
 
 
 class IngestReport:
@@ -198,7 +214,7 @@ def ingest_dataset(path) -> tuple[list[Example], IngestReport]:
             report.rejected += 1
             reason = f"line {lineno}: empty article or highlights"
             report.reject_reasons.append(reason)
-            log.warning("rejected record: %s", reason)
+            warn(__name__, "rejected record: %s", reason)
             continue
         ref = ReferenceSummary(sentences=tuple(tuple(t) for t in highlights))
         examples.append(Example(document=_document(rec["id"], article), reference=ref))

@@ -15,10 +15,10 @@ under a fixed seed with a single worker.
 
 Decoded summaries are scored without realizing them: each summary is one of
 the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
-totals are the summed `rouge.sentence_stats` rows of the chosen sentence
+totals are the summed `rouge.split_stats` rows of the chosen sentence
 versions (extracted sentences, then abstractions). The statistics of a split
-are computed once (before the first epoch for validation) and padded into
-integer records of at most `editor.DECODE_CHUNK` examples (`SplitStats`).
+are computed once (before the first epoch for validation), one
+`split_stats` call per record of at most `editor.DECODE_CHUNK` examples.
 The decisions select rows of a record as E/A masks, so its totals are one
 integer contraction, one masked `any` and one clip, and `rouge.f_measures`
 turns them into F-measures bit-identical to `rouge.reward` on every summary.
@@ -40,7 +40,7 @@ from .oracle import LabeledExample
 # training no longer calls them: the benchmark's tracer (perfbench) wraps
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
 from .editor import context_from_abstractions
-from .rouge import RewardWeights, f_measures, reward, sentence_stats
+from .rouge import RewardWeights, SplitStats, f_measures, reward, split_stats
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
@@ -114,97 +114,49 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
     return y
 
 
-class SplitStats:
-    """ROUGE statistics of the sentence versions of up to DECODE_CHUNK
-    consecutive examples of a split, padded to one integer record.
-
-    `counts[j, 0, i]` is the `rouge.sentence_stats` row of example j's
-    extracted sentence i and `counts[j, 1, i]` that of its abstraction: its
-    reference n-gram counts, zero-padded to C columns, then the version's
-    token and bigram totals. `lcs` marks the matched reference tokens the
-    same way, padded to T. Steps past an extract's end are all zero, so a
-    decision there adds nothing.
-    """
-
-    __slots__ = ("counts", "lcs", "ref_counts", "unigram", "ref_tokens", "ref_bigrams")
-
-    def __init__(
-        self,
-        counts: np.ndarray,  # (N, 2, L, C + 2) int64
-        lcs: np.ndarray,  # (N, 2, L, T) bool
-        ref_counts: np.ndarray,  # (N, C) reference n-gram counts, zero-padded
-        unigram: np.ndarray,  # (N, C) bool, the unigram columns
-        ref_tokens: np.ndarray,  # (N,) int64
-        ref_bigrams: np.ndarray,  # (N,) int64
-    ):
-        self.counts = counts
-        self.lcs = lcs
-        self.ref_counts = ref_counts
-        self.unigram = unigram
-        self.ref_tokens = ref_tokens
-        self.ref_bigrams = ref_bigrams
-
-
-def _padded_stats(pairs: Sequence[LabeledPair]) -> SplitStats:
-    stats = [
-        sentence_stats(
-            tuple(example.document.tokens_at(i) for i in lab.extract.order)
-            + tuple(map(tuple, lab.abstractions)),
-            example.reference,
-        )
-        for example, lab in pairs
-    ]
-    N, L = len(stats), max(len(st.counts) // 2 for st in stats)
-    C, T = max(len(st.ref_counts) for st in stats), max(st.ref_tokens for st in stats)
-    counts = np.zeros((N, 2, L, C + 2), dtype=np.int64)
-    lcs = np.zeros((N, 2, L, T), dtype=bool)
-    ref_counts = np.zeros((N, C), dtype=np.int64)
-    for j, st in enumerate(stats):
-        l, c = len(st.counts) // 2, len(st.ref_counts)
-        rows = st.counts.reshape(2, l, c + 2)
-        counts[j, :, :l, :c] = rows[..., :c]
-        counts[j, :, :l, C:] = rows[..., c:]
-        lcs[j, :, :l, : st.ref_tokens] = st.lcs.reshape(2, l, -1)
-        ref_counts[j, :c] = st.ref_counts
-    return SplitStats(
-        counts=counts,
-        lcs=lcs,
-        ref_counts=ref_counts,
-        unigram=np.arange(C) < np.array([[st.unigrams] for st in stats]),
-        ref_tokens=np.array([st.ref_tokens for st in stats], dtype=np.int64),
-        ref_bigrams=np.array([st.ref_bigrams for st in stats], dtype=np.int64),
-    )
-
-
 def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
-    """The statistics of a split's 2l sentence versions per example (the
-    extracted sentences, then their abstractions) against its reference, in
-    records of at most DECODE_CHUNK examples, so that no record is as wide
-    as the widest reference of a whole large split."""
-    chunk = editor.DECODE_CHUNK
-    return [_padded_stats(pairs[start : start + chunk]) for start in range(0, len(pairs), chunk)]
+    """The statistics of a split's 2l sentence versions per example against
+    its reference, in records of at most DECODE_CHUNK examples, so that no
+    record is as wide as the widest reference of a whole large split.
+
+    Example j's versions are its extracted sentences padded to the record's
+    longest extract L with empty versions (zero rows), then its
+    abstractions padded the same way: version row k * L + i is decision k
+    (an index into DECISIONS) at step i.
+    """
+    records = []
+    for start in range(0, len(pairs), editor.DECODE_CHUNK):
+        chunk = pairs[start : start + editor.DECODE_CHUNK]
+        L = max(len(lab.extract.order) for _, lab in chunk)
+        pad = [()] * L
+        records.append(
+            split_stats(
+                [
+                    ([example.document.tokens_at(i) for i in lab.extract.order] + pad)[:L]
+                    + (list(lab.abstractions) + pad)[:L]
+                    for example, lab in chunk
+                ],
+                [example.reference for example, _ in chunk],
+            )
+        )
+    return records
 
 
 def _totals(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndarray, ...]:
-    """`SentenceStats.totals` (N, 5) of every decoded summary, with the
+    """`SplitStats.totals` (N, 5) of every decoded summary, with the
     reference token and bigram totals (N,) of its example: decision k (an
-    index into DECISIONS) at step i takes version row (k, i), and REJECT
+    index into DECISIONS) at step i takes version row k * L + i, and REJECT
     takes none. All sums are integer sums, so they are exact."""
     parts = [(np.zeros((0, 5), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     start = 0
     for record in stats:
-        N, _, L, _ = record.counts.shape
+        N, L = record.counts.shape[0], record.counts.shape[1] // 2
         rows = decisions[start : start + N, :L]
         start += N
-        chosen = np.stack([rows == EXTRACT, rows == ABSTRACT], axis=1)  # (N, 2, L)
-        summed = np.einsum("nkl,nklw->nw", chosen, record.counts)
-        matched = (record.lcs & chosen[..., None]).any(axis=(1, 2)).sum(axis=1)
-        overlap = np.minimum(summed[:, :-2], record.ref_counts)
-        unigram = np.where(record.unigram, overlap, 0).sum(axis=1)
-        totals = np.stack(
-            [unigram, overlap.sum(axis=1) - unigram, summed[:, -2], summed[:, -1], matched], axis=1
-        )
-        parts.append((totals, record.ref_tokens, record.ref_bigrams))
+        chosen = np.concatenate([rows == EXTRACT, rows == ABSTRACT], axis=1)  # (N, 2L)
+        summed = np.einsum("nv,nvw->nw", chosen, record.counts)
+        matched = (record.lcs & chosen[..., None]).any(axis=1)
+        parts.append((record.totals(summed, matched), record.ref_tokens, record.ref_bigrams))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

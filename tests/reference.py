@@ -1,7 +1,11 @@
 """Slow references shared by several test modules."""
+from itertools import chain
+
 import numpy as np
 
 from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
+from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
+from sumedit.summarizers import UNSELECTED_LIKELIHOOD
 
 
 def soft_cross_entropy(distributions, labels) -> float:
@@ -50,3 +54,122 @@ def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
         q[i] = np.tanh(h[i] @ params.W_g.T)
         g[i + 1] = g[i] + q[i]
     return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
+
+
+class SentenceStats:
+    """Per-example ROUGE statistics of candidate sentence versions against
+    one reference (the slow reference for `rouge.split_stats`).
+
+    Row v of `counts` holds version v's unigram counts over the reference
+    unigram vocabulary, then its bigram counts over the reference bigram
+    vocabulary (both in order of first appearance in the reference), then
+    its token and bigram totals. Row v of `lcs` marks the positions of the
+    concatenated reference tokens that `_lcs_positions` matches against
+    version v, over every reference sentence.
+    """
+
+    __slots__ = ("counts", "lcs", "ref_counts", "unigrams", "ref_bigrams")
+
+    def __init__(self, counts, lcs, ref_counts, unigrams, ref_bigrams):
+        self.counts = counts  # (V, U1 + U2 + 2) int64
+        self.lcs = lcs  # (V, T) bool, T reference tokens
+        self.ref_counts = ref_counts  # (U1 + U2,) reference n-gram counts
+        self.unigrams = unigrams  # U1
+        self.ref_bigrams = ref_bigrams  # reference bigram total
+
+    @property
+    def ref_tokens(self) -> int:
+        return self.lcs.shape[1]
+
+    def totals(self, counts, lcs):
+        """Integer totals (..., 5) of every summary whose summed `counts`
+        rows and OR-ed `lcs` rows are given, along the leading axes."""
+        overlap = np.minimum(counts[..., :-2], self.ref_counts)
+        return np.stack(
+            [
+                overlap[..., : self.unigrams].sum(axis=-1),
+                overlap[..., self.unigrams :].sum(axis=-1),
+                counts[..., -2],
+                counts[..., -1],
+                lcs.sum(axis=-1),
+            ],
+            axis=-1,
+        )
+
+    def rewards(self, counts, lcs, weights=RewardWeights()):
+        """`reward` of every summary whose summed `counts` rows and OR-ed
+        `lcs` rows are given, along the leading axes."""
+        totals = self.totals(counts, lcs)
+        return weights.combine(*f_measures(totals, self.ref_tokens, self.ref_bigrams))
+
+
+def sentence_stats(versions, reference) -> SentenceStats:
+    """`SentenceStats` of each sentence version against `reference` (a
+    ReferenceSummary or a plain list of token lists), one example at a time:
+    dict lookups of each version's n-grams and `_lcs_positions` per
+    reference sentence."""
+    ref_sents = getattr(reference, "sentences", reference)
+    ref_grams = [_pooled_ngrams(ref_sents, n) for n in (1, 2)]
+    # Unigram columns are keyed by the token, bigram columns by the pair.
+    keys = [g[0] for g in ref_grams[0]] + list(ref_grams[1])
+    column = {g: i for i, g in enumerate(keys)}
+    width = len(column) + 2
+    offsets = np.cumsum([0] + [len(s) for s in ref_sents])
+    ref_tokens = int(offsets[-1])
+    cells: list[int] = []  # flat indices into counts, one per n-gram hit
+    matched: list[int] = []  # flat indices into lcs
+    for v, sent in enumerate(versions):
+        base = v * width
+        cells += [base + c for c in map(column.get, chain(sent, zip(sent, sent[1:]))) if c is not None]
+        masks = _match_masks(sent)
+        base = v * ref_tokens
+        for ref_sent, start in zip(ref_sents, offsets.tolist()):
+            matched += [base + start + pos for pos in _lcs_positions(ref_sent, sent, masks)]
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(versions) * width)
+    counts = counts.astype(np.int64, copy=False).reshape(len(versions), width)
+    lengths = np.array([len(sent) for sent in versions], dtype=np.int64)
+    counts[:, -2] = lengths
+    counts[:, -1] = np.maximum(lengths - 1, 0)
+    lcs = np.zeros((len(versions), ref_tokens), dtype=bool)
+    lcs.reshape(-1)[matched] = True
+    return SentenceStats(
+        counts=counts,
+        lcs=lcs,
+        ref_counts=np.array([c for grams in ref_grams for c in grams.values()], dtype=np.int64),
+        unigrams=len(ref_grams[0]),
+        ref_bigrams=sum(ref_grams[1].values()),
+    )
+
+
+def greedy_oracle(example, k, weights):
+    """Slow reference for `summarizers.extract_greedy_oracle`: one document
+    at a time, from its `sentence_stats`, with a Python loop over the steps.
+    Returns (order, likelihood)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    doc = example.document
+    stats = sentence_stats([doc.tokens_at(i) for i in range(len(doc))], example.reference)
+    counts, lcs = np.zeros_like(stats.counts[0]), np.zeros_like(stats.lcs[0])
+    unselected = np.ones(len(doc), dtype=bool)
+    selected: list[int] = []
+    gains: list[float] = []
+    current = 0.0
+    while len(selected) < min(k, len(doc)):
+        rewards = stats.rewards(counts + stats.counts, lcs | stats.lcs, weights)
+        best_idx = int(np.argmax(np.where(unselected, rewards, -np.inf)))
+        best_reward = float(rewards[best_idx])
+        if selected and best_reward <= current:
+            break
+        selected.append(best_idx)
+        unselected[best_idx] = False
+        counts += stats.counts[best_idx]
+        lcs |= stats.lcs[best_idx]
+        gains.append(best_reward - current)
+        current = best_reward
+    g = np.array(gains)
+    p_sel = np.exp(g - g.max())
+    p_sel /= p_sel.sum()
+    likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(len(doc))}
+    for i, p in zip(selected, p_sel):
+        likelihood[i] = float(p)
+    return tuple(selected), likelihood

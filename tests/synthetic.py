@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sumedit.text import Document, Example, ReferenceSummary, Sentence
+from sumedit.text import Document, Example, ReferenceSummary, Sentence, tokenize
 
 # Stopwords inside reference sentences (kept by E, stripped by abstraction)
 # versus padding stopwords that never occur in the reference.
@@ -19,6 +19,14 @@ REF_STOPS = ("the", "a")
 NOISE_STOPS = ("of", "and", "in")
 
 VOCAB = tuple(f"w{i}" for i in range(40))
+
+
+def document_from_strings(doc_id: str, sentences: list[str]) -> Document:
+    """A document of raw sentence strings, tokenized as ingest does."""
+    return Document(
+        id=doc_id,
+        sentences=tuple(Sentence(i, tuple(tokenize(s))) for i, s in enumerate(sentences)),
+    )
 
 
 def make_example(example_id: str, rng: np.random.Generator, k: int = 2) -> Example:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reference import soft_cross_entropy
-from synthetic import make_corpus
+from synthetic import document_from_strings, make_corpus
 from sumedit import cli, text
 from sumedit.editor import (
     DECISION_INDEX,
@@ -38,7 +38,7 @@ from sumedit.summarizers import (
     extract_lead,
     rescale_attention,
 )
-from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.text import Example, ReferenceSummary
 from sumedit.trainer import TrainConfig, evaluate, train
 
 E, A, R = DECISIONS

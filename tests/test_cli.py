@@ -309,6 +309,56 @@ class TestLabelFailureLog:
             assert sum(example_id in ln for ln in lines) == 1
 
 
+# Runs one command through `cli.run()`, the process entry point, and reports
+# its exit status and whether `logging` was imported.
+RUN_PROBE = (
+    "import sys\n"
+    "from sumedit import cli\n"
+    "sys.argv[0] = 'sumedit'\n"
+    "try:\n"
+    "    cli.run()\n"
+    "except SystemExit as exc:\n"
+    "    print('exit', exc.code, 'logging' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def run_entry_point(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    _, code, imported = proc.stderr.splitlines()[-1].split()
+    return int(code), imported == "True", proc
+
+
+class TestLoggingImportedOnlyToLog:
+    """Only a rejected record or a failed example logs, so a clean command
+    never imports `logging` (and the threading and traceback modules it
+    loads); a command that logs still prints its warning lines."""
+
+    def test_clean_commands_do_not_import_logging(self, workspace):
+        cfg = str(write_config(workspace))
+        greedy = str(write_config(workspace, extractor="greedy"))
+        ckpt = str(checkpoint(workspace, [0.0, 0.0, 0.0]))
+        commands = [
+            ["label", "--config", cfg, "--split", "train", "--split", "val", "--split", "test"],
+            ["train", "--config", cfg],
+            ["evaluate", "--config", cfg, "--checkpoint", ckpt],
+            ["summarize", "--config", cfg, "--checkpoint", ckpt, "--document", str(workspace / "test.jsonl")],
+            ["summarize", "--config", greedy, "--checkpoint", ckpt, "--document", str(workspace / "test.jsonl")],
+        ]
+        for argv in commands:
+            code, imported, proc = run_entry_point(*argv)
+            assert (code, imported) == (0, False), (argv[0], proc.stderr)
+
+    def test_a_failed_example_imports_it_and_logs(self, workspace):
+        cfg = str(write_config(workspace, cap=2))  # every extract has l = 3
+        code, imported, proc = run_entry_point("label", "--config", cfg, "--split", "val")
+        assert (code, imported) == (1, True)
+        failed = [ln for ln in proc.stderr.splitlines() if "labeling failed" in ln]
+        assert len(failed) == 6 and all(ln.startswith("WARNING sumedit.oracle: labeling failed: ") for ln in failed)
+
+
 def duplicate_first_id(path):
     """Append a copy of a dataset's first record with other sentences;
     returns the shared id and the new record's line number."""
@@ -451,17 +501,23 @@ class TestSummarizeAndEvaluate:
         params.flat[:] += rng.normal(0, 0.5, size=params.flat.size)
         ckpt = workspace / "random.json"
         editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), ckpt)
-        argv = ["summarize", "--config", str(write_config(workspace)), "--checkpoint",
-                str(ckpt), "--document", str(workspace / "test.jsonl")]
-        assert cli.main(argv) == 0
-        whole = capsys.readouterr().out
-        monkeypatch.setattr(editor, "DECODE_CHUNK", 2)
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == whole
-        decisions = {ln[:2] for ln in whole.splitlines() if ln[:2] in ("E:", "A:", "R:")}
+        # the greedy extractor runs once per decode pass, the lead one per document
+        outputs = {}
+        for extractor in ("lead", "greedy"):
+            argv = ["summarize", "--config", str(write_config(workspace, extractor=extractor)),
+                    "--checkpoint", str(ckpt), "--document", str(workspace / "test.jsonl")]
+            monkeypatch.setattr(editor, "DECODE_CHUNK", 256)
+            assert cli.main(argv) == 0
+            whole = capsys.readouterr().out
+            monkeypatch.setattr(editor, "DECODE_CHUNK", 2)
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == whole
+            ids = [ex.document.id for ex in text.load_dataset(workspace / "test.jsonl")]
+            assert [ln[2:] for ln in whole.splitlines() if ln.startswith("# ")] == ids
+            outputs[extractor] = whole
+        decisions = {ln[:2] for ln in outputs["lead"].splitlines() if ln[:2] in ("E:", "A:", "R:")}
         assert len(decisions) > 1
-        ids = [ex.document.id for ex in text.load_dataset(workspace / "test.jsonl")]
-        assert [ln[2:] for ln in whole.splitlines() if ln.startswith("# ")] == ids
+        assert outputs["greedy"] != outputs["lead"]
         assert len(ids) > 2
 
     def test_evaluate_writes_valid_report(self, workspace, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference import soft_cross_entropy, stepwise_forward
+from synthetic import document_from_strings
 from sumedit import editor
 from sumedit.editor import (
     DECISION_INDEX,
@@ -26,7 +27,7 @@ from sumedit.editor import (
 )
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
 from sumedit.summarizers import SalienceAbstractor, extract_lead
-from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.text import Example, ReferenceSummary
 
 
 def zero_params(m, n):

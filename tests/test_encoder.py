@@ -1,15 +1,23 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from synthetic import document_from_strings
 from sumedit.editor import EditorParams, context_from_abstractions, forward
-from sumedit.encoder import EncoderConfig, _hash32, encode_split
+from sumedit import encoder as encoder_mod
+from sumedit.encoder import EncoderConfig, encode_split
 from sumedit.summarizers import extract_lead
-from sumedit.text import Document, Sentence, document_from_strings
+from sumedit.text import Document, Sentence
 
 # --- the sentence-at-a-time encoder: the slow reference for `encode_split` ---
+
+
+def _hash32(seed: int, feature: str) -> int:
+    """crc32 of the UTF-8 bytes of the seeded feature, in one call."""
+    return zlib.crc32(f"{seed}\x00{feature}".encode("utf-8"))
 
 
 def _normalize(v):
@@ -321,3 +329,29 @@ class TestSplitEncoderAgainstReference:
         for window in (0, 1, 2):
             for n in (1, 24, 64):
                 assert_equals_reference(documents, orders, abstractions, EncoderConfig(n=n, context_window=window))
+
+
+# tokens of any non-surrogate characters but whitespace, as tokenization
+# leaves them
+unicode_tokens = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=4
+)
+
+
+class TestSeedPrefixHash:
+    """`_raw_rows` continues the CRC-32 of the seed prefix for each feature;
+    its rows must equal those of one crc32 call per seeded feature
+    (`_hash32`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(unicode_tokens, min_size=1, max_size=6), min_size=1, max_size=4),
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(-3, 3)),
+        n=st.sampled_from([1, 7, 64]),
+    )
+    @example(sentences=[["é", "日本", "\U0001f600"], ["a"]], seed=-1, n=64)
+    def test_equals_one_crc_per_feature(self, sentences, seed, n):
+        config = EncoderConfig(n=n, hash_seed=seed)
+        rows = encoder_mod._raw_rows(sentences, config)
+        for row, tokens in zip(rows, sentences):
+            assert np.array_equal(row, _raw_sentence_vector(tokens, config))

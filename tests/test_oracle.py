@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from synthetic import document_from_strings
 from sumedit import oracle
 from sumedit.editor import DECISIONS, Decision, abstractions_for
 from sumedit.oracle import (
@@ -20,7 +21,7 @@ from sumedit.oracle import (
 )
 from sumedit.rouge import RewardWeights, reward
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor, extract_lead
-from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.text import Example, ReferenceSummary
 
 E, A, R = DECISIONS
 
@@ -351,6 +352,35 @@ class TestLabelDataset:
         for ex, lab in zip(self.EXAMPLES, labeled):
             direct = label_example(ex, extractor, abstractor)
             assert lab == direct
+
+    @pytest.mark.parametrize("chunk, workers", [(2, 1), (3, 2), (256, 1)])
+    def test_chunks_match_per_example_calls(self, monkeypatch, chunk, workers):
+        """Labels come from one statistics record per run of at most
+        DECODE_CHUNK examples (split among the workers); each must be the
+        label of its example on its own, and an example past the cap stays a
+        failure in its place."""
+        rng = np.random.default_rng(4)
+        vocab = [f"w{i}" for i in range(9)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 7))))
+
+        examples = [
+            make_example([sentence() for _ in range(int(rng.integers(1, 6)))],
+                         [sentence() for _ in range(int(rng.integers(1, 3)))], f"c{j}")
+            for j in range(7)
+        ]
+        extractor, abstractor = LeadExtractor(4), SalienceAbstractor(0.8)
+        monkeypatch.setattr(oracle.editor, "DECODE_CHUNK", chunk)
+        labeled, failures = label_dataset(examples, extractor, abstractor, cap=3, workers=workers)
+        want, want_failures = [], []
+        for ex in examples:
+            try:
+                want.append(label_example(ex, extractor, abstractor, cap=3))
+            except oracle.LabelingError as exc:
+                want_failures.append(f"{ex.document.id}: {exc}")
+        assert labeled == want and failures == want_failures
+        assert 0 < len(failures) < len(examples)
 
     def test_cap_violation_recorded_not_fatal(self):
         ex = make_example(["s t"] * 4, ["s t"], "long")

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import sentence_stats
 from sumedit.rouge import (
     RewardWeights,
     _lcs_positions,
@@ -16,7 +17,7 @@ from sumedit.rouge import (
     reward,
     rouge_l,
     rouge_n,
-    sentence_stats,
+    split_stats,
 )
 
 tokens = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8)
@@ -145,6 +146,103 @@ class TestSentenceStats:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
         assert (stats.unigrams, stats.ref_bigrams) == (unigrams, ref_bigrams)
+
+
+def columns(ref_counts, counts, lo, hi):
+    """The n-gram columns lo .. hi - 1 of a statistics record as sorted
+    (reference count, count per version) tuples: the two builders may order
+    the columns differently."""
+    return sorted(map(tuple, np.vstack([ref_counts[None, lo:hi], counts[:, lo:hi]]).T.tolist()))
+
+
+def assert_split_equals_reference(versions, references):
+    """`split_stats` of a split against `sentence_stats` of each example:
+    the same n-gram columns up to order, totals, LCS rows and reference
+    totals, and zero rows and columns as padding."""
+    stats = split_stats(versions, references)
+    N, S = stats.counts.shape[:2]
+    assert stats.counts.dtype == stats.ref_counts.dtype == np.int64 and stats.lcs.dtype == bool
+    assert (N, S) == (len(versions), max(map(len, versions), default=0))
+    for j, (vs, ref) in enumerate(zip(versions, references)):
+        want = sentence_stats(vs, ref)
+        one = stats.example(j, len(vs))
+        counts, ref_counts, u = one.counts[0], one.ref_counts[0], one.unigrams
+        assert u == want.unigrams and counts.shape == want.counts.shape
+        assert np.array_equal(counts[:, -2:], want.counts[:, -2:])
+        assert columns(ref_counts, counts, 0, u) == columns(want.ref_counts, want.counts, 0, u)
+        width = len(want.ref_counts)
+        assert columns(ref_counts, counts, u, width) == columns(want.ref_counts, want.counts, u, width)
+        assert np.array_equal(one.lcs[0], want.lcs)
+        assert (stats.ref_tokens[j], stats.ref_bigrams[j]) == (want.ref_tokens, want.ref_bigrams)
+        assert not stats.counts[j, len(vs) :].any() and not stats.lcs[j, len(vs) :].any()
+        assert not stats.lcs[j, :, want.ref_tokens :].any()
+
+
+def split_inputs(alphabet_sizes=(1, 4)):
+    """Examples of up to 6 versions (some empty, some with tokens no
+    reference has) against 1 to 3 reference sentences."""
+    return st.integers(*alphabet_sizes).flatmap(
+        lambda a: st.lists(
+            st.tuples(
+                st.lists(token_lists("abcd"[:a] + "xy", (0, 12)).map(tuple), max_size=6),
+                st.lists(token_lists("abcd"[:a], (1, 12)).map(tuple), min_size=1, max_size=3),
+            ),
+            max_size=5,
+        )
+    )
+
+
+LONG = tuple("abcde"[i % 5] + "abcde"[i % 3] for i in range(70))
+
+
+class TestSplitStats:
+    @settings(max_examples=120, deadline=None)
+    @given(split_inputs())
+    # one-token sentences: no bigrams anywhere
+    @example([((("a",), ("b",), ("x",)), (("a",), ("b",))), ((("b",),), (("b",),))])
+    # no version shares a token with its reference, and one has no versions
+    @example([((("x", "y"), ("y",)), (("a", "b"),)), ((), (("a",),)), ((("a", "b"),), (("a", "b"),))])
+    # one sentence repeated, so every column clips
+    @example([((("a", "b", "a"),) * 4, (("a", "b"), ("b", "a")))])
+    # sentences and a reference sentence longer than 64 tokens
+    @example([((LONG, LONG[3:], LONG[:2]), (LONG, LONG[60:])), ((LONG[::-1],), (LONG[:66],))])
+    def test_equals_per_example_reference(self, examples):
+        versions, references = [list(vs) for vs, _ in examples], [ref for _, ref in examples]
+        assert_split_equals_reference(versions, references)
+
+    @settings(max_examples=60, deadline=None)
+    @given(examples=split_inputs((1, 5)), data=st.data())
+    def test_rewards_equal_reward_of_realized_summaries(self, examples, data):
+        """A summary made of some versions of each example: the summed rows
+        and OR-ed LCS rows score exactly as `reward` scores the summary."""
+        versions, references = [list(vs) for vs, _ in examples], [ref for _, ref in examples]
+        stats = split_stats(versions, references)
+        weights = RewardWeights(*data.draw(st.tuples(*[st.floats(0.1, 2.0)] * 3)))
+        chosen = np.zeros(stats.counts.shape[:2], dtype=bool)
+        for j, vs in enumerate(versions):
+            chosen[j, : len(vs)] = data.draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
+        summed = np.einsum("nv,nvw->nw", chosen, stats.counts)
+        matched = (stats.lcs & chosen[..., None]).any(axis=1)
+        got = stats.rewards(summed, matched, weights)
+        want = [
+            reward([v for v, c in zip(vs, row) if c], ref, weights)
+            for vs, ref, row in zip(versions, references, chosen.tolist())
+        ]
+        assert got.tolist() == want
+
+    def test_seeded_split_of_many_examples(self):
+        rng = random.Random(3)
+        versions, references = [], []
+        for _ in range(40):
+            alphabet = "abcdefgh"[: rng.randint(1, 8)]
+            versions.append([tuple(rng.choices(alphabet + "z", k=rng.randint(0, 90))) for _ in range(rng.randint(0, 9))])
+            references.append([tuple(rng.choices(alphabet, k=rng.randint(1, 70))) for _ in range(rng.randint(1, 4))])
+        assert_split_equals_reference(versions, references)
+
+    def test_empty_split(self):
+        stats = split_stats([], [])
+        assert stats.counts.shape == (0, 0, 2) and stats.lcs.shape == (0, 0, 0)
+        assert stats.ref_counts.shape == (0, 0) and stats.ref_tokens.shape == (0,)
 
 
 class TestRougeN:

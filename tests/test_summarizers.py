@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import greedy_oracle
+from synthetic import document_from_strings
 from sumedit.rouge import RewardWeights, reward
 from sumedit.summarizers import (
     UNSELECTED_LIKELIHOOD,
     AttentionMap,
     abstract_salience,
+    GreedyOracleExtractor,
     extract_greedy_oracle,
     extract_lead,
     make_chunk,
     rescale_attention,
 )
-from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.text import Example, ReferenceSummary
 
 
 def make_example(sentences, highlights, doc_id="d"):
@@ -80,20 +85,20 @@ class TestGreedyOracle:
             ex = make_example(sentences, [sentence() for _ in range(int(rng.integers(1, 4)))])
             k = int(rng.integers(1, 6))
             w = RewardWeights(*(float(x) for x in rng.uniform(0.1, 1.0, size=3)))
-            result = extract_greedy_oracle(ex, k, w)
+            result = GreedyOracleExtractor(k, w)(ex)
             order, likelihood = loop_greedy_oracle(ex, k, w)
             assert result.order == order
             assert result.likelihood == likelihood
 
     def test_verbatim_match_selected(self):
         ex = make_example(["a b", "c d", "the exact summary", "e f"], ["the exact summary"])
-        result = extract_greedy_oracle(ex, 1, RewardWeights())
+        result = GreedyOracleExtractor(1, RewardWeights())(ex)
         assert result.order == (2,)
         assert result.likelihood[2] == 1.0
 
     def test_tie_prefers_lower_index(self):
         ex = make_example(["same words here", "same words here", "x y"], ["same words here"])
-        result = extract_greedy_oracle(ex, 1, RewardWeights())
+        result = GreedyOracleExtractor(1, RewardWeights())(ex)
         assert result.order == (0,)
 
     def test_first_step_matches_exhaustive_search(self):
@@ -102,7 +107,7 @@ class TestGreedyOracle:
             ["crash at speedway", "driver lost control", "no injuries reported", "race was sunday"],
             ["driver lost control of car", "crash happened sunday at speedway"],
         )
-        result = extract_greedy_oracle(ex, 2, w)
+        result = GreedyOracleExtractor(2, w)(ex)
         doc = ex.document
         best = max(
             range(len(doc)),
@@ -124,7 +129,7 @@ class TestGreedyOracle:
             ["a b c", "d e f", "a b d", "g h"],
             ["a b c", "d e f"],
         )
-        result = extract_greedy_oracle(ex, 4, w)
+        result = GreedyOracleExtractor(4, w)(ex)
         assert len(set(result.order)) == len(result.order)
         running = []
         rewards = []
@@ -135,10 +140,88 @@ class TestGreedyOracle:
 
     def test_unselected_likelihood_floor(self):
         ex = make_example(["match me", "noise one", "noise two"], ["match me"])
-        result = extract_greedy_oracle(ex, 1, RewardWeights())
+        result = GreedyOracleExtractor(1, RewardWeights())(ex)
         for i in range(3):
             assert 0 < result.likelihood[i] <= 1
         assert result.likelihood[1] == pytest.approx(1e-6)
+
+
+doc_sentences = st.lists(st.sampled_from("abcde"), min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def greedy_batches(draw):
+    """Documents of 1 to 9 sentences (of different lengths in one batch)
+    with references of 1 to 3 sentences, and k from 1 past the longest."""
+    examples = []
+    for j in range(draw(st.integers(1, 6))):
+        sentences = draw(st.lists(doc_sentences, min_size=1, max_size=9))
+        highlights = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=10).map(" ".join),
+                                   min_size=1, max_size=3))
+        examples.append(make_example(sentences, highlights, f"d{j}"))
+    return examples, draw(st.integers(1, 11))
+
+
+LONG = " ".join("abcde"[i % 5] + "abcde"[i % 3] for i in range(70))
+
+
+class TestGreedyOracleBatch:
+    """The whole-batch greedy extractor against the per-document loop over
+    `sentence_stats` (tests/reference.py): the same order and the same
+    likelihood dict, bit for bit, for every document of a batch."""
+
+    def assert_equals_reference(self, examples, k, weights=RewardWeights()):
+        results = extract_greedy_oracle(examples, k, weights)
+        assert len(results) == len(examples)
+        for ex, result in zip(examples, results):
+            order, likelihood = greedy_oracle(ex, k, weights)
+            assert result.order == order and result.likelihood == likelihood
+            assert all(i < len(ex.document) for i in result.order)  # no padding row
+            assert GreedyOracleExtractor(k, weights)(ex) == result
+        return results
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=greedy_batches(), weights=st.tuples(*[st.floats(0.1, 2.0)] * 3))
+    def test_equals_per_document_reference(self, batch, weights):
+        examples, k = batch
+        self.assert_equals_reference(examples, k, RewardWeights(*weights))
+
+    def test_repeated_sentences_clip_and_tie(self):
+        # every sentence the same: after the first pick every column clips,
+        # and the first step's ties go to the lowest index
+        examples = [make_example(["a b a"] * 5, ["a b", "b a"], "r"), make_example(["a b", "a b"], ["a b"], "s")]
+        results = self.assert_equals_reference(examples, 4)
+        assert [r.order for r in results] == [(0,), (0,)]
+
+    def test_k_at_least_the_sentence_count(self):
+        examples = [
+            make_example(["a b", "c d", "b c"], ["a b c d"], "three"),
+            make_example(["c"], ["c d"], "one"),
+        ]
+        results = self.assert_equals_reference(examples, 9)
+        assert results[1].order == (0,) and results[1].likelihood == {0: 1.0}
+
+    def test_first_step_is_the_only_gain(self):
+        examples = [
+            make_example(["x y", "a b c", "z"], ["a b c"], "only"),
+            make_example(["a", "b", "c"], ["a b c"], "all"),
+        ]
+        results = self.assert_equals_reference(examples, 3)
+        assert results[0].order == (1,)
+        assert results[0].likelihood == {0: UNSELECTED_LIKELIHOOD, 1: 1.0, 2: UNSELECTED_LIKELIHOOD}
+        assert results[1].order == (0, 1, 2)
+
+    def test_long_sentences_and_no_common_token(self):
+        examples = [
+            make_example([LONG, "zz yy", " ".join(LONG.split()[::-1])], [LONG, "ab ba"], "long"),
+            make_example(["p q", "r s"], ["a b"], "none"),
+        ]
+        results = self.assert_equals_reference(examples, 2)
+        # nothing scores: the first step still takes the lowest index
+        assert results[1].order == (0,)
+
+    def test_empty_batch(self):
+        assert extract_greedy_oracle([], 3, RewardWeights()) == []
 
 
 class TestMakeChunk:

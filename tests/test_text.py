@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from synthetic import document_from_strings
 from sumedit.text import (
     DatasetError,
     Sentence,
     atomic_open,
-    document_from_strings,
     ingest_dataset,
     load_dataset,
     tokenize,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import soft_cross_entropy
-from synthetic import make_corpus
+from reference import sentence_stats, soft_cross_entropy
+from synthetic import document_from_strings, make_corpus
 from sumedit import editor, trainer as trainer_mod
 from sumedit.editor import (
     ABSTRACT,
@@ -24,9 +24,9 @@ from sumedit.editor import (
 )
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import LabeledExample, label_dataset
-from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n, sentence_stats
+from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
-from sumedit.text import Example, ReferenceSummary, document_from_strings
+from sumedit.text import Example, ReferenceSummary
 from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7, context_window=1)
