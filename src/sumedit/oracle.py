@@ -8,8 +8,9 @@ statistics are scored with `reward`'s float expressions, so no summary is
 realized and every reward is bit-identical to `reward` on it. The best
 sequence and prefix-conditioned reward averages yield one soft label
 distribution per step. A dataset is labeled in runs of consecutive
-examples: the statistics of a run's examples within the cap are built in
-one `split_stats` call, and each example's grid reads its own slice (its own
+examples: a run's extracts come from one `summarizers.extract_batch` call,
+the statistics of its examples within the cap from one `split_stats` call,
+and each example's grid (`enumerate_rewards`) reads its own slice (its own
 n-gram columns and reference tokens, so no grid is wider than the example
 needs). Labels are written to a reproducible line-delimited JSON cache.
 """
@@ -27,7 +28,7 @@ from .editor import DECISION_INDEX, DECISIONS, Decision
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
 from .rouge import RewardWeights, SplitStats, reward, split_stats
-from .summarizers import Abstractor, ExtractResult, Extractor
+from .summarizers import Abstractor, ExtractResult, Extractor, extract_batch
 from .text import Document, Example, atomic_open, json_line, warn
 
 DecisionSequence = tuple[Decision, ...]
@@ -36,6 +37,10 @@ DEFAULT_CAP = 12
 
 # Largest number of (summary, statistic) entries one enumeration chunk holds.
 CHUNK_ENTRIES = 1 << 21
+
+# Runs of examples per pool worker: a worker that draws the long (costly)
+# extracts of a split does not leave the others idle for long.
+RUNS_PER_WORKER = 8
 
 
 class LabelingError(ValueError):
@@ -129,13 +134,16 @@ def enumerate_rewards(
     reward_fn: Callable | None = None,
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
+    stats: SplitStats | None = None,
 ) -> np.ndarray:
     """Reward of every one of the 3^l decision sequences, as a `(3,)*l`
     array indexed by decision (E = 0, A = 1, R = 2), i.e. in
     `itertools.product(DECISIONS, repeat=l)` order.
 
     By default rewards come from the example's sentence statistics (see the
-    module docstring). With `reward_fn`, every sequence's realized summary
+    module docstring): `stats`, the one-example record of its 2l versions
+    when the caller has built it (`SplitStats.example`), else one
+    `split_stats` call. With `reward_fn`, every sequence's realized summary
     is scored by `reward_fn` instead: the slow reference.
     """
     l = len(extract.order)
@@ -150,7 +158,8 @@ def enumerate_rewards(
                 for seq in itertools.product(DECISIONS, repeat=l)
             ]
         ).reshape((3,) * l)
-    stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
+    if stats is None:
+        stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
     return _grid_rewards(stats, weights)
 
 
@@ -190,11 +199,12 @@ def _label_chunk(
     weights: RewardWeights,
     cap: int,
 ) -> list[LabeledExample | LabelingError]:
-    """Label consecutive examples: the statistics of every example within
-    the cap come from one `split_stats` call, and each example's grid reads
-    its own slice of them. An example whose extract exceeds the cap gets a
-    LabelingError in its place."""
-    extracts = [extractor(ex) for ex in examples]
+    """Label consecutive examples: their extracts come from one
+    `extract_batch` call, the statistics of every example within the cap
+    from one `split_stats` call, and each example's rewards from
+    `enumerate_rewards` on its own slice of them. An example whose extract
+    exceeds the cap gets a LabelingError in its place."""
+    extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
     stats = split_stats(
@@ -205,7 +215,8 @@ def _label_chunk(
         LabelingError(f"enumeration cap exceeded (l={len(e.order)}, cap={cap})") for e in extracts
     ]
     for k, j in enumerate(within):
-        rewards = _grid_rewards(stats.example(k, 2 * len(extracts[j].order)), weights)
+        own = stats.example(k, 2 * len(extracts[j].order))
+        rewards = enumerate_rewards(examples[j], extracts[j], abstractions[j], weights=weights, cap=cap, stats=own)
         best = best_sequence(rewards)
         labels = soft_labels(rewards, best)
         results[j] = LabeledExample(
@@ -245,11 +256,13 @@ def label_dataset(
     """Label a dataset; optionally write the cache file.
 
     Examples are labeled in runs of consecutive examples, at most
-    `editor.DECODE_CHUNK` long and split among the workers.
+    `editor.DECODE_CHUNK` long; a pool of workers takes RUNS_PER_WORKER
+    runs per worker.
     Returns (labeled examples in input order, per-example failure messages).
     Re-running with the same inputs reproduces a byte-identical cache.
     """
-    size = max(1, min(editor.DECODE_CHUNK, -(-len(examples) // workers)))
+    runs = workers * RUNS_PER_WORKER if workers > 1 else 1
+    size = max(1, min(editor.DECODE_CHUNK, -(-len(examples) // runs)))
     chunks = [examples[start : start + size] for start in range(0, len(examples), size)]
     args = [itertools.repeat(arg) for arg in (extractor, abstractor, weights, cap)]
     if workers > 1:

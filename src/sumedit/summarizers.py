@@ -2,9 +2,10 @@
 
 Extractors return the selected sentence order plus a selection likelihood
 P(s) in (0, 1] for every sentence. The greedy oracle extractor runs on a
-batch of documents at once (`extract_greedy_oracle`), from one
-`rouge.split_stats` record of all their sentences; its per-example callable
-(`GreedyOracleExtractor`) is the one-document batch. The abstractor works on
+batch of documents at once (`extract_greedy_oracle`), in passes of documents
+of similar length whose padded `rouge.split_stats` record stays below a
+fixed size; its per-example callable (`GreedyOracleExtractor`) is the
+one-document batch, and `extract_batch` hands a whole batch to it. The abstractor works on
 a chunk of up to three consecutive sentences, rescales per-word attention by
 the owning sentence's P(s), and compresses the center sentence to its most
 salient tokens. Third-party extractors/abstractors plug in behind the same
@@ -101,23 +102,35 @@ def extract_lead(document: Document, k: int) -> ExtractResult:
     return ExtractResult(order=order, likelihood=likelihood)
 
 
-def extract_greedy_oracle(
-    examples: Sequence[Example], k: int, weights: RewardWeights
-) -> list[ExtractResult]:
-    """Greedy reward-maximizing extractor used to build training data, run
-    on a batch of examples at once.
+# Largest padded statistics record, in (document, sentence, column)
+# entries, that one greedy pass builds; its per-step temporaries are about
+# twice this many int64 entries.
+GREEDY_ENTRIES = 1 << 18
 
-    For each document, adds the sentence with the best marginal reward gain
-    (ties: lowest index) until k sentences are selected or no addition
-    strictly improves the reward. The ROUGE statistics of every sentence of
-    every document come from one `split_stats` call, and each step scores
-    every candidate of every document at once (the selection's running sums
-    plus the candidate's row); a document that has stopped takes no more
-    sentences. Selected sentences get P(s) = softmax over their
-    selection-step gains; unselected ones get a small positive floor.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+
+def _greedy_passes(examples: Sequence[Example]) -> list[list[int]]:
+    """Indices of `examples` grouped into greedy passes. Documents are taken
+    by sentence count, so that a pass pads few sentence rows, and a pass is
+    cut before its documents x longest document x widest reference bound
+    (2 columns per reference token, plus the two totals) passes
+    GREEDY_ENTRIES; a document past the bound is a pass of its own."""
+    sizes = [len(ex.document) for ex in examples]
+    widths = [2 * sum(len(s) for s in ex.reference.sentences) + 2 for ex in examples]
+    passes: list[list[int]] = []
+    rows = width = 0
+    for j in sorted(range(len(examples)), key=sizes.__getitem__):
+        rows, width = max(rows, sizes[j]), max(width, widths[j])
+        if passes and (len(passes[-1]) + 1) * rows * width <= GREEDY_ENTRIES:
+            passes[-1].append(j)
+        else:
+            passes.append([j])
+            rows, width = sizes[j], widths[j]
+    return passes
+
+
+def _greedy_pass(examples: Sequence[Example], k: int, weights: RewardWeights) -> list[ExtractResult]:
+    """`extract_greedy_oracle` of one pass: one `split_stats` record of all
+    its sentences, then at most k steps over the padded (D, S, ·) arrays."""
     documents = [ex.document for ex in examples]
     stats = split_stats([[s.tokens for s in doc.sentences] for doc in documents], [ex.reference for ex in examples])
     D, S = stats.counts.shape[:2]
@@ -159,6 +172,40 @@ def extract_greedy_oracle(
             likelihood[i] = p
         results.append(ExtractResult(order=tuple(selected), likelihood=likelihood))
     return results
+
+
+def extract_greedy_oracle(
+    examples: Sequence[Example], k: int, weights: RewardWeights
+) -> list[ExtractResult]:
+    """Greedy reward-maximizing extractor used to build training data, run
+    on a batch of examples at once.
+
+    For each document, adds the sentence with the best marginal reward gain
+    (ties: lowest index) until k sentences are selected or no addition
+    strictly improves the reward. The documents are scored in passes of
+    similar sentence counts and bounded size (`_greedy_passes`): each pass
+    takes its ROUGE statistics from one `split_stats` call, and each step
+    scores every candidate of every document of the pass at once (the
+    selection's running sums plus the candidate's row); a document that has
+    stopped takes no more sentences. Selected sentences get P(s) = softmax
+    over their selection-step gains; unselected ones get a small positive
+    floor. Results are in input order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    results: list[ExtractResult] = [None] * len(examples)  # type: ignore[list-item]
+    for group in _greedy_passes(examples):
+        for j, result in zip(group, _greedy_pass([examples[j] for j in group], k, weights)):
+            results[j] = result
+    return results
+
+
+def extract_batch(extractor: Extractor, examples: Sequence[Example]) -> list[ExtractResult]:
+    """`extractor` applied to every example; the greedy oracle extractor
+    takes them as one batch."""
+    if isinstance(extractor, GreedyOracleExtractor):
+        return extract_greedy_oracle(examples, extractor.k, extractor.weights)
+    return [extractor(ex) for ex in examples]
 
 
 def make_chunk(document: Document, i: int) -> Chunk:

@@ -20,7 +20,8 @@ from sumedit.oracle import (
     write_label_cache,
 )
 from sumedit.rouge import RewardWeights, reward
-from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor, extract_lead
+from sumedit import summarizers
+from sumedit.summarizers import ExtractResult, GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary
 
 E, A, R = DECISIONS
@@ -381,6 +382,35 @@ class TestLabelDataset:
                 want_failures.append(f"{ex.document.id}: {exc}")
         assert labeled == want and failures == want_failures
         assert 0 < len(failures) < len(examples)
+
+    def test_greedy_extracts_one_batch_per_run(self, monkeypatch):
+        """With the greedy extractor, a run's extracts come from one
+        `extract_greedy_oracle` call, and every label equals the label of its
+        example on its own."""
+        rng = np.random.default_rng(6)
+        vocab = [f"w{i}" for i in range(12)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 8))))
+
+        examples = [
+            make_example([sentence() for _ in range(int(rng.integers(1, 9)))],
+                         [sentence() for _ in range(int(rng.integers(1, 4)))], f"g{j}")
+            for j in range(9)
+        ]
+        extractor, abstractor = GreedyOracleExtractor(3), SalienceAbstractor(0.8)
+        want = [label_example(ex, extractor, abstractor) for ex in examples]
+        batches = []
+        real = summarizers.extract_greedy_oracle
+
+        def counted(batch, k, weights):
+            batches.append(len(batch))
+            return real(batch, k, weights)
+
+        monkeypatch.setattr(summarizers, "extract_greedy_oracle", counted)
+        labeled, failures = label_dataset(examples, extractor, abstractor)
+        assert batches == [len(examples)]
+        assert labeled == want and failures == []
 
     def test_cap_violation_recorded_not_fatal(self):
         ex = make_example(["s t"] * 4, ["s t"], "long")

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from reference import greedy_oracle
 from synthetic import document_from_strings
+from sumedit import summarizers
 from sumedit.rouge import RewardWeights, reward
 from sumedit.summarizers import (
     UNSELECTED_LIKELIHOOD,
     AttentionMap,
     abstract_salience,
     GreedyOracleExtractor,
+    LeadExtractor,
+    extract_batch,
     extract_greedy_oracle,
     extract_lead,
     make_chunk,
@@ -222,6 +225,52 @@ class TestGreedyOracleBatch:
 
     def test_empty_batch(self):
         assert extract_greedy_oracle([], 3, RewardWeights()) == []
+
+    @staticmethod
+    def mixed_batch():
+        """Twenty documents of 1 to 40 sentences, in no order of length."""
+        rng = np.random.default_rng(8)
+        vocab = [f"v{i}" for i in range(15)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 9))))
+
+        return [
+            make_example([sentence() for _ in range(int(rng.integers(1, 41)))],
+                         [sentence() for _ in range(int(rng.integers(1, 5)))], f"m{j}")
+            for j in range(20)
+        ]
+
+    @pytest.mark.parametrize("entries", [1, 2_000, 1 << 18])
+    def test_passes_do_not_change_results(self, monkeypatch, entries):
+        # one document per pass, several passes, and one pass for all
+        monkeypatch.setattr(summarizers, "GREEDY_ENTRIES", entries)
+        self.assert_equals_reference(self.mixed_batch(), 4)
+
+    def test_passes_are_sorted_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(summarizers, "GREEDY_ENTRIES", 2_000)
+        examples = self.mixed_batch()
+        passes = summarizers._greedy_passes(examples)
+        assert sorted(j for group in passes for j in group) == list(range(len(examples)))
+        sizes = [len(examples[j].document) for group in passes for j in group]
+        assert sizes == sorted(sizes)
+        for group in passes[:-1]:
+            rows = max(len(examples[j].document) for j in group)
+            width = max(2 * sum(map(len, examples[j].reference.sentences)) + 2 for j in group)
+            assert len(group) == 1 or len(group) * rows * width <= 2_000
+        assert len(passes) > 1
+
+    def test_extract_batch(self, monkeypatch):
+        examples = self.mixed_batch()
+        greedy = GreedyOracleExtractor(3)
+        batches = []
+        real = summarizers.extract_greedy_oracle
+        monkeypatch.setattr(summarizers, "extract_greedy_oracle",
+                            lambda batch, k, w: batches.append(len(batch)) or real(batch, k, w))
+        assert extract_batch(greedy, examples) == [greedy(ex) for ex in examples]
+        assert batches[0] == len(examples)
+        lead = LeadExtractor(2)
+        assert extract_batch(lead, examples) == [lead(ex) for ex in examples]
 
 
 class TestMakeChunk:
