@@ -97,20 +97,11 @@ def cmd_label(args) -> int:
         cache_path = out / f"labels_{split}.jsonl"
         start = time.monotonic()
         labeled, _ = oracle.label_dataset(
-            examples,
-            extractor,
-            abstractor,
-            weights=cfg.reward_weights(),
-            cap=cfg.cap,
-            cache_path=cache_path,
+            examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap, cache_path=cache_path,
             workers=workers,
         )
         elapsed = time.monotonic() - start
-        print(
-            f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s "
-            f"-> {cache_path}",
-            file=sys.stderr,
-        )
+        print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)
         if not labeled and examples:
             status = 1
     cfg.write(out / "resolved_config.json")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 from typing import TYPE_CHECKING, Sequence
@@ -406,7 +407,10 @@ def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
             arr = np.array(value, dtype=float)
         except (TypeError, ValueError):
             arr = None
-        if arr is None or arr.shape != shape:
+        # np.array takes JSON true/false and numeric strings as numbers; the
+        # entries' exact types (type(...) in, not isinstance) do not
+        entries = itertools.chain.from_iterable(value) if len(shape) == 2 else value
+        if arr is None or arr.shape != shape or not {*map(type, entries)} <= {int, float}:
             raise ValueError(f"{path}: {name} is not a number array of shape {shape}")
         arrays.append(arr.ravel())
     params = EditorParams(m, n, np.concatenate(arrays))

@@ -10,9 +10,11 @@ sequence and prefix-conditioned reward averages yield one soft label
 distribution per step. A dataset is labeled in runs of consecutive
 examples: a run's extracts come from one `summarizers.extract_batch` call,
 the statistics of its examples within the cap from one `split_stats` call,
-and each example's grid (`enumerate_rewards`) reads its own slice (its own
-n-gram columns and reference tokens, so no grid is wider than the example
-needs). Labels are written to a reproducible line-delimited JSON cache.
+and its examples of one extract length share one stacked (N,)+(3,)*l grid
+(`SplitStats.select`: their 2l versions, cut to the widest one's columns)
+and one `best_sequence` and `soft_labels` call, in batches of at most
+CHUNK_ENTRIES grid entries. Labels are written to a reproducible
+line-delimited JSON cache.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import editor, slots_eq
-from .editor import DECISION_INDEX, DECISIONS, Decision
+from .editor import DECISIONS, Decision
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
 from .rouge import RewardWeights, SplitStats, reward, split_stats
@@ -89,12 +91,12 @@ def realize(
 
 
 def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray:
-    """Row-wise `combine` of one (3, W) option block per decision axis over
-    all 3^len(blocks) choices, in `itertools.product` order, starting from
-    the row `none`: (3^len(blocks), W)."""
-    acc = none[None]
+    """Row-wise `combine`, per example, of one (N, 3, W) option block per
+    decision axis over all 3^len(blocks) choices, in `itertools.product`
+    order, starting from the rows `none` (N, W): (N, 3^len(blocks), W)."""
+    acc = none[:, None]
     for block in blocks:
-        acc = combine(acc[:, None], block[None]).reshape(-1, len(none))
+        acc = combine(acc[:, :, None], block[:, None]).reshape(none.shape[0], -1, none.shape[1])
     return acc
 
 
@@ -105,26 +107,28 @@ def _versions(example: Example, extract: ExtractResult, abstractions: Sequence[S
 
 
 def _grid_rewards(stats: SplitStats, weights: RewardWeights) -> np.ndarray:
-    """The `(3,)*l` rewards of a one-example record of 2l versions (see the
-    module docstring), built in chunks over a leading decision prefix so
-    that memory stays bounded at the cap."""
-    counts, lcs = stats.counts[0], stats.lcs[0]
-    l = len(counts) // 2
+    """The (N,)+(3,)*l rewards of a record of N examples of 2l versions each
+    (see the module docstring). When the whole grid holds more than
+    CHUNK_ENTRIES entries, it is built in chunks over a leading decision
+    prefix, so that memory stays bounded at the cap."""
+    counts, lcs = stats.counts, stats.lcs
+    n, l = counts.shape[0], counts.shape[1] // 2
     # Per decision axis, the E, A and R rows; R contributes nothing.
-    no_counts, no_lcs = np.zeros_like(counts[0]), np.zeros_like(lcs[0])
-    count_rows = [np.stack([counts[i], counts[l + i], no_counts]) for i in range(l)]
-    lcs_rows = [np.stack([lcs[i], lcs[l + i], no_lcs]) for i in range(l)]
-    width = counts.shape[1] + lcs.shape[1]
+    no_counts, no_lcs = np.zeros_like(counts[:, 0]), np.zeros_like(lcs[:, 0])
+    count_rows = [np.stack([counts[:, i], counts[:, l + i], no_counts], axis=1) for i in range(l)]
+    lcs_rows = [np.stack([lcs[:, i], lcs[:, l + i], no_lcs], axis=1) for i in range(l)]
+    width = n * (counts.shape[2] + lcs.shape[2])
     tail = 1
     while tail < l and 3 ** (tail + 1) * width <= CHUNK_ENTRIES:
         tail += 1
     head = l - tail
     tail_counts = _grid(count_rows[head:], no_counts, np.add)
     tail_lcs = _grid(lcs_rows[head:], no_lcs, np.logical_or)
-    chunks = zip(_grid(count_rows[:head], no_counts, np.add), _grid(lcs_rows[:head], no_lcs, np.logical_or))
+    heads = (_grid(count_rows[:head], no_counts, np.add), _grid(lcs_rows[:head], no_lcs, np.logical_or))
+    chunks = zip(*(grid.swapaxes(0, 1) for grid in heads))
     return np.concatenate(
-        [stats.rewards((c + tail_counts)[None], (m | tail_lcs)[None], weights)[0] for c, m in chunks]
-    ).reshape((3,) * l)
+        [stats.rewards(c[:, None] + tail_counts, m[:, None] | tail_lcs, weights) for c, m in chunks], axis=1
+    ).reshape((n,) + (3,) * l)
 
 
 def enumerate_rewards(
@@ -142,7 +146,7 @@ def enumerate_rewards(
 
     By default rewards come from the example's sentence statistics (see the
     module docstring): `stats`, the one-example record of its 2l versions
-    when the caller has built it (`SplitStats.example`), else one
+    when the caller has built it (`SplitStats.select`), else one
     `split_stats` call. With `reward_fn`, every sequence's realized summary
     is scored by `reward_fn` instead: the slow reference.
     """
@@ -160,35 +164,32 @@ def enumerate_rewards(
         ).reshape((3,) * l)
     if stats is None:
         stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
-    return _grid_rewards(stats, weights)
+    return _grid_rewards(stats, weights)[0]
 
 
-def _indices(sequence: DecisionSequence) -> tuple[int, ...]:
-    return tuple(DECISION_INDEX[d] for d in sequence)
+def best_sequence(rewards: np.ndarray) -> np.ndarray:
+    """The (N, l) decision indices of each example's best sequence in an
+    (N,)+(3,)*l reward array: its argmax, ties resolved lexicographically
+    with E < A < R (the first maximum in product order)."""
+    return np.stack(np.unravel_index(rewards.reshape(len(rewards), -1).argmax(axis=1), rewards.shape[1:]), axis=1)
 
 
-def best_sequence(rewards: np.ndarray) -> DecisionSequence:
-    """Argmax by reward; ties resolved lexicographically with E < A < R (the
-    first maximum in product order)."""
-    best = np.unravel_index(np.argmax(rewards), rewards.shape)
-    return tuple(DECISIONS[int(i)] for i in best)
-
-
-def soft_labels(rewards: np.ndarray, best: DecisionSequence) -> np.ndarray:
-    """Per-step label distributions from prefix-conditioned reward averages.
+def soft_labels(rewards: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Per-step label distributions (N, l, 3) from prefix-conditioned reward
+    averages, of an (N,)+(3,)*l reward array and its (N, l) best indices.
 
     For step i, the three bucket averages are over all complete sequences
     sharing the best sequence's (i-1)-prefix, keyed by their i-th decision;
     labels are the normalized averages, uniform if the normalizer is zero.
     """
-    labels = np.empty((len(best), 3))
-    for i in range(len(best)):
-        buckets = rewards[_indices(best[:i])].reshape(3, -1)
+    labels = np.empty(best.shape + (3,))
+    for i in range(best.shape[1]):
+        buckets = rewards[(np.arange(len(best)), *best[:, :i].T)].reshape(len(best), 3, -1)
         # Sequential sums in product order, as the reference loop adds them
         # (ndarray.sum is pairwise and would move labels by about 1e-16).
-        means = np.cumsum(buckets, axis=1)[:, -1] / buckets.shape[1]
-        z = means.sum()
-        labels[i] = means / z if z > 0 else np.full(3, 1.0 / 3.0)
+        means = np.cumsum(buckets, axis=2)[:, :, -1] / buckets.shape[2]
+        z = means.sum(axis=1, keepdims=True)
+        labels[:, i] = np.where(z > 0, means / np.where(z > 0, z, 1.0), 1.0 / 3.0)
     return labels
 
 
@@ -201,9 +202,10 @@ def _label_chunk(
 ) -> list[LabeledExample | LabelingError]:
     """Label consecutive examples: their extracts come from one
     `extract_batch` call, the statistics of every example within the cap
-    from one `split_stats` call, and each example's rewards from
-    `enumerate_rewards` on its own slice of them. An example whose extract
-    exceeds the cap gets a LabelingError in its place."""
+    from one `split_stats` call, and the examples of each extract length l
+    share one grid, `best_sequence` and `soft_labels` call per batch of at
+    most CHUNK_ENTRIES grid entries. An example whose extract exceeds the
+    cap gets a LabelingError in its place."""
     extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
@@ -214,19 +216,27 @@ def _label_chunk(
     results: list[LabeledExample | LabelingError] = [
         LabelingError(f"enumeration cap exceeded (l={len(e.order)}, cap={cap})") for e in extracts
     ]
+    groups: dict[int, list[int]] = {}
     for k, j in enumerate(within):
-        own = stats.example(k, 2 * len(extracts[j].order))
-        rewards = enumerate_rewards(examples[j], extracts[j], abstractions[j], weights=weights, cap=cap, stats=own)
-        best = best_sequence(rewards)
-        labels = soft_labels(rewards, best)
-        results[j] = LabeledExample(
-            example_id=examples[j].document.id,
-            extract=extracts[j],
-            abstractions=abstractions[j],
-            labels=tuple(tuple(float(v) for v in row) for row in labels),
-            best=best,
-            best_reward=float(rewards[_indices(best)]),
-        )
+        groups.setdefault(len(extracts[j].order), []).append(k)
+    for l, ks in groups.items():
+        # the run's widest example bounds every batch's width
+        size = max(1, CHUNK_ENTRIES // (3**l * (stats.counts.shape[2] + stats.lcs.shape[2])))
+        for part in (ks[start : start + size] for start in range(0, len(ks), size)):
+            rewards = _grid_rewards(stats.select(part, 2 * l), weights)
+            best = best_sequence(rewards)
+            labels = soft_labels(rewards, best)
+            top = rewards.reshape(len(part), -1).max(axis=1)
+            for k, b, lab, r in zip(part, best.tolist(), labels.tolist(), top.tolist()):
+                j = within[k]
+                results[j] = LabeledExample(
+                    example_id=examples[j].document.id,
+                    extract=extracts[j],
+                    abstractions=abstractions[j],
+                    labels=tuple(map(tuple, lab)),
+                    best=tuple(DECISIONS[i] for i in b),
+                    best_reward=r,
+                )
     return results
 
 

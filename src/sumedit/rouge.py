@@ -278,23 +278,24 @@ class SplitStats:
         ref_bigrams = _per_example(self.ref_bigrams, ndim)
         return weights.combine(*f_measures(self.totals(counts, lcs), ref_tokens, ref_bigrams))
 
-    def example(self, j: int, rows: int) -> "SplitStats":
-        """Example j's first `rows` versions as a record of their own
-        (N = 1), cut to the example's own n-gram columns and reference
+    def select(self, examples: Sequence[int], rows: int) -> "SplitStats":
+        """The first `rows` versions of the given examples as a record of
+        their own, cut to the widest one's n-gram columns and reference
         tokens."""
         U, C = self.unigrams, self.ref_counts.shape[1]
+        ref_counts = self.ref_counts[examples]
         # an example's columns are the reference n-grams it has, so their
         # reference counts are positive and its padding columns zero
-        u = int(np.count_nonzero(self.ref_counts[j, :U]))
-        b = int(np.count_nonzero(self.ref_counts[j, U:]))
+        u = int(np.count_nonzero(ref_counts[:, :U], axis=1).max(initial=0))
+        b = int(np.count_nonzero(ref_counts[:, U:], axis=1).max(initial=0))
         cols = np.r_[0:u, U : U + b, C, C + 1]
         return SplitStats(
-            counts=self.counts[j : j + 1, :rows, cols],
-            lcs=self.lcs[j : j + 1, :rows, : self.ref_tokens[j]],
-            ref_counts=self.ref_counts[j : j + 1, cols[:-2]],
+            counts=self.counts[examples, :rows][:, :, cols],
+            lcs=self.lcs[examples, :rows, : self.ref_tokens[examples].max(initial=0)],
+            ref_counts=ref_counts[:, cols[:-2]],
             unigrams=u,
-            ref_tokens=self.ref_tokens[j : j + 1],
-            ref_bigrams=self.ref_bigrams[j : j + 1],
+            ref_tokens=self.ref_tokens[examples],
+            ref_bigrams=self.ref_bigrams[examples],
         )
 
 

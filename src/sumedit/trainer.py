@@ -129,16 +129,11 @@ def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
         chunk = pairs[start : start + editor.DECODE_CHUNK]
         L = max(len(lab.extract.order) for _, lab in chunk)
         pad = [()] * L
-        records.append(
-            split_stats(
-                [
-                    ([example.document.tokens_at(i) for i in lab.extract.order] + pad)[:L]
-                    + (list(lab.abstractions) + pad)[:L]
-                    for example, lab in chunk
-                ],
-                [example.reference for example, _ in chunk],
-            )
-        )
+        versions = [
+            ([example.document.tokens_at(i) for i in lab.extract.order] + pad)[:L] + (list(lab.abstractions) + pad)[:L]
+            for example, lab in chunk
+        ]
+        records.append(split_stats(versions, [example.reference for example, _ in chunk]))
     return records
 
 
@@ -158,12 +153,6 @@ def _totals(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndar
         matched = (record.lcs & chosen[..., None]).any(axis=1)
         parts.append((record.totals(summed, matched), record.ref_tokens, record.ref_bigrams))
     return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _f_measures(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndarray, ...]:
-    """ROUGE-1, ROUGE-2 and ROUGE-L F of each decoded summary (see
-    `_totals`), bit-identical to `rouge.reward`'s."""
-    return f_measures(*_totals(decisions, stats))
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -229,7 +218,7 @@ def mean_reward(
     """Mean reward of the free-running decodes of a split, scored from each
     example's statistics (see `_split_stats`); 0.0 for an empty split."""
     decisions, _ = decode(vectors, params)
-    return _mean(weights.combine(*_f_measures(decisions, stats)))
+    return _mean(weights.combine(*f_measures(*_totals(decisions, stats))))
 
 
 def evaluate(
@@ -247,7 +236,7 @@ def evaluate(
     emitted = (decisions != REJECT).sum(axis=1)
     abstracted = (decisions == ABSTRACT).sum(axis=1)
     abstracted_fractions = abstracted[emitted > 0] / emitted[emitted > 0]
-    r1, r2, rl = _f_measures(decisions, _split_stats(test_set))
+    r1, r2, rl = f_measures(*_totals(decisions, _split_stats(test_set)))
     total_steps = sum(counts)
     fractions = {
         d.label: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)

@@ -3,7 +3,8 @@ from itertools import chain
 
 import numpy as np
 
-from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
+from sumedit import oracle
+from sumedit.editor import ABSTRACT, DECISION_INDEX, DECISIONS, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
 from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
 from sumedit.summarizers import UNSELECTED_LIKELIHOOD
 
@@ -54,6 +55,18 @@ def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
         q[i] = np.tanh(h[i] @ params.W_g.T)
         g[i + 1] = g[i] + q[i]
     return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
+
+
+def best_sequence(rewards):
+    """`oracle.best_sequence` of one (3,)*l reward array (a batch of one),
+    as a decision sequence."""
+    return tuple(DECISIONS[i] for i in oracle.best_sequence(rewards[None])[0].tolist())
+
+
+def soft_labels(rewards, best):
+    """`oracle.soft_labels` of one (3,)*l reward array and its best decision
+    sequence (a batch of one): (l, 3)."""
+    return oracle.soft_labels(rewards[None], np.array([[DECISION_INDEX[d] for d in best]]))[0]
 
 
 class SentenceStats:

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from reference import soft_cross_entropy
+from reference import best_sequence, soft_cross_entropy, soft_labels
 from synthetic import document_from_strings, make_corpus
 from sumedit import cli, text
 from sumedit.editor import (
@@ -29,7 +29,7 @@ from sumedit.editor import (
     mixed_summary,
 )
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
-from sumedit.oracle import best_sequence, enumerate_rewards, label_dataset, realize, soft_labels
+from sumedit.oracle import enumerate_rewards, label_dataset, realize
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import (
     AttentionMap,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +561,22 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         for name in PARAM_NAMES:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [("b_c", lambda p: p["b_c"].__setitem__(0, "0.5")), ("W_g", lambda p: p["W_g"][1].__setitem__(2, True))],
+        ids=["numeric-string", "bool"],
+    )
+    def test_non_number_entry_rejected(self, tmp_path, name, edit):
+        # np.array(..., dtype=float) alone reads "0.5" as 0.5 and true as 1.0
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(init_params(5, 8, np.random.default_rng(7)), EncoderConfig(n=8), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        shape = editor.param_shapes(5, 8)[name]
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} is not a number array of shape {shape}")):
+            load_checkpoint(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import best_sequence, soft_labels
 from synthetic import document_from_strings
 from sumedit import oracle
 from sumedit.editor import DECISIONS, Decision, abstractions_for
 from sumedit.oracle import (
-    best_sequence,
     enumerate_rewards,
     label_dataset,
     label_example,
     read_label_cache,
     realize,
-    soft_labels,
     write_label_cache,
 )
 from sumedit.rouge import RewardWeights, reward
@@ -234,6 +233,26 @@ class TestSoftLabels:
             soft_labels(rewards, best), soft_labels(scaled, best), atol=1e-12
         )
 
+    def test_batch_matches_per_example_references(self):
+        """Over an (N,)+(3,)*l batch, each row's best indices and labels are
+        those of the dict references on the row alone, bit for bit:
+        distinct bests, ties, a constant row and an all-zero row (the
+        uniform branch)."""
+        rng = np.random.default_rng(8)
+        rows = [rng.random((3,) * 3) for _ in range(4)]
+        tie = np.zeros((3,) * 3)
+        tie[0, 1, 2] = tie[1, 0, 0] = tie[2, 2, 2] = 0.75
+        rows += [tie, np.full((3,) * 3, 0.5), np.zeros((3,) * 3), rng.random((3,) * 3).round(1)]
+        batch = np.stack(rows)
+        best = oracle.best_sequence(batch)
+        labels = oracle.soft_labels(batch, best)
+        assert best.shape == (len(rows), 3) and labels.shape == (len(rows), 3, 3)
+        assert len({tuple(b) for b in best.tolist()}) > 3
+        for row, b, lab in zip(rows, best.tolist(), labels):
+            want = naive_best(as_dict(row))
+            assert tuple(DECISIONS[i] for i in b) == want
+            assert lab.tobytes() == loop_soft_labels(as_dict(row), want).tobytes()
+
 
 words = st.sampled_from("a b c d e".split())
 sentences = st.lists(words, min_size=1, max_size=6).map(tuple)
@@ -382,6 +401,72 @@ class TestLabelDataset:
                 want_failures.append(f"{ex.document.id}: {exc}")
         assert labeled == want and failures == want_failures
         assert 0 < len(failures) < len(examples)
+
+    @pytest.mark.parametrize("entries", [1, 2000])
+    def test_mixed_lengths_match_under_small_chunks(self, monkeypatch, tmp_path, entries):
+        """A split that interleaves extract lengths 1 .. 5 with extracts past
+        the cap: with CHUNK_ENTRIES small enough that groups are cut into
+        sub-batches (of one example, with prefix chunking inside, at 1), the
+        cache is byte-identical to the default one, and every label is the
+        per-summary `reward` reference's."""
+        rng = np.random.default_rng(9)
+        vocab = [f"w{i}" for i in range(9)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 7))))
+
+        examples = [
+            make_example([sentence() for _ in range(n)], [sentence() for _ in range(int(rng.integers(1, 3)))], f"m{j}")
+            for j, n in enumerate([3, 6, 1, 5, 2, 6, 4, 3, 1, 5, 2, 4, 7, 3, 5, 1])
+        ]
+        extractor, abstractor = LeadExtractor(6), SalienceAbstractor(0.8)
+        paths = [tmp_path / "default.jsonl", tmp_path / "small.jsonl"]
+        want, want_failures = label_dataset(examples, extractor, abstractor, cap=5, cache_path=paths[0])
+        grids = []
+        real = oracle._grid_rewards
+
+        def counted(stats, weights):
+            grids.append(len(stats.counts))
+            return real(stats, weights)
+
+        monkeypatch.setattr(oracle, "_grid_rewards", counted)
+        monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
+        labeled, failures = label_dataset(examples, extractor, abstractor, cap=5, cache_path=paths[1])
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+        assert labeled == want and failures == want_failures and len(failures) == 3
+        assert sum(grids) == len(labeled) and (entries > 1) == (max(grids) > 1)
+        assert len(grids) > len({len(lab.best) for lab in labeled})
+        by_id = {ex.document.id: ex for ex in examples}
+        for lab in labeled:
+            ex = by_id[lab.example_id]
+            rewards = enumerate_rewards(ex, lab.extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+            best = best_sequence(rewards)
+            assert lab.best == best and lab.best_reward == float(rewards[tuple(DECISIONS.index(d) for d in best)])
+            assert np.array(lab.labels).tobytes() == soft_labels(rewards, best).tobytes()
+
+    def test_equal_lengths_make_one_grid_pass(self, monkeypatch):
+        """40 examples of one extract length are labeled by one stacked grid,
+        one `best_sequence` and one `soft_labels` call."""
+        rng = np.random.default_rng(10)
+        vocab = [f"w{i}" for i in range(12)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(2, 7))))
+
+        examples = [make_example([sentence() for _ in range(4)], [sentence()], f"e{j}") for j in range(40)]
+        calls = []
+        for name in ("_grid_rewards", "best_sequence", "soft_labels"):
+            real = getattr(oracle, name)
+
+            def counted(first, *args, real=real, name=name):
+                # the examples in the call: a statistics record, or rewards
+                calls.append((name, len(getattr(first, "counts", first))))
+                return real(first, *args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        labeled, failures = label_dataset(examples, LeadExtractor(3), SalienceAbstractor(0.8))
+        assert failures == [] and len(labeled) == 40
+        assert calls == [("_grid_rewards", 40), ("best_sequence", 40), ("soft_labels", 40)]
 
     def test_greedy_extracts_one_batch_per_run(self, monkeypatch):
         """With the greedy extractor, a run's extracts come from one

@@ -165,7 +165,7 @@ def assert_split_equals_reference(versions, references):
     assert (N, S) == (len(versions), max(map(len, versions), default=0))
     for j, (vs, ref) in enumerate(zip(versions, references)):
         want = sentence_stats(vs, ref)
-        one = stats.example(j, len(vs))
+        one = stats.select([j], len(vs))
         counts, ref_counts, u = one.counts[0], one.ref_counts[0], one.unigrams
         assert u == want.unigrams and counts.shape == want.counts.shape
         assert np.array_equal(counts[:, -2:], want.counts[:, -2:])
