@@ -83,18 +83,22 @@ def _raw_rows(sentences: Sequence[Sequence[str]], config: EncoderConfig) -> np.n
     Feature f adds sign(h) to bucket h % n, h = crc32 of the UTF-8 bytes of
     f"{seed}\x00{f}" and sign + where its top bit is set. Every distinct
     unigram and bigram is hashed once, continuing the CRC of the seed prefix
-    (crc32(b, crc32(a)) == crc32(a + b))."""
+    (crc32(b, crc32(a)) == crc32(a + b)), and a bigram the CRC of its first
+    word's prefix, computed once per word."""
     vocab: dict[str, int] = {}
     tokens = np.array([vocab.setdefault(t, len(vocab)) for s in sentences for t in s], dtype=np.int64)
     row = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
     inner = row[1:] == row[:-1]  # adjacent tokens of one sentence
     V = len(vocab)
     pairs, pair_of = np.unique(tokens[:-1][inner] * V + tokens[1:][inner], return_inverse=True)
-    words = list(vocab)
-    features = [f"1:{w}" for w in words]
-    features += [f"2:{words[p // V]}\x1f{words[p % V]}" for p in pairs.tolist()]
-    prefix = zlib.crc32(f"{config.hash_seed}\x00".encode())
-    h = np.array([zlib.crc32(f.encode(), prefix) for f in features], dtype=np.int64)
+    crc32, prefix = zlib.crc32, zlib.crc32(f"{config.hash_seed}\x00".encode())
+    starts = [crc32(f"2:{w}\x1f".encode(), prefix) for w in vocab]  # of a bigram's first word
+    words = [w.encode() for w in vocab]
+    h = np.array(
+        [crc32(f"1:{w}".encode(), prefix) for w in vocab]
+        + [crc32(words[b], starts[a]) for a, b in zip((pairs // V).tolist(), (pairs % V).tolist())],
+        dtype=np.int64,
+    )
     bucket, sign = h % config.n, np.where(h & 0x80000000, 1.0, -1.0)
     feature = np.concatenate([tokens, V + pair_of.ravel()])
     owner = np.concatenate([row, row[1:][inner]])

@@ -124,6 +124,8 @@ def _grid_rewards(stats: SplitStats, weights: RewardWeights) -> np.ndarray:
     head = l - tail
     tail_counts = _grid(count_rows[head:], no_counts, np.add)
     tail_lcs = _grid(lcs_rows[head:], no_lcs, np.logical_or)
+    if not head:
+        return stats.rewards(tail_counts, tail_lcs, weights).reshape((n,) + (3,) * l)
     heads = (_grid(count_rows[:head], no_counts, np.add), _grid(lcs_rows[:head], no_lcs, np.logical_or))
     chunks = zip(*(grid.swapaxes(0, 1) for grid in heads))
     return np.concatenate(

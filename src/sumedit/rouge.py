@@ -18,16 +18,21 @@ greedy extractor and the trainer all take their statistics from it; the
 one-example-at-a-time builder it replaced is the slow reference in
 tests/reference.py.
 
-Both paths align sentences with `_lcs_positions`, which keeps each row of the
-LCS table as one int of bits over the candidate's positions (the bit-vector
-LCS of Allison & Dix 1986, "A bit-string longest-common-subsequence
-algorithm") and walks the canonical traceback on it. The full-table dynamic
-program it replaced is the slow reference in tests/test_rouge.py.
+Both paths align sentences with the bit-vector LCS of Allison & Dix (1986,
+"A bit-string longest-common-subsequence algorithm"), which keeps each row of
+the LCS table as bits over the candidate's positions, and walk the canonical
+traceback on it. `reward` aligns one pair at a time with `_lcs_positions`, one
+Python int per row. `split_stats` aligns every (version, reference sentence)
+pair of its record that shares a token at once (`_lcs_matched`): each row is
+ceil(C / 64) uint64 words for a version of C tokens, and blocks of pairs run
+the forward pass and the traceback in lockstep, with no per-pair Python loop.
+`_lcs_positions` is the reference the lockstep path is tested against, and
+the full-table dynamic program it replaced is the slow reference in
+tests/test_rouge.py.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -336,6 +341,149 @@ def _ngrams_of(ids: list[int], lengths: list[int]) -> tuple[np.ndarray, ...]:
     return tokens, sentence, tokens[inner], tokens[inner + 1], sentence[inner]
 
 
+# Bound on the LCS row words (hits x words, over its pairs) of one block of
+# (version, reference sentence) pairs in `_lcs_matched`.
+LCS_ENTRIES = 1 << 16
+# bit b of a word, and its bits 0 .. b
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_UP_TO = (_BIT << np.uint64(1)) - np.uint64(1)
+
+
+def _mask_words(key, version, pos) -> tuple[np.ndarray, ...]:
+    """The words of every version's mask of every key its tokens have, from
+    the key, the version and the position of each token: (key, version,
+    word, mask) of each nonzero word, sorted by key, version and word."""
+    order = np.lexsort((pos, version, key))
+    key, version, pos = key[order], version[order], pos[order]
+    word = pos >> 6
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (version[1:] != version[:-1]) | (word[1:] != word[:-1])
+    starts = np.flatnonzero(new)
+    mask = np.bitwise_or.reduceat(_BIT[pos & 63], starts)
+    return key[starts], version[starts], word[starts], mask
+
+
+def _lcs_matched(ref_key, ref_sentence, ref_offset, key, version, pos, length, sentences, base) -> np.ndarray:
+    """`_lcs_positions` of every (version, reference sentence) pair of a
+    record at once, as the flat indices `base[g] + ref_offset[r]` of the
+    matched reference tokens r of each version g.
+
+    Reference token r has key `ref_key[r]` and is in sentence
+    `ref_sentence[r]` of its example's reference; version token `pos` of
+    version `version` has key `key` (tokens no reference has are left out);
+    version g has `length[g]` tokens, and its example's reference
+    `sentences[g]` sentences. A version of C tokens keeps each LCS row as
+    W = ceil(C / 64) uint64 words, and its mask for a key is the words of
+    the positions that hold it. The join of the reference tokens with the
+    masks of equal key gives every pair that shares a token, with its hits:
+    the reference tokens the version has, in order. Pairs sorted by
+    (W, hits) go in blocks of at most LCS_ENTRIES row words, and each block
+    runs `_lcs_positions` in lockstep: the forward pass over the hit rows,
+    where only the add of `(v + u) | (v - u)` carries across words (u is a
+    subset of v, so v - u is v ^ u), then the traceback over the pairs still
+    inside their table.
+    """
+    if not len(key):
+        return np.zeros(0, dtype=np.int64)
+    key, version, word, mask = _mask_words(key, version, pos)
+    # the join, in order of r and then of (version, word): entry e is
+    # reference token r against mask word u of its key; version g has a pair
+    # with each of the `sentences[g]` reference sentences of its example
+    lo, hi = np.searchsorted(key, ref_key), np.searchsorted(key, ref_key, side="right")
+    n = hi - lo
+    r = np.repeat(np.arange(len(ref_key)), n)
+    u = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
+    pair = (np.cumsum(sentences) - sentences)[version[u]] + ref_sentence[r]
+    first_word = np.ones(len(key), dtype=bool)  # of a (key, version) mask
+    first_word[1:] = (key[1:] != key[:-1]) | (version[1:] != version[:-1])
+    hits = np.bincount(pair[first_word[u]], minlength=int(sentences.sum()))
+    shared = np.flatnonzero(hits)
+    C = length[np.repeat(np.arange(len(sentences)), sentences)[shared]]
+    W = np.maximum(1, (C + 63) // 64)
+
+    # the pairs that share a token, sorted by (W, hits), so that a block has
+    # one W and its pairs with more than h hits are a suffix; a stable sort
+    # keeps each pair's entries in order of r
+    by_size = np.lexsort((hits[shared], W))
+    rank = np.empty(len(hits), dtype=np.int64)
+    rank[shared[by_size]] = np.arange(len(by_size))
+    order = np.argsort(rank[pair], kind="stable")
+    r, u, pair = r[order], u[order], rank[pair[order]]
+    W, hits, C = W[by_size], hits[shared[by_size]], C[by_size]
+    hit = np.cumsum(first_word[u]) - 1 - (np.cumsum(hits) - hits)[pair]
+    target = base[version[u]] + ref_offset[r]
+    matched = []
+    start = 0
+    while start < len(W):
+        w = int(W[start])
+        stop = int(np.searchsorted(W, w, side="right"))
+        size = np.cumsum(hits[start:stop]) * w
+        end = start + max(1, int(np.searchsorted(size, LCS_ENTRIES, side="right")))
+        e = slice(*np.searchsorted(pair, [start, end]))
+        block = slice(start, end)
+        matched.append(_lcs_block(pair[e] - start, hit[e], word[u[e]], mask[u[e]], target[e], hits[block], C[block], w))
+        start = end
+    return np.concatenate(matched)
+
+
+def _lcs_block(pair, hit, word, mask, target, hits, C, W) -> np.ndarray:
+    """`_lcs_matched` of one block of P pairs of W-word rows, in ascending
+    order of `hits`: entry e sets word `word[e]` of hit `hit[e]` of pair
+    `pair[e]` to `mask[e]` and names that hit's reference token `target[e]`;
+    pair p has `hits[p]` hits and a version of `C[p]` tokens."""
+    P, H = len(C), int(hits[-1])
+    # hit h of the pairs p >= lo[h] (those with more than h hits) is slot
+    # start[h] + p, so the slots of one hit are one slice
+    lo = np.searchsorted(hits, np.arange(H), side="right")
+    start = np.cumsum(P - lo) - (P - lo) - lo
+    slot = start[hit] + pair
+    masks = np.zeros((int(hits.sum()), W), dtype=np.uint64)
+    masks[slot, word] = mask
+    targets = np.zeros(len(masks), dtype=np.int64)
+    targets[slot] = target
+    # bits 0 .. C - 1 of each row
+    fill = np.clip(C[:, None] - 64 * np.arange(W), 0, 64)
+    full = np.where(fill == 64, ~np.uint64(0), (np.uint64(1) << np.minimum(fill, 63).astype(np.uint64)) - 1)
+    above = np.empty_like(masks)  # the row above each hit
+    v = full.copy()
+    for h, first in enumerate(lo.tolist()):
+        rows = slice(start[h] + first, start[h] + P)
+        x = v[first:]
+        above[rows] = x
+        u = x & masks[rows]
+        s = x + u
+        carry = np.zeros(len(x), dtype=bool)
+        for w in range(1, W):
+            a, b = x[:, w - 1], s[:, w - 1]
+            carry = (b < a) | (carry & (b == a))
+            s[:, w] += carry
+        v[first:] = (s | (x ^ u)) & full[first:]
+    ones = np.bitwise_count(above)
+    below = np.cumsum(ones, axis=1, dtype=np.int64) - ones  # set bits in the words below
+
+    # The traceback, pair p at hit k (the row of its reference token) and
+    # column j, where the LCS table dp holds d: diagonal on a match, else up
+    # when dp one row up (the row above hit k) is at least dp one column
+    # left. Without a match dp[i][j] = max(dp[i - 1][j], dp[i][j - 1]), so
+    # that is when dp one row up is d, and d stays.
+    d = C - np.bitwise_count(v).sum(axis=1, dtype=np.int64)
+    p = np.flatnonzero(d > 0)
+    state = np.stack([p, hits[p] - 1, C[p] - 1, d[p]])  # p, k, j - 1, d
+    matched = []
+    while state.shape[1]:
+        p, k, col, d = state
+        at, w, bit = start[k] + p, col >> 6, col & 63
+        match = (masks[at, w] & _BIT[bit]) != 0
+        matched.append(at[match])
+        up = col + 1 - below[at, w] - np.bitwise_count(above[at, w] & _UP_TO[bit])
+        go_up = up >= d
+        k -= match | go_up
+        col -= match | ~go_up
+        d -= match
+        state = state[:, d > 0]
+    return targets[np.concatenate(matched)]
+
+
 def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitStats:
     """`SplitStats` of the sentence versions `versions[j]` of every example
     j against `references[j]` (a ReferenceSummary or a plain list of token
@@ -347,9 +495,9 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     example and its two ids; an example's bigram columns are its distinct
     reference keys (`np.unique`), and a version bigram of two known tokens
     finds its column by `searchsorted`. All counts then come from one
-    `np.bincount`. The LCS rows take one `_lcs_positions` call per
-    (version, reference sentence) pair; one without a common token returns
-    at once.
+    `np.bincount`. The LCS rows come from `_lcs_matched`, which aligns the
+    pairs of the record that share a token in lockstep, keyed by the same
+    token ids.
     """
     refs = [getattr(r, "sentences", r) for r in references]
     N, S = len(versions), max(map(len, versions), default=0)
@@ -361,8 +509,10 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     # example j's bigram (a, b) is key offset[j] + a * U[j] + b
     offset = np.cumsum(U * U) - U * U
 
-    ref_owner = np.repeat(np.arange(N), np.array([len(ref) for ref in refs], dtype=np.intp))
-    tok, sent, first, second, pair_sent = _ngrams_of(ref_ids, [len(s) for ref in refs for s in ref])
+    ref_sentences = np.array([len(ref) for ref in refs], dtype=np.intp)
+    ref_owner = np.repeat(np.arange(N), ref_sentences)
+    ref_tok, ref_sent, first, second, pair_sent = _ngrams_of(ref_ids, [len(s) for ref in refs for s in ref])
+    ref_example = ref_owner[ref_sent]
     owner = ref_owner[pair_sent]
     cols, at, ref_pair_counts = np.unique(
         offset[owner] + first * U[owner] + second, return_index=True, return_counts=True
@@ -372,7 +522,7 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     CU = int(U.max(initial=0))
     C = CU + int(np.bincount(col_owner, minlength=N).max(initial=0))
     ref_counts = np.zeros((N, C), dtype=np.int64)
-    ref_counts[:, :CU] = np.bincount(ref_owner[sent] * CU + tok, minlength=N * CU).reshape(N, CU)
+    ref_counts[:, :CU] = np.bincount(ref_example * CU + ref_tok, minlength=N * CU).reshape(N, CU)
     ref_counts[col_owner, CU + rank] = ref_pair_counts
 
     per_example = np.array([len(vs) for vs in versions], dtype=np.intp)
@@ -380,6 +530,28 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     row = owner * S + np.arange(len(sentences)) - np.repeat(np.cumsum(per_example) - per_example, per_example)
     lengths = [len(s) for s in sentences]
     tok, sent, first, second, pair_sent = _ngrams_of(ids, lengths)
+    length = np.array(lengths, dtype=np.int64)
+
+    ref_tokens = np.array([sum(map(len, ref)) for ref in refs], dtype=np.int64)
+    T = int(ref_tokens.max(initial=0))
+    # a token's key is its id in the reference vocabulary of all examples
+    vocab_start = np.cumsum(U) - U
+    kept = np.flatnonzero(tok >= 0)
+    version = sent[kept]
+    matched = _lcs_matched(
+        ref_key=vocab_start[ref_example] + ref_tok,
+        ref_sentence=ref_sent - (np.cumsum(ref_sentences) - ref_sentences)[ref_example],
+        ref_offset=np.arange(len(ref_tok)) - (np.cumsum(ref_tokens) - ref_tokens)[ref_example],
+        key=vocab_start[owner[version]] + tok[kept],
+        version=version,
+        pos=kept - (np.cumsum(length) - length)[version],
+        length=length,
+        sentences=ref_sentences[owner],
+        base=row * T,
+    )
+    lcs = np.zeros((N, S, T), dtype=bool)
+    lcs.reshape(-1)[matched] = True
+
     known = (first >= 0) & (second >= 0)
     first, second, pair_sent = first[known], second[known], pair_sent[known]
     owner = owner[pair_sent]
@@ -391,22 +563,8 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     )
     counts = np.bincount(cells, minlength=N * S * (C + 2)).astype(np.int64, copy=False)
     counts = counts.reshape(N, S, C + 2)
-    length = np.array(lengths, dtype=np.int64)
     counts.reshape(-1, C + 2)[row, C] = length
     counts.reshape(-1, C + 2)[row, C + 1] = np.maximum(length - 1, 0)
-
-    ref_tokens = np.array([sum(map(len, ref)) for ref in refs], dtype=np.int64)
-    T = int(ref_tokens.max(initial=0))
-    matched: list[int] = []  # flat indices into lcs
-    for j, (vs, ref) in enumerate(zip(versions, refs)):
-        starts = list(accumulate(map(len, ref), initial=0))
-        for v, version in enumerate(vs):
-            masks = _match_masks(version)
-            base = (j * S + v) * T
-            for ref_sent, start in zip(ref, starts):
-                matched += [base + start + pos for pos in _lcs_positions(ref_sent, version, masks)]
-    lcs = np.zeros((N, S, T), dtype=bool)
-    lcs.reshape(-1)[matched] = True
     return SplitStats(
         counts=counts,
         lcs=lcs,

@@ -18,7 +18,7 @@ from sumedit.oracle import (
     realize,
     write_label_cache,
 )
-from sumedit.rouge import RewardWeights, reward
+from sumedit.rouge import RewardWeights, SplitStats, reward
 from sumedit import summarizers
 from sumedit.summarizers import ExtractResult, GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary
@@ -317,6 +317,29 @@ class TestFactorizedOracle:
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 1)
         chunked = enumerate_rewards(ex, extract, abstractions)
         assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("head", [0, 2, 4])
+    def test_grid_with_and_without_prefix_chunks_equals_reward(self, monkeypatch, head):
+        """A grid scored whole (no leading decision prefix) or in 3^head
+        chunks equals `rouge.reward` of every realized summary."""
+        ex, extract, abstractions = oracle_case(
+            (("a", "b", "c"), ("b", "c", "d"), ("d", "a"), ("c",), ("e", "a", "b")),
+            (4, 0, 2, 1, 3),
+            (("a", "b"), ("c",), ("d", "a"), ("c",), ("e",)),
+            [("a", "b", "c", "d"), ("e", "a")],
+        )
+        l = len(extract.order)
+        stats = oracle.split_stats([oracle._versions(ex, extract, abstractions)], [ex.reference])
+        width = stats.counts.shape[2] + stats.lcs.shape[2]
+        # the largest bound that leaves `head` leading decisions to chunk
+        monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 3 ** (l - head) * width if head else oracle.CHUNK_ENTRIES)
+        chunks = []
+        real = SplitStats.rewards
+        monkeypatch.setattr(SplitStats, "rewards", lambda self, *a: (chunks.append(a), real(self, *a))[1])
+        rewards = enumerate_rewards(ex, extract, abstractions)
+        assert len(chunks) == 3**head
+        want = enumerate_rewards(ex, extract, abstractions, reward_fn=lambda s: reward(s, ex.reference))
+        assert rewards.tobytes() == want.tobytes()
 
     def test_cap_length_sampled_sequences(self):
         rng = np.random.default_rng(12)

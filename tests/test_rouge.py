@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import sentence_stats
+from sumedit import rouge
 from sumedit.rouge import (
     RewardWeights,
     _lcs_positions,
@@ -243,6 +244,71 @@ class TestSplitStats:
         stats = split_stats([], [])
         assert stats.counts.shape == (0, 0, 2) and stats.lcs.shape == (0, 0, 0)
         assert stats.ref_counts.shape == (0, 0) and stats.ref_tokens.shape == (0,)
+
+
+def pairwise_lcs(versions, references):
+    """The (N, S, T) LCS rows of `split_stats` from one `_lcs_positions`
+    call per (version, reference sentence) pair."""
+    S = max(map(len, versions), default=0)
+    T = max((sum(map(len, ref)) for ref in references), default=0)
+    lcs = np.zeros((len(versions), S, T), dtype=bool)
+    for j, (vs, ref) in enumerate(zip(versions, references)):
+        starts = list(itertools.accumulate(map(len, ref), initial=0))
+        for v, version in enumerate(vs):
+            for ref_sent, start in zip(ref, starts):
+                for pos in lcs_positions(ref_sent, version):
+                    lcs[j, v, start + pos] = True
+    return lcs
+
+
+# Versions of 0, 1, 63, 64, 65 and 130+ tokens (one, two and three words),
+# over one to three tokens (many tied alignments) plus one no reference has;
+# reference sentences of up to 80 tokens.
+@st.composite
+def lcs_records(draw):
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    size = st.sampled_from([0, 1, 2, 5, 63, 64, 65, 130, 140])
+    version = size.flatmap(lambda n: token_lists(alphabet + "x", (n, n)).map(tuple))
+    ref_sent = st.one_of(token_lists(alphabet, (1, 8)), token_lists(alphabet, (60, 80))).map(tuple)
+    example = st.tuples(st.lists(version, max_size=4), st.lists(ref_sent, min_size=1, max_size=3))
+    return draw(st.lists(example, min_size=1, max_size=3))
+
+
+class TestSplitLcs:
+    """`split_stats`' LCS rows, aligned in lockstep over all pairs of a
+    record, against one `_lcs_positions` call per pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=lcs_records(), entries=st.sampled_from([1, 64, rouge.LCS_ENTRIES]))
+    # no version shares a token with the reference, and one has no versions
+    @example(records=[((("x",) * 70, ("x",)), (("a", "b"),)), ((), (("a",),))], entries=1)
+    # a two-word and a three-word version in one block of a few pairs
+    @example(records=[((("a", "b") * 40, ("b",) * 130), (("b", "a") * 35, ("a",)))], entries=64)
+    def test_equals_per_pair_alignment(self, records, entries):
+        versions, references = [list(vs) for vs, _ in records], [ref for _, ref in records]
+        want = pairwise_lcs(versions, references)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rouge, "LCS_ENTRIES", entries)
+            patch.setattr(rouge, "_lcs_positions", None)  # no per-pair call
+            got = split_stats(versions, references).lcs
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("entries", [1, 64])
+    def test_small_blocks_equal_one_block(self, monkeypatch, entries):
+        """Blocks of one pair, and of a few pairs cut inside a group of equal
+        word count, give the rows of one block per group."""
+        rng = random.Random(5)
+        versions = [[tuple(rng.choices("abcz", k=rng.choice([3, 40, 70, 135]))) for _ in range(6)] for _ in range(4)]
+        references = [[tuple(rng.choices("abc", k=rng.choice([4, 30, 90]))) for _ in range(3)] for _ in range(4)]
+        whole = split_stats(versions, references).lcs
+        blocks = []
+        real = rouge._lcs_block
+        monkeypatch.setattr(rouge, "_lcs_block", lambda *a: (blocks.append(len(a[-2])), real(*a))[1])
+        monkeypatch.setattr(rouge, "LCS_ENTRIES", entries)
+        assert np.array_equal(split_stats(versions, references).lcs, whole)
+        assert np.array_equal(whole, pairwise_lcs(versions, references))
+        sharing = sum(bool(set(v) & set(r)) for vs, ref in zip(versions, references) for v in vs for r in ref)
+        assert sum(blocks) == sharing and (max(blocks) == 1) == (entries == 1)
 
 
 class TestRougeN:
