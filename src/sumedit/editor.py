@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
 import math
 from typing import TYPE_CHECKING, Sequence
@@ -364,63 +363,58 @@ def loss_and_gradients(
     return loss, grad
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(params: EditorParams, encoder_config: EncoderConfig, path) -> None:
+    """Write the editor and its encoder settings as one JSON object. Each
+    parameter is the hex text of its little-endian float64 words in
+    row-major order, so `load_checkpoint` reads back the exact bits."""
     payload: dict = {"version": CHECKPOINT_VERSION, "m": params.m, "n": params.n}
     for name in PARAM_NAMES:
-        payload[name] = getattr(params, name).tolist()
-    payload["encoder"] = {
-        "n": encoder_config.n,
-        "hash_seed": encoder_config.hash_seed,
-        "context_window": encoder_config.context_window,
-    }
-    # One `json.dumps` call encodes in C, about 3x faster than the
-    # pure-Python chunked encoder of `json.dump`, with the same bytes; it
-    # holds the text of every number until it joins them (about 100 bytes a
-    # parameter).
+        payload[name] = getattr(params, name).astype("<f8").tobytes().hex()
+    payload["encoder"] = {key: getattr(encoder_config, key) for key in encoder_config.__slots__}
     with atomic_open(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _field(obj: dict, key: str, path, where: str = "checkpoint"):
+def _field(obj: dict, key: str, where: str = "checkpoint"):
     if key not in obj:
-        raise ValueError(f"{path}: {where} has no {key!r}")
+        raise ValueError(f"{where} has no {key!r}")
     return obj[key]
 
 
 def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
+    """The editor and encoder settings a checkpoint holds. A file that is not
+    a checkpoint of this version raises ValueError naming it."""
     from .encoder import EncoderConfig
 
     payload = read_json_object(path)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    m, n = (_field(payload, key, path) for key in ("m", "n"))
-    for key, value in (("m", m), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{path}: checkpoint {key} must be a positive integer, got {value!r}")
-    arrays = []
-    for name, shape in param_shapes(m, n).items():
-        value = _field(payload, name, path)
-        try:
-            arr = np.array(value, dtype=float)
-        except (TypeError, ValueError):
-            arr = None
-        # np.array takes JSON true/false and numeric strings as numbers; the
-        # entries' exact types (type(...) in, not isinstance) do not
-        entries = itertools.chain.from_iterable(value) if len(shape) == 2 else value
-        if arr is None or arr.shape != shape or not {*map(type, entries)} <= {int, float}:
-            raise ValueError(f"{path}: {name} is not a number array of shape {shape}")
-        arrays.append(arr.ravel())
-    params = EditorParams(m, n, np.concatenate(arrays))
-    params.validate()
-    enc = _field(payload, "encoder", path)
-    if not isinstance(enc, dict):
-        raise ValueError(f"{path}: checkpoint 'encoder' must be an object")
-    config = EncoderConfig(
-        **{key: _field(enc, key, path, "checkpoint encoder") for key in ("n", "hash_seed", "context_window")}
-    )
-    if config.n != params.n:
-        raise ValueError("encoder width disagrees with editor n")
+    try:
+        if (version := payload.get("version")) != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint version {version!r} is not supported; re-run sumedit train")
+        m, n = (_field(payload, key) for key in ("m", "n"))
+        for key, value in (("m", m), ("n", n)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"checkpoint {key} must be a positive integer, got {value!r}")
+        words = []
+        for name, shape in param_shapes(m, n).items():
+            value, size = _field(payload, name), 8 * math.prod(shape)
+            try:  # fromhex skips whitespace, so the byte count is checked too
+                words.append(bytes.fromhex(value) if isinstance(value, str) and len(value) == 2 * size else b"")
+            except ValueError:
+                words.append(b"")
+            if len(words[-1]) != size:
+                raise ValueError(f"{name} is not the hex text of float64 words of shape {shape}")
+        # a fresh, writable native array: frombuffer alone is a read-only view
+        params = EditorParams(m, n, np.frombuffer(b"".join(words), dtype="<f8").astype(np.float64))
+        params.validate()
+        enc = _field(payload, "encoder")
+        if not isinstance(enc, dict):
+            raise ValueError("checkpoint 'encoder' must be an object")
+        config = EncoderConfig(**{key: _field(enc, key, "checkpoint encoder") for key in EncoderConfig.__slots__})
+        if config.n != params.n:
+            raise ValueError("encoder width disagrees with editor n")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params, config

@@ -219,10 +219,12 @@ def make_chunk(document: Document, i: int) -> Chunk:
 
 def rescale_attention(attention: AttentionMap, likelihood: Mapping[int, float]) -> AttentionMap:
     """C'(w) = C(w) * P(s) / Z with Z the sum of C(w) * P(s) over the chunk."""
-    scaled = [
-        (sent, pos, w * likelihood[sent]) for sent, pos, w in attention.entries
-    ]
-    z = sum(w for _, _, w in scaled)
+    scaled = [(sent, pos, w * likelihood[sent]) for sent, pos, w in attention.entries]
+    # Z adds left to right: builtin `sum` compensates float rounding from
+    # Python 3.12 on, and `np.cumsum` costs several times this loop here
+    z = 0.0
+    for _, _, w in scaled:
+        z += w
     if z <= 0:
         raise ValueError("degenerate attention: normalization term is zero")
     return AttentionMap(entries=tuple((s, p, w / z) for s, p, w in scaled))
@@ -260,10 +262,11 @@ def abstract_salience(chunk: Chunk, likelihood: Mapping[int, float], ratio: floa
         raise ValueError("ratio must lie in (0, 1]")
     rescaled = rescale_attention(_content_scores(chunk), likelihood)
     center = chunk.members[chunk.center]
-    center_weights = [
-        (pos, w) for sent, pos, w in rescaled.entries if sent == center.index
-    ]
-    total = sum(w for _, w in center_weights)
+    center_weights, total = [], 0.0
+    for sent, pos, w in rescaled.entries:
+        if sent == center.index:
+            center_weights.append((pos, w))
+            total += w  # left to right, as rescale_attention's Z
     ranked = sorted(center_weights, key=lambda pw: (-pw[1], pw[0]))
     kept: list[int] = []
     cum = 0.0

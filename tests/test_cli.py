@@ -775,16 +775,24 @@ class TestConfigAndCheckpointFiles:
             (edited(lambda p: p.pop("W_c")), "checkpoint has no 'W_c'"),
             (edited(lambda p: p["encoder"].pop("hash_seed")), "checkpoint encoder has no 'hash_seed'"),
             (edited(lambda p: p.update(m="8")), "checkpoint m must be a positive integer, got '8'"),
-            (edited(lambda p: p["W_g"].pop()), "W_g is not a number array of shape (12, 12)"),
-            (edited(lambda p: p["b"].__setitem__(0, "x")), "b is not a number array of shape (3,)"),
+            (edited(lambda p: p.update(W_g=p["W_g"][: -12 * 16])),
+             "W_g is not the hex text of float64 words of shape (12, 12)"),
+            (edited(lambda p: p.update(b="x" + p["b"][1:])), "b is not the hex text of float64 words of shape (3,)"),
             (edited(lambda p: p["encoder"].update(n=12.0)), "encoder n must be an integer, got 12.0"),
+            (edited(lambda p: p.update(b_d=p["b_d"][1:])),
+             "b_d is not the hex text of float64 words of shape (12,)"),
+            (edited(lambda p: p.update(V=[[0.0] * 8] * 3)), "V is not the hex text of float64 words of shape (3, 8)"),
+            (edited(lambda p: p.update(version=1)), "checkpoint version 1 is not supported"),
+            (edited(lambda p: p["encoder"].update(n=6)), "encoder width disagrees with editor n"),
+            (edited(lambda p: p.update(W_c="000000000000f07f" + p["W_c"][16:])), "W_c contains non-finite values"),
         ],
         ids=["not-an-object", "deep-nesting", "missing-array", "missing-encoder-field",
-             "str-dimension", "ragged-array", "str-entry", "float-encoder-width"],
+             "str-dimension", "ragged-array", "str-entry", "float-encoder-width", "odd-length-words",
+             "number-list", "version-1", "width-mismatch", "non-finite-word"],
     )
     def test_bad_checkpoint(self, workspace, capsys, change, message):
         cfg = write_config(workspace)
         path = checkpoint(workspace, [0.0, 0.0, 0.0])
         path.write_text(change(json.loads(path.read_text())))
         assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 1
-        self.assert_one_error_line(capsys, message)
+        self.assert_one_error_line(capsys, f"{path}: {message}")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -562,39 +563,109 @@ class TestCheckpoint:
         for name in PARAM_NAMES:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
 
+    def test_exact_bits_round_trip(self, tmp_path):
+        params = init_params(5, 8, np.random.default_rng(7))
+        params.b[:] = [-0.0, 5e-324, 1e-300]
+        params.b_d[:2] = [1e300, -1e300]
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, EncoderConfig(n=8), path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        # a fresh native array the caller may write into, not a view of the
+        # file's bytes
+        assert loaded.flat.dtype == np.float64 and loaded.flat.dtype.isnative
+        assert loaded.flat.flags.writeable and loaded.flat.flags.c_contiguous
+        assert loaded.flat.base is None or isinstance(loaded.flat.base, np.ndarray)
+        loaded.W_c[0, 0] = 2.0
+        assert loaded.flat[0] == 2.0
+
+    def test_golden_bytes(self, tmp_path):
+        # pins the file format: any drift in the writer fails here
+        flat = [0.5, -0.0, 1.0, -2.0, 0.25, 1.5, -1.5, 3.0, 0.0, -0.5, 5e-324, 1e300, -1e-300, 0.1]
+        params = EditorParams(1, 1, np.array(flat))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, EncoderConfig(n=1, hash_seed=3, context_window=2), path)
+        assert path.read_bytes() == (
+            b'{"V":"000000000000f83f000000000000f8bf0000000000000840",'
+            b'"W_c":"000000000000e03f0000000000000080000000000000f03f00000000000000c0",'
+            b'"W_d":"59f3f8c21f6ea581","W_g":"9c7500883ce4377e",'
+            b'"b":"0000000000000000000000000000e0bf0100000000000000",'
+            b'"b_c":"000000000000d03f","b_d":"9a9999999999b93f",'
+            b'"encoder":{"context_window":2,"hash_seed":3,"n":1},"m":1,"n":1,"version":2}\n'
+        )
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
     @pytest.mark.parametrize(
         "name, edit",
-        [("b_c", lambda p: p["b_c"].__setitem__(0, "0.5")), ("W_g", lambda p: p["W_g"][1].__setitem__(2, True))],
-        ids=["numeric-string", "bool"],
+        [
+            ("b_c", lambda p: p.update(b_c="0.5")),
+            ("W_g", lambda p: p.update(W_g=True)),
+            ("b_c", lambda p: p.update(b_c=0.5)),
+            ("b", lambda p: p.update(b=[0.0, 0.0, 0.0])),
+            ("W_d", lambda p: p.update(W_d=None)),
+            ("W_c", lambda p: p.update(W_c=p["W_c"][:-16])),
+            ("W_c", lambda p: p.update(W_c=p["W_c"] + "0" * 16)),
+            ("V", lambda p: p.update(V=p["V"][:-1])),
+            ("b", lambda p: p.update(b="g" + p["b"][1:])),
+            ("b", lambda p: p.update(b=p["b"][:-2] + "  ")),
+            ("b", lambda p: p.update(b="\u0660" + p["b"][1:])),
+        ],
+        ids=["numeric-string", "bool", "number", "number-list", "null", "too-short", "too-long",
+             "odd-length", "non-hex", "whitespace", "non-ascii-digit"],
     )
     def test_non_number_entry_rejected(self, tmp_path, name, edit):
-        # np.array(..., dtype=float) alone reads "0.5" as 0.5 and true as 1.0
+        # each parameter is a str of exactly 16 hex digits per entry;
+        # `bytes.fromhex` alone would skip whitespace
         path = tmp_path / "checkpoint.json"
         save_checkpoint(init_params(5, 8, np.random.default_rng(7)), EncoderConfig(n=8), path)
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
         shape = editor.param_shapes(5, 8)[name]
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} is not a number array of shape {shape}")):
+        message = f"{path}: {name} is not the hex text of float64 words of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_word_rejected(self, tmp_path, value):
+        params = init_params(5, 8, np.random.default_rng(7))
+        params.W_g[2, 3] = value
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, EncoderConfig(n=8), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: W_g contains non-finite values")):
             load_checkpoint(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint version 99 is not supported")):
             load_checkpoint(path)
 
+    def test_version_1_file_rejected(self, tmp_path):
+        # the earlier format: every parameter a JSON number array
+        params = init_params(5, 8, np.random.default_rng(7))
+        payload = {"version": 1, "m": 5, "n": 8, "encoder": {"n": 8, "hash_seed": 0, "context_window": 1}}
+        payload.update({name: getattr(params, name).tolist() for name in PARAM_NAMES})
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint version 1 ")) as info:
+            load_checkpoint(path)
+        assert str(info.value).endswith("re-run sumedit train")
+
     def test_bytes_equal_a_json_dump_writer(self, tmp_path):
-        # `save_checkpoint` encodes in one `json.dumps` call; its bytes must
-        # be those that the streaming `json.dump` writes for the same payload
+        # the words of every parameter, packed one float at a time by
+        # `struct` and written by the streaming `json.dump`, are the bytes
+        # `save_checkpoint` writes
         rng = np.random.default_rng(11)
         params = init_params(6, 5, rng)
-        params.flat[:] *= 10.0 ** rng.integers(-30, 30, size=params.flat.size)
-        params.b[:] = [0.0, -0.0, 1e-300]
+        params.flat[:] *= 10.0 ** rng.integers(-300, 300, size=params.flat.size)
+        params.b[:] = [0.0, -0.0, 5e-324]
         cfg = EncoderConfig(n=5, hash_seed=9, context_window=2)
         save_checkpoint(params, cfg, tmp_path / "checkpoint.json")
-        payload = {"version": 1, "m": 6, "n": 5, "encoder": {"n": 5, "hash_seed": 9, "context_window": 2}}
-        payload.update({name: getattr(params, name).tolist() for name in PARAM_NAMES})
+        payload = {"version": 2, "m": 6, "n": 5, "encoder": {"n": 5, "hash_seed": 9, "context_window": 2}}
+        for name in PARAM_NAMES:
+            payload[name] = "".join(struct.pack("<d", x).hex() for x in getattr(params, name).ravel().tolist())
         with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")

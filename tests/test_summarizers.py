@@ -328,6 +328,21 @@ class TestRescaleAttention:
         for (_, _, a), (_, _, b) in zip(out.entries, out2.entries):
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("builtin_sum", [sum, math.fsum], ids=["sum", "compensated-sum"])
+    def test_normalizer_adds_left_to_right(self, monkeypatch, builtin_sum):
+        # 1e16 + 1 rounds back to 1e16, so these weights add to 1e16 left to
+        # right and to 1e16 + 2 compensated (builtin `sum` from Python 3.12
+        # on, stood in for by math.fsum); Z must be the former on every Python
+        monkeypatch.setattr(summarizers, "sum", builtin_sum, raising=False)
+        weights = [1e16, 1.0, 1.0]
+        z = 0.0
+        for w in weights:
+            z += w
+        assert z != math.fsum(weights)
+        att = AttentionMap(entries=tuple((0, i, w) for i, w in enumerate(weights)))
+        out = rescale_attention(att, {0: 1.0})
+        assert [w for _, _, w in out.entries] == [w / z for w in weights]
+
     def test_degenerate_errors(self):
         att = AttentionMap(entries=((0, 0, 0.0),))
         with pytest.raises(ValueError, match="degenerate"):
@@ -362,6 +377,27 @@ class TestAbstractSalience:
             out = abstract_salience(chunk, {0: 0.5, 1: 1.0, 2: 0.5}, ratio)
             it = iter(center)
             assert all(tok in it for tok in out.tokens)
+
+    @pytest.mark.parametrize("builtin_sum", [sum, math.fsum, None], ids=["sum", "compensated-sum", "no-sum"])
+    def test_sums_add_left_to_right(self, monkeypatch, builtin_sum):
+        # this chunk's rescaled weights add to a different Z left to right
+        # than compensated, so its attention tells the two apart; without a
+        # builtin `sum` at all the abstraction must not change either
+        def no_sum(*args):
+            raise AssertionError("builtin sum called")
+
+        monkeypatch.setattr(summarizers, "sum", builtin_sum or no_sum, raising=False)
+        doc = document_from_strings("d", ["alpha beta the gamma", "cat dog cat the eel", "echo fox a golf"])
+        chunk = make_chunk(doc, 1)
+        p = {0: 0.3, 1: 0.9, 2: 0.7}
+        scaled = [w * p[sent] for sent, _, w in summarizers._content_scores(chunk).entries]
+        z = 0.0
+        for w in scaled:
+            z += w
+        assert z != math.fsum(scaled)
+        out = abstract_salience(chunk, p, 0.5)
+        assert [w for _, _, w in out.attention.entries] == [w / z for w in scaled]
+        assert out.tokens == ("cat", "dog", "cat")
 
     def test_ratio_validated(self):
         with pytest.raises(ValueError):
