@@ -13,9 +13,12 @@ them through their module attributes. `run()`, the process entry point,
 works in this order: it disables the collector, parses the arguments,
 imports the command's layers (numpy and `config` with them), freezes the
 heap (`gc.freeze()`), re-enables the collector and runs the command. So no
-collection runs during the imports, and neither later collections nor the
-final one at exit walk the objects they made. `main()` leaves the collector
-as it is: tests and the benchmark's tracer call it in-process. Warnings (a
+collection runs during the imports, and later collections do not walk the
+objects they made. When the command returns, `run()` flushes stdout and
+stderr and ends the process with `os._exit`, skipping interpreter teardown
+(module cleanup and the final collection); a command that raises, or a
+flush that fails, exits the normal way. `main()` leaves the collector as it
+is and returns: tests and the benchmark's tracer call it in-process. Warnings (a
 rejected record, a failed example) reach the call's stderr through
 `text.command_warnings`, which imports `logging` only when one is logged.
 """
@@ -83,6 +86,12 @@ def _dataset_path(cfg: ExperimentConfig, split: str) -> str:
     return path
 
 
+# Config fields that shape a label cache besides the reward weights and the
+# cap: `label` writes them into the cache header, and `train` and `evaluate`
+# accept only a cache labeled with the config's values.
+LABEL_SETTINGS = ("k", "extractor", "abstract_ratio")
+
+
 def cmd_label(args) -> int:
     from . import oracle, text
 
@@ -98,7 +107,7 @@ def cmd_label(args) -> int:
         start = time.monotonic()
         labeled, _ = oracle.label_dataset(
             examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap, cache_path=cache_path,
-            workers=workers,
+            workers=workers, settings={name: getattr(cfg, name) for name in LABEL_SETTINGS},
         )
         elapsed = time.monotonic() - start
         print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)
@@ -116,16 +125,23 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
         raise SystemExit(
             f"missing label cache {cache_path}; run `sumedit label --split {split}` first"
         )
-    labeled, header = oracle.read_label_cache(cache_path)
-    # The soft labels depend on the reward weights and the cap, so a cache
-    # labeled under others does not belong to this config.
+    command = f"sumedit label --split {split}"
+    labeled, header = oracle.read_label_cache(cache_path, rerun=command)
+    # The extracts, abstractions and soft labels depend on these fields, so a
+    # cache labeled under others does not belong to this config.
     labeled_with = (header.get("reward_weights"), header.get("cap"))
     config_has = ([cfg.alpha, cfg.beta, cfg.gamma], cfg.cap)
     if labeled_with != config_has:
         raise ValueError(
             "{}: labeled with reward weights {} and cap {}, config has reward weights {} and cap {}; "
-            "rerun sumedit label --split {}".format(cache_path, *labeled_with, *config_has, split)
+            "rerun {}".format(cache_path, *labeled_with, *config_has, command)
         )
+    for name in LABEL_SETTINGS:
+        if header.get(name) != getattr(cfg, name):
+            raise ValueError(
+                f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {getattr(cfg, name)}; "
+                f"rerun {command}"
+            )
     examples = {ex.document.id: ex for ex in text.load_dataset(_dataset_path(cfg, split))}
     pairs = []
     for lab in labeled:
@@ -315,14 +331,23 @@ def _execute(args) -> int:
 
 def run() -> None:
     """Process entry point: import the command's layers with the collector
-    off, freeze the heap, then run the command with the collector on."""
+    off, freeze the heap, then run the command with the collector on and
+    end the process without interpreter teardown."""
     gc.disable()
     args = build_parser().parse_args()
     for layer in args.layers:
         __import__(f"{__package__}.{layer}")
     gc.freeze()
     gc.enable()
-    sys.exit(_execute(args))
+    code = _execute(args)
+    # Every file a command writes is closed by its `atomic_open` block, so
+    # once stdout and stderr are flushed, teardown has nothing left to save.
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

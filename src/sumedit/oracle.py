@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -264,8 +264,10 @@ def label_dataset(
     cap: int = DEFAULT_CAP,
     cache_path=None,
     workers: int = 1,
+    settings: Mapping[str, object] | None = None,
 ) -> tuple[list[LabeledExample], list[str]]:
-    """Label a dataset; optionally write the cache file.
+    """Label a dataset; optionally write the cache file, with `settings`
+    (the config fields that shaped the labels) in its header.
 
     Examples are labeled in runs of consecutive examples, at most
     `editor.DECODE_CHUNK` long; a pool of workers takes RUNS_PER_WORKER
@@ -295,20 +297,22 @@ def label_dataset(
         else:
             labeled.append(result)
     if cache_path is not None:
-        write_label_cache(cache_path, labeled, weights, cap)
+        write_label_cache(cache_path, labeled, weights, cap, settings)
     return labeled, failures
 
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def write_label_cache(
-    path, labeled: Sequence[LabeledExample], weights: RewardWeights, cap: int
+    path, labeled: Sequence[LabeledExample], weights: RewardWeights, cap: int,
+    settings: Mapping[str, object] | None = None,
 ) -> None:
     header = {
         "cache_version": CACHE_VERSION,
         "reward_weights": [weights.alpha, weights.beta, weights.gamma],
         "cap": cap,
+        **(settings or {}),
     }
     with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
@@ -373,9 +377,10 @@ def _cache_record(rec) -> LabeledExample:
     )
 
 
-def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
+def read_label_cache(path, rerun: str = "sumedit label") -> tuple[list[LabeledExample], dict]:
     """Labeled examples and header of a cache file; a malformed line or a
-    repeated id raises ValueError("<path>:<line>: ...")."""
+    repeated id raises ValueError("<path>:<line>: ..."), and a cache of
+    another version says to `rerun` the command that writes it."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -387,8 +392,9 @@ def read_label_cache(path) -> tuple[list[LabeledExample], dict]:
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: not valid JSON ({exc})") from None
     header = records[0]
-    if not isinstance(header, dict) or header.get("cache_version") != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version")
+    version = header.get("cache_version") if isinstance(header, dict) else None
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: label cache version {version} is not supported; rerun {rerun}")
     labeled = []
     first_line: dict[str, int] = {}
     for (no, _), rec in zip(lines[1:], records[1:]):

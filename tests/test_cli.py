@@ -311,14 +311,20 @@ class TestLabelFailureLog:
 
 # Runs one command through `cli.run()`, the process entry point, and reports
 # its exit status and whether `logging` was imported.
+# `cli.run()` ends a command that returns with `os._exit`, and one that
+# raises SystemExit the normal way; the probe reports the code of either.
 RUN_PROBE = (
-    "import sys\n"
+    "import os, sys\n"
     "from sumedit import cli\n"
     "sys.argv[0] = 'sumedit'\n"
+    "def report(code):\n"
+    "    print('exit', code, 'logging' in sys.modules, file=sys.stderr, flush=True)\n"
+    "exit_now = os._exit\n"
+    "os._exit = lambda code: report(code) or exit_now(code)\n"
     "try:\n"
     "    cli.run()\n"
     "except SystemExit as exc:\n"
-    "    print('exit', exc.code, 'logging' in sys.modules, file=sys.stderr)\n"
+    "    report(exc.code)\n"
 )
 
 
@@ -449,6 +455,45 @@ class TestLabelCacheHeader:
         assert err.startswith(f"error: {workspace / 'out' / 'labels_test.jsonl'}: labeled with ")
         assert err.endswith("; rerun sumedit label --split test\n")
         assert not (workspace / "out" / "evaluation.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, labeled, changed",
+        [("k", 3, 2), ("extractor", "lead", "greedy"), ("abstract_ratio", 0.95, 0.5)],
+        ids=["k", "extractor", "abstract-ratio"],
+    )
+    def test_label_settings_mismatch_stops_train_and_evaluate(self, workspace, capsys, name, labeled, changed):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        argv = ["--split", "train", "--split", "val", "--split", "test"]
+        assert cli.main(["label", "--config", str(write_config(workspace)), *argv]) == 0
+        header = json.loads((workspace / "out" / "labels_train.jsonl").read_text().splitlines()[0])
+        assert (header["cache_version"], header[name]) == (2, labeled)
+        capsys.readouterr()
+        cfg = str(write_config(workspace, **{name: changed}))
+        for command, split, artifact in (("train", "train", "checkpoint.json"),
+                                         ("evaluate", "test", "evaluation.json")):
+            extra = ["--checkpoint", str(ckpt)] if command == "evaluate" else []
+            assert cli.main([command, "--config", cfg, *extra]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {workspace / 'out' / f'labels_{split}.jsonl'}: labeled with {name} {labeled}, "
+                f"config has {name} {changed}; rerun sumedit label --split {split}\n"
+            )
+            assert not (workspace / "out" / artifact).exists()
+
+    def test_version_1_cache_is_rejected(self, workspace, capsys):
+        cfg = str(write_config(workspace))
+        assert cli.main(["label", "--config", cfg, "--split", "train", "--split", "val"]) == 0
+        cache = workspace / "out" / "labels_train.jsonl"
+        lines = cache.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        for name in ("k", "extractor", "abstract_ratio"):
+            del header[name]
+        cache.write_text(json.dumps(dict(header, cache_version=1)) + "\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}: label cache version 1 is not supported; rerun sumedit label --split train\n"
+        )
+        assert not (workspace / "out" / "checkpoint.json").exists()
 
     def test_cap_flag_that_matches_the_cache_is_accepted(self, workspace, capsys):
         cfg = write_config(workspace)
@@ -709,6 +754,64 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
             caches.append((out / "labels_train.jsonl").read_bytes())
         assert caches[0] == caches[1]
+
+
+class TestExitPath:
+    """`run()` ends a command that returns with `os._exit` after flushing
+    stdout and stderr; a command that raises, or a flush that fails, exits
+    the normal way."""
+
+    def test_large_stdout_arrives_complete_through_a_pipe(self, tmp_path, capsys):
+        documents = tmp_path / "docs.jsonl"
+        text.write_dataset(make_corpus(500, seed=5, k=2, id_prefix="big"), documents)
+        argv = ["summarize", "--config", str(write_config(tmp_path)),
+                "--checkpoint", str(checkpoint(tmp_path, [0.0, 0.0, 0.0])), "--document", str(documents)]
+        proc = run_child("-m", "sumedit.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.encode()) > 64 * 1024
+        assert cli.main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_missing_label_cache_prints_its_message_and_exits_1(self, workspace):
+        proc = run_child("-m", "sumedit.cli", "train", "--config", str(write_config(workspace)))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"missing label cache {workspace / 'out' / 'labels_train.jsonl'}; "
+            "run `sumedit label --split train` first\n"
+        )
+
+    def test_value_error_prints_error_and_exits_1(self, workspace):
+        proc = run_child("-m", "sumedit.cli", "label", "--config", str(write_config(workspace)),
+                         "--split", "val", EDITNET_WORKERS="two")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: EDITNET_WORKERS must be a positive integer, got 'two'\n"
+
+    @pytest.mark.parametrize("flush_fails, how", [(False, "os._exit 0"), (True, "SystemExit 0")],
+                             ids=["flushed", "flush-raises"])
+    def test_a_failing_flush_falls_back_to_the_normal_exit(self, tmp_path, flush_fails, how):
+        text.write_dataset(make_corpus(2, seed=0, k=1), tmp_path / "in.jsonl")
+        code = (
+            "import io, os, sys\n"
+            "from sumedit import cli\n"
+            "class Stdout(io.StringIO):\n"
+            "    def flush(self):\n"
+            f"        if {flush_fails}:\n"
+            "            raise OSError('flush failed')\n"
+            "sys.stdout = Stdout()\n"
+            "def report(how, code):\n"
+            "    print(how, code, file=sys.__stdout__, flush=True)\n"
+            "exit_now = os._exit\n"
+            "os._exit = lambda code: report('os._exit', code) or exit_now(code)\n"
+            "sys.argv = ['sumedit', 'ingest', sys.argv[1], sys.argv[2]]\n"
+            "try:\n"
+            "    cli.run()\n"
+            "except SystemExit as exc:\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "    report('SystemExit', exc.code)\n"
+        )
+        proc = run_child("-c", code, str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, how + "\n", "")
+        assert (tmp_path / "out.jsonl").read_text() == (tmp_path / "in.jsonl").read_text()
 
 
 class TestWorkers:

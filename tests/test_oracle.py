@@ -378,7 +378,7 @@ class TestLabelDataset:
         )
         assert labeled == [] and failures == []
         loaded, header = read_label_cache(path)
-        assert loaded == [] and header["cache_version"] == 1
+        assert loaded == [] and header["cache_version"] == 2
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"

@@ -223,6 +223,41 @@ class TestGreedyOracleBatch:
         # nothing scores: the first step still takes the lowest index
         assert results[1].order == (0,)
 
+    def test_over_covered_column_gives_a_later_candidate_no_clipped_gain(self):
+        # "a" is selected three times against one in the reference, so "a c"
+        # and "a d" gain only from their other token, and the copy of the
+        # first sentence gains nothing
+        examples = [make_example(["a a a b", "a a a b", "a c", "a d"], ["a b", "c d"], "over")]
+        results = self.assert_equals_reference(examples, 4)
+        assert results[0].order == (0, 2, 3)
+
+    def test_candidate_whose_lcs_positions_are_all_matched(self):
+        # after "a b c d", "b c" matches only reference positions already matched
+        examples = [make_example(["a b c d", "b c", "e f"], ["a b c d e f"], "lcs")]
+        results = self.assert_equals_reference(examples, 3)
+        assert results[0].order == (0, 2)
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0, 0.5), (0.4, 0.0, 0.5), (0.4, 1.0, 0.0), (0.0, 0.0, 1.0)],
+                             ids=["no-rouge-1", "no-rouge-2", "no-rouge-l", "rouge-l-only"])
+    def test_weights_with_a_zero_component(self, weights):
+        self.assert_equals_reference(self.mixed_batch(), 4, RewardWeights(*weights))
+
+    def test_one_pass_of_1_and_40_sentence_documents(self):
+        # the short documents' padded rows take part in every step
+        rng = np.random.default_rng(3)
+        vocab = [f"v{i}" for i in range(12)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 7))))
+
+        examples = [
+            make_example([sentence() for _ in range(n)], [sentence(), sentence()], f"p{j}")
+            for j, n in enumerate([1, 40, 1, 40, 1])
+        ]
+        assert summarizers._greedy_passes(examples) == [[0, 2, 4, 1, 3]]
+        results = self.assert_equals_reference(examples, 4)
+        assert [len(r.order) for r in results[::2]] == [1, 1, 1]
+
     def test_empty_batch(self):
         assert extract_greedy_oracle([], 3, RewardWeights()) == []
 
