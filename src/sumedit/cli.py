@@ -45,18 +45,11 @@ def _workers() -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    from .config import ExperimentConfig
+    from .config import FIELDS, ExperimentConfig
 
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "seed", "out_dir", "epochs", "batch_size", "k", "extractor",
-            "abstract_ratio", "encoder_n", "hidden_m", "cap", "lr",
-            "train_path", "val_path", "test_path",
-        )
-    }
-    return cfg.apply_overrides(overrides)
+    # every option of `_add_common` but --config is named after its field
+    return cfg.apply_overrides({key: value for key, value in vars(args).items() if key in FIELDS})
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:

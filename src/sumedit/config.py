@@ -83,6 +83,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+        # sizes and counts that no command can run with below 1
+        for name in ("k", "encoder_n", "hidden_m", "cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

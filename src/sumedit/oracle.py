@@ -140,17 +140,15 @@ def enumerate_rewards(
     reward_fn: Callable | None = None,
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
-    stats: SplitStats | None = None,
 ) -> np.ndarray:
     """Reward of every one of the 3^l decision sequences, as a `(3,)*l`
     array indexed by decision (E = 0, A = 1, R = 2), i.e. in
     `itertools.product(DECISIONS, repeat=l)` order.
 
     By default rewards come from the example's sentence statistics (see the
-    module docstring): `stats`, the one-example record of its 2l versions
-    when the caller has built it (`SplitStats.select`), else one
-    `split_stats` call. With `reward_fn`, every sequence's realized summary
-    is scored by `reward_fn` instead: the slow reference.
+    module docstring), from one `split_stats` call. With `reward_fn`, every
+    sequence's realized summary is scored by `reward_fn` instead: the slow
+    reference.
     """
     l = len(extract.order)
     if l > cap:
@@ -164,8 +162,7 @@ def enumerate_rewards(
                 for seq in itertools.product(DECISIONS, repeat=l)
             ]
         ).reshape((3,) * l)
-    if stats is None:
-        stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
+    stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
     return _grid_rewards(stats, weights)[0]
 
 

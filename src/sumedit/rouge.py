@@ -5,16 +5,18 @@ of LCS-matched token positions against all candidate sentences. All scores are
 full-length F; degenerate inputs yield zeros rather than NaN so the reward is
 a total function.
 
-`reward` scores one summary. `split_stats` computes, for a whole split in one
-pass, every sentence version's n-gram counts over its example's reference
-n-grams and its LCS-matched reference positions, padded into one integer
-record (`SplitStats`). A summary built from some of an example's versions has
-the sum of their count rows and the OR of their LCS rows as its statistics;
-`SplitStats.totals` reduces these to five integer totals, and `f_measures`
-turns the totals of any number of summaries, of one reference or of many,
-into ROUGE-1/2/L F-measures with `reward`'s float expressions (the results
-are bit-identical). `SplitStats.rewards` chains the two. The oracle, the
-greedy extractor and the trainer all take their statistics from it; the
+`reward` scores one summary. `split_entries` computes, for a whole split in
+one pass, every sentence version's nonzero n-gram counts over its example's
+reference n-grams and its LCS-matched reference positions, as flat entries
+keyed by the version (`SplitEntries`); the greedy extractor scores from
+these alone. `split_stats` places the same entries in one padded integer
+record (`SplitStats`). A summary built from some of an example's versions
+has the sum of their count rows and the OR of their LCS rows as its
+statistics; `SplitStats.totals` reduces these to five integer totals, and
+`f_measures` turns the totals of any number of summaries, of one reference
+or of many, into ROUGE-1/2/L F-measures with `reward`'s float expressions
+(the results are bit-identical). `SplitStats.rewards` chains the two. The
+oracle and the trainer take their statistics from the record; the
 one-example-at-a-time builder it replaced is the slow reference in
 tests/reference.py.
 
@@ -22,10 +24,11 @@ Both paths align sentences with the bit-vector LCS of Allison & Dix (1986,
 "A bit-string longest-common-subsequence algorithm"), which keeps each row of
 the LCS table as bits over the candidate's positions, and walk the canonical
 traceback on it. `reward` aligns one pair at a time with `_lcs_positions`, one
-Python int per row. `split_stats` aligns every (version, reference sentence)
-pair of its record that shares a token at once (`_lcs_matched`): each row is
-ceil(C / 64) uint64 words for a version of C tokens, and blocks of pairs run
-the forward pass and the traceback in lockstep, with no per-pair Python loop.
+Python int per row. `split_entries` aligns every (version, reference
+sentence) pair of its split that shares a token at once (`_lcs_matched`):
+each row is ceil(C / 64) uint64 words for a version of C tokens, and blocks
+of pairs run the forward pass and the traceback in lockstep, with no
+per-pair Python loop.
 `_lcs_positions` is the reference the lockstep path is tested against, and
 the full-table dynamic program it replaced is the slow reference in
 tests/test_rouge.py.
@@ -365,7 +368,7 @@ def _mask_words(key, version, pos) -> tuple[np.ndarray, ...]:
 
 def _lcs_matched(ref_key, ref_sentence, ref_offset, key, version, pos, length, sentences, base) -> np.ndarray:
     """`_lcs_positions` of every (version, reference sentence) pair of a
-    record at once, as the flat indices `base[g] + ref_offset[r]` of the
+    split at once, as the flat indices `base[g] + ref_offset[r]` of the
     matched reference tokens r of each version g.
 
     Reference token r has key `ref_key[r]` and is in sentence
@@ -484,26 +487,46 @@ def _lcs_block(pair, hit, word, mask, target, hits, C, W) -> np.ndarray:
     return targets[np.concatenate(matched)]
 
 
-def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitStats:
-    """`SplitStats` of the sentence versions `versions[j]` of every example
-    j against `references[j]` (a ReferenceSummary or a plain list of token
-    lists), padded to the longest list of versions.
+class SplitEntries:
+    """The statistics of `SplitStats` as each sentence version's nonzero
+    entries, for versions numbered flat (an example's versions are
+    consecutive, in order). Version g has `length[g]` tokens; each row
+    (g, column, count) of `ngrams` is its count in an n-gram column of its
+    example (numbered as in `SplitStats`), and each row (g, position) of
+    `matches` an LCS-matched position of its example's reference tokens.
+    Both are sorted. The reference totals are those of `SplitStats`."""
+
+    __slots__ = ("length", "ngrams", "matches", "ref_counts", "unigrams", "ref_tokens", "ref_bigrams")
+
+    def __init__(self, length, ngrams, matches, ref_counts, unigrams, ref_tokens, ref_bigrams):
+        self.length = length  # (V,) int64
+        self.ngrams = ngrams  # (E, 3) int64
+        self.matches = matches  # (M, 2) int64
+        self.ref_counts = ref_counts
+        self.unigrams = unigrams
+        self.ref_tokens = ref_tokens
+        self.ref_bigrams = ref_bigrams
+
+
+def split_entries(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitEntries:
+    """`SplitEntries` of the sentence versions `versions[j]` of every
+    example j against `references[j]` (a ReferenceSummary or a plain list
+    of token lists).
 
     One dict pass gives every token an id in its example's reference
     vocabulary, in order of first appearance (-1 for a token the reference
     lacks), and a unigram's column is its id. A bigram is a key made of its
     example and its two ids; an example's bigram columns are its distinct
     reference keys (`np.unique`), and a version bigram of two known tokens
-    finds its column by `searchsorted`. All counts then come from one
-    `np.bincount`. The LCS rows come from `_lcs_matched`, which aligns the
-    pairs of the record that share a token in lockstep, keyed by the same
-    token ids.
+    finds its column by `searchsorted`. The n-gram entries are the distinct
+    (version, column) cells of all these hits with their counts (one more
+    `np.unique`). The LCS entries come from `_lcs_matched`, which aligns the
+    pairs that share a token in lockstep, keyed by the same token ids.
     """
     refs = [getattr(r, "sentences", r) for r in references]
-    N, S = len(versions), max(map(len, versions), default=0)
+    N = len(versions)
     vocabs: list[dict[str, int]] = [{} for _ in refs]
     ref_ids = [vocab.setdefault(t, len(vocab)) for ref, vocab in zip(refs, vocabs) for sent in ref for t in sent]
-    sentences = [sent for vs in versions for sent in vs]
     ids = [get(t, -1) for vs, get in zip(versions, [v.get for v in vocabs]) for sent in vs for t in sent]
     U = np.array([len(vocab) for vocab in vocabs], dtype=np.int64)
     # example j's bigram (a, b) is key offset[j] + a * U[j] + b
@@ -525,10 +548,8 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     ref_counts[:, :CU] = np.bincount(ref_example * CU + ref_tok, minlength=N * CU).reshape(N, CU)
     ref_counts[col_owner, CU + rank] = ref_pair_counts
 
-    per_example = np.array([len(vs) for vs in versions], dtype=np.intp)
-    owner = np.repeat(np.arange(N), per_example)
-    row = owner * S + np.arange(len(sentences)) - np.repeat(np.cumsum(per_example) - per_example, per_example)
-    lengths = [len(s) for s in sentences]
+    owner = np.repeat(np.arange(N), np.array([len(vs) for vs in versions], dtype=np.intp))
+    lengths = [len(sent) for vs in versions for sent in vs]
     tok, sent, first, second, pair_sent = _ngrams_of(ids, lengths)
     length = np.array(lengths, dtype=np.int64)
 
@@ -547,10 +568,8 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
         pos=kept - (np.cumsum(length) - length)[version],
         length=length,
         sentences=ref_sentences[owner],
-        base=row * T,
+        base=np.arange(len(lengths)) * T,
     )
-    lcs = np.zeros((N, S, T), dtype=bool)
-    lcs.reshape(-1)[matched] = True
 
     known = (first >= 0) & (second >= 0)
     first, second, pair_sent = first[known], second[known], pair_sent[known]
@@ -558,18 +577,32 @@ def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -
     keys = offset[owner] + first * U[owner] + second
     col = np.searchsorted(cols, keys)
     hit = np.append(cols, -1)[col] == keys
-    cells = np.concatenate(
-        [(row[sent] * (C + 2) + tok)[tok >= 0], row[pair_sent][hit] * (C + 2) + CU + rank[col[hit]]]
+    cells, counts = np.unique(
+        np.concatenate([(sent * C + tok)[tok >= 0], pair_sent[hit] * C + CU + rank[col[hit]]]), return_counts=True
     )
-    counts = np.bincount(cells, minlength=N * S * (C + 2)).astype(np.int64, copy=False)
-    counts = counts.reshape(N, S, C + 2)
-    counts.reshape(-1, C + 2)[row, C] = length
-    counts.reshape(-1, C + 2)[row, C + 1] = np.maximum(length - 1, 0)
+    return SplitEntries(
+        length, np.column_stack([*np.divmod(cells, C), counts]), np.column_stack(np.divmod(np.sort(matched), T)),
+        ref_counts, CU, ref_tokens, np.array([sum(max(len(s) - 1, 0) for s in ref) for ref in refs], dtype=np.int64),
+    )
+
+
+def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitStats:
+    """The `split_entries` of the sentence versions `versions[j]` of every
+    example j against `references[j]`, placed in one `SplitStats` record
+    padded to the longest list of versions."""
+    entries = split_entries(versions, references)
+    (g, column, count), (m, position) = entries.ngrams.T, entries.matches.T
+    per_example = np.array([len(vs) for vs in versions], dtype=np.intp)
+    N, S = len(versions), int(per_example.max(initial=0))
+    C, T = entries.ref_counts.shape[1], int(entries.ref_tokens.max(initial=0))
+    row = np.flatnonzero(np.arange(S) < per_example[:, None])  # each version's row of the record
+    counts = np.zeros((N * S, C + 2), dtype=np.int64)
+    counts[row[g], column] = count
+    counts[row, C] = entries.length
+    counts[row, C + 1] = np.maximum(entries.length - 1, 0)
+    lcs = np.zeros((N * S, T), dtype=bool)
+    lcs[row[m], position] = True
     return SplitStats(
-        counts=counts,
-        lcs=lcs,
-        ref_counts=ref_counts,
-        unigrams=CU,
-        ref_tokens=ref_tokens,
-        ref_bigrams=np.array([sum(max(len(s) - 1, 0) for s in ref) for ref in refs], dtype=np.int64),
+        counts.reshape(N, S, C + 2), lcs.reshape(N, S, T),
+        entries.ref_counts, entries.unigrams, entries.ref_tokens, entries.ref_bigrams,
     )

@@ -2,16 +2,16 @@
 
 Extractors return the selected sentence order plus a selection likelihood
 P(s) in (0, 1] for every sentence. The greedy oracle extractor runs on a
-batch of documents at once (`extract_greedy_oracle`), in passes of documents
-of similar length whose padded `rouge.split_stats` record stays below a
-fixed size. Each step scores every candidate from the selection's integer
-ROUGE totals plus the candidate's marginal ones, which come from its
-nonzero n-gram counts and matched reference positions alone (clipping is
-per n-gram, Lin 2004, §3.1). Its per-example callable
-(`GreedyOracleExtractor`) is the one-document batch, and `extract_batch`
-hands a whole batch to it. The abstractor works on a chunk of up to three
-consecutive sentences, rescales per-word attention by the owning sentence's
-P(s), and compresses the center sentence to its most salient tokens.
+batch of documents at once (`extract_greedy_oracle`), in one pass over the
+batch's sentences as flat rows: one `rouge.split_entries` call, then each
+step scores every candidate from the selection's integer ROUGE totals plus
+the candidate's marginal ones, which come from its nonzero n-gram counts
+and matched reference positions alone (clipping is per n-gram, Lin 2004,
+§3.1). Its per-example callable (`GreedyOracleExtractor`) is the
+one-document batch, and `extract_batch` hands a whole batch to it. The
+abstractor works on a chunk of up to three consecutive sentences, rescales
+per-word attention by the owning sentence's P(s), and compresses the center
+sentence to its most salient tokens.
 Third-party extractors/abstractors plug in behind the same contracts
 (determinism, P(s) in (0,1], non-empty abstraction).
 """
@@ -26,7 +26,7 @@ from . import slots_eq
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `summarizers.reward` by name.
 from .rouge import (
-    BIGRAM_OVERLAP, BIGRAMS, LCS_MATCHES, TOKENS, UNIGRAM_OVERLAP, RewardWeights, f_measures, reward, split_stats,
+    BIGRAM_OVERLAP, BIGRAMS, LCS_MATCHES, TOKENS, UNIGRAM_OVERLAP, RewardWeights, f_measures, reward, split_entries,
 )
 from .text import Document, Example, Sentence
 
@@ -108,94 +108,80 @@ def extract_lead(document: Document, k: int) -> ExtractResult:
     return ExtractResult(order=order, likelihood=likelihood)
 
 
-# Largest padded statistics record, in (document, sentence, column)
-# entries, that one greedy pass builds; the steps work on its nonzero
-# entries and on (document, sentence) totals. A larger bound saves little
-# and costs memory: 2^19 puts 40 thirty-sentence documents in one pass
-# instead of 39 + 1 (12.7 -> 10.2 ms warm), but raises the traced peak of
-# 256 such documents from 2.8 to 5.3 MB.
-GREEDY_ENTRIES = 1 << 18
+def extract_greedy_oracle(
+    examples: Sequence[Example], k: int, weights: RewardWeights
+) -> list[ExtractResult]:
+    """Greedy reward-maximizing extractor used to build training data, run
+    on a batch of examples at once.
 
+    For each document, adds the sentence with the best marginal reward gain
+    (ties: lowest index) until k sentences are selected or no addition
+    strictly improves the reward. Selected sentences get P(s) = softmax
+    over their selection-step gains; unselected ones get a small positive
+    floor. Results are in input order.
 
-def _greedy_passes(examples: Sequence[Example]) -> list[list[int]]:
-    """Indices of `examples` grouped into greedy passes. Documents are taken
-    by sentence count, so that a pass pads few sentence rows, and a pass is
-    cut before its documents x longest document x widest reference bound
-    (2 columns per reference token, plus the two totals) passes
-    GREEDY_ENTRIES; a document past the bound is a pass of its own."""
-    sizes = [len(ex.document) for ex in examples]
-    widths = [2 * sum(len(s) for s in ex.reference.sentences) + 2 for ex in examples]
-    passes: list[list[int]] = []
-    rows = width = 0
-    for j in sorted(range(len(examples)), key=sizes.__getitem__):
-        rows, width = max(rows, sizes[j]), max(width, widths[j])
-        if passes and (len(passes[-1]) + 1) * rows * width <= GREEDY_ENTRIES:
-            passes[-1].append(j)
-        else:
-            passes.append([j])
-            rows, width = sizes[j], widths[j]
-    return passes
-
-
-def _greedy_pass(examples: Sequence[Example], k: int, weights: RewardWeights) -> list[ExtractResult]:
-    """`extract_greedy_oracle` of one pass: one `split_stats` record of all
-    its sentences, then at most k steps, each scored from the selection's
-    integer totals plus every candidate's marginal ones.
-
-    A candidate's nonzero n-gram counts and its matched reference positions
-    are taken from the record once, as flat entries. Against a selection,
-    an n-gram column still has `room` = max(reference count - selected
-    count, 0), so the candidate adds min(count, room) to the clipped
-    overlap; it adds its matched positions that the selection lacks, and
-    its token and bigram totals. Summed per candidate, these give exactly
+    The statistics of every sentence of the batch come from one
+    `split_entries` call, and each step scores all sentences as flat rows,
+    from the selection's integer totals plus every candidate's marginal
+    ones. Against a selection, an n-gram column still has `room` =
+    max(reference count - selected count, 0), so a candidate adds
+    min(count, room) over its n-gram entries to the clipped overlap; it
+    adds its matched reference positions that are still `free` (unmatched
+    by the selection), and its token and bigram totals. These are exactly
     the integers of `SplitStats.totals` of the selection plus the
     candidate, and `f_measures` turns them into `SplitStats.rewards`'
-    values bit for bit."""
-    documents = [ex.document for ex in examples]
-    stats = split_stats([[s.tokens for s in doc.sentences] for doc in documents], [ex.reference for ex in examples])
-    D, S, width = stats.counts.shape
-    C, T = width - 2, stats.lcs.shape[2]
-    rows = stats.counts.reshape(D * S, width)
-    row, col = np.nonzero(rows[:, :C])
-    count = rows[row, col]
-    cell = row // S * C + col  # the entry's column of its document
-    kind = 2 * row + (col >= stats.unigrams)  # its candidate's unigram or bigram overlap
-    match_row, pos = np.nonzero(stats.lcs.reshape(D * S, T))
-    at = match_row // S * T + pos  # the entry's reference position of its document
-    # the selection's totals, and per document its n-gram room and the
-    # reference positions it has not matched
-    base = np.zeros((D, 1, 5), dtype=np.int64)
-    room = stats.ref_counts.copy()
-    free = np.ones((D, T), dtype=bool)
-
-    sizes = np.array([len(doc) for doc in documents], dtype=np.intp)
-    steps = min(k, S)
-    docs = np.arange(D)
-    totals = np.zeros((D, S, 5), dtype=np.int64)
-    unselected = np.arange(S) < sizes[:, None]
+    values bit for bit. A document's best row is the first maximum over its
+    rows (`reduceat` over the document starts); a document that has
+    stopped takes no more sentences.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    entries = split_entries([[s.tokens for s in ex.document.sentences] for ex in examples],
+                            [ex.reference for ex in examples])
+    (version, column, count), (matched, position) = entries.ngrams.T, entries.matches.T
+    sizes = np.array([len(ex.document) for ex in examples], dtype=np.intp)
+    D, V = len(sizes), int(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(D), sizes)  # each row's document
+    cell = owner[version] * entries.ref_counts.shape[1] + column  # the entry's (document, n-gram), flat
+    kind = 2 * version + (column >= entries.unigrams)  # its row's unigram or bigram overlap
+    # each LCS entry's reference token, flat over the batch
+    at = (np.cumsum(entries.ref_tokens) - entries.ref_tokens)[owner[matched]] + position
+    room = entries.ref_counts.reshape(-1).copy()
+    free = np.ones(int(entries.ref_tokens.sum()), dtype=bool)
+    marginal = np.zeros((V, 5), dtype=np.int64)
+    marginal[:, TOKENS] = entries.length
+    marginal[:, BIGRAMS] = np.maximum(entries.length - 1, 0)
+    base = np.zeros((D, 5), dtype=np.int64)  # the selection's totals
+    unselected = np.ones(V, dtype=bool)
+    steps = min(k, int(sizes.max(initial=0)))
     active = np.ones(D, dtype=bool)
     current = np.zeros(D)
     order = np.zeros((D, steps), dtype=np.intp)
     gains = np.zeros((D, steps))
     taken = np.zeros(D, dtype=np.intp)
     for step in range(steps):
-        overlap = np.bincount(kind, np.minimum(count, room.reshape(-1)[cell]), minlength=2 * D * S)
-        totals[..., UNIGRAM_OVERLAP : BIGRAM_OVERLAP + 1] = overlap.reshape(D, S, 2)
-        totals[..., TOKENS : BIGRAMS + 1] = stats.counts[..., C:]
-        totals[..., LCS_MATCHES] = np.bincount(match_row, free.reshape(-1)[at], minlength=D * S).reshape(D, S)
-        totals += base
-        rewards = weights.combine(*f_measures(totals, stats.ref_tokens[:, None], stats.ref_bigrams[:, None]))
-        best = np.argmax(np.where(unselected, rewards, -np.inf), axis=1)
-        best_reward = rewards[docs, best]
+        overlap = np.bincount(kind, np.minimum(count, room[cell]), minlength=2 * V)
+        marginal[:, UNIGRAM_OVERLAP : BIGRAM_OVERLAP + 1] = overlap.reshape(V, 2)
+        marginal[:, LCS_MATCHES] = np.bincount(matched, free[at], minlength=V)
+        totals = marginal + base[owner]
+        rewards = weights.combine(*f_measures(totals, entries.ref_tokens[owner], entries.ref_bigrams[owner]))
+        rewards[~unselected] = -np.inf
+        best_reward = np.maximum.reduceat(rewards, starts)
+        best = np.minimum.reduceat(np.where(rewards == best_reward[owner], np.arange(V), V), starts)
         take = (active & (best_reward > current)) if step else active
-        chosen, sentence = docs[take], best[take]
-        order[take, step] = sentence
+        chosen = best[take]
+        order[take, step] = chosen - starts[take]
         gains[take, step] = best_reward[take] - current[take]
         current[take] = best_reward[take]
-        unselected[chosen, sentence] = False
-        base[chosen, 0] = totals[chosen, sentence]
-        room[chosen] = np.maximum(room[chosen] - stats.counts[chosen, sentence, :C], 0)
-        free[chosen] &= ~stats.lcs[chosen, sentence]
+        unselected[chosen] = False
+        base[take] = totals[chosen]
+        picked = np.zeros(V, dtype=bool)
+        picked[chosen] = True
+        # one chosen row per document, so no cell or reference token repeats
+        mine = picked[version]
+        room[cell[mine]] = np.maximum(room[cell[mine]] - count[mine], 0)
+        free[at[picked[matched]]] = False
         taken += take
         active = take & (taken < np.minimum(sizes, k))
         if not active.any():
@@ -210,32 +196,6 @@ def _greedy_pass(examples: Sequence[Example], k: int, weights: RewardWeights) ->
         for i, p in zip(selected, p_sel.tolist()):
             likelihood[i] = p
         results.append(ExtractResult(order=tuple(selected), likelihood=likelihood))
-    return results
-
-
-def extract_greedy_oracle(
-    examples: Sequence[Example], k: int, weights: RewardWeights
-) -> list[ExtractResult]:
-    """Greedy reward-maximizing extractor used to build training data, run
-    on a batch of examples at once.
-
-    For each document, adds the sentence with the best marginal reward gain
-    (ties: lowest index) until k sentences are selected or no addition
-    strictly improves the reward. The documents are scored in passes of
-    similar sentence counts and bounded size (`_greedy_passes`): each pass
-    takes its ROUGE statistics from one `split_stats` call, and each step
-    scores every candidate of every document of the pass at once (the
-    selection's integer totals plus the candidate's marginal ones,
-    `_greedy_pass`); a document that has stopped takes no more sentences.
-    Selected sentences get P(s) = softmax over their selection-step gains;
-    unselected ones get a small positive floor. Results are in input order.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    results: list[ExtractResult] = [None] * len(examples)  # type: ignore[list-item]
-    for group in _greedy_passes(examples):
-        for j, result in zip(group, _greedy_pass([examples[j] for j in group], k, weights)):
-            results[j] = result
     return results
 
 

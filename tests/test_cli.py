@@ -866,6 +866,24 @@ class TestConfigAndCheckpointFiles:
         assert cli.main(["train", "--config", str(path)]) == 1
         self.assert_one_error_line(capsys, message)
 
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [("train", "--hidden-m", "hidden_m"), ("label", "--encoder-n", "encoder_n"),
+         ("label", "--k", "k"), ("label", "--cap", "cap")],
+        ids=["hidden-m", "encoder-n", "k", "cap"],
+    )
+    def test_size_below_1(self, workspace, capsys, command, flag, field):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        out = workspace / "out"
+        before = {path: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        for value in (0, -2):
+            argv = [command, "--config", str(cfg), flag, str(value)]
+            assert cli.main(argv + ["--split", "train"] * (command == "label")) == 1
+            self.assert_one_error_line(capsys, f"config field {field!r} must be >= 1, got {value}")
+        assert {path: path.read_bytes() for path in out.iterdir()} == before
+
     def test_numbers_and_null_paths_accepted_where_declared(self, workspace):
         cfg = ExperimentConfig.from_file(write_config(workspace, alpha=1, lr=0.5, test_path=None))
         assert (cfg.alpha, cfg.lr, cfg.test_path) == (1, 0.5, None)

@@ -18,6 +18,7 @@ from sumedit.rouge import (
     reward,
     rouge_l,
     rouge_n,
+    split_entries,
     split_stats,
 )
 
@@ -230,6 +231,30 @@ class TestSplitStats:
             for vs, ref, row in zip(versions, references, chosen.tolist())
         ]
         assert got.tolist() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_inputs())
+    @example([((LONG, LONG[3:], LONG[:2]), (LONG, LONG[60:])), ((), (("a",),)), ((LONG[::-1],), (LONG[:66],))])
+    def test_entries_are_the_nonzero_cells(self, examples):
+        """`split_entries` holds exactly the nonzero n-gram and LCS cells of
+        `split_stats`, in row-major order, each version's token total and
+        the same reference totals."""
+        versions, references = [list(vs) for vs, _ in examples], [ref for _, ref in examples]
+        entries = split_entries(versions, references)
+        stats = split_stats(versions, references)
+        N, S, width = stats.counts.shape
+        counts, lcs = stats.counts.reshape(N * S, width), stats.lcs.reshape(N * S, stats.lcs.shape[2])
+        rows = [j * S + v for j, vs in enumerate(versions) for v in range(len(vs))]
+        version = np.full(N * S, -1)
+        version[rows] = np.arange(len(rows))  # each padded row's flat index
+        row, col = np.nonzero(counts[:, :-2])
+        assert np.array_equal(entries.ngrams, np.column_stack([version[row], col, counts[row, col]]))
+        assert np.array_equal(counts[rows, -2], entries.length)
+        row, pos = np.nonzero(lcs)
+        assert np.array_equal(entries.matches, np.column_stack([version[row], pos]))
+        assert entries.unigrams == stats.unigrams
+        for name in ("ref_counts", "ref_tokens", "ref_bigrams"):
+            assert np.array_equal(getattr(entries, name), getattr(stats, name))
 
     def test_seeded_split_of_many_examples(self):
         rng = random.Random(3)

@@ -243,7 +243,8 @@ class TestGreedyOracleBatch:
         self.assert_equals_reference(self.mixed_batch(), 4, RewardWeights(*weights))
 
     def test_one_pass_of_1_and_40_sentence_documents(self):
-        # the short documents' padded rows take part in every step
+        # the one-sentence documents stop after their first step while the
+        # others go on in the same pass
         rng = np.random.default_rng(3)
         vocab = [f"v{i}" for i in range(12)]
 
@@ -254,9 +255,25 @@ class TestGreedyOracleBatch:
             make_example([sentence() for _ in range(n)], [sentence(), sentence()], f"p{j}")
             for j, n in enumerate([1, 40, 1, 40, 1])
         ]
-        assert summarizers._greedy_passes(examples) == [[0, 2, 4, 1, 3]]
         results = self.assert_equals_reference(examples, 4)
         assert [len(r.order) for r in results[::2]] == [1, 1, 1]
+
+    def test_1_40_and_200_sentence_documents_with_long_references(self):
+        # references of more than 64 tokens, so multi-word LCS rows, and
+        # documents of very different lengths in one batch
+        rng = np.random.default_rng(11)
+        vocab = [f"v{i}" for i in range(25)]
+
+        def sentence(lo, hi):
+            return " ".join(rng.choice(vocab, size=int(rng.integers(lo, hi))))
+
+        examples = [
+            make_example([sentence(1, 12) for _ in range(n)], [sentence(30, 60) for _ in range(3)], f"l{j}")
+            for j, n in enumerate([200, 1, 40, 1, 200, 40])
+        ]
+        assert all(sum(map(len, ex.reference.sentences)) > 64 for ex in examples)
+        results = self.assert_equals_reference(examples, 6)
+        assert len(results[1].order) == len(results[3].order) == 1
 
     def test_empty_batch(self):
         assert extract_greedy_oracle([], 3, RewardWeights()) == []
@@ -276,24 +293,8 @@ class TestGreedyOracleBatch:
             for j in range(20)
         ]
 
-    @pytest.mark.parametrize("entries", [1, 2_000, 1 << 18])
-    def test_passes_do_not_change_results(self, monkeypatch, entries):
-        # one document per pass, several passes, and one pass for all
-        monkeypatch.setattr(summarizers, "GREEDY_ENTRIES", entries)
+    def test_mixed_batch(self):
         self.assert_equals_reference(self.mixed_batch(), 4)
-
-    def test_passes_are_sorted_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(summarizers, "GREEDY_ENTRIES", 2_000)
-        examples = self.mixed_batch()
-        passes = summarizers._greedy_passes(examples)
-        assert sorted(j for group in passes for j in group) == list(range(len(examples)))
-        sizes = [len(examples[j].document) for group in passes for j in group]
-        assert sizes == sorted(sizes)
-        for group in passes[:-1]:
-            rows = max(len(examples[j].document) for j in group)
-            width = max(2 * sum(map(len, examples[j].reference.sentences)) + 2 for j in group)
-            assert len(group) == 1 or len(group) * rows * width <= 2_000
-        assert len(passes) > 1
 
     def test_extract_batch(self, monkeypatch):
         examples = self.mixed_batch()
