@@ -2,7 +2,8 @@
 
 All randomness flows from the single seed in the resolved config; the
 EDITNET_WORKERS environment variable bounds parallel labeling workers
-(a positive integer, default 1 for bit-reproducibility).
+(a positive integer, default 1). Any number of workers writes the same
+label cache.
 
 Every command runs in a fresh process, so start-up is paid per command.
 The module imports only the standard library; each command names the

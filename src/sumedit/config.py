@@ -83,10 +83,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-        # sizes and counts that no command can run with below 1
-        for name in ("k", "encoder_n", "hidden_m", "cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)!r}")
+        # sizes and counts that no command can run with below their bound;
+        # every command checks them, so `label` writes nothing `train` refuses
+        for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1),
+                          ("epochs", 1), ("context_window", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"config field {name!r} must be >= {low}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -1,7 +1,7 @@
 """Soft-label generation by exhaustive enumeration of decision sequences.
 
 The composite reward of every one of the 3^l keep/abstract/reject sequences
-over an extract is computed from sentence statistics (`rouge.split_stats`):
+over an extract is computed from sentence statistics (`rouge.SplitStats`):
 the 2l sentence versions' count rows are added and their LCS-position rows
 OR-ed over the `(3,)*l` grid, one decision axis at a time, and the summed
 statistics are scored with `reward`'s float expressions, so no summary is
@@ -9,12 +9,13 @@ realized and every reward is bit-identical to `reward` on it. The best
 sequence and prefix-conditioned reward averages yield one soft label
 distribution per step. A dataset is labeled in runs of consecutive
 examples: a run's extracts come from one `summarizers.extract_batch` call,
-the statistics of its examples within the cap from one `split_stats` call,
-and its examples of one extract length share one stacked (N,)+(3,)*l grid
-(`SplitStats.select`: their 2l versions, cut to the widest one's columns)
-and one `best_sequence` and `soft_labels` call, in batches of at most
-CHUNK_ENTRIES grid entries. Labels are written to a reproducible
-line-delimited JSON cache.
+the statistics of its examples within the cap from one `split_entries`
+call, and its examples of one extract length share one stacked
+(N,)+(3,)*l grid and one `best_sequence` and `soft_labels` call, in
+batches of at most CHUNK_ENTRIES grid entries. Each batch gets a dense
+record of its own (`SplitEntries.stats`: its examples' 2l versions, over
+the columns and reference positions they touch); no record spans the run.
+Labels are written to a reproducible line-delimited JSON cache.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from . import editor, slots_eq
 from .editor import DECISIONS, Decision
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
-from .rouge import RewardWeights, SplitStats, reward, split_stats
+from .rouge import RewardWeights, SplitStats, reward, split_entries
 from .summarizers import Abstractor, ExtractResult, Extractor, extract_batch
 from .text import Document, Example, atomic_open, json_line, warn
 
@@ -96,7 +97,7 @@ def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray
     order, starting from the rows `none` (N, W): (N, 3^len(blocks), W)."""
     acc = none[:, None]
     for block in blocks:
-        acc = combine(acc[:, :, None], block[:, None]).reshape(none.shape[0], -1, none.shape[1])
+        acc = combine(acc[:, :, None], block[:, None]).reshape(none.shape[0], 3 * acc.shape[1], none.shape[1])
     return acc
 
 
@@ -146,7 +147,7 @@ def enumerate_rewards(
     `itertools.product(DECISIONS, repeat=l)` order.
 
     By default rewards come from the example's sentence statistics (see the
-    module docstring), from one `split_stats` call. With `reward_fn`, every
+    module docstring), from one `split_entries` call. With `reward_fn`, every
     sequence's realized summary is scored by `reward_fn` instead: the slow
     reference.
     """
@@ -162,8 +163,8 @@ def enumerate_rewards(
                 for seq in itertools.product(DECISIONS, repeat=l)
             ]
         ).reshape((3,) * l)
-    stats = split_stats([_versions(example, extract, abstractions)], [example.reference])
-    return _grid_rewards(stats, weights)[0]
+    entries = split_entries([_versions(example, extract, abstractions)], [example.reference])
+    return _grid_rewards(entries.stats([0], [0], 2 * l), weights)[0]
 
 
 def best_sequence(rewards: np.ndarray) -> np.ndarray:
@@ -201,17 +202,22 @@ def _label_chunk(
 ) -> list[LabeledExample | LabelingError]:
     """Label consecutive examples: their extracts come from one
     `extract_batch` call, the statistics of every example within the cap
-    from one `split_stats` call, and the examples of each extract length l
-    share one grid, `best_sequence` and `soft_labels` call per batch of at
-    most CHUNK_ENTRIES grid entries. An example whose extract exceeds the
-    cap gets a LabelingError in its place."""
+    from one `split_entries` call, and the examples of each extract length
+    l share one grid, `best_sequence` and `soft_labels` call per batch of
+    at most CHUNK_ENTRIES grid entries, on a record of the batch alone. An
+    example whose extract exceeds the cap gets a LabelingError in its
+    place."""
     extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
-    stats = split_stats(
+    entries = split_entries(
         [_versions(examples[j], extracts[j], abstractions[j]) for j in within],
         [examples[j].reference for j in within],
     )
+    # each example's first version, and a bound on its width in a record
+    sizes = np.array([2 * len(extracts[j].order) for j in within], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    width = np.bincount(entries.column_example, minlength=len(within)) + entries.ref_tokens + 2
     results: list[LabeledExample | LabelingError] = [
         LabelingError(f"enumeration cap exceeded (l={len(e.order)}, cap={cap})") for e in extracts
     ]
@@ -219,10 +225,9 @@ def _label_chunk(
     for k, j in enumerate(within):
         groups.setdefault(len(extracts[j].order), []).append(k)
     for l, ks in groups.items():
-        # the run's widest example bounds every batch's width
-        size = max(1, CHUNK_ENTRIES // (3**l * (stats.counts.shape[2] + stats.lcs.shape[2])))
+        size = max(1, CHUNK_ENTRIES // (3**l * int(width[ks].max())))
         for part in (ks[start : start + size] for start in range(0, len(ks), size)):
-            rewards = _grid_rewards(stats.select(part, 2 * l), weights)
+            rewards = _grid_rewards(entries.stats(part, first[part], 2 * l), weights)
             best = best_sequence(rewards)
             labels = soft_labels(rewards, best)
             top = rewards.reshape(len(part), -1).max(axis=1)

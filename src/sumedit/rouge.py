@@ -6,19 +6,21 @@ full-length F; degenerate inputs yield zeros rather than NaN so the reward is
 a total function.
 
 `reward` scores one summary. `split_entries` computes, for a whole split in
-one pass, every sentence version's nonzero n-gram counts over its example's
-reference n-grams and its LCS-matched reference positions, as flat entries
-keyed by the version (`SplitEntries`); the greedy extractor scores from
-these alone. `split_stats` places the same entries in one padded integer
-record (`SplitStats`). A summary built from some of an example's versions
-has the sum of their count rows and the OR of their LCS rows as its
-statistics; `SplitStats.totals` reduces these to five integer totals, and
-`f_measures` turns the totals of any number of summaries, of one reference
-or of many, into ROUGE-1/2/L F-measures with `reward`'s float expressions
-(the results are bit-identical). `SplitStats.rewards` chains the two. The
-oracle and the trainer take their statistics from the record; the
-one-example-at-a-time builder it replaced is the slow reference in
-tests/reference.py.
+one pass, every sentence version's nonzero n-gram counts and its
+LCS-matched reference positions, as one flat record (`SplitEntries`): the
+n-gram columns and reference positions of all examples are numbered
+example-major, so no array is padded to the widest reference. The greedy
+extractor scores from the entries alone. `SplitEntries.stats` builds a
+dense integer record (`SplitStats`) of some examples' versions, over only
+the columns and positions those versions touch; the oracle builds one per
+grid batch and the trainer one per decode chunk. A summary built from some
+of an example's versions has the sum of their count rows and the OR of
+their LCS rows as its statistics; `SplitStats.totals` reduces these to
+five integer totals, and `f_measures` turns the totals of any number of
+summaries, of one reference or of many, into ROUGE-1/2/L F-measures with
+`reward`'s float expressions (the results are bit-identical).
+`SplitStats.rewards` chains the two. The one-example-at-a-time builder
+these replaced is the slow reference in tests/reference.py.
 
 Both paths align sentences with the bit-vector LCS of Allison & Dix (1986,
 "A bit-string longest-common-subsequence algorithm"), which keeps each row of
@@ -220,47 +222,35 @@ def _per_example(values: np.ndarray, ndim: int) -> np.ndarray:
 
 
 class SplitStats:
-    """ROUGE statistics of the sentence versions of N examples, each against
-    its own reference, padded to one integer record.
+    """ROUGE statistics of S sentence versions of each of N examples, each
+    against its own reference, as one dense integer record
+    (`SplitEntries.stats`).
 
-    Row `counts[j, v]` holds version v of example j: its counts of the
-    example's reference unigrams in columns 0 .. unigrams - 1 and of its
-    reference bigrams in columns unigrams .. C - 1 (an example fills the
-    start of each block; the rest is zero), then the version's token and
-    bigram totals in columns C and C + 1. `lcs[j, v]` marks the positions of
-    the example's concatenated reference tokens (the first `ref_tokens[j]`
-    of T) that `_lcs_positions` matches against the version, over every
-    reference sentence. An empty version, or one past the end of its
-    example's list, is a zero row.
-
-    N-grams never cross a sentence boundary and summary-level ROUGE-L is a
-    union of per-sentence matched positions, so a summary made of some of an
-    example's versions has the sum of their `counts` rows and the OR of their
-    `lcs` rows as its statistics, and `rewards` turns those into `reward`'s
-    value bit for bit.
+    Row `counts[j, v]` holds version v of example j: its counts in the
+    n-gram columns that example j's versions touch, unigrams in columns
+    0 .. unigrams - 1 and bigrams from `unigrams` on (an example fills the
+    start of each block; the rest is zero), then its token and bigram
+    totals. `lcs[j, v]` marks its LCS-matched reference positions among
+    those that example j's versions match. A summary made of some of an
+    example's versions has the sum of their `counts` rows and the OR of
+    their `lcs` rows as its statistics (n-grams never cross a sentence
+    boundary; summary-level ROUGE-L is a union of per-sentence matched
+    positions), and `rewards` turns those into `reward`'s value bit for bit.
     """
 
     __slots__ = ("counts", "lcs", "ref_counts", "unigrams", "ref_tokens", "ref_bigrams")
 
-    def __init__(
-        self,
-        counts: np.ndarray,  # (N, S, C + 2) int64
-        lcs: np.ndarray,  # (N, S, T) bool
-        ref_counts: np.ndarray,  # (N, C) reference n-gram counts, zero-padded
-        unigrams: int,  # the unigram columns: 0 .. unigrams - 1
-        ref_tokens: np.ndarray,  # (N,) int64
-        ref_bigrams: np.ndarray,  # (N,) int64
-    ):
-        self.counts = counts
-        self.lcs = lcs
-        self.ref_counts = ref_counts
-        self.unigrams = unigrams
-        self.ref_tokens = ref_tokens
-        self.ref_bigrams = ref_bigrams
+    def __init__(self, counts, lcs, ref_counts, unigrams, ref_tokens, ref_bigrams):
+        self.counts = counts  # (N, S, W + 2) int64
+        self.lcs = lcs  # (N, S, T) bool
+        self.ref_counts = ref_counts  # (N, W) reference counts of the columns, zero-padded
+        self.unigrams = unigrams  # the unigram columns: 0 .. unigrams - 1
+        self.ref_tokens = ref_tokens  # (N,) int64
+        self.ref_bigrams = ref_bigrams  # (N,) int64
 
     def totals(self, counts: np.ndarray, lcs: np.ndarray) -> np.ndarray:
         """Integer totals (N, ..., 5) of every summary whose summed `counts`
-        rows (N, ..., C + 2) and OR-ed `lcs` rows (N, ..., T) are given,
+        rows (N, ..., W + 2) and OR-ed `lcs` rows (N, ..., T) are given,
         example j's summaries along axis 0 at j: clipped unigram and bigram
         overlap, tokens, bigrams and LCS-matched reference tokens (columns
         UNIGRAM_OVERLAP ... LCS_MATCHES)."""
@@ -285,26 +275,6 @@ class SplitStats:
         ref_tokens = _per_example(self.ref_tokens, ndim)
         ref_bigrams = _per_example(self.ref_bigrams, ndim)
         return weights.combine(*f_measures(self.totals(counts, lcs), ref_tokens, ref_bigrams))
-
-    def select(self, examples: Sequence[int], rows: int) -> "SplitStats":
-        """The first `rows` versions of the given examples as a record of
-        their own, cut to the widest one's n-gram columns and reference
-        tokens."""
-        U, C = self.unigrams, self.ref_counts.shape[1]
-        ref_counts = self.ref_counts[examples]
-        # an example's columns are the reference n-grams it has, so their
-        # reference counts are positive and its padding columns zero
-        u = int(np.count_nonzero(ref_counts[:, :U], axis=1).max(initial=0))
-        b = int(np.count_nonzero(ref_counts[:, U:], axis=1).max(initial=0))
-        cols = np.r_[0:u, U : U + b, C, C + 1]
-        return SplitStats(
-            counts=self.counts[examples, :rows][:, :, cols],
-            lcs=self.lcs[examples, :rows, : self.ref_tokens[examples].max(initial=0)],
-            ref_counts=ref_counts[:, cols[:-2]],
-            unigrams=u,
-            ref_tokens=self.ref_tokens[examples],
-            ref_bigrams=self.ref_bigrams[examples],
-        )
 
 
 def f_measures(totals: np.ndarray, ref_tokens, ref_bigrams) -> tuple[np.ndarray, ...]:
@@ -366,10 +336,10 @@ def _mask_words(key, version, pos) -> tuple[np.ndarray, ...]:
     return key[starts], version[starts], word[starts], mask
 
 
-def _lcs_matched(ref_key, ref_sentence, ref_offset, key, version, pos, length, sentences, base) -> np.ndarray:
+def _lcs_matched(ref_key, ref_sentence, key, version, pos, length, sentences) -> np.ndarray:
     """`_lcs_positions` of every (version, reference sentence) pair of a
-    split at once, as the flat indices `base[g] + ref_offset[r]` of the
-    matched reference tokens r of each version g.
+    split at once, as the keys g * R + r of the matched reference tokens r
+    of each version g, for R reference tokens in all.
 
     Reference token r has key `ref_key[r]` and is in sentence
     `ref_sentence[r]` of its example's reference; version token `pos` of
@@ -414,7 +384,7 @@ def _lcs_matched(ref_key, ref_sentence, ref_offset, key, version, pos, length, s
     r, u, pair = r[order], u[order], rank[pair[order]]
     W, hits, C = W[by_size], hits[shared[by_size]], C[by_size]
     hit = np.cumsum(first_word[u]) - 1 - (np.cumsum(hits) - hits)[pair]
-    target = base[version[u]] + ref_offset[r]
+    target = version[u] * len(ref_key) + r
     matched = []
     start = 0
     while start < len(W):
@@ -488,24 +458,74 @@ def _lcs_block(pair, hit, word, mask, target, hits, C, W) -> np.ndarray:
 
 
 class SplitEntries:
-    """The statistics of `SplitStats` as each sentence version's nonzero
-    entries, for versions numbered flat (an example's versions are
-    consecutive, in order). Version g has `length[g]` tokens; each row
-    (g, column, count) of `ngrams` is its count in an n-gram column of its
-    example (numbered as in `SplitStats`), and each row (g, position) of
-    `matches` an LCS-matched position of its example's reference tokens.
-    Both are sorted. The reference totals are those of `SplitStats`."""
+    """The ROUGE statistics of a split's sentence versions, numbered flat (an
+    example's versions are consecutive), as each version's nonzero entries.
 
-    __slots__ = ("length", "ngrams", "matches", "ref_counts", "unigrams", "ref_tokens", "ref_bigrams")
+    N-gram columns are numbered example-major: example j's reference
+    unigrams, then its reference bigrams. Reference positions are numbered
+    the same way, over every example's concatenated reference tokens.
+    Version g has `length[g]` tokens; each row (g, column, count) of
+    `ngrams` is its count in a column of its example, and each row
+    (g, position) of `matches` a reference position of its example that
+    `_lcs_positions` matches against it. Both are sorted.
+    """
 
-    def __init__(self, length, ngrams, matches, ref_counts, unigrams, ref_tokens, ref_bigrams):
+    __slots__ = ("length", "ngrams", "matches", "ref_counts", "column_example", "bigram", "ref_tokens", "ref_bigrams")
+
+    def __init__(self, length, ngrams, matches, ref_counts, column_example, bigram, ref_tokens, ref_bigrams):
         self.length = length  # (V,) int64
         self.ngrams = ngrams  # (E, 3) int64
         self.matches = matches  # (M, 2) int64
-        self.ref_counts = ref_counts
-        self.unigrams = unigrams
-        self.ref_tokens = ref_tokens
-        self.ref_bigrams = ref_bigrams
+        self.ref_counts = ref_counts  # (K,) int64, of each column
+        self.column_example = column_example  # (K,) int64, the example of each column
+        self.bigram = bigram  # (K,) bool, whether each column is a bigram column
+        self.ref_tokens = ref_tokens  # (N,) int64
+        self.ref_bigrams = ref_bigrams  # (N,) int64
+
+    def stats(self, examples, first, rows: int) -> SplitStats:
+        """The dense `SplitStats` of versions first[i] .. first[i] + rows - 1
+        of each example `examples[i]`, over only the columns and reference
+        positions those versions touch: an example's unigram columns in
+        order from 0, its bigram columns in order after the widest unigram
+        block, and its positions in order from 0."""
+        first = np.asarray(first, dtype=np.int64)
+        (g, column, count), (m, position) = self.ngrams.T, self.matches.T
+        n, K, R = len(first), len(self.ref_counts), int(self.ref_tokens.sum())
+        e, i = _entries_of(g, first, rows)
+        # each touched column, keyed by its group: 2i for a unigram column of example i, 2i + 1 for a bigram one
+        cols, at = np.unique((2 * i + self.bigram[column[e]]) * K + column[e], return_inverse=True)
+        group = cols // K
+        rank, widths = _ranks(group, 2 * n)
+        u, b = int(widths[0::2].max(initial=0)), int(widths[1::2].max(initial=0))
+        place = rank + u * (group & 1)
+        counts = np.zeros((n, rows, u + b + 2), dtype=np.int64)
+        counts[i, g[e] - first[i], place[at]] = count[e]
+        length = self.length[first[:, None] + np.arange(rows)]
+        counts[:, :, -2] = length
+        counts[:, :, -1] = np.maximum(length - 1, 0)
+        ref_counts = np.zeros((n, u + b), dtype=np.int64)
+        ref_counts[group >> 1, place] = self.ref_counts[cols % K]
+        e, i = _entries_of(m, first, rows)
+        cols, at = np.unique(i * R + position[e], return_inverse=True)
+        rank, widths = _ranks(cols // R, n)
+        lcs = np.zeros((n, rows, int(widths.max(initial=0))), dtype=bool)
+        lcs[i, m[e] - first[i], rank[at]] = True
+        return SplitStats(counts, lcs, ref_counts, u, self.ref_tokens[examples], self.ref_bigrams[examples])
+
+
+def _entries_of(version: np.ndarray, first: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of entries sorted by `version`: the indices of those of versions
+    first[i] .. first[i] + rows - 1, and the i of each."""
+    lo, hi = np.searchsorted(version, first), np.searchsorted(version, first + rows)
+    n = hi - lo
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum())), np.repeat(np.arange(len(first)), n)
+
+
+def _ranks(group: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of sorted group numbers below `groups`: each one's rank in its group,
+    and the size of every group."""
+    widths = np.bincount(group, minlength=groups)
+    return np.arange(len(group)) - (np.cumsum(widths) - widths)[group], widths
 
 
 def split_entries(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitEntries:
@@ -515,13 +535,14 @@ def split_entries(versions: Sequence[Sequence[TokenList]], references: Sequence)
 
     One dict pass gives every token an id in its example's reference
     vocabulary, in order of first appearance (-1 for a token the reference
-    lacks), and a unigram's column is its id. A bigram is a key made of its
-    example and its two ids; an example's bigram columns are its distinct
-    reference keys (`np.unique`), and a version bigram of two known tokens
-    finds its column by `searchsorted`. The n-gram entries are the distinct
-    (version, column) cells of all these hits with their counts (one more
-    `np.unique`). The LCS entries come from `_lcs_matched`, which aligns the
-    pairs that share a token in lockstep, keyed by the same token ids.
+    lacks); a unigram's column is its example's first column plus its id. A
+    bigram is a key made of its example and its two ids; the distinct
+    reference keys (`np.unique`) are, in order, the bigram columns of every
+    example, and a version bigram of two known tokens finds its column by
+    `searchsorted`. The n-gram entries are the distinct (version, column)
+    cells of all these hits with their counts (one more `np.unique`). The
+    LCS entries come from `_lcs_matched`, which aligns the pairs that share
+    a token in lockstep, keyed by the same token ids.
     """
     refs = [getattr(r, "sentences", r) for r in references]
     N = len(versions)
@@ -537,72 +558,52 @@ def split_entries(versions: Sequence[Sequence[TokenList]], references: Sequence)
     ref_tok, ref_sent, first, second, pair_sent = _ngrams_of(ref_ids, [len(s) for ref in refs for s in ref])
     ref_example = ref_owner[ref_sent]
     owner = ref_owner[pair_sent]
-    cols, at, ref_pair_counts = np.unique(
+    keys, at, ref_pair_counts = np.unique(
         offset[owner] + first * U[owner] + second, return_index=True, return_counts=True
     )
-    col_owner = owner[at]
-    rank = np.arange(len(cols)) - np.searchsorted(col_owner, col_owner)
-    CU = int(U.max(initial=0))
-    C = CU + int(np.bincount(col_owner, minlength=N).max(initial=0))
-    ref_counts = np.zeros((N, C), dtype=np.int64)
-    ref_counts[:, :CU] = np.bincount(ref_example * CU + ref_tok, minlength=N * CU).reshape(N, CU)
-    ref_counts[col_owner, CU + rank] = ref_pair_counts
+    B = np.bincount(owner[at], minlength=N)
+    # example j's columns start at columns[j]; its bigram key b is column b + unigrams_to[j]
+    columns, unigrams_to = np.cumsum(U + B) - U - B, np.cumsum(U)
+    column_example = np.repeat(np.arange(N), U + B)
+    K = len(column_example)
+    ref_counts = np.bincount(columns[ref_example] + ref_tok, minlength=K)
+    ref_counts[np.arange(len(keys)) + unigrams_to[owner[at]]] = ref_pair_counts
 
     owner = np.repeat(np.arange(N), np.array([len(vs) for vs in versions], dtype=np.intp))
     lengths = [len(sent) for vs in versions for sent in vs]
     tok, sent, first, second, pair_sent = _ngrams_of(ids, lengths)
     length = np.array(lengths, dtype=np.int64)
 
-    ref_tokens = np.array([sum(map(len, ref)) for ref in refs], dtype=np.int64)
-    T = int(ref_tokens.max(initial=0))
     # a token's key is its id in the reference vocabulary of all examples
-    vocab_start = np.cumsum(U) - U
+    vocab_start = unigrams_to - U
     kept = np.flatnonzero(tok >= 0)
     version = sent[kept]
     matched = _lcs_matched(
         ref_key=vocab_start[ref_example] + ref_tok,
         ref_sentence=ref_sent - (np.cumsum(ref_sentences) - ref_sentences)[ref_example],
-        ref_offset=np.arange(len(ref_tok)) - (np.cumsum(ref_tokens) - ref_tokens)[ref_example],
         key=vocab_start[owner[version]] + tok[kept],
         version=version,
         pos=kept - (np.cumsum(length) - length)[version],
         length=length,
         sentences=ref_sentences[owner],
-        base=np.arange(len(lengths)) * T,
     )
 
     known = (first >= 0) & (second >= 0)
     first, second, pair_sent = first[known], second[known], pair_sent[known]
-    owner = owner[pair_sent]
-    keys = offset[owner] + first * U[owner] + second
-    col = np.searchsorted(cols, keys)
-    hit = np.append(cols, -1)[col] == keys
+    pair_owner = owner[pair_sent]
+    pair_keys = offset[pair_owner] + first * U[pair_owner] + second
+    col = np.searchsorted(keys, pair_keys)
+    hit = np.append(keys, -1)[col] == pair_keys
     cells, counts = np.unique(
-        np.concatenate([(sent * C + tok)[tok >= 0], pair_sent[hit] * C + CU + rank[col[hit]]]), return_counts=True
+        np.concatenate([version * K + columns[owner[version]] + tok[kept],
+                        pair_sent[hit] * K + col[hit] + unigrams_to[pair_owner[hit]]]),
+        return_counts=True,
     )
     return SplitEntries(
-        length, np.column_stack([*np.divmod(cells, C), counts]), np.column_stack(np.divmod(np.sort(matched), T)),
-        ref_counts, CU, ref_tokens, np.array([sum(max(len(s) - 1, 0) for s in ref) for ref in refs], dtype=np.int64),
-    )
-
-
-def split_stats(versions: Sequence[Sequence[TokenList]], references: Sequence) -> SplitStats:
-    """The `split_entries` of the sentence versions `versions[j]` of every
-    example j against `references[j]`, placed in one `SplitStats` record
-    padded to the longest list of versions."""
-    entries = split_entries(versions, references)
-    (g, column, count), (m, position) = entries.ngrams.T, entries.matches.T
-    per_example = np.array([len(vs) for vs in versions], dtype=np.intp)
-    N, S = len(versions), int(per_example.max(initial=0))
-    C, T = entries.ref_counts.shape[1], int(entries.ref_tokens.max(initial=0))
-    row = np.flatnonzero(np.arange(S) < per_example[:, None])  # each version's row of the record
-    counts = np.zeros((N * S, C + 2), dtype=np.int64)
-    counts[row[g], column] = count
-    counts[row, C] = entries.length
-    counts[row, C + 1] = np.maximum(entries.length - 1, 0)
-    lcs = np.zeros((N * S, T), dtype=bool)
-    lcs[row[m], position] = True
-    return SplitStats(
-        counts.reshape(N, S, C + 2), lcs.reshape(N, S, T),
-        entries.ref_counts, entries.unigrams, entries.ref_tokens, entries.ref_bigrams,
+        length,
+        np.column_stack([*np.divmod(cells, K), counts]),
+        np.column_stack(np.divmod(np.sort(matched), len(ref_tok))),
+        ref_counts, column_example, np.arange(K) >= (columns + U)[column_example],
+        np.bincount(ref_example, minlength=N),
+        np.array([sum(max(len(s) - 1, 0) for s in ref) for ref in refs], dtype=np.int64),
     )

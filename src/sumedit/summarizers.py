@@ -7,11 +7,12 @@ batch's sentences as flat rows: one `rouge.split_entries` call, then each
 step scores every candidate from the selection's integer ROUGE totals plus
 the candidate's marginal ones, which come from its nonzero n-gram counts
 and matched reference positions alone (clipping is per n-gram, Lin 2004,
-§3.1). Its per-example callable (`GreedyOracleExtractor`) is the
-one-document batch, and `extract_batch` hands a whole batch to it. The
-abstractor works on a chunk of up to three consecutive sentences, rescales
-per-word attention by the owning sentence's P(s), and compresses the center
-sentence to its most salient tokens.
+§3.1), read by their column and position numbers, flat over the batch. Its
+per-example callable (`GreedyOracleExtractor`) is the one-document batch,
+and `extract_batch` hands a whole batch to it. The abstractor works on a
+chunk of up to three consecutive sentences, rescales per-word attention by
+the owning sentence's P(s), and compresses the center sentence to its most
+salient tokens.
 Third-party extractors/abstractors plug in behind the same contracts
 (determinism, P(s) in (0,1], non-empty abstraction).
 """
@@ -143,11 +144,8 @@ def extract_greedy_oracle(
     D, V = len(sizes), int(sizes.sum())
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(D), sizes)  # each row's document
-    cell = owner[version] * entries.ref_counts.shape[1] + column  # the entry's (document, n-gram), flat
-    kind = 2 * version + (column >= entries.unigrams)  # its row's unigram or bigram overlap
-    # each LCS entry's reference token, flat over the batch
-    at = (np.cumsum(entries.ref_tokens) - entries.ref_tokens)[owner[matched]] + position
-    room = entries.ref_counts.reshape(-1).copy()
+    kind = 2 * version + entries.bigram[column]  # the entry's row's unigram or bigram overlap
+    room = entries.ref_counts.copy()
     free = np.ones(int(entries.ref_tokens.sum()), dtype=bool)
     marginal = np.zeros((V, 5), dtype=np.int64)
     marginal[:, TOKENS] = entries.length
@@ -161,9 +159,9 @@ def extract_greedy_oracle(
     gains = np.zeros((D, steps))
     taken = np.zeros(D, dtype=np.intp)
     for step in range(steps):
-        overlap = np.bincount(kind, np.minimum(count, room[cell]), minlength=2 * V)
+        overlap = np.bincount(kind, np.minimum(count, room[column]), minlength=2 * V)
         marginal[:, UNIGRAM_OVERLAP : BIGRAM_OVERLAP + 1] = overlap.reshape(V, 2)
-        marginal[:, LCS_MATCHES] = np.bincount(matched, free[at], minlength=V)
+        marginal[:, LCS_MATCHES] = np.bincount(matched, free[position], minlength=V)
         totals = marginal + base[owner]
         rewards = weights.combine(*f_measures(totals, entries.ref_tokens[owner], entries.ref_bigrams[owner]))
         rewards[~unselected] = -np.inf
@@ -178,10 +176,10 @@ def extract_greedy_oracle(
         base[take] = totals[chosen]
         picked = np.zeros(V, dtype=bool)
         picked[chosen] = True
-        # one chosen row per document, so no cell or reference token repeats
+        # one chosen row per document, so no column or reference position repeats
         mine = picked[version]
-        room[cell[mine]] = np.maximum(room[cell[mine]] - count[mine], 0)
-        free[at[picked[matched]]] = False
+        room[column[mine]] = np.maximum(room[column[mine]] - count[mine], 0)
+        free[position[picked[matched]]] = False
         taken += take
         active = take & (taken < np.minimum(sizes, k))
         if not active.any():

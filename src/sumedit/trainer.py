@@ -11,17 +11,18 @@ vector per batch, decodes the whole validation split free-running after
 every epoch, and returns the checkpoint with the highest validation mean
 reward (ties: earliest epoch). A non-finite loss or gradient stops training
 with an error naming the epoch and the batch. Runs are bitwise reproducible
-under a fixed seed with a single worker.
+under a fixed seed.
 
 Decoded summaries are scored without realizing them: each summary is one of
 the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
-totals are the summed `rouge.split_stats` rows of the chosen sentence
+totals are the summed `rouge.SplitStats` rows of the chosen sentence
 versions (extracted sentences, then abstractions). The statistics of a split
 are computed once (before the first epoch for validation), one
-`split_stats` call per record of at most `editor.DECODE_CHUNK` examples.
-The decisions select rows of a record as E/A masks, so its totals are one
-integer contraction, one masked `any` and one clip, and `rouge.f_measures`
-turns them into F-measures bit-identical to `rouge.reward` on every summary.
+`split_entries` call and one dense record (`SplitEntries.stats`) per chunk
+of at most `editor.DECODE_CHUNK` examples. The decisions select rows of a
+record as E/A masks, so its totals are one integer contraction, one masked
+`any` and one clip, and `rouge.f_measures` turns them into F-measures
+bit-identical to `rouge.reward` on every summary.
 Means over a split are sequential sums, the order of a running float total.
 """
 from __future__ import annotations
@@ -40,34 +41,26 @@ from .oracle import LabeledExample
 # training no longer calls them: the benchmark's tracer (perfbench) wraps
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
 from .editor import context_from_abstractions
-from .rouge import RewardWeights, SplitStats, f_measures, reward, split_stats
+from .rouge import RewardWeights, SplitStats, f_measures, reward, split_entries
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
 
 
+# ADAM's moment decay rates and denominator offset (Kingma & Ba 2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """First and second moment estimates, flat like the parameters."""
 
-    __slots__ = ("m", "v", "t", "lr", "beta1", "beta2", "eps")
+    __slots__ = ("m", "v", "t", "lr")
 
-    def __init__(
-        self,
-        m: np.ndarray,
-        v: np.ndarray,
-        t: int = 0,
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0, lr: float = 1e-4):
         self.m = m
         self.v = v
         self.t = t
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     @classmethod
     def fresh(cls, params: EditorParams, lr: float = 1e-4) -> "AdamState":
@@ -82,15 +75,12 @@ def adam_step(
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} differs from parameter shape {params.flat.shape}")
     t = state.t + 1
-    m = state.beta1 * state.m + (1 - state.beta1) * grad
-    v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(
-        m=m, v=v, t=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
-    return EditorParams(params.m, params.n, flat), new_state
+    m = BETA1 * state.m + (1 - BETA1) * grad
+    v = BETA2 * state.v + (1 - BETA2) * grad * grad
+    m_hat = m / (1 - BETA1**t)
+    v_hat = v / (1 - BETA2**t)
+    flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    return EditorParams(params.m, params.n, flat), AdamState(m=m, v=v, t=t, lr=state.lr)
 
 
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
@@ -116,13 +106,13 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
 
 def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
     """The statistics of a split's 2l sentence versions per example against
-    its reference, in records of at most DECODE_CHUNK examples, so that no
-    record is as wide as the widest reference of a whole large split.
+    its reference, in records of at most DECODE_CHUNK examples, each over
+    only the n-gram columns and reference positions its versions touch.
 
     Example j's versions are its extracted sentences padded to the record's
-    longest extract L with empty versions (zero rows), then its
-    abstractions padded the same way: version row k * L + i is decision k
-    (an index into DECISIONS) at step i.
+    longest extract L with empty versions (no entries, so zero rows), then
+    its abstractions padded the same way: version row k * L + i is decision
+    k (an index into DECISIONS) at step i.
     """
     records = []
     for start in range(0, len(pairs), editor.DECODE_CHUNK):
@@ -133,7 +123,8 @@ def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
             ([example.document.tokens_at(i) for i in lab.extract.order] + pad)[:L] + (list(lab.abstractions) + pad)[:L]
             for example, lab in chunk
         ]
-        records.append(split_stats(versions, [example.reference for example, _ in chunk]))
+        entries = split_entries(versions, [example.reference for example, _ in chunk])
+        records.append(entries.stats(np.arange(len(chunk)), np.arange(len(chunk)) * 2 * L, 2 * L))
     return records
 
 

@@ -884,6 +884,20 @@ class TestConfigAndCheckpointFiles:
             self.assert_one_error_line(capsys, f"config field {field!r} must be >= 1, got {value}")
         assert {path: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [(["--epochs", "0"], {}, "config field 'epochs' must be >= 1, got 0"),
+         (["--batch-size", "0"], {}, "config field 'batch_size' must be >= 1, got 0"),
+         ([], {"context_window": -1}, "config field 'context_window' must be >= 0, got -1")],
+        ids=["epochs", "batch-size", "context-window"],
+    )
+    def test_label_refuses_what_train_refuses(self, workspace, capsys, args, config, message):
+        cfg = write_config(workspace, **config)
+        assert cli.main(["label", "--config", str(cfg), "--split", "val", *args]) == 1
+        self.assert_one_error_line(capsys, message)
+        out = workspace / "out"
+        assert not list(out.glob("labels_*.jsonl")) and not (out / "resolved_config.json").exists()
+
     def test_numbers_and_null_paths_accepted_where_declared(self, workspace):
         cfg = ExperimentConfig.from_file(write_config(workspace, alpha=1, lr=0.5, test_path=None))
         assert (cfg.alpha, cfg.lr, cfg.test_path) == (1, 0.5, None)

@@ -1,0 +1,49 @@
+"""Label caches of fixed seeded inputs against their recorded sha256.
+
+The inputs come from `tests/synthetic.py` (`make_example(k)` is a document
+of k + 2 sentences) and cover lead extracts of l = 4, one run that mixes
+l = 1 .. 7, one extract of l = 10 and the greedy extractor at k = 4. A change
+that alters the cache format or any label on purpose updates these hashes
+and says so in CHANGES.md. Labeling uses no BLAS product, so the bytes do
+not depend on the matrix library.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from synthetic import make_example
+from sumedit.oracle import label_dataset
+from sumedit.summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
+
+
+def corpus(seed, ks, prefix):
+    rng = np.random.default_rng(seed)
+    return [make_example(f"{prefix}-{j:03d}", rng, k=k) for j, k in enumerate(ks)]
+
+
+def mixed_lead(example):
+    """Lead extract of 1 + j % 7 sentences for example j: l = 1 .. 7 in one run."""
+    j = int(example.document.id.rsplit("-", 1)[1])
+    return extract_lead(example.document, 1 + j % 7)
+
+
+CASES = {
+    "lead-l4": (lambda: corpus(21, [2] * 60, "lead"), LeadExtractor(4), {4},
+                "9609be3eb43b5b8a513f4447d58540daebed20bf0f71aa1c8fe1396a8e864c67"),
+    "mixed-l1-7": (lambda: corpus(22, [5 + j % 4 for j in range(42)], "mixed"), mixed_lead, set(range(1, 8)),
+                   "941b9732b99b1cfaba6d77884c49c58bc44e1eda3fc3a6b22f7af4c9d74cdb71"),
+    "l10": (lambda: corpus(23, [8], "ten"), LeadExtractor(10), {10},
+            "2a5b9812e17e765cdfa80eecd17d53ff57409f04fdc59bc0ae8b07b3fa71ef34"),
+    "greedy-k4": (lambda: corpus(24, [j % 9 for j in range(45)], "greedy"), GreedyOracleExtractor(4), {1, 2, 3, 4},
+                  "52c0aadf8cbb1533db3d5396356ebb885fbeafd37938eb0ede1889213bc3237e"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cache_bytes_are_recorded(tmp_path, name):
+    examples, extractor, lengths, digest = CASES[name]
+    path = tmp_path / "labels.jsonl"
+    labeled, failures = label_dataset(examples(), extractor, SalienceAbstractor(0.8), cache_path=path)
+    assert failures == [] and {len(lab.best) for lab in labeled} == lengths
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

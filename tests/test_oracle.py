@@ -18,7 +18,7 @@ from sumedit.oracle import (
     realize,
     write_label_cache,
 )
-from sumedit.rouge import RewardWeights, SplitStats, reward
+from sumedit.rouge import RewardWeights, SplitEntries, SplitStats, reward
 from sumedit import summarizers
 from sumedit.summarizers import ExtractResult, GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary
@@ -291,6 +291,10 @@ class TestFactorizedOracle:
     @example(inputs=((("a", "b"), ("a", "b"), ("c", "a")), (1, 0, 2), (("a", "b"), ("b",), ("c", "a")), [("a", "b", "c", "a")]))
     # a reference sentence longer than 64 tokens
     @example(inputs=((LONG[:6], LONG[60:66], ("x", "y")), (2, 0, 1), (LONG[62:], LONG[:3], ("y",)), [LONG, LONG[5:9]]))
+    # no version matches a reference position: a record with no LCS positions
+    @example(inputs=((("a",),), (0,), (("a",),), [("b",)]))
+    # no version has a reference n-gram: a record with no n-gram columns
+    @example(inputs=((("x", "y"), ("y", "x"), ("z",)), (1, 0, 2), (("y",), ("x", "y"), ("z",)), [("a", "b"), ("c",)]))
     def test_rewards_and_labels_bit_equal_to_reference(self, inputs):
         ex, extract, abstractions = oracle_case(*inputs)
         rewards = enumerate_rewards(ex, extract, abstractions)
@@ -329,7 +333,7 @@ class TestFactorizedOracle:
             [("a", "b", "c", "d"), ("e", "a")],
         )
         l = len(extract.order)
-        stats = oracle.split_stats([oracle._versions(ex, extract, abstractions)], [ex.reference])
+        stats = oracle.split_entries([oracle._versions(ex, extract, abstractions)], [ex.reference]).stats([0], [0], 2 * l)
         width = stats.counts.shape[2] + stats.lcs.shape[2]
         # the largest bound that leaves `head` leading decisions to chunk
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 3 ** (l - head) * width if head else oracle.CHUNK_ENTRIES)
@@ -466,6 +470,45 @@ class TestLabelDataset:
             best = best_sequence(rewards)
             assert lab.best == best and lab.best_reward == float(rewards[tuple(DECISIONS.index(d) for d in best)])
             assert np.array(lab.labels).tobytes() == soft_labels(rewards, best).tobytes()
+
+    def test_batch_records_score_as_reward(self, monkeypatch):
+        """One run that mixes l = 1 .. 7, with CHUNK_ENTRIES small enough to
+        cut it into batches of one and of several examples: the grid rewards
+        of each batch's own record equal `reward` on every realized summary
+        of its examples."""
+        rng = np.random.default_rng(11)
+        vocab = [f"w{i}" for i in range(8)]
+
+        def sentence():
+            return " ".join(rng.choice(vocab, size=int(rng.integers(1, 6))))
+
+        examples = [
+            make_example([sentence() for _ in range(n)], [sentence() for _ in range(int(rng.integers(1, 3)))], f"b{j}")
+            for j, n in enumerate([7, 1, 4, 2, 6, 3, 5, 1, 7, 2, 3])
+        ]
+        batches = []
+        real_stats, real_grid = SplitEntries.stats, oracle._grid_rewards
+
+        def stats(self, part, *args):
+            batches.append((list(part), []))
+            return real_stats(self, part, *args)
+
+        def grid(record, weights):
+            batches[-1][1].append(real_grid(record, weights))
+            return batches[-1][1][0]
+
+        monkeypatch.setattr(SplitEntries, "stats", stats)
+        monkeypatch.setattr(oracle, "_grid_rewards", grid)
+        monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 500)
+        labeled, failures = label_dataset(examples, LeadExtractor(7), SalienceAbstractor(0.8), cap=7)
+        assert failures == [] and sorted(k for part, _ in batches for k in part) == list(range(len(examples)))
+        assert {len(lab.best) for lab in labeled} == set(range(1, 8))
+        assert len(batches) > 7 and max(len(part) for part, _ in batches) > 1
+        for part, (rewards,) in batches:
+            for k, got in zip(part, rewards):
+                ex, lab = examples[k], labeled[k]
+                want = enumerate_rewards(ex, lab.extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+                assert got.tobytes() == want.tobytes()
 
     def test_equal_lengths_make_one_grid_pass(self, monkeypatch):
         """40 examples of one extract length are labeled by one stacked grid,

@@ -19,7 +19,6 @@ from sumedit.rouge import (
     rouge_l,
     rouge_n,
     split_entries,
-    split_stats,
 )
 
 tokens = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8)
@@ -157,27 +156,57 @@ def columns(ref_counts, counts, lo, hi):
     return sorted(map(tuple, np.vstack([ref_counts[None, lo:hi], counts[:, lo:hi]]).T.tolist()))
 
 
+def starts(sizes):
+    return np.cumsum([0] + list(sizes))
+
+
 def assert_split_equals_reference(versions, references):
-    """`split_stats` of a split against `sentence_stats` of each example:
-    the same n-gram columns up to order, totals, LCS rows and reference
-    totals, and zero rows and columns as padding."""
-    stats = split_stats(versions, references)
-    N, S = stats.counts.shape[:2]
-    assert stats.counts.dtype == stats.ref_counts.dtype == np.int64 and stats.lcs.dtype == bool
-    assert (N, S) == (len(versions), max(map(len, versions), default=0))
+    """`split_entries` of a split against `sentence_stats` of each example:
+    every entry in its own example's columns and reference positions, each
+    example's columns of the right kind and the same up to order, token
+    totals, LCS rows and reference totals; and each example's own
+    `SplitEntries.stats` record holds exactly the columns and positions its
+    versions touch."""
+    entries = split_entries(versions, references)
+    for name in ("length", "ngrams", "matches", "ref_counts", "column_example", "ref_tokens", "ref_bigrams"):
+        assert getattr(entries, name).dtype == np.int64, name
+    assert entries.bigram.dtype == bool
+    (g, column, count), (m, position) = entries.ngrams.T, entries.matches.T
+    first = starts(map(len, versions))
+    ref_start = starts(sum(map(len, ref)) for ref in references)
+    owner = np.repeat(np.arange(len(versions)), np.diff(first))
+    assert np.array_equal(entries.column_example[column], owner[g]) and (count > 0).all()
+    assert np.array_equal(np.searchsorted(ref_start, position, side="right") - 1, owner[m])
+    assert np.array_equal(entries.column_example, np.sort(entries.column_example))
     for j, (vs, ref) in enumerate(zip(versions, references)):
         want = sentence_stats(vs, ref)
-        one = stats.select([j], len(vs))
-        counts, ref_counts, u = one.counts[0], one.ref_counts[0], one.unigrams
-        assert u == want.unigrams and counts.shape == want.counts.shape
-        assert np.array_equal(counts[:, -2:], want.counts[:, -2:])
+        u, width = want.unigrams, len(want.ref_counts)
+        cols = np.flatnonzero(entries.column_example == j)
+        assert len(cols) == width
+        assert not entries.bigram[cols[:u]].any() and entries.bigram[cols[u:]].all()
+        rows = slice(first[j], first[j + 1])
+        mine = (g >= first[j]) & (g < first[j + 1])
+        counts = np.zeros((len(vs), width), dtype=np.int64)
+        counts[g[mine] - first[j], np.searchsorted(cols, column[mine])] = count[mine]
+        ref_counts = entries.ref_counts[cols]
         assert columns(ref_counts, counts, 0, u) == columns(want.ref_counts, want.counts, 0, u)
-        width = len(want.ref_counts)
         assert columns(ref_counts, counts, u, width) == columns(want.ref_counts, want.counts, u, width)
-        assert np.array_equal(one.lcs[0], want.lcs)
-        assert (stats.ref_tokens[j], stats.ref_bigrams[j]) == (want.ref_tokens, want.ref_bigrams)
-        assert not stats.counts[j, len(vs) :].any() and not stats.lcs[j, len(vs) :].any()
-        assert not stats.lcs[j, :, want.ref_tokens :].any()
+        assert np.array_equal(entries.length[rows], want.counts[:, -2])
+        mine = (m >= first[j]) & (m < first[j + 1])
+        lcs = np.zeros_like(want.lcs)
+        lcs[m[mine] - first[j], position[mine] - ref_start[j]] = True
+        assert np.array_equal(lcs, want.lcs)
+        assert (entries.ref_tokens[j], entries.ref_bigrams[j]) == (want.ref_tokens, want.ref_bigrams)
+
+        one = entries.stats([j], [first[j]], len(vs))
+        touched = want.counts[:, :-2].any(axis=0)
+        kept, kept_ref, t = want.counts[:, :-2][:, touched], want.ref_counts[touched], int(touched[:u].sum())
+        assert one.unigrams == t and one.counts.shape == (1, len(vs), len(kept_ref) + 2)
+        assert np.array_equal(one.counts[0, :, -2:], want.counts[:, -2:])
+        assert columns(one.ref_counts[0], one.counts[0], 0, t) == columns(kept_ref, kept, 0, t)
+        assert columns(one.ref_counts[0], one.counts[0], t, len(kept_ref)) == columns(kept_ref, kept, t, len(kept_ref))
+        assert np.array_equal(one.lcs[0], want.lcs[:, want.lcs.any(axis=0)])
+        assert (one.ref_tokens.tolist(), one.ref_bigrams.tolist()) == ([want.ref_tokens], [want.ref_bigrams])
 
 
 def split_inputs(alphabet_sizes=(1, 4)):
@@ -216,9 +245,12 @@ class TestSplitStats:
     @given(examples=split_inputs((1, 5)), data=st.data())
     def test_rewards_equal_reward_of_realized_summaries(self, examples, data):
         """A summary made of some versions of each example: the summed rows
-        and OR-ed LCS rows score exactly as `reward` scores the summary."""
+        and OR-ed LCS rows of one record of the whole split (versions padded
+        with empty ones) score exactly as `reward` scores the summary."""
         versions, references = [list(vs) for vs, _ in examples], [ref for _, ref in examples]
-        stats = split_stats(versions, references)
+        S = max(map(len, versions), default=0)
+        padded = [vs + [()] * (S - len(vs)) for vs in versions]
+        stats = split_entries(padded, references).stats(np.arange(len(padded)), np.arange(len(padded)) * S, S)
         weights = RewardWeights(*data.draw(st.tuples(*[st.floats(0.1, 2.0)] * 3)))
         chosen = np.zeros(stats.counts.shape[:2], dtype=bool)
         for j, vs in enumerate(versions):
@@ -236,25 +268,38 @@ class TestSplitStats:
     @given(split_inputs())
     @example([((LONG, LONG[3:], LONG[:2]), (LONG, LONG[60:])), ((), (("a",),)), ((LONG[::-1],), (LONG[:66],))])
     def test_entries_are_the_nonzero_cells(self, examples):
-        """`split_entries` holds exactly the nonzero n-gram and LCS cells of
-        `split_stats`, in row-major order, each version's token total and
-        the same reference totals."""
+        """`split_entries` holds each version's distinct nonzero cells in
+        order, and a record of the whole split (versions padded with empty
+        ones) holds exactly those cells: in each example's block of unigram
+        columns, of bigram columns and of positions, it uses as many of the
+        first ones as its versions touch, and no others."""
         versions, references = [list(vs) for vs, _ in examples], [ref for _, ref in examples]
-        entries = split_entries(versions, references)
-        stats = split_stats(versions, references)
-        N, S, width = stats.counts.shape
-        counts, lcs = stats.counts.reshape(N * S, width), stats.lcs.reshape(N * S, stats.lcs.shape[2])
-        rows = [j * S + v for j, vs in enumerate(versions) for v in range(len(vs))]
-        version = np.full(N * S, -1)
-        version[rows] = np.arange(len(rows))  # each padded row's flat index
-        row, col = np.nonzero(counts[:, :-2])
-        assert np.array_equal(entries.ngrams, np.column_stack([version[row], col, counts[row, col]]))
-        assert np.array_equal(counts[rows, -2], entries.length)
-        row, pos = np.nonzero(lcs)
-        assert np.array_equal(entries.matches, np.column_stack([version[row], pos]))
-        assert entries.unigrams == stats.unigrams
-        for name in ("ref_counts", "ref_tokens", "ref_bigrams"):
-            assert np.array_equal(getattr(entries, name), getattr(stats, name))
+        N, S = len(versions), max(map(len, versions), default=0)
+        padded = [vs + [()] * (S - len(vs)) for vs in versions]
+        entries = split_entries(padded, references)
+        (g, column, count), (m, position) = entries.ngrams.T, entries.matches.T
+        assert (np.diff(g * len(entries.ref_counts) + column) > 0).all()
+        assert (np.diff(m * entries.ref_tokens.sum() + position) > 0).all()
+        stats = entries.stats(np.arange(N), np.arange(N) * S, S)
+        u = stats.unigrams
+        j, v, c = np.nonzero(stats.counts[..., :-2])
+        record = zip((j * S + v).tolist(), (c >= u).tolist(), stats.counts[j, v, c].tolist(),
+                     stats.ref_counts[j, c].tolist())
+        cells = zip(g.tolist(), entries.bigram[column].tolist(), count.tolist(), entries.ref_counts[column].tolist())
+        assert sorted(record) == sorted(cells)
+        j, v, _ = np.nonzero(stats.lcs)
+        assert sorted((j * S + v).tolist()) == m.tolist()
+        for j in range(N):
+            own = (g >= j * S) & (g < (j + 1) * S)
+            used = [len(np.unique(column[own & (entries.bigram[column] == kind)])) for kind in (False, True)]
+            want = np.r_[np.arange(u) < used[0], np.arange(stats.ref_counts.shape[1] - u) < used[1]]
+            assert np.array_equal(stats.ref_counts[j] > 0, want)
+            assert np.array_equal(stats.counts[j, :, :-2].any(axis=0), want)
+            positions = len(np.unique(position[(m >= j * S) & (m < (j + 1) * S)]))
+            assert np.array_equal(stats.lcs[j].any(axis=0), np.arange(stats.lcs.shape[2]) < positions)
+        assert np.array_equal(stats.counts[..., -2].reshape(-1), entries.length)
+        assert np.array_equal(stats.ref_tokens, entries.ref_tokens)
+        assert np.array_equal(stats.ref_bigrams, entries.ref_bigrams)
 
     def test_seeded_split_of_many_examples(self):
         rng = random.Random(3)
@@ -266,14 +311,30 @@ class TestSplitStats:
         assert_split_equals_reference(versions, references)
 
     def test_empty_split(self):
-        stats = split_stats([], [])
+        entries = split_entries([], [])
+        assert entries.ngrams.shape == (0, 3) and entries.matches.shape == (0, 2)
+        assert entries.ref_counts.shape == entries.column_example.shape == entries.ref_tokens.shape == (0,)
+        stats = entries.stats([], [], 0)
         assert stats.counts.shape == (0, 0, 2) and stats.lcs.shape == (0, 0, 0)
         assert stats.ref_counts.shape == (0, 0) and stats.ref_tokens.shape == (0,)
 
 
+def lcs_rows(entries, versions, references):
+    """The LCS entries of `split_entries` as (N, S, T) rows: example j's
+    version v, its own reference positions."""
+    S = max(map(len, versions), default=0)
+    T = max((sum(map(len, ref)) for ref in references), default=0)
+    first, ref_start = starts(map(len, versions)), starts(sum(map(len, ref)) for ref in references)
+    m, position = entries.matches.T
+    j = np.searchsorted(first, m, side="right") - 1
+    lcs = np.zeros((len(versions), S, T), dtype=bool)
+    lcs[j, m - first[j], position - ref_start[j]] = True
+    return lcs
+
+
 def pairwise_lcs(versions, references):
-    """The (N, S, T) LCS rows of `split_stats` from one `_lcs_positions`
-    call per (version, reference sentence) pair."""
+    """The (N, S, T) LCS rows of a split from one `_lcs_positions` call per
+    (version, reference sentence) pair."""
     S = max(map(len, versions), default=0)
     T = max((sum(map(len, ref)) for ref in references), default=0)
     lcs = np.zeros((len(versions), S, T), dtype=bool)
@@ -300,8 +361,8 @@ def lcs_records(draw):
 
 
 class TestSplitLcs:
-    """`split_stats`' LCS rows, aligned in lockstep over all pairs of a
-    record, against one `_lcs_positions` call per pair."""
+    """The LCS entries of `split_entries`, aligned in lockstep over all
+    pairs of a split, against one `_lcs_positions` call per pair."""
 
     @settings(max_examples=150, deadline=None)
     @given(records=lcs_records(), entries=st.sampled_from([1, 64, rouge.LCS_ENTRIES]))
@@ -315,7 +376,7 @@ class TestSplitLcs:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rouge, "LCS_ENTRIES", entries)
             patch.setattr(rouge, "_lcs_positions", None)  # no per-pair call
-            got = split_stats(versions, references).lcs
+            got = lcs_rows(split_entries(versions, references), versions, references)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("entries", [1, 64])
@@ -325,13 +386,14 @@ class TestSplitLcs:
         rng = random.Random(5)
         versions = [[tuple(rng.choices("abcz", k=rng.choice([3, 40, 70, 135]))) for _ in range(6)] for _ in range(4)]
         references = [[tuple(rng.choices("abc", k=rng.choice([4, 30, 90]))) for _ in range(3)] for _ in range(4)]
-        whole = split_stats(versions, references).lcs
+        whole = split_entries(versions, references).matches
         blocks = []
         real = rouge._lcs_block
         monkeypatch.setattr(rouge, "_lcs_block", lambda *a: (blocks.append(len(a[-2])), real(*a))[1])
         monkeypatch.setattr(rouge, "LCS_ENTRIES", entries)
-        assert np.array_equal(split_stats(versions, references).lcs, whole)
-        assert np.array_equal(whole, pairwise_lcs(versions, references))
+        got = split_entries(versions, references)
+        assert np.array_equal(got.matches, whole)
+        assert np.array_equal(lcs_rows(got, versions, references), pairwise_lcs(versions, references))
         sharing = sum(bool(set(v) & set(r)) for vs, ref in zip(versions, references) for v in vs for r in ref)
         assert sum(blocks) == sharing and (max(blocks) == 1) == (entries == 1)
 

@@ -63,11 +63,11 @@ def reference_adam_step(params, grads, state):
     new_params, new_m, new_v = {}, {}, {}
     for name, value in params.items():
         g = grads[name]
-        m = state["beta1"] * state["m"][name] + (1 - state["beta1"]) * g
-        v = state["beta2"] * state["v"][name] + (1 - state["beta2"]) * g * g
-        m_hat = m / (1 - state["beta1"] ** t)
-        v_hat = v / (1 - state["beta2"] ** t)
-        new_params[name] = value - state["lr"] * m_hat / (np.sqrt(v_hat) + state["eps"])
+        m = trainer_mod.BETA1 * state["m"][name] + (1 - trainer_mod.BETA1) * g
+        v = trainer_mod.BETA2 * state["v"][name] + (1 - trainer_mod.BETA2) * g * g
+        m_hat = m / (1 - trainer_mod.BETA1 ** t)
+        v_hat = v / (1 - trainer_mod.BETA2 ** t)
+        new_params[name] = value - state["lr"] * m_hat / (np.sqrt(v_hat) + trainer_mod.EPS)
         new_m[name], new_v[name] = m, v
     return new_params, {**state, "m": new_m, "v": new_v, "t": t}
 
@@ -125,7 +125,7 @@ class TestAdamStep:
         want_state = {
             "m": {name: np.zeros_like(arr) for name, arr in want_params.items()},
             "v": {name: np.zeros_like(arr) for name, arr in want_params.items()},
-            "t": 0, "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2, "eps": state.eps,
+            "t": 0, "lr": state.lr,
         }
         for _ in range(6):
             grad = EditorParams(params.m, params.n, rng.normal(0, 10.0, size=params.flat.shape))
