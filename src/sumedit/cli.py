@@ -1,9 +1,8 @@
 """Command-line surface: ingest, label, train, summarize, evaluate.
 
-All randomness flows from the single seed in the resolved config; the
-EDITNET_WORKERS environment variable bounds parallel labeling workers
-(a positive integer, default 1). Any number of workers writes the same
-label cache.
+A command's settings are its arguments and the resolved config, and all
+randomness flows from the config's single seed; no command reads the
+environment. `label` labels in its own process.
 
 Every command runs in a fresh process, so start-up is paid per command.
 The module imports only the standard library; each command names the
@@ -36,13 +35,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-
-def _workers() -> int:
-    raw = os.environ.get("EDITNET_WORKERS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"EDITNET_WORKERS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -93,7 +85,6 @@ def cmd_label(args) -> int:
     out = _out_dir(cfg)
     extractor = cfg.make_extractor()
     abstractor = cfg.make_abstractor()
-    workers = _workers()
     status = 0
     for split in args.splits:
         examples = text.load_dataset(_dataset_path(cfg, split))
@@ -101,7 +92,7 @@ def cmd_label(args) -> int:
         start = time.monotonic()
         labeled, _ = oracle.label_dataset(
             examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap, cache_path=cache_path,
-            workers=workers, settings={name: getattr(cfg, name) for name in LABEL_SETTINGS},
+            settings={name: getattr(cfg, name) for name in LABEL_SETTINGS},
         )
         elapsed = time.monotonic() - start
         print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)

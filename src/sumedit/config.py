@@ -72,7 +72,8 @@ class TrainConfig:
 
 
 class ExperimentConfig:
-    """Every field of FIELDS, given by keyword and checked against its type."""
+    """Every field of FIELDS, given by keyword and checked against its type
+    and the values a command can run with."""
 
     __slots__ = tuple(FIELDS)
 
@@ -83,12 +84,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-        # sizes and counts that no command can run with below their bound;
-        # every command checks them, so `label` writes nothing `train` refuses
+        # values that no command can run with; every command checks them
+        # all, so no command runs with a field that another one refuses
         for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1),
-                          ("epochs", 1), ("context_window", 0)):
+                          ("epochs", 1), ("context_window", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"config field {name!r} must be >= {low}, got {getattr(self, name)!r}")
+        if self.alpha == self.beta == self.gamma == 0:
+            raise ValueError(f"config fields 'alpha', 'beta' and 'gamma' must not all be 0, "
+                             f"got {self.alpha!r}, {self.beta!r}, {self.gamma!r}")
+        if self.extractor not in ("lead", "greedy"):
+            raise ValueError(f"config field 'extractor' must be 'lead' or 'greedy', got {self.extractor!r}")
+        if not 0 < self.abstract_ratio <= 1:
+            raise ValueError(f"config field 'abstract_ratio' must be in (0, 1], got {self.abstract_ratio!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -124,11 +132,9 @@ class ExperimentConfig:
         )
 
     def make_extractor(self):
-        if self.extractor == "lead":
-            return LeadExtractor(k=self.k)
         if self.extractor == "greedy":
             return GreedyOracleExtractor(k=self.k, weights=self.reward_weights())
-        raise ValueError(f"unknown extractor {self.extractor!r}")
+        return LeadExtractor(k=self.k)
 
     def make_abstractor(self) -> SalienceAbstractor:
         return SalienceAbstractor(ratio=self.abstract_ratio)

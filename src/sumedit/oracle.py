@@ -41,10 +41,6 @@ DEFAULT_CAP = 12
 # Largest number of (summary, statistic) entries one enumeration chunk holds.
 CHUNK_ENTRIES = 1 << 21
 
-# Runs of examples per pool worker: a worker that draws the long (costly)
-# extracts of a split does not leave the others idle for long.
-RUNS_PER_WORKER = 8
-
 
 class LabelingError(ValueError):
     """An example that cannot be labeled (e.g. its extract exceeds the
@@ -200,13 +196,14 @@ def _label_chunk(
     weights: RewardWeights,
     cap: int,
 ) -> list[LabeledExample | LabelingError]:
-    """Label consecutive examples: their extracts come from one
+    """Label one run of consecutive examples: their extracts come from one
     `extract_batch` call, the statistics of every example within the cap
     from one `split_entries` call, and the examples of each extract length
     l share one grid, `best_sequence` and `soft_labels` call per batch of
     at most CHUNK_ENTRIES grid entries, on a record of the batch alone. An
     example whose extract exceeds the cap gets a LabelingError in its
-    place."""
+    place. `label_dataset` calls it once per run of at most
+    `editor.DECODE_CHUNK` examples, in its own process."""
     extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
@@ -265,39 +262,26 @@ def label_dataset(
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
     cache_path=None,
-    workers: int = 1,
     settings: Mapping[str, object] | None = None,
 ) -> tuple[list[LabeledExample], list[str]]:
     """Label a dataset; optionally write the cache file, with `settings`
     (the config fields that shaped the labels) in its header.
 
-    Examples are labeled in runs of consecutive examples, at most
-    `editor.DECODE_CHUNK` long; a pool of workers takes RUNS_PER_WORKER
-    runs per worker.
+    Examples are labeled in runs of `editor.DECODE_CHUNK` consecutive
+    examples (the last run may be shorter), one run at a time.
     Returns (labeled examples in input order, per-example failure messages).
     Re-running with the same inputs reproduces a byte-identical cache.
     """
-    runs = workers * RUNS_PER_WORKER if workers > 1 else 1
-    size = max(1, min(editor.DECODE_CHUNK, -(-len(examples) // runs)))
-    chunks = [examples[start : start + size] for start in range(0, len(examples), size)]
-    args = [itertools.repeat(arg) for arg in (extractor, abstractor, weights, cap)]
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which a single worker
-        # (the default, and every command but a parallel `label`) never uses.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_label_chunk, chunks, *args))
-    else:
-        results = list(map(_label_chunk, chunks, *args))
     labeled: list[LabeledExample] = []
     failures: list[str] = []
-    for example, result in zip(examples, (r for chunk in results for r in chunk)):
-        if isinstance(result, LabelingError):
-            failures.append(f"{example.document.id}: {result}")
-            warn(__name__, "labeling failed: %s", failures[-1])
-        else:
-            labeled.append(result)
+    for start in range(0, len(examples), editor.DECODE_CHUNK):
+        run = examples[start : start + editor.DECODE_CHUNK]
+        for example, result in zip(run, _label_chunk(run, extractor, abstractor, weights, cap)):
+            if isinstance(result, LabelingError):
+                failures.append(f"{example.document.id}: {result}")
+                warn(__name__, "labeling failed: %s", failures[-1])
+            else:
+                labeled.append(result)
     if cache_path is not None:
         write_label_cache(cache_path, labeled, weights, cap, settings)
     return labeled, failures

@@ -640,8 +640,8 @@ class TestStartup:
     is paid by every command."""
 
     def test_cli_import_loads_no_worker_pool(self):
-        """Only `label` with more than one worker uses a process pool, so
-        starting the CLI must not pay for importing one."""
+        """No command uses a process pool, so starting the CLI must not pay
+        for importing one."""
         code = (
             "import sys, sumedit.cli; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
@@ -744,17 +744,6 @@ class TestStartup:
         # each ingest prints its report first
         assert proc.stdout.splitlines()[1::2] == ["0 True", "0 True"]
 
-    def test_pool_after_freeze_labels_like_one_worker(self, workspace):
-        """`run()` freezes the heap before `label` forks its worker pool."""
-        caches = []
-        for workers in ("1", "2"):
-            out = workspace / f"out-{workers}"
-            proc = run_child("-m", "sumedit.cli", "label", "--config", str(write_config(workspace)),
-                             "--split", "train", "--out", str(out), EDITNET_WORKERS=workers)
-            assert proc.returncode == 0, proc.stderr
-            caches.append((out / "labels_train.jsonl").read_bytes())
-        assert caches[0] == caches[1]
-
 
 class TestExitPath:
     """`run()` ends a command that returns with `os._exit` after flushing
@@ -782,9 +771,9 @@ class TestExitPath:
 
     def test_value_error_prints_error_and_exits_1(self, workspace):
         proc = run_child("-m", "sumedit.cli", "label", "--config", str(write_config(workspace)),
-                         "--split", "val", EDITNET_WORKERS="two")
+                         "--split", "val", "--epochs", "0")
         assert proc.returncode == 1
-        assert proc.stderr == "error: EDITNET_WORKERS must be a positive integer, got 'two'\n"
+        assert proc.stderr == "error: config field 'epochs' must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("flush_fails, how", [(False, "os._exit 0"), (True, "SystemExit 0")],
                              ids=["flushed", "flush-raises"])
@@ -812,16 +801,6 @@ class TestExitPath:
         proc = run_child("-c", code, str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl"))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, how + "\n", "")
         assert (tmp_path / "out.jsonl").read_text() == (tmp_path / "in.jsonl").read_text()
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_bad_value_is_an_error(self, workspace, capsys, monkeypatch, value):
-        monkeypatch.setenv("EDITNET_WORKERS", value)
-        cfg = write_config(workspace)
-        assert cli.main(["label", "--config", str(cfg), "--split", "train"]) == 1
-        assert "EDITNET_WORKERS" in capsys.readouterr().err
-        assert not (workspace / "out" / "labels_train.jsonl").exists()
 
 
 def edited(edit):
@@ -884,19 +863,40 @@ class TestConfigAndCheckpointFiles:
             self.assert_one_error_line(capsys, f"config field {field!r} must be >= 1, got {value}")
         assert {path: path.read_bytes() for path in out.iterdir()} == before
 
-    @pytest.mark.parametrize(
+    # Field values that no command runs with: each is refused when the config
+    # is resolved, before a command reads its inputs or makes its out_dir.
+    REFUSED = pytest.mark.parametrize(
         "args, config, message",
         [(["--epochs", "0"], {}, "config field 'epochs' must be >= 1, got 0"),
          (["--batch-size", "0"], {}, "config field 'batch_size' must be >= 1, got 0"),
-         ([], {"context_window": -1}, "config field 'context_window' must be >= 0, got -1")],
-        ids=["epochs", "batch-size", "context-window"],
+         ([], {"context_window": -1}, "config field 'context_window' must be >= 0, got -1"),
+         ([], {"extractor": "foo"}, "config field 'extractor' must be 'lead' or 'greedy', got 'foo'"),
+         (["--abstract-ratio", "2.0"], {}, "config field 'abstract_ratio' must be in (0, 1], got 2.0"),
+         ([], {"abstract_ratio": 0}, "config field 'abstract_ratio' must be in (0, 1], got 0"),
+         ([], {"alpha": -1}, "config field 'alpha' must be >= 0, got -1"),
+         ([], {"gamma": -0.5}, "config field 'gamma' must be >= 0, got -0.5"),
+         ([], {"alpha": 0, "beta": 0.0, "gamma": 0},
+          "config fields 'alpha', 'beta' and 'gamma' must not all be 0, got 0, 0.0, 0")],
+        ids=["epochs", "batch-size", "context-window", "extractor", "abstract-ratio-above-1",
+             "abstract-ratio-0", "negative-alpha", "negative-gamma", "zero-weights"],
     )
+
+    @REFUSED
     def test_label_refuses_what_train_refuses(self, workspace, capsys, args, config, message):
         cfg = write_config(workspace, **config)
         assert cli.main(["label", "--config", str(cfg), "--split", "val", *args]) == 1
         self.assert_one_error_line(capsys, message)
-        out = workspace / "out"
-        assert not list(out.glob("labels_*.jsonl")) and not (out / "resolved_config.json").exists()
+        assert not (workspace / "out").exists()
+
+    @REFUSED
+    def test_summarize_refuses_what_label_refuses(self, workspace, capsys, args, config, message):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = write_config(workspace, **config)
+        argv = ["summarize", "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--document", str(workspace / "val.jsonl"), *args]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (workspace / "out").exists()
 
     def test_numbers_and_null_paths_accepted_where_declared(self, workspace):
         cfg = ExperimentConfig.from_file(write_config(workspace, alpha=1, lr=0.5, test_path=None))

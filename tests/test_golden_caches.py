@@ -2,17 +2,22 @@
 
 The inputs come from `tests/synthetic.py` (`make_example(k)` is a document
 of k + 2 sentences) and cover lead extracts of l = 4, one run that mixes
-l = 1 .. 7, one extract of l = 10 and the greedy extractor at k = 4. A change
-that alters the cache format or any label on purpose updates these hashes
-and says so in CHANGES.md. Labeling uses no BLAS product, so the bytes do
-not depend on the matrix library.
+l = 1 .. 7, one extract of l = 10 and the greedy extractor at k = 4, each
+labeled by `label_dataset`, plus one cache that `sumedit label` writes from
+a config file: its header carries the config's label settings, and its 300
+examples span two runs of `editor.DECODE_CHUNK`. A change that alters the
+cache format or any label on purpose updates these hashes and says so in
+CHANGES.md. Labeling uses no BLAS product, so the bytes do not depend on
+the matrix library.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from synthetic import make_example
+from sumedit import cli, editor, text
 from sumedit.oracle import label_dataset
 from sumedit.summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 
@@ -47,3 +52,20 @@ def test_cache_bytes_are_recorded(tmp_path, name):
     labeled, failures = label_dataset(examples(), extractor, SalienceAbstractor(0.8), cache_path=path)
     assert failures == [] and {len(lab.best) for lab in labeled} == lengths
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_cache_written_by_label_command_is_recorded(tmp_path):
+    examples = corpus(25, [2] * 300, "cli")
+    assert len(examples) > editor.DECODE_CHUNK
+    text.write_dataset(examples, tmp_path / "train.jsonl")
+    config = {"train_path": str(tmp_path / "train.jsonl"), "k": 4, "abstract_ratio": 0.9,
+              "out_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["label", "--config", str(tmp_path / "config.json"), "--split", "train"]) == 0
+    data = (tmp_path / "out" / "labels_train.jsonl").read_bytes()
+    assert json.loads(data.splitlines()[0]) == {
+        "abstract_ratio": 0.9, "cache_version": 2, "cap": 12, "extractor": "lead", "k": 4,
+        "reward_weights": [0.4, 1.0, 0.5],
+    }
+    assert len(data.splitlines()) == 301
+    assert hashlib.sha256(data).hexdigest() == "6a0e07fe6b1cf29936ca0c3cd44469ea6076eab413b0452464beee14de295e1f"

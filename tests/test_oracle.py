@@ -400,12 +400,11 @@ class TestLabelDataset:
             direct = label_example(ex, extractor, abstractor)
             assert lab == direct
 
-    @pytest.mark.parametrize("chunk, workers", [(2, 1), (3, 2), (256, 1)])
-    def test_chunks_match_per_example_calls(self, monkeypatch, chunk, workers):
+    @pytest.mark.parametrize("chunk", [2, 3, 256])
+    def test_chunks_match_per_example_calls(self, monkeypatch, chunk):
         """Labels come from one statistics record per run of at most
-        DECODE_CHUNK examples (split among the workers); each must be the
-        label of its example on its own, and an example past the cap stays a
-        failure in its place."""
+        DECODE_CHUNK examples; each must be the label of its example on its
+        own, and an example past the cap stays a failure in its place."""
         rng = np.random.default_rng(4)
         vocab = [f"w{i}" for i in range(9)]
 
@@ -419,7 +418,7 @@ class TestLabelDataset:
         ]
         extractor, abstractor = LeadExtractor(4), SalienceAbstractor(0.8)
         monkeypatch.setattr(oracle.editor, "DECODE_CHUNK", chunk)
-        labeled, failures = label_dataset(examples, extractor, abstractor, cap=3, workers=workers)
+        labeled, failures = label_dataset(examples, extractor, abstractor, cap=3)
         want, want_failures = [], []
         for ex in examples:
             try:
@@ -577,15 +576,6 @@ class TestLabelDataset:
 
         with pytest.raises(ValueError, match=r"ex-0: .*no entry for sentence 1"):
             label_dataset(self.EXAMPLES, extractor, SalienceAbstractor(0.8))
-
-    def test_two_workers_write_the_same_cache(self, tmp_path):
-        paths = [tmp_path / "one.jsonl", tmp_path / "two.jsonl"]
-        for path, workers in zip(paths, (1, 2)):
-            label_dataset(
-                self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8),
-                cache_path=path, workers=workers,
-            )
-        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_cache_write_that_raises_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "labels.jsonl"
