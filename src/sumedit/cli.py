@@ -114,18 +114,12 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
     labeled, header = oracle.read_label_cache(cache_path, rerun=command)
     # The extracts, abstractions and soft labels depend on these fields, so a
     # cache labeled under others does not belong to this config.
-    labeled_with = (header.get("reward_weights"), header.get("cap"))
-    config_has = ([cfg.alpha, cfg.beta, cfg.gamma], cfg.cap)
-    if labeled_with != config_has:
-        raise ValueError(
-            "{}: labeled with reward weights {} and cap {}, config has reward weights {} and cap {}; "
-            "rerun {}".format(cache_path, *labeled_with, *config_has, command)
-        )
-    for name in LABEL_SETTINGS:
-        if header.get(name) != getattr(cfg, name):
+    config_has = {"reward_weights": [cfg.alpha, cfg.beta, cfg.gamma], "cap": cfg.cap,
+                  **{name: getattr(cfg, name) for name in LABEL_SETTINGS}}
+    for name, value in config_has.items():
+        if header.get(name) != value:
             raise ValueError(
-                f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {getattr(cfg, name)}; "
-                f"rerun {command}"
+                f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {value}; rerun {command}"
             )
     examples = {ex.document.id: ex for ex in text.load_dataset(_dataset_path(cfg, split))}
     pairs = []
@@ -173,17 +167,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_summary(document, summary) -> None:
+def _print_summary(document, extract, abstractions, row) -> None:
+    """Each extracted sentence with its decision (its abstraction on A), then
+    the summary that the E and A lines make."""
+    from .editor import ABSTRACT, DECISIONS, REJECT
+
     print(f"# {document.id}")
-    for step in summary.steps:
-        if step.tokens is not None:
-            print(f"{step.decision.label}: {' '.join(step.tokens)}")
-        else:
-            struck = " ".join(document.tokens_at(step.sentence_index))
-            print(f"{step.decision.label}: {struck}")
+    kept = []
+    for idx, abstracted, k in zip(extract.order, abstractions, row):
+        line = " ".join(abstracted if k == ABSTRACT else document.tokens_at(idx))
+        print(f"{DECISIONS[k].label}: {line}")
+        if k != REJECT:
+            kept.append(line)
     print("summary:")
-    for sent in summary.text:
-        print("  " + " ".join(sent))
+    for line in kept:
+        print("  " + line)
 
 
 def cmd_summarize(args) -> int:
@@ -219,9 +217,9 @@ def cmd_summarize(args) -> int:
         vectors = encoder.encode_split(
             [documents[j] for j in chunk], [extract.order for extract in extracts], abstractions, enc_config
         )
-        decisions, _ = editor.decode(vectors, params)
+        decisions = editor.decode(vectors, params)
         for j, extract, abstracted, row in zip(chunk, extracts, abstractions, decisions.tolist()):
-            _print_summary(documents[j], editor.mixed_summary(documents[j], extract, abstracted, row))
+            _print_summary(documents[j], extract, abstracted, row)
     return 0
 
 

@@ -6,6 +6,7 @@ experiment can be replayed exactly from the artifacts alone.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING
 
 from .rouge import RewardWeights
@@ -69,6 +70,8 @@ class TrainConfig:
         _assign(self, values)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
 class ExperimentConfig:
@@ -86,10 +89,15 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
         # values that no command can run with; every command checks them
         # all, so no command runs with a field that another one refuses
+        for name in ("alpha", "beta", "gamma", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"config field {name!r} must be a finite number, got {getattr(self, name)!r}")
         for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1),
                           ("epochs", 1), ("context_window", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"config field {name!r} must be >= {low}, got {getattr(self, name)!r}")
+        if self.lr <= 0:
+            raise ValueError(f"config field 'lr' must be > 0, got {self.lr!r}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError(f"config fields 'alpha', 'beta' and 'gamma' must not all be 0, "
                              f"got {self.alpha!r}, {self.beta!r}, {self.gamma!r}")

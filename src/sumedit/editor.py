@@ -120,42 +120,6 @@ def init_params(m: int, n: int, rng: np.random.Generator) -> EditorParams:
     return params
 
 
-class EditStep:
-    __slots__ = ("sentence_index", "decision", "tokens")
-
-    def __init__(self, sentence_index: int, decision: Decision, tokens: tuple[str, ...] | None):
-        self.sentence_index = sentence_index
-        self.decision = decision
-        self.tokens = tokens
-
-
-class MixedSummary:
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[EditStep, ...]):
-        self.steps = steps
-
-    @property
-    def text(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(s.tokens for s in self.steps if s.tokens is not None)
-
-
-def mixed_summary(
-    document: Document,
-    extract: ExtractResult,
-    abstractions: Sequence[Sequence[str]],
-    decisions: Sequence[int],
-) -> MixedSummary:
-    """The summary that `decisions` (per step, an index into DECISIONS)
-    make of an extract: the extracted sentence on E, its abstraction on A,
-    nothing on R."""
-    steps = []
-    for idx, abstracted, k in zip(extract.order, abstractions, decisions):
-        versions = {EXTRACT: document.tokens_at(idx), ABSTRACT: tuple(abstracted)}
-        steps.append(EditStep(idx, DECISIONS[k], versions.get(k)))
-    return MixedSummary(steps=tuple(steps))
-
-
 def abstractions_for(
     document: Document, extract: ExtractResult, abstractor: Abstractor
 ) -> tuple[tuple[str, ...], ...]:
@@ -293,23 +257,20 @@ def forward(
 DECODE_CHUNK = 256
 
 
-def decode(vectors: SplitVectors, params: EditorParams) -> tuple[np.ndarray, np.ndarray]:
+def decode(vectors: SplitVectors, params: EditorParams) -> np.ndarray:
     """Greedy free-running decode of every extract in batched passes of at
     most DECODE_CHUNK extracts: argmax decision per step, ties E > A > R.
 
     Returns the decisions (N, L), indices into DECISIONS that are REJECT past
-    each extract's end, and the distributions p (N, L, 3), zero there.
+    each extract's end. (`forward(...).p` holds the distributions.)
     """
     N, L = vectors.e.shape[:2]
     decisions = np.full((N, L), REJECT, dtype=np.intp)
-    p = np.zeros((N, L, 3))
     for start in range(0, N, DECODE_CHUNK):
         chunk = slice(start, start + DECODE_CHUNK)
         run = forward(vectors.take(chunk), params)
-        width = len(run.p)
-        decisions[chunk, :width] = run.decisions.T
-        p[chunk, :width] = np.where(run.mask[:, :, None], run.p, 0.0).transpose(1, 0, 2)
-    return decisions, p
+        decisions[chunk, : len(run.decisions)] = run.decisions.T
+    return decisions
 
 
 def loss_and_gradients(

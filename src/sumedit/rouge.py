@@ -37,6 +37,7 @@ tests/test_rouge.py.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -66,6 +67,8 @@ class RewardWeights:
     __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: float = 0.4, beta: float = 1.0, gamma: float = 0.5):
+        if not all(map(math.isfinite, (alpha, beta, gamma))):
+            raise ValueError("weights must be finite")
         if min(alpha, beta, gamma) < 0:
             raise ValueError("weights must be non-negative")
         if alpha == beta == gamma == 0:

@@ -208,7 +208,7 @@ def mean_reward(
 ) -> float:
     """Mean reward of the free-running decodes of a split, scored from each
     example's statistics (see `_split_stats`); 0.0 for an empty split."""
-    decisions, _ = decode(vectors, params)
+    decisions = decode(vectors, params)
     return _mean(weights.combine(*f_measures(*_totals(decisions, stats))))
 
 
@@ -220,7 +220,7 @@ def evaluate(
 ) -> dict:
     """Decode a split and report corpus metrics and decision statistics."""
     vectors = _encode(test_set, encoder_config)
-    decisions, _ = decode(vectors, params)
+    decisions = decode(vectors, params)
     steps = np.arange(decisions.shape[1]) < vectors.lengths[:, None]
     counts = np.bincount(decisions[steps], minlength=len(DECISIONS)).tolist()
     # per summary, the sentences it emits and how many of them are abstracted

@@ -26,7 +26,6 @@ from sumedit.editor import (
     forward,
     init_params,
     loss_and_gradients,
-    mixed_summary,
 )
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
 from sumedit.oracle import enumerate_rewards, label_dataset, realize
@@ -317,10 +316,11 @@ def test_criterion_6_recurrence_identities():
     vectors = context_from_abstractions(ex.document, extract, abstractions, cfg)
     params = init_params(4, 10, np.random.default_rng(0))
     params.flat[:] = 0.0
-    decisions, _ = decode(vectors, params)
-    summary = mixed_summary(ex.document, extract, abstractions, decisions[0])
-    assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
-    assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
+    sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(extract.order)]]
+    assert sequence == [Decision.EXTRACT] * 3
+    assert realize(ex.document, extract, abstractions, sequence) == tuple(
+        ex.document.tokens_at(i) for i in extract.order
+    )
     ok(6)
 
 
@@ -354,13 +354,13 @@ def test_criterion_7_end_to_end_learning():
         [ex.document for ex in test_ex], [lab.extract.order for lab in te_lab],
         [lab.abstractions for lab in te_lab], enc,
     )
-    decisions, _ = decode(vectors, best)
+    decisions = decode(vectors, best)
     for ex, lab, row in zip(test_ex, te_lab, decisions):
-        summary = mixed_summary(ex.document, lab.extract, lab.abstractions, row)
-        for step, target in zip(summary.steps, lab.best):
-            correct += step.decision is target
+        sequence = [DECISIONS[k] for k in row[: len(lab.extract.order)]]
+        for decision, target in zip(sequence, lab.best):
+            correct += decision is target
             total += 1
-        model_reward += reward(summary.text, ex.reference, w)
+        model_reward += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, w)
         extracted = [ex.document.tokens_at(i) for i in lab.extract.order]
         baseline_reward += reward(extracted, ex.reference, w)
     accuracy = correct / total
@@ -447,14 +447,11 @@ def test_criterion_10_reporting():
     fracs = []
     for ex, lab in pairs:
         vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        decisions, _ = decode(vectors, params)
-        summary = mixed_summary(ex.document, lab.extract, lab.abstractions, decisions[0])
-        emitted = abstracted = 0
-        for step in summary.steps:
-            tally[step.decision] += 1
-            if step.tokens is not None:
-                emitted += 1
-                abstracted += step.decision is Decision.ABSTRACT
+        sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(lab.extract.order)]]
+        for decision in sequence:
+            tally[decision] += 1
+        emitted = len(realize(ex.document, lab.extract, lab.abstractions, sequence))
+        abstracted = sequence.count(Decision.ABSTRACT)
         if emitted:
             fracs.append(abstracted / emitted)
     total = sum(tally.values())

@@ -425,13 +425,15 @@ class TestLabelCacheHeader:
     """A label cache records the reward weights and cap it was labeled
     with; `train` and `evaluate` stop when the config has others."""
 
+    # The error names the first field that differs: the weights, then the cap.
     @pytest.mark.parametrize(
-        "changed, weights, cap",
-        [({"alpha": 0.0, "cap": 5}, [0.0, 1.0, 0.5], 5), ({"gamma": 2}, [0.4, 1.0, 2], 12),
-         ({"cap": 11}, [0.4, 1.0, 0.5], 11)],
+        "changed, field, was, has",
+        [({"alpha": 0.0, "cap": 5}, "reward_weights", [0.4, 1.0, 0.5], [0.0, 1.0, 0.5]),
+         ({"gamma": 2}, "reward_weights", [0.4, 1.0, 0.5], [0.4, 1.0, 2]),
+         ({"cap": 11}, "cap", 12, 11)],
         ids=["weights-and-cap", "weights", "cap"],
     )
-    def test_train_stops(self, workspace, capsys, changed, weights, cap):
+    def test_train_stops(self, workspace, capsys, changed, field, was, has):
         labeled = write_config(workspace)
         assert cli.main(["label", "--config", str(labeled), "--split", "train", "--split", "val"]) == 0
         (workspace / "out" / "resolved_config.json").unlink()
@@ -439,8 +441,8 @@ class TestLabelCacheHeader:
         assert cli.main(["train", "--config", str(write_config(workspace, **changed))]) == 1
         cache = workspace / "out" / "labels_train.jsonl"
         assert capsys.readouterr().err == (
-            f"error: {cache}: labeled with reward weights [0.4, 1.0, 0.5] and cap 12, config has "
-            f"reward weights {weights} and cap {cap}; rerun sumedit label --split train\n"
+            f"error: {cache}: labeled with {field} {was}, config has {field} {has}; "
+            f"rerun sumedit label --split train\n"
         )
         for artifact in ("checkpoint.json", "train_log.jsonl", "resolved_config.json"):
             assert not (workspace / "out" / artifact).exists()
@@ -876,9 +878,11 @@ class TestConfigAndCheckpointFiles:
          ([], {"alpha": -1}, "config field 'alpha' must be >= 0, got -1"),
          ([], {"gamma": -0.5}, "config field 'gamma' must be >= 0, got -0.5"),
          ([], {"alpha": 0, "beta": 0.0, "gamma": 0},
-          "config fields 'alpha', 'beta' and 'gamma' must not all be 0, got 0, 0.0, 0")],
+          "config fields 'alpha', 'beta' and 'gamma' must not all be 0, got 0, 0.0, 0"),
+         ([], {"lr": -1.0}, "config field 'lr' must be > 0, got -1.0"),
+         (["--lr", "0"], {}, "config field 'lr' must be > 0, got 0.0")],
         ids=["epochs", "batch-size", "context-window", "extractor", "abstract-ratio-above-1",
-             "abstract-ratio-0", "negative-alpha", "negative-gamma", "zero-weights"],
+             "abstract-ratio-0", "negative-alpha", "negative-gamma", "zero-weights", "negative-lr", "zero-lr"],
     )
 
     @REFUSED
@@ -896,6 +900,26 @@ class TestConfigAndCheckpointFiles:
                 "--document", str(workspace / "val.jsonl"), *args]
         assert cli.main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"alpha": float("nan")}, "config field 'alpha' must be a finite number, got nan"),
+         ({"beta": float("inf")}, "config field 'beta' must be a finite number, got inf"),
+         ({"gamma": float("-inf")}, "config field 'gamma' must be a finite number, got -inf"),
+         ({"lr": float("nan")}, "config field 'lr' must be a finite number, got nan"),
+         ({"lr": float("inf")}, "config field 'lr' must be a finite number, got inf"),
+         ({"lr": -1.0}, "config field 'lr' must be > 0, got -1.0")],
+        ids=["nan-alpha", "inf-beta", "minus-inf-gamma", "nan-lr", "inf-lr", "negative-lr"],
+    )
+    def test_every_command_refuses_bad_numbers(self, workspace, capsys, config, message):
+        # json.dumps writes the NaN and Infinity literals, which json.loads reads back
+        cfg = str(write_config(workspace, **config))
+        ckpt = str(checkpoint(workspace, [0.0, 0.0, 0.0]))
+        for argv in (["label", "--split", "val"], ["train"], ["evaluate", "--checkpoint", ckpt],
+                     ["summarize", "--checkpoint", ckpt, "--document", str(workspace / "val.jsonl")]):
+            assert cli.main([argv[0], "--config", cfg, *argv[1:]]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (workspace / "out").exists()
 
     def test_numbers_and_null_paths_accepted_where_declared(self, workspace):

@@ -24,10 +24,10 @@ from sumedit.editor import (
     init_params,
     load_checkpoint,
     loss_and_gradients,
-    mixed_summary,
     save_checkpoint,
 )
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
+from sumedit.oracle import realize
 from sumedit.summarizers import SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary
 
@@ -69,7 +69,7 @@ def always(*decisions):
 
 
 def first_distribution(vectors, params):
-    return decode(vectors, params)[1][0, 0]
+    return forward(vectors, params).p[0, 0]
 
 
 def perturb(params, rng, scale):
@@ -167,24 +167,25 @@ class TestEdit:
         return ex, extract, abstractions, vectors
 
     def summary(self, context, params):
+        """The decoded decisions of the one extract and the text they realize."""
         ex, extract, abstractions, vectors = context
-        decisions, _ = decode(vectors, params)
-        return mixed_summary(ex.document, extract, abstractions, decisions[0])
+        sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(extract.order)]]
+        return sequence, realize(ex.document, extract, abstractions, sequence)
 
     def test_zero_params_decides_extract_everywhere(self):
         context = self.context(["a b c", "d e f", "g h"])
         ex, extract, _, _ = context
-        summary = self.summary(context, zero_params(4, 12))
-        assert [s.decision for s in summary.steps] == [Decision.EXTRACT] * 3
-        assert summary.text == tuple(ex.document.tokens_at(i) for i in extract.order)
+        sequence, summary = self.summary(context, zero_params(4, 12))
+        assert sequence == [Decision.EXTRACT] * 3
+        assert summary == tuple(ex.document.tokens_at(i) for i in extract.order)
 
     def test_reject_bias_empties_summary(self):
         context = self.context(["a b c", "d e f"])
         params = zero_params(4, 12)
         params.b[:] = [-10.0, -10.0, 10.0]
-        summary = self.summary(context, params)
-        assert [s.decision for s in summary.steps] == [Decision.REJECT] * 2
-        assert summary.text == ()
+        sequence, summary = self.summary(context, params)
+        assert sequence == [Decision.REJECT] * 2
+        assert summary == ()
 
     def test_forced_abstract_then_reject(self):
         context = self.context(["the alpha beta words", "gamma delta e"])
@@ -200,9 +201,9 @@ class TestEdit:
         s1 = float(np.sum(np.tanh(vectors.a[0, 0])))
         assert abs(s1) > 1e-6
         params.V[2, 0] = 20.0 * np.sign(s1)
-        summary = self.summary(context, params)
-        assert [s.decision for s in summary.steps] == [Decision.ABSTRACT, Decision.REJECT]
-        assert summary.text == (abstractions[0],)
+        sequence, summary = self.summary(context, params)
+        assert sequence == [Decision.ABSTRACT, Decision.REJECT]
+        assert summary == (abstractions[0],)
 
     def test_emitted_versions_follow_decisions(self):
         context = self.context(["a b c", "d e f", "g h"])
@@ -210,15 +211,12 @@ class TestEdit:
         rng = np.random.default_rng(2)
         params = init_params(5, 12, rng)
         perturb(params, rng, 1.0)
-        summary = self.summary(context, params)
-        for i, step in enumerate(summary.steps):
-            assert step.sentence_index == extract.order[i]
-            if step.decision is Decision.EXTRACT:
-                assert step.tokens == ex.document.tokens_at(extract.order[i])
-            elif step.decision is Decision.ABSTRACT:
-                assert step.tokens == abstractions[i]
-            else:
-                assert step.tokens is None
+        sequence, summary = self.summary(context, params)
+        assert len(sequence) == len(extract.order)
+        extracted = [ex.document.tokens_at(i) for i in extract.order]
+        versions = {Decision.EXTRACT: extracted, Decision.ABSTRACT: abstractions}
+        emitted = [versions[d][i] for i, d in enumerate(sequence) if d is not Decision.REJECT]
+        assert summary == tuple(emitted)
 
 
 class TestSoftCrossEntropy:
@@ -428,14 +426,12 @@ class TestBatchedAgainstReference:
     def test_decode_decisions_equal_per_example(self):
         for seed in range(10):
             examples, _, params = self.batch(seed)
-            decisions, p = decode(padded(examples), params)
+            decisions = decode(padded(examples), params)
             assert decisions.shape == (len(examples), max(self.LENGTHS))
-            assert p.shape == decisions.shape + (3,)
             for j, example in enumerate(examples):
                 l = len(example[0])
                 assert [DECISIONS[k] for k in decisions[j, :l]] == reference_decisions(example, params)
                 assert (decisions[j, l:] == DECISION_INDEX[Decision.REJECT]).all()
-                assert not p[j, l:].any()
 
     def test_padded_steps_leave_state_and_gradients_alone(self):
         # steps past an extract's end take REJECT and keep the state, and a
@@ -456,8 +452,7 @@ class TestBatchedAgainstReference:
 
     def test_empty_decode(self):
         vectors = encode_split([], [], [], EncoderConfig(n=4))
-        decisions, p = decode(vectors, zero_params(3, 4))
-        assert decisions.shape == (0, 0) and p.shape == (0, 0, 3)
+        assert decode(vectors, zero_params(3, 4)).shape == (0, 0)
 
     def test_decode_runs_in_passes_of_at_most_decode_chunk(self, monkeypatch):
         examples, _, params = self.batch(4)
@@ -473,8 +468,7 @@ class TestBatchedAgainstReference:
         monkeypatch.setattr(editor, "forward", counted_forward)
         chunked = decode(vectors, params)
         assert widths == [3, 3, 2]
-        assert np.array_equal(chunked[0], whole[0])
-        assert np.allclose(chunked[1], whole[1], rtol=1e-12, atol=0)
+        assert np.array_equal(chunked, whole)
 
 
 # Label rows whose argmax ties (E > A > R breaks them), and one-hot rows.

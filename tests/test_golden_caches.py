@@ -9,6 +9,11 @@ examples span two runs of `editor.DECODE_CHUNK`. A change that alters the
 cache format or any label on purpose updates these hashes and says so in
 CHANGES.md. Labeling uses no BLAS product, so the bytes do not depend on
 the matrix library.
+
+The stdout of `sumedit summarize` is pinned the same way, for the lead and
+the greedy extractor, under a seeded checkpoint that prints E, A and R
+lines. Decoding does use BLAS products, but every decision there wins by
+more than 2e-3 in probability, far above any difference of rounding.
 """
 import hashlib
 import json
@@ -18,6 +23,7 @@ import pytest
 
 from synthetic import make_example
 from sumedit import cli, editor, text
+from sumedit.encoder import EncoderConfig
 from sumedit.oracle import label_dataset
 from sumedit.summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 
@@ -69,3 +75,30 @@ def test_cache_written_by_label_command_is_recorded(tmp_path):
     }
     assert len(data.splitlines()) == 301
     assert hashlib.sha256(data).hexdigest() == "6a0e07fe6b1cf29936ca0c3cd44469ea6076eab413b0452464beee14de295e1f"
+
+
+SUMMARIZE_DIGESTS = {
+    "lead": "03ebe95550682e4af19cdf2f179cf5f1f90fc67e3aa1a442047b22cc6c17cce0",
+    "greedy": "7b83664d1469083657a214eafa0e513df9fe7bf61d5d20a581743562eee11eaa",
+}
+
+
+@pytest.mark.parametrize("extractor", SUMMARIZE_DIGESTS)
+def test_summarize_stdout_is_recorded(tmp_path, capsys, extractor):
+    text.write_dataset(corpus(7, [j % 5 for j in range(60)], "sum"), tmp_path / "docs.jsonl")
+    params = editor.init_params(16, 16, np.random.default_rng(8))
+    params.flat[:] *= 3
+    params.b[:] = np.random.default_rng(9).normal(0, 0.5, 3)
+    editor.save_checkpoint(params, EncoderConfig(n=16), tmp_path / "checkpoint.json")
+    argv = ["summarize", "--checkpoint", str(tmp_path / "checkpoint.json"), "--document", str(tmp_path / "docs.jsonl"),
+            "--extractor", extractor, "--k", "4"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    documents = out.split("# ")[1:]
+    assert len(documents) == 60
+    for block in documents:
+        lines = block.splitlines()[1:]
+        cut = lines.index("summary:")
+        assert lines[cut + 1 :] == ["  " + line[3:] for line in lines[:cut] if line[:2] in ("E:", "A:")]
+    assert {line[:2] for line in out.splitlines() if line[1:3] == ": "} == {"E:", "A:", "R:"}
+    assert hashlib.sha256(out.encode()).hexdigest() == SUMMARIZE_DIGESTS[extractor]

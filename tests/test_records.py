@@ -59,6 +59,14 @@ def test_experiment_config_takes_keywords_as_the_benchmark_passes_them():
         (lambda: ReferenceSummary((("a",), ())), "reference summary sentences must be non-empty"),
         (lambda: RewardWeights(-0.1, 1.0, 0.5), "weights must be non-negative"),
         (lambda: RewardWeights(0, 0, 0), "at least one weight must be positive"),
+        (lambda: RewardWeights(float("nan"), 1.0, 0.5), "weights must be finite"),
+        (lambda: RewardWeights(0.4, float("inf"), 0.5), "weights must be finite"),
+        (lambda: TrainConfig(lr=-1.0), "lr must be a finite number > 0, got -1.0"),
+        (lambda: TrainConfig(lr=0), "lr must be a finite number > 0, got 0"),
+        (lambda: TrainConfig(lr=float("nan")), "lr must be a finite number > 0, got nan"),
+        (lambda: TrainConfig(lr=float("inf")), "lr must be a finite number > 0, got inf"),
+        (lambda: ExperimentConfig(alpha=float("nan")), "config field 'alpha' must be a finite number, got nan"),
+        (lambda: ExperimentConfig(lr=float("inf")), "config field 'lr' must be a finite number, got inf"),
         (lambda: TrainConfig(batch_size=0), "batch_size and epochs must be >= 1"),
         (lambda: TrainConfig(epochs=0), "batch_size and epochs must be >= 1"),
         (lambda: ExperimentConfig(k=True), "config field 'k' must be an integer, got True"),

@@ -10,6 +10,7 @@ from synthetic import document_from_strings, make_corpus
 from sumedit import editor, trainer as trainer_mod
 from sumedit.editor import (
     ABSTRACT,
+    DECISIONS,
     EXTRACT,
     PARAM_NAMES,
     REJECT,
@@ -20,10 +21,9 @@ from sumedit.editor import (
     forward,
     init_params,
     loss_and_gradients,
-    mixed_summary,
 )
 from sumedit.encoder import EncoderConfig
-from sumedit.oracle import LabeledExample, label_dataset
+from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
@@ -50,10 +50,11 @@ def zero_forced_params(bias):
 
 
 def decoded_summary(example, lab, params):
-    """The summary `decode` makes of one labeled example on its own."""
+    """The decisions `decode` makes for one labeled example on its own, and
+    the summary they realize."""
     vectors = context_from_abstractions(example.document, lab.extract, lab.abstractions, ENC)
-    decisions, _ = decode(vectors, params)
-    return mixed_summary(example.document, lab.extract, lab.abstractions, decisions[0])
+    sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(lab.extract.order)]]
+    return sequence, realize(example.document, lab.extract, lab.abstractions, sequence)
 
 
 def reference_adam_step(params, grads, state):
@@ -251,13 +252,11 @@ class TestEvaluate:
         tally = {d: 0 for d in Decision}
         fracs = []
         for ex, lab in pairs:
-            summary = decoded_summary(ex, lab, params)
-            emitted = abstracted = 0
-            for step in summary.steps:
-                tally[step.decision] += 1
-                if step.tokens is not None:
-                    emitted += 1
-                    abstracted += step.decision is Decision.ABSTRACT
+            sequence, summary = decoded_summary(ex, lab, params)
+            for decision in sequence:
+                tally[decision] += 1
+            emitted = len(summary)
+            abstracted = sequence.count(Decision.ABSTRACT)
             if emitted:
                 fracs.append(abstracted / emitted)
         total = sum(tally.values())
@@ -276,14 +275,11 @@ def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights
     r1 = r2 = rl = rew = 0.0
     abstracted_fractions = []
     for ex, lab in test_set:
-        summary = decoded_summary(ex, lab, params)
-        for step in summary.steps:
-            counts[step.decision] += 1
-        emitted = [s for s in summary.steps if s.tokens is not None]
-        if emitted:
-            frac = sum(s.decision is Decision.ABSTRACT for s in emitted) / len(emitted)
-            abstracted_fractions.append(frac)
-        text = summary.text
+        sequence, text = decoded_summary(ex, lab, params)
+        for decision in sequence:
+            counts[decision] += 1
+        if text:
+            abstracted_fractions.append(sequence.count(Decision.ABSTRACT) / len(text))
         r1 += rouge_n(text, ex.reference.sentences, 1).f1
         r2 += rouge_n(text, ex.reference.sentences, 2).f1
         rl += rouge_l(text, ex.reference.sentences).f1
@@ -412,11 +408,11 @@ class TestMeanRewardAgainstReward:
         weights = RewardWeights(*weights)
         vectors = trainer_mod._encode(pairs, ENC)
         params = random_params(seed, forced)
-        decisions, _ = decode(vectors, params)
+        decisions = decode(vectors, params)
         total = 0.0
         for (ex, lab), row in zip(pairs, decisions):
-            summary = mixed_summary(ex.document, lab.extract, lab.abstractions, row)
-            total += reward(summary.text, ex.reference, weights)
+            sequence = [DECISIONS[k] for k in row[: len(lab.extract.order)]]
+            total += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, weights)
         stats = trainer_mod._split_stats(pairs)
         assert mean_reward(vectors, stats, params, weights) == total / len(pairs)
 
