@@ -93,7 +93,7 @@ class ExperimentConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"config field {name!r} must be a finite number, got {getattr(self, name)!r}")
         for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1),
-                          ("epochs", 1), ("context_window", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
+                          ("epochs", 1), ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"config field {name!r} must be >= {low}, got {getattr(self, name)!r}")
         if self.lr <= 0:

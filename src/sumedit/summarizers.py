@@ -9,10 +9,14 @@ the candidate's marginal ones, which come from its nonzero n-gram counts
 and matched reference positions alone (clipping is per n-gram, Lin 2004,
 §3.1), read by their column and position numbers, flat over the batch. Its
 per-example callable (`GreedyOracleExtractor`) is the one-document batch,
-and `extract_batch` hands a whole batch to it. The abstractor works on a
-chunk of up to three consecutive sentences, rescales per-word attention by
-the owning sentence's P(s), and compresses the center sentence to its most
-salient tokens.
+and `extract_batch` hands a whole batch to it. An abstractor maps
+(document, extract) to the abstractions: one non-empty token tuple per
+extracted sentence, in extract order. The salience abstractor
+(`abstract_extract`) scores the tokens of each extracted sentence's chunk
+of up to three consecutive sentences, rescales them by the owning
+sentence's P(s) (`rescale_attention`), and compresses the center sentence
+to its most salient tokens, over flat lists of the chunk's tokens; the
+per-chunk path it replaced is the slow reference in `tests/reference.py`.
 Third-party extractors/abstractors plug in behind the same contracts
 (determinism, P(s) in (0,1], non-empty abstraction).
 """
@@ -29,7 +33,7 @@ from . import slots_eq
 from .rouge import (
     BIGRAM_OVERLAP, BIGRAMS, LCS_MATCHES, TOKENS, UNIGRAM_OVERLAP, RewardWeights, f_measures, reward, split_entries,
 )
-from .text import Document, Example, Sentence
+from .text import Document, Example
 
 STOPWORDS = frozenset(
     """a an and are as at be but by for from has have he her his i in is it its
@@ -58,45 +62,12 @@ class ExtractResult:
     __eq__ = slots_eq
 
 
-class Chunk:
-    __slots__ = ("members", "center")
-
-    def __init__(self, members: tuple[Sentence, ...], center: int):
-        if not 0 <= center < len(members):
-            raise ValueError("chunk center out of range")
-        idx = [s.index for s in members]
-        if idx != list(range(idx[0], idx[0] + len(idx))):
-            raise ValueError("chunk members must be consecutive")
-        self.members = members
-        self.center = center
-
-
-class AttentionMap:
-    __slots__ = ("entries",)
-
-    # entries: (sentence index, token position, weight)
-    def __init__(self, entries: tuple[tuple[int, int, float], ...]):
-        if any(w < 0 for _, _, w in entries):
-            raise ValueError("attention weights must be non-negative")
-        self.entries = entries
-
-
-class AbstractResult:
-    __slots__ = ("tokens", "attention")
-
-    def __init__(self, tokens: tuple[str, ...], attention: AttentionMap):
-        if not tokens:
-            raise ValueError("abstraction must be non-empty")
-        self.tokens = tokens
-        self.attention = attention
-
-
 class Extractor(Protocol):
     def __call__(self, example: Example) -> ExtractResult: ...
 
 
 class Abstractor(Protocol):
-    def __call__(self, chunk: Chunk, likelihood: Mapping[int, float]) -> AbstractResult: ...
+    def __call__(self, document: Document, extract: ExtractResult) -> tuple[tuple[str, ...], ...]: ...
 
 
 def extract_lead(document: Document, k: int) -> ExtractResult:
@@ -205,75 +176,67 @@ def extract_batch(extractor: Extractor, examples: Sequence[Example]) -> list[Ext
     return [extractor(ex) for ex in examples]
 
 
-def make_chunk(document: Document, i: int) -> Chunk:
-    """Sentences {i-1, i, i+1} clipped to the document; two at the edges."""
-    if not 0 <= i < len(document):
-        raise IndexError(f"sentence index {i} out of range")
-    lo, hi = max(0, i - 1), min(len(document), i + 2)
-    members = document.sentences[lo:hi]
-    return Chunk(members=tuple(members), center=i - lo)
-
-
-def rescale_attention(attention: AttentionMap, likelihood: Mapping[int, float]) -> AttentionMap:
-    """C'(w) = C(w) * P(s) / Z with Z the sum of C(w) * P(s) over the chunk."""
-    scaled = [(sent, pos, w * likelihood[sent]) for sent, pos, w in attention.entries]
+def rescale_attention(weights: Sequence[float], likelihoods: Sequence[float]) -> list[float]:
+    """C'(w) = C(w) * P(s) / Z with Z the sum of C(w) * P(s) over the chunk;
+    likelihoods[j] is P(s) of the sentence that holds weights[j]."""
+    scaled = [w * p for w, p in zip(weights, likelihoods)]
     # Z adds left to right: builtin `sum` compensates float rounding from
     # Python 3.12 on, and `np.cumsum` costs several times this loop here
     z = 0.0
-    for _, _, w in scaled:
+    for w in scaled:
         z += w
     if z <= 0:
         raise ValueError("degenerate attention: normalization term is zero")
-    return AttentionMap(entries=tuple((s, p, w / z) for s, p, w in scaled))
+    return [w / z for w in scaled]
 
 
-def _content_scores(chunk: Chunk) -> AttentionMap:
-    """IDF-weighted content score per token over the chunk's sentences.
+def abstract_extract(document: Document, extract: ExtractResult, ratio: float) -> tuple[tuple[str, ...], ...]:
+    """The abstraction of every extracted sentence, in extract order.
 
-    df(t) counts member sentences containing t; stopwords score epsilon.
+    Sentence i's chunk is sentences {i-1, i, i+1} clipped to the document.
+    A chunk token t scores log(1 + m / df(t)), with m the chunk's sentence
+    count and df(t) the number of them that hold t, or STOPWORD_SCORE for a
+    stopword; `rescale_attention` scales the scores by P(s) and normalizes
+    them over the chunk. The abstraction keeps, in original order, the
+    center-sentence tokens whose cumulative weight (taken by descending
+    weight, ties to the earlier token) first covers `ratio` of the center's
+    weight, so it is never empty.
+
+    Raises ValueError naming the example if the extract's likelihood misses
+    a chunk sentence or a chunk's weights add to zero.
     """
-    m = len(chunk.members)
-    df: dict[str, int] = {}
-    for sent in chunk.members:
-        for t in set(sent.tokens):
-            df[t] = df.get(t, 0) + 1
-    entries = []
-    for sent in chunk.members:
-        for pos, t in enumerate(sent.tokens):
-            if t in STOPWORDS:
-                score = STOPWORD_SCORE
-            else:
-                score = math.log(1 + m / df[t])
-            entries.append((sent.index, pos, score))
-    return AttentionMap(entries=tuple(entries))
-
-
-def abstract_salience(chunk: Chunk, likelihood: Mapping[int, float], ratio: float) -> AbstractResult:
-    """Compress the center sentence to its most salient tokens.
-
-    Keeps, in original order, the center-sentence tokens whose cumulative
-    rescaled attention mass (taken by descending weight) first covers the
-    given fraction of the center sentence's mass. Never returns empty.
-    """
-    if not 0 < ratio <= 1:
-        raise ValueError("ratio must lie in (0, 1]")
-    rescaled = rescale_attention(_content_scores(chunk), likelihood)
-    center = chunk.members[chunk.center]
-    center_weights, total = [], 0.0
-    for sent, pos, w in rescaled.entries:
-        if sent == center.index:
-            center_weights.append((pos, w))
+    sentences, likelihood, out = document.sentences, extract.likelihood, []
+    for i in extract.order:
+        if not 0 <= i < len(sentences):
+            raise IndexError(f"sentence index {i} out of range")
+        lo, hi = max(0, i - 1), min(len(sentences), i + 2)
+        chunk = [s.tokens for s in sentences[lo:hi]]
+        df: dict[str, int] = {}
+        for tokens in chunk:
+            for t in set(tokens):
+                df[t] = df.get(t, 0) + 1
+        m = len(chunk)
+        scores = [STOPWORD_SCORE if t in STOPWORDS else math.log(1 + m / df[t]) for tokens in chunk for t in tokens]
+        try:
+            weights = rescale_attention(scores, [likelihood[j] for j in range(lo, hi) for _ in sentences[j].tokens])
+        except KeyError as exc:
+            raise ValueError(f"{document.id}: extract likelihood has no entry for sentence "
+                             f"{exc.args[0]} (chunk of extracted sentence {i})") from None
+        except ValueError as exc:
+            raise ValueError(f"{document.id}: {exc} (chunk of extracted sentence {i})") from None
+        start = len(chunk[0]) if i > lo else 0
+        center = weights[start : start + len(sentences[i].tokens)]
+        total = 0.0
+        for w in center:
             total += w  # left to right, as rescale_attention's Z
-    ranked = sorted(center_weights, key=lambda pw: (-pw[1], pw[0]))
-    kept: list[int] = []
-    cum = 0.0
-    for pos, w in ranked:
-        kept.append(pos)
-        cum += w
-        if cum >= ratio * total - 1e-12:
-            break
-    tokens = tuple(center.tokens[p] for p in sorted(kept))
-    return AbstractResult(tokens=tokens, attention=rescaled)
+        goal, kept, cum = ratio * total - 1e-12, [], 0.0
+        for pos in sorted(range(len(center)), key=lambda pos: (-center[pos], pos)):
+            kept.append(pos)
+            cum += center[pos]
+            if cum >= goal:
+                break
+        out.append(tuple(sentences[i].tokens[pos] for pos in sorted(kept)))
+    return tuple(out)
 
 
 class LeadExtractor:
@@ -301,7 +264,9 @@ class SalienceAbstractor:
     __slots__ = ("ratio",)
 
     def __init__(self, ratio: float = 0.8):
+        if not 0 < ratio <= 1:
+            raise ValueError("ratio must lie in (0, 1]")
         self.ratio = ratio
 
-    def __call__(self, chunk: Chunk, likelihood: Mapping[int, float]) -> AbstractResult:
-        return abstract_salience(chunk, likelihood, self.ratio)
+    def __call__(self, document: Document, extract: ExtractResult) -> tuple[tuple[str, ...], ...]:
+        return abstract_extract(document, extract, self.ratio)

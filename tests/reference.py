@@ -1,4 +1,5 @@
 """Slow references shared by several test modules."""
+import math
 from itertools import chain
 
 import numpy as np
@@ -6,7 +7,7 @@ import numpy as np
 from sumedit import oracle
 from sumedit.editor import ABSTRACT, DECISION_INDEX, DECISIONS, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
 from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
-from sumedit.summarizers import UNSELECTED_LIKELIHOOD
+from sumedit.summarizers import STOPWORD_SCORE, STOPWORDS, UNSELECTED_LIKELIHOOD
 
 
 def soft_cross_entropy(distributions, labels) -> float:
@@ -186,3 +187,72 @@ def greedy_oracle(example, k, weights):
     for i, p in zip(selected, p_sel):
         likelihood[i] = float(p)
     return tuple(selected), likelihood
+
+
+def make_chunk(document, i):
+    """Sentences {i-1, i, i+1} clipped to the document, two at the edges,
+    and the place of sentence i among them."""
+    if not 0 <= i < len(document):
+        raise IndexError(f"sentence index {i} out of range")
+    lo, hi = max(0, i - 1), min(len(document), i + 2)
+    return document.sentences[lo:hi], i - lo
+
+
+def content_scores(members):
+    """(sentence index, token position, score) of every token of a chunk:
+    log(1 + m / df(t)) with df(t) the number of member sentences holding t,
+    STOPWORD_SCORE for a stopword."""
+    df = {}
+    for sent in members:
+        for t in set(sent.tokens):
+            df[t] = df.get(t, 0) + 1
+    return [
+        (sent.index, pos, STOPWORD_SCORE if t in STOPWORDS else math.log(1 + len(members) / df[t]))
+        for sent in members
+        for pos, t in enumerate(sent.tokens)
+    ]
+
+
+def rescale_entries(entries, likelihood):
+    """`summarizers.rescale_attention` on (sentence index, position, weight)
+    entries, with P(s) looked up by sentence index; Z adds left to right."""
+    scaled = [(sent, pos, w * likelihood[sent]) for sent, pos, w in entries]
+    z = 0.0
+    for _, _, w in scaled:
+        z += w
+    if z <= 0:
+        raise ValueError("degenerate attention: normalization term is zero")
+    return [(sent, pos, w / z) for sent, pos, w in scaled]
+
+
+def abstract_salience(members, center, likelihood, ratio):
+    """One chunk's abstraction: the center-sentence tokens, in order, whose
+    cumulative rescaled weight taken by descending weight first covers
+    `ratio` of the center's weight."""
+    if not 0 < ratio <= 1:
+        raise ValueError("ratio must lie in (0, 1]")
+    rescaled = rescale_entries(content_scores(members), likelihood)
+    sentence = members[center]
+    center_weights, total = [], 0.0
+    for sent, pos, w in rescaled:
+        if sent == sentence.index:
+            center_weights.append((pos, w))
+            total += w
+    kept, cum = [], 0.0
+    for pos, w in sorted(center_weights, key=lambda pw: (-pw[1], pw[0])):
+        kept.append(pos)
+        cum += w
+        if cum >= ratio * total - 1e-12:
+            break
+    return tuple(sentence.tokens[p] for p in sorted(kept))
+
+
+def salience_abstractions(document, extract, ratio):
+    """Slow reference for `summarizers.abstract_extract`: one chunk at a
+    time, through its (sentence index, position, weight) entries."""
+    out = []
+    for i in extract.order:
+        members, center = make_chunk(document, i)
+        likelihood = {s.index: extract.likelihood[s.index] for s in members}
+        out.append(abstract_salience(members, center, likelihood, ratio))
+    return tuple(out)

@@ -880,9 +880,11 @@ class TestConfigAndCheckpointFiles:
          ([], {"alpha": 0, "beta": 0.0, "gamma": 0},
           "config fields 'alpha', 'beta' and 'gamma' must not all be 0, got 0, 0.0, 0"),
          ([], {"lr": -1.0}, "config field 'lr' must be > 0, got -1.0"),
-         (["--lr", "0"], {}, "config field 'lr' must be > 0, got 0.0")],
+         (["--lr", "0"], {}, "config field 'lr' must be > 0, got 0.0"),
+         ([], {"seed": -1}, "config field 'seed' must be >= 0, got -1")],
         ids=["epochs", "batch-size", "context-window", "extractor", "abstract-ratio-above-1",
-             "abstract-ratio-0", "negative-alpha", "negative-gamma", "zero-weights", "negative-lr", "zero-lr"],
+             "abstract-ratio-0", "negative-alpha", "negative-gamma", "zero-weights", "negative-lr", "zero-lr",
+             "negative-seed"],
     )
 
     @REFUSED

@@ -577,6 +577,18 @@ class TestLabelDataset:
         with pytest.raises(ValueError, match=r"ex-0: .*no entry for sentence 1"):
             label_dataset(self.EXAMPLES, extractor, SalienceAbstractor(0.8))
 
+    def test_degenerate_attention_raises_naming_the_example(self):
+        # an all-stopword chunk scores 1e-6 per token, and 1e-6 * 5e-324
+        # underflows to 0, so the chunk's normalization term is 0
+        ex = make_example(["the a", "of it", "cat dog"], ["cat"], "stop")
+
+        def extractor(example):
+            return ExtractResult(order=(2, 0), likelihood={0: 5e-324, 1: 5e-324, 2: 1.0})
+
+        with pytest.raises(ValueError) as info:
+            label_dataset([self.EXAMPLES[0], ex], extractor, SalienceAbstractor(0.8))
+        assert str(info.value) == "stop: degenerate attention: normalization term is zero (chunk of extracted sentence 0)"
+
     def test_cache_write_that_raises_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         labeled, _ = label_dataset(

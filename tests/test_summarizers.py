@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import greedy_oracle
-from synthetic import document_from_strings
+from synthetic import document_from_strings, make_corpus
 from sumedit import summarizers
 from sumedit.rouge import RewardWeights, reward
+from sumedit.editor import abstractions_for
 from sumedit.summarizers import (
     UNSELECTED_LIKELIHOOD,
-    AttentionMap,
-    abstract_salience,
+    ExtractResult,
     GreedyOracleExtractor,
     LeadExtractor,
+    SalienceAbstractor,
+    abstract_extract,
     extract_batch,
     extract_greedy_oracle,
     extract_lead,
-    make_chunk,
     rescale_attention,
 )
 from sumedit.text import Example, ReferenceSummary
@@ -310,58 +312,54 @@ class TestGreedyOracleBatch:
 
 
 class TestMakeChunk:
+    """The chunks of the per-chunk reference, which `abstract_extract`
+    matches bit for bit (TestAbstractExtractEqualsReference)."""
+
     def test_interior(self):
         doc = document_from_strings("d", ["a", "b", "c", "d", "e"])
-        chunk = make_chunk(doc, 2)
-        assert [s.index for s in chunk.members] == [1, 2, 3]
-        assert chunk.center == 1
+        members, center = reference.make_chunk(doc, 2)
+        assert [s.index for s in members] == [1, 2, 3]
+        assert center == 1
 
     def test_first_sentence_two_members(self):
         doc = document_from_strings("d", ["a", "b", "c"])
-        chunk = make_chunk(doc, 0)
-        assert [s.index for s in chunk.members] == [0, 1]
-        assert chunk.center == 0
+        members, center = reference.make_chunk(doc, 0)
+        assert [s.index for s in members] == [0, 1]
+        assert center == 0
 
     def test_last_sentence_two_members(self):
         doc = document_from_strings("d", ["a", "b", "c"])
-        chunk = make_chunk(doc, 2)
-        assert [s.index for s in chunk.members] == [1, 2]
-        assert chunk.center == 1
+        members, center = reference.make_chunk(doc, 2)
+        assert [s.index for s in members] == [1, 2]
+        assert center == 1
 
     def test_out_of_range(self):
         doc = document_from_strings("d", ["a"])
-        with pytest.raises(IndexError):
-            make_chunk(doc, 1)
+        for i in (1, -1):
+            with pytest.raises(IndexError):
+                reference.make_chunk(doc, i)
+            with pytest.raises(IndexError, match=f"sentence index {i} out of range"):
+                abstract_extract(doc, ExtractResult(order=(i,), likelihood={0: 1.0}), 0.8)
 
 
 class TestRescaleAttention:
     def test_worked_example(self):
-        att = AttentionMap(entries=((0, 0, 0.2), (1, 0, 0.8)))
-        out = rescale_attention(att, {0: 0.5, 1: 1.0})
-        weights = [w for _, _, w in out.entries]
+        weights = rescale_attention([0.2, 0.8], [0.5, 1.0])
         assert weights[0] == pytest.approx(1 / 9, abs=1e-12)
         assert weights[1] == pytest.approx(8 / 9, abs=1e-12)
 
     def test_uniform_single_sentence(self):
-        att = AttentionMap(entries=tuple((0, i, 0.3) for i in range(4)))
-        out = rescale_attention(att, {0: 0.7})
-        for _, _, w in out.entries:
+        for w in rescale_attention([0.3] * 4, [0.7] * 4):
             assert w == pytest.approx(0.25, abs=1e-12)
 
     def test_sums_to_one_and_scale_invariant(self):
         rng = np.random.default_rng(0)
-        weights = rng.random(6)
-        att = AttentionMap(
-            entries=tuple((i % 3, i, float(w)) for i, w in enumerate(weights))
-        )
-        p = {0: 0.4, 1: 0.9, 2: 0.1}
-        out = rescale_attention(att, p)
-        assert sum(w for _, _, w in out.entries) == pytest.approx(1.0, abs=1e-12)
-        scaled = AttentionMap(
-            entries=tuple((s, pos, 7.5 * w) for s, pos, w in att.entries)
-        )
-        out2 = rescale_attention(scaled, p)
-        for (_, _, a), (_, _, b) in zip(out.entries, out2.entries):
+        weights = [float(w) for w in rng.random(6)]
+        p = [[0.4, 0.9, 0.1][i % 3] for i in range(6)]
+        out = rescale_attention(weights, p)
+        assert sum(out) == pytest.approx(1.0, abs=1e-12)
+        out2 = rescale_attention([7.5 * w for w in weights], p)
+        for a, b in zip(out, out2):
             assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("builtin_sum", [sum, math.fsum], ids=["sum", "compensated-sum"])
@@ -375,66 +373,134 @@ class TestRescaleAttention:
         for w in weights:
             z += w
         assert z != math.fsum(weights)
-        att = AttentionMap(entries=tuple((0, i, w) for i, w in enumerate(weights)))
-        out = rescale_attention(att, {0: 1.0})
-        assert [w for _, _, w in out.entries] == [w / z for w in weights]
+        assert rescale_attention(weights, [1.0] * 3) == [w / z for w in weights]
 
     def test_degenerate_errors(self):
-        att = AttentionMap(entries=((0, 0, 0.0),))
         with pytest.raises(ValueError, match="degenerate"):
-            rescale_attention(att, {0: 1.0})
+            rescale_attention([0.0], [1.0])
+
+
+def one_extract(sentences, likelihood, order=(1,)):
+    return document_from_strings("d", sentences), ExtractResult(order=order, likelihood=likelihood)
 
 
 class TestAbstractSalience:
-    def chunk(self):
-        doc = document_from_strings("d", ["alpha beta", "cat dog cat the", "echo"])
-        return make_chunk(doc, 1)
+    SENTENCES = ["alpha beta", "cat dog cat the", "echo"]
+    P = {0: 0.5, 1: 1.0, 2: 0.5}
 
     def test_full_ratio_keeps_center_intact(self):
-        out = abstract_salience(self.chunk(), {0: 0.5, 1: 1.0, 2: 0.5}, 1.0)
-        assert out.tokens == ("cat", "dog", "cat", "the")
+        assert abstract_extract(*one_extract(self.SENTENCES, self.P), 1.0) == (("cat", "dog", "cat", "the"),)
 
     def test_single_token_center(self):
-        doc = document_from_strings("d", ["a b", "word"])
-        chunk = make_chunk(doc, 1)
-        out = abstract_salience(chunk, {0: 0.5, 1: 1.0}, 0.1)
-        assert out.tokens == ("word",)
+        assert abstract_extract(*one_extract(["a b", "word"], {0: 0.5, 1: 1.0}), 0.1) == (("word",),)
 
     def test_half_ratio_keeps_top_mass_in_order(self):
         # center weights: three equal content scores and one stopword epsilon;
         # half the mass is covered by the first two content tokens
-        out = abstract_salience(self.chunk(), {0: 0.5, 1: 1.0, 2: 0.5}, 0.5)
-        assert out.tokens == ("cat", "dog")
+        assert abstract_extract(*one_extract(self.SENTENCES, self.P), 0.5) == (("cat", "dog"),)
 
     def test_output_is_subsequence_of_center(self):
-        chunk = self.chunk()
-        center = chunk.members[chunk.center].tokens
+        doc, extract = one_extract(self.SENTENCES, self.P)
         for ratio in (0.2, 0.5, 0.8, 1.0):
-            out = abstract_salience(chunk, {0: 0.5, 1: 1.0, 2: 0.5}, ratio)
-            it = iter(center)
-            assert all(tok in it for tok in out.tokens)
+            (tokens,) = abstract_extract(doc, extract, ratio)
+            it = iter(doc.tokens_at(1))
+            assert all(tok in it for tok in tokens)
 
     @pytest.mark.parametrize("builtin_sum", [sum, math.fsum, None], ids=["sum", "compensated-sum", "no-sum"])
     def test_sums_add_left_to_right(self, monkeypatch, builtin_sum):
         # this chunk's rescaled weights add to a different Z left to right
-        # than compensated, so its attention tells the two apart; without a
+        # than compensated, so its weights tell the two apart; without a
         # builtin `sum` at all the abstraction must not change either
         def no_sum(*args):
             raise AssertionError("builtin sum called")
 
         monkeypatch.setattr(summarizers, "sum", builtin_sum or no_sum, raising=False)
-        doc = document_from_strings("d", ["alpha beta the gamma", "cat dog cat the eel", "echo fox a golf"])
-        chunk = make_chunk(doc, 1)
-        p = {0: 0.3, 1: 0.9, 2: 0.7}
-        scaled = [w * p[sent] for sent, _, w in summarizers._content_scores(chunk).entries]
+        doc, extract = one_extract(["alpha beta the gamma", "cat dog cat the eel", "echo fox a golf"],
+                                   {0: 0.3, 1: 0.9, 2: 0.7})
+        scores, p = zip(*((w, extract.likelihood[s]) for s, _, w in reference.content_scores(doc.sentences)))
+        scaled = [w * q for w, q in zip(scores, p)]
         z = 0.0
         for w in scaled:
             z += w
         assert z != math.fsum(scaled)
-        out = abstract_salience(chunk, p, 0.5)
-        assert [w for _, _, w in out.attention.entries] == [w / z for w in scaled]
-        assert out.tokens == ("cat", "dog", "cat")
+        assert rescale_attention(scores, p) == [w / z for w in scaled]
+        assert abstract_extract(doc, extract, 0.5) == (("cat", "dog", "cat"),)
+        assert abstract_extract(doc, extract, 0.5) == reference.salience_abstractions(doc, extract, 0.5)
 
     def test_ratio_validated(self):
-        with pytest.raises(ValueError):
-            abstract_salience(self.chunk(), {0: 1.0, 1: 1.0, 2: 1.0}, 0.0)
+        # when the abstractor is built, not on each call
+        for ratio in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"ratio must lie in \(0, 1\]"):
+                SalienceAbstractor(ratio)
+
+    def test_abstractor_is_abstract_extract(self):
+        doc, extract = one_extract(self.SENTENCES, self.P, order=(2, 0, 1))
+        want = abstract_extract(doc, extract, 0.5)
+        assert SalienceAbstractor(0.5)(doc, extract) == abstractions_for(doc, extract, SalienceAbstractor(0.5)) == want
+        assert want == reference.salience_abstractions(doc, extract, 0.5)
+
+    def test_degenerate_attention_names_the_example(self):
+        # stopwords score 1e-6, and 1e-6 * 5e-324 underflows to 0, so Z is 0
+        doc, extract = one_extract(["the a", "of it", "cat"], {0: 5e-324, 1: 5e-324, 2: 1.0}, order=(2, 0))
+        with pytest.raises(ValueError) as info:
+            abstract_extract(doc, extract, 0.8)
+        assert str(info.value) == "d: degenerate attention: normalization term is zero (chunk of extracted sentence 0)"
+
+    def test_missing_likelihood_names_the_example(self):
+        doc, extract = one_extract(self.SENTENCES, {1: 1.0, 2: 0.5}, order=(2, 1))
+        with pytest.raises(ValueError) as info:
+            abstract_extract(doc, extract, 0.8)
+        assert str(info.value) == "d: extract likelihood has no entry for sentence 0 (chunk of extracted sentence 1)"
+
+
+# mostly stopwords, so chunks tie in weight and some hold only stopwords
+WORDS = ["the", "a", "of", "it", "cat", "dog", "cat", "the"]
+likelihoods = st.one_of(st.sampled_from([UNSELECTED_LIKELIHOOD, 1.0, 0.5, 5e-324]),
+                        st.floats(1e-300, 1.0))
+ratios = st.one_of(st.sampled_from([1.0, 5e-324, 1e-9, 0.5]), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def abstraction_cases(draw):
+    """Documents of 1 to 5 sentences over WORDS, an extract of some of their
+    sentences in any order, and P(s) per sentence."""
+    n = draw(st.integers(1, 5))
+    sentences = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
+                              min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    likelihood = {i: draw(likelihoods) for i in range(n)}
+    return document_from_strings("h", sentences), ExtractResult(order=tuple(order), likelihood=likelihood)
+
+
+class TestAbstractExtractEqualsReference:
+    """`abstract_extract` against the per-chunk reference
+    (`reference.salience_abstractions`): the same tokens for every
+    extracted sentence, and `rescale_attention` the same weights as the
+    reference's entry form on every chunk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=abstraction_cases(), ratio=ratios)
+    def test_equals_per_chunk_reference(self, case, ratio):
+        doc, extract = case
+        try:
+            want = reference.salience_abstractions(doc, extract, ratio)
+        except ValueError as exc:
+            assert "degenerate attention" in str(exc)
+            with pytest.raises(ValueError, match=r"^h: degenerate attention: .* \(chunk of extracted sentence \d\)$"):
+                abstract_extract(doc, extract, ratio)
+            return
+        assert abstract_extract(doc, extract, ratio) == want
+        assert all(want)
+        for i in extract.order:
+            members, _ = reference.make_chunk(doc, i)
+            entries = reference.content_scores(members)
+            rescaled = reference.rescale_entries(entries, extract.likelihood)
+            flat = rescale_attention([w for _, _, w in entries], [extract.likelihood[s] for s, _, _ in entries])
+            assert flat == [w for _, _, w in rescaled]
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.95, 0.5, 1e-9])
+    def test_synthetic_corpus(self, ratio):
+        for ex in make_corpus(300, seed=4, k=2):
+            for extract in (extract_lead(ex.document, 4), GreedyOracleExtractor(3)(ex)):
+                want = reference.salience_abstractions(ex.document, extract, ratio)
+                assert abstract_extract(ex.document, extract, ratio) == want
