@@ -52,12 +52,29 @@ _ACCEPTS = {
 
 def _assign(record, values: dict) -> None:
     """Set every field of `record` (its `__slots__`) from `values`, or to
-    its default in FIELDS; a name that is not a field is an error."""
+    its default in FIELDS, checked against its type and the values that a
+    command can run with; a name that is not a field is an error. Both
+    config classes check their fields here, so neither takes a value that
+    the other refuses."""
     unknown = values.keys() - record.__slots__
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    for name in record.__slots__:
-        setattr(record, name, values.get(name, FIELDS[name][1]))
+    fields = {name: values.get(name, FIELDS[name][1]) for name in record.__slots__}
+    for name, value in fields.items():
+        types, expected = _ACCEPTS[FIELDS[name][0]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+    for name in ("alpha", "beta", "gamma", "lr"):
+        if name in fields and not math.isfinite(fields[name]):
+            raise ValueError(f"config field {name!r} must be a finite number, got {fields[name]!r}")
+    for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1), ("epochs", 1),
+                      ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
+        if name in fields and fields[name] < low:
+            raise ValueError(f"config field {name!r} must be >= {low}, got {fields[name]!r}")
+    if fields.get("lr", 1) <= 0:
+        raise ValueError(f"config field 'lr' must be > 0, got {fields['lr']!r}")
+    for name, value in fields.items():
+        setattr(record, name, value)
 
 
 class TrainConfig:
@@ -68,10 +85,6 @@ class TrainConfig:
 
     def __init__(self, /, **values):
         _assign(self, values)
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
 class ExperimentConfig:
@@ -82,22 +95,6 @@ class ExperimentConfig:
 
     def __init__(self, /, **values):
         _assign(self, values)
-        for name, (kind, _) in FIELDS.items():
-            types, expected = _ACCEPTS[kind]
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-        # values that no command can run with; every command checks them
-        # all, so no command runs with a field that another one refuses
-        for name in ("alpha", "beta", "gamma", "lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"config field {name!r} must be a finite number, got {getattr(self, name)!r}")
-        for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1),
-                          ("epochs", 1), ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"config field {name!r} must be >= {low}, got {getattr(self, name)!r}")
-        if self.lr <= 0:
-            raise ValueError(f"config field 'lr' must be > 0, got {self.lr!r}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError(f"config fields 'alpha', 'beta' and 'gamma' must not all be 0, "
                              f"got {self.alpha!r}, {self.beta!r}, {self.gamma!r}")

@@ -350,6 +350,12 @@ def _cache_record(rec) -> LabeledExample:
         raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
     if not all(type(p) in (int, float) for p in rec["P"].values()):
         raise ValueError(f"P {rec['P']!r} does not map sentence indices to numbers")
+    for key in rec["P"]:
+        # the decimal text of an index >= 0, as `write_label_cache` writes it
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ValueError(f"P key {key!r} is not a sentence index")
+    if not math.isfinite(rec["best_reward"]):
+        raise ValueError(f"best_reward {rec['best_reward']!r} is not a finite number")
     return LabeledExample(
         example_id=rec["id"],
         extract=ExtractResult(

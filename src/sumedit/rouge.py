@@ -9,18 +9,16 @@ a total function.
 one pass, every sentence version's nonzero n-gram counts and its
 LCS-matched reference positions, as one flat record (`SplitEntries`): the
 n-gram columns and reference positions of all examples are numbered
-example-major, so no array is padded to the widest reference. The greedy
-extractor scores from the entries alone. `SplitEntries.stats` builds a
-dense integer record (`SplitStats`) of some examples' versions, over only
-the columns and positions those versions touch; the oracle builds one per
-grid batch and the trainer one per decode chunk. A summary built from some
-of an example's versions has the sum of their count rows and the OR of
-their LCS rows as its statistics; `SplitStats.totals` reduces these to
-five integer totals, and `f_measures` turns the totals of any number of
-summaries, of one reference or of many, into ROUGE-1/2/L F-measures with
-`reward`'s float expressions (the results are bit-identical).
-`SplitStats.rewards` chains the two. The one-example-at-a-time builder
-these replaced is the slow reference in tests/reference.py.
+example-major, so no array is padded to the widest reference. A summary
+made of some of an example's versions has the sum of their counts and the
+union of their matched positions as its statistics. `SplitEntries.totals`
+reduces those of one summary per example to five integer totals, and
+`f_measures` turns totals into ROUGE-1/2/L F-measures with `reward`'s float
+expressions (bit-identical); the trainer and the greedy extractor score
+from the entries so. The oracle scores its grids of 3^l summaries per
+example from dense records (`SplitEntries.stats`, `SplitStats.rewards`).
+The one-example-at-a-time builder these replaced is the slow reference in
+tests/reference.py.
 
 Both paths align sentences with the bit-vector LCS of Allison & Dix (1986,
 "A bit-string longest-common-subsequence algorithm"), which keeps each row of
@@ -214,20 +212,14 @@ def reward(
 
 
 
-# Columns of `SplitStats.totals`.
+# Columns of the integer totals of a summary (`SplitEntries.totals`).
 UNIGRAM_OVERLAP, BIGRAM_OVERLAP, TOKENS, BIGRAMS, LCS_MATCHES = range(5)
-
-
-def _per_example(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Per-example `values` (N, ...) shaped to broadcast against (N, ..., ·)
-    arrays of `ndim` dimensions."""
-    return values.reshape(values.shape[:1] + (1,) * (ndim - 2) + values.shape[1:])
 
 
 class SplitStats:
     """ROUGE statistics of S sentence versions of each of N examples, each
-    against its own reference, as one dense integer record
-    (`SplitEntries.stats`).
+    against its own reference, as one dense integer record: the record
+    that the oracle scores its reward grids from (`SplitEntries.stats`).
 
     Row `counts[j, v]` holds version v of example j: its counts in the
     n-gram columns that example j's versions touch, unigrams in columns
@@ -251,14 +243,14 @@ class SplitStats:
         self.ref_tokens = ref_tokens  # (N,) int64
         self.ref_bigrams = ref_bigrams  # (N,) int64
 
-    def totals(self, counts: np.ndarray, lcs: np.ndarray) -> np.ndarray:
-        """Integer totals (N, ..., 5) of every summary whose summed `counts`
-        rows (N, ..., W + 2) and OR-ed `lcs` rows (N, ..., T) are given,
-        example j's summaries along axis 0 at j: clipped unigram and bigram
-        overlap, tokens, bigrams and LCS-matched reference tokens (columns
-        UNIGRAM_OVERLAP ... LCS_MATCHES)."""
-        overlap = np.minimum(counts[..., :-2], _per_example(self.ref_counts, counts.ndim))
-        return np.stack(
+    def rewards(
+        self, counts: np.ndarray, lcs: np.ndarray, weights: RewardWeights = RewardWeights()
+    ) -> np.ndarray:
+        """`reward` (N, G) of G summaries of each example j, at row j, whose
+        summed `counts` rows (N, G, W + 2) and OR-ed `lcs` rows (N, G, T)
+        are given."""
+        overlap = np.minimum(counts[..., :-2], self.ref_counts[:, None])
+        totals = np.stack(
             [
                 overlap[..., : self.unigrams].sum(axis=-1),
                 overlap[..., self.unigrams :].sum(axis=-1),
@@ -268,23 +260,15 @@ class SplitStats:
             ],
             axis=-1,
         )
-
-    def rewards(
-        self, counts: np.ndarray, lcs: np.ndarray, weights: RewardWeights = RewardWeights()
-    ) -> np.ndarray:
-        """`reward` (N, ...) of every summary whose summed `counts` rows and
-        OR-ed `lcs` rows are given, as in `totals`."""
-        ndim = counts.ndim
-        ref_tokens = _per_example(self.ref_tokens, ndim)
-        ref_bigrams = _per_example(self.ref_bigrams, ndim)
-        return weights.combine(*f_measures(self.totals(counts, lcs), ref_tokens, ref_bigrams))
+        return weights.combine(*f_measures(totals, self.ref_tokens[:, None], self.ref_bigrams[:, None]))
 
 
 def f_measures(totals: np.ndarray, ref_tokens, ref_bigrams) -> tuple[np.ndarray, ...]:
     """ROUGE-1, ROUGE-2 and ROUGE-L F of every summary with the given
-    `SplitStats.totals`, against references of `ref_tokens` tokens and
-    `ref_bigrams` bigrams (scalars, or arrays that broadcast against the
-    leading axes of `totals`), as `rouge_n` and `rouge_l` compute them."""
+    integer totals (columns UNIGRAM_OVERLAP ... LCS_MATCHES), against
+    references of `ref_tokens` tokens and `ref_bigrams` bigrams (scalars, or
+    arrays that broadcast against the leading axes of `totals`), as
+    `rouge_n` and `rouge_l` compute them."""
     tokens = totals[..., TOKENS]
     return (
         _f1_array(totals[..., UNIGRAM_OVERLAP], tokens, ref_tokens),
@@ -467,15 +451,17 @@ class SplitEntries:
     N-gram columns are numbered example-major: example j's reference
     unigrams, then its reference bigrams. Reference positions are numbered
     the same way, over every example's concatenated reference tokens.
-    Version g has `length[g]` tokens; each row (g, column, count) of
-    `ngrams` is its count in a column of its example, and each row
-    (g, position) of `matches` a reference position of its example that
-    `_lcs_positions` matches against it. Both are sorted.
+    Version g of example `owner[g]` has `length[g]` tokens; each row
+    (g, column, count) of `ngrams` is its count in a column of its example,
+    and each row (g, position) of `matches` a reference position of its
+    example that `_lcs_positions` matches against it. Both are sorted.
     """
 
-    __slots__ = ("length", "ngrams", "matches", "ref_counts", "column_example", "bigram", "ref_tokens", "ref_bigrams")
+    __slots__ = ("owner", "length", "ngrams", "matches", "ref_counts", "column_example", "bigram", "ref_tokens",
+                 "ref_bigrams")
 
-    def __init__(self, length, ngrams, matches, ref_counts, column_example, bigram, ref_tokens, ref_bigrams):
+    def __init__(self, owner, length, ngrams, matches, ref_counts, column_example, bigram, ref_tokens, ref_bigrams):
+        self.owner = owner  # (V,) int64
         self.length = length  # (V,) int64
         self.ngrams = ngrams  # (E, 3) int64
         self.matches = matches  # (M, 2) int64
@@ -514,6 +500,24 @@ class SplitEntries:
         lcs = np.zeros((n, rows, int(widths.max(initial=0))), dtype=bool)
         lcs[i, m[e] - first[i], rank[at]] = True
         return SplitStats(counts, lcs, ref_counts, u, self.ref_tokens[examples], self.ref_bigrams[examples])
+
+    def totals(self, chosen: np.ndarray) -> np.ndarray:
+        """Integer totals (N, 5) of each example's summary of the versions
+        that `chosen` (V,) marks, in columns UNIGRAM_OVERLAP ... LCS_MATCHES:
+        each column's counts summed over the chosen versions, then clipped
+        to its reference count, and each matched reference position counted
+        once. (The float sums of these small integers are exact.)"""
+        N, K = len(self.ref_tokens), len(self.ref_counts)
+        (g, column, count), (m, position) = self.ngrams.T, self.matches.T
+        e, hit = chosen[g], chosen[m]
+        clipped = np.minimum(np.bincount(column[e], count[e], minlength=K), self.ref_counts)
+        overlap = np.bincount(2 * self.column_example + self.bigram, clipped, minlength=2 * N).reshape(N, 2)
+        owner, length = self.owner[chosen], self.length[chosen]
+        tokens = np.bincount(owner, length, minlength=N)
+        bigrams = np.bincount(owner, np.maximum(length - 1, 0), minlength=N)
+        _, first = np.unique(position[hit], return_index=True)  # one chosen match per matched position
+        matched = np.bincount(self.owner[m[hit][first]], minlength=N)
+        return np.column_stack([overlap, tokens, bigrams, matched]).astype(np.int64)
 
 
 def _entries_of(version: np.ndarray, first: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -603,6 +607,7 @@ def split_entries(versions: Sequence[Sequence[TokenList]], references: Sequence)
         return_counts=True,
     )
     return SplitEntries(
+        owner,
         length,
         np.column_stack([*np.divmod(cells, K), counts]),
         np.column_stack(np.divmod(np.sort(matched), len(ref_tok))),

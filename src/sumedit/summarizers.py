@@ -100,11 +100,11 @@ def extract_greedy_oracle(
     min(count, room) over its n-gram entries to the clipped overlap; it
     adds its matched reference positions that are still `free` (unmatched
     by the selection), and its token and bigram totals. These are exactly
-    the integers of `SplitStats.totals` of the selection plus the
-    candidate, and `f_measures` turns them into `SplitStats.rewards`'
-    values bit for bit. A document's best row is the first maximum over its
-    rows (`reduceat` over the document starts); a document that has
-    stopped takes no more sentences.
+    the integers of `SplitEntries.totals` of the selection plus the
+    candidate, and `f_measures` turns them into `reward`'s values bit for
+    bit. A document's best row is the first maximum over its rows
+    (`reduceat` over the document starts); a document that has stopped
+    takes no more sentences.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -114,7 +114,7 @@ def extract_greedy_oracle(
     sizes = np.array([len(ex.document) for ex in examples], dtype=np.intp)
     D, V = len(sizes), int(sizes.sum())
     starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(D), sizes)  # each row's document
+    owner = entries.owner  # each row's document
     kind = 2 * version + entries.bigram[column]  # the entry's row's unigram or bigram overlap
     room = entries.ref_counts.copy()
     free = np.ones(int(entries.ref_tokens.sum()), dtype=bool)

@@ -13,15 +13,14 @@ reward (ties: earliest epoch). A non-finite loss or gradient stops training
 with an error naming the epoch and the batch. Runs are bitwise reproducible
 under a fixed seed.
 
-Decoded summaries are scored without realizing them: each summary is one of
-the 3^l decision sequences over its extract, so, as in the oracle, its ROUGE
-totals are the summed `rouge.SplitStats` rows of the chosen sentence
-versions (extracted sentences, then abstractions). The statistics of a split
-are computed once (before the first epoch for validation), one
-`split_entries` call and one dense record (`SplitEntries.stats`) per chunk
-of at most `editor.DECODE_CHUNK` examples. The decisions select rows of a
-record as E/A masks, so its totals are one integer contraction, one masked
-`any` and one clip, and `rouge.f_measures` turns them into F-measures
+Decoded summaries are scored without realizing them: a summary is a sum of
+sentence versions (an extract's sentences, then its abstractions, laid out
+as the oracle lays them out), so its ROUGE totals follow from the nonzero
+entries of the versions it chooses. The entries of a split are computed once
+(before the first epoch for validation), one `rouge.split_entries` record
+per run of at most `editor.DECODE_CHUNK` examples. The decisions mark the
+chosen versions, `SplitEntries.totals` sums and clips their entries into
+integer totals, and `rouge.f_measures` turns those into F-measures
 bit-identical to `rouge.reward` on every summary.
 Means over a split are sequential sums, the order of a running float total.
 """
@@ -34,14 +33,14 @@ import numpy as np
 
 from . import editor
 from .config import TrainConfig
-from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT, EditorParams, decode, loss_and_gradients
+from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
-from .oracle import LabeledExample
+from .oracle import LabeledExample, _versions
 # `context_from_abstractions` and `reward` stay module attributes although
 # training no longer calls them: the benchmark's tracer (perfbench) wraps
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
 from .editor import context_from_abstractions
-from .rouge import RewardWeights, SplitStats, f_measures, reward, split_entries
+from .rouge import RewardWeights, SplitEntries, f_measures, reward, split_entries
 from .text import Example
 
 LabeledPair = tuple[Example, LabeledExample]
@@ -104,45 +103,30 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
     return y
 
 
-def _split_stats(pairs: Sequence[LabeledPair]) -> list[SplitStats]:
-    """The statistics of a split's 2l sentence versions per example against
-    its reference, in records of at most DECODE_CHUNK examples, each over
-    only the n-gram columns and reference positions its versions touch.
-
-    Example j's versions are its extracted sentences padded to the record's
-    longest extract L with empty versions (no entries, so zero rows), then
-    its abstractions padded the same way: version row k * L + i is decision
-    k (an index into DECISIONS) at step i.
-    """
-    records = []
-    for start in range(0, len(pairs), editor.DECODE_CHUNK):
-        chunk = pairs[start : start + editor.DECODE_CHUNK]
-        L = max(len(lab.extract.order) for _, lab in chunk)
-        pad = [()] * L
-        versions = [
-            ([example.document.tokens_at(i) for i in lab.extract.order] + pad)[:L] + (list(lab.abstractions) + pad)[:L]
-            for example, lab in chunk
-        ]
-        entries = split_entries(versions, [example.reference for example, _ in chunk])
-        records.append(entries.stats(np.arange(len(chunk)), np.arange(len(chunk)) * 2 * L, 2 * L))
-    return records
+def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
+    """The `split_entries` of a split's sentence versions against their
+    references (example j's extracted sentences, then its abstractions; see
+    `oracle._versions`), one record per run of at most DECODE_CHUNK pairs."""
+    runs = (pairs[start : start + editor.DECODE_CHUNK] for start in range(0, len(pairs), editor.DECODE_CHUNK))
+    return [
+        split_entries([_versions(ex, lab.extract, lab.abstractions) for ex, lab in run],
+                      [ex.reference for ex, _ in run])
+        for run in runs
+    ]
 
 
-def _totals(decisions: np.ndarray, stats: Sequence[SplitStats]) -> tuple[np.ndarray, ...]:
-    """`SplitStats.totals` (N, 5) of every decoded summary, with the
-    reference token and bigram totals (N,) of its example: decision k (an
-    index into DECISIONS) at step i takes version row k * L + i, and REJECT
-    takes none. All sums are integer sums, so they are exact."""
+def _totals(decisions: np.ndarray, lengths: np.ndarray, records: Sequence[SplitEntries]) -> tuple[np.ndarray, ...]:
+    """`SplitEntries.totals` (N, 5) of every decoded summary, with the
+    reference token and bigram totals (N,) of its example: of an extract of
+    l sentences, EXTRACT at step i chooses version i, ABSTRACT version
+    l + i and REJECT none. All sums are integer sums, so they are exact."""
+    version = (np.cumsum(2 * lengths) - 2 * lengths)[:, None] + np.arange(decisions.shape[1])
+    version += lengths[:, None] * (decisions == ABSTRACT)
+    chosen = np.zeros(2 * int(lengths.sum()), dtype=bool)
+    chosen[version[decisions != REJECT]] = True
+    bounds = np.cumsum([len(record.length) for record in records])[:-1]
     parts = [(np.zeros((0, 5), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    start = 0
-    for record in stats:
-        N, L = record.counts.shape[0], record.counts.shape[1] // 2
-        rows = decisions[start : start + N, :L]
-        start += N
-        chosen = np.concatenate([rows == EXTRACT, rows == ABSTRACT], axis=1)  # (N, 2L)
-        summed = np.einsum("nv,nvw->nw", chosen, record.counts)
-        matched = (record.lcs & chosen[..., None]).any(axis=1)
-        parts.append((record.totals(summed, matched), record.ref_tokens, record.ref_bigrams))
+    parts += [(r.totals(c), r.ref_tokens, r.ref_bigrams) for r, c in zip(records, np.split(chosen, bounds))]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -170,7 +154,7 @@ def train(
     vectors = _encode(train_set, encoder_config)
     labels = _labels(train_set, vectors)
     val_vectors = _encode(val_set, encoder_config)
-    val_stats = _split_stats(val_set)
+    val_entries = _entries(val_set)
     rng = np.random.default_rng(config.seed)
     state = AdamState.fresh(params, lr=config.lr)
     best_params, best_reward = params.copy(), -math.inf
@@ -193,7 +177,7 @@ def train(
             loss_total += loss
             params, state = adam_step(params, grad.flat / len(batch), state)
         train_loss = loss_total / len(train_set)
-        val_reward = mean_reward(val_vectors, val_stats, params, weights)
+        val_reward = mean_reward(val_vectors, val_entries, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})
         if val_reward > best_reward:
             best_params, best_reward = params.copy(), val_reward
@@ -202,14 +186,14 @@ def train(
 
 def mean_reward(
     vectors: SplitVectors,
-    stats: Sequence[SplitStats],
+    entries: Sequence[SplitEntries],
     params: EditorParams,
     weights: RewardWeights,
 ) -> float:
-    """Mean reward of the free-running decodes of a split, scored from each
-    example's statistics (see `_split_stats`); 0.0 for an empty split."""
+    """Mean reward of the free-running decodes of a split, scored from the
+    split's `_entries` records; 0.0 for an empty split."""
     decisions = decode(vectors, params)
-    return _mean(weights.combine(*f_measures(*_totals(decisions, stats))))
+    return _mean(weights.combine(*f_measures(*_totals(decisions, vectors.lengths, entries))))
 
 
 def evaluate(
@@ -227,7 +211,7 @@ def evaluate(
     emitted = (decisions != REJECT).sum(axis=1)
     abstracted = (decisions == ABSTRACT).sum(axis=1)
     abstracted_fractions = abstracted[emitted > 0] / emitted[emitted > 0]
-    r1, r2, rl = f_measures(*_totals(decisions, _split_stats(test_set)))
+    r1, r2, rl = f_measures(*_totals(decisions, vectors.lengths, _entries(test_set)))
     total_steps = sum(counts)
     fractions = {
         d.label: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)

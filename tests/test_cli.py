@@ -202,6 +202,13 @@ def set_first_likelihood(value):
     return edit
 
 
+def rename_first_likelihood(key):
+    def edit(rec):
+        rec["P"][key] = rec["P"].pop(next(iter(rec["P"])))
+
+    return edit
+
+
 class TestLabelCacheValidation:
     @pytest.fixture
     def labeled(self, workspace, capsys):
@@ -226,10 +233,15 @@ class TestLabelCacheValidation:
             (edit_record(set_first_likelihood(True)), "does not map sentence indices to numbers"),
             (edit_record(lambda rec: rec.update(best_reward="0.5")), "field 'best_reward' has the wrong type"),
             (edit_record(lambda rec: rec.update(best_reward=True)), "field 'best_reward' has the wrong type"),
+            (edit_record(lambda rec: rec.update(best_reward=float("nan"))), "best_reward nan is not a finite number"),
+            (edit_record(lambda rec: rec.update(best_reward=float("inf"))), "best_reward inf is not a finite number"),
+            (edit_record(rename_first_likelihood("-3")), "P key '-3' is not a sentence index"),
+            (edit_record(rename_first_likelihood("zero")), "P key 'zero' is not a sentence index"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
              "best-length", "nan-label", "negative-label", "short-label-row", "str-likelihood",
-             "bool-likelihood", "str-best-reward", "bool-best-reward"],
+             "bool-likelihood", "str-best-reward", "bool-best-reward", "nan-best-reward", "infinite-best-reward",
+             "negative-likelihood-key", "word-likelihood-key"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled

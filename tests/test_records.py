@@ -61,14 +61,20 @@ def test_experiment_config_takes_keywords_as_the_benchmark_passes_them():
         (lambda: RewardWeights(0, 0, 0), "at least one weight must be positive"),
         (lambda: RewardWeights(float("nan"), 1.0, 0.5), "weights must be finite"),
         (lambda: RewardWeights(0.4, float("inf"), 0.5), "weights must be finite"),
-        (lambda: TrainConfig(lr=-1.0), "lr must be a finite number > 0, got -1.0"),
-        (lambda: TrainConfig(lr=0), "lr must be a finite number > 0, got 0"),
-        (lambda: TrainConfig(lr=float("nan")), "lr must be a finite number > 0, got nan"),
-        (lambda: TrainConfig(lr=float("inf")), "lr must be a finite number > 0, got inf"),
+        (lambda: TrainConfig(lr=-1.0), "config field 'lr' must be > 0, got -1.0"),
+        (lambda: TrainConfig(lr=0), "config field 'lr' must be > 0, got 0"),
+        (lambda: TrainConfig(lr=float("nan")), "config field 'lr' must be a finite number, got nan"),
+        (lambda: TrainConfig(lr=float("inf")), "config field 'lr' must be a finite number, got inf"),
+        (lambda: TrainConfig(lr=True), "config field 'lr' must be a number, got True"),
+        (lambda: TrainConfig(seed=-1), "config field 'seed' must be >= 0, got -1"),
+        (lambda: TrainConfig(seed=True), "config field 'seed' must be an integer, got True"),
+        (lambda: TrainConfig(seed=1.5), "config field 'seed' must be an integer, got 1.5"),
+        (lambda: TrainConfig(batch_size=2.5), "config field 'batch_size' must be an integer, got 2.5"),
+        (lambda: TrainConfig(epochs=2.5), "config field 'epochs' must be an integer, got 2.5"),
         (lambda: ExperimentConfig(alpha=float("nan")), "config field 'alpha' must be a finite number, got nan"),
         (lambda: ExperimentConfig(lr=float("inf")), "config field 'lr' must be a finite number, got inf"),
-        (lambda: TrainConfig(batch_size=0), "batch_size and epochs must be >= 1"),
-        (lambda: TrainConfig(epochs=0), "batch_size and epochs must be >= 1"),
+        (lambda: TrainConfig(batch_size=0), "config field 'batch_size' must be >= 1, got 0"),
+        (lambda: TrainConfig(epochs=0), "config field 'epochs' must be >= 1, got 0"),
         (lambda: ExperimentConfig(k=True), "config field 'k' must be an integer, got True"),
         (lambda: ExperimentConfig(alpha=False), "config field 'alpha' must be a number, got False"),
         (lambda: ExperimentConfig(epochs=2.0), "config field 'epochs' must be an integer, got 2.0"),

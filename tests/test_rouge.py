@@ -168,13 +168,14 @@ def assert_split_equals_reference(versions, references):
     `SplitEntries.stats` record holds exactly the columns and positions its
     versions touch."""
     entries = split_entries(versions, references)
-    for name in ("length", "ngrams", "matches", "ref_counts", "column_example", "ref_tokens", "ref_bigrams"):
+    for name in ("owner", "length", "ngrams", "matches", "ref_counts", "column_example", "ref_tokens", "ref_bigrams"):
         assert getattr(entries, name).dtype == np.int64, name
     assert entries.bigram.dtype == bool
     (g, column, count), (m, position) = entries.ngrams.T, entries.matches.T
     first = starts(map(len, versions))
     ref_start = starts(sum(map(len, ref)) for ref in references)
     owner = np.repeat(np.arange(len(versions)), np.diff(first))
+    assert np.array_equal(entries.owner, owner)
     assert np.array_equal(entries.column_example[column], owner[g]) and (count > 0).all()
     assert np.array_equal(np.searchsorted(ref_start, position, side="right") - 1, owner[m])
     assert np.array_equal(entries.column_example, np.sort(entries.column_example))
@@ -257,7 +258,7 @@ class TestSplitStats:
             chosen[j, : len(vs)] = data.draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
         summed = np.einsum("nv,nvw->nw", chosen, stats.counts)
         matched = (stats.lcs & chosen[..., None]).any(axis=1)
-        got = stats.rewards(summed, matched, weights)
+        got = stats.rewards(summed[:, None], matched[:, None], weights)[:, 0]
         want = [
             reward([v for v, c in zip(vs, row) if c], ref, weights)
             for vs, ref, row in zip(versions, references, chosen.tolist())
@@ -317,6 +318,51 @@ class TestSplitStats:
         stats = entries.stats([], [], 0)
         assert stats.counts.shape == (0, 0, 2) and stats.lcs.shape == (0, 0, 0)
         assert stats.ref_counts.shape == (0, 0) and stats.ref_tokens.shape == (0,)
+
+
+@st.composite
+def chosen_splits(draw):
+    """`split_inputs` examples, each with a mask that chooses some of its
+    versions."""
+    return [
+        (vs, ref, tuple(draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))))
+        for vs, ref in draw(split_inputs((1, 5)))
+    ]
+
+
+class TestSplitEntriesTotals:
+    """`SplitEntries.totals` of one summary per example, read from the
+    entries of the versions it chooses, against `SentenceStats.totals` of
+    the summed count rows and OR-ed LCS rows of each example on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chosen_splits())
+    # one sentence repeated and all of it chosen, so every column clips
+    @example([((("a", "b", "a"),) * 4, (("a", "b"), ("b", "a")), (True,) * 4)])
+    # two chosen versions match the same reference position; one is not chosen
+    @example([((("a",), ("a", "c"), ("b",)), (("a", "b"),), (True, True, False)), ((), (("a",),), ())])
+    # nothing chosen, and versions longer than 64 tokens
+    @example([((LONG, LONG[3:]), (LONG[:66],), (False, False)), ((LONG[::-1], LONG), (LONG,), (True, True))])
+    def test_equals_per_example_totals(self, split):
+        entries = split_entries([list(vs) for vs, _, _ in split], [ref for _, ref, _ in split])
+        got = entries.totals(np.array([c for _, _, row in split for c in row], dtype=bool))
+        assert got.dtype == np.int64 and got.shape == (len(split), 5)
+        for j, (vs, ref, row) in enumerate(split):
+            want = sentence_stats(vs, ref)
+            rows = np.flatnonzero(row)
+            assert got[j].tolist() == want.totals(want.counts[rows].sum(axis=0), want.lcs[rows].any(axis=0)).tolist()
+
+    def test_hand_counted_totals(self):
+        # four copies of "a b a" against "a b" and "b a": 12 tokens and 8
+        # bigrams, clipped to 4 unigrams and 2 bigrams, 4 positions matched;
+        # then "a" and "a c" against "a b": both match position 0 once
+        entries = split_entries([[("a", "b", "a")] * 4, [("a",), ("a", "c"), ("b",)]],
+                                [[("a", "b"), ("b", "a")], [("a", "b")]])
+        got = entries.totals(np.array([True] * 6 + [False]))
+        assert got.tolist() == [[4, 2, 12, 8, 4], [1, 0, 3, 1, 1]]
+
+    def test_empty_split(self):
+        assert split_entries([], []).totals(np.zeros(0, dtype=bool)).shape == (0, 5)
 
 
 def lcs_rows(entries, versions, references):

@@ -24,7 +24,7 @@ from sumedit.editor import (
 )
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import LabeledExample, label_dataset, realize
-from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
+from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
 from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, mean_reward, train
@@ -344,6 +344,20 @@ class TestEvaluateAgainstPerSummaryScoring:
         assert evaluate([], params, ENC) == per_summary_evaluate([], params, ENC)
 
 
+class TestScoringReadsEntries:
+    def test_train_and_evaluate_build_no_dense_record(self, monkeypatch):
+        pairs = labeled_pairs(6, seed=12)
+        val = labeled_pairs(5, seed=13, id_prefix="v")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded summaries are scored from the entries, not from a dense record")
+
+        monkeypatch.setattr(SplitEntries, "stats", refuse)
+        best, log = train(pairs, val, TrainConfig(batch_size=2, epochs=2), random_params(1), ENC)
+        assert len(log) == 2 and all(math.isfinite(entry["val_reward"]) for entry in log)
+        assert evaluate(val, best, ENC) == per_summary_evaluate(val, best, ENC)
+
+
 words = st.sampled_from("a b c d e".split())
 sentences = st.lists(words, min_size=1, max_size=6).map(tuple)
 
@@ -413,8 +427,8 @@ class TestMeanRewardAgainstReward:
         for (ex, lab), row in zip(pairs, decisions):
             sequence = [DECISIONS[k] for k in row[: len(lab.extract.order)]]
             total += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, weights)
-        stats = trainer_mod._split_stats(pairs)
-        assert mean_reward(vectors, stats, params, weights) == total / len(pairs)
+        entries = trainer_mod._entries(pairs)
+        assert mean_reward(vectors, entries, params, weights) == total / len(pairs)
 
     def test_split_means_add_in_order(self, monkeypatch):
         # Builtin `sum` compensates float rounding from Python 3.12 on; stand
@@ -446,7 +460,7 @@ def reference_totals(decisions, pairs):
 
 
 class TestSplitTotalsAgainstPerExampleTotals:
-    """`_split_stats` pads a split into records of at most DECODE_CHUNK
+    """`_entries` cuts a split into records of at most DECODE_CHUNK
     examples and `_totals` scores every decoded summary of them at once;
     the integer totals must be those of each example on its own."""
 
@@ -463,10 +477,11 @@ class TestSplitTotalsAgainstPerExampleTotals:
             l = len(lab.extract.order)
             steps = data.draw(st.sampled_from([[EXTRACT, ABSTRACT, REJECT], [REJECT], [EXTRACT], [ABSTRACT]]))
             decisions[j, :l] = data.draw(st.lists(st.sampled_from(steps), min_size=l, max_size=l))
+        lengths = np.array([len(lab.extract.order) for _, lab in pairs], dtype=np.int64)
         with mock.patch.object(editor, "DECODE_CHUNK", chunk):
-            stats = trainer_mod._split_stats(pairs)
-        assert len(stats) == -(-len(pairs) // chunk)
-        totals, ref_tokens, ref_bigrams = trainer_mod._totals(decisions, stats)
+            records = trainer_mod._entries(pairs)
+        assert len(records) == -(-len(pairs) // chunk)
+        totals, ref_tokens, ref_bigrams = trainer_mod._totals(decisions, lengths, records)
         want, want_tokens, want_bigrams = reference_totals(decisions, pairs)
         assert totals.dtype == np.int64 and np.array_equal(totals, want)
         assert ref_tokens.tolist() == want_tokens and ref_bigrams.tolist() == want_bigrams
@@ -475,11 +490,12 @@ class TestSplitTotalsAgainstPerExampleTotals:
         # one sentence three times, and once in the reference
         pairs = [scored_pair("r", [("a", "b")] * 3, (0, 1, 2), (("a", "b"),) * 3, [("a", "b")])]
         decisions = np.array([[EXTRACT, ABSTRACT, EXTRACT]])
-        totals, _, _ = trainer_mod._totals(decisions, trainer_mod._split_stats(pairs))
+        totals, _, _ = trainer_mod._totals(decisions, np.array([3]), trainer_mod._entries(pairs))
         # 6 tokens and 3 bigrams emitted; the reference has 2 and 1
         assert totals.tolist() == [[2, 1, 6, 3, 2]]
         assert np.array_equal(totals, reference_totals(decisions, pairs)[0])
 
     def test_empty_split(self):
-        totals, ref_tokens, ref_bigrams = trainer_mod._totals(np.zeros((0, 0), dtype=np.intp), [])
+        empty = np.zeros((0, 0), dtype=np.intp)
+        totals, ref_tokens, ref_bigrams = trainer_mod._totals(empty, np.zeros(0, np.int64), [])
         assert totals.shape == (0, 5) and ref_tokens.shape == ref_bigrams.shape == (0,)
