@@ -72,12 +72,6 @@ def _dataset_path(cfg: ExperimentConfig, split: str) -> str:
     return path
 
 
-# Config fields that shape a label cache besides the reward weights and the
-# cap: `label` writes them into the cache header, and `train` and `evaluate`
-# accept only a cache labeled with the config's values.
-LABEL_SETTINGS = ("k", "extractor", "abstract_ratio")
-
-
 def cmd_label(args) -> int:
     from . import oracle, text
 
@@ -92,7 +86,7 @@ def cmd_label(args) -> int:
         start = time.monotonic()
         labeled, _ = oracle.label_dataset(
             examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap, cache_path=cache_path,
-            settings={name: getattr(cfg, name) for name in LABEL_SETTINGS},
+            settings={name: getattr(cfg, name) for name in oracle.LABEL_SETTINGS},
         )
         elapsed = time.monotonic() - start
         print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)
@@ -114,10 +108,11 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
     labeled, header = oracle.read_label_cache(cache_path, rerun=command)
     # The extracts, abstractions and soft labels depend on these fields, so a
     # cache labeled under others does not belong to this config.
-    config_has = {"reward_weights": [cfg.alpha, cfg.beta, cfg.gamma], "cap": cfg.cap,
-                  **{name: getattr(cfg, name) for name in LABEL_SETTINGS}}
+    config_has = oracle.cache_header(
+        cfg.reward_weights(), cfg.cap, {name: getattr(cfg, name) for name in oracle.LABEL_SETTINGS}
+    )
     for name, value in config_has.items():
-        if header.get(name) != value:
+        if name != "cache_version" and header.get(name) != value:
             raise ValueError(
                 f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {value}; rerun {command}"
             )
@@ -149,14 +144,7 @@ def cmd_train(args) -> int:
     val_pairs = _paired_split(cfg, "val", out)
     rng = np.random.default_rng(cfg.seed)
     params = editor.init_params(cfg.hidden_m, cfg.encoder_n, rng)
-    best, log = trainer.train(
-        train_pairs,
-        val_pairs,
-        cfg.train_config(),
-        params,
-        cfg.encoder_config(),
-        cfg.reward_weights(),
-    )
+    best, log = trainer.train(train_pairs, val_pairs, cfg, params)
     ckpt_path = out / "checkpoint.json"
     editor.save_checkpoint(best, cfg.encoder_config(), ckpt_path)
     with text.atomic_open(out / "train_log.jsonl") as fh:
@@ -176,7 +164,7 @@ def _print_summary(document, extract, abstractions, row) -> None:
     kept = []
     for idx, abstracted, k in zip(extract.order, abstractions, row):
         line = " ".join(abstracted if k == ABSTRACT else document.tokens_at(idx))
-        print(f"{DECISIONS[k].label}: {line}")
+        print(f"{DECISIONS[k]}: {line}")
         if k != REJECT:
             kept.append(line)
     print("summary:")

@@ -16,8 +16,7 @@ from .text import atomic_open, read_json_object
 if TYPE_CHECKING:
     from .encoder import EncoderConfig
 
-# Every config field: the type it takes and its default. `ExperimentConfig`
-# has all of them; `TrainConfig` has four, with the same defaults.
+# Every config field of `ExperimentConfig`: the type it takes and its default.
 FIELDS = {
     "train_path": ("str | None", None),
     "val_path": ("str | None", None),
@@ -50,51 +49,33 @@ _ACCEPTS = {
 }
 
 
-def _assign(record, values: dict) -> None:
-    """Set every field of `record` (its `__slots__`) from `values`, or to
-    its default in FIELDS, checked against its type and the values that a
-    command can run with; a name that is not a field is an error. Both
-    config classes check their fields here, so neither takes a value that
-    the other refuses."""
-    unknown = values.keys() - record.__slots__
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    fields = {name: values.get(name, FIELDS[name][1]) for name in record.__slots__}
-    for name, value in fields.items():
-        types, expected = _ACCEPTS[FIELDS[name][0]]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-    for name in ("alpha", "beta", "gamma", "lr"):
-        if name in fields and not math.isfinite(fields[name]):
-            raise ValueError(f"config field {name!r} must be a finite number, got {fields[name]!r}")
-    for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1), ("epochs", 1),
-                      ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
-        if name in fields and fields[name] < low:
-            raise ValueError(f"config field {name!r} must be >= {low}, got {fields[name]!r}")
-    if fields.get("lr", 1) <= 0:
-        raise ValueError(f"config field 'lr' must be > 0, got {fields['lr']!r}")
-    for name, value in fields.items():
-        setattr(record, name, value)
-
-
-class TrainConfig:
-    """Training-loop settings. They live here, not in `trainer`, so that a
-    command that reads a config does not import the trainer."""
-
-    __slots__ = ("batch_size", "epochs", "seed", "lr")
-
-    def __init__(self, /, **values):
-        _assign(self, values)
-
-
 class ExperimentConfig:
-    """Every field of FIELDS, given by keyword and checked against its type
-    and the values a command can run with."""
+    """Every field of FIELDS, given by keyword or left at its default,
+    checked against its type and the values that a command can run with; a
+    name that is not a field is an error."""
 
     __slots__ = tuple(FIELDS)
 
     def __init__(self, /, **values):
-        _assign(self, values)
+        unknown = values.keys() - FIELDS.keys()
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        fields = {name: values.get(name, default) for name, (_, default) in FIELDS.items()}
+        for name, value in fields.items():
+            types, expected = _ACCEPTS[FIELDS[name][0]]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+        for name in ("alpha", "beta", "gamma", "lr"):
+            if not math.isfinite(fields[name]):
+                raise ValueError(f"config field {name!r} must be a finite number, got {fields[name]!r}")
+        for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1), ("epochs", 1),
+                          ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
+            if fields[name] < low:
+                raise ValueError(f"config field {name!r} must be >= {low}, got {fields[name]!r}")
+        if fields["lr"] <= 0:
+            raise ValueError(f"config field 'lr' must be > 0, got {fields['lr']!r}")
+        for name, value in fields.items():
+            setattr(self, name, value)
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError(f"config fields 'alpha', 'beta' and 'gamma' must not all be 0, "
                              f"got {self.alpha!r}, {self.beta!r}, {self.gamma!r}")
@@ -129,11 +110,6 @@ class ExperimentConfig:
             n=self.encoder_n,
             hash_seed=self.hash_seed,
             context_window=self.context_window,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs, seed=self.seed, lr=self.lr
         )
 
     def make_extractor(self):

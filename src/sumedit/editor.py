@@ -20,7 +20,6 @@ named views into one flat vector (`EditorParams`).
 """
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import math
@@ -40,20 +39,10 @@ if TYPE_CHECKING:
 LOG_CLAMP = 1e-12
 
 
-class Decision(enum.Enum):
-    EXTRACT = "E"
-    ABSTRACT = "A"
-    REJECT = "R"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-# Fixed index order; argmax ties therefore break E > A > R.
-DECISIONS = (Decision.EXTRACT, Decision.ABSTRACT, Decision.REJECT)
-DECISION_INDEX = {d: i for i, d in enumerate(DECISIONS)}
-EXTRACT, ABSTRACT, REJECT = (DECISION_INDEX[d] for d in Decision)
+# A decision is an index into DECISIONS, the letter that files and output
+# write for it; argmax ties therefore break E > A > R.
+DECISIONS = "EAR"
+EXTRACT, ABSTRACT, REJECT = range(3)
 
 PARAM_NAMES = ("W_c", "b_c", "V", "b", "W_g", "W_d", "b_d")
 

@@ -15,7 +15,14 @@ call, and its examples of one extract length share one stacked
 batches of at most CHUNK_ENTRIES grid entries. Each batch gets a dense
 record of its own (`SplitEntries.stats`: its examples' 2l versions, over
 the columns and reference positions they touch); no record spans the run.
-Labels are written to a reproducible line-delimited JSON cache.
+Labels are written to a reproducible line-delimited JSON cache, under the
+header that `cache_header` builds.
+
+A decision is an index into `editor.DECISIONS` (E = 0, A = 1, R = 2), and a
+sequence is a tuple of them; only the cache writes their letters. An
+extract's 2l sentence versions are laid out by `sentence_versions` (the
+E versions 0..l-1, then the A versions l..2l-1), and `chosen_versions`
+maps decisions to the versions they choose, for the trainer's scoring.
 """
 from __future__ import annotations
 
@@ -27,14 +34,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import editor, slots_eq
-from .editor import DECISIONS, Decision
+from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
 from .rouge import RewardWeights, SplitStats, reward, split_entries
 from .summarizers import Abstractor, ExtractResult, Extractor, extract_batch
 from .text import Document, Example, atomic_open, json_line, warn
-
-DecisionSequence = tuple[Decision, ...]
 
 DEFAULT_CAP = 12
 
@@ -56,7 +61,7 @@ class LabeledExample:
         extract: ExtractResult,
         abstractions: tuple[tuple[str, ...], ...],
         labels: tuple[tuple[float, float, float], ...],
-        best: DecisionSequence,
+        best: tuple[int, ...],
         best_reward: float,
     ):
         self.example_id = example_id
@@ -73,16 +78,17 @@ def realize(
     document: Document,
     extract: ExtractResult,
     abstractions: Sequence[Sequence[str]],
-    sequence: DecisionSequence,
+    sequence: Sequence[int],
 ) -> tuple[tuple[str, ...], ...]:
-    """Summary realized by a decision sequence: E keeps, A substitutes, R drops."""
+    """Summary realized by a sequence of decision indices: E keeps, A
+    substitutes, R drops."""
     if not len(extract.order) == len(abstractions) == len(sequence):
         raise ValueError("extract, abstractions, and sequence lengths differ")
     out = []
     for idx, abstracted, decision in zip(extract.order, abstractions, sequence):
-        if decision is Decision.EXTRACT:
+        if decision == EXTRACT:
             out.append(tuple(document.tokens_at(idx)))
-        elif decision is Decision.ABSTRACT:
+        elif decision == ABSTRACT:
             out.append(tuple(abstracted))
     return tuple(out)
 
@@ -97,10 +103,22 @@ def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray
     return acc
 
 
-def _versions(example: Example, extract: ExtractResult, abstractions: Sequence[Sequence[str]]) -> list:
-    """The 2l sentence versions of an extract: the extracted sentences, then
-    their abstractions."""
+def sentence_versions(example: Example, extract: ExtractResult, abstractions: Sequence[Sequence[str]]) -> list:
+    """The 2l sentence versions of an extract of l sentences: the extracted
+    sentences as versions 0..l-1, then their abstractions as l..2l-1."""
     return [example.document.tokens_at(i) for i in extract.order] + list(abstractions)
+
+
+def chosen_versions(decisions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Which versions of a split's `sentence_versions`, laid out example
+    after example, the (N, L) decisions choose (a flat boolean mask): of an
+    extract of l sentences, EXTRACT at step i chooses version i, ABSTRACT
+    version l + i and REJECT none."""
+    version = (np.cumsum(2 * lengths) - 2 * lengths)[:, None] + np.arange(decisions.shape[1])
+    version += lengths[:, None] * (decisions == ABSTRACT)
+    chosen = np.zeros(2 * int(lengths.sum()), dtype=bool)
+    chosen[version[decisions != REJECT]] = True
+    return chosen
 
 
 def _grid_rewards(stats: SplitStats, weights: RewardWeights) -> np.ndarray:
@@ -140,7 +158,7 @@ def enumerate_rewards(
 ) -> np.ndarray:
     """Reward of every one of the 3^l decision sequences, as a `(3,)*l`
     array indexed by decision (E = 0, A = 1, R = 2), i.e. in
-    `itertools.product(DECISIONS, repeat=l)` order.
+    `itertools.product(range(3), repeat=l)` order.
 
     By default rewards come from the example's sentence statistics (see the
     module docstring), from one `split_entries` call. With `reward_fn`, every
@@ -156,10 +174,10 @@ def enumerate_rewards(
         return np.array(
             [
                 float(reward_fn(realize(example.document, extract, abstractions, seq)))
-                for seq in itertools.product(DECISIONS, repeat=l)
+                for seq in itertools.product(range(3), repeat=l)
             ]
         ).reshape((3,) * l)
-    entries = split_entries([_versions(example, extract, abstractions)], [example.reference])
+    entries = split_entries([sentence_versions(example, extract, abstractions)], [example.reference])
     return _grid_rewards(entries.stats([0], [0], 2 * l), weights)[0]
 
 
@@ -208,7 +226,7 @@ def _label_chunk(
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
     entries = split_entries(
-        [_versions(examples[j], extracts[j], abstractions[j]) for j in within],
+        [sentence_versions(examples[j], extracts[j], abstractions[j]) for j in within],
         [examples[j].reference for j in within],
     )
     # each example's first version, and a bound on its width in a record
@@ -235,7 +253,7 @@ def _label_chunk(
                     extract=extracts[j],
                     abstractions=abstractions[j],
                     labels=tuple(map(tuple, lab)),
-                    best=tuple(DECISIONS[i] for i in b),
+                    best=tuple(b),
                     best_reward=r,
                 )
     return results
@@ -289,19 +307,29 @@ def label_dataset(
 
 CACHE_VERSION = 2
 
+# Config fields that shape a label cache besides the reward weights and the
+# cap: `sumedit label` writes them into the cache header, and `train` and
+# `evaluate` accept only a cache labeled with the config's values.
+LABEL_SETTINGS = ("k", "extractor", "abstract_ratio")
 
-def write_label_cache(
-    path, labeled: Sequence[LabeledExample], weights: RewardWeights, cap: int,
-    settings: Mapping[str, object] | None = None,
-) -> None:
-    header = {
+
+def cache_header(weights: RewardWeights, cap: int, settings: Mapping[str, object] | None = None) -> dict:
+    """The header of a label cache: its version, the reward weights and the
+    cap it was labeled with, then `settings` (LABEL_SETTINGS values)."""
+    return {
         "cache_version": CACHE_VERSION,
         "reward_weights": [weights.alpha, weights.beta, weights.gamma],
         "cap": cap,
         **(settings or {}),
     }
+
+
+def write_label_cache(
+    path, labeled: Sequence[LabeledExample], weights: RewardWeights, cap: int,
+    settings: Mapping[str, object] | None = None,
+) -> None:
     with atomic_open(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(json.dumps(cache_header(weights, cap, settings), sort_keys=True, separators=(",", ":")) + "\n")
         for lab in labeled:
             rec = {
                 "id": lab.example_id,
@@ -309,7 +337,7 @@ def write_label_cache(
                 "P": {str(k): v for k, v in sorted(lab.extract.likelihood.items())},
                 "abstractions": [list(t) for t in lab.abstractions],
                 "labels": [list(row) for row in lab.labels],
-                "best": "".join(d.label for d in lab.best),
+                "best": "".join(DECISIONS[i] for i in lab.best),
                 "best_reward": lab.best_reward,
             }
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
@@ -321,7 +349,6 @@ CACHE_FIELDS = {
     "id": (str,), "order": (list,), "P": (dict,), "abstractions": (list,), "labels": (list,),
     "best": (str,), "best_reward": (int, float),
 }
-DECISION_OF_LABEL = {d.label: d for d in DECISIONS}
 
 
 def _cache_record(rec) -> LabeledExample:
@@ -346,7 +373,7 @@ def _cache_record(rec) -> LabeledExample:
         # 0 <= v < inf is false for NaN, infinities and negative numbers
         if not (type(row) is list and len(row) == 3 and all(type(v) in (int, float) and 0 <= v < math.inf for v in row)):
             raise ValueError(f"label row {row!r} is not three finite non-negative numbers")
-    if not set(rec["best"]) <= DECISION_OF_LABEL.keys():
+    if not set(rec["best"]) <= set(DECISIONS):
         raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
     if not all(type(p) in (int, float) for p in rec["P"].values()):
         raise ValueError(f"P {rec['P']!r} does not map sentence indices to numbers")
@@ -364,7 +391,7 @@ def _cache_record(rec) -> LabeledExample:
         ),
         abstractions=tuple(tuple(t) for t in rec["abstractions"]),
         labels=tuple(tuple(row) for row in rec["labels"]),
-        best=tuple(DECISION_OF_LABEL[c] for c in rec["best"]),
+        best=tuple(DECISIONS.index(c) for c in rec["best"]),
         best_reward=rec["best_reward"],
     )
 

@@ -1,7 +1,9 @@
 """ADAM optimization, the teacher-forced training loop, and evaluation.
 
-Each split is encoded once into one record (`encoder.encode_split`: the
-extracted and abstracted sentence vectors padded to the split's longest
+`train` reads its settings from the resolved `config.ExperimentConfig`:
+`batch_size`, `epochs`, `seed`, `lr`, the encoder settings and the reward
+weights. Each split is encoded once into one record (`encoder.encode_split`:
+the extracted and abstracted sentence vectors padded to the split's longest
 extract, the document mean vectors and the extract lengths) with its soft
 labels padded the same way. Training shuffles with a seeded generator, takes
 each batch as a fancy index into the record cut to the batch's longest
@@ -14,14 +16,14 @@ with an error naming the epoch and the batch. Runs are bitwise reproducible
 under a fixed seed.
 
 Decoded summaries are scored without realizing them: a summary is a sum of
-sentence versions (an extract's sentences, then its abstractions, laid out
-as the oracle lays them out), so its ROUGE totals follow from the nonzero
-entries of the versions it chooses. The entries of a split are computed once
-(before the first epoch for validation), one `rouge.split_entries` record
-per run of at most `editor.DECODE_CHUNK` examples. The decisions mark the
-chosen versions, `SplitEntries.totals` sums and clips their entries into
-integer totals, and `rouge.f_measures` turns those into F-measures
-bit-identical to `rouge.reward` on every summary.
+sentence versions (`oracle.sentence_versions`: an extract's sentences, then
+its abstractions), so its ROUGE totals follow from the nonzero entries of
+the versions it chooses. The entries of a split are computed once (before
+the first epoch for validation), one `rouge.split_entries` record per run
+of at most `editor.DECODE_CHUNK` examples. `oracle.chosen_versions` marks
+the versions the decisions choose, `SplitEntries.totals` sums and clips
+their entries into integer totals, and `rouge.f_measures` turns those into
+F-measures bit-identical to `rouge.reward` on every summary.
 Means over a split are sequential sums, the order of a running float total.
 """
 from __future__ import annotations
@@ -32,10 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from . import editor
-from .config import TrainConfig
+from .config import ExperimentConfig
 from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
-from .oracle import LabeledExample, _versions
+from .oracle import LabeledExample, chosen_versions, sentence_versions
 # `context_from_abstractions` and `reward` stay module attributes although
 # training no longer calls them: the benchmark's tracer (perfbench) wraps
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
@@ -104,26 +106,22 @@ def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
 
 
 def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
-    """The `split_entries` of a split's sentence versions against their
-    references (example j's extracted sentences, then its abstractions; see
-    `oracle._versions`), one record per run of at most DECODE_CHUNK pairs."""
+    """The `split_entries` of a split's `oracle.sentence_versions` against
+    their references, one record per run of at most DECODE_CHUNK pairs."""
     runs = (pairs[start : start + editor.DECODE_CHUNK] for start in range(0, len(pairs), editor.DECODE_CHUNK))
     return [
-        split_entries([_versions(ex, lab.extract, lab.abstractions) for ex, lab in run],
+        split_entries([sentence_versions(ex, lab.extract, lab.abstractions) for ex, lab in run],
                       [ex.reference for ex, _ in run])
         for run in runs
     ]
 
 
 def _totals(decisions: np.ndarray, lengths: np.ndarray, records: Sequence[SplitEntries]) -> tuple[np.ndarray, ...]:
-    """`SplitEntries.totals` (N, 5) of every decoded summary, with the
-    reference token and bigram totals (N,) of its example: of an extract of
-    l sentences, EXTRACT at step i chooses version i, ABSTRACT version
-    l + i and REJECT none. All sums are integer sums, so they are exact."""
-    version = (np.cumsum(2 * lengths) - 2 * lengths)[:, None] + np.arange(decisions.shape[1])
-    version += lengths[:, None] * (decisions == ABSTRACT)
-    chosen = np.zeros(2 * int(lengths.sum()), dtype=bool)
-    chosen[version[decisions != REJECT]] = True
+    """`SplitEntries.totals` (N, 5) of every decoded summary, from the
+    versions its decisions choose (`oracle.chosen_versions`), with the
+    reference token and bigram totals (N,) of its example. All sums are
+    integer sums, so they are exact."""
+    chosen = chosen_versions(decisions, lengths)
     bounds = np.cumsum([len(record.length) for record in records])[:-1]
     parts = [(np.zeros((0, 5), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     parts += [(r.totals(c), r.ref_tokens, r.ref_bigrams) for r, c in zip(records, np.split(chosen, bounds))]
@@ -139,18 +137,19 @@ def _mean(values: Sequence[float]) -> float:
 def train(
     train_set: Sequence[LabeledPair],
     val_set: Sequence[LabeledPair],
-    config: TrainConfig,
+    config: ExperimentConfig,
     params: EditorParams,
-    encoder_config: EncoderConfig,
-    weights: RewardWeights = RewardWeights(),
 ) -> tuple[EditorParams, list[dict]]:
-    """Teacher-forced training with validation-based model selection.
+    """Teacher-forced training with validation-based model selection, under
+    the config's `batch_size`, `epochs`, `seed`, `lr`, encoder settings and
+    reward weights.
 
     Returns (best checkpoint params, per-epoch log of train loss and
     validation mean reward).
     """
     if not train_set:
         raise ValueError("empty train set")
+    encoder_config, weights = config.encoder_config(), config.reward_weights()
     vectors = _encode(train_set, encoder_config)
     labels = _labels(train_set, vectors)
     val_vectors = _encode(val_set, encoder_config)
@@ -213,9 +212,7 @@ def evaluate(
     abstracted_fractions = abstracted[emitted > 0] / emitted[emitted > 0]
     r1, r2, rl = f_measures(*_totals(decisions, vectors.lengths, _entries(test_set)))
     total_steps = sum(counts)
-    fractions = {
-        d.label: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)
-    }
+    fractions = {d: (counts[k] / total_steps if total_steps else 0.0) for k, d in enumerate(DECISIONS)}
     return {
         "examples": len(test_set),
         "rouge1": _mean(r1),

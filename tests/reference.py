@@ -5,7 +5,7 @@ from itertools import chain
 import numpy as np
 
 from sumedit import oracle
-from sumedit.editor import ABSTRACT, DECISION_INDEX, DECISIONS, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
+from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
 from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
 from sumedit.summarizers import STOPWORD_SCORE, STOPWORDS, UNSELECTED_LIKELIHOOD
 
@@ -60,14 +60,14 @@ def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
 
 def best_sequence(rewards):
     """`oracle.best_sequence` of one (3,)*l reward array (a batch of one),
-    as a decision sequence."""
-    return tuple(DECISIONS[i] for i in oracle.best_sequence(rewards[None])[0].tolist())
+    as a tuple of decision indices."""
+    return tuple(oracle.best_sequence(rewards[None])[0].tolist())
 
 
 def soft_labels(rewards, best):
     """`oracle.soft_labels` of one (3,)*l reward array and its best decision
     sequence (a batch of one): (l, 3)."""
-    return oracle.soft_labels(rewards[None], np.array([[DECISION_INDEX[d] for d in best]]))[0]
+    return oracle.soft_labels(rewards[None], np.array([best]))[0]
 
 
 class SentenceStats:

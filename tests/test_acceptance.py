@@ -15,11 +15,13 @@ import pytest
 from reference import best_sequence, soft_cross_entropy, soft_labels
 from synthetic import document_from_strings, make_corpus
 from sumedit import cli, text
+from sumedit.config import ExperimentConfig
 from sumedit.editor import (
-    DECISION_INDEX,
+    ABSTRACT,
     DECISIONS,
+    EXTRACT,
     PARAM_NAMES,
-    Decision,
+    REJECT,
     abstractions_for,
     context_from_abstractions,
     decode,
@@ -32,9 +34,9 @@ from sumedit.oracle import enumerate_rewards, label_dataset, realize
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import LeadExtractor, SalienceAbstractor, extract_lead, rescale_attention
 from sumedit.text import Example, ReferenceSummary
-from sumedit.trainer import TrainConfig, evaluate, train
+from sumedit.trainer import evaluate, train
 
-E, A, R = DECISIONS
+E, A, R = EXTRACT, ABSTRACT, REJECT
 
 
 def ok(criterion, detail=""):
@@ -65,9 +67,9 @@ def forward_loss_reference(vectors, labels, params, teacher_forcing):
         exp = np.exp(logits - logits.max())
         p = exp / exp.sum()
         total += float(np.dot(labels[i], np.log(np.maximum(p, 1e-12))))
-        decision = DECISIONS[int(np.argmax(labels[i] if teacher_forcing else p))]
-        if decision is not Decision.REJECT:
-            h = e[i] if decision is Decision.EXTRACT else a[i]
+        decision = int(np.argmax(labels[i] if teacher_forcing else p))
+        if decision != REJECT:
+            h = e[i] if decision == EXTRACT else a[i]
             g = g + np.tanh(params.W_g @ h)
     return -total / l
 
@@ -131,11 +133,11 @@ def naive_soft_labels(rewards, best):
     out = []
     for i in range(l):
         means = []
-        for d in DECISIONS:
+        for d in range(3):
             vals = [
                 r
                 for seq, r in rewards.items()
-                if seq[:i] == best[:i] and seq[i] is d
+                if seq[:i] == best[:i] and seq[i] == d
             ]
             means.append(sum(vals) / len(vals) if vals else 0.0)
         z = sum(means)
@@ -144,9 +146,8 @@ def naive_soft_labels(rewards, best):
 
 
 def naive_best(rewards):
-    rank = {d: i for i, d in enumerate(DECISIONS)}
     best = None
-    for seq in sorted(rewards, key=lambda s: tuple(rank[d] for d in s)):
+    for seq in sorted(rewards):  # product order: E < A < R, lexicographically
         if best is None or rewards[seq] > rewards[best]:
             best = seq
     return best
@@ -156,7 +157,7 @@ def as_array(rewards):
     """Dense (3,)*l array, in product order, of a {sequence: reward} dict
     covering every sequence (the oracle's reward format)."""
     l = len(next(iter(rewards)))
-    seqs = itertools.product(DECISIONS, repeat=l)
+    seqs = itertools.product(range(3), repeat=l)
     return np.array([rewards[seq] for seq in seqs]).reshape((3,) * l)
 
 
@@ -183,7 +184,7 @@ def test_criterion_2_oracle_equivalence():
             assert rewards.size == 3**l
             by_seq = {
                 seq: reward_fn(realize(ex.document, extract, abstractions, seq))
-                for seq in itertools.product(DECISIONS, repeat=l)
+                for seq in itertools.product(range(3), repeat=l)
             }
             assert rewards.tobytes() == as_array(by_seq).tobytes()
             best = best_sequence(rewards)
@@ -198,7 +199,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_degenerate_and_scaling():
     for l in (1, 2, 3):
-        zero = as_array({seq: 0.0 for seq in itertools.product(DECISIONS, repeat=l)})
+        zero = as_array({seq: 0.0 for seq in itertools.product(range(3), repeat=l)})
         labels = soft_labels(zero, best_sequence(zero))
         assert np.max(np.abs(labels - 1 / 3)) <= 1e-12
     rng = np.random.default_rng(0)
@@ -206,7 +207,7 @@ def test_criterion_3_degenerate_and_scaling():
         for _ in range(20):
             rewards = {
                 seq: float(rng.random())
-                for seq in itertools.product(DECISIONS, repeat=l)
+                for seq in itertools.product(range(3), repeat=l)
             }
             scale = float(rng.uniform(0.1, 50))
             scaled = as_array({seq: scale * r for seq, r in rewards.items()})
@@ -285,7 +286,7 @@ def test_criterion_5_attention_rescaling():
 def test_criterion_6_recurrence_identities():
     rng = np.random.default_rng(0)
     l = 3
-    chosen = np.array([[DECISION_INDEX[d]] for d in (E, R, R)])
+    chosen = np.array([[d] for d in (E, R, R)])
     for _ in range(20):
         n = int(rng.integers(2, 10))
         vectors = SplitVectors(
@@ -305,8 +306,8 @@ def test_criterion_6_recurrence_identities():
     vectors = context_from_abstractions(ex.document, extract, abstractions, cfg)
     params = init_params(4, 10, np.random.default_rng(0))
     params.flat[:] = 0.0
-    sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(extract.order)]]
-    assert sequence == [Decision.EXTRACT] * 3
+    sequence = decode(vectors, params)[0, : len(extract.order)].tolist()
+    assert sequence == [EXTRACT] * 3
     assert realize(ex.document, extract, abstractions, sequence) == tuple(
         ex.document.tokens_at(i) for i in extract.order
     )
@@ -328,12 +329,10 @@ def test_criterion_7_end_to_end_learning():
     va_lab, f2 = label_dataset(val_ex, extractor, abstractor)
     te_lab, f3 = label_dataset(test_ex, extractor, abstractor)
     assert not (f1 or f2 or f3)
-    enc = EncoderConfig(n=24, hash_seed=7, context_window=1)
+    cfg = ExperimentConfig(encoder_n=24, hash_seed=7, context_window=1, batch_size=32, epochs=20, seed=0, lr=1e-4)
+    enc = cfg.encoder_config()
     params = init_params(24, 24, np.random.default_rng(0))
-    cfg = TrainConfig(batch_size=32, epochs=20, seed=0, lr=1e-4)
-    best, log = train(
-        list(zip(train_ex, tr_lab)), list(zip(val_ex, va_lab)), cfg, params, enc
-    )
+    best, log = train(list(zip(train_ex, tr_lab)), list(zip(val_ex, va_lab)), cfg, params)
     losses = [entry["train_loss"] for entry in log]
     assert all(b < a for a, b in zip(losses[:5], losses[1:6])), losses[:6]
     w = RewardWeights()
@@ -345,9 +344,9 @@ def test_criterion_7_end_to_end_learning():
     )
     decisions = decode(vectors, best)
     for ex, lab, row in zip(test_ex, te_lab, decisions):
-        sequence = [DECISIONS[k] for k in row[: len(lab.extract.order)]]
+        sequence = row[: len(lab.extract.order)].tolist()
         for decision, target in zip(sequence, lab.best):
-            correct += decision is target
+            correct += decision == target
             total += 1
         model_reward += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, w)
         extracted = [ex.document.tokens_at(i) for i in lab.extract.order]
@@ -431,19 +430,19 @@ def test_criterion_10_reporting():
     params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)
     report = evaluate(pairs, params, enc)
     assert abs(sum(report["decision_fractions"].values()) - 1.0) <= 1e-9
-    tally = {d: 0 for d in Decision}
+    tally = {d: 0 for d in range(3)}
     fracs = []
     for ex, lab in pairs:
         vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(lab.extract.order)]]
+        sequence = decode(vectors, params)[0, : len(lab.extract.order)].tolist()
         for decision in sequence:
             tally[decision] += 1
         emitted = len(realize(ex.document, lab.extract, lab.abstractions, sequence))
-        abstracted = sequence.count(Decision.ABSTRACT)
+        abstracted = sequence.count(ABSTRACT)
         if emitted:
             fracs.append(abstracted / emitted)
     total = sum(tally.values())
-    assert report["decision_fractions"] == {d.label: tally[d] / total for d in Decision}
+    assert report["decision_fractions"] == {DECISIONS[d]: tally[d] / total for d in range(3)}
     expected = sum(fracs) / len(fracs) if fracs else 0.0
     assert report["abstracted_emitted_fraction"] == pytest.approx(expected, abs=1e-12)
     ok(10)

@@ -237,11 +237,13 @@ class TestLabelCacheValidation:
             (edit_record(lambda rec: rec.update(best_reward=float("inf"))), "best_reward inf is not a finite number"),
             (edit_record(rename_first_likelihood("-3")), "P key '-3' is not a sentence index"),
             (edit_record(rename_first_likelihood("zero")), "P key 'zero' is not a sentence index"),
+            (edit_record(lambda rec: rec.update(best="EXQ")), "best 'EXQ' is not a sequence of E, A, R"),
+            (edit_record(lambda rec: rec.update(best="eea")), "best 'eea' is not a sequence of E, A, R"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
              "best-length", "nan-label", "negative-label", "short-label-row", "str-likelihood",
              "bool-likelihood", "str-best-reward", "bool-best-reward", "nan-best-reward", "infinite-best-reward",
-             "negative-likelihood-key", "word-likelihood-key"],
+             "negative-likelihood-key", "word-likelihood-key", "bad-best-letter", "lowercase-best-letter"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled

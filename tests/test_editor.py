@@ -11,10 +11,10 @@ from reference import soft_cross_entropy, stepwise_forward
 from synthetic import document_from_strings
 from sumedit import editor
 from sumedit.editor import (
-    DECISION_INDEX,
-    DECISIONS,
+    ABSTRACT,
+    EXTRACT,
     PARAM_NAMES,
-    Decision,
+    REJECT,
     EditorParams,
     ForwardPass,
     abstractions_for,
@@ -65,7 +65,7 @@ def step_context(n, rng=None, l=1):
 
 def always(*decisions):
     """forced decisions for a one-extract batch: decisions[i] at step i."""
-    return np.array([[DECISION_INDEX[d]] for d in decisions])
+    return np.array([[d] for d in decisions])
 
 
 def first_distribution(vectors, params):
@@ -136,14 +136,14 @@ class TestUpdateState:
         rng = np.random.default_rng(0)
         params = init_params(3, 4, rng)
         params.W_g[:] = rng.normal(size=(4, 4))
-        run = forward(step_context(4, rng, l=2), params, always(Decision.EXTRACT, Decision.REJECT))
+        run = forward(step_context(4, rng, l=2), params, always(EXTRACT, REJECT))
         assert not np.array_equal(run.g[1, 0], np.zeros(4))
         assert np.array_equal(run.g[2, 0], run.g[1, 0])
 
     def test_zero_weight_matrix_is_identity(self):
         e = np.array([[0.5, 0.5], [1.0, -2.0]])
         ctx = vector_context(e, e, np.zeros(2))
-        run = forward(ctx, zero_params(3, 2), always(Decision.EXTRACT, Decision.EXTRACT))
+        run = forward(ctx, zero_params(3, 2), always(EXTRACT, EXTRACT))
         for i in range(2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
 
@@ -152,7 +152,7 @@ class TestUpdateState:
         ctx = vector_context([np.ones(3)], [a], np.zeros(3))
         params = zero_params(3, 3)
         params.W_g[:] = np.eye(3)
-        run = forward(ctx, params, always(Decision.ABSTRACT))
+        run = forward(ctx, params, always(ABSTRACT))
         assert np.allclose(run.g[1, 0], np.tanh(a), atol=1e-15)
 
 
@@ -169,14 +169,14 @@ class TestEdit:
     def summary(self, context, params):
         """The decoded decisions of the one extract and the text they realize."""
         ex, extract, abstractions, vectors = context
-        sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(extract.order)]]
+        sequence = decode(vectors, params)[0, : len(extract.order)].tolist()
         return sequence, realize(ex.document, extract, abstractions, sequence)
 
     def test_zero_params_decides_extract_everywhere(self):
         context = self.context(["a b c", "d e f", "g h"])
         ex, extract, _, _ = context
         sequence, summary = self.summary(context, zero_params(4, 12))
-        assert sequence == [Decision.EXTRACT] * 3
+        assert sequence == [EXTRACT] * 3
         assert summary == tuple(ex.document.tokens_at(i) for i in extract.order)
 
     def test_reject_bias_empties_summary(self):
@@ -184,7 +184,7 @@ class TestEdit:
         params = zero_params(4, 12)
         params.b[:] = [-10.0, -10.0, 10.0]
         sequence, summary = self.summary(context, params)
-        assert sequence == [Decision.REJECT] * 2
+        assert sequence == [REJECT] * 2
         assert summary == ()
 
     def test_forced_abstract_then_reject(self):
@@ -202,7 +202,7 @@ class TestEdit:
         assert abs(s1) > 1e-6
         params.V[2, 0] = 20.0 * np.sign(s1)
         sequence, summary = self.summary(context, params)
-        assert sequence == [Decision.ABSTRACT, Decision.REJECT]
+        assert sequence == [ABSTRACT, REJECT]
         assert summary == (abstractions[0],)
 
     def test_emitted_versions_follow_decisions(self):
@@ -214,8 +214,8 @@ class TestEdit:
         sequence, summary = self.summary(context, params)
         assert len(sequence) == len(extract.order)
         extracted = [ex.document.tokens_at(i) for i in extract.order]
-        versions = {Decision.EXTRACT: extracted, Decision.ABSTRACT: abstractions}
-        emitted = [versions[d][i] for i, d in enumerate(sequence) if d is not Decision.REJECT]
+        versions = {EXTRACT: extracted, ABSTRACT: abstractions}
+        emitted = [versions[d][i] for i, d in enumerate(sequence) if d != REJECT]
         assert summary == tuple(emitted)
 
 
@@ -319,10 +319,10 @@ def reference_forward(example, params, choose):
         shifted = np.exp(logits - logits.max())
         p = shifted / shifted.sum()
         decision = choose(i, p)
-        if decision is Decision.REJECT:
+        if decision == REJECT:
             h = q = None
         else:
-            h = e[i] if decision is Decision.EXTRACT else a[i]
+            h = e[i] if decision == EXTRACT else a[i]
             q = np.tanh(params.W_g @ h)
             g = g + q
         xs.append(x); ts.append(t); ps.append(p)
@@ -332,7 +332,7 @@ def reference_forward(example, params, choose):
 
 def reference_decisions(example, params):
     """Slow reference of a free-running decode: argmax p, ties E > A > R."""
-    return reference_forward(example, params, lambda i, p: DECISIONS[int(np.argmax(p))])[4]
+    return reference_forward(example, params, lambda i, p: int(np.argmax(p)))[4]
 
 
 def reference_loss_and_gradients(example, labels, params, teacher_forcing):
@@ -341,9 +341,9 @@ def reference_loss_and_gradients(example, labels, params, teacher_forcing):
     labels = np.asarray(labels, dtype=float)
     l, n = len(labels), params.n
     if teacher_forcing:
-        choose = lambda i, p: DECISIONS[int(np.argmax(labels[i]))]
+        choose = lambda i, p: int(np.argmax(labels[i]))
     else:
-        choose = lambda i, p: DECISIONS[int(np.argmax(p))]
+        choose = lambda i, p: int(np.argmax(p))
     d, xs, ts, ps, _, hs, qs = reference_forward(example, params, choose)
     loss = -sum(
         float(np.dot(y, np.log(np.maximum(p, 1e-12)))) for p, y in zip(ps, labels)
@@ -430,8 +430,8 @@ class TestBatchedAgainstReference:
             assert decisions.shape == (len(examples), max(self.LENGTHS))
             for j, example in enumerate(examples):
                 l = len(example[0])
-                assert [DECISIONS[k] for k in decisions[j, :l]] == reference_decisions(example, params)
-                assert (decisions[j, l:] == DECISION_INDEX[Decision.REJECT]).all()
+                assert decisions[j, :l].tolist() == reference_decisions(example, params)
+                assert (decisions[j, l:] == REJECT).all()
 
     def test_padded_steps_leave_state_and_gradients_alone(self):
         # steps past an extract's end take REJECT and keep the state, and a
@@ -441,7 +441,7 @@ class TestBatchedAgainstReference:
         run = forward(vectors, params)
         for j, l in enumerate(self.LENGTHS):
             for i in range(l, max(self.LENGTHS)):
-                assert run.decisions[i, j] == DECISION_INDEX[Decision.REJECT]
+                assert run.decisions[i, j] == REJECT
                 assert np.array_equal(run.g[i + 1, j], run.g[i, j])
         _, whole = loss_and_gradients(vectors, y, params)
         parts = []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference import best_sequence, soft_labels
 from synthetic import document_from_strings
 from sumedit import oracle
-from sumedit.editor import DECISIONS, Decision, abstractions_for
+from sumedit.editor import ABSTRACT, EXTRACT, REJECT, abstractions_for
 from sumedit.oracle import (
     enumerate_rewards,
     label_dataset,
@@ -23,7 +23,7 @@ from sumedit import summarizers
 from sumedit.summarizers import ExtractResult, GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 from sumedit.text import Example, ReferenceSummary
 
-E, A, R = DECISIONS
+E, A, R = EXTRACT, ABSTRACT, REJECT
 
 
 def make_example(sentences, highlights, doc_id="d"):
@@ -49,18 +49,18 @@ def as_array(rewards):
     """Dense (3,)*l array, in product order, of a {sequence: reward} dict
     covering every sequence."""
     l = len(next(iter(rewards)))
-    seqs = itertools.product(DECISIONS, repeat=l)
+    seqs = itertools.product(range(3), repeat=l)
     return np.array([rewards[seq] for seq in seqs]).reshape((3,) * l)
 
 
 def as_dict(rewards):
     """{sequence: reward} dict of a dense (3,)*l reward array."""
-    seqs = itertools.product(DECISIONS, repeat=rewards.ndim)
+    seqs = itertools.product(range(3), repeat=rewards.ndim)
     return dict(zip(seqs, rewards.ravel().tolist()))
 
 
 def at(rewards, seq):
-    return rewards[tuple(DECISIONS.index(d) for d in seq)]
+    return rewards[tuple(seq)]
 
 
 def loop_soft_labels(rewards, best):
@@ -71,9 +71,9 @@ def loop_soft_labels(rewards, best):
     counts = np.zeros((l, 3))
     for seq, r in rewards.items():
         for i in range(l):
-            if i > 0 and seq[i - 1] is not best[i - 1]:
+            if i > 0 and seq[i - 1] != best[i - 1]:
                 break
-            k = DECISIONS.index(seq[i])
+            k = seq[i]
             sums[i, k] += r
             counts[i, k] += 1
     labels = np.empty((l, 3))
@@ -91,11 +91,11 @@ def naive_soft_labels(rewards, best):
     for i in range(l):
         prefix = best[:i]
         means = []
-        for d in DECISIONS:
+        for d in range(3):
             vals = [
                 r
                 for seq, r in rewards.items()
-                if seq[:i] == prefix and seq[i] is d
+                if seq[:i] == prefix and seq[i] == d
             ]
             means.append(sum(vals) / len(vals) if vals else 0.0)
         z = sum(means)
@@ -104,8 +104,7 @@ def naive_soft_labels(rewards, best):
 
 
 def naive_best(rewards):
-    rank = {d: i for i, d in enumerate(DECISIONS)}
-    ordered = sorted(rewards, key=lambda s: tuple(rank[d] for d in s))
+    ordered = sorted(rewards)  # product order: E < A < R, lexicographically
     best = ordered[0]
     for seq in ordered[1:]:
         if rewards[seq] > rewards[best]:
@@ -154,23 +153,23 @@ class TestEnumerateRewards:
     def test_matches_independent_enumerator(self):
         ex, extract, abstractions = fixture(3)
         rewards = enumerate_rewards(ex, extract, abstractions, reward_fn=hashed_reward)
-        for seq in itertools.product(DECISIONS, repeat=3):
+        for seq in itertools.product(range(3), repeat=3):
             expected = hashed_reward(realize(ex.document, extract, abstractions, seq))
             assert at(rewards, seq) == expected
 
 
 class TestBestSequence:
     def test_unique_maximum(self):
-        rewards = {seq: 0.0 for seq in itertools.product(DECISIONS, repeat=2)}
+        rewards = {seq: 0.0 for seq in itertools.product(range(3), repeat=2)}
         rewards.update({(E, E): 0.1, (E, A): 0.9, (A, E): 0.2})
         assert best_sequence(as_array(rewards)) == (E, A)
 
     def test_all_equal_prefers_all_extract(self):
-        rewards = {seq: 0.5 for seq in itertools.product(DECISIONS, repeat=2)}
+        rewards = {seq: 0.5 for seq in itertools.product(range(3), repeat=2)}
         assert best_sequence(as_array(rewards)) == (E, E)
 
     def test_tie_between_ea_and_ae(self):
-        rewards = {seq: 0.0 for seq in itertools.product(DECISIONS, repeat=2)}
+        rewards = {seq: 0.0 for seq in itertools.product(range(3), repeat=2)}
         rewards[(E, A)] = 1.0
         rewards[(A, E)] = 1.0
         assert best_sequence(as_array(rewards)) == (E, A)
@@ -183,19 +182,19 @@ class TestSoftLabels:
         assert labels[0] == pytest.approx([0.6, 0.3, 0.1], abs=1e-12)
 
     def test_equal_rewards_uniform(self):
-        rewards = as_array({seq: 0.7 for seq in itertools.product(DECISIONS, repeat=3)})
+        rewards = as_array({seq: 0.7 for seq in itertools.product(range(3), repeat=3)})
         labels = soft_labels(rewards, best_sequence(rewards))
         assert labels == pytest.approx(np.full((3, 3), 1 / 3), abs=1e-12)
 
     def test_zero_rewards_uniform(self):
-        rewards = as_array({seq: 0.0 for seq in itertools.product(DECISIONS, repeat=2)})
+        rewards = as_array({seq: 0.0 for seq in itertools.product(range(3), repeat=2)})
         labels = soft_labels(rewards, best_sequence(rewards))
         assert labels == pytest.approx(np.full((2, 3), 1 / 3), abs=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         rewards = as_array({
-            seq: float(rng.random()) for seq in itertools.product(DECISIONS, repeat=3)
+            seq: float(rng.random()) for seq in itertools.product(range(3), repeat=3)
         })
         labels = soft_labels(rewards, best_sequence(rewards))
         assert labels.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-9)
@@ -203,7 +202,7 @@ class TestSoftLabels:
     def test_matches_naive_two_level_averaging(self):
         rng = np.random.default_rng(1)
         rewards = {
-            seq: float(rng.random()) for seq in itertools.product(DECISIONS, repeat=2)
+            seq: float(rng.random()) for seq in itertools.product(range(3), repeat=2)
         }
         best = best_sequence(as_array(rewards))
         assert best == naive_best(rewards)
@@ -214,17 +213,17 @@ class TestSoftLabels:
     def test_best_prefix_average_at_last_step_is_best_reward(self):
         rng = np.random.default_rng(2)
         rewards = {
-            seq: float(rng.random()) for seq in itertools.product(DECISIONS, repeat=3)
+            seq: float(rng.random()) for seq in itertools.product(range(3), repeat=3)
         }
         best = best_sequence(as_array(rewards))
         prefix = best[:2]
-        vals = [r for seq, r in rewards.items() if seq[:2] == prefix and seq[2] is best[2]]
+        vals = [r for seq, r in rewards.items() if seq[:2] == prefix and seq[2] == best[2]]
         assert sum(vals) / len(vals) == pytest.approx(rewards[best], abs=1e-12)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(3)
         rewards = as_array({
-            seq: float(rng.random()) for seq in itertools.product(DECISIONS, repeat=3)
+            seq: float(rng.random()) for seq in itertools.product(range(3), repeat=3)
         })
         scaled = 13.5 * rewards
         best = best_sequence(rewards)
@@ -250,7 +249,7 @@ class TestSoftLabels:
         assert len({tuple(b) for b in best.tolist()}) > 3
         for row, b, lab in zip(rows, best.tolist(), labels):
             want = naive_best(as_dict(row))
-            assert tuple(DECISIONS[i] for i in b) == want
+            assert tuple(b) == want
             assert lab.tobytes() == loop_soft_labels(as_dict(row), want).tobytes()
 
 
@@ -301,7 +300,7 @@ class TestFactorizedOracle:
         l = len(extract.order)
         want = [
             reward(realize(ex.document, extract, abstractions, seq), ex.reference)
-            for seq in itertools.product(DECISIONS, repeat=l)
+            for seq in itertools.product(range(3), repeat=l)
         ]
         assert rewards.shape == (3,) * l
         assert rewards.ravel().tolist() == want
@@ -333,7 +332,7 @@ class TestFactorizedOracle:
             [("a", "b", "c", "d"), ("e", "a")],
         )
         l = len(extract.order)
-        stats = oracle.split_entries([oracle._versions(ex, extract, abstractions)], [ex.reference]).stats([0], [0], 2 * l)
+        stats = oracle.split_entries([oracle.sentence_versions(ex, extract, abstractions)], [ex.reference]).stats([0], [0], 2 * l)
         width = stats.counts.shape[2] + stats.lcs.shape[2]
         # the largest bound that leaves `head` leading decisions to chunk
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 3 ** (l - head) * width if head else oracle.CHUNK_ENTRIES)
@@ -363,8 +362,7 @@ class TestFactorizedOracle:
         assert rewards.shape == (3,) * 12
         assert elapsed < 5, f"l = 12 enumeration took {elapsed:.1f}s"
         for idx in rng.integers(0, 3, size=(200, 12)):
-            seq = tuple(DECISIONS[i] for i in idx)
-            summary = realize(ex.document, extract, abstractions, seq)
+            summary = realize(ex.document, extract, abstractions, idx.tolist())
             assert rewards[tuple(idx)] == reward(summary, ex.reference)
 
 
@@ -467,7 +465,7 @@ class TestLabelDataset:
             ex = by_id[lab.example_id]
             rewards = enumerate_rewards(ex, lab.extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
             best = best_sequence(rewards)
-            assert lab.best == best and lab.best_reward == float(rewards[tuple(DECISIONS.index(d) for d in best)])
+            assert lab.best == best and lab.best_reward == float(rewards[best])
             assert np.array(lab.labels).tobytes() == soft_labels(rewards, best).tobytes()
 
     def test_batch_records_score_as_reward(self, monkeypatch):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sumedit.config import FIELDS, ExperimentConfig, TrainConfig
+from sumedit.config import FIELDS, ExperimentConfig
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import LabeledExample
 from sumedit.rouge import RewardWeights, RougeScore
@@ -61,20 +61,19 @@ def test_experiment_config_takes_keywords_as_the_benchmark_passes_them():
         (lambda: RewardWeights(0, 0, 0), "at least one weight must be positive"),
         (lambda: RewardWeights(float("nan"), 1.0, 0.5), "weights must be finite"),
         (lambda: RewardWeights(0.4, float("inf"), 0.5), "weights must be finite"),
-        (lambda: TrainConfig(lr=-1.0), "config field 'lr' must be > 0, got -1.0"),
-        (lambda: TrainConfig(lr=0), "config field 'lr' must be > 0, got 0"),
-        (lambda: TrainConfig(lr=float("nan")), "config field 'lr' must be a finite number, got nan"),
-        (lambda: TrainConfig(lr=float("inf")), "config field 'lr' must be a finite number, got inf"),
-        (lambda: TrainConfig(lr=True), "config field 'lr' must be a number, got True"),
-        (lambda: TrainConfig(seed=-1), "config field 'seed' must be >= 0, got -1"),
-        (lambda: TrainConfig(seed=True), "config field 'seed' must be an integer, got True"),
-        (lambda: TrainConfig(seed=1.5), "config field 'seed' must be an integer, got 1.5"),
-        (lambda: TrainConfig(batch_size=2.5), "config field 'batch_size' must be an integer, got 2.5"),
-        (lambda: TrainConfig(epochs=2.5), "config field 'epochs' must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(lr=-1.0), "config field 'lr' must be > 0, got -1.0"),
+        (lambda: ExperimentConfig(lr=0), "config field 'lr' must be > 0, got 0"),
+        (lambda: ExperimentConfig(lr=float("nan")), "config field 'lr' must be a finite number, got nan"),
+        (lambda: ExperimentConfig(lr=True), "config field 'lr' must be a number, got True"),
+        (lambda: ExperimentConfig(seed=-1), "config field 'seed' must be >= 0, got -1"),
+        (lambda: ExperimentConfig(seed=True), "config field 'seed' must be an integer, got True"),
+        (lambda: ExperimentConfig(seed=1.5), "config field 'seed' must be an integer, got 1.5"),
+        (lambda: ExperimentConfig(batch_size=2.5), "config field 'batch_size' must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(epochs=2.5), "config field 'epochs' must be an integer, got 2.5"),
         (lambda: ExperimentConfig(alpha=float("nan")), "config field 'alpha' must be a finite number, got nan"),
         (lambda: ExperimentConfig(lr=float("inf")), "config field 'lr' must be a finite number, got inf"),
-        (lambda: TrainConfig(batch_size=0), "config field 'batch_size' must be >= 1, got 0"),
-        (lambda: TrainConfig(epochs=0), "config field 'epochs' must be >= 1, got 0"),
+        (lambda: ExperimentConfig(batch_size=0), "config field 'batch_size' must be >= 1, got 0"),
+        (lambda: ExperimentConfig(epochs=0), "config field 'epochs' must be >= 1, got 0"),
         (lambda: ExperimentConfig(k=True), "config field 'k' must be an integer, got True"),
         (lambda: ExperimentConfig(alpha=False), "config field 'alpha' must be a number, got False"),
         (lambda: ExperimentConfig(epochs=2.0), "config field 'epochs' must be an integer, got 2.0"),
@@ -117,13 +116,6 @@ def test_resolved_config_bytes(tmp_path):
         '  "k": 3,\n  "lr": 0.5,\n  "out_dir": "runs/a",\n  "seed": 7,\n  "test_path": null,\n'
         '  "train_path": "train.jsonl",\n  "val_path": null\n}\n'
     )
-
-
-def test_train_config_defaults_are_the_experiment_defaults():
-    fields = TrainConfig.__slots__
-    default, resolved = TrainConfig(), ExperimentConfig().train_config()
-    assert [getattr(default, f) for f in fields] == [getattr(resolved, f) for f in fields]
-    assert [getattr(default, f) for f in fields] == [FIELDS[f][1] for f in fields]
 
 
 def labeled(**changes) -> LabeledExample:

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from reference import sentence_stats, soft_cross_entropy
 from synthetic import document_from_strings, make_corpus
 from sumedit import editor, trainer as trainer_mod
+from sumedit.config import ExperimentConfig
 from sumedit.editor import (
     ABSTRACT,
     DECISIONS,
     EXTRACT,
     PARAM_NAMES,
     REJECT,
-    Decision,
     EditorParams,
     context_from_abstractions,
     decode,
@@ -27,9 +27,15 @@ from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
-from sumedit.trainer import AdamState, TrainConfig, adam_step, evaluate, mean_reward, train
+from sumedit.trainer import AdamState, adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7, context_window=1)
+
+
+def train_config(**fields):
+    """The config `train` reads: ENC's encoder settings, the default reward
+    weights, and `fields` (training-loop settings)."""
+    return ExperimentConfig(encoder_n=ENC.n, hash_seed=ENC.hash_seed, context_window=ENC.context_window, **fields)
 
 
 def labeled_pairs(count, seed, id_prefix="t"):
@@ -53,7 +59,7 @@ def decoded_summary(example, lab, params):
     """The decisions `decode` makes for one labeled example on its own, and
     the summary they realize."""
     vectors = context_from_abstractions(example.document, lab.extract, lab.abstractions, ENC)
-    sequence = [DECISIONS[k] for k in decode(vectors, params)[0, : len(lab.extract.order)]]
+    sequence = decode(vectors, params)[0, : len(lab.extract.order)].tolist()
     return sequence, realize(example.document, lab.extract, lab.abstractions, sequence)
 
 
@@ -143,7 +149,7 @@ class TestAdamStep:
 class TestTrain:
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train([], [], TrainConfig(), zero_forced_params([0, 0, 0]), ENC)
+            train([], [], train_config(), zero_forced_params([0, 0, 0]))
 
     def test_single_example_single_epoch_one_step(self, monkeypatch):
         calls = []
@@ -157,7 +163,7 @@ class TestTrain:
         pairs = labeled_pairs(1, seed=0)
         rng = np.random.default_rng(0)
         params = init_params(4, ENC.n, rng)
-        _, log = train(pairs, pairs, TrainConfig(batch_size=32, epochs=1), params, ENC)
+        _, log = train(pairs, pairs, train_config(batch_size=32, epochs=1), params)
         assert len(calls) == 1
         assert len(log) == 1
         assert set(log[0]) == {"epoch", "train_loss", "val_reward"}
@@ -169,16 +175,24 @@ class TestTrain:
         for _ in range(2):
             rng = np.random.default_rng(9)
             params = init_params(4, ENC.n, rng)
-            outs.append(train(pairs, val, TrainConfig(epochs=2, seed=5), params, ENC))
+            outs.append(train(pairs, val, train_config(epochs=2, seed=5), params))
         best1, log1 = outs[0]
         best2, log2 = outs[1]
         assert log1 == log2
         assert np.array_equal(best1.flat, best2.flat)
 
+    def test_validation_reward_uses_the_config_weights(self):
+        pairs = labeled_pairs(5, seed=14)
+        config = train_config(batch_size=2, epochs=1, alpha=0.0, beta=0.0, gamma=1.0)
+        best, log = train(pairs, pairs, config, init_params(4, ENC.n, np.random.default_rng(0)))
+        vectors, entries = trainer_mod._encode(pairs, ENC), trainer_mod._entries(pairs)
+        want = mean_reward(vectors, entries, best, RewardWeights(0.0, 0.0, 1.0))
+        assert log[0]["val_reward"] == want != mean_reward(vectors, entries, best, RewardWeights())
+
     def test_empty_validation_split_gives_zero_reward(self):
         pairs = labeled_pairs(5, seed=10)
         params = init_params(4, ENC.n, np.random.default_rng(0))
-        best, log = train(pairs, [], TrainConfig(batch_size=2, epochs=2), params, ENC)
+        best, log = train(pairs, [], train_config(batch_size=2, epochs=2), params)
         assert [entry["val_reward"] for entry in log] == [0.0, 0.0]
         assert np.all(np.isfinite(best.flat))
 
@@ -188,9 +202,9 @@ class TestTrain:
         nan_labels = (lab.labels[0], (float("nan"), 0.5, 0.5)) + lab.labels[2:]
         pairs[2] = (ex, LabeledExample(lab.example_id, lab.extract, lab.abstractions, nan_labels, lab.best, lab.best_reward))
         params = init_params(4, ENC.n, np.random.default_rng(0))
-        config = TrainConfig(batch_size=4, epochs=2)
+        config = train_config(batch_size=4, epochs=2)
         with pytest.raises(ValueError, match="epoch 1: non-finite") as info:
-            train(pairs, pairs, config, params, ENC)
+            train(pairs, pairs, config, params)
         for example, _ in pairs:
             assert example.document.id in str(info.value)
 
@@ -249,19 +263,19 @@ class TestEvaluate:
         params = init_params(4, ENC.n, rng)
         params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)
         report = evaluate(pairs, params, ENC)
-        tally = {d: 0 for d in Decision}
+        tally = {d: 0 for d in range(3)}
         fracs = []
         for ex, lab in pairs:
             sequence, summary = decoded_summary(ex, lab, params)
             for decision in sequence:
                 tally[decision] += 1
             emitted = len(summary)
-            abstracted = sequence.count(Decision.ABSTRACT)
+            abstracted = sequence.count(ABSTRACT)
             if emitted:
                 fracs.append(abstracted / emitted)
         total = sum(tally.values())
         assert report["decision_fractions"] == {
-            d.label: tally[d] / total for d in Decision
+            DECISIONS[d]: tally[d] / total for d in range(3)
         }
         expected_frac = sum(fracs) / len(fracs) if fracs else 0.0
         assert report["abstracted_emitted_fraction"] == pytest.approx(expected_frac)
@@ -271,7 +285,7 @@ class TestEvaluate:
 def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights()):
     """The slow reference for `evaluate`: `rouge_n`, `rouge_l` and `reward`
     on every decoded summary, added in order."""
-    counts = {d: 0 for d in Decision}
+    counts = {d: 0 for d in range(3)}
     r1 = r2 = rl = rew = 0.0
     abstracted_fractions = []
     for ex, lab in test_set:
@@ -279,7 +293,7 @@ def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights
         for decision in sequence:
             counts[decision] += 1
         if text:
-            abstracted_fractions.append(sequence.count(Decision.ABSTRACT) / len(text))
+            abstracted_fractions.append(sequence.count(ABSTRACT) / len(text))
         r1 += rouge_n(text, ex.reference.sentences, 1).f1
         r2 += rouge_n(text, ex.reference.sentences, 2).f1
         rl += rouge_l(text, ex.reference.sentences).f1
@@ -296,7 +310,7 @@ def per_summary_evaluate(test_set, params, encoder_config, weights=RewardWeights
         "rougeL": rl / n if n else 0.0,
         "mean_reward": rew / n if n else 0.0,
         "decision_fractions": {
-            d.label: (counts[d] / total_steps if total_steps else 0.0) for d in Decision
+            DECISIONS[d]: (counts[d] / total_steps if total_steps else 0.0) for d in range(3)
         },
         "abstracted_emitted_fraction": (
             frac_total / len(abstracted_fractions) if abstracted_fractions else 0.0
@@ -353,7 +367,7 @@ class TestScoringReadsEntries:
             raise AssertionError("decoded summaries are scored from the entries, not from a dense record")
 
         monkeypatch.setattr(SplitEntries, "stats", refuse)
-        best, log = train(pairs, val, TrainConfig(batch_size=2, epochs=2), random_params(1), ENC)
+        best, log = train(pairs, val, train_config(batch_size=2, epochs=2), random_params(1))
         assert len(log) == 2 and all(math.isfinite(entry["val_reward"]) for entry in log)
         assert evaluate(val, best, ENC) == per_summary_evaluate(val, best, ENC)
 
@@ -373,7 +387,7 @@ def scored_pair(example_id, doc, order, abstractions, ref):
         extract=ExtractResult(order=order, likelihood={i: 1.0 for i in range(len(doc))}),
         abstractions=abstractions,
         labels=((1 / 3, 1 / 3, 1 / 3),) * len(order),
-        best=(Decision.EXTRACT,) * len(order),
+        best=(EXTRACT,) * len(order),
         best_reward=0.0,
     )
     return example, lab
@@ -425,7 +439,7 @@ class TestMeanRewardAgainstReward:
         decisions = decode(vectors, params)
         total = 0.0
         for (ex, lab), row in zip(pairs, decisions):
-            sequence = [DECISIONS[k] for k in row[: len(lab.extract.order)]]
+            sequence = row[: len(lab.extract.order)].tolist()
             total += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, weights)
         entries = trainer_mod._entries(pairs)
         assert mean_reward(vectors, entries, params, weights) == total / len(pairs)
