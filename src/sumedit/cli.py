@@ -54,13 +54,9 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def cmd_ingest(args) -> int:
     from . import text
 
-    examples, report = text.ingest_dataset(args.input)
+    examples, reject_reasons = text.ingest_dataset(args.input)
     text.write_dataset(examples, args.output)
-    summary = {
-        "accepted": report.accepted,
-        "rejected": report.rejected,
-        "reject_reasons": report.reject_reasons,
-    }
+    summary = {"accepted": len(examples), "rejected": len(reject_reasons), "reject_reasons": reject_reasons}
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -116,6 +112,8 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
             raise ValueError(
                 f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {value}; rerun {command}"
             )
+    if not labeled:
+        raise ValueError(f"{cache_path}: the {split} split has no labeled examples; rerun {command}")
     examples = {ex.document.id: ex for ex in text.load_dataset(_dataset_path(cfg, split))}
     pairs = []
     for lab in labeled:

@@ -334,7 +334,7 @@ def write_label_cache(
             rec = {
                 "id": lab.example_id,
                 "order": list(lab.extract.order),
-                "P": {str(k): v for k, v in sorted(lab.extract.likelihood.items())},
+                "P": {str(i): p for i, p in enumerate(lab.extract.likelihood)},
                 "abstractions": [list(t) for t in lab.abstractions],
                 "labels": [list(row) for row in lab.labels],
                 "best": "".join(DECISIONS[i] for i in lab.best),
@@ -375,19 +375,21 @@ def _cache_record(rec) -> LabeledExample:
             raise ValueError(f"label row {row!r} is not three finite non-negative numbers")
     if not set(rec["best"]) <= set(DECISIONS):
         raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
-    if not all(type(p) in (int, float) for p in rec["P"].values()):
-        raise ValueError(f"P {rec['P']!r} does not map sentence indices to numbers")
-    for key in rec["P"]:
-        # the decimal text of an index >= 0, as `write_label_cache` writes it
-        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
-            raise ValueError(f"P key {key!r} is not a sentence index")
+    likelihood = rec["P"]
+    if not all(type(p) in (int, float) for p in likelihood.values()):
+        raise ValueError(f"P {likelihood!r} does not map sentence indices to numbers")
+    # one entry per sentence, keyed as `write_label_cache` writes them
+    indices = {str(i) for i in range(len(likelihood))}
+    for key in likelihood:
+        if key not in indices:
+            raise ValueError(f"P key {key!r} is not a sentence index 0..{len(likelihood) - 1}")
     if not math.isfinite(rec["best_reward"]):
         raise ValueError(f"best_reward {rec['best_reward']!r} is not a finite number")
     return LabeledExample(
         example_id=rec["id"],
         extract=ExtractResult(
             order=tuple(rec["order"]),
-            likelihood={int(k): v for k, v in rec["P"].items()},
+            likelihood=tuple(likelihood[str(i)] for i in range(len(likelihood))),
         ),
         abstractions=tuple(tuple(t) for t in rec["abstractions"]),
         labels=tuple(tuple(row) for row in rec["labels"]),

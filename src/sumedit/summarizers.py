@@ -1,13 +1,14 @@
 """Extractor and abstractor interfaces with deterministic defaults.
 
 Extractors return the selected sentence order plus a selection likelihood
-P(s) in (0, 1] for every sentence. The greedy oracle extractor runs on a
-batch of documents at once (`extract_greedy_oracle`), in one pass over the
-batch's sentences as flat rows: one `rouge.split_entries` call, then each
-step scores every candidate from the selection's integer ROUGE totals plus
-the candidate's marginal ones, which come from its nonzero n-gram counts
-and matched reference positions alone (clipping is per n-gram, Lin 2004,
-§3.1), read by their column and position numbers, flat over the batch. Its
+P(s) in (0, 1] for every sentence, a tuple indexed by sentence. The greedy
+oracle extractor runs on a batch of documents at once
+(`extract_greedy_oracle`), in one pass over the batch's sentences as flat
+rows: one `rouge.split_entries` call, then each step scores every
+candidate from the selection's integer ROUGE totals plus the candidate's
+marginal ones, which come from its nonzero n-gram counts and matched
+reference positions alone (clipping is per n-gram, Lin 2004, §3.1), read
+by their column and position numbers, flat over the batch. Its
 per-example callable (`GreedyOracleExtractor`) is the one-document batch,
 and `extract_batch` hands a whole batch to it. An abstractor maps
 (document, extract) to the abstractions: one non-empty token tuple per
@@ -23,7 +24,7 @@ Third-party extractors/abstractors plug in behind the same contracts
 from __future__ import annotations
 
 import math
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -48,12 +49,12 @@ UNSELECTED_LIKELIHOOD = 1e-6
 class ExtractResult:
     __slots__ = ("order", "likelihood")
 
-    def __init__(self, order: tuple[int, ...], likelihood: Mapping[int, float]):
+    def __init__(self, order: tuple[int, ...], likelihood: tuple[float, ...]):
         if len(order) < 1:
             raise ValueError("extract must select at least one sentence")
         if len(set(order)) != len(order):
             raise ValueError("extract order has duplicate indices")
-        for p in likelihood.values():
+        for p in likelihood:
             if not 0 < p <= 1:
                 raise ValueError("selection likelihoods must lie in (0, 1]")
         self.order = order
@@ -75,9 +76,7 @@ def extract_lead(document: Document, k: int) -> ExtractResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(document)
-    order = tuple(range(min(k, n)))
-    likelihood = {i: 1.0 / (1 + i) for i in range(n)}
-    return ExtractResult(order=order, likelihood=likelihood)
+    return ExtractResult(order=tuple(range(min(k, n))), likelihood=tuple(1.0 / (1 + i) for i in range(n)))
 
 
 def extract_greedy_oracle(
@@ -160,11 +159,11 @@ def extract_greedy_oracle(
         g = gains[j, :n]
         p_sel = np.exp(g - g.max())
         p_sel /= p_sel.sum()
-        likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(sizes[j])}
+        likelihood = [UNSELECTED_LIKELIHOOD] * int(sizes[j])
         selected = order[j, :n].tolist()
         for i, p in zip(selected, p_sel.tolist()):
             likelihood[i] = p
-        results.append(ExtractResult(order=tuple(selected), likelihood=likelihood))
+        results.append(ExtractResult(order=tuple(selected), likelihood=tuple(likelihood)))
     return results
 
 
@@ -210,6 +209,9 @@ def abstract_extract(document: Document, extract: ExtractResult, ratio: float) -
         if not 0 <= i < len(sentences):
             raise IndexError(f"sentence index {i} out of range")
         lo, hi = max(0, i - 1), min(len(sentences), i + 2)
+        if hi > len(likelihood):
+            raise ValueError(f"{document.id}: extract likelihood has no entry for sentence "
+                             f"{max(lo, len(likelihood))} (chunk of extracted sentence {i})")
         chunk = [s.tokens for s in sentences[lo:hi]]
         df: dict[str, int] = {}
         for tokens in chunk:
@@ -219,9 +221,6 @@ def abstract_extract(document: Document, extract: ExtractResult, ratio: float) -
         scores = [STOPWORD_SCORE if t in STOPWORDS else math.log(1 + m / df[t]) for tokens in chunk for t in tokens]
         try:
             weights = rescale_attention(scores, [likelihood[j] for j in range(lo, hi) for _ in sentences[j].tokens])
-        except KeyError as exc:
-            raise ValueError(f"{document.id}: extract likelihood has no entry for sentence "
-                             f"{exc.args[0]} (chunk of extracted sentence {i})") from None
         except ValueError as exc:
             raise ValueError(f"{document.id}: {exc} (chunk of extracted sentence {i})") from None
         start = len(chunk[0]) if i > lo else 0

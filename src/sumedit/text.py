@@ -118,15 +118,6 @@ class Example:
     __eq__ = slots_eq
 
 
-class IngestReport:
-    __slots__ = ("accepted", "rejected", "reject_reasons")
-
-    def __init__(self, accepted: int = 0, rejected: int = 0, reject_reasons: list[str] | None = None):
-        self.accepted = accepted
-        self.rejected = rejected
-        self.reject_reasons = [] if reject_reasons is None else reject_reasons
-
-
 def json_line(line: str):
     """The JSON value of one line. Whatever `json.loads` rejects raises
     ValueError with a one-line reason, including nesting past the recursion
@@ -199,27 +190,25 @@ def _document(doc_id: str, article: list[list[str]]) -> Document:
     )
 
 
-def ingest_dataset(path) -> tuple[list[Example], IngestReport]:
+def ingest_dataset(path) -> tuple[list[Example], list[str]]:
     """Load a dataset, rejecting (not silently skipping) empty records.
 
-    Malformed lines raise DatasetError naming the line number; records with an
-    empty article or empty highlights are counted as rejected with a reason.
+    Malformed lines raise DatasetError naming the line number; a record with
+    an empty article or empty highlights is rejected with a reason. Returns
+    (accepted examples in file order, one reason per rejected record).
     """
     examples: list[Example] = []
-    report = IngestReport()
+    reject_reasons: list[str] = []
     for lineno, rec in _records(path):
         article = _tokenized(rec["article_sentences"])
         highlights = _tokenized(rec["highlights"])
         if article is None or highlights is None:
-            report.rejected += 1
-            reason = f"line {lineno}: empty article or highlights"
-            report.reject_reasons.append(reason)
-            warn(__name__, "rejected record: %s", reason)
+            reject_reasons.append(f"line {lineno}: empty article or highlights")
+            warn(__name__, "rejected record: %s", reject_reasons[-1])
             continue
         ref = ReferenceSummary(sentences=tuple(tuple(t) for t in highlights))
         examples.append(Example(document=_document(rec["id"], article), reference=ref))
-        report.accepted += 1
-    return examples, report
+    return examples, reject_reasons
 
 
 def load_dataset(path) -> list[Example]:

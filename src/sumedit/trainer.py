@@ -9,11 +9,11 @@ labels padded the same way. Training shuffles with a seeded generator, takes
 each batch as a fancy index into the record cut to the batch's longest
 extract, computes its loss and gradient in one batched editor pass, averages
 the gradient, applies one bias-corrected ADAM update to the flat parameter
-vector per batch, decodes the whole validation split free-running after
-every epoch, and returns the checkpoint with the highest validation mean
-reward (ties: earliest epoch). A non-finite loss or gradient stops training
-with an error naming the epoch and the batch. Runs are bitwise reproducible
-under a fixed seed.
+vector per batch (in place, on a copy of the caller's parameters), decodes
+the whole validation split free-running after every epoch, and returns the
+checkpoint with the highest validation mean reward (ties: earliest epoch).
+A non-finite loss or gradient stops training with an error naming the
+epoch and the batch. Runs are bitwise reproducible under a fixed seed.
 
 Decoded summaries are scored without realizing them: a summary is a sum of
 sentence versions (`oracle.sentence_versions`: an extract's sentences, then
@@ -52,36 +52,17 @@ LabeledPair = tuple[Example, LabeledExample]
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class AdamState:
-    """First and second moment estimates, flat like the parameters."""
-
-    __slots__ = ("m", "v", "t", "lr")
-
-    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0, lr: float = 1e-4):
-        self.m = m
-        self.v = v
-        self.t = t
-        self.lr = lr
-
-    @classmethod
-    def fresh(cls, params: EditorParams, lr: float = 1e-4) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
-
-
-def adam_step(
-    params: EditorParams, grad: np.ndarray, state: AdamState
-) -> tuple[EditorParams, AdamState]:
-    """One bias-corrected ADAM update of the flat parameter vector from the
-    flat gradient `grad`; pure, returns new params and state."""
+def adam_step(params: EditorParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float) -> None:
+    """ADAM step `t` (from 1): one bias-corrected update of `params.flat`
+    from the flat gradient `grad` at learning rate `lr`, in place, as are
+    the updates of the first and second moments `m` and `v`."""
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} differs from parameter shape {params.flat.shape}")
-    t = state.t + 1
-    m = BETA1 * state.m + (1 - BETA1) * grad
-    v = BETA2 * state.v + (1 - BETA2) * grad * grad
+    m[:] = BETA1 * m + (1 - BETA1) * grad
+    v[:] = BETA2 * v + (1 - BETA2) * grad * grad
     m_hat = m / (1 - BETA1**t)
     v_hat = v / (1 - BETA2**t)
-    flat = params.flat - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return EditorParams(params.m, params.n, flat), AdamState(m=m, v=v, t=t, lr=state.lr)
+    params.flat[:] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
@@ -155,7 +136,8 @@ def train(
     val_vectors = _encode(val_set, encoder_config)
     val_entries = _entries(val_set)
     rng = np.random.default_rng(config.seed)
-    state = AdamState.fresh(params, lr=config.lr)
+    params = params.copy()
+    m, v, t = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     best_params, best_reward = params.copy(), -math.inf
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
@@ -174,7 +156,8 @@ def train(
                     f"(loss {loss}) on the batch of examples {ids}"
                 )
             loss_total += loss
-            params, state = adam_step(params, grad.flat / len(batch), state)
+            t += 1
+            adam_step(params, grad.flat / len(batch), m, v, t, config.lr)
         train_loss = loss_total / len(train_set)
         val_reward = mean_reward(val_vectors, val_entries, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})

@@ -72,7 +72,8 @@ def soft_labels(rewards, best):
 
 class SentenceStats:
     """Per-example ROUGE statistics of candidate sentence versions against
-    one reference (the slow reference for `rouge.split_stats`).
+    one reference (the slow reference for `rouge.split_entries` and
+    `SplitEntries.stats`).
 
     Row v of `counts` holds version v's unigram counts over the reference
     unigram vocabulary, then its bigram counts over the reference bigram
@@ -183,10 +184,10 @@ def greedy_oracle(example, k, weights):
     g = np.array(gains)
     p_sel = np.exp(g - g.max())
     p_sel /= p_sel.sum()
-    likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(len(doc))}
+    likelihood = [UNSELECTED_LIKELIHOOD] * len(doc)
     for i, p in zip(selected, p_sel):
         likelihood[i] = float(p)
-    return tuple(selected), likelihood
+    return tuple(selected), tuple(likelihood)
 
 
 def make_chunk(document, i):

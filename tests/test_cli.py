@@ -62,9 +62,9 @@ class TestIngest:
             fh.write(json.dumps({"id": "y", "article_sentences": ["a b"], "highlights": ["a b"]}) + "\n")
         rc = cli.main(["ingest", str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")])
         assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["accepted"] == 1 and report["rejected"] == 1
-        assert "line 1" in report["reject_reasons"][0]
+        assert capsys.readouterr().out == (
+            '{"accepted": 1, "reject_reasons": ["line 1: empty article or highlights"], "rejected": 1}\n'
+        )
 
     def test_canonical_output_reingestable(self, tmp_path, capsys):
         text.write_dataset(make_corpus(3, seed=0, k=1), tmp_path / "in.jsonl")
@@ -237,13 +237,15 @@ class TestLabelCacheValidation:
             (edit_record(lambda rec: rec.update(best_reward=float("inf"))), "best_reward inf is not a finite number"),
             (edit_record(rename_first_likelihood("-3")), "P key '-3' is not a sentence index"),
             (edit_record(rename_first_likelihood("zero")), "P key 'zero' is not a sentence index"),
+            (edit_record(rename_first_likelihood("3")), "P key '3' is not a sentence index 0..2"),
             (edit_record(lambda rec: rec.update(best="EXQ")), "best 'EXQ' is not a sequence of E, A, R"),
             (edit_record(lambda rec: rec.update(best="eea")), "best 'eea' is not a sequence of E, A, R"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
              "best-length", "nan-label", "negative-label", "short-label-row", "str-likelihood",
              "bool-likelihood", "str-best-reward", "bool-best-reward", "nan-best-reward", "infinite-best-reward",
-             "negative-likelihood-key", "word-likelihood-key", "bad-best-letter", "lowercase-best-letter"],
+             "negative-likelihood-key", "word-likelihood-key", "skipped-likelihood-key", "bad-best-letter",
+             "lowercase-best-letter"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled
@@ -303,6 +305,37 @@ class TestCacheAgainstDataset:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (cache.parent / "evaluation.json").exists()
+
+
+class TestEmptySplit:
+    """A split whose label cache holds no examples stops `train` and
+    `evaluate` before they write any output."""
+
+    def expected(self, workspace, split):
+        cache = workspace / "out" / f"labels_{split}.jsonl"
+        return f"error: {cache}: the {split} split has no labeled examples; rerun sumedit label --split {split}\n"
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train(self, workspace, capsys, split):
+        (workspace / f"{split}.jsonl").write_text("")
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == self.expected(workspace, split)
+        for name in ("checkpoint.json", "train_log.jsonl"):
+            assert not (workspace / "out" / name).exists()
+
+    def test_evaluate(self, workspace, capsys):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        (workspace / "test.jsonl").write_text("")
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "test"]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.expected(workspace, "test"))
+        assert not (workspace / "out" / "evaluation.json").exists()
 
 
 class TestLabelFailureLog:

@@ -271,7 +271,7 @@ def oracle_inputs(draw):
 
 def oracle_case(doc, order, abstractions, ref):
     ex = make_example([" ".join(s) for s in doc], [" ".join(s) for s in ref])
-    extract = ExtractResult(order=order, likelihood={i: 1.0 for i in range(len(doc))})
+    extract = ExtractResult(order=order, likelihood=(1.0,) * len(doc))
     return ex, extract, abstractions
 
 
@@ -570,7 +570,7 @@ class TestLabelDataset:
 
     def test_incomplete_likelihood_raises(self):
         def extractor(example):
-            return ExtractResult(order=(0, 1), likelihood={0: 1.0})
+            return ExtractResult(order=(0, 1), likelihood=(1.0,))
 
         with pytest.raises(ValueError, match=r"ex-0: .*no entry for sentence 1"):
             label_dataset(self.EXAMPLES, extractor, SalienceAbstractor(0.8))
@@ -581,7 +581,7 @@ class TestLabelDataset:
         ex = make_example(["the a", "of it", "cat dog"], ["cat"], "stop")
 
         def extractor(example):
-            return ExtractResult(order=(2, 0), likelihood={0: 5e-324, 1: 5e-324, 2: 1.0})
+            return ExtractResult(order=(2, 0), likelihood=(5e-324, 5e-324, 1.0))
 
         with pytest.raises(ValueError) as info:
             label_dataset([self.EXAMPLES[0], ex], extractor, SalienceAbstractor(0.8))

@@ -121,7 +121,7 @@ def test_resolved_config_bytes(tmp_path):
 def labeled(**changes) -> LabeledExample:
     fields = {
         "example_id": "e",
-        "extract": ExtractResult((0, 2), {0: 1.0, 1: 0.5, 2: 0.25}),
+        "extract": ExtractResult((0, 2), (1.0, 0.5, 0.25)),
         "abstractions": (("a",), ("b",)),
         "labels": ((0.5, 0.25, 0.25), (0.0, 0.0, 1.0)),
         "best": ("E", "R"),
@@ -140,10 +140,10 @@ def labeled(**changes) -> LabeledExample:
                                 "reference": ReferenceSummary((("a",),)), **c}),
          {"document": Document("d", (Sentence(0, ("z",)),))}),
         (lambda **c: RougeScore(**{"precision": 0.5, "recall": 0.25, "f1": 1 / 3, **c}), {"f1": 0.0}),
-        (lambda **c: ExtractResult(**{"order": (0, 1), "likelihood": {0: 1.0, 1: 0.5}, **c}),
-         {"likelihood": {0: 1.0, 1: 0.25}}),
+        (lambda **c: ExtractResult(**{"order": (0, 1), "likelihood": (1.0, 0.5), **c}),
+         {"likelihood": (1.0, 0.25)}),
         (lambda **c: EncoderConfig(**{"n": 8, **c}), {"context_window": 0}),
-        (labeled, {"extract": ExtractResult((0, 2), {0: 1.0, 1: 0.5, 2: 0.5})}),
+        (labeled, {"extract": ExtractResult((0, 2), (1.0, 0.5, 0.5))}),
         (labeled, {"labels": ((0.5, 0.25, 0.25), (0.0, 1.0, 0.0))}),
     ],
     ids=["Sentence", "Document", "ReferenceSummary", "Example", "RougeScore", "ExtractResult",
@@ -156,6 +156,6 @@ def test_equality_compares_every_field(make, changed):
 
 
 def test_unequal_types_with_equal_fields_differ():
-    assert RougeScore(1.0, 1.0, 1.0) != ExtractResult((0,), {0: 1.0})
+    assert RougeScore(1.0, 1.0, 1.0) != ExtractResult((0,), (1.0,))
     assert Sentence(0, ("a",)) != Document("d", (Sentence(0, ("a",)),))
 

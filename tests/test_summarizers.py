@@ -44,7 +44,7 @@ class TestExtractLead:
     def test_likelihoods(self):
         doc = document_from_strings("d", ["a", "b", "c"])
         result = extract_lead(doc, 2)
-        assert result.likelihood == {0: 1.0, 1: 0.5, 2: pytest.approx(1 / 3)}
+        assert result.likelihood == (1.0, 0.5, pytest.approx(1 / 3))
 
 
 def loop_greedy_oracle(example, k, weights):
@@ -69,10 +69,10 @@ def loop_greedy_oracle(example, k, weights):
     g = np.array(gains)
     p_sel = np.exp(g - g.max())
     p_sel /= p_sel.sum()
-    likelihood = {i: UNSELECTED_LIKELIHOOD for i in range(len(doc))}
+    likelihood = [UNSELECTED_LIKELIHOOD] * len(doc)
     for i, p in zip(selected, p_sel):
         likelihood[i] = float(p)
-    return tuple(selected), likelihood
+    return tuple(selected), tuple(likelihood)
 
 
 class TestGreedyOracle:
@@ -173,7 +173,7 @@ LONG = " ".join("abcde"[i % 5] + "abcde"[i % 3] for i in range(70))
 class TestGreedyOracleBatch:
     """The whole-batch greedy extractor against the per-document loop over
     `sentence_stats` (tests/reference.py): the same order and the same
-    likelihood dict, bit for bit, for every document of a batch."""
+    likelihoods, bit for bit, for every document of a batch."""
 
     def assert_equals_reference(self, examples, k, weights=RewardWeights()):
         results = extract_greedy_oracle(examples, k, weights)
@@ -204,7 +204,7 @@ class TestGreedyOracleBatch:
             make_example(["c"], ["c d"], "one"),
         ]
         results = self.assert_equals_reference(examples, 9)
-        assert results[1].order == (0,) and results[1].likelihood == {0: 1.0}
+        assert results[1].order == (0,) and results[1].likelihood == (1.0,)
 
     def test_first_step_is_the_only_gain(self):
         examples = [
@@ -213,7 +213,7 @@ class TestGreedyOracleBatch:
         ]
         results = self.assert_equals_reference(examples, 3)
         assert results[0].order == (1,)
-        assert results[0].likelihood == {0: UNSELECTED_LIKELIHOOD, 1: 1.0, 2: UNSELECTED_LIKELIHOOD}
+        assert results[0].likelihood == (UNSELECTED_LIKELIHOOD, 1.0, UNSELECTED_LIKELIHOOD)
         assert results[1].order == (0, 1, 2)
 
     def test_long_sentences_and_no_common_token(self):
@@ -339,7 +339,7 @@ class TestMakeChunk:
             with pytest.raises(IndexError):
                 reference.make_chunk(doc, i)
             with pytest.raises(IndexError, match=f"sentence index {i} out of range"):
-                abstract_extract(doc, ExtractResult(order=(i,), likelihood={0: 1.0}), 0.8)
+                abstract_extract(doc, ExtractResult(order=(i,), likelihood=(1.0,)), 0.8)
 
 
 class TestRescaleAttention:
@@ -386,13 +386,13 @@ def one_extract(sentences, likelihood, order=(1,)):
 
 class TestAbstractSalience:
     SENTENCES = ["alpha beta", "cat dog cat the", "echo"]
-    P = {0: 0.5, 1: 1.0, 2: 0.5}
+    P = (0.5, 1.0, 0.5)
 
     def test_full_ratio_keeps_center_intact(self):
         assert abstract_extract(*one_extract(self.SENTENCES, self.P), 1.0) == (("cat", "dog", "cat", "the"),)
 
     def test_single_token_center(self):
-        assert abstract_extract(*one_extract(["a b", "word"], {0: 0.5, 1: 1.0}), 0.1) == (("word",),)
+        assert abstract_extract(*one_extract(["a b", "word"], (0.5, 1.0)), 0.1) == (("word",),)
 
     def test_half_ratio_keeps_top_mass_in_order(self):
         # center weights: three equal content scores and one stopword epsilon;
@@ -416,7 +416,7 @@ class TestAbstractSalience:
 
         monkeypatch.setattr(summarizers, "sum", builtin_sum or no_sum, raising=False)
         doc, extract = one_extract(["alpha beta the gamma", "cat dog cat the eel", "echo fox a golf"],
-                                   {0: 0.3, 1: 0.9, 2: 0.7})
+                                   (0.3, 0.9, 0.7))
         scores, p = zip(*((w, extract.likelihood[s]) for s, _, w in reference.content_scores(doc.sentences)))
         scaled = [w * q for w, q in zip(scores, p)]
         z = 0.0
@@ -441,16 +441,20 @@ class TestAbstractSalience:
 
     def test_degenerate_attention_names_the_example(self):
         # stopwords score 1e-6, and 1e-6 * 5e-324 underflows to 0, so Z is 0
-        doc, extract = one_extract(["the a", "of it", "cat"], {0: 5e-324, 1: 5e-324, 2: 1.0}, order=(2, 0))
+        doc, extract = one_extract(["the a", "of it", "cat"], (5e-324, 5e-324, 1.0), order=(2, 0))
         with pytest.raises(ValueError) as info:
             abstract_extract(doc, extract, 0.8)
         assert str(info.value) == "d: degenerate attention: normalization term is zero (chunk of extracted sentence 0)"
 
     def test_missing_likelihood_names_the_example(self):
-        doc, extract = one_extract(self.SENTENCES, {1: 1.0, 2: 0.5}, order=(2, 1))
-        with pytest.raises(ValueError) as info:
-            abstract_extract(doc, extract, 0.8)
-        assert str(info.value) == "d: extract likelihood has no entry for sentence 0 (chunk of extracted sentence 1)"
+        # a likelihood shorter than a chunk: the first sentence of the chunk
+        # past its end is named
+        for likelihood, order, missing in [((0.5, 1.0), (1,), 2), ((0.5,), (2, 1), 1), ((), (0,), 0)]:
+            doc, extract = one_extract(self.SENTENCES, likelihood, order=order)
+            with pytest.raises(ValueError) as info:
+                abstract_extract(doc, extract, 0.8)
+            want = f"d: extract likelihood has no entry for sentence {missing} (chunk of extracted sentence {order[0]})"
+            assert str(info.value) == want
 
 
 # mostly stopwords, so chunks tie in weight and some hold only stopwords
@@ -468,7 +472,7 @@ def abstraction_cases(draw):
     sentences = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
                               min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
-    likelihood = {i: draw(likelihoods) for i in range(n)}
+    likelihood = tuple(draw(likelihoods) for _ in range(n))
     return document_from_strings("h", sentences), ExtractResult(order=tuple(order), likelihood=likelihood)
 
 

@@ -86,19 +86,17 @@ class TestLoadDataset:
         bad = dict(GOOD, id="doc-bad", highlights=[])
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD, bad])
-        examples, report = ingest_dataset(path)
+        examples, reject_reasons = ingest_dataset(path)
         assert [ex.document.id for ex in examples] == ["doc-1"]
-        assert report.accepted == 1
-        assert report.rejected == 1
-        assert "line 2" in report.reject_reasons[0]
+        assert reject_reasons == ["line 2: empty article or highlights"]
 
     def test_empty_article_rejected(self, tmp_path):
         bad = dict(GOOD, article_sentences=["   "])
         path = tmp_path / "data.jsonl"
         write_lines(path, [bad])
-        examples, report = ingest_dataset(path)
+        examples, reject_reasons = ingest_dataset(path)
         assert examples == []
-        assert report.rejected == 1
+        assert reject_reasons == ["line 1: empty article or highlights"]
 
     def test_write_that_raises_keeps_previous_file(self, tmp_path):
         path = tmp_path / "data.jsonl"

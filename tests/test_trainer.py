@@ -27,7 +27,7 @@ from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
 from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
-from sumedit.trainer import AdamState, adam_step, evaluate, mean_reward, train
+from sumedit.trainer import adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7, context_window=1)
 
@@ -88,62 +88,81 @@ class TestAdamStep:
         rng = np.random.default_rng(1)
         return init_params(3, 4, rng)
 
+    def moments(self, params):
+        return np.zeros_like(params.flat), np.zeros_like(params.flat)
+
     def test_zero_gradient_is_identity(self):
         params = self.params()
-        state = AdamState.fresh(params)
-        new_params, new_state = adam_step(params, np.zeros_like(params.flat), state)
-        assert np.array_equal(new_params.flat, params.flat)
-        assert new_state.t == 1
+        before = params.flat.copy()
+        m, v = self.moments(params)
+        adam_step(params, np.zeros_like(params.flat), m, v, 1, 1e-4)
+        assert np.array_equal(params.flat, before)
+        assert not m.any() and not v.any()
 
     def test_first_step_closed_form(self):
         # unit gradient in one entry: m_hat = v_hat = 1 at t=1, so the
         # update is -lr / (sqrt(1) + eps)
         params = self.params()
-        state = AdamState.fresh(params, lr=1e-4)
         grad = EditorParams(params.m, params.n)
         grad.b_d[0] = 1.0
-        before = params.b_d[0]
-        new_params, _ = adam_step(params, grad.flat, state)
-        expected = before - 1e-4 / (1.0 + 1e-8)
-        assert new_params.b_d[0] == pytest.approx(expected, abs=1e-18)
-        assert np.array_equal(new_params.b_c, params.b_c)
+        before = params.copy()
+        adam_step(params, grad.flat, *self.moments(params), 1, 1e-4)
+        expected = before.b_d[0] - 1e-4 / (1.0 + 1e-8)
+        assert params.b_d[0] == pytest.approx(expected, abs=1e-18)
+        assert np.array_equal(params.b_c, before.b_c)
+
+    def test_updates_in_place(self):
+        params = self.params()
+        views, flat = named(params), params.flat
+        m, v = self.moments(params)
+        grad = np.random.default_rng(3).normal(size=flat.shape)
+        assert adam_step(params, grad, m, v, 1, 1e-2) is None
+        assert params.flat is flat and all(getattr(params, name) is views[name] for name in PARAM_NAMES)
+        assert np.array_equal(m, (1 - trainer_mod.BETA1) * grad)
+        assert np.array_equal(v, (1 - trainer_mod.BETA2) * grad * grad)
 
     def test_deterministic(self):
-        params = self.params()
-        state = AdamState.fresh(params)
         rng = np.random.default_rng(2)
-        grad = rng.normal(size=params.flat.shape)
-        out1 = adam_step(params, grad, state)
-        out2 = adam_step(params, grad, state)
-        assert np.array_equal(out1[0].flat, out2[0].flat)
+        grad = rng.normal(size=self.params().flat.shape)
+        outs = []
+        for _ in range(2):
+            params = self.params()
+            m, v = self.moments(params)
+            adam_step(params, grad, m, v, 1, 1e-4)
+            outs.append((params.flat, m, v))
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
 
     def test_shape_mismatch(self):
         params = self.params()
+        before = params.flat.copy()
         for size in (1, params.flat.size + 1):
             with pytest.raises(ValueError):
-                adam_step(params, np.zeros(size), AdamState.fresh(params))
+                adam_step(params, np.zeros(size), *self.moments(params), 1, 1e-4)
+        assert np.array_equal(params.flat, before)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_flat_step_equals_per_name_reference(self, seed):
         rng = np.random.default_rng(seed)
         params = init_params(int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
-        state = AdamState.fresh(params, lr=float(rng.uniform(1e-4, 1e-1)))
+        lr = float(rng.uniform(1e-4, 1e-1))
+        m, v = self.moments(params)
         want_params = {name: arr.copy() for name, arr in named(params).items()}
         want_state = {
             "m": {name: np.zeros_like(arr) for name, arr in want_params.items()},
             "v": {name: np.zeros_like(arr) for name, arr in want_params.items()},
-            "t": 0, "lr": state.lr,
+            "t": 0, "lr": lr,
         }
-        for _ in range(6):
+        for t in range(1, 7):
             grad = EditorParams(params.m, params.n, rng.normal(0, 10.0, size=params.flat.shape))
-            params, state = adam_step(params, grad.flat, state)
+            adam_step(params, grad.flat, m, v, t, lr)
             want_params, want_state = reference_adam_step(want_params, named(grad), want_state)
             for name in PARAM_NAMES:
                 assert np.array_equal(getattr(params, name), want_params[name]), name
-                for moment in ("m", "v"):
-                    got = getattr(EditorParams(params.m, params.n, getattr(state, moment)), name)
+                for moment, got in (("m", m), ("v", v)):
+                    got = getattr(EditorParams(params.m, params.n, got), name)
                     assert np.array_equal(got, want_state[moment][name]), (moment, name)
-        assert state.t == want_state["t"] == 6
+        assert want_state["t"] == 6
 
 
 class TestTrain:
@@ -155,9 +174,9 @@ class TestTrain:
         calls = []
         real = trainer_mod.adam_step
 
-        def counting(params, grads, state):
+        def counting(*args):
             calls.append(1)
-            return real(params, grads, state)
+            return real(*args)
 
         monkeypatch.setattr(trainer_mod, "adam_step", counting)
         pairs = labeled_pairs(1, seed=0)
@@ -167,6 +186,14 @@ class TestTrain:
         assert len(calls) == 1
         assert len(log) == 1
         assert set(log[0]) == {"epoch", "train_loss", "val_reward"}
+
+    def test_caller_params_unchanged(self):
+        pairs = labeled_pairs(4, seed=2)
+        params = init_params(4, ENC.n, np.random.default_rng(0))
+        before = params.flat.copy()
+        best, _ = train(pairs, pairs, train_config(batch_size=2, epochs=2), params)
+        assert np.array_equal(params.flat, before)
+        assert not np.array_equal(best.flat, before)
 
     def test_fixed_seed_reproducible(self):
         pairs = labeled_pairs(12, seed=3)
@@ -384,7 +411,7 @@ def scored_pair(example_id, doc, order, abstractions, ref):
     )
     lab = LabeledExample(
         example_id=example_id,
-        extract=ExtractResult(order=order, likelihood={i: 1.0 for i in range(len(doc))}),
+        extract=ExtractResult(order=order, likelihood=(1.0,) * len(doc)),
         abstractions=abstractions,
         labels=((1 / 3, 1 / 3, 1 / 3),) * len(order),
         best=(EXTRACT,) * len(order),
