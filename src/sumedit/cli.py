@@ -64,7 +64,7 @@ def cmd_ingest(args) -> int:
 def _dataset_path(cfg: ExperimentConfig, split: str) -> str:
     path = getattr(cfg, f"{split}_path")
     if not path:
-        raise SystemExit(f"config has no {split}_path")
+        raise ValueError(f"config has no {split}_path")
     return path
 
 
@@ -97,9 +97,7 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
 
     cache_path = out / f"labels_{split}.jsonl"
     if not cache_path.exists():
-        raise SystemExit(
-            f"missing label cache {cache_path}; run `sumedit label --split {split}` first"
-        )
+        raise ValueError(f"missing label cache {cache_path}; run `sumedit label --split {split}` first")
     command = f"sumedit label --split {split}"
     labeled, header = oracle.read_label_cache(cache_path, rerun=command)
     # The extracts, abstractions and soft labels depend on these fields, so a
@@ -118,10 +116,10 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
     pairs = []
     for lab in labeled:
         if lab.example_id not in examples:
-            raise SystemExit(f"cache entry {lab.example_id!r} not found in {split} dataset")
+            raise ValueError(f"cache entry {lab.example_id!r} not found in {split} dataset")
         example = examples[lab.example_id]
         sentences = len(example.document)
-        for idx in lab.extract.order:
+        for idx in lab.order:
             if idx >= sentences:
                 raise ValueError(
                     f"{cache_path}: example {lab.example_id!r} extracts sentence {idx}, "
@@ -185,7 +183,7 @@ def cmd_summarize(args) -> int:
     else:
         documents = text.load_documents(args.document)
     if not documents:
-        raise SystemExit(f"no usable records in {args.document}")
+        raise ValueError(f"no usable records in {args.document}")
     # Documents are extracted, encoded and decoded one decode pass at a
     # time, so memory stays bounded and each pass is printed before the
     # next is extracted.

@@ -53,19 +53,19 @@ class LabelingError(ValueError):
 
 
 class LabeledExample:
-    __slots__ = ("example_id", "extract", "abstractions", "labels", "best", "best_reward")
+    __slots__ = ("example_id", "order", "abstractions", "labels", "best", "best_reward")
 
     def __init__(
         self,
         example_id: str,
-        extract: ExtractResult,
+        order: tuple[int, ...],
         abstractions: tuple[tuple[str, ...], ...],
         labels: tuple[tuple[float, float, float], ...],
         best: tuple[int, ...],
         best_reward: float,
     ):
         self.example_id = example_id
-        self.extract = extract
+        self.order = order
         self.abstractions = abstractions
         self.labels = labels
         self.best = best
@@ -76,16 +76,16 @@ class LabeledExample:
 
 def realize(
     document: Document,
-    extract: ExtractResult,
+    order: Sequence[int],
     abstractions: Sequence[Sequence[str]],
     sequence: Sequence[int],
 ) -> tuple[tuple[str, ...], ...]:
-    """Summary realized by a sequence of decision indices: E keeps, A
-    substitutes, R drops."""
-    if not len(extract.order) == len(abstractions) == len(sequence):
+    """Summary realized by a sequence of decision indices over the extracted
+    sentences `order`: E keeps, A substitutes, R drops."""
+    if not len(order) == len(abstractions) == len(sequence):
         raise ValueError("extract, abstractions, and sequence lengths differ")
     out = []
-    for idx, abstracted, decision in zip(extract.order, abstractions, sequence):
+    for idx, abstracted, decision in zip(order, abstractions, sequence):
         if decision == EXTRACT:
             out.append(tuple(document.tokens_at(idx)))
         elif decision == ABSTRACT:
@@ -103,10 +103,11 @@ def _grid(blocks: Sequence[np.ndarray], none: np.ndarray, combine) -> np.ndarray
     return acc
 
 
-def sentence_versions(example: Example, extract: ExtractResult, abstractions: Sequence[Sequence[str]]) -> list:
-    """The 2l sentence versions of an extract of l sentences: the extracted
-    sentences as versions 0..l-1, then their abstractions as l..2l-1."""
-    return [example.document.tokens_at(i) for i in extract.order] + list(abstractions)
+def sentence_versions(example: Example, order: Sequence[int], abstractions: Sequence[Sequence[str]]) -> list:
+    """The 2l sentence versions of an extract of l sentences `order`: the
+    extracted sentences as versions 0..l-1, then their abstractions as
+    l..2l-1."""
+    return [example.document.tokens_at(i) for i in order] + list(abstractions)
 
 
 def chosen_versions(decisions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -173,11 +174,11 @@ def enumerate_rewards(
     if reward_fn is not None:
         return np.array(
             [
-                float(reward_fn(realize(example.document, extract, abstractions, seq)))
+                float(reward_fn(realize(example.document, extract.order, abstractions, seq)))
                 for seq in itertools.product(range(3), repeat=l)
             ]
         ).reshape((3,) * l)
-    entries = split_entries([sentence_versions(example, extract, abstractions)], [example.reference])
+    entries = split_entries([sentence_versions(example, extract.order, abstractions)], [example.reference])
     return _grid_rewards(entries.stats([0], [0], 2 * l), weights)[0]
 
 
@@ -226,7 +227,7 @@ def _label_chunk(
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
     entries = split_entries(
-        [sentence_versions(examples[j], extracts[j], abstractions[j]) for j in within],
+        [sentence_versions(examples[j], extracts[j].order, abstractions[j]) for j in within],
         [examples[j].reference for j in within],
     )
     # each example's first version, and a bound on its width in a record
@@ -250,7 +251,7 @@ def _label_chunk(
                 j = within[k]
                 results[j] = LabeledExample(
                     example_id=examples[j].document.id,
-                    extract=extracts[j],
+                    order=extracts[j].order,
                     abstractions=abstractions[j],
                     labels=tuple(map(tuple, lab)),
                     best=tuple(b),
@@ -305,7 +306,7 @@ def label_dataset(
     return labeled, failures
 
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # Config fields that shape a label cache besides the reward weights and the
 # cap: `sumedit label` writes them into the cache header, and `train` and
@@ -333,8 +334,7 @@ def write_label_cache(
         for lab in labeled:
             rec = {
                 "id": lab.example_id,
-                "order": list(lab.extract.order),
-                "P": {str(i): p for i, p in enumerate(lab.extract.likelihood)},
+                "order": list(lab.order),
                 "abstractions": [list(t) for t in lab.abstractions],
                 "labels": [list(row) for row in lab.labels],
                 "best": "".join(DECISIONS[i] for i in lab.best),
@@ -346,7 +346,7 @@ def write_label_cache(
 # The exact JSON types of a record's fields; type(...) in, not isinstance,
 # so that JSON true/false do not pass as numbers.
 CACHE_FIELDS = {
-    "id": (str,), "order": (list,), "P": (dict,), "abstractions": (list,), "labels": (list,),
+    "id": (str,), "order": (list,), "abstractions": (list,), "labels": (list,),
     "best": (str,), "best_reward": (int, float),
 }
 
@@ -363,6 +363,10 @@ def _cache_record(rec) -> LabeledExample:
             raise ValueError(f"field {name!r} has the wrong type")
     if not all(type(i) is int and i >= 0 for i in rec["order"]):
         raise ValueError(f"order {rec['order']!r} is not a list of sentence indices")
+    if not rec["order"]:
+        raise ValueError("extract must select at least one sentence")
+    if len(set(rec["order"])) != len(rec["order"]):
+        raise ValueError("extract order has duplicate indices")
     if not all(type(t) is list and t and all(type(w) is str for w in t) for t in rec["abstractions"]):
         raise ValueError("abstractions are not non-empty lists of tokens")
     l = len(rec["order"])
@@ -375,22 +379,11 @@ def _cache_record(rec) -> LabeledExample:
             raise ValueError(f"label row {row!r} is not three finite non-negative numbers")
     if not set(rec["best"]) <= set(DECISIONS):
         raise ValueError(f"best {rec['best']!r} is not a sequence of E, A, R")
-    likelihood = rec["P"]
-    if not all(type(p) in (int, float) for p in likelihood.values()):
-        raise ValueError(f"P {likelihood!r} does not map sentence indices to numbers")
-    # one entry per sentence, keyed as `write_label_cache` writes them
-    indices = {str(i) for i in range(len(likelihood))}
-    for key in likelihood:
-        if key not in indices:
-            raise ValueError(f"P key {key!r} is not a sentence index 0..{len(likelihood) - 1}")
     if not math.isfinite(rec["best_reward"]):
         raise ValueError(f"best_reward {rec['best_reward']!r} is not a finite number")
     return LabeledExample(
         example_id=rec["id"],
-        extract=ExtractResult(
-            order=tuple(rec["order"]),
-            likelihood=tuple(likelihood[str(i)] for i in range(len(likelihood))),
-        ),
+        order=tuple(rec["order"]),
         abstractions=tuple(tuple(t) for t in rec["abstractions"]),
         labels=tuple(tuple(row) for row in rec["labels"]),
         best=tuple(DECISIONS.index(c) for c in rec["best"]),

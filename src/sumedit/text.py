@@ -53,7 +53,7 @@ def warn(name: str, message: str, *args) -> None:
 
 
 class DatasetError(ValueError):
-    """Raised for malformed dataset files (names the offending line)."""
+    """Raised for malformed dataset files, as "<path>:<line>: ..."."""
 
 
 def tokenize(raw: str) -> list[str]:
@@ -146,10 +146,11 @@ def read_json_object(path) -> dict:
 def _records(path, highlights_required: bool = True):
     """Yield (line number, record) for every non-blank line of a dataset.
 
-    Structural problems raise DatasetError naming the line: invalid JSON, a
-    record that is not an object, a missing field (highlights may be missing
-    unless `highlights_required`), a non-string id, an id that an earlier
-    line already has, or sentences that are not a list of strings.
+    Structural problems raise DatasetError naming the file and line
+    ("<path>:<line>: ..."): invalid JSON, a record that is not an object, a
+    missing field (highlights may be missing unless `highlights_required`), a
+    non-string id, an id that an earlier line already has, or sentences that
+    are not a list of strings.
     """
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -159,21 +160,21 @@ def _records(path, highlights_required: bool = True):
             try:
                 rec = json_line(line)
             except ValueError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON ({exc})") from None
+                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(rec, dict):
-                raise DatasetError(f"line {lineno}: record is not an object")
+                raise DatasetError(f"{path}:{lineno}: record is not an object")
             for field in ("id", "article_sentences", "highlights"):
                 if field not in rec and (highlights_required or field != "highlights"):
-                    raise DatasetError(f"line {lineno}: missing field {field!r}")
+                    raise DatasetError(f"{path}:{lineno}: missing field {field!r}")
             if not isinstance(rec["id"], str):
-                raise DatasetError(f"line {lineno}: id must be a string")
+                raise DatasetError(f"{path}:{lineno}: id must be a string")
             first = first_line.setdefault(rec["id"], lineno)
             if first != lineno:
-                raise DatasetError(f"line {lineno}: duplicate id {rec['id']!r} (first at line {first})")
+                raise DatasetError(f"{path}:{lineno}: duplicate id {rec['id']!r} (first at line {first})")
             for field in ("article_sentences", "highlights"):
                 v = rec.get(field, [])
                 if not isinstance(v, list) or any(not isinstance(s, str) for s in v):
-                    raise DatasetError(f"line {lineno}: {field} must be a list of strings")
+                    raise DatasetError(f"{path}:{lineno}: {field} must be a list of strings")
             yield lineno, rec
 
 
@@ -193,7 +194,7 @@ def _document(doc_id: str, article: list[list[str]]) -> Document:
 def ingest_dataset(path) -> tuple[list[Example], list[str]]:
     """Load a dataset, rejecting (not silently skipping) empty records.
 
-    Malformed lines raise DatasetError naming the line number; a record with
+    Malformed lines raise DatasetError naming the file and line; a record with
     an empty article or empty highlights is rejected with a reason. Returns
     (accepted examples in file order, one reason per rejected record).
     """
@@ -226,7 +227,7 @@ def load_documents(path) -> list[Document]:
     for lineno, rec in _records(path, highlights_required=False):
         article = _tokenized(rec["article_sentences"])
         if article is None:
-            raise DatasetError(f"line {lineno}: empty article")
+            raise DatasetError(f"{path}:{lineno}: empty article")
         docs.append(_document(rec["id"], article))
     return docs
 

@@ -68,7 +68,7 @@ def adam_step(params: EditorParams, grad: np.ndarray, m: np.ndarray, v: np.ndarr
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
     return encode_split(
         [example.document for example, _ in pairs],
-        [lab.extract.order for _, lab in pairs],
+        [lab.order for _, lab in pairs],
         [lab.abstractions for _, lab in pairs],
         encoder_config,
     )
@@ -91,7 +91,7 @@ def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
     their references, one record per run of at most DECODE_CHUNK pairs."""
     runs = (pairs[start : start + editor.DECODE_CHUNK] for start in range(0, len(pairs), editor.DECODE_CHUNK))
     return [
-        split_entries([sentence_versions(ex, lab.extract, lab.abstractions) for ex, lab in run],
+        split_entries([sentence_versions(ex, lab.order, lab.abstractions) for ex, lab in run],
                       [ex.reference for ex, _ in run])
         for run in runs
     ]

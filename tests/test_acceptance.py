@@ -183,7 +183,7 @@ def test_criterion_2_oracle_equivalence():
             rewards = enumerate_rewards(ex, extract, abstractions, reward_fn=reward_fn)
             assert rewards.size == 3**l
             by_seq = {
-                seq: reward_fn(realize(ex.document, extract, abstractions, seq))
+                seq: reward_fn(realize(ex.document, extract.order, abstractions, seq))
                 for seq in itertools.product(range(3), repeat=l)
             }
             assert rewards.tobytes() == as_array(by_seq).tobytes()
@@ -308,7 +308,7 @@ def test_criterion_6_recurrence_identities():
     params.flat[:] = 0.0
     sequence = decode(vectors, params)[0, : len(extract.order)].tolist()
     assert sequence == [EXTRACT] * 3
-    assert realize(ex.document, extract, abstractions, sequence) == tuple(
+    assert realize(ex.document, extract.order, abstractions, sequence) == tuple(
         ex.document.tokens_at(i) for i in extract.order
     )
     ok(6)
@@ -339,17 +339,17 @@ def test_criterion_7_end_to_end_learning():
     correct = total = 0
     model_reward = baseline_reward = 0.0
     vectors = encode_split(
-        [ex.document for ex in test_ex], [lab.extract.order for lab in te_lab],
+        [ex.document for ex in test_ex], [lab.order for lab in te_lab],
         [lab.abstractions for lab in te_lab], enc,
     )
     decisions = decode(vectors, best)
     for ex, lab, row in zip(test_ex, te_lab, decisions):
-        sequence = row[: len(lab.extract.order)].tolist()
+        sequence = row[: len(lab.order)].tolist()
         for decision, target in zip(sequence, lab.best):
             correct += decision == target
             total += 1
-        model_reward += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, w)
-        extracted = [ex.document.tokens_at(i) for i in lab.extract.order]
+        model_reward += reward(realize(ex.document, lab.order, lab.abstractions, sequence), ex.reference, w)
+        extracted = [ex.document.tokens_at(i) for i in lab.order]
         baseline_reward += reward(extracted, ex.reference, w)
     accuracy = correct / total
     model_reward /= len(test_ex)
@@ -433,11 +433,11 @@ def test_criterion_10_reporting():
     tally = {d: 0 for d in range(3)}
     fracs = []
     for ex, lab in pairs:
-        vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, enc)
-        sequence = decode(vectors, params)[0, : len(lab.extract.order)].tolist()
+        vectors = encode_split([ex.document], [lab.order], [lab.abstractions], enc)
+        sequence = decode(vectors, params)[0, : len(lab.order)].tolist()
         for decision in sequence:
             tally[decision] += 1
-        emitted = len(realize(ex.document, lab.extract, lab.abstractions, sequence))
+        emitted = len(realize(ex.document, lab.order, lab.abstractions, sequence))
         abstracted = sequence.count(ABSTRACT)
         if emitted:
             fracs.append(abstracted / emitted)

@@ -128,7 +128,7 @@ class TestIngestFuzz:
             assert err.pop() == ""
             if rc == 1:
                 # one error line, after a warning per record rejected before it
-                assert re.fullmatch(r"error: line \d+: .+", err.pop())
+                assert re.fullmatch(re.escape(f"error: {src}:") + r"\d+: .+", err.pop())
                 assert all(e.startswith("WARNING sumedit.text: rejected record: line ") for e in err)
                 assert out.read_bytes() == b"previous\n"
             else:
@@ -158,8 +158,26 @@ class TestLabelAndTrain:
 
     def test_train_without_cache_names_label_command(self, workspace, capsys):
         cfg = write_config(workspace)
-        with pytest.raises(SystemExit, match="label"):
-            cli.main(["train", "--config", str(cfg)])
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: missing label cache {workspace / 'out' / 'labels_train.jsonl'}; "
+            "run `sumedit label --split train` first\n"
+        )
+
+    def test_train_with_cache_entry_not_in_dataset_exits_1(self, workspace, capsys):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        example_id = json.loads((workspace / "out" / "labels_train.jsonl").read_text().splitlines()[1])["id"]
+        text.write_dataset(make_corpus(16, seed=0, k=1, id_prefix="other"), workspace / "train.jsonl")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: cache entry {example_id!r} not found in train dataset\n"
+        assert not (workspace / "out" / "checkpoint.json").exists()
+
+    def test_label_without_dataset_path_exits_1(self, workspace, capsys):
+        cfg = write_config(workspace, train_path=None)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train"]) == 1
+        assert capsys.readouterr().err == "error: config has no train_path\n"
 
     def test_fixed_seed_byte_identical(self, workspace):
         outs = []
@@ -195,20 +213,6 @@ def set_label_row(row):
     return edit
 
 
-def set_first_likelihood(value):
-    def edit(rec):
-        rec["P"][next(iter(rec["P"]))] = value
-
-    return edit
-
-
-def rename_first_likelihood(key):
-    def edit(rec):
-        rec["P"][key] = rec["P"].pop(next(iter(rec["P"])))
-
-    return edit
-
-
 class TestLabelCacheValidation:
     @pytest.fixture
     def labeled(self, workspace, capsys):
@@ -229,23 +233,20 @@ class TestLabelCacheValidation:
             (edit_record(set_label_row([float("nan"), 0.5, 0.5])), "not three finite non-negative"),
             (edit_record(set_label_row([-0.1, 0.6, 0.5])), "not three finite non-negative"),
             (edit_record(set_label_row([0.5, 0.5])), "not three finite non-negative"),
-            (edit_record(set_first_likelihood("0.5")), "does not map sentence indices to numbers"),
-            (edit_record(set_first_likelihood(True)), "does not map sentence indices to numbers"),
             (edit_record(lambda rec: rec.update(best_reward="0.5")), "field 'best_reward' has the wrong type"),
             (edit_record(lambda rec: rec.update(best_reward=True)), "field 'best_reward' has the wrong type"),
             (edit_record(lambda rec: rec.update(best_reward=float("nan"))), "best_reward nan is not a finite number"),
             (edit_record(lambda rec: rec.update(best_reward=float("inf"))), "best_reward inf is not a finite number"),
-            (edit_record(rename_first_likelihood("-3")), "P key '-3' is not a sentence index"),
-            (edit_record(rename_first_likelihood("zero")), "P key 'zero' is not a sentence index"),
-            (edit_record(rename_first_likelihood("3")), "P key '3' is not a sentence index 0..2"),
             (edit_record(lambda rec: rec.update(best="EXQ")), "best 'EXQ' is not a sequence of E, A, R"),
             (edit_record(lambda rec: rec.update(best="eea")), "best 'eea' is not a sequence of E, A, R"),
+            (edit_record(lambda rec: rec.update(order=[], labels=[], abstractions=[], best="")),
+             "extract must select at least one sentence"),
+            (edit_record(lambda rec: rec.update(order=[0, 0, 1])), "extract order has duplicate indices"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
-             "best-length", "nan-label", "negative-label", "short-label-row", "str-likelihood",
-             "bool-likelihood", "str-best-reward", "bool-best-reward", "nan-best-reward", "infinite-best-reward",
-             "negative-likelihood-key", "word-likelihood-key", "skipped-likelihood-key", "bad-best-letter",
-             "lowercase-best-letter"],
+             "best-length", "nan-label", "negative-label", "short-label-row", "str-best-reward",
+             "bool-best-reward", "nan-best-reward", "infinite-best-reward", "bad-best-letter",
+             "lowercase-best-letter", "empty-order", "repeated-order-index"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled
@@ -428,7 +429,7 @@ class TestDuplicateIds:
 
     def expected(self, path):
         example_id, line = duplicate_first_id(path)
-        return f"error: line {line}: duplicate id {example_id!r} (first at line 1)\n"
+        return f"error: {path}:{line}: duplicate id {example_id!r} (first at line 1)\n"
 
     def test_ingest(self, tmp_path, capsys):
         text.write_dataset(make_corpus(3, seed=0, k=1), tmp_path / "in.jsonl")
@@ -515,7 +516,7 @@ class TestLabelCacheHeader:
         argv = ["--split", "train", "--split", "val", "--split", "test"]
         assert cli.main(["label", "--config", str(write_config(workspace)), *argv]) == 0
         header = json.loads((workspace / "out" / "labels_train.jsonl").read_text().splitlines()[0])
-        assert (header["cache_version"], header[name]) == (2, labeled)
+        assert (header["cache_version"], header[name]) == (3, labeled)
         capsys.readouterr()
         cfg = str(write_config(workspace, **{name: changed}))
         for command, split, artifact in (("train", "train", "checkpoint.json"),
@@ -528,19 +529,22 @@ class TestLabelCacheHeader:
             )
             assert not (workspace / "out" / artifact).exists()
 
-    def test_version_1_cache_is_rejected(self, workspace, capsys):
+    # a version-1 header has no label settings
+    @pytest.mark.parametrize("version, dropped", [(1, ("k", "extractor", "abstract_ratio")), (2, ())],
+                             ids=["1", "2"])
+    def test_old_cache_version_is_rejected(self, workspace, capsys, version, dropped):
         cfg = str(write_config(workspace))
         assert cli.main(["label", "--config", cfg, "--split", "train", "--split", "val"]) == 0
         cache = workspace / "out" / "labels_train.jsonl"
         lines = cache.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
-        for name in ("k", "extractor", "abstract_ratio"):
+        for name in dropped:
             del header[name]
-        cache.write_text(json.dumps(dict(header, cache_version=1)) + "\n" + "".join(lines[1:]))
+        cache.write_text(json.dumps(dict(header, cache_version=version)) + "\n" + "".join(lines[1:]))
         capsys.readouterr()
         assert cli.main(["train", "--config", cfg]) == 1
         assert capsys.readouterr().err == (
-            f"error: {cache}: label cache version 1 is not supported; rerun sumedit label --split train\n"
+            f"error: {cache}: label cache version {version} is not supported; rerun sumedit label --split train\n"
         )
         assert not (workspace / "out" / "checkpoint.json").exists()
 
@@ -651,9 +655,13 @@ class TestSummarizeInput:
     def test_malformed_record_names_line(self, workspace, capsys, record):
         assert self.summarize(workspace, [record]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: line 1: ")
+        assert captured.err.startswith(f"error: {workspace / 'docs.jsonl'}:1: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_no_usable_records_exits_1(self, workspace, capsys):
+        assert self.summarize(workspace, []) == 1
+        assert capsys.readouterr().err == f"error: no usable records in {workspace / 'docs.jsonl'}\n"
 
     def test_lead_without_highlights(self, workspace, capsys):
         records = [
@@ -814,7 +822,7 @@ class TestExitPath:
         proc = run_child("-m", "sumedit.cli", "train", "--config", str(write_config(workspace)))
         assert proc.returncode == 1
         assert proc.stderr == (
-            f"missing label cache {workspace / 'out' / 'labels_train.jsonl'}; "
+            f"error: missing label cache {workspace / 'out' / 'labels_train.jsonl'}; "
             "run `sumedit label --split train` first\n"
         )
 

@@ -170,7 +170,7 @@ class TestEdit:
         """The decoded decisions of the one extract and the text they realize."""
         ex, extract, abstractions, vectors = context
         sequence = decode(vectors, params)[0, : len(extract.order)].tolist()
-        return sequence, realize(ex.document, extract, abstractions, sequence)
+        return sequence, realize(ex.document, extract.order, abstractions, sequence)
 
     def test_zero_params_decides_extract_everywhere(self):
         context = self.context(["a b c", "d e f", "g h"])

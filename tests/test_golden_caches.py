@@ -49,13 +49,13 @@ def mixed_lead(example):
 
 CASES = {
     "lead-l4": (lambda: corpus(21, [2] * 60, "lead"), LeadExtractor(4), {4},
-                "9609be3eb43b5b8a513f4447d58540daebed20bf0f71aa1c8fe1396a8e864c67"),
+                "f0a5316147a22027fb0226b49cde30d792b60fac5063d23a536c9f6c7c62f616"),
     "mixed-l1-7": (lambda: corpus(22, [5 + j % 4 for j in range(42)], "mixed"), mixed_lead, set(range(1, 8)),
-                   "941b9732b99b1cfaba6d77884c49c58bc44e1eda3fc3a6b22f7af4c9d74cdb71"),
+                   "88bf275f75554dbba3f0aba0cdbde9e110132ed835b6b4416fb682f23b23449b"),
     "l10": (lambda: corpus(23, [8], "ten"), LeadExtractor(10), {10},
-            "2a5b9812e17e765cdfa80eecd17d53ff57409f04fdc59bc0ae8b07b3fa71ef34"),
+            "55b099392199d50588749fed2afb8f55846593d75dc678b372de115b08cbeab3"),
     "greedy-k4": (lambda: corpus(24, [j % 9 for j in range(45)], "greedy"), GreedyOracleExtractor(4), {1, 2, 3, 4},
-                  "52c0aadf8cbb1533db3d5396356ebb885fbeafd37938eb0ede1889213bc3237e"),
+                  "4de20a01410a2c3d082a7712be3e554f4e2c60c7cc483217afb90a6a9e869678"),
 }
 
 
@@ -78,11 +78,11 @@ def test_cache_written_by_label_command_is_recorded(tmp_path):
     assert cli.main(["label", "--config", str(tmp_path / "config.json"), "--split", "train"]) == 0
     data = (tmp_path / "out" / "labels_train.jsonl").read_bytes()
     assert json.loads(data.splitlines()[0]) == {
-        "abstract_ratio": 0.9, "cache_version": 2, "cap": 12, "extractor": "lead", "k": 4,
+        "abstract_ratio": 0.9, "cache_version": 3, "cap": 12, "extractor": "lead", "k": 4,
         "reward_weights": [0.4, 1.0, 0.5],
     }
     assert len(data.splitlines()) == 301
-    assert hashlib.sha256(data).hexdigest() == "6a0e07fe6b1cf29936ca0c3cd44469ea6076eab413b0452464beee14de295e1f"
+    assert hashlib.sha256(data).hexdigest() == "3e23a72c4cabf0f55229d3edf9304d2261ef5b74a3158a382a7e83e6d1a5bb8a"
 
 
 SUMMARIZE_DIGESTS = {

@@ -115,22 +115,22 @@ def naive_best(rewards):
 class TestRealize:
     def test_all_extract(self):
         ex, extract, abstractions = fixture(3)
-        out = realize(ex.document, extract, abstractions, (E, E, E))
+        out = realize(ex.document, extract.order, abstractions, (E, E, E))
         assert out == tuple(ex.document.tokens_at(i) for i in range(3))
 
     def test_all_reject(self):
         ex, extract, abstractions = fixture(2)
-        assert realize(ex.document, extract, abstractions, (R, R)) == ()
+        assert realize(ex.document, extract.order, abstractions, (R, R)) == ()
 
     def test_mixed(self):
         ex, extract, abstractions = fixture(3)
-        out = realize(ex.document, extract, abstractions, (E, A, R))
+        out = realize(ex.document, extract.order, abstractions, (E, A, R))
         assert out == (ex.document.tokens_at(0), abstractions[1])
 
     def test_length_mismatch(self):
         ex, extract, abstractions = fixture(2)
         with pytest.raises(ValueError):
-            realize(ex.document, extract, abstractions, (E,))
+            realize(ex.document, extract.order, abstractions, (E,))
 
 
 class TestEnumerateRewards:
@@ -154,7 +154,7 @@ class TestEnumerateRewards:
         ex, extract, abstractions = fixture(3)
         rewards = enumerate_rewards(ex, extract, abstractions, reward_fn=hashed_reward)
         for seq in itertools.product(range(3), repeat=3):
-            expected = hashed_reward(realize(ex.document, extract, abstractions, seq))
+            expected = hashed_reward(realize(ex.document, extract.order, abstractions, seq))
             assert at(rewards, seq) == expected
 
 
@@ -299,7 +299,7 @@ class TestFactorizedOracle:
         rewards = enumerate_rewards(ex, extract, abstractions)
         l = len(extract.order)
         want = [
-            reward(realize(ex.document, extract, abstractions, seq), ex.reference)
+            reward(realize(ex.document, extract.order, abstractions, seq), ex.reference)
             for seq in itertools.product(range(3), repeat=l)
         ]
         assert rewards.shape == (3,) * l
@@ -332,7 +332,7 @@ class TestFactorizedOracle:
             [("a", "b", "c", "d"), ("e", "a")],
         )
         l = len(extract.order)
-        stats = oracle.split_entries([oracle.sentence_versions(ex, extract, abstractions)], [ex.reference]).stats([0], [0], 2 * l)
+        stats = oracle.split_entries([oracle.sentence_versions(ex, extract.order, abstractions)], [ex.reference]).stats([0], [0], 2 * l)
         width = stats.counts.shape[2] + stats.lcs.shape[2]
         # the largest bound that leaves `head` leading decisions to chunk
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 3 ** (l - head) * width if head else oracle.CHUNK_ENTRIES)
@@ -362,7 +362,7 @@ class TestFactorizedOracle:
         assert rewards.shape == (3,) * 12
         assert elapsed < 5, f"l = 12 enumeration took {elapsed:.1f}s"
         for idx in rng.integers(0, 3, size=(200, 12)):
-            summary = realize(ex.document, extract, abstractions, idx.tolist())
+            summary = realize(ex.document, extract.order, abstractions, idx.tolist())
             assert rewards[tuple(idx)] == reward(summary, ex.reference)
 
 
@@ -380,7 +380,7 @@ class TestLabelDataset:
         )
         assert labeled == [] and failures == []
         loaded, header = read_label_cache(path)
-        assert loaded == [] and header["cache_version"] == 2
+        assert loaded == [] and header["cache_version"] == 3
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -463,7 +463,7 @@ class TestLabelDataset:
         by_id = {ex.document.id: ex for ex in examples}
         for lab in labeled:
             ex = by_id[lab.example_id]
-            rewards = enumerate_rewards(ex, lab.extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+            rewards = enumerate_rewards(ex, extractor(ex), lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
             best = best_sequence(rewards)
             assert lab.best == best and lab.best_reward == float(rewards[best])
             assert np.array(lab.labels).tobytes() == soft_labels(rewards, best).tobytes()
@@ -504,7 +504,7 @@ class TestLabelDataset:
         for part, (rewards,) in batches:
             for k, got in zip(part, rewards):
                 ex, lab = examples[k], labeled[k]
-                want = enumerate_rewards(ex, lab.extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+                want = enumerate_rewards(ex, LeadExtractor(7)(ex), lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
                 assert got.tobytes() == want.tobytes()
 
     def test_equal_lengths_make_one_grid_pass(self, monkeypatch):

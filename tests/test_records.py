@@ -121,7 +121,7 @@ def test_resolved_config_bytes(tmp_path):
 def labeled(**changes) -> LabeledExample:
     fields = {
         "example_id": "e",
-        "extract": ExtractResult((0, 2), (1.0, 0.5, 0.25)),
+        "order": (0, 2),
         "abstractions": (("a",), ("b",)),
         "labels": ((0.5, 0.25, 0.25), (0.0, 0.0, 1.0)),
         "best": ("E", "R"),
@@ -143,7 +143,7 @@ def labeled(**changes) -> LabeledExample:
         (lambda **c: ExtractResult(**{"order": (0, 1), "likelihood": (1.0, 0.5), **c}),
          {"likelihood": (1.0, 0.25)}),
         (lambda **c: EncoderConfig(**{"n": 8, **c}), {"context_window": 0}),
-        (labeled, {"extract": ExtractResult((0, 2), (1.0, 0.5, 0.5))}),
+        (labeled, {"order": (0, 1)}),
         (labeled, {"labels": ((0.5, 0.25, 0.25), (0.0, 1.0, 0.0))}),
     ],
     ids=["Sentence", "Document", "ReferenceSummary", "Example", "RougeScore", "ExtractResult",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -58,19 +59,19 @@ class TestLoadDataset:
         bad = {"id": "x", "article_sentences": ["a b"]}
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD, bad])
-        with pytest.raises(DatasetError, match="line 2: missing field"):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: missing field"):
             load_dataset(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, ["{not json"])
-        with pytest.raises(DatasetError, match="line 1"):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:1: invalid JSON"):
             load_dataset(path)
 
     def test_nesting_past_recursion_limit_names_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD, "[" * 5000])
-        with pytest.raises(DatasetError, match=r"^line 2: invalid JSON \(nested too deeply\)$"):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: " + r"invalid JSON \(nested too deeply\)$"):
             load_dataset(path)
 
     def test_three_sentence_article_indices(self, tmp_path):

@@ -16,16 +16,15 @@ from sumedit.editor import (
     PARAM_NAMES,
     REJECT,
     EditorParams,
-    context_from_abstractions,
     decode,
     forward,
     init_params,
     loss_and_gradients,
 )
-from sumedit.encoder import EncoderConfig
+from sumedit.encoder import EncoderConfig, encode_split
 from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
-from sumedit.summarizers import ExtractResult, LeadExtractor, SalienceAbstractor
+from sumedit.summarizers import LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
 from sumedit.trainer import adam_step, evaluate, mean_reward, train
 
@@ -58,9 +57,9 @@ def zero_forced_params(bias):
 def decoded_summary(example, lab, params):
     """The decisions `decode` makes for one labeled example on its own, and
     the summary they realize."""
-    vectors = context_from_abstractions(example.document, lab.extract, lab.abstractions, ENC)
-    sequence = decode(vectors, params)[0, : len(lab.extract.order)].tolist()
-    return sequence, realize(example.document, lab.extract, lab.abstractions, sequence)
+    vectors = encode_split([example.document], [lab.order], [lab.abstractions], ENC)
+    sequence = decode(vectors, params)[0, : len(lab.order)].tolist()
+    return sequence, realize(example.document, lab.order, lab.abstractions, sequence)
 
 
 def reference_adam_step(params, grads, state):
@@ -227,7 +226,7 @@ class TestTrain:
         pairs = labeled_pairs(4, seed=11)
         ex, lab = pairs[2]
         nan_labels = (lab.labels[0], (float("nan"), 0.5, 0.5)) + lab.labels[2:]
-        pairs[2] = (ex, LabeledExample(lab.example_id, lab.extract, lab.abstractions, nan_labels, lab.best, lab.best_reward))
+        pairs[2] = (ex, LabeledExample(lab.example_id, lab.order, lab.abstractions, nan_labels, lab.best, lab.best_reward))
         params = init_params(4, ENC.n, np.random.default_rng(0))
         config = train_config(batch_size=4, epochs=2)
         with pytest.raises(ValueError, match="epoch 1: non-finite") as info:
@@ -240,7 +239,7 @@ class TestTrain:
         # change the teacher-forced decisions or the state trajectory
         pairs = labeled_pairs(1, seed=6)
         ex, lab = pairs[0]
-        vectors = context_from_abstractions(ex.document, lab.extract, lab.abstractions, ENC)
+        vectors = encode_split([ex.document], [lab.order], [lab.abstractions], ENC)
         y = np.asarray(lab.labels)
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
@@ -270,7 +269,7 @@ class TestEvaluate:
         w = RewardWeights()
         expected = np.mean(
             [
-                reward([ex.document.tokens_at(i) for i in lab.extract.order], ex.reference, w)
+                reward([ex.document.tokens_at(i) for i in lab.order], ex.reference, w)
                 for ex, lab in pairs
             ]
         )
@@ -411,7 +410,7 @@ def scored_pair(example_id, doc, order, abstractions, ref):
     )
     lab = LabeledExample(
         example_id=example_id,
-        extract=ExtractResult(order=order, likelihood=(1.0,) * len(doc)),
+        order=order,
         abstractions=abstractions,
         labels=((1 / 3, 1 / 3, 1 / 3),) * len(order),
         best=(EXTRACT,) * len(order),
@@ -466,8 +465,8 @@ class TestMeanRewardAgainstReward:
         decisions = decode(vectors, params)
         total = 0.0
         for (ex, lab), row in zip(pairs, decisions):
-            sequence = row[: len(lab.extract.order)].tolist()
-            total += reward(realize(ex.document, lab.extract, lab.abstractions, sequence), ex.reference, weights)
+            sequence = row[: len(lab.order)].tolist()
+            total += reward(realize(ex.document, lab.order, lab.abstractions, sequence), ex.reference, weights)
         entries = trainer_mod._entries(pairs)
         assert mean_reward(vectors, entries, params, weights) == total / len(pairs)
 
@@ -490,8 +489,8 @@ def reference_totals(decisions, pairs):
     decisions choose, with the reference token and bigram totals."""
     totals, ref_tokens, ref_bigrams = [], [], []
     for (ex, lab), row in zip(pairs, decisions.tolist()):
-        l = len(lab.extract.order)
-        versions = [ex.document.tokens_at(i) for i in lab.extract.order] + list(lab.abstractions)
+        l = len(lab.order)
+        versions = [ex.document.tokens_at(i) for i in lab.order] + list(lab.abstractions)
         stats = sentence_stats(versions, ex.reference)
         rows = [k * l + i for i, k in enumerate(row[:l]) if k != REJECT]
         totals.append(stats.totals(stats.counts[rows].sum(axis=0), stats.lcs[rows].any(axis=0)))
@@ -512,13 +511,13 @@ class TestSplitTotalsAgainstPerExampleTotals:
         data=st.data(),
     )
     def test_equal_per_example_totals(self, pairs, chunk, data):
-        L = max((len(lab.extract.order) for _, lab in pairs), default=0)
+        L = max((len(lab.order) for _, lab in pairs), default=0)
         decisions = np.full((len(pairs), L), REJECT, dtype=np.intp)
         for j, (_, lab) in enumerate(pairs):
-            l = len(lab.extract.order)
+            l = len(lab.order)
             steps = data.draw(st.sampled_from([[EXTRACT, ABSTRACT, REJECT], [REJECT], [EXTRACT], [ABSTRACT]]))
             decisions[j, :l] = data.draw(st.lists(st.sampled_from(steps), min_size=l, max_size=l))
-        lengths = np.array([len(lab.extract.order) for _, lab in pairs], dtype=np.int64)
+        lengths = np.array([len(lab.order) for _, lab in pairs], dtype=np.int64)
         with mock.patch.object(editor, "DECODE_CHUNK", chunk):
             records = trainer_mod._entries(pairs)
         assert len(records) == -(-len(pairs) // chunk)
