@@ -9,7 +9,9 @@ The module imports only the standard library; each command names the
 layers it runs (`layers` in `build_parser`: `label` runs the oracle,
 `train` and `evaluate` the editor and trainer, `summarize` the editor,
 encoder and summarizers) and imports them in its `cmd_*` function, calling
-them through their module attributes. `run()`, the process entry point,
+them through their module attributes. Each command builds the label cache
+header of its resolved config once (`oracle.cache_header`): `label` writes
+it, and `train` and `evaluate` pass it to `oracle.read_label_cache`. `run()`, the process entry point,
 works in this order: it disables the collector, parses the arguments,
 imports the command's layers (numpy and `config` with them), freezes the
 heap (`gc.freeze()`), re-enables the collector and runs the command. So no
@@ -75,15 +77,14 @@ def cmd_label(args) -> int:
     out = _out_dir(cfg)
     extractor = cfg.make_extractor()
     abstractor = cfg.make_abstractor()
+    header = oracle.cache_header(cfg)
     status = 0
     for split in args.splits:
         examples = text.load_dataset(_dataset_path(cfg, split))
         cache_path = out / f"labels_{split}.jsonl"
         start = time.monotonic()
-        labeled, _ = oracle.label_dataset(
-            examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap, cache_path=cache_path,
-            settings={name: getattr(cfg, name) for name in oracle.LABEL_SETTINGS},
-        )
+        labeled, _ = oracle.label_dataset(examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap)
+        oracle.write_label_cache(cache_path, labeled, header)
         elapsed = time.monotonic() - start
         print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)
         if not labeled and examples:
@@ -92,52 +93,26 @@ def cmd_label(args) -> int:
     return status
 
 
-def _paired_split(cfg: ExperimentConfig, split: str, out: Path):
+def _paired_split(cfg: ExperimentConfig, split: str, out: Path, header: dict):
     from . import oracle, text
 
     cache_path = out / f"labels_{split}.jsonl"
     if not cache_path.exists():
         raise ValueError(f"missing label cache {cache_path}; run `sumedit label --split {split}` first")
-    command = f"sumedit label --split {split}"
-    labeled, header = oracle.read_label_cache(cache_path, rerun=command)
-    # The extracts, abstractions and soft labels depend on these fields, so a
-    # cache labeled under others does not belong to this config.
-    config_has = oracle.cache_header(
-        cfg.reward_weights(), cfg.cap, {name: getattr(cfg, name) for name in oracle.LABEL_SETTINGS}
-    )
-    for name, value in config_has.items():
-        if name != "cache_version" and header.get(name) != value:
-            raise ValueError(
-                f"{cache_path}: labeled with {name} {header.get(name)}, config has {name} {value}; rerun {command}"
-            )
-    if not labeled:
-        raise ValueError(f"{cache_path}: the {split} split has no labeled examples; rerun {command}")
-    examples = {ex.document.id: ex for ex in text.load_dataset(_dataset_path(cfg, split))}
-    pairs = []
-    for lab in labeled:
-        if lab.example_id not in examples:
-            raise ValueError(f"cache entry {lab.example_id!r} not found in {split} dataset")
-        example = examples[lab.example_id]
-        sentences = len(example.document)
-        for idx in lab.order:
-            if idx >= sentences:
-                raise ValueError(
-                    f"{cache_path}: example {lab.example_id!r} extracts sentence {idx}, "
-                    f"but its document has {sentences} sentences"
-                )
-        pairs.append((example, lab))
-    return pairs
+    examples = text.load_dataset(_dataset_path(cfg, split))
+    return oracle.read_label_cache(cache_path, header, examples, split)
 
 
 def cmd_train(args) -> int:
     import numpy as np
 
-    from . import editor, text, trainer
+    from . import editor, oracle, text, trainer
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    train_pairs = _paired_split(cfg, "train", out)
-    val_pairs = _paired_split(cfg, "val", out)
+    header = oracle.cache_header(cfg)
+    train_pairs = _paired_split(cfg, "train", out, header)
+    val_pairs = _paired_split(cfg, "val", out, header)
     rng = np.random.default_rng(cfg.seed)
     params = editor.init_params(cfg.hidden_m, cfg.encoder_n, rng)
     best, log = trainer.train(train_pairs, val_pairs, cfg, params)
@@ -208,12 +183,12 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import editor, text, trainer
+    from . import editor, oracle, text, trainer
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
     params, enc_config = editor.load_checkpoint(args.checkpoint)
-    pairs = _paired_split(cfg, "test", out)
+    pairs = _paired_split(cfg, "test", out, oracle.cache_header(cfg))
     report = trainer.evaluate(pairs, params, enc_config, cfg.reward_weights())
     report_path = out / "evaluation.json"
     with text.atomic_open(report_path) as fh:

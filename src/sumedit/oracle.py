@@ -15,8 +15,10 @@ call, and its examples of one extract length share one stacked
 batches of at most CHUNK_ENTRIES grid entries. Each batch gets a dense
 record of its own (`SplitEntries.stats`: its examples' 2l versions, over
 the columns and reference positions they touch); no record spans the run.
-Labels are written to a reproducible line-delimited JSON cache, under the
-header that `cache_header` builds.
+`write_label_cache` writes them to a reproducible line-delimited JSON cache
+under the header `cache_header` builds from the resolved config;
+`read_label_cache`, its one reader, decides in one pass whether a cache
+belongs to a run.
 
 A decision is an index into `editor.DECISIONS` (E = 0, A = 1, R = 2), and a
 sequence is a tuple of them; only the cache writes their letters. An
@@ -280,16 +282,13 @@ def label_dataset(
     abstractor: Abstractor,
     weights: RewardWeights = RewardWeights(),
     cap: int = DEFAULT_CAP,
-    cache_path=None,
-    settings: Mapping[str, object] | None = None,
 ) -> tuple[list[LabeledExample], list[str]]:
-    """Label a dataset; optionally write the cache file, with `settings`
-    (the config fields that shaped the labels) in its header.
-
-    Examples are labeled in runs of `editor.DECODE_CHUNK` consecutive
+    """Label a dataset, in runs of `editor.DECODE_CHUNK` consecutive
     examples (the last run may be shorter), one run at a time.
+
     Returns (labeled examples in input order, per-example failure messages).
-    Re-running with the same inputs reproduces a byte-identical cache.
+    The same inputs give the same labels, so `write_label_cache` writes a
+    byte-identical cache from a rerun.
     """
     labeled: list[LabeledExample] = []
     failures: list[str] = []
@@ -301,36 +300,34 @@ def label_dataset(
                 warn(__name__, "labeling failed: %s", failures[-1])
             else:
                 labeled.append(result)
-    if cache_path is not None:
-        write_label_cache(cache_path, labeled, weights, cap, settings)
     return labeled, failures
 
 
 CACHE_VERSION = 3
 
 # Config fields that shape a label cache besides the reward weights and the
-# cap: `sumedit label` writes them into the cache header, and `train` and
-# `evaluate` accept only a cache labeled with the config's values.
+# cap, and so go into its header.
 LABEL_SETTINGS = ("k", "extractor", "abstract_ratio")
 
 
-def cache_header(weights: RewardWeights, cap: int, settings: Mapping[str, object] | None = None) -> dict:
-    """The header of a label cache: its version, the reward weights and the
-    cap it was labeled with, then `settings` (LABEL_SETTINGS values)."""
+def cache_header(cfg) -> dict:
+    """The label cache header of a resolved `ExperimentConfig`: the cache
+    version, the reward weights, the cap, then the LABEL_SETTINGS fields.
+    `label` writes it, and `train` and `evaluate` accept only a cache that
+    has it."""
+    weights = cfg.reward_weights()
     return {
         "cache_version": CACHE_VERSION,
         "reward_weights": [weights.alpha, weights.beta, weights.gamma],
-        "cap": cap,
-        **(settings or {}),
+        "cap": cfg.cap,
+        **{name: getattr(cfg, name) for name in LABEL_SETTINGS},
     }
 
 
-def write_label_cache(
-    path, labeled: Sequence[LabeledExample], weights: RewardWeights, cap: int,
-    settings: Mapping[str, object] | None = None,
-) -> None:
+def write_label_cache(path, labeled: Sequence[LabeledExample], header: Mapping[str, object]) -> None:
+    """Write `header` (see `cache_header`), then one record per labeled example."""
     with atomic_open(path) as fh:
-        fh.write(json.dumps(cache_header(weights, cap, settings), sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for lab in labeled:
             rec = {
                 "id": lab.example_id,
@@ -367,8 +364,11 @@ def _cache_record(rec) -> LabeledExample:
         raise ValueError("extract must select at least one sentence")
     if len(set(rec["order"])) != len(rec["order"]):
         raise ValueError("extract order has duplicate indices")
-    if not all(type(t) is list and t and all(type(w) is str for w in t) for t in rec["abstractions"]):
-        raise ValueError("abstractions are not non-empty lists of tokens")
+    for t in rec["abstractions"]:
+        # a token that is empty or holds whitespace (tokenizing yields none)
+        # does not survive the join and split
+        if not (type(t) is list and t and all(type(w) is str for w in t) and " ".join(t).split() == t):
+            raise ValueError("abstractions are not non-empty lists of tokens")
     l = len(rec["order"])
     for name in ("labels", "abstractions", "best"):
         if len(rec[name]) != l:
@@ -391,33 +391,60 @@ def _cache_record(rec) -> LabeledExample:
     )
 
 
-def read_label_cache(path, rerun: str = "sumedit label") -> tuple[list[LabeledExample], dict]:
-    """Labeled examples and header of a cache file; a malformed line or a
-    repeated id raises ValueError("<path>:<line>: ..."), and a cache of
-    another version says to `rerun` the command that writes it."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty label cache")
-    records = []
-    for no, ln in lines:
+def read_label_cache(
+    path, header: Mapping[str, object], examples: Sequence[Example], split: str
+) -> list[tuple[Example, LabeledExample]]:
+    """The (example, labeled example) pairs of the `split` split's label
+    cache, in file order, read in one pass. The header is checked before any
+    record: this CACHE_VERSION, then `header`'s value of every field. Each
+    record must pass `_cache_record`, have an id seen once and found in
+    `examples`, and extract only sentences of its document, and a cache with
+    no record is refused. A refusal raises ValueError("<path>[:<line>]:
+    <reason>; rerun sumedit label --split <split>")."""
+
+    def refused(where, reason) -> ValueError:
+        return ValueError(f"{where}: {reason}; rerun sumedit label --split {split}")
+
+    def parsed(no, ln):
         try:
-            records.append(json_line(ln))
+            return json_line(ln)
         except ValueError as exc:
-            raise ValueError(f"{path}:{no}: not valid JSON ({exc})") from None
-    header = records[0]
-    version = header.get("cache_version") if isinstance(header, dict) else None
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: label cache version {version} is not supported; rerun {rerun}")
-    labeled = []
+            raise refused(f"{path}:{no}", f"not valid JSON ({exc})") from None
+
+    by_id = {ex.document.id: ex for ex in examples}
     first_line: dict[str, int] = {}
-    for (no, _), rec in zip(lines[1:], records[1:]):
-        try:
-            lab = _cache_record(rec)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{no}: {exc}") from None
-        first = first_line.setdefault(lab.example_id, no)
-        if first != no:
-            raise ValueError(f"{path}:{no}: duplicate id {lab.example_id!r} (first at line {first})")
-        labeled.append(lab)
-    return labeled, header
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        lines = ((no, ln) for no, ln in enumerate(fh, 1) if ln.strip())
+        no, ln = next(lines, (0, ""))
+        if not no:
+            raise refused(path, "empty label cache")
+        found = parsed(no, ln)
+        version = found.get("cache_version") if isinstance(found, dict) else None
+        if version != CACHE_VERSION:
+            raise refused(path, f"label cache version {version} is not supported")
+        # The extracts, abstractions and soft labels depend on these fields,
+        # so a cache labeled under others does not belong to the run.
+        for name, value in header.items():
+            if found.get(name) != value:
+                raise refused(path, f"labeled with {name} {found.get(name)}, config has {name} {value}")
+        for no, ln in lines:
+            where, rec = f"{path}:{no}", parsed(no, ln)
+            try:
+                lab = _cache_record(rec)
+            except ValueError as exc:
+                raise refused(where, exc) from None
+            first = first_line.setdefault(lab.example_id, no)
+            if first != no:
+                raise refused(where, f"duplicate id {lab.example_id!r} (first at line {first})")
+            example = by_id.get(lab.example_id)
+            if example is None:
+                raise refused(where, f"example {lab.example_id!r} is not in the {split} dataset")
+            past = [i for i in lab.order if i >= len(example.document)]
+            if past:
+                reason = f"extracts sentence {past[0]}, but its document has {len(example.document)} sentences"
+                raise refused(where, f"example {lab.example_id!r} {reason}")
+            pairs.append((example, lab))
+    if not pairs:
+        raise refused(path, f"the {split} split has no labeled examples")
+    return pairs

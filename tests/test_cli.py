@@ -167,11 +167,14 @@ class TestLabelAndTrain:
     def test_train_with_cache_entry_not_in_dataset_exits_1(self, workspace, capsys):
         cfg = write_config(workspace)
         assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
-        example_id = json.loads((workspace / "out" / "labels_train.jsonl").read_text().splitlines()[1])["id"]
+        cache = workspace / "out" / "labels_train.jsonl"
+        example_id = json.loads(cache.read_text().splitlines()[1])["id"]
         text.write_dataset(make_corpus(16, seed=0, k=1, id_prefix="other"), workspace / "train.jsonl")
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: cache entry {example_id!r} not found in train dataset\n"
+        assert capsys.readouterr().err == (
+            f"error: {cache}:2: example {example_id!r} is not in the train dataset; rerun sumedit label --split train\n"
+        )
         assert not (workspace / "out" / "checkpoint.json").exists()
 
     def test_label_without_dataset_path_exits_1(self, workspace, capsys):
@@ -242,11 +245,16 @@ class TestLabelCacheValidation:
             (edit_record(lambda rec: rec.update(order=[], labels=[], abstractions=[], best="")),
              "extract must select at least one sentence"),
             (edit_record(lambda rec: rec.update(order=[0, 0, 1])), "extract order has duplicate indices"),
+            (edit_record(lambda rec: rec["abstractions"][0].append("")),
+             "abstractions are not non-empty lists of tokens"),
+            (edit_record(lambda rec: rec["abstractions"].__setitem__(0, ["a b"])),
+             "abstractions are not non-empty lists of tokens"),
         ],
         ids=["missing-field", "truncated-line", "deep-nesting", "labels-length", "abstractions-length",
              "best-length", "nan-label", "negative-label", "short-label-row", "str-best-reward",
              "bool-best-reward", "nan-best-reward", "infinite-best-reward", "bad-best-letter",
-             "lowercase-best-letter", "empty-order", "repeated-order-index"],
+             "lowercase-best-letter", "empty-order", "repeated-order-index", "empty-abstraction-token",
+             "spaced-abstraction-token"],
     )
     def test_bad_record_names_file_and_line(self, labeled, capsys, change, message):
         cfg, cache = labeled
@@ -255,6 +263,7 @@ class TestLabelCacheValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cache}:2: ")
         assert message in err
+        assert err.endswith("; rerun sumedit label --split train\n")
         assert "Traceback" not in err
         assert not (cache.parent / "checkpoint.json").exists()
 
@@ -288,9 +297,10 @@ class TestCacheAgainstDataset:
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cache}: example {example_id!r} extracts sentence 9, ")
-        assert err.endswith("but its document has 3 sentences\n")
-        assert "Traceback" not in err
+        assert err == (
+            f"error: {cache}:2: example {example_id!r} extracts sentence 9, "
+            "but its document has 3 sentences; rerun sumedit label --split val\n"
+        )
         assert not (cache.parent / "checkpoint.json").exists()
 
     def test_order_past_document_stops_evaluate(self, workspace, capsys):
@@ -302,8 +312,10 @@ class TestCacheAgainstDataset:
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {cache}: example {example_id!r} extracts sentence 9, ")
-        assert "Traceback" not in captured.err
+        assert captured.err == (
+            f"error: {cache}:2: example {example_id!r} extracts sentence 9, "
+            "but its document has 3 sentences; rerun sumedit label --split test\n"
+        )
         assert captured.out == ""
         assert not (cache.parent / "evaluation.json").exists()
 
@@ -464,7 +476,8 @@ class TestDuplicateIds:
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {cache}:{len(lines) + 1}: duplicate id {example_id!r} (first at line 2)\n"
+            f"error: {cache}:{len(lines) + 1}: duplicate id {example_id!r} (first at line 2); "
+            "rerun sumedit label --split train\n"
         )
         assert not (workspace / "out" / "checkpoint.json").exists()
 

@@ -3,9 +3,10 @@
 The inputs come from `tests/synthetic.py` (`make_example(k)` is a document
 of k + 2 sentences) and cover lead extracts of l = 4, one run that mixes
 l = 1 .. 7, one extract of l = 10 and the greedy extractor at k = 4, each
-labeled by `label_dataset`, plus one cache that `sumedit label` writes from
-a config file: its header carries the config's label settings, and its 300
-examples span two runs of `editor.DECODE_CHUNK`. A change that alters the
+labeled by `label_dataset` and written by `write_label_cache` under a
+header of the default reward weights and cap only, plus one cache that
+`sumedit label` writes from a config file: its header carries the config's
+label settings, and its 300 examples span two runs of `editor.DECODE_CHUNK`. A change that alters the
 cache format or any label on purpose updates these hashes and says so in
 CHANGES.md. Labeling uses no BLAS product, so the bytes do not depend on
 the matrix library.
@@ -32,7 +33,7 @@ import pytest
 from synthetic import make_example
 from sumedit import cli, editor, text
 from sumedit.encoder import EncoderConfig
-from sumedit.oracle import label_dataset
+from sumedit.oracle import label_dataset, write_label_cache
 from sumedit.summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
 
 
@@ -63,7 +64,8 @@ CASES = {
 def test_cache_bytes_are_recorded(tmp_path, name):
     examples, extractor, lengths, digest = CASES[name]
     path = tmp_path / "labels.jsonl"
-    labeled, failures = label_dataset(examples(), extractor, SalienceAbstractor(0.8), cache_path=path)
+    labeled, failures = label_dataset(examples(), extractor, SalienceAbstractor(0.8))
+    write_label_cache(path, labeled, {"cache_version": 3, "reward_weights": [0.4, 1.0, 0.5], "cap": 12})
     assert failures == [] and {len(lab.best) for lab in labeled} == lengths
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 import zlib
 
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from reference import best_sequence, soft_labels
 from synthetic import document_from_strings
 from sumedit import oracle
+from sumedit.config import ExperimentConfig
 from sumedit.editor import ABSTRACT, EXTRACT, REJECT, abstractions_for
 from sumedit.oracle import (
+    cache_header,
     enumerate_rewards,
     label_dataset,
     label_example,
@@ -366,6 +369,9 @@ class TestFactorizedOracle:
             assert rewards[tuple(idx)] == reward(summary, ex.reference)
 
 
+HEADER = cache_header(ExperimentConfig(k=2))
+
+
 class TestLabelDataset:
     EXAMPLES = [
         make_example(["the cat sat", "a dog ran", "birds fly"], ["the cat sat"], "ex-0"),
@@ -374,21 +380,25 @@ class TestLabelDataset:
     ]
 
     def test_empty_dataset_valid_cache(self, tmp_path):
+        """An empty split is written as a header-only cache, which a run
+        refuses to train or evaluate on."""
         path = tmp_path / "labels.jsonl"
-        labeled, failures = label_dataset(
-            [], LeadExtractor(2), SalienceAbstractor(0.8), cache_path=path
-        )
+        labeled, failures = label_dataset([], LeadExtractor(2), SalienceAbstractor(0.8))
         assert labeled == [] and failures == []
-        loaded, header = read_label_cache(path)
-        assert loaded == [] and header["cache_version"] == 3
+        write_label_cache(path, labeled, HEADER)
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line) == HEADER and HEADER["cache_version"] == 3
+        with pytest.raises(ValueError) as info:
+            read_label_cache(path, HEADER, [], "train")
+        assert str(info.value) == f"{path}: the train split has no labeled examples; rerun sumedit label --split train"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        labeled, _ = label_dataset(
-            self.EXAMPLES[:1], LeadExtractor(2), SalienceAbstractor(0.8), cache_path=path
-        )
-        loaded, _ = read_label_cache(path)
-        assert loaded == labeled
+        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        write_label_cache(path, labeled, HEADER)
+        pairs = read_label_cache(path, HEADER, self.EXAMPLES[::-1], "train")
+        assert [lab for _, lab in pairs] == labeled
+        assert all(ex is want for (ex, _), want in zip(pairs, self.EXAMPLES))
 
     def test_matches_per_example_calls(self):
         extractor, abstractor = LeadExtractor(2), SalienceAbstractor(0.8)
@@ -445,7 +455,8 @@ class TestLabelDataset:
         ]
         extractor, abstractor = LeadExtractor(6), SalienceAbstractor(0.8)
         paths = [tmp_path / "default.jsonl", tmp_path / "small.jsonl"]
-        want, want_failures = label_dataset(examples, extractor, abstractor, cap=5, cache_path=paths[0])
+        want, want_failures = label_dataset(examples, extractor, abstractor, cap=5)
+        write_label_cache(paths[0], want, HEADER)
         grids = []
         real = oracle._grid_rewards
 
@@ -455,7 +466,8 @@ class TestLabelDataset:
 
         monkeypatch.setattr(oracle, "_grid_rewards", counted)
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
-        labeled, failures = label_dataset(examples, extractor, abstractor, cap=5, cache_path=paths[1])
+        labeled, failures = label_dataset(examples, extractor, abstractor, cap=5)
+        write_label_cache(paths[1], labeled, HEADER)
         assert paths[1].read_bytes() == paths[0].read_bytes()
         assert labeled == want and failures == want_failures and len(failures) == 3
         assert sum(grids) == len(labeled) and (entries > 1) == (max(grids) > 1)
@@ -589,23 +601,21 @@ class TestLabelDataset:
 
     def test_cache_write_that_raises_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        labeled, _ = label_dataset(
-            self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8), cache_path=path
-        )
+        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        write_label_cache(path, labeled, HEADER)
         before = path.read_bytes()
         # the second record is not a LabeledExample: the write fails after
         # the header and the first record
         with pytest.raises(AttributeError):
-            write_label_cache(path, [labeled[0], object()], RewardWeights(), 12)
+            write_label_cache(path, [labeled[0], object()], HEADER)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_byte_identical_reruns(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            label_dataset(
-                self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8), cache_path=path
-            )
+            labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+            write_label_cache(path, labeled, HEADER)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_composed_labels_match_components(self):
@@ -619,3 +629,49 @@ class TestLabelDataset:
             best = best_sequence(rewards)
             assert lab.best == best
             assert np.allclose(np.array(lab.labels), soft_labels(rewards, best), atol=1e-12)
+
+
+class TestReadLabelCache:
+    """`read_label_cache` on its own: one pass over the file, the header
+    checked before any record, every refusal naming the file and the
+    command that rewrites it."""
+
+    EXAMPLES = TestLabelDataset.EXAMPLES
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        write_label_cache(path, labeled, HEADER)
+        return path
+
+    def refusal(self, path, header=HEADER):
+        with pytest.raises(ValueError) as info:
+            read_label_cache(path, header, self.EXAMPLES, "val")
+        return str(info.value)
+
+    def test_header_mismatch_is_reported_before_a_later_malformed_record(self, cache):
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[:2] + ["{not json\n"] + lines[3:]))
+        assert self.refusal(cache, dict(HEADER, cap=11)) == (
+            f"{cache}: labeled with cap 12, config has cap 11; rerun sumedit label --split val"
+        )
+        assert self.refusal(cache).startswith(f"{cache}:3: not valid JSON (")
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_empty_cache_is_refused(self, tmp_path, content):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(content)
+        assert self.refusal(path) == f"{path}: empty label cache; rerun sumedit label --split val"
+
+    def test_record_only_cache_is_refused(self, cache):
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[1:]))
+        assert self.refusal(cache) == f"{cache}: label cache version None is not supported; rerun sumedit label --split val"
+
+    def test_blank_lines_keep_file_line_numbers(self, cache):
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[:2] + ["\n"] + lines[1:2]))
+        assert self.refusal(cache) == (
+            f"{cache}:4: duplicate id 'ex-0' (first at line 2); rerun sumedit label --split val"
+        )
