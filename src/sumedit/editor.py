@@ -5,18 +5,18 @@ sentence vectors, running summary state, document vector), produces a
 three-way softmax over {E, A, R} through two fully-connected layers, and
 updates the additive summary state through tanh(W_g @ h) where h follows the
 chosen sentence version. The recurrence, including the document vector
-d = tanh(W_d @ mean(e) + b_d), is computed in one place, `forward`, over a
-padded batch of extracts (`encoder.SplitVectors`), and the padded steps
-past an extract's end count as REJECT. `decode` runs it free (argmax of p),
-one matrix product per step for the whole batch, and returns decision
-arrays. `loss_and_gradients` runs it teacher-forced (argmax of the label):
-the label fixes every decision before the pass, so the states are a prefix
-sum and each product is one stacked expression over all the steps. Its
-backward pass computes each weight gradient as one matrix product over all
-the batch's steps. Training minimizes a soft cross-entropy against
-enumeration-derived label distributions; gradients are exact and analytic
-(the base sentence encoder is frozen). The parameters, and a gradient, are
-named views into one flat vector (`EditorParams`).
+d = tanh(W_d @ mean(e) + b_d), runs over a padded batch of extracts
+(`encoder.SplitVectors`), and the padded steps past an extract's end count
+as REJECT. `forward` runs it teacher-forced: the given decisions fix every
+state before the pass, so the states are a prefix sum and each product is
+one stacked expression over all the steps. `loss_and_gradients` forces the
+label argmax, and its backward pass computes each weight gradient as one
+matrix product over all the batch's steps. `decode` runs it free (argmax of
+p), one matrix product per step for the whole batch, and returns decision
+arrays. Training minimizes a soft cross-entropy against enumeration-derived
+label distributions; gradients are exact and analytic (the base sentence
+encoder is frozen). The parameters, and a gradient, are named views into one
+flat vector (`EditorParams`).
 """
 from __future__ import annotations
 
@@ -132,8 +132,8 @@ def context_from_abstractions(
 
 
 class ForwardPass:
-    """One run of the recurrence over a batch of B extracts padded to L
-    steps; arrays are step-major.
+    """One teacher-forced run (`forward`) of the recurrence over a batch of
+    B extracts padded to L steps; arrays are step-major.
 
     `d` (B, n) holds the document vectors and `g` (L + 1, B, n) the states
     g_0 ... g_L. Per step i: the input `x` (L, B, 4n), the hidden activation
@@ -177,26 +177,10 @@ def _versions(decisions: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def forward(
-    vectors: SplitVectors,
-    params: EditorParams,
-    forced: np.ndarray | None = None,
-) -> ForwardPass:
-    """Run the editor over a non-empty batch of extracts.
-
-    forced (L, B) gives the decision index taken at every step (teacher
-    forcing); without it each step takes argmax p, ties broken E > A > R.
-    p_i = softmax(V tanh(W_c [e_i, a_i, g_i, d] + b_c) + b), d = tanh(W_d e_bar
-    + b_d), and g_{i+1} = g_i + tanh(W_g h_i) with h_i the extracted (E) or
-    abstracted (A) sentence vector; on REJECT, and on every padded step,
-    g_{i+1} is g_i itself.
-
-    Forced decisions fix every h_i before the pass, so the states are a
-    prefix sum of the increments and the whole pass is computed at once,
-    each product stacked over the steps. Free-running, step i needs p_i, so
-    the steps run one after another.
-    """
-    n, m = params.n, params.m
+def _inputs(vectors: SplitVectors, params: EditorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The document vectors d (B, n), the step inputs x (L, B, 4n) with zero
+    state slots, and the mask (L, B) of the steps inside the extracts."""
+    n = params.n
     B, L = vectors.e.shape[:2]
     mask = np.arange(L)[:, None] < vectors.lengths
     d = np.tanh(vectors.e_bar @ params.W_d.T + params.b_d)
@@ -204,29 +188,34 @@ def forward(
     x[:, :, :n] = vectors.e.transpose(1, 0, 2)
     x[:, :, n : 2 * n] = vectors.a.transpose(1, 0, 2)
     x[:, :, 3 * n :] = d
-    g = np.zeros((L + 1, B, n))
+    return d, x, mask
+
+
+def forward(vectors: SplitVectors, params: EditorParams, decisions: np.ndarray) -> ForwardPass:
+    """Run the editor teacher-forced over a non-empty batch of extracts:
+    decisions (L, B) gives the decision index taken at every step.
+
+    p_i = softmax(V tanh(W_c [e_i, a_i, g_i, d] + b_c) + b), d = tanh(W_d e_bar
+    + b_d), and g_{i+1} = g_i + tanh(W_g h_i) with h_i the extracted (E) or
+    abstracted (A) sentence vector; on REJECT, and on every padded step,
+    g_{i+1} is g_i itself.
+
+    The decisions fix every h_i before the pass, so the states are a prefix
+    sum of the increments and the whole pass is computed at once, each
+    product stacked over the steps. The distributions of a free-running
+    pass are those of `forward(vectors, params, decode(vectors, params).T)`.
+    """
+    n = params.n
+    d, x, mask = _inputs(vectors, params)
+    decisions = np.where(mask, decisions, REJECT)
+    h = _versions(decisions, x, n)
     # tanh(W_g 0) is exactly 0, so REJECT leaves the state as it is
-    if forced is not None:
-        decisions = np.where(mask, forced, REJECT)
-        h = _versions(decisions, x, n)
-        q = np.tanh(h @ params.W_g.T)
-        # adds left to right, g_{i+1} = g_i + q_i as the step loop adds
-        np.cumsum(q, axis=0, out=g[1:])
-        x[:, :, 2 * n : 3 * n] = g[:-1]
-        t, p = _distribution(x, params)
-        return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
-    t = np.empty((L, B, m))
-    p = np.empty((L, B, 3))
-    decisions = np.empty((L, B), dtype=np.intp)
-    h = np.empty((L, B, n))
-    q = np.empty((L, B, n))
-    for i in range(L):
-        x[i, :, 2 * n : 3 * n] = g[i]
-        t[i], p[i] = _distribution(x[i], params)
-        decisions[i] = np.where(mask[i], p[i].argmax(axis=1), REJECT)
-        h[i] = _versions(decisions[i], x[i], n)
-        q[i] = np.tanh(h[i] @ params.W_g.T)
-        g[i + 1] = g[i] + q[i]
+    q = np.tanh(h @ params.W_g.T)
+    g = np.zeros((len(x) + 1,) + d.shape)
+    # adds left to right, g_{i+1} = g_i + q_i as `decode` adds
+    np.cumsum(q, axis=0, out=g[1:])
+    x[:, :, 2 * n : 3 * n] = g[:-1]
+    t, p = _distribution(x, params)
     return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
 
 
@@ -238,16 +227,23 @@ DECODE_CHUNK = 256
 def decode(vectors: SplitVectors, params: EditorParams) -> np.ndarray:
     """Greedy free-running decode of every extract in batched passes of at
     most DECODE_CHUNK extracts: argmax decision per step, ties E > A > R.
+    Step i needs p_i, so the steps run one after another, and a pass keeps
+    only the running state and the decisions.
 
     Returns the decisions (N, L), indices into DECISIONS that are REJECT past
-    each extract's end. (`forward(...).p` holds the distributions.)
+    each extract's end.
     """
     N, L = vectors.e.shape[:2]
+    n = params.n
     decisions = np.full((N, L), REJECT, dtype=np.intp)
     for start in range(0, N, DECODE_CHUNK):
         chunk = slice(start, start + DECODE_CHUNK)
-        run = forward(vectors.take(chunk), params)
-        decisions[chunk, : len(run.decisions)] = run.decisions.T
+        _, x, mask = _inputs(vectors.take(chunk), params)
+        g = np.zeros((x.shape[1], n))
+        for i in range(len(x)):
+            x[i, :, 2 * n : 3 * n] = g
+            decisions[chunk, i] = np.where(mask[i], _distribution(x[i], params)[1].argmax(axis=1), REJECT)
+            g = g + np.tanh(_versions(decisions[chunk, i], x[i], n) @ params.W_g.T)
     return decisions
 
 
@@ -255,24 +251,23 @@ def loss_and_gradients(
     vectors: SplitVectors,
     labels: np.ndarray,
     params: EditorParams,
-    teacher_forcing: bool = True,
 ) -> tuple[float, EditorParams]:
     """Summed soft cross-entropy of a batch of B extracts and its exact
     summed gradient, as named views into one flat vector. labels (B, L, 3)
     holds each extract's soft labels, padded like its vectors.
 
     Each example's loss is -(1/l) sum_i sum_k y_ik log p_ik over its l steps,
-    with p clamped below at LOG_CLAMP. With teacher forcing the state
-    recurrence follows the label argmax; without it, the model's own argmax
-    decision. The discrete decisions are treated as constants of the
-    backward pass; sentence vectors are frozen.
+    with p clamped below at LOG_CLAMP. The pass is teacher-forced: every
+    step takes the argmax of its label, ties E > A > R. The discrete
+    decisions are treated as constants of the backward pass; sentence
+    vectors are frozen.
     """
     if labels.shape != vectors.e.shape[:2] + (3,) or not len(labels):
         raise ValueError("need one (L, 3) label array per extract, and at least one extract")
     n, m = params.n, params.m
     B, L = labels.shape[:2]
     y = np.ascontiguousarray(labels.transpose(1, 0, 2))  # step-major, as the run
-    run = forward(vectors, params, y.argmax(axis=2) if teacher_forcing else None)
+    run = forward(vectors, params, y.argmax(axis=2))
     lengths = vectors.lengths
     # Each example's loss sums its steps' terms as one row, in the order
     # np.sum takes over an (l, 3) array (y is 0 on the padded steps, so they

@@ -400,7 +400,8 @@ def read_label_cache(
     record must pass `_cache_record`, have an id seen once and found in
     `examples`, and extract only sentences of its document, and a cache with
     no record is refused. A refusal raises ValueError("<path>[:<line>]:
-    <reason>; rerun sumedit label --split <split>")."""
+    <reason>; rerun sumedit label --split <split>"). The examples without a
+    record are left out, and one warning counts them."""
 
     def refused(where, reason) -> ValueError:
         return ValueError(f"{where}: {reason}; rerun sumedit label --split {split}")
@@ -447,4 +448,7 @@ def read_label_cache(
             pairs.append((example, lab))
     if not pairs:
         raise refused(path, f"the {split} split has no labeled examples")
+    if len(pairs) < len(examples):
+        reason = "%s: %d of %d %s examples have no label record and are left out"
+        warn(__name__, reason, path, len(examples) - len(pairs), len(examples), split)
     return pairs

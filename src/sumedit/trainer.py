@@ -146,9 +146,7 @@ def train(
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
             inputs = vectors.take(batch)
-            loss, grad = loss_and_gradients(
-                inputs, labels[batch, : inputs.e.shape[1]], params, teacher_forcing=True
-            )
+            loss, grad = loss_and_gradients(inputs, labels[batch, : inputs.e.shape[1]], params)
             if not (math.isfinite(loss) and np.isfinite(grad.flat).all()):
                 ids = ", ".join(train_set[j][0].document.id for j in batch)
                 raise ValueError(

@@ -23,9 +23,10 @@ def soft_cross_entropy(distributions, labels) -> float:
 
 
 def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
-    """Slow reference for `editor.forward`: the batched recurrence one step
-    at a time, g_{i+1} = g_i + q_i after step i's distribution, with or
-    without forced (L, B) decisions."""
+    """Slow reference for `editor.forward` and `editor.decode`: the batched
+    recurrence one step at a time, g_{i+1} = g_i + q_i after step i's
+    distribution, teacher-forced by forced (L, B) decisions or, without
+    them, free-running."""
     n, m = params.n, params.m
     B, L = vectors.e.shape[:2]
     mask = np.arange(L)[:, None] < vectors.lengths

@@ -52,9 +52,9 @@ def make_example(sentences, highlights, doc_id="d"):
 # --- criterion 1: gradient exactness -----------------------------------------
 
 
-def forward_loss_reference(vectors, labels, params, teacher_forcing):
-    """Independent forward-only loss of a one-example batch, used as the
-    finite-difference oracle."""
+def forward_loss_reference(vectors, labels, params):
+    """Independent forward-only teacher-forced loss of a one-example batch,
+    used as the finite-difference oracle."""
     n = params.n
     e, a, e_bar, l = vectors.e[0], vectors.a[0], vectors.e_bar[0], vectors.lengths[0]
     d = np.tanh(params.W_d @ e_bar + params.b_d)
@@ -67,7 +67,7 @@ def forward_loss_reference(vectors, labels, params, teacher_forcing):
         exp = np.exp(logits - logits.max())
         p = exp / exp.sum()
         total += float(np.dot(labels[i], np.log(np.maximum(p, 1e-12))))
-        decision = int(np.argmax(labels[i] if teacher_forcing else p))
+        decision = int(np.argmax(labels[i]))
         if decision != REJECT:
             h = e[i] if decision == EXTRACT else a[i]
             g = g + np.tanh(params.W_g @ h)
@@ -100,18 +100,17 @@ def test_criterion_1_gradient_exactness():
     h = 1e-5
     checked = 0
     for seed in range(100):
-        teacher_forcing = seed % 2 == 0
         vectors, y, params = random_gradient_instance(seed)
-        _, grads = loss_and_gradients(vectors, y[None], params, teacher_forcing)
+        _, grads = loss_and_gradients(vectors, y[None], params)
         for name in PARAM_NAMES:
             flat = getattr(params, name).ravel()
             gflat = getattr(grads, name).ravel()
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = forward_loss_reference(vectors, y, params, teacher_forcing)
+                up = forward_loss_reference(vectors, y, params)
                 flat[j] = orig - h
-                down = forward_loss_reference(vectors, y, params, teacher_forcing)
+                down = forward_loss_reference(vectors, y, params)
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 an = gflat[j]

@@ -351,6 +351,29 @@ class TestEmptySplit:
         assert not (workspace / "out" / "evaluation.json").exists()
 
 
+class TestPartlyLabeledSplit:
+    def test_evaluate_warns_of_the_examples_left_out(self, workspace, capsys):
+        # lead k = 4 extracts 1-4 sentences; cap 3 fails the four l = 4
+        # extracts, and `label` still writes the other four
+        examples = [
+            text.Example(text.Document(ex.document.id, ex.document.sentences[:size]), ex.reference)
+            for ex, size in zip(make_corpus(8, seed=2, k=2, id_prefix="te"), (1, 4, 2, 4, 3, 4, 3, 4))
+        ]
+        text.write_dataset(examples, workspace / "test.jsonl")
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = write_config(workspace, k=4, cap=3)
+        assert cli.main(["label", "--config", str(cfg), "--split", "test"]) == 0
+        assert capsys.readouterr().err.count("enumeration cap exceeded (l=4, cap=3)") == 4
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        captured = capsys.readouterr()
+        cache = workspace / "out" / "labels_test.jsonl"
+        assert captured.err == (
+            f"WARNING sumedit.oracle: {cache}: 4 of 8 test examples have no label record and are left out\n"
+        )
+        report = json.loads((workspace / "out" / "evaluation.json").read_text())
+        assert report["examples"] == 4 and json.loads(captured.out) == report
+
+
 class TestLabelFailureLog:
     def test_one_line_per_failed_example(self, workspace):
         """`sumedit label` runs in a child process, as users run it, so that

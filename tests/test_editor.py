@@ -69,7 +69,7 @@ def always(*decisions):
 
 
 def first_distribution(vectors, params):
-    return forward(vectors, params).p[0, 0]
+    return forward(vectors, params, decode(vectors, params).T).p[0, 0]
 
 
 def perturb(params, rng, scale):
@@ -301,7 +301,7 @@ class TestGradients:
     def test_state_gradient_zero_when_all_labels_reject(self):
         vectors, _, params = self.fixture(seed=2, l=2)
         y = np.array([[[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]]])
-        _, grads = loss_and_gradients(vectors, y, params, teacher_forcing=True)
+        _, grads = loss_and_gradients(vectors, y, params)
         assert np.array_equal(grads.W_g, np.zeros_like(params.W_g))
 
 
@@ -335,16 +335,12 @@ def reference_decisions(example, params):
     return reference_forward(example, params, lambda i, p: int(np.argmax(p)))[4]
 
 
-def reference_loss_and_gradients(example, labels, params, teacher_forcing):
-    """Slow reference: one example's loss and gradients, backpropagated one
-    step at a time with outer products."""
+def reference_loss_and_gradients(example, labels, params):
+    """Slow reference: one example's teacher-forced loss and gradients,
+    backpropagated one step at a time with outer products."""
     labels = np.asarray(labels, dtype=float)
     l, n = len(labels), params.n
-    if teacher_forcing:
-        choose = lambda i, p: int(np.argmax(labels[i]))
-    else:
-        choose = lambda i, p: int(np.argmax(p))
-    d, xs, ts, ps, _, hs, qs = reference_forward(example, params, choose)
+    d, xs, ts, ps, _, hs, qs = reference_forward(example, params, lambda i, p: int(np.argmax(labels[i])))
     loss = -sum(
         float(np.dot(y, np.log(np.maximum(p, 1e-12)))) for p, y in zip(ps, labels)
     ) / l
@@ -387,15 +383,14 @@ class TestBatchedAgainstReference:
         perturb(params, rng, 0.5)
         return examples, labels, params
 
-    @pytest.mark.parametrize("teacher_forcing", [True, False])
-    def test_loss_and_gradients_equal_per_example_sums(self, teacher_forcing):
+    def test_loss_and_gradients_equal_per_example_sums(self):
         for seed in range(10):
             examples, labels, params = self.batch(seed)
-            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), params, teacher_forcing)
+            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), params)
             want_loss = 0.0
             want = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
             for example, y in zip(examples, labels):
-                one_loss, one = reference_loss_and_gradients(example, y, params, teacher_forcing)
+                one_loss, one = reference_loss_and_gradients(example, y, params)
                 want_loss += one_loss
                 for name in want:
                     want[name] += one[name]
@@ -404,8 +399,7 @@ class TestBatchedAgainstReference:
                 scale = np.max(np.abs(want[name]))
                 assert np.max(np.abs(getattr(grads, name) - want[name])) <= 1e-12 * scale, (seed, name)
 
-    @pytest.mark.parametrize("teacher_forcing", [True, False])
-    def test_equal_length_batch_loss_is_the_in_order_sum(self, teacher_forcing):
+    def test_equal_length_batch_loss_is_the_in_order_sum(self):
         # one example, or several of one length: the batch loss is each
         # example's `soft_cross_entropy` exactly, added in batch order
         rng = np.random.default_rng(5)
@@ -415,12 +409,11 @@ class TestBatchedAgainstReference:
             for B in (1, 13):
                 vectors = padded([step_example(4, rng, l=l) for _ in range(B)])
                 labels = np.stack([rng.dirichlet(np.ones(3), size=l) for _ in range(B)])
-                forced = labels.argmax(axis=2).T
-                run = forward(vectors, params, forced if teacher_forcing else None)
+                run = forward(vectors, params, labels.argmax(axis=2).T)
                 want = 0.0
                 for j, y in enumerate(labels):
                     want += soft_cross_entropy(run.p[:, j], y)
-                loss, _ = loss_and_gradients(vectors, labels, params, teacher_forcing)
+                loss, _ = loss_and_gradients(vectors, labels, params)
                 assert loss == want, (l, B)
 
     def test_decode_decisions_equal_per_example(self):
@@ -438,7 +431,7 @@ class TestBatchedAgainstReference:
         # batch's gradient is the sum of its parts' gradients
         examples, labels, params = self.batch(3)
         vectors, y = padded(examples), padded_labels(labels)
-        run = forward(vectors, params)
+        run = forward(vectors, params, decode(vectors, params).T)
         for j, l in enumerate(self.LENGTHS):
             for i in range(l, max(self.LENGTHS)):
                 assert run.decisions[i, j] == REJECT
@@ -459,13 +452,14 @@ class TestBatchedAgainstReference:
         vectors = padded(examples)
         whole = decode(vectors, params)
         widths = []
+        inputs = editor._inputs
 
-        def counted_forward(chunk, params):
+        def counted_inputs(chunk, params):
             widths.append(len(chunk.lengths))
-            return forward(chunk, params)
+            return inputs(chunk, params)
 
         monkeypatch.setattr(editor, "DECODE_CHUNK", 3)
-        monkeypatch.setattr(editor, "forward", counted_forward)
+        monkeypatch.setattr(editor, "_inputs", counted_inputs)
         chunked = decode(vectors, params)
         assert widths == [3, 3, 2]
         assert np.array_equal(chunked, whole)
@@ -512,12 +506,16 @@ class TestTeacherForcedAgainstStepwise:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_free_running_equals_the_stepwise_reference(self):
+        # `decode` takes the free-running reference's decisions, and the
+        # forced pass on them is that reference's pass, bit for bit
         rng = np.random.default_rng(4)
         for _ in range(5):
             vectors = padded([step_example(5, rng, l=l) for l in (3, 1, 5, 2, 5)])
             params = init_params(4, 5, rng)
             perturb(params, rng, 0.5)
-            got, want = forward(vectors, params), stepwise_forward(vectors, params)
+            decisions, want = decode(vectors, params), stepwise_forward(vectors, params)
+            assert np.array_equal(decisions, want.decisions.T)
+            got = forward(vectors, params, decisions.T)
             for name in ForwardPass.__slots__:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 

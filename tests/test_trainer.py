@@ -250,7 +250,7 @@ class TestTrain:
             p.b[:] += np.array([corrupt, 0.0, -corrupt])
             runs.append(forward(vectors, p, teacher))
             # the training loss is the one of this teacher-forced run
-            loss, _ = loss_and_gradients(vectors, y[None], p, teacher_forcing=True)
+            loss, _ = loss_and_gradients(vectors, y[None], p)
             assert loss == soft_cross_entropy(runs[-1].p[:, 0], y)
         clean, corrupted = runs
         assert not np.allclose(clean.p[0, 0], corrupted.p[0, 0])
