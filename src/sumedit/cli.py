@@ -2,7 +2,7 @@
 
 A command's settings are its arguments and the resolved config, and all
 randomness flows from the config's single seed; no command reads the
-environment. `label` labels in its own process.
+environment.
 
 Every command runs in a fresh process, so start-up is paid per command.
 The module imports only the standard library; each command names the
@@ -21,8 +21,8 @@ stderr and ends the process with `os._exit`, skipping interpreter teardown
 (module cleanup and the final collection); a command that raises, or a
 flush that fails, exits the normal way. `main()` leaves the collector as it
 is and returns: tests and the benchmark's tracer call it in-process. Warnings (a
-rejected record, a failed example) reach the call's stderr through
-`text.command_warnings`, which imports `logging` only when one is logged.
+rejected record, a failed example, a split with unlabeled examples) are
+single lines that `text.warn` prints to the current stderr.
 """
 from __future__ import annotations
 
@@ -41,10 +41,13 @@ if TYPE_CHECKING:
 
 def _load_config(args) -> ExperimentConfig:
     from .config import FIELDS, ExperimentConfig
+    from .text import read_json_object
 
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    # every option of `_add_common` but --config is named after its field
-    return cfg.apply_overrides({key: value for key, value in vars(args).items() if key in FIELDS})
+    values = read_json_object(args.config) if args.config else {}
+    # every option of `_add_common` but --config is named after its field;
+    # a flag that was given replaces the file's value before either is checked
+    values.update((key, value) for key, value in vars(args).items() if key in FIELDS and value is not None)
+    return ExperimentConfig(**values)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -259,16 +262,11 @@ def main(argv=None) -> int:
 
 
 def _execute(args) -> int:
-    from . import text
-
-    # Each warning of this invocation (such as a failed example) is printed
-    # once, to the call's stderr.
-    with text.command_warnings(sys.stderr):
-        try:
-            return args.func(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

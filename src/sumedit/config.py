@@ -88,10 +88,6 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls(**read_json_object(path))
 
-    def apply_overrides(self, overrides: dict) -> "ExperimentConfig":
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return ExperimentConfig(**{**self.to_dict(), **updates})
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}
 

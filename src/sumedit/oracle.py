@@ -224,7 +224,7 @@ def _label_chunk(
     at most CHUNK_ENTRIES grid entries, on a record of the batch alone. An
     example whose extract exceeds the cap gets a LabelingError in its
     place. `label_dataset` calls it once per run of at most
-    `editor.DECODE_CHUNK` examples, in its own process."""
+    `editor.DECODE_CHUNK` examples."""
     extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]

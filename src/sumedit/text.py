@@ -8,48 +8,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import slots_eq
 
 
-# [stream, handler] of each command running in this process, innermost
-# last; the handler is attached by the command's first warning.
-_command_streams: list[list] = []
-
-
-@contextmanager
-def command_warnings(stream):
-    """Print the warnings logged inside the block to `stream`, one line each
-    (`WARNING sumedit.text: rejected record: ...`). The first of them
-    imports `logging` and attaches one WARNING handler for `stream` to the
-    `sumedit` logger, and the block's end detaches it. Only a rejected
-    record or a failed example logs, so a clean command never imports
-    `logging` (nor the threading and traceback modules it loads)."""
-    sink = [stream, None]
-    _command_streams.append(sink)
-    try:
-        yield
-    finally:
-        _command_streams.remove(sink)
-        if sink[1] is not None:
-            import logging
-
-            logging.getLogger("sumedit").removeHandler(sink[1])
-
-
 def warn(name: str, message: str, *args) -> None:
-    """Log a warning on the logger `name` (see `command_warnings`)."""
-    import logging
-
-    if _command_streams and _command_streams[-1][1] is None:
-        handler = logging.StreamHandler(_command_streams[-1][0])
-        handler.setLevel(logging.WARNING)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        logging.getLogger("sumedit").addHandler(handler)
-        _command_streams[-1][1] = handler
-    logging.getLogger(name).warning(message, *args)
+    """Print the warning `message % args` of module `name` to the current
+    stderr, as `WARNING sumedit.text: rejected record: ...`."""
+    print(f"WARNING {name}: {message % args}", file=sys.stderr)
 
 
 class DatasetError(ValueError):
@@ -213,7 +182,7 @@ def ingest_dataset(path) -> tuple[list[Example], list[str]]:
 
 
 def load_dataset(path) -> list[Example]:
-    """One Example per line, in file order. Rejects are logged as warnings."""
+    """One Example per line, in file order. Each reject prints a warning."""
     examples, _ = ingest_dataset(path)
     return examples
 

@@ -420,10 +420,10 @@ def run_entry_point(*argv):
     return int(code), imported == "True", proc
 
 
-class TestLoggingImportedOnlyToLog:
-    """Only a rejected record or a failed example logs, so a clean command
-    never imports `logging` (and the threading and traceback modules it
-    loads); a command that logs still prints its warning lines."""
+class TestNoCommandImportsLogging:
+    """Warnings are lines that `text.warn` prints to stderr, so no command
+    imports `logging` (and the threading and traceback modules it loads),
+    whether it warns or not."""
 
     def test_clean_commands_do_not_import_logging(self, workspace):
         cfg = str(write_config(workspace))
@@ -440,10 +440,10 @@ class TestLoggingImportedOnlyToLog:
             code, imported, proc = run_entry_point(*argv)
             assert (code, imported) == (0, False), (argv[0], proc.stderr)
 
-    def test_a_failed_example_imports_it_and_logs(self, workspace):
+    def test_a_failed_example_warns_without_it(self, workspace):
         cfg = str(write_config(workspace, cap=2))  # every extract has l = 3
         code, imported, proc = run_entry_point("label", "--config", cfg, "--split", "val")
-        assert (code, imported) == (1, True)
+        assert (code, imported) == (1, False)
         failed = [ln for ln in proc.stderr.splitlines() if "labeling failed" in ln]
         assert len(failed) == 6 and all(ln.startswith("WARNING sumedit.oracle: labeling failed: ") for ln in failed)
 
@@ -955,6 +955,12 @@ class TestConfigAndCheckpointFiles:
             assert cli.main(argv + ["--split", "train"] * (command == "label")) == 1
             self.assert_one_error_line(capsys, f"config field {field!r} must be >= 1, got {value}")
         assert {path: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_flag_replaces_a_refused_file_value(self, workspace, capsys):
+        cfg = write_config(workspace, epochs=0)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--epochs", "3"]) == 0, \
+            capsys.readouterr().err
+        assert json.loads((workspace / "out" / "resolved_config.json").read_text())["epochs"] == 3
 
     # Field values that no command runs with: each is refused when the config
     # is resolved, before a command reads its inputs or makes its out_dir.

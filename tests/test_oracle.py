@@ -580,6 +580,15 @@ class TestLabelDataset:
         assert len(labeled) == 1
         assert len(failures) == 1 and "long" in failures[0]
 
+    def test_a_library_call_prints_its_warning_to_stderr(self, capsys):
+        """A failed example is one warning line on stderr, whoever calls
+        `label_dataset`: no command has to set up a handler first."""
+        ex = make_example(["s t"] * 4, ["s t"], "long")
+        label_dataset([self.EXAMPLES[0], ex], LeadExtractor(4), SalienceAbstractor(0.8), cap=3)
+        assert capsys.readouterr() == (
+            "", "WARNING sumedit.oracle: labeling failed: long: enumeration cap exceeded (l=4, cap=3)\n"
+        )
+
     def test_incomplete_likelihood_raises(self):
         def extractor(example):
             return ExtractResult(order=(0, 1), likelihood=(1.0,))

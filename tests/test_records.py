@@ -106,8 +106,7 @@ def test_config_file_rejects_unknown_fields_before_types(tmp_path, content, mess
 
 
 def test_resolved_config_bytes(tmp_path):
-    cfg = ExperimentConfig(train_path="train.jsonl", k=3, alpha=1, lr=0.5)
-    cfg = cfg.apply_overrides({"seed": 7, "epochs": None, "out_dir": "runs/a"})
+    cfg = ExperimentConfig(train_path="train.jsonl", k=3, alpha=1, lr=0.5, seed=7, out_dir="runs/a")
     cfg.write(tmp_path / "resolved_config.json")
     assert (tmp_path / "resolved_config.json").read_text() == (
         '{\n  "abstract_ratio": 0.8,\n  "alpha": 1,\n  "batch_size": 32,\n  "beta": 1.0,\n'
