@@ -19,8 +19,9 @@ collection runs during the imports, and later collections do not walk the
 objects they made. When the command returns, `run()` flushes stdout and
 stderr and ends the process with `os._exit`, skipping interpreter teardown
 (module cleanup and the final collection); a command that raises, or a
-flush that fails, exits the normal way. `main()` leaves the collector as it
-is and returns: tests and the benchmark's tracer call it in-process. Warnings (a
+flush that fails, exits the normal way, but a closed stdout (`... | head`)
+ends it with status 1 and no message. `main()` leaves the collector as it is
+and returns: tests and the benchmark's tracer call it in-process. Warnings (a
 rejected record, a failed example, a split with unlabeled examples) are
 single lines that `text.warn` prints to the current stderr.
 """
@@ -265,7 +266,8 @@ def _execute(args) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):  # a closed stdout has no reader to tell
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
@@ -285,6 +287,9 @@ def run() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        # teardown would flush stdout again and report that it could not
+        os._exit(1)
     except Exception:
         sys.exit(code)
     os._exit(code)

@@ -26,7 +26,6 @@ FIELDS = {
     "abstract_ratio": ("float", 0.8),
     "encoder_n": ("int", 64),
     "hash_seed": ("int", 0),
-    "context_window": ("int", 1),
     "hidden_m": ("int", 64),
     "alpha": ("float", 0.4),
     "beta": ("float", 1.0),
@@ -69,7 +68,7 @@ class ExperimentConfig:
             if not math.isfinite(fields[name]):
                 raise ValueError(f"config field {name!r} must be a finite number, got {fields[name]!r}")
         for name, low in (("k", 1), ("encoder_n", 1), ("hidden_m", 1), ("cap", 1), ("batch_size", 1), ("epochs", 1),
-                          ("context_window", 0), ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
+                          ("seed", 0), ("alpha", 0), ("beta", 0), ("gamma", 0)):
             if fields[name] < low:
                 raise ValueError(f"config field {name!r} must be >= {low}, got {fields[name]!r}")
         if fields["lr"] <= 0:
@@ -102,11 +101,7 @@ class ExperimentConfig:
     def encoder_config(self) -> EncoderConfig:
         from .encoder import EncoderConfig
 
-        return EncoderConfig(
-            n=self.encoder_n,
-            hash_seed=self.hash_seed,
-            context_window=self.context_window,
-        )
+        return EncoderConfig(n=self.encoder_n, hash_seed=self.hash_seed)
 
     def make_extractor(self):
         if self.extractor == "greedy":

@@ -297,30 +297,33 @@ def loss_and_gradients(
     return loss, grad
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(params: EditorParams, encoder_config: EncoderConfig, path) -> None:
-    """Write the editor and its encoder settings as one JSON object. Each
-    parameter is the hex text of its little-endian float64 words in
+    """Write the editor and its encoder settings as one JSON object: the
+    version, `m`, `n` (the one width of editor and encoder), `hash_seed`, and
+    each parameter as the hex text of its little-endian float64 words in
     row-major order, so `load_checkpoint` reads back the exact bits."""
-    payload: dict = {"version": CHECKPOINT_VERSION, "m": params.m, "n": params.n}
+    if encoder_config.n != params.n:
+        raise ValueError("encoder width disagrees with editor n")
+    payload: dict = {"version": CHECKPOINT_VERSION, "m": params.m, "n": params.n, "hash_seed": encoder_config.hash_seed}
     for name in PARAM_NAMES:
         payload[name] = getattr(params, name).astype("<f8").tobytes().hex()
-    payload["encoder"] = {key: getattr(encoder_config, key) for key in encoder_config.__slots__}
     with atomic_open(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _field(obj: dict, key: str, where: str = "checkpoint"):
+def _field(obj: dict, key: str):
     if key not in obj:
-        raise ValueError(f"{where} has no {key!r}")
+        raise ValueError(f"checkpoint has no {key!r}")
     return obj[key]
 
 
 def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
-    """The editor and encoder settings a checkpoint holds. A file that is not
-    a checkpoint of this version raises ValueError naming it."""
+    """The editor and encoder settings a checkpoint holds (`n` is the width
+    of both). A file that is not a checkpoint of this version raises
+    ValueError naming it."""
     from .encoder import EncoderConfig
 
     payload = read_json_object(path)
@@ -343,12 +346,7 @@ def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
         # a fresh, writable native array: frombuffer alone is a read-only view
         params = EditorParams(m, n, np.frombuffer(b"".join(words), dtype="<f8").astype(np.float64))
         params.validate()
-        enc = _field(payload, "encoder")
-        if not isinstance(enc, dict):
-            raise ValueError("checkpoint 'encoder' must be an object")
-        config = EncoderConfig(**{key: _field(enc, key, "checkpoint encoder") for key in EncoderConfig.__slots__})
-        if config.n != params.n:
-            raise ValueError("encoder width disagrees with editor n")
+        config = EncoderConfig(n=n, hash_seed=_field(payload, "hash_seed"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return params, config

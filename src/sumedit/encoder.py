@@ -3,10 +3,10 @@
 Sentences are embedded by seeded feature hashing of unigram+bigram counts with
 random signs, L2-normalized (the raw rows), then mixed with neighboring
 sentences so that replacing one sentence has an observable effect on its
-neighbors' context: with a context window w >= 1, sentence i's vector is the
-normalized mean of the raw rows i-w .. i+w of its document that exist; with
-w = 0 it is the raw row itself. An abstracted sentence is encoded at its
-source's position, in the document with that one sentence replaced.
+neighbors' context: sentence i's vector is the normalized mean of the raw
+rows i-1 .. i+1 of its document that exist. An abstracted sentence is
+encoded at its source's position, in the document with that one sentence
+replaced.
 
 `encode_split` encodes a whole split at once into one `SplitVectors` record,
 padded to the longest extract. Each distinct feature of the split is hashed
@@ -34,19 +34,16 @@ from .text import Document
 
 
 class EncoderConfig:
-    __slots__ = ("n", "hash_seed", "context_window")
+    __slots__ = ("n", "hash_seed")
 
-    def __init__(self, n: int = 64, hash_seed: int = 0, context_window: int = 1):
-        for name, value in (("n", n), ("hash_seed", hash_seed), ("context_window", context_window)):
+    def __init__(self, n: int = 64, hash_seed: int = 0):
+        for name, value in (("n", n), ("hash_seed", hash_seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"encoder {name} must be an integer, got {value!r}")
         if n < 1:
             raise ValueError("representation width n must be >= 1")
-        if context_window < 0:
-            raise ValueError("context_window must be >= 0")
         self.n = n
         self.hash_seed = hash_seed
-        self.context_window = context_window
 
     __eq__ = slots_eq
 
@@ -115,14 +112,14 @@ def _nonzero(norms: np.ndarray) -> np.ndarray:
 
 
 def _window_means(
-    raw: np.ndarray, center: np.ndarray, pos: np.ndarray, size: np.ndarray, w: int, own: np.ndarray
+    raw: np.ndarray, center: np.ndarray, pos: np.ndarray, size: np.ndarray, own: np.ndarray
 ) -> np.ndarray:
-    """Row k: the normalized mean of raw rows center[k] + o, o = -w .. w, that
-    lie in its document (0 <= pos[k] + o < size[k]), added in that order,
-    with own[k] in place of row center[k]."""
+    """Row k: the normalized mean of raw rows center[k] + o, o = -1, 0, 1,
+    that lie in its document (0 <= pos[k] + o < size[k]), added in that
+    order, with own[k] in place of row center[k]."""
     total = np.zeros(own.shape)
     count = np.zeros(len(own))
-    for o in range(-w, w + 1):
+    for o in (-1, 0, 1):
         inside = (pos + o >= 0) & (pos + o < size)
         add = own if o == 0 else raw[np.where(inside, center + o, 0)]
         # adding +0.0 to a sum that is never -0.0 leaves it as it is
@@ -155,7 +152,6 @@ def encode_split(
                 raise IndexError(f"{doc.id}: sentence index {i} out of range")
         if not all(abstracted):
             raise ValueError(f"{doc.id}: abstracted sentence must be non-empty")
-    w = config.context_window
     sizes = np.array([len(doc) for doc in documents], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     lengths = np.array([len(order) for order in orders], dtype=np.intp)
@@ -168,11 +164,8 @@ def encode_split(
     step_doc = np.repeat(np.arange(len(documents)), lengths)
     step_pos = np.array([i for order in orders for i in order], dtype=np.intp)
     source = starts[step_doc] + step_pos
-    if w == 0:
-        mixed, abstracted = raw, own
-    else:
-        mixed = _window_means(raw, np.arange(len(sentences)), pos, sizes[doc_of], w, raw)
-        abstracted = _window_means(raw, source, step_pos, sizes[step_doc], w, own)
+    mixed = _window_means(raw, np.arange(len(sentences)), pos, sizes[doc_of], raw)
+    abstracted = _window_means(raw, source, step_pos, sizes[step_doc], own)
     # each document's mean vector, its rows added in order
     total = np.zeros((len(documents), config.n))
     for p in range(int(sizes.max(initial=0))):

@@ -85,7 +85,7 @@ def random_gradient_instance(seed):
         for _ in range(l + int(rng.integers(0, 3)))
     ]
     doc = document_from_strings(f"g{seed}", sents)
-    cfg = EncoderConfig(n=n, hash_seed=seed, context_window=1)
+    cfg = EncoderConfig(n=n, hash_seed=seed)
     extract = extract_lead(doc, l)
     abstractions = abstractions_for(doc, extract, SalienceAbstractor(0.7))
     vectors = context_from_abstractions(doc, extract, abstractions, cfg)
@@ -299,7 +299,7 @@ def test_criterion_6_recurrence_identities():
         for i in (1, 2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
     ex = make_example(["a b c", "d e f", "g h"], ["a b c"])
-    cfg = EncoderConfig(n=10, context_window=1)
+    cfg = EncoderConfig(n=10)
     extract = extract_lead(ex.document, 3)
     abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
     vectors = context_from_abstractions(ex.document, extract, abstractions, cfg)
@@ -328,7 +328,7 @@ def test_criterion_7_end_to_end_learning():
     va_lab, f2 = label_dataset(val_ex, extractor, abstractor)
     te_lab, f3 = label_dataset(test_ex, extractor, abstractor)
     assert not (f1 or f2 or f3)
-    cfg = ExperimentConfig(encoder_n=24, hash_seed=7, context_window=1, batch_size=32, epochs=20, seed=0, lr=1e-4)
+    cfg = ExperimentConfig(encoder_n=24, hash_seed=7, batch_size=32, epochs=20, seed=0, lr=1e-4)
     enc = cfg.encoder_config()
     params = init_params(24, 24, np.random.default_rng(0))
     best, log = train(list(zip(train_ex, tr_lab)), list(zip(val_ex, va_lab)), cfg, params)
@@ -423,7 +423,7 @@ def test_criterion_10_reporting():
     labeled, failures = label_dataset(examples, LeadExtractor(3), SalienceAbstractor(0.95))
     assert not failures
     pairs = list(zip(examples, labeled))
-    enc = EncoderConfig(n=12, hash_seed=7, context_window=1)
+    enc = EncoderConfig(n=12, hash_seed=7)
     rng = np.random.default_rng(3)
     params = init_params(6, 12, rng)
     params.flat[:] += rng.normal(0, 0.8, size=params.flat.size)

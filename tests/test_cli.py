@@ -598,7 +598,7 @@ def checkpoint(tmp_path, bias):
     params.flat[:] = 0.0
     params.b[:] = bias
     path = tmp_path / "ckpt.json"
-    editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), path)
+    editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0), path)
     return path
 
 
@@ -634,7 +634,7 @@ class TestSummarizeAndEvaluate:
         params = editor.init_params(8, 12, rng)
         params.flat[:] += rng.normal(0, 0.5, size=params.flat.size)
         ckpt = workspace / "random.json"
-        editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0, context_window=1), ckpt)
+        editor.save_checkpoint(params, EncoderConfig(n=12, hash_seed=0), ckpt)
         # the greedy extractor runs once per decode pass, the lead one per document
         outputs = {}
         for extractor in ("lead", "greedy"):
@@ -841,7 +841,8 @@ class TestStartup:
 class TestExitPath:
     """`run()` ends a command that returns with `os._exit` after flushing
     stdout and stderr; a command that raises, or a flush that fails, exits
-    the normal way."""
+    the normal way. A closed stdout ends the command with status 1 and
+    nothing on stderr."""
 
     def test_large_stdout_arrives_complete_through_a_pipe(self, tmp_path, capsys):
         documents = tmp_path / "docs.jsonl"
@@ -853,6 +854,20 @@ class TestExitPath:
         assert len(proc.stdout.encode()) > 64 * 1024
         assert cli.main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_a_reader_that_closes_stdout_gets_no_error(self, tmp_path):
+        # more output than the pipe holds, so the child writes after the close
+        documents = tmp_path / "docs.jsonl"
+        text.write_dataset(make_corpus(1000, seed=5, k=2, id_prefix="big"), documents)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = ["summarize", "--config", str(write_config(tmp_path)),
+                "--checkpoint", str(checkpoint(tmp_path, [0.0, 0.0, 0.0])), "--document", str(documents)]
+        with subprocess.Popen([sys.executable, "-m", "sumedit.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# big-00000\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=120), stderr) == (1, b"")
 
     def test_missing_label_cache_prints_its_message_and_exits_1(self, workspace):
         proc = run_child("-m", "sumedit.cli", "train", "--config", str(write_config(workspace)))
@@ -968,7 +983,7 @@ class TestConfigAndCheckpointFiles:
         "args, config, message",
         [(["--epochs", "0"], {}, "config field 'epochs' must be >= 1, got 0"),
          (["--batch-size", "0"], {}, "config field 'batch_size' must be >= 1, got 0"),
-         ([], {"context_window": -1}, "config field 'context_window' must be >= 0, got -1"),
+         ([], {"context_window": 1}, "unknown config fields: ['context_window']"),
          ([], {"extractor": "foo"}, "config field 'extractor' must be 'lead' or 'greedy', got 'foo'"),
          (["--abstract-ratio", "2.0"], {}, "config field 'abstract_ratio' must be in (0, 1], got 2.0"),
          ([], {"abstract_ratio": 0}, "config field 'abstract_ratio' must be in (0, 1], got 0"),
@@ -1031,22 +1046,21 @@ class TestConfigAndCheckpointFiles:
             (lambda payload: "[1]", "expected a JSON object, not list"),
             (lambda payload: "[" * 5000, "not valid JSON (nested too deeply)"),
             (edited(lambda p: p.pop("W_c")), "checkpoint has no 'W_c'"),
-            (edited(lambda p: p["encoder"].pop("hash_seed")), "checkpoint encoder has no 'hash_seed'"),
+            (edited(lambda p: p.pop("hash_seed")), "checkpoint has no 'hash_seed'"),
             (edited(lambda p: p.update(m="8")), "checkpoint m must be a positive integer, got '8'"),
             (edited(lambda p: p.update(W_g=p["W_g"][: -12 * 16])),
              "W_g is not the hex text of float64 words of shape (12, 12)"),
             (edited(lambda p: p.update(b="x" + p["b"][1:])), "b is not the hex text of float64 words of shape (3,)"),
-            (edited(lambda p: p["encoder"].update(n=12.0)), "encoder n must be an integer, got 12.0"),
+            (edited(lambda p: p.update(n=12.0)), "checkpoint n must be a positive integer, got 12.0"),
             (edited(lambda p: p.update(b_d=p["b_d"][1:])),
              "b_d is not the hex text of float64 words of shape (12,)"),
             (edited(lambda p: p.update(V=[[0.0] * 8] * 3)), "V is not the hex text of float64 words of shape (3, 8)"),
             (edited(lambda p: p.update(version=1)), "checkpoint version 1 is not supported"),
-            (edited(lambda p: p["encoder"].update(n=6)), "encoder width disagrees with editor n"),
             (edited(lambda p: p.update(W_c="000000000000f07f" + p["W_c"][16:])), "W_c contains non-finite values"),
         ],
         ids=["not-an-object", "deep-nesting", "missing-array", "missing-encoder-field",
              "str-dimension", "ragged-array", "str-entry", "float-encoder-width", "odd-length-words",
-             "number-list", "version-1", "width-mismatch", "non-finite-word"],
+             "number-list", "version-1", "non-finite-word"],
     )
     def test_bad_checkpoint(self, workspace, capsys, change, message):
         cfg = write_config(workspace)

@@ -157,7 +157,7 @@ class TestUpdateState:
 
 
 class TestEdit:
-    CFG = EncoderConfig(n=12, context_window=1)
+    CFG = EncoderConfig(n=12)
 
     def context(self, sentences):
         ex = make_example(sentences)
@@ -262,7 +262,7 @@ class TestSoftCrossEntropy:
 
 
 class TestGradients:
-    CFG = EncoderConfig(n=6, context_window=1)
+    CFG = EncoderConfig(n=6)
 
     def fixture(self, seed=0, l=2):
         rng = np.random.default_rng(seed)
@@ -547,7 +547,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         params = init_params(5, 8, rng)
-        cfg = EncoderConfig(n=8, hash_seed=3, context_window=2)
+        cfg = EncoderConfig(n=8, hash_seed=3)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
@@ -576,14 +576,14 @@ class TestCheckpoint:
         flat = [0.5, -0.0, 1.0, -2.0, 0.25, 1.5, -1.5, 3.0, 0.0, -0.5, 5e-324, 1e300, -1e-300, 0.1]
         params = EditorParams(1, 1, np.array(flat))
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(params, EncoderConfig(n=1, hash_seed=3, context_window=2), path)
+        save_checkpoint(params, EncoderConfig(n=1, hash_seed=3), path)
         assert path.read_bytes() == (
             b'{"V":"000000000000f83f000000000000f8bf0000000000000840",'
             b'"W_c":"000000000000e03f0000000000000080000000000000f03f00000000000000c0",'
             b'"W_d":"59f3f8c21f6ea581","W_g":"9c7500883ce4377e",'
             b'"b":"0000000000000000000000000000e0bf0100000000000000",'
             b'"b_c":"000000000000d03f","b_d":"9a9999999999b93f",'
-            b'"encoder":{"context_window":2,"hash_seed":3,"n":1},"m":1,"n":1,"version":2}\n'
+            b'"hash_seed":3,"m":1,"n":1,"version":3}\n'
         )
         loaded, _ = load_checkpoint(path)
         assert loaded.flat.tobytes() == params.flat.tobytes()
@@ -645,6 +645,24 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(info.value).endswith("re-run sumedit train")
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # the earlier format: the encoder settings, width included, in a
+        # nested object
+        params = init_params(5, 8, np.random.default_rng(7))
+        payload = {"version": 2, "m": 5, "n": 8, "encoder": {"n": 8, "hash_seed": 0, "context_window": 1}}
+        payload.update({name: getattr(params, name).astype("<f8").tobytes().hex() for name in PARAM_NAMES})
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        message = f"{path}: checkpoint version 2 is not supported; re-run sumedit train"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_checkpoint(path)
+
+    def test_save_refuses_an_encoder_width_other_than_the_editors(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        with pytest.raises(ValueError, match="^encoder width disagrees with editor n$"):
+            save_checkpoint(init_params(3, 4, np.random.default_rng(0)), EncoderConfig(n=5), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bytes_equal_a_json_dump_writer(self, tmp_path):
         # the words of every parameter, packed one float at a time by
         # `struct` and written by the streaming `json.dump`, are the bytes
@@ -653,9 +671,9 @@ class TestCheckpoint:
         params = init_params(6, 5, rng)
         params.flat[:] *= 10.0 ** rng.integers(-300, 300, size=params.flat.size)
         params.b[:] = [0.0, -0.0, 5e-324]
-        cfg = EncoderConfig(n=5, hash_seed=9, context_window=2)
+        cfg = EncoderConfig(n=5, hash_seed=9)
         save_checkpoint(params, cfg, tmp_path / "checkpoint.json")
-        payload = {"version": 2, "m": 6, "n": 5, "encoder": {"n": 5, "hash_seed": 9, "context_window": 2}}
+        payload = {"version": 3, "m": 6, "n": 5, "hash_seed": 9}
         for name in PARAM_NAMES:
             payload[name] = "".join(struct.pack("<d", x).hex() for x in getattr(params, name).ravel().tolist())
         with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:

@@ -42,32 +42,29 @@ def raw_vectors(document, config):
     return np.stack([_raw_sentence_vector(s.tokens, config) for s in document.sentences])
 
 
-def _mixed_row(raw, i, w):
-    """Row i after mixing: the normalized mean of raw rows i-w .. i+w that
-    exist; with w = 0 the raw row itself."""
-    if w == 0:
-        return raw[i]
-    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+def _mixed_row(raw, i):
+    """Row i after mixing: the normalized mean of raw rows i-1 .. i+1 that
+    exist."""
+    lo, hi = max(0, i - 1), min(len(raw), i + 2)
     return _normalize(raw[lo:hi].mean(axis=0))
 
 
-def mix_context(raw, config):
+def mix_context(raw):
     """Every sentence's vector, mixed with its neighbors; (N, n)."""
-    return np.stack([_mixed_row(raw, i, config.context_window) for i in range(len(raw))])
+    return np.stack([_mixed_row(raw, i) for i in range(len(raw))])
 
 
 def encode_abstracted(raw, i, abstracted, config):
     """The vector at position i of the document with sentence i replaced by
     the abstracted tokens, from the document's raw rows."""
-    w = config.context_window
-    lo, hi = max(0, i - w), min(len(raw), i + w + 1)
+    lo, hi = max(0, i - 1), min(len(raw), i + 2)
     window = raw[lo:hi].copy()
     window[i - lo] = _raw_sentence_vector(abstracted, config)
-    return _mixed_row(window, i - lo, w)
+    return _mixed_row(window, i - lo)
 
 
 def reference_encode_sentences(doc, cfg):
-    return mix_context(raw_vectors(doc, cfg), cfg)
+    return mix_context(raw_vectors(doc, cfg))
 
 
 # --- helpers ------------------------------------------------------------------
@@ -112,22 +109,23 @@ def doc_vector(doc, cfg, W_d, b_d):
 class TestEncodeSentences:
     def test_identical_sentences_identical_vectors(self):
         doc = make_doc(["x y z", "the cat sat", "a b", "the cat sat", "q r"])
-        vecs = encode_sentences(doc, EncoderConfig(n=16, context_window=0))
-        assert np.array_equal(vecs[1], vecs[3])
+        rows = encoder_mod._raw_rows([s.tokens for s in doc.sentences], EncoderConfig(n=16))
+        assert np.array_equal(rows[1], rows[3])
 
     def test_unit_norm_without_mixing(self):
+        # one sentence: its window holds no neighbor
         doc = make_doc(["alpha beta gamma"])
-        vecs = encode_sentences(doc, EncoderConfig(n=16, context_window=0))
+        vecs = encode_sentences(doc, EncoderConfig(n=16))
         assert np.linalg.norm(vecs[0]) == pytest.approx(1.0)
 
     def test_deterministic(self):
         doc = make_doc(["a b c", "d e f"])
-        cfg = EncoderConfig(n=32, hash_seed=3, context_window=1)
+        cfg = EncoderConfig(n=32, hash_seed=3)
         assert np.array_equal(encode_sentences(doc, cfg), encode_sentences(doc, cfg))
 
     def test_context_mixing_matches_stated_rule(self):
         doc = make_doc(["a b c", "d e f", "g h i"])
-        cfg = EncoderConfig(n=16, hash_seed=1, context_window=1)
+        cfg = EncoderConfig(n=16, hash_seed=1)
         raw = np.stack(
             [_raw_sentence_vector(s.tokens, cfg) for s in doc.sentences]
         )
@@ -138,8 +136,8 @@ class TestEncodeSentences:
 
     def test_hash_seed_changes_vectors(self):
         doc = make_doc(["a b c d e"])
-        v0 = encode_sentences(doc, EncoderConfig(n=16, hash_seed=0, context_window=0))
-        v1 = encode_sentences(doc, EncoderConfig(n=16, hash_seed=5, context_window=0))
+        v0 = encode_sentences(doc, EncoderConfig(n=16, hash_seed=0))
+        v1 = encode_sentences(doc, EncoderConfig(n=16, hash_seed=5))
         assert not np.array_equal(v0, v1)
 
 
@@ -158,7 +156,7 @@ class TestDocRepresentation:
     def test_matches_plain_loop_recomputation(self):
         rng = np.random.default_rng(0)
         doc = make_doc(["a b c", "d e f g"])
-        cfg = EncoderConfig(n=4, context_window=0)
+        cfg = EncoderConfig(n=4)
         vecs = encode_sentences(doc, cfg)
         W, b = rng.normal(size=(4, 4)), rng.normal(size=4)
         mean = [sum(vecs[i][j] for i in range(2)) / 2 for j in range(4)]
@@ -183,23 +181,25 @@ class TestDocRepresentation:
 class TestEncodeAbstracted:
     def test_self_replacement_is_identity(self):
         doc = make_doc(["a b c", "d e f", "g h i"])
-        cfg = EncoderConfig(n=16, context_window=1)
+        cfg = EncoderConfig(n=16)
         vecs = encode_sentences(doc, cfg)
         for i in range(3):
             out = encode_one_abstracted(doc, i, doc.tokens_at(i), cfg)
             assert np.array_equal(out, vecs[i])
 
     def test_local_without_context_window(self):
+        # before mixing, an abstraction's row depends on its own tokens only
         doc_a = make_doc(["a b", "x y z", "c d"])
         doc_b = make_doc(["p q", "x y z", "r s"])
-        cfg = EncoderConfig(n=16, context_window=0)
-        out_a = encode_one_abstracted(doc_a, 1, ["new", "words"], cfg)
-        out_b = encode_one_abstracted(doc_b, 1, ["new", "words"], cfg)
-        assert np.array_equal(out_a, out_b)
+        cfg = EncoderConfig(n=16)
+        rows_a, rows_b = (
+            encoder_mod._raw_rows([s.tokens for s in doc.sentences] + [("new", "words")], cfg) for doc in (doc_a, doc_b)
+        )
+        assert np.array_equal(rows_a[-1], rows_b[-1])
 
     def test_matches_full_modified_document_encoding(self):
         doc = make_doc(["a b c", "d e f", "g h i"])
-        cfg = EncoderConfig(n=16, context_window=1)
+        cfg = EncoderConfig(n=16)
         modified = make_doc(["a b c", "shorter now", "g h i"])
         expected = encode_sentences(modified, cfg)
         out = encode_one_abstracted(doc, 1, ["shorter", "now"], cfg)
@@ -210,10 +210,9 @@ class TestEncodeAbstracted:
         assert not np.array_equal(expected[0], original[0])
         assert not np.array_equal(expected[2], original[2])
 
-    @pytest.mark.parametrize("window", [0, 1, 2])
-    def test_window_equals_whole_document_reencoding(self, window):
+    def test_window_equals_whole_document_reencoding(self):
         doc = make_doc(["a b c", "d e f g", "h i", "j k l", "m n o p", "q r"])
-        cfg = EncoderConfig(n=16, hash_seed=4, context_window=window)
+        cfg = EncoderConfig(n=16, hash_seed=4)
         raw = raw_vectors(doc, cfg)
         for i in range(len(doc)):  # both document edges included
             for tokens in (["new", "words"], ["d", "e"], list(doc.tokens_at(i))):
@@ -223,7 +222,7 @@ class TestEncodeAbstracted:
 
     def test_context_uses_windowed_vectors(self):
         doc = make_doc(["a b c", "d e f g", "h i", "j k l"])
-        cfg = EncoderConfig(n=16, context_window=1)
+        cfg = EncoderConfig(n=16)
         extract = extract_lead(doc, 4)
         abstractions = [["abs", str(i)] for i in range(4)]
         vectors = context_from_abstractions(doc, extract, abstractions, cfg)
@@ -278,7 +277,7 @@ def assert_equals_reference(documents, orders, abstractions, cfg):
     assert vectors.lengths.tolist() == [len(o) for o in orders]
     for j, (doc, order, abstracted) in enumerate(zip(documents, orders, abstractions)):
         raw = raw_vectors(doc, cfg)
-        mixed = mix_context(raw, cfg)
+        mixed = mix_context(raw)
         l = len(order)
         assert np.array_equal(vectors.e[j, :l], mixed[list(order)])
         want_a = [encode_abstracted(raw, i, toks, cfg) for i, toks in zip(order, abstracted)]
@@ -292,7 +291,6 @@ class TestSplitEncoderAgainstReference:
     @given(
         inputs=split_inputs(),
         n=st.sampled_from([1, 2, 3, 8, 24]),
-        window=st.sampled_from([0, 1, 2]),
         seed=st.integers(0, 3),
     )
     # one-sentence documents, n = 1, every abstraction its source
@@ -302,15 +300,15 @@ class TestSplitEncoderAgainstReference:
             [(0,), (0,)],
             [(("a", "b"),), (("c",),)],
         ),
-        n=1, window=1, seed=0,
+        n=1, seed=0,
     )
     # a document of one repeated sentence
     @example(
         inputs=([make_doc(["a b a"] * 5, "r")], [(4, 0, 2)], [(("a", "b", "a"), ("b",), ("a", "b", "a"))]),
-        n=3, window=2, seed=1,
+        n=3, seed=1,
     )
-    def test_array_equal_to_sentence_at_a_time_encoding(self, inputs, n, window, seed):
-        cfg = EncoderConfig(n=n, hash_seed=seed, context_window=window)
+    def test_array_equal_to_sentence_at_a_time_encoding(self, inputs, n, seed):
+        cfg = EncoderConfig(n=n, hash_seed=seed)
         assert_equals_reference(*inputs, cfg)
 
     def test_seeded_corpus_with_long_documents(self):
@@ -326,9 +324,8 @@ class TestSplitEncoderAgainstReference:
             documents.append(doc)
             orders.append(order)
             abstractions.append(tuple(tuple(doc.tokens_at(i)[: max(1, len(doc.tokens_at(i)) // 2)]) for i in order))
-        for window in (0, 1, 2):
-            for n in (1, 24, 64):
-                assert_equals_reference(documents, orders, abstractions, EncoderConfig(n=n, context_window=window))
+        for n in (1, 24, 64):
+            assert_equals_reference(documents, orders, abstractions, EncoderConfig(n=n))
 
 
 # tokens of any non-surrogate characters but whitespace, as tokenization

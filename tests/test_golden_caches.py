@@ -116,7 +116,7 @@ def test_summarize_stdout_is_recorded(tmp_path, capsys, extractor):
 
 PIPELINE_DIGESTS = {
     "train_log.jsonl": "b85db1165ccdef2ef700787daa73193a39648bc735322d98e441720707a1a526",
-    "checkpoint.json": "596333ede48e87ddc5a33ca034daabd61898bc12690af7bea7e3b2782ab33246",
+    "checkpoint.json": "4b3979a709ec99385507982d282292b3652285ac7e3aa9673a32933c62f104e7",
     "evaluation.json": "58243f4312e852cf630ce5ce2ed33c2760469a661bed9ed32fe885e927843c8e",
 }
 

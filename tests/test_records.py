@@ -29,7 +29,7 @@ S0, S1 = Sentence(0, ("a", "b")), Sentence(1, ("c",))
          lambda: Example(document=Document("d", (S0,)), reference=ReferenceSummary((("a",),))),
          {"document": Document("d", (S0,)), "reference": ReferenceSummary((("a",),))}),
         (lambda: EncoderConfig(64, 0), lambda: EncoderConfig(n=64, hash_seed=0),
-         {"n": 64, "hash_seed": 0, "context_window": 1}),
+         {"n": 64, "hash_seed": 0}),
         (lambda: RewardWeights(0.4, 1.0, 0.5), lambda: RewardWeights(),
          {"alpha": 0.4, "beta": 1.0, "gamma": 0.5}),
     ],
@@ -110,7 +110,7 @@ def test_resolved_config_bytes(tmp_path):
     cfg.write(tmp_path / "resolved_config.json")
     assert (tmp_path / "resolved_config.json").read_text() == (
         '{\n  "abstract_ratio": 0.8,\n  "alpha": 1,\n  "batch_size": 32,\n  "beta": 1.0,\n'
-        '  "cap": 12,\n  "context_window": 1,\n  "encoder_n": 64,\n  "epochs": 20,\n'
+        '  "cap": 12,\n  "encoder_n": 64,\n  "epochs": 20,\n'
         '  "extractor": "lead",\n  "gamma": 0.5,\n  "hash_seed": 0,\n  "hidden_m": 64,\n'
         '  "k": 3,\n  "lr": 0.5,\n  "out_dir": "runs/a",\n  "seed": 7,\n  "test_path": null,\n'
         '  "train_path": "train.jsonl",\n  "val_path": null\n}\n'
@@ -141,7 +141,7 @@ def labeled(**changes) -> LabeledExample:
         (lambda **c: RougeScore(**{"precision": 0.5, "recall": 0.25, "f1": 1 / 3, **c}), {"f1": 0.0}),
         (lambda **c: ExtractResult(**{"order": (0, 1), "likelihood": (1.0, 0.5), **c}),
          {"likelihood": (1.0, 0.25)}),
-        (lambda **c: EncoderConfig(**{"n": 8, **c}), {"context_window": 0}),
+        (lambda **c: EncoderConfig(**{"n": 8, **c}), {"hash_seed": 1}),
         (labeled, {"order": (0, 1)}),
         (labeled, {"labels": ((0.5, 0.25, 0.25), (0.0, 1.0, 0.0))}),
     ],

@@ -28,13 +28,13 @@ from sumedit.summarizers import LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
 from sumedit.trainer import adam_step, evaluate, mean_reward, train
 
-ENC = EncoderConfig(n=12, hash_seed=7, context_window=1)
+ENC = EncoderConfig(n=12, hash_seed=7)
 
 
 def train_config(**fields):
     """The config `train` reads: ENC's encoder settings, the default reward
     weights, and `fields` (training-loop settings)."""
-    return ExperimentConfig(encoder_n=ENC.n, hash_seed=ENC.hash_seed, context_window=ENC.context_window, **fields)
+    return ExperimentConfig(encoder_n=ENC.n, hash_seed=ENC.hash_seed, **fields)
 
 
 def labeled_pairs(count, seed, id_prefix="t"):
