@@ -1,17 +1,23 @@
 """Command-line surface: ingest, label, train, summarize, evaluate.
 
-A command's settings are its arguments and the resolved config, and all
-randomness flows from the config's single seed; no command reads the
-environment.
+A command's settings are its arguments and the resolved config; no command
+reads the environment. All randomness flows from the config's single seed:
+`train` builds one random stream from it (`trainer.Stream`, over the
+standard library's `random`), draws the initial parameters from it and
+hands it on to `trainer.train` for every epoch's shuffle. So no command
+imports `numpy.random`.
 
 Every command runs in a fresh process, so start-up is paid per command.
 The module imports only the standard library; each command names the
-layers it runs (`layers` in `build_parser`: `label` runs the oracle,
-`train` and `evaluate` the editor and trainer, `summarize` the editor,
-encoder and summarizers) and imports them in its `cmd_*` function, calling
-them through their module attributes. Each command builds the label cache
-header of its resolved config once (`oracle.cache_header`): `label` writes
-it, and `train` and `evaluate` pass it to `oracle.read_label_cache`. `run()`, the process entry point,
+layers it runs (`layers` in `build_parser`: `label` runs the oracle and
+summarizers, `train` and `evaluate` the editor and trainer, `summarize` the
+editor, encoder and summarizers) and imports them in its `cmd_*` function,
+calling them through their module attributes. Only the commands that
+extract or abstract import `summarizers`. Each command builds the label
+cache header of its resolved config once (`oracle.cache_header`): `label`
+writes it, and `train` and `evaluate` pass it to `oracle.read_label_cache`.
+`summarize` and `evaluate` refuse a config whose `hidden_m`, `encoder_n` or
+`hash_seed` disagrees with the checkpoint. `run()`, the process entry point,
 works in this order: it disables the collector, parses the arguments,
 imports the command's layers (numpy and `config` with them), freezes the
 heap (`gc.freeze()`), re-enables the collector and runs the command. So no
@@ -108,8 +114,6 @@ def _paired_split(cfg: ExperimentConfig, split: str, out: Path, header: dict):
 
 
 def cmd_train(args) -> int:
-    import numpy as np
-
     from . import editor, oracle, text, trainer
 
     cfg = _load_config(args)
@@ -117,9 +121,9 @@ def cmd_train(args) -> int:
     header = oracle.cache_header(cfg)
     train_pairs = _paired_split(cfg, "train", out, header)
     val_pairs = _paired_split(cfg, "val", out, header)
-    rng = np.random.default_rng(cfg.seed)
+    rng = trainer.Stream(cfg.seed)
     params = editor.init_params(cfg.hidden_m, cfg.encoder_n, rng)
-    best, log = trainer.train(train_pairs, val_pairs, cfg, params)
+    best, log = trainer.train(train_pairs, val_pairs, cfg, params, rng)
     ckpt_path = out / "checkpoint.json"
     editor.save_checkpoint(best, cfg.encoder_config(), ckpt_path)
     with text.atomic_open(out / "train_log.jsonl") as fh:
@@ -128,6 +132,20 @@ def cmd_train(args) -> int:
     cfg.write(out / "resolved_config.json")
     print(f"wrote {ckpt_path}", file=sys.stderr)
     return 0
+
+
+def _load_checkpoint(cfg: ExperimentConfig, path):
+    """The checkpoint's editor and encoder settings, if the config's
+    `hidden_m`, `encoder_n` and `hash_seed` are the checkpoint's."""
+    from . import editor
+
+    params, enc_config = editor.load_checkpoint(path)
+    for field, key, saved in (("hidden_m", "m", params.m), ("encoder_n", "n", params.n),
+                              ("hash_seed", "hash_seed", enc_config.hash_seed)):
+        if getattr(cfg, field) != saved:
+            raise ValueError(f"config field {field!r} is {getattr(cfg, field)!r}, but checkpoint {path} "
+                             f"has {key} {saved!r}; use the config it was trained with")
+    return params, enc_config
 
 
 def _print_summary(document, extract, abstractions, row) -> None:
@@ -151,7 +169,7 @@ def cmd_summarize(args) -> int:
     from . import editor, encoder, summarizers, text
 
     cfg = _load_config(args)
-    params, enc_config = editor.load_checkpoint(args.checkpoint)
+    params, enc_config = _load_checkpoint(cfg, args.checkpoint)
     abstractor = cfg.make_abstractor()
     greedy = cfg.extractor == "greedy"
     if greedy:
@@ -187,11 +205,11 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import editor, oracle, text, trainer
+    from . import oracle, text, trainer
 
     cfg = _load_config(args)
+    params, enc_config = _load_checkpoint(cfg, args.checkpoint)
     out = _out_dir(cfg)
-    params, enc_config = editor.load_checkpoint(args.checkpoint)
     pairs = _paired_split(cfg, "test", out, oracle.cache_header(cfg))
     report = trainer.evaluate(pairs, params, enc_config, cfg.reward_weights())
     report_path = out / "evaluation.json"
@@ -238,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["train", "val", "test"],
         required=True,
     )
-    p.set_defaults(func=cmd_label, layers=("config", "oracle"))
+    p.set_defaults(func=cmd_label, layers=("config", "oracle", "summarizers"))
 
     p = sub.add_parser("train", help="train the editor")
     _add_common(p)

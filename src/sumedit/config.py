@@ -10,11 +10,11 @@ import math
 from typing import TYPE_CHECKING
 
 from .rouge import RewardWeights
-from .summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor
 from .text import atomic_open, read_json_object
 
 if TYPE_CHECKING:
     from .encoder import EncoderConfig
+    from .summarizers import SalienceAbstractor
 
 # Every config field of `ExperimentConfig`: the type it takes and its default.
 FIELDS = {
@@ -103,10 +103,16 @@ class ExperimentConfig:
 
         return EncoderConfig(n=self.encoder_n, hash_seed=self.hash_seed)
 
+    # `summarizers` is imported by the commands that extract or abstract
+    # only, so `train` and `evaluate` do not compile it.
     def make_extractor(self):
+        from .summarizers import GreedyOracleExtractor, LeadExtractor
+
         if self.extractor == "greedy":
             return GreedyOracleExtractor(k=self.k, weights=self.reward_weights())
         return LeadExtractor(k=self.k)
 
     def make_abstractor(self) -> SalienceAbstractor:
+        from .summarizers import SalienceAbstractor
+
         return SalienceAbstractor(ratio=self.abstract_ratio)

@@ -10,10 +10,11 @@ d = tanh(W_d @ mean(e) + b_d), runs over a padded batch of extracts
 as REJECT. `forward` runs it teacher-forced: the given decisions fix every
 state before the pass, so the states are a prefix sum and each product is
 one stacked expression over all the steps. `loss_and_gradients` forces the
-label argmax, and its backward pass computes each weight gradient as one
-matrix product over all the batch's steps. `decode` runs it free (argmax of
-p), one matrix product per step for the whole batch, and returns decision
-arrays. Training minimizes a soft cross-entropy against enumeration-derived
+decisions it is given (in training, the best sequence that the soft labels
+are conditioned on), and its backward pass computes each weight gradient as
+one matrix product over all the batch's steps. `decode` runs it free
+(argmax of p), one matrix product per step for the whole batch, and returns
+decision arrays. Training minimizes a soft cross-entropy against enumeration-derived
 label distributions; gradients are exact and analytic (the base sentence
 encoder is frozen). The parameters, and a gradient, are named views into one
 flat vector (`EditorParams`).
@@ -27,14 +28,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .summarizers import Abstractor, ExtractResult
 from .text import Document, atomic_open, read_json_object
 
 if TYPE_CHECKING:
     # `encoder` is imported where it is used, so that `label`, which uses
     # the decisions and `abstractions_for` but encodes nothing, does not
-    # import it.
+    # import it; nor do `train` and `evaluate` import `summarizers`.
     from .encoder import EncoderConfig, SplitVectors
+    from .summarizers import Abstractor, ExtractResult
+    from .trainer import Stream
 
 LOG_CLAMP = 1e-12
 
@@ -99,8 +101,9 @@ class EditorParams:
                 raise ValueError(f"{name} contains non-finite values")
 
 
-def init_params(m: int, n: int, rng: np.random.Generator) -> EditorParams:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] matrices, zero biases."""
+def init_params(m: int, n: int, rng: Stream | np.random.Generator) -> EditorParams:
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] matrices drawn from `rng`
+    in PARAM_NAMES order, zero biases."""
     params = EditorParams(m, n)
     for name in ("W_c", "V", "W_g", "W_d"):
         view = getattr(params, name)
@@ -250,24 +253,28 @@ def decode(vectors: SplitVectors, params: EditorParams) -> np.ndarray:
 def loss_and_gradients(
     vectors: SplitVectors,
     labels: np.ndarray,
+    decisions: np.ndarray,
     params: EditorParams,
 ) -> tuple[float, EditorParams]:
     """Summed soft cross-entropy of a batch of B extracts and its exact
     summed gradient, as named views into one flat vector. labels (B, L, 3)
-    holds each extract's soft labels, padded like its vectors.
+    holds each extract's soft labels and decisions (B, L) the decision
+    indices the pass is forced along, both padded like its vectors.
 
     Each example's loss is -(1/l) sum_i sum_k y_ik log p_ik over its l steps,
-    with p clamped below at LOG_CLAMP. The pass is teacher-forced: every
-    step takes the argmax of its label, ties E > A > R. The discrete
-    decisions are treated as constants of the backward pass; sentence
-    vectors are frozen.
+    with p clamped below at LOG_CLAMP. The pass is teacher-forced: step i
+    takes the given decision. `oracle.soft_labels` conditions step i's label
+    on the best sequence's first i decisions, so training forces that
+    sequence: the state g_i then holds the prefix the label describes. The
+    discrete decisions are treated as constants of the backward pass;
+    sentence vectors are frozen.
     """
-    if labels.shape != vectors.e.shape[:2] + (3,) or not len(labels):
-        raise ValueError("need one (L, 3) label array per extract, and at least one extract")
+    if labels.shape != vectors.e.shape[:2] + (3,) or decisions.shape != labels.shape[:2] or not len(labels):
+        raise ValueError("need one (L, 3) label array and L decisions per extract, and at least one extract")
     n, m = params.n, params.m
     B, L = labels.shape[:2]
     y = np.ascontiguousarray(labels.transpose(1, 0, 2))  # step-major, as the run
-    run = forward(vectors, params, y.argmax(axis=2))
+    run = forward(vectors, params, decisions.T)
     lengths = vectors.lengths
     # Each example's loss sums its steps' terms as one row, in the order
     # np.sum takes over an (l, 3) array (y is 0 on the padded steps, so they

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +40,10 @@ from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
 from .rouge import RewardWeights, SplitStats, reward, split_entries
-from .summarizers import Abstractor, ExtractResult, Extractor, extract_batch
 from .text import Document, Example, atomic_open, json_line, warn
+
+if TYPE_CHECKING:
+    from .summarizers import Abstractor, ExtractResult, Extractor
 
 DEFAULT_CAP = 12
 
@@ -225,6 +227,10 @@ def _label_chunk(
     example whose extract exceeds the cap gets a LabelingError in its
     place. `label_dataset` calls it once per run of at most
     `editor.DECODE_CHUNK` examples."""
+    # imported here, so that `train` and `evaluate`, which read caches but
+    # extract nothing, do not import `summarizers`
+    from .summarizers import extract_batch
+
     extracts = extract_batch(extractor, examples)
     abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]

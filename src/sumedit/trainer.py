@@ -1,19 +1,22 @@
 """ADAM optimization, the teacher-forced training loop, and evaluation.
 
 `train` reads its settings from the resolved `config.ExperimentConfig`:
-`batch_size`, `epochs`, `seed`, `lr`, the encoder settings and the reward
-weights. Each split is encoded once into one record (`encoder.encode_split`:
-the extracted and abstracted sentence vectors padded to the split's longest
+`batch_size`, `epochs`, `lr`, the encoder settings and the reward weights.
+Each split is encoded once into one record (`encoder.encode_split`: the
+extracted and abstracted sentence vectors padded to the split's longest
 extract, the document mean vectors and the extract lengths) with its soft
-labels padded the same way. Training shuffles with a seeded generator, takes
-each batch as a fancy index into the record cut to the batch's longest
-extract, computes its loss and gradient in one batched editor pass, averages
-the gradient, applies one bias-corrected ADAM update to the flat parameter
-vector per batch (in place, on a copy of the caller's parameters), decodes
-the whole validation split free-running after every epoch, and returns the
-checkpoint with the highest validation mean reward (ties: earliest epoch).
-A non-finite loss or gradient stops training with an error naming the
-epoch and the batch. Runs are bitwise reproducible under a fixed seed.
+labels and its best sequences padded the same way. Training shuffles each
+epoch with the caller's random stream (`Stream`, the one `sumedit train`
+also draws the initial parameters from), takes each batch as a fancy index
+into the record cut to the batch's longest extract, computes its loss and
+gradient in one batched editor pass teacher-forced along the best sequence
+that its soft labels are conditioned on, averages the gradient, applies one
+bias-corrected ADAM update to the flat parameter vector per batch (in
+place, on a copy of the caller's parameters), decodes the whole validation
+split free-running after every epoch, and returns the checkpoint with the
+highest validation mean reward (ties: earliest epoch). A non-finite loss or
+gradient stops training with an error naming the epoch and the batch. Runs
+are bitwise reproducible under a fixed seed.
 
 Decoded summaries are scored without realizing them: a summary is a sum of
 sentence versions (`oracle.sentence_versions`: an extract's sentences, then
@@ -29,6 +32,7 @@ Means over a split are sequential sums, the order of a running float total.
 from __future__ import annotations
 
 import math
+import random
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +52,31 @@ from .text import Example
 LabeledPair = tuple[Example, LabeledExample]
 
 
+class Stream:
+    """One seeded stream of random numbers, over the standard library's
+    `random.Random`, with the two `numpy.random.Generator` methods training
+    calls: `editor.init_params` draws the initial parameters from it and
+    `train` each epoch's shuffle. (`random` is loaded with numpy already;
+    `numpy.random` is not.)"""
+
+    __slots__ = ("_random",)
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        """low + (high - low) * random() for each element of an array of
+        shape `size`, drawn in row-major order."""
+        draw = self._random.random
+        return low + (high - low) * np.array([draw() for _ in range(math.prod(size))]).reshape(size)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """0 .. n - 1 in a random order."""
+        order = list(range(n))
+        self._random.shuffle(order)
+        return np.array(order, dtype=np.intp)
+
+
 # ADAM's moment decay rates and denominator offset (Kingma & Ba 2015).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -58,11 +87,23 @@ def adam_step(params: EditorParams, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     the updates of the first and second moments `m` and `v`."""
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} differs from parameter shape {params.flat.shape}")
-    m[:] = BETA1 * m + (1 - BETA1) * grad
-    v[:] = BETA2 * v + (1 - BETA2) * grad * grad
-    m_hat = m / (1 - BETA1**t)
-    v_hat = v / (1 - BETA2**t)
-    params.flat[:] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    # the operations of m = BETA1 m + (1 - BETA1) grad, v = BETA2 v + (1 -
+    # BETA2) grad grad and params -= lr m_hat / (sqrt(v_hat) + EPS), in that
+    # order, through two work vectors
+    step = np.multiply(grad, 1 - BETA1)
+    m *= BETA1
+    m += step
+    np.multiply(grad, 1 - BETA2, out=step)
+    step *= grad
+    v *= BETA2
+    v += step
+    denominator = np.divide(v, 1 - BETA2**t)
+    np.sqrt(denominator, out=denominator)
+    denominator += EPS
+    np.divide(m, 1 - BETA1**t, out=step)
+    step *= lr
+    step /= denominator
+    params.flat[:] -= step
 
 
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
@@ -74,16 +115,19 @@ def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> Spli
     )
 
 
-def _labels(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> np.ndarray:
-    """The soft labels of a split, padded like its vectors: (N, L, 3), zero
-    past each extract's end."""
+def _targets(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> tuple[np.ndarray, np.ndarray]:
+    """The soft labels (N, L, 3) of a split, zero past each extract's end,
+    and the best sequences (N, L) they are conditioned on, REJECT past each
+    extract's end: both padded like its vectors."""
     y = np.zeros(vectors.e.shape[:2] + (3,))
+    best = np.full(vectors.e.shape[:2], REJECT, dtype=np.intp)
     for j, ((example, lab), l) in enumerate(zip(pairs, vectors.lengths.tolist())):
         rows = np.asarray(lab.labels, dtype=float)
-        if rows.shape != (l, 3):
-            raise ValueError(f"{example.document.id}: labels must have shape ({l}, 3)")
+        if rows.shape != (l, 3) or len(lab.best) != l:
+            raise ValueError(f"{example.document.id}: labels must have shape ({l}, 3) and best length {l}")
         y[j, :l] = rows
-    return y
+        best[j, :l] = lab.best
+    return y, best
 
 
 def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
@@ -120,10 +164,11 @@ def train(
     val_set: Sequence[LabeledPair],
     config: ExperimentConfig,
     params: EditorParams,
+    rng: Stream | np.random.Generator,
 ) -> tuple[EditorParams, list[dict]]:
     """Teacher-forced training with validation-based model selection, under
-    the config's `batch_size`, `epochs`, `seed`, `lr`, encoder settings and
-    reward weights.
+    the config's `batch_size`, `epochs`, `lr`, encoder settings and reward
+    weights. Each epoch's order is `rng.permutation` of the train set.
 
     Returns (best checkpoint params, per-epoch log of train loss and
     validation mean reward).
@@ -132,10 +177,9 @@ def train(
         raise ValueError("empty train set")
     encoder_config, weights = config.encoder_config(), config.reward_weights()
     vectors = _encode(train_set, encoder_config)
-    labels = _labels(train_set, vectors)
+    labels, best = _targets(train_set, vectors)
     val_vectors = _encode(val_set, encoder_config)
     val_entries = _entries(val_set)
-    rng = np.random.default_rng(config.seed)
     params = params.copy()
     m, v, t = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     best_params, best_reward = params.copy(), -math.inf
@@ -146,7 +190,8 @@ def train(
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
             inputs = vectors.take(batch)
-            loss, grad = loss_and_gradients(inputs, labels[batch, : inputs.e.shape[1]], params)
+            steps = inputs.e.shape[1]
+            loss, grad = loss_and_gradients(inputs, labels[batch, :steps], best[batch, :steps], params)
             if not (math.isfinite(loss) and np.isfinite(grad.flat).all()):
                 ids = ", ".join(train_set[j][0].document.id for j in batch)
                 raise ValueError(

@@ -34,7 +34,7 @@ from sumedit.oracle import enumerate_rewards, label_dataset, realize
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
 from sumedit.summarizers import LeadExtractor, SalienceAbstractor, extract_lead, rescale_attention
 from sumedit.text import Example, ReferenceSummary
-from sumedit.trainer import evaluate, train
+from sumedit.trainer import Stream, evaluate, train
 
 E, A, R = EXTRACT, ABSTRACT, REJECT
 
@@ -101,7 +101,7 @@ def test_criterion_1_gradient_exactness():
     checked = 0
     for seed in range(100):
         vectors, y, params = random_gradient_instance(seed)
-        _, grads = loss_and_gradients(vectors, y[None], params)
+        _, grads = loss_and_gradients(vectors, y[None], y.argmax(axis=1)[None], params)
         for name in PARAM_NAMES:
             flat = getattr(params, name).ravel()
             gflat = getattr(grads, name).ravel()
@@ -330,8 +330,9 @@ def test_criterion_7_end_to_end_learning():
     assert not (f1 or f2 or f3)
     cfg = ExperimentConfig(encoder_n=24, hash_seed=7, batch_size=32, epochs=20, seed=0, lr=1e-4)
     enc = cfg.encoder_config()
-    params = init_params(24, 24, np.random.default_rng(0))
-    best, log = train(list(zip(train_ex, tr_lab)), list(zip(val_ex, va_lab)), cfg, params)
+    rng = Stream(cfg.seed)  # the one stream of `sumedit train`
+    params = init_params(24, 24, rng)
+    best, log = train(list(zip(train_ex, tr_lab)), list(zip(val_ex, va_lab)), cfg, params, rng)
     losses = [entry["train_loss"] for entry in log]
     assert all(b < a for a, b in zip(losses[:5], losses[1:6])), losses[:6]
     w = RewardWeights()

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synthetic import make_corpus
-from sumedit import cli, editor, text
+from sumedit import cli, editor, text, trainer
 from sumedit.config import ExperimentConfig
 from sumedit.encoder import EncoderConfig
 
@@ -184,13 +184,37 @@ class TestLabelAndTrain:
 
     def test_fixed_seed_byte_identical(self, workspace):
         outs = []
-        for name in ("out_a", "out_b"):
-            cfg = write_config(workspace, out_dir=str(workspace / name))
-            assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        for name, seed in (("out_a", 11), ("out_b", 11), ("out_c", 12)):
+            cfg = write_config(workspace, out_dir=str(workspace / name), seed=seed)
+            splits = ("--split", "train", "--split", "val", "--split", "test")
+            assert cli.main(["label", "--config", str(cfg), *splits]) == 0
             assert cli.main(["train", "--config", str(cfg)]) == 0
+            checkpoint = str(workspace / name / "checkpoint.json")
+            assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", checkpoint]) == 0
             outs.append(workspace / name)
-        for artifact in ("labels_train.jsonl", "checkpoint.json", "train_log.jsonl"):
+        for artifact in ("labels_train.jsonl", "checkpoint.json", "train_log.jsonl", "evaluation.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        # the seed reaches the stream: another seed trains another editor
+        assert (outs[0] / "checkpoint.json").read_bytes() != (outs[2] / "checkpoint.json").read_bytes()
+
+    def test_first_shuffle_continues_the_stream_that_drew_the_parameters(self, workspace, monkeypatch):
+        shuffles = []
+        stream = trainer.Stream
+
+        class Recording(stream):
+            def permutation(self, n):
+                order = super().permutation(n)
+                shuffles.append(order.tolist())
+                return order
+
+        monkeypatch.setattr(trainer, "Stream", Recording)
+        cfg = write_config(workspace)  # seed 11, hidden_m 8, encoder_n 12, epochs 2
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val"]) == 0
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        want = stream(11)
+        editor.init_params(8, 12, want)
+        assert shuffles == [want.permutation(16).tolist(), want.permutation(16).tolist()]
+        assert shuffles[0] != stream(11).permutation(16).tolist()
 
 
 def rewrite_first_record(cache, change):
@@ -654,6 +678,20 @@ class TestSummarizeAndEvaluate:
         assert outputs["greedy"] != outputs["lead"]
         assert len(ids) > 2
 
+    @pytest.mark.parametrize("field, key, value",
+                             [("hidden_m", "m", 9), ("encoder_n", "n", 13), ("hash_seed", "hash_seed", 5)])
+    def test_config_that_disagrees_with_the_checkpoint_is_refused(self, workspace, capsys, field, key, value):
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])  # m 8, n 12, hash_seed 0
+        saved = {"m": 8, "n": 12, "hash_seed": 0}[key]
+        cfg = write_config(workspace, **{field: value})
+        for argv in (["evaluate"], ["summarize", "--document", str(workspace / "test.jsonl")]):
+            assert cli.main([*argv, "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: config field {field!r} is {value!r}, but checkpoint {ckpt} "
+                                    f"has {key} {saved!r}; use the config it was trained with\n")
+        assert not (workspace / "out").exists()
+
     def test_evaluate_writes_valid_report(self, workspace, capsys):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
@@ -762,6 +800,16 @@ class TestStartup:
         assert "sumedit.oracle" in modules
         assert not {"sumedit.trainer", "sumedit.encoder"} & modules
 
+    def test_train_and_evaluate_import_neither_numpy_random_nor_summarizers(self, workspace):
+        cfg = write_config(workspace)
+        assert cli.main(["label", "--config", str(cfg), "--split", "train", "--split", "val", "--split", "test"]) == 0
+        for argv in (["train"], ["evaluate", "--checkpoint", str(workspace / "out" / "checkpoint.json")]):
+            proc = run_child("-X", "importtime", "-m", "sumedit.cli", *argv, "--config", str(cfg))
+            assert proc.returncode == 0, proc.stderr
+            modules = imported_modules(proc.stderr)
+            assert {"numpy", "sumedit.trainer"} <= modules
+            assert not {"numpy.random", "sumedit.summarizers"} & modules, argv[0]
+
     def test_summarize_imports_neither_oracle_nor_trainer(self, workspace):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
@@ -789,7 +837,7 @@ class TestStartup:
         "argv, layer",
         [
             (["ingest", "in.jsonl", "out.jsonl"], "sumedit.text"),
-            (["label", "--split", "train"], "sumedit.oracle"),
+            (["label", "--split", "train"], "sumedit.summarizers"),
             (["train"], "sumedit.trainer"),
             (["summarize", "--checkpoint", "c.json", "--document", "d.jsonl"], "sumedit.encoder"),
             (["evaluate", "--checkpoint", "c.json"], "sumedit.trainer"),

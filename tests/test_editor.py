@@ -281,19 +281,20 @@ class TestGradients:
         # force p == y by solving for the bias with everything else zeroed
         params = zero_params(4, 6)
         params.b[:] = np.log(y[0, 0])
-        _, grads = loss_and_gradients(vectors, y, params)
+        _, grads = loss_and_gradients(vectors, y, y.argmax(axis=2), params)
         assert np.allclose(grads.b, 0.0, atol=1e-12)
         assert np.allclose(grads.V, 0.0, atol=1e-12)
 
     def test_finite_difference_single_entry(self):
         vectors, y, params = self.fixture(seed=1, l=1)
-        _, grads = loss_and_gradients(vectors, y, params)
+        forced = y.argmax(axis=2)
+        _, grads = loss_and_gradients(vectors, y, forced, params)
         h = 1e-5
         i, j = 1, 2
         params.V[i, j] += h
-        up, _ = loss_and_gradients(vectors, y, params)
+        up, _ = loss_and_gradients(vectors, y, forced, params)
         params.V[i, j] -= 2 * h
-        down, _ = loss_and_gradients(vectors, y, params)
+        down, _ = loss_and_gradients(vectors, y, forced, params)
         params.V[i, j] += h
         fd = (up - down) / (2 * h)
         assert abs(fd - grads.V[i, j]) / max(abs(grads.V[i, j]), 1e-12) < 1e-4
@@ -301,7 +302,7 @@ class TestGradients:
     def test_state_gradient_zero_when_all_labels_reject(self):
         vectors, _, params = self.fixture(seed=2, l=2)
         y = np.array([[[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]]])
-        _, grads = loss_and_gradients(vectors, y, params)
+        _, grads = loss_and_gradients(vectors, y, np.full((1, 2), REJECT), params)
         assert np.array_equal(grads.W_g, np.zeros_like(params.W_g))
 
 
@@ -335,12 +336,12 @@ def reference_decisions(example, params):
     return reference_forward(example, params, lambda i, p: int(np.argmax(p)))[4]
 
 
-def reference_loss_and_gradients(example, labels, params):
-    """Slow reference: one example's teacher-forced loss and gradients,
-    backpropagated one step at a time with outer products."""
+def reference_loss_and_gradients(example, labels, decisions, params):
+    """Slow reference: one example's loss and gradients, teacher-forced by
+    its decisions, backpropagated one step at a time with outer products."""
     labels = np.asarray(labels, dtype=float)
     l, n = len(labels), params.n
-    d, xs, ts, ps, _, hs, qs = reference_forward(example, params, lambda i, p: int(np.argmax(labels[i])))
+    d, xs, ts, ps, _, hs, qs = reference_forward(example, params, lambda i, p: int(decisions[i]))
     loss = -sum(
         float(np.dot(y, np.log(np.maximum(p, 1e-12)))) for p, y in zip(ps, labels)
     ) / l
@@ -384,13 +385,18 @@ class TestBatchedAgainstReference:
         return examples, labels, params
 
     def test_loss_and_gradients_equal_per_example_sums(self):
+        # forced along decisions drawn apart from the labels
         for seed in range(10):
             examples, labels, params = self.batch(seed)
-            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), params)
+            rng = np.random.default_rng([seed, 1])
+            decisions = [rng.integers(3, size=l) for l in self.LENGTHS]
+            forced = np.stack([np.pad(row, (0, max(self.LENGTHS) - len(row)), constant_values=REJECT)
+                               for row in decisions])
+            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), forced, params)
             want_loss = 0.0
             want = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
-            for example, y in zip(examples, labels):
-                one_loss, one = reference_loss_and_gradients(example, y, params)
+            for example, y, row in zip(examples, labels, decisions):
+                one_loss, one = reference_loss_and_gradients(example, y, row, params)
                 want_loss += one_loss
                 for name in want:
                     want[name] += one[name]
@@ -413,7 +419,7 @@ class TestBatchedAgainstReference:
                 want = 0.0
                 for j, y in enumerate(labels):
                     want += soft_cross_entropy(run.p[:, j], y)
-                loss, _ = loss_and_gradients(vectors, labels, params)
+                loss, _ = loss_and_gradients(vectors, labels, labels.argmax(axis=2), params)
                 assert loss == want, (l, B)
 
     def test_decode_decisions_equal_per_example(self):
@@ -436,11 +442,13 @@ class TestBatchedAgainstReference:
             for i in range(l, max(self.LENGTHS)):
                 assert run.decisions[i, j] == REJECT
                 assert np.array_equal(run.g[i + 1, j], run.g[i, j])
-        _, whole = loss_and_gradients(vectors, y, params)
+        forced = y.argmax(axis=2)
+        _, whole = loss_and_gradients(vectors, y, forced, params)
         parts = []
         for index in (np.arange(3), np.arange(3, len(examples))):
             part = vectors.take(index)
-            parts.append(loss_and_gradients(part, y[index, : part.e.shape[1]], params)[1])
+            steps = part.e.shape[1]
+            parts.append(loss_and_gradients(part, y[index, :steps], forced[index, :steps], params)[1])
         assert np.allclose(whole.flat, parts[0].flat + parts[1].flat, rtol=1e-12, atol=1e-15)
 
     def test_empty_decode(self):
@@ -499,7 +507,7 @@ class TestTeacherForcedAgainstStepwise:
             tied = np.array(TIED_ROWS)[rng.integers(len(TIED_ROWS), size=shape)]
             share = {"random": 0.0, "mixed": 0.5, "ties": 1.0}[rows]
             labels = np.where(rng.random(shape + (1,)) < share, tied, rng.dirichlet(np.ones(3), size=shape))
-        # the forced decisions `loss_and_gradients` takes from its labels
+        # forced along the labels' argmax, whose ties break E > A > R
         forced = labels.transpose(1, 0, 2).argmax(axis=2)
         got, want = forward(vectors, params, forced), stepwise_forward(vectors, params, forced)
         for name in ForwardPass.__slots__:

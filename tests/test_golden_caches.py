@@ -101,7 +101,7 @@ def test_summarize_stdout_is_recorded(tmp_path, capsys, extractor):
     params.b[:] = np.random.default_rng(9).normal(0, 0.5, 3)
     editor.save_checkpoint(params, EncoderConfig(n=16), tmp_path / "checkpoint.json")
     argv = ["summarize", "--checkpoint", str(tmp_path / "checkpoint.json"), "--document", str(tmp_path / "docs.jsonl"),
-            "--extractor", extractor, "--k", "4"]
+            "--extractor", extractor, "--k", "4", "--hidden-m", "16", "--encoder-n", "16"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     documents = out.split("# ")[1:]
@@ -115,9 +115,9 @@ def test_summarize_stdout_is_recorded(tmp_path, capsys, extractor):
 
 
 PIPELINE_DIGESTS = {
-    "train_log.jsonl": "b85db1165ccdef2ef700787daa73193a39648bc735322d98e441720707a1a526",
-    "checkpoint.json": "4b3979a709ec99385507982d282292b3652285ac7e3aa9673a32933c62f104e7",
-    "evaluation.json": "58243f4312e852cf630ce5ce2ed33c2760469a661bed9ed32fe885e927843c8e",
+    "train_log.jsonl": "718eb2c48ce7ca31377f7458ab0ec66793a8310e79a106bc7d10fc65ec9de91b",
+    "checkpoint.json": "1c7b745f06773b81e9a41f7392eda17cff90a542d064ad2dc0363d9435051cd0",
+    "evaluation.json": "7edabe4b183afc3ba7f41e1246fa387fd58abca5b1b1bdfb3af395667aa52478",
 }
 
 

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,9 +29,14 @@ from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
 from sumedit.summarizers import LeadExtractor, SalienceAbstractor
 from sumedit.text import Example, ReferenceSummary
-from sumedit.trainer import adam_step, evaluate, mean_reward, train
+from sumedit.trainer import Stream, adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7)
+
+_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def train_config(**fields):
@@ -167,7 +175,7 @@ class TestAdamStep:
 class TestTrain:
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train([], [], train_config(), zero_forced_params([0, 0, 0]))
+            train([], [], train_config(), zero_forced_params([0, 0, 0]), Stream(0))
 
     def test_single_example_single_epoch_one_step(self, monkeypatch):
         calls = []
@@ -179,9 +187,9 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_mod, "adam_step", counting)
         pairs = labeled_pairs(1, seed=0)
-        rng = np.random.default_rng(0)
+        rng = Stream(0)
         params = init_params(4, ENC.n, rng)
-        _, log = train(pairs, pairs, train_config(batch_size=32, epochs=1), params)
+        _, log = train(pairs, pairs, train_config(batch_size=32, epochs=1), params, rng)
         assert len(calls) == 1
         assert len(log) == 1
         assert set(log[0]) == {"epoch", "train_loss", "val_reward"}
@@ -190,7 +198,7 @@ class TestTrain:
         pairs = labeled_pairs(4, seed=2)
         params = init_params(4, ENC.n, np.random.default_rng(0))
         before = params.flat.copy()
-        best, _ = train(pairs, pairs, train_config(batch_size=2, epochs=2), params)
+        best, _ = train(pairs, pairs, train_config(batch_size=2, epochs=2), params, Stream(1))
         assert np.array_equal(params.flat, before)
         assert not np.array_equal(best.flat, before)
 
@@ -199,9 +207,9 @@ class TestTrain:
         val = labeled_pairs(4, seed=4, id_prefix="v")
         outs = []
         for _ in range(2):
-            rng = np.random.default_rng(9)
+            rng = Stream(9)
             params = init_params(4, ENC.n, rng)
-            outs.append(train(pairs, val, train_config(epochs=2, seed=5), params))
+            outs.append(train(pairs, val, train_config(epochs=2), params, rng))
         best1, log1 = outs[0]
         best2, log2 = outs[1]
         assert log1 == log2
@@ -210,7 +218,8 @@ class TestTrain:
     def test_validation_reward_uses_the_config_weights(self):
         pairs = labeled_pairs(5, seed=14)
         config = train_config(batch_size=2, epochs=1, alpha=0.0, beta=0.0, gamma=1.0)
-        best, log = train(pairs, pairs, config, init_params(4, ENC.n, np.random.default_rng(0)))
+        rng = Stream(0)
+        best, log = train(pairs, pairs, config, init_params(4, ENC.n, rng), rng)
         vectors, entries = trainer_mod._encode(pairs, ENC), trainer_mod._entries(pairs)
         want = mean_reward(vectors, entries, best, RewardWeights(0.0, 0.0, 1.0))
         assert log[0]["val_reward"] == want != mean_reward(vectors, entries, best, RewardWeights())
@@ -218,7 +227,7 @@ class TestTrain:
     def test_empty_validation_split_gives_zero_reward(self):
         pairs = labeled_pairs(5, seed=10)
         params = init_params(4, ENC.n, np.random.default_rng(0))
-        best, log = train(pairs, [], train_config(batch_size=2, epochs=2), params)
+        best, log = train(pairs, [], train_config(batch_size=2, epochs=2), params, Stream(0))
         assert [entry["val_reward"] for entry in log] == [0.0, 0.0]
         assert np.all(np.isfinite(best.flat))
 
@@ -230,7 +239,7 @@ class TestTrain:
         params = init_params(4, ENC.n, np.random.default_rng(0))
         config = train_config(batch_size=4, epochs=2)
         with pytest.raises(ValueError, match="epoch 1: non-finite") as info:
-            train(pairs, pairs, config, params)
+            train(pairs, pairs, config, params, Stream(0))
         for example, _ in pairs:
             assert example.document.id in str(info.value)
 
@@ -243,14 +252,14 @@ class TestTrain:
         y = np.asarray(lab.labels)
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
-        teacher = y.argmax(axis=1)[:, None]
+        teacher = np.array(lab.best)[:, None]  # training forces the best sequence
         runs = []
         for corrupt in (0.0, 5.0):
             p = params.copy()
             p.b[:] += np.array([corrupt, 0.0, -corrupt])
             runs.append(forward(vectors, p, teacher))
             # the training loss is the one of this teacher-forced run
-            loss, _ = loss_and_gradients(vectors, y[None], p)
+            loss, _ = loss_and_gradients(vectors, y[None], teacher.T, p)
             assert loss == soft_cross_entropy(runs[-1].p[:, 0], y)
         clean, corrupted = runs
         assert not np.allclose(clean.p[0, 0], corrupted.p[0, 0])
@@ -258,6 +267,76 @@ class TestTrain:
         assert np.array_equal(corrupted.decisions, teacher)
         assert clean.g.shape == corrupted.g.shape == (len(y) + 1, 1, ENC.n)
         assert np.array_equal(clean.g, corrupted.g)
+
+
+class InOrder:
+    """A stream whose shuffles keep the train set's order."""
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+class TestForcedAlongBest:
+    """`oracle.soft_labels` conditions step i's label on the best sequence's
+    first i decisions, so training forces the best sequence, not the label
+    argmax: on lead extracts of these documents the two differ."""
+
+    def test_training_forces_each_example_along_its_best_sequence(self, monkeypatch):
+        examples = gen.long_extract_corpus(0, [5, 6, 7] * 4, "long")
+        labeled, failures = label_dataset(examples, LeadExtractor(7), SalienceAbstractor(0.8))
+        assert not failures
+        differ = [list(np.argmax(lab.labels, axis=1)) != list(lab.best) for lab in labeled]
+        assert 0 < sum(differ) < len(differ)
+        forced = []
+        real = editor.forward
+
+        def recording(vectors, params, decisions):
+            forced.append(np.array(decisions))
+            return real(vectors, params, decisions)
+
+        monkeypatch.setattr(editor, "forward", recording)
+        pairs = list(zip(examples, labeled))
+        train(pairs, [], train_config(batch_size=len(pairs), epochs=1), init_params(4, ENC.n, Stream(0)), InOrder())
+        [decisions] = forced  # step-major (L, B): one batch of every example, in order
+        assert decisions.shape == (7, len(pairs))
+        for j, lab in enumerate(labeled):
+            assert decisions[: len(lab.best), j].tolist() == list(lab.best), lab.example_id
+            assert (decisions[len(lab.best) :, j] == REJECT).all()
+
+
+class TestStream:
+    def test_uniform_scales_the_standard_library_draws_in_row_major_order(self):
+        draws = random.Random(4)
+        want = [-0.5 + (0.25 - -0.5) * draws.random() for _ in range(6)]
+        got = Stream(4).uniform(-0.5, 0.25, (2, 3))
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == want
+
+    def test_permutation_is_the_standard_library_shuffle(self):
+        order = list(range(9))
+        random.Random(4).shuffle(order)
+        got = Stream(4).permutation(9)
+        assert got.tolist() == order and sorted(order) == list(range(9))
+        assert got.dtype == np.intp
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (4, 12), (24, 24)])
+    def test_initial_weights_lie_within_the_fan_in_bound_and_biases_are_zero(self, m, n):
+        params = init_params(m, n, Stream(3))
+        for name in ("W_c", "V", "W_g", "W_d"):
+            weights = getattr(params, name)
+            assert np.abs(weights).max() <= 1.0 / math.sqrt(weights.shape[1]), name
+            assert len(np.unique(weights)) == weights.size, name
+        for name in ("b_c", "b", "b_d"):
+            assert not getattr(params, name).any(), name
+
+    def test_initial_parameters_are_drawn_in_param_names_order(self):
+        stream, want = Stream(5), []
+        for shape in ((3, 8), (3, 3), (2, 2), (2, 2)):  # W_c, V, W_g, W_d of m = 3, n = 2
+            bound = 1.0 / math.sqrt(shape[1])
+            want.append(stream.uniform(-bound, bound, shape))
+        params = init_params(3, 2, Stream(5))
+        for name, weights in zip(("W_c", "V", "W_g", "W_d"), want):
+            assert np.array_equal(getattr(params, name), weights), name
 
 
 class TestEvaluate:
@@ -393,7 +472,7 @@ class TestScoringReadsEntries:
             raise AssertionError("decoded summaries are scored from the entries, not from a dense record")
 
         monkeypatch.setattr(SplitEntries, "stats", refuse)
-        best, log = train(pairs, val, train_config(batch_size=2, epochs=2), random_params(1))
+        best, log = train(pairs, val, train_config(batch_size=2, epochs=2), random_params(1), Stream(1))
         assert len(log) == 2 and all(math.isfinite(entry["val_reward"]) for entry in log)
         assert evaluate(val, best, ENC) == per_summary_evaluate(val, best, ENC)
 
