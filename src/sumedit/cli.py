@@ -51,7 +51,7 @@ def _load_config(args) -> ExperimentConfig:
     from .text import read_json_object
 
     values = read_json_object(args.config) if args.config else {}
-    # every option of `_add_common` but --config is named after its field;
+    # every shared option of `build_parser` but --config is named after its field;
     # a flag that was given replaces the file's value before either is checked
     values.update((key, value) for key, value in vars(args).items() if key in FIELDS and value is not None)
     return ExperimentConfig(**values)
@@ -220,25 +220,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--extractor", choices=["lead", "greedy"], default=None)
-    p.add_argument("--abstract-ratio", dest="abstract_ratio", type=float, default=None)
-    p.add_argument("--encoder-n", dest="encoder_n", type=int, default=None)
-    p.add_argument("--hidden-m", dest="hidden_m", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--train-path", dest="train_path", default=None)
-    p.add_argument("--val-path", dest="val_path", default=None)
-    p.add_argument("--test-path", dest="test_path", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the options every command but `ingest` shares, added once and copied
+    # into each subcommand (`parents`)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="experiment config JSON")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    common.add_argument("--epochs", type=int, default=None)
+    common.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+    common.add_argument("--k", type=int, default=None)
+    common.add_argument("--extractor", choices=["lead", "greedy"], default=None)
+    common.add_argument("--abstract-ratio", dest="abstract_ratio", type=float, default=None)
+    common.add_argument("--encoder-n", dest="encoder_n", type=int, default=None)
+    common.add_argument("--hidden-m", dest="hidden_m", type=int, default=None)
+    common.add_argument("--cap", type=int, default=None)
+    common.add_argument("--lr", type=float, default=None)
+    common.add_argument("--train-path", dest="train_path", default=None)
+    common.add_argument("--val-path", dest="val_path", default=None)
+    common.add_argument("--test-path", dest="test_path", default=None)
+
     parser = argparse.ArgumentParser(prog="sumedit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.set_defaults(func=cmd_ingest, layers=("text",))
 
-    p = sub.add_parser("label", help="precompute soft-label caches")
-    _add_common(p)
+    p = sub.add_parser("label", help="precompute soft-label caches", parents=[common])
     p.add_argument(
         "--split",
         dest="splits",
@@ -258,18 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_label, layers=("config", "oracle", "summarizers"))
 
-    p = sub.add_parser("train", help="train the editor")
-    _add_common(p)
+    p = sub.add_parser("train", help="train the editor", parents=[common])
     p.set_defaults(func=cmd_train, layers=("config", "editor", "trainer"))
 
-    p = sub.add_parser("summarize", help="decode documents with a checkpoint")
-    _add_common(p)
+    p = sub.add_parser("summarize", help="decode documents with a checkpoint", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--document", required=True, help="dataset-format file to summarize")
     p.set_defaults(func=cmd_summarize, layers=("config", "editor", "encoder", "summarizers"))
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
-    _add_common(p)
+    p = sub.add_parser("evaluate", help="score a checkpoint on the test split", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_evaluate, layers=("config", "editor", "trainer"))
 

@@ -5,19 +5,22 @@ sentence vectors, running summary state, document vector), produces a
 three-way softmax over {E, A, R} through two fully-connected layers, and
 updates the additive summary state through tanh(W_g @ h) where h follows the
 chosen sentence version. The recurrence, including the document vector
-d = tanh(W_d @ mean(e) + b_d), runs over a padded batch of extracts
-(`encoder.SplitVectors`), and the padded steps past an extract's end count
-as REJECT. `forward` runs it teacher-forced: the given decisions fix every
-state before the pass, so the states are a prefix sum and each product is
-one stacked expression over all the steps. `loss_and_gradients` forces the
-decisions it is given (in training, the best sequence that the soft labels
-are conditioned on), and its backward pass computes each weight gradient as
-one matrix product over all the batch's steps. `decode` runs it free
-(argmax of p), one matrix product per step for the whole batch, and returns
-decision arrays. Training minimizes a soft cross-entropy against enumeration-derived
-label distributions; gradients are exact and analytic (the base sentence
-encoder is frozen). The parameters, and a gradient, are named views into one
-flat vector (`EditorParams`).
+d = tanh(W_d @ mean(e) + b_d), runs over a padded, step-major batch of
+extracts, and the padded steps past an extract's end count as REJECT.
+`decode` runs it free (argmax of p) over `encoder.SplitVectors`, one matrix
+product per step for the whole batch, and returns decision arrays. Training
+runs it teacher-forced over a `Batch`, whose decisions (the best sequence
+that the soft labels are conditioned on) fix every state before the pass:
+`forward` computes the states as a prefix sum and each product as one
+stacked expression over all the steps, and the backward pass of
+`loss_and_gradients` computes each weight gradient as one matrix product
+over all the batch's steps, into a gradient the caller reuses. Both work in
+place in the arrays they make, with the float operations, in the same
+order, of the slow reference in `tests/reference.py`. Training minimizes a
+soft cross-entropy against enumeration-derived label distributions;
+gradients are exact and analytic (the base sentence encoder is frozen). The
+parameters, and a gradient, are named views into one flat vector
+(`EditorParams`).
 """
 from __future__ import annotations
 
@@ -134,69 +137,103 @@ def context_from_abstractions(
     return encode_split([document], [extract.order], [abstractions], config)
 
 
+class Batch:
+    """The teacher-forced inputs of B extracts padded to L steps, step-major:
+    `ea`, `e_bar` and `lengths` as in `encoder.SplitVectors`; `mask` (L, B)
+    marks the steps inside each extract, `h` (L, B, n) holds the version that
+    each forced decision puts into the state (e on EXTRACT, a on ABSTRACT,
+    zeros on REJECT and past the extract's end) and `y` (L, B, 3) the soft
+    labels, zero past the end. `forced_batch` builds a split's record once,
+    and `take` cuts a batch from it."""
+
+    __slots__ = ("ea", "e_bar", "lengths", "mask", "h", "y")
+
+    def __init__(self, ea, e_bar, lengths, mask, h, y):
+        self.ea = ea
+        self.e_bar = e_bar
+        self.lengths = lengths
+        self.mask = mask
+        self.h = h
+        self.y = y
+
+    def take(self, index: np.ndarray) -> "Batch":
+        """The extracts at the index array `index`, cut to the longest of
+        them: one fancy index per array."""
+        lengths = self.lengths[index]
+        L = int(lengths.max())
+        ea, mask, h, y = (a[:L].take(index, axis=1) for a in (self.ea, self.mask, self.h, self.y))
+        return Batch(ea, self.e_bar[index], lengths, mask, h, y)
+
+
+def _versions(decisions: np.ndarray, ea: np.ndarray, n: int) -> np.ndarray:
+    """The sentence version each decision puts into the state: e on
+    EXTRACT, a on ABSTRACT, zeros on REJECT."""
+    return np.where(
+        (decisions == EXTRACT)[..., None],
+        ea[..., :n],
+        np.where((decisions == ABSTRACT)[..., None], ea[..., n : 2 * n], 0.0),
+    )
+
+
+def forced_batch(vectors: SplitVectors, decisions: np.ndarray, labels: np.ndarray) -> Batch:
+    """The `Batch` of a whole non-empty split: decisions (L, N) gives the
+    decision index forced at every step and labels (L, N, 3) the soft
+    labels, both padded like the vectors (the decisions past an extract's
+    end are REJECT whatever they hold)."""
+    L, N, n2 = vectors.ea.shape
+    if labels.shape != (L, N, 3) or decisions.shape != (L, N) or not N:
+        raise ValueError("need L decisions and an (L, 3) label array per extract, and at least one extract")
+    mask = np.arange(L)[:, None] < vectors.lengths
+    h = _versions(np.where(mask, decisions, REJECT), vectors.ea, n2 // 2)
+    return Batch(vectors.ea, vectors.e_bar, vectors.lengths, mask, h, np.ascontiguousarray(labels))
+
+
 class ForwardPass:
-    """One teacher-forced run (`forward`) of the recurrence over a batch of
-    B extracts padded to L steps; arrays are step-major.
+    """One teacher-forced run (`forward`) of the recurrence over a `Batch`;
+    arrays are step-major.
 
     `d` (B, n) holds the document vectors and `g` (L + 1, B, n) the states
     g_0 ... g_L. Per step i: the input `x` (L, B, 4n), the hidden activation
-    `t` (L, B, m), the distribution `p` (L, B, 3), the decision index into
-    DECISIONS `decisions` (L, B), the version `h` of the sentence that entered
-    the state and the state increment `q` = tanh(W_g h), both (L, B, n) and
-    zero on REJECT. `mask` (L, B) marks the steps inside each extract; the
-    others take REJECT.
+    `t` (L, B, m), the distribution `p` (L, B, 3) and the state increment
+    `q` = tanh(W_g h) (L, B, n), zero on REJECT.
     """
 
-    __slots__ = ("d", "g", "x", "t", "p", "decisions", "h", "q", "mask")
+    __slots__ = ("d", "g", "x", "t", "p", "q")
 
-    def __init__(self, d, g, x, t, p, decisions, h, q, mask):
+    def __init__(self, d, g, x, t, p, q):
         self.d = d
         self.g = g
         self.x = x
         self.t = t
         self.p = p
-        self.decisions = decisions
-        self.h = h
         self.q = q
-        self.mask = mask
 
 
 def _distribution(x: np.ndarray, params: EditorParams) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activation t and distribution p of inputs x (..., B, 4n); a
-    stacked x keeps one (B, 4n) @ (4n, m) product per step."""
-    t = np.tanh(x @ params.W_c.T + params.b_c)
-    logits = t @ params.V.T + params.b
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return t, shifted / shifted.sum(axis=-1, keepdims=True)
+    stacked x keeps one (B, 4n) @ (4n, m) product per step. Each step is
+    computed in place in the array it makes."""
+    t = x @ params.W_c.T
+    t += params.b_c
+    np.tanh(t, out=t)
+    p = t @ params.V.T
+    p += params.b
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return t, p
 
 
-def _versions(decisions: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """The sentence version each decision puts into the state: e on
-    EXTRACT, a on ABSTRACT, zeros on REJECT."""
-    return np.where(
-        (decisions == EXTRACT)[..., None],
-        x[..., :n],
-        np.where((decisions == ABSTRACT)[..., None], x[..., n : 2 * n], 0.0),
-    )
+def _document_vectors(e_bar: np.ndarray, params: EditorParams) -> np.ndarray:
+    """d = tanh(W_d e_bar + b_d), (B, n)."""
+    d = e_bar @ params.W_d.T
+    d += params.b_d
+    return np.tanh(d, out=d)
 
 
-def _inputs(vectors: SplitVectors, params: EditorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The document vectors d (B, n), the step inputs x (L, B, 4n) with zero
-    state slots, and the mask (L, B) of the steps inside the extracts."""
-    n = params.n
-    B, L = vectors.e.shape[:2]
-    mask = np.arange(L)[:, None] < vectors.lengths
-    d = np.tanh(vectors.e_bar @ params.W_d.T + params.b_d)
-    x = np.zeros((L, B, 4 * n))
-    x[:, :, :n] = vectors.e.transpose(1, 0, 2)
-    x[:, :, n : 2 * n] = vectors.a.transpose(1, 0, 2)
-    x[:, :, 3 * n :] = d
-    return d, x, mask
-
-
-def forward(vectors: SplitVectors, params: EditorParams, decisions: np.ndarray) -> ForwardPass:
-    """Run the editor teacher-forced over a non-empty batch of extracts:
-    decisions (L, B) gives the decision index taken at every step.
+def forward(batch: Batch, params: EditorParams) -> ForwardPass:
+    """Run the editor teacher-forced over a batch of extracts, along the
+    decisions its versions `h` were forced by.
 
     p_i = softmax(V tanh(W_c [e_i, a_i, g_i, d] + b_c) + b), d = tanh(W_d e_bar
     + b_d), and g_{i+1} = g_i + tanh(W_g h_i) with h_i the extracted (E) or
@@ -205,21 +242,24 @@ def forward(vectors: SplitVectors, params: EditorParams, decisions: np.ndarray) 
 
     The decisions fix every h_i before the pass, so the states are a prefix
     sum of the increments and the whole pass is computed at once, each
-    product stacked over the steps. The distributions of a free-running
-    pass are those of `forward(vectors, params, decode(vectors, params).T)`.
+    product stacked over the steps. `decode` takes the same steps one at a
+    time.
     """
     n = params.n
-    d, x, mask = _inputs(vectors, params)
-    decisions = np.where(mask, decisions, REJECT)
-    h = _versions(decisions, x, n)
+    L, B = batch.mask.shape
+    d = _document_vectors(batch.e_bar, params)
     # tanh(W_g 0) is exactly 0, so REJECT leaves the state as it is
-    q = np.tanh(h @ params.W_g.T)
-    g = np.zeros((len(x) + 1,) + d.shape)
+    q = batch.h @ params.W_g.T
+    np.tanh(q, out=q)
+    g = np.zeros((L + 1, B, n))
     # adds left to right, g_{i+1} = g_i + q_i as `decode` adds
-    np.cumsum(q, axis=0, out=g[1:])
+    q.cumsum(axis=0, out=g[1:])
+    x = np.empty((L, B, 4 * n))
+    x[:, :, : 2 * n] = batch.ea
     x[:, :, 2 * n : 3 * n] = g[:-1]
+    x[:, :, 3 * n :] = d
     t, p = _distribution(x, params)
-    return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
+    return ForwardPass(d, g, x, t, p, q)
 
 
 # Most extracts one batched decode pass holds at once; the arrays of a pass
@@ -231,77 +271,83 @@ def decode(vectors: SplitVectors, params: EditorParams) -> np.ndarray:
     """Greedy free-running decode of every extract in batched passes of at
     most DECODE_CHUNK extracts: argmax decision per step, ties E > A > R.
     Step i needs p_i, so the steps run one after another, and a pass keeps
-    only the running state and the decisions.
+    only the running state, one step's inputs and the decisions.
 
     Returns the decisions (N, L), indices into DECISIONS that are REJECT past
     each extract's end.
     """
-    N, L = vectors.e.shape[:2]
+    N = len(vectors.lengths)
     n = params.n
-    decisions = np.full((N, L), REJECT, dtype=np.intp)
+    decisions = np.full((N, vectors.ea.shape[0]), REJECT, dtype=np.intp)
     for start in range(0, N, DECODE_CHUNK):
         chunk = slice(start, start + DECODE_CHUNK)
-        _, x, mask = _inputs(vectors.take(chunk), params)
-        g = np.zeros((x.shape[1], n))
-        for i in range(len(x)):
-            x[i, :, 2 * n : 3 * n] = g
-            decisions[chunk, i] = np.where(mask[i], _distribution(x[i], params)[1].argmax(axis=1), REJECT)
-            g = g + np.tanh(_versions(decisions[chunk, i], x[i], n) @ params.W_g.T)
+        lengths = vectors.lengths[chunk]
+        x = np.empty((len(lengths), 4 * n))
+        x[:, 2 * n : 3 * n] = 0.0
+        x[:, 3 * n :] = _document_vectors(vectors.e_bar[chunk], params)
+        for i in range(int(lengths.max())):
+            x[:, : 2 * n] = vectors.ea[i, chunk]
+            decisions[chunk, i] = np.where(i < lengths, _distribution(x, params)[1].argmax(axis=1), REJECT)
+            x[:, 2 * n : 3 * n] += np.tanh(_versions(decisions[chunk, i], x, n) @ params.W_g.T)
     return decisions
 
 
-def loss_and_gradients(
-    vectors: SplitVectors,
-    labels: np.ndarray,
-    decisions: np.ndarray,
-    params: EditorParams,
-) -> tuple[float, EditorParams]:
-    """Summed soft cross-entropy of a batch of B extracts and its exact
-    summed gradient, as named views into one flat vector. labels (B, L, 3)
-    holds each extract's soft labels and decisions (B, L) the decision
-    indices the pass is forced along, both padded like its vectors.
+def loss_and_gradients(batch: Batch, params: EditorParams, grad: EditorParams) -> tuple[float, EditorParams]:
+    """Summed soft cross-entropy of a batch of B extracts, and its exact
+    summed gradient written into `grad`, which every batch may reuse.
 
     Each example's loss is -(1/l) sum_i sum_k y_ik log p_ik over its l steps,
     with p clamped below at LOG_CLAMP. The pass is teacher-forced: step i
-    takes the given decision. `oracle.soft_labels` conditions step i's label
-    on the best sequence's first i decisions, so training forces that
-    sequence: the state g_i then holds the prefix the label describes. The
-    discrete decisions are treated as constants of the backward pass;
-    sentence vectors are frozen.
+    takes the decision the batch was forced along. `oracle.soft_labels`
+    conditions step i's label on the best sequence's first i decisions, so
+    training forces that sequence: the state g_i then holds the prefix the
+    label describes. The discrete decisions are treated as constants of the
+    backward pass; sentence vectors are frozen. The backward pass computes
+    each weight gradient as one matrix product over all the batch's steps,
+    and it overwrites the forward pass's arrays, which it does not return.
     """
-    if labels.shape != vectors.e.shape[:2] + (3,) or decisions.shape != labels.shape[:2] or not len(labels):
-        raise ValueError("need one (L, 3) label array and L decisions per extract, and at least one extract")
     n, m = params.n, params.m
-    B, L = labels.shape[:2]
-    y = np.ascontiguousarray(labels.transpose(1, 0, 2))  # step-major, as the run
-    run = forward(vectors, params, decisions.T)
-    lengths = vectors.lengths
+    L, B = batch.mask.shape
+    lengths = batch.lengths
+    run = forward(batch, params)
     # Each example's loss sums its steps' terms as one row, in the order
     # np.sum takes over an (l, 3) array (y is 0 on the padded steps, so they
     # add zeros); the batch's losses are added in order.
-    terms = y * np.log(np.maximum(run.p, LOG_CLAMP))
+    terms = np.maximum(run.p, LOG_CLAMP)
+    np.log(terms, out=terms)
+    terms *= batch.y
     losses = -terms.transpose(1, 0, 2).reshape(B, -1).sum(axis=1) / lengths
-    loss = float(np.cumsum(losses)[-1])
+    loss = float(losses.cumsum()[-1])
 
-    du = ((run.p - y) / lengths[:, None] * run.mask[:, :, None]).reshape(-1, 3)
+    du = np.subtract(run.p, batch.y, out=terms)
+    du /= lengths[:, None]
+    du *= batch.mask[:, :, None]
+    du = du.reshape(-1, 3)
     t = run.t.reshape(-1, m)
-    dz = (du @ params.V) * (1 - t**2)
-    dx = (dz @ params.W_c).reshape(L, B, 4 * n)
-    # dL/dg_{i+1}: g_{i+1} enters the inputs of steps i+1 .. L-1
-    dg = dx[:, :, 2 * n : 3 * n]
-    G = np.zeros((L, B, n))
-    G[:-1] = np.cumsum(dg[:0:-1], axis=0)[::-1]
-    dq = (G * (1 - run.q**2)).reshape(-1, n)
-    dzd = dx[:, :, 3 * n :].sum(axis=0) * (1 - run.d**2)
-    grad = EditorParams(m, n)
-    np.matmul(dz.T, run.x.reshape(-1, 4 * n), out=grad.W_c)
-    dz.sum(axis=0, out=grad.b_c)
     np.matmul(du.T, t, out=grad.V)
     du.sum(axis=0, out=grad.b)
-    np.matmul(dq.T, run.h.reshape(-1, n), out=grad.W_g)
-    np.matmul(dzd.T, vectors.e_bar, out=grad.W_d)
+    dz = du @ params.V
+    dz *= _one_minus_square(t)
+    dx = (dz @ params.W_c).reshape(L, B, 4 * n)
+    # dL/dg_{i+1}: g_{i+1} enters the inputs of steps i+1 .. L-1
+    G = np.zeros((L, B, n))
+    dx[:0:-1, :, 2 * n : 3 * n].cumsum(axis=0, out=G[-2::-1])
+    dq = _one_minus_square(run.q)
+    dq *= G
+    dzd = dx[:, :, 3 * n :].sum(axis=0)
+    dzd *= _one_minus_square(run.d)
+    np.matmul(dz.T, run.x.reshape(-1, 4 * n), out=grad.W_c)
+    dz.sum(axis=0, out=grad.b_c)
+    np.matmul(dq.reshape(-1, n).T, batch.h.reshape(-1, n), out=grad.W_g)
+    np.matmul(dzd.T, batch.e_bar, out=grad.W_d)
     dzd.sum(axis=0, out=grad.b_d)
     return loss, grad
+
+
+def _one_minus_square(a: np.ndarray) -> np.ndarray:
+    """1 - a**2, computed in place in `a`."""
+    np.square(a, out=a)
+    return np.subtract(1, a, out=a)
 
 
 CHECKPOINT_VERSION = 3

@@ -9,8 +9,10 @@ encoded at its source's position, in the document with that one sentence
 replaced.
 
 `encode_split` encodes a whole split at once into one `SplitVectors` record,
-padded to the longest extract. Each distinct feature of the split is hashed
-once and all raw rows come from one `np.bincount`. A raw row is a sum of
+padded to the longest extract and step-major, as the editor reads it: step
+i of every extract is one (N, 2n) block of extracted and abstracted vectors
+side by side, built once per split. Each distinct feature of the split is
+hashed once and all raw rows come from one `np.bincount`. A raw row is a sum of
 +-1.0 terms, so it is exact in any order; a window is added in document
 order, one shifted add per offset, as a per-document mean adds its rows; and
 each mixed row is normalized by the same per-row dot product that
@@ -19,8 +21,8 @@ a-time encoding, bit for bit; that encoding is the slow reference in
 `tests/test_encoder.py`.
 
 The document vector tanh(W_d @ mean(e) + b_d) has learnable W_d, b_d, so it
-is computed by the editor (`sumedit.editor.forward`) from the mean sentence
-vector `e_bar` of the record.
+is computed by the editor (`sumedit.editor.forward` and `decode`) from the
+mean sentence vector `e_bar` of the record.
 """
 from __future__ import annotations
 
@@ -49,29 +51,21 @@ class EncoderConfig:
 
 
 class SplitVectors:
-    """The frozen-encoder inputs of N extracts, padded to the longest
-    extract length L.
+    """The frozen-encoder inputs of N extracts padded to the longest extract
+    length L, step-major as the editor reads them.
 
-    `e` and `a` (N, L, n) hold the extracted and the abstracted sentence
-    vectors in extract order, zero past each extract's end; `e_bar` (N, n)
-    holds each document's mean sentence vector and `lengths` (N,) the
-    extract lengths.
+    `ea` (L, N, 2n) holds each step's extracted and abstracted sentence
+    vectors side by side, in extract order, zero past each extract's end;
+    `e_bar` (N, n) holds each document's mean sentence vector and `lengths`
+    (N,) the extract lengths.
     """
 
-    __slots__ = ("e", "a", "e_bar", "lengths")
+    __slots__ = ("ea", "e_bar", "lengths")
 
-    def __init__(self, e: np.ndarray, a: np.ndarray, e_bar: np.ndarray, lengths: np.ndarray):
-        self.e = e
-        self.a = a
+    def __init__(self, ea: np.ndarray, e_bar: np.ndarray, lengths: np.ndarray):
+        self.ea = ea
         self.e_bar = e_bar
         self.lengths = lengths
-
-    def take(self, index) -> "SplitVectors":
-        """The extracts at `index` (an index array or a slice), cut to the
-        longest of them."""
-        lengths = self.lengths[index]
-        L = int(lengths.max(initial=0))
-        return SplitVectors(self.e[index, :L], self.a[index, :L], self.e_bar[index], lengths)
 
 
 def _raw_rows(sentences: Sequence[Sequence[str]], config: EncoderConfig) -> np.ndarray:
@@ -173,8 +167,7 @@ def encode_split(
         total += np.where(inside[:, None], mixed[np.where(inside, starts + p, 0)], 0.0)
     L = int(lengths.max(initial=0))
     step = np.arange(len(step_pos)) - (np.cumsum(lengths) - lengths)[step_doc]
-    e = np.zeros((len(documents), L, config.n))
-    a = np.zeros((len(documents), L, config.n))
-    e[step_doc, step] = mixed[source]
-    a[step_doc, step] = abstracted
-    return SplitVectors(e=e, a=a, e_bar=total / sizes[:, None], lengths=lengths)
+    ea = np.zeros((L, len(documents), 2 * config.n))
+    ea[step, step_doc, : config.n] = mixed[source]
+    ea[step, step_doc, config.n :] = abstracted
+    return SplitVectors(ea=ea, e_bar=total / sizes[:, None], lengths=lengths)

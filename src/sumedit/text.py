@@ -36,9 +36,17 @@ class Sentence:
     def __init__(self, index: int, tokens: tuple[str, ...]):
         if not tokens:
             raise ValueError("sentence has no tokens")
-        for t in tokens:
-            if t.split() != [t]:  # empty, or holds whitespace
-                raise ValueError(f"bad token {t!r}")
+        # Splitting the joined tokens gives them back unless one is empty,
+        # holds whitespace or is not a str; only then is each one checked,
+        # so that the first bad token names itself.
+        try:
+            ok = " ".join(tokens).split() == list(tokens)
+        except TypeError:
+            ok = False
+        if not ok:
+            for t in tokens:
+                if t.split() != [t]:  # empty, or holds whitespace
+                    raise ValueError(f"bad token {t!r}")
         self.index = index
         self.tokens = tokens
 

@@ -2,21 +2,25 @@
 
 `train` reads its settings from the resolved `config.ExperimentConfig`:
 `batch_size`, `epochs`, `lr`, the encoder settings and the reward weights.
-Each split is encoded once into one record (`encoder.encode_split`: the
-extracted and abstracted sentence vectors padded to the split's longest
-extract, the document mean vectors and the extract lengths) with its soft
-labels and its best sequences padded the same way. Training shuffles each
+Each split is encoded once into one step-major record
+(`encoder.encode_split`: the extracted and abstracted sentence vectors side
+by side, padded to the split's longest extract, the document mean vectors
+and the extract lengths). The train split's record becomes one
+`editor.Batch` before the first epoch (`editor.forced_batch`): with it go the
+sentence versions along each example's best sequence and the soft labels
+conditioned on that sequence, padded the same way. Training shuffles each
 epoch with the caller's random stream (`Stream`, the one `sumedit train`
-also draws the initial parameters from), takes each batch as a fancy index
-into the record cut to the batch's longest extract, computes its loss and
-gradient in one batched editor pass teacher-forced along the best sequence
-that its soft labels are conditioned on, averages the gradient, applies one
-bias-corrected ADAM update to the flat parameter vector per batch (in
-place, on a copy of the caller's parameters), decodes the whole validation
-split free-running after every epoch, and returns the checkpoint with the
-highest validation mean reward (ties: earliest epoch). A non-finite loss or
-gradient stops training with an error naming the epoch and the batch. Runs
-are bitwise reproducible under a fixed seed.
+also draws the initial parameters from), cuts each batch from that record
+with one fancy index per array (`Batch.take`), computes its loss and
+gradient in one batched editor pass teacher-forced along the best sequence,
+into one gradient vector reused by every batch, averages the gradient,
+applies one bias-corrected ADAM update to the flat parameter vector per
+batch (in place, on a copy of the caller's parameters), decodes the whole
+validation split free-running from its record after every epoch, and
+returns the checkpoint with the highest validation mean reward (ties:
+earliest epoch). A non-finite loss or gradient stops training with an error
+naming the epoch and the batch. Runs are bitwise reproducible under a fixed
+seed.
 
 Decoded summaries are scored without realizing them: a summary is a sum of
 sentence versions (`oracle.sentence_versions`: an extract's sentences, then
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import editor
 from .config import ExperimentConfig
-from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, loss_and_gradients
+from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, forced_batch, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
 from .oracle import LabeledExample, chosen_versions, sentence_versions
 # `context_from_abstractions` and `reward` stay module attributes although
@@ -103,7 +107,7 @@ def adam_step(params: EditorParams, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     np.divide(m, 1 - BETA1**t, out=step)
     step *= lr
     step /= denominator
-    params.flat[:] -= step
+    np.subtract(params.flat, step, out=params.flat)
 
 
 def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> SplitVectors:
@@ -116,18 +120,19 @@ def _encode(pairs: Sequence[LabeledPair], encoder_config: EncoderConfig) -> Spli
 
 
 def _targets(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> tuple[np.ndarray, np.ndarray]:
-    """The soft labels (N, L, 3) of a split, zero past each extract's end,
-    and the best sequences (N, L) they are conditioned on, REJECT past each
-    extract's end: both padded like its vectors."""
-    y = np.zeros(vectors.e.shape[:2] + (3,))
-    best = np.full(vectors.e.shape[:2], REJECT, dtype=np.intp)
+    """The best sequences (L, N) of a split, REJECT past each extract's end,
+    and the soft labels (L, N, 3) conditioned on them, zero past each
+    extract's end: both step-major and padded like its vectors."""
+    L, N = vectors.ea.shape[:2]
+    best = np.full((L, N), REJECT, dtype=np.intp)
+    y = np.zeros((L, N, 3))
     for j, ((example, lab), l) in enumerate(zip(pairs, vectors.lengths.tolist())):
         rows = np.asarray(lab.labels, dtype=float)
         if rows.shape != (l, 3) or len(lab.best) != l:
             raise ValueError(f"{example.document.id}: labels must have shape ({l}, 3) and best length {l}")
-        y[j, :l] = rows
-        best[j, :l] = lab.best
-    return y, best
+        best[:l, j] = lab.best
+        y[:l, j] = rows
+    return best, y
 
 
 def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
@@ -177,10 +182,11 @@ def train(
         raise ValueError("empty train set")
     encoder_config, weights = config.encoder_config(), config.reward_weights()
     vectors = _encode(train_set, encoder_config)
-    labels, best = _targets(train_set, vectors)
+    split = forced_batch(vectors, *_targets(train_set, vectors))
     val_vectors = _encode(val_set, encoder_config)
     val_entries = _entries(val_set)
     params = params.copy()
+    grad = EditorParams(params.m, params.n)
     m, v, t = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     best_params, best_reward = params.copy(), -math.inf
     log: list[dict] = []
@@ -189,9 +195,7 @@ def train(
         loss_total = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
-            inputs = vectors.take(batch)
-            steps = inputs.e.shape[1]
-            loss, grad = loss_and_gradients(inputs, labels[batch, :steps], best[batch, :steps], params)
+            loss, grad = loss_and_gradients(split.take(batch), params, grad)
             if not (math.isfinite(loss) and np.isfinite(grad.flat).all()):
                 ids = ", ".join(train_set[j][0].document.id for j in batch)
                 raise ValueError(
@@ -200,7 +204,8 @@ def train(
                 )
             loss_total += loss
             t += 1
-            adam_step(params, grad.flat / len(batch), m, v, t, config.lr)
+            np.divide(grad.flat, len(batch), out=grad.flat)
+            adam_step(params, grad.flat, m, v, t, config.lr)
         train_loss = loss_total / len(train_set)
         val_reward = mean_reward(val_vectors, val_entries, params, weights)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_reward": val_reward})

@@ -1,11 +1,12 @@
 """Slow references shared by several test modules."""
 import math
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
 
 from sumedit import oracle
-from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, ForwardPass
+from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, EditorParams, forced_batch
 from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
 from sumedit.summarizers import STOPWORD_SCORE, STOPWORDS, UNSELECTED_LIKELIHOOD
 
@@ -22,19 +23,100 @@ def soft_cross_entropy(distributions, labels) -> float:
     return -float(np.sum(y * np.log(np.maximum(p, LOG_CLAMP)))) / len(p)
 
 
-def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
+def teacher_batch(vectors, decisions, labels=None):
+    """`editor.forced_batch` of `encoder.SplitVectors` forced along decisions
+    (L, B), with labels (L, B, 3) or, without them, zero labels."""
+    L, B = vectors.ea.shape[:2]
+    return forced_batch(vectors, np.asarray(decisions), np.zeros((L, B, 3)) if labels is None else labels)
+
+
+# Every array of one run of the recurrence over a batch of B extracts padded
+# to L steps, step-major: the fields of `editor.ForwardPass`, and the
+# decisions (L, B) taken, the versions h (L, B, n) they put into the state
+# and the mask (L, B) of the steps inside the extracts (`editor.Batch`).
+Pass = namedtuple("Pass", "d g x t p q decisions h mask")
+
+
+def _versions(decisions, x, n):
+    return np.where(
+        (decisions == EXTRACT)[..., None],
+        x[..., :n],
+        np.where((decisions == ABSTRACT)[..., None], x[..., n : 2 * n], 0.0),
+    )
+
+
+def _inputs(vectors, params):
+    n = params.n
+    L, B = vectors.ea.shape[:2]
+    mask = np.arange(L)[:, None] < vectors.lengths
+    d = np.tanh(vectors.e_bar @ params.W_d.T + params.b_d)
+    x = np.zeros((L, B, 4 * n))
+    x[:, :, : 2 * n] = vectors.ea
+    x[:, :, 3 * n :] = d
+    return d, x, mask
+
+
+def vectors_forward(vectors, params, decisions) -> Pass:
+    """Reference for `editor.forward`: the teacher-forced pass that takes
+    `encoder.SplitVectors` and decisions (L, B), and builds its inputs, its
+    mask and its versions on every call, with a fresh array for every
+    intermediate. Its float operations are the ones the in-place pass on a
+    `Batch` must repeat, in the same order."""
+    n = params.n
+    d, x, mask = _inputs(vectors, params)
+    decisions = np.where(mask, decisions, REJECT)
+    h = _versions(decisions, x, n)
+    q = np.tanh(h @ params.W_g.T)
+    g = np.zeros((len(x) + 1,) + d.shape)
+    np.cumsum(q, axis=0, out=g[1:])
+    x[:, :, 2 * n : 3 * n] = g[:-1]
+    t = np.tanh(x @ params.W_c.T + params.b_c)
+    logits = t @ params.V.T + params.b
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = shifted / shifted.sum(axis=-1, keepdims=True)
+    return Pass(d, g, x, t, p, q, decisions, h, mask)
+
+
+def vectors_loss_and_gradients(vectors, labels, decisions, params):
+    """Reference for `editor.loss_and_gradients`: the loss and gradient of
+    `vectors_forward` along decisions (B, L), with labels (B, L, 3), every
+    intermediate a fresh array."""
+    n, m = params.n, params.m
+    B, L = labels.shape[:2]
+    y = np.ascontiguousarray(labels.transpose(1, 0, 2))
+    run = vectors_forward(vectors, params, decisions.T)
+    lengths = vectors.lengths
+    terms = y * np.log(np.maximum(run.p, LOG_CLAMP))
+    losses = -terms.transpose(1, 0, 2).reshape(B, -1).sum(axis=1) / lengths
+    loss = float(np.cumsum(losses)[-1])
+    du = ((run.p - y) / lengths[:, None] * run.mask[:, :, None]).reshape(-1, 3)
+    t = run.t.reshape(-1, m)
+    dz = (du @ params.V) * (1 - t**2)
+    dx = (dz @ params.W_c).reshape(L, B, 4 * n)
+    dg = dx[:, :, 2 * n : 3 * n]
+    G = np.zeros((L, B, n))
+    G[:-1] = np.cumsum(dg[:0:-1], axis=0)[::-1]
+    dq = (G * (1 - run.q**2)).reshape(-1, n)
+    dzd = dx[:, :, 3 * n :].sum(axis=0) * (1 - run.d**2)
+    grad = EditorParams(m, n)
+    np.matmul(dz.T, run.x.reshape(-1, 4 * n), out=grad.W_c)
+    dz.sum(axis=0, out=grad.b_c)
+    np.matmul(du.T, t, out=grad.V)
+    du.sum(axis=0, out=grad.b)
+    np.matmul(dq.T, run.h.reshape(-1, n), out=grad.W_g)
+    np.matmul(dzd.T, vectors.e_bar, out=grad.W_d)
+    dzd.sum(axis=0, out=grad.b_d)
+    return loss, grad
+
+
+def stepwise_forward(vectors, params, forced=None) -> Pass:
     """Slow reference for `editor.forward` and `editor.decode`: the batched
     recurrence one step at a time, g_{i+1} = g_i + q_i after step i's
     distribution, teacher-forced by forced (L, B) decisions or, without
     them, free-running."""
     n, m = params.n, params.m
-    B, L = vectors.e.shape[:2]
-    mask = np.arange(L)[:, None] < vectors.lengths
-    d = np.tanh(vectors.e_bar @ params.W_d.T + params.b_d)
-    x = np.zeros((L, B, 4 * n))
-    x[:, :, :n] = vectors.e.transpose(1, 0, 2)
-    x[:, :, n : 2 * n] = vectors.a.transpose(1, 0, 2)
-    x[:, :, 3 * n :] = d
+    L, B = vectors.ea.shape[:2]
+    d, x, mask = _inputs(vectors, params)
     g = np.zeros((L + 1, B, n))
     t = np.empty((L, B, m))
     p = np.empty((L, B, 3))
@@ -49,14 +131,10 @@ def stepwise_forward(vectors, params, forced=None) -> ForwardPass:
         p[i] = shifted / shifted.sum(axis=1, keepdims=True)
         chosen = p[i].argmax(axis=1) if forced is None else forced[i]
         decisions[i] = np.where(mask[i], chosen, REJECT)
-        h[i] = np.where(
-            (decisions[i] == EXTRACT)[:, None],
-            x[i, :, :n],
-            np.where((decisions[i] == ABSTRACT)[:, None], x[i, :, n : 2 * n], 0.0),
-        )
+        h[i] = _versions(decisions[i], x[i], n)
         q[i] = np.tanh(h[i] @ params.W_g.T)
         g[i + 1] = g[i] + q[i]
-    return ForwardPass(d, g, x, t, p, decisions, h, q, mask)
+    return Pass(d, g, x, t, p, q, decisions, h, mask)
 
 
 def best_sequence(rewards):

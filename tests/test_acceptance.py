@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from reference import best_sequence, soft_cross_entropy, soft_labels
+from reference import best_sequence, soft_cross_entropy, soft_labels, teacher_batch
 from synthetic import document_from_strings, make_corpus
 from sumedit import cli, text
 from sumedit.config import ExperimentConfig
@@ -22,6 +22,7 @@ from sumedit.editor import (
     EXTRACT,
     PARAM_NAMES,
     REJECT,
+    EditorParams,
     abstractions_for,
     context_from_abstractions,
     decode,
@@ -56,7 +57,8 @@ def forward_loss_reference(vectors, labels, params):
     """Independent forward-only teacher-forced loss of a one-example batch,
     used as the finite-difference oracle."""
     n = params.n
-    e, a, e_bar, l = vectors.e[0], vectors.a[0], vectors.e_bar[0], vectors.lengths[0]
+    e, a = vectors.ea[:, 0, :n], vectors.ea[:, 0, n:]
+    e_bar, l = vectors.e_bar[0], vectors.lengths[0]
     d = np.tanh(params.W_d @ e_bar + params.b_d)
     g = np.zeros(n)
     total = 0.0
@@ -101,7 +103,8 @@ def test_criterion_1_gradient_exactness():
     checked = 0
     for seed in range(100):
         vectors, y, params = random_gradient_instance(seed)
-        _, grads = loss_and_gradients(vectors, y[None], y.argmax(axis=1)[None], params)
+        batch = teacher_batch(vectors, y.argmax(axis=1)[:, None], y[:, None])
+        _, grads = loss_and_gradients(batch, params, EditorParams(params.m, params.n))
         for name in PARAM_NAMES:
             flat = getattr(params, name).ravel()
             gflat = getattr(grads, name).ravel()
@@ -289,12 +292,11 @@ def test_criterion_6_recurrence_identities():
     for _ in range(20):
         n = int(rng.integers(2, 10))
         vectors = SplitVectors(
-            e=rng.normal(size=(1, l, n)), a=rng.normal(size=(1, l, n)),
-            e_bar=rng.normal(size=(1, n)), lengths=np.array([l]),
+            ea=rng.normal(size=(l, 1, 2 * n)), e_bar=rng.normal(size=(1, n)), lengths=np.array([l]),
         )
         params = init_params(3, n, rng)
         params.W_g[:] = rng.normal(size=(n, n))
-        run = forward(vectors, params, chosen)
+        run = forward(teacher_batch(vectors, chosen), params)
         assert not np.array_equal(run.g[1, 0], run.g[0, 0])
         for i in (1, 2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])

@@ -749,6 +749,67 @@ class TestSummarizeInput:
         assert decisions == ["E"] * 5
 
 
+def per_command_parser():
+    """The parser as it was built before the shared options moved to one
+    `parents` parser: each subcommand adds every shared option itself."""
+    import argparse
+
+    def add_common(p):
+        p.add_argument("--config", help="experiment config JSON")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory")
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--extractor", choices=["lead", "greedy"], default=None)
+        p.add_argument("--abstract-ratio", dest="abstract_ratio", type=float, default=None)
+        p.add_argument("--encoder-n", dest="encoder_n", type=int, default=None)
+        p.add_argument("--hidden-m", dest="hidden_m", type=int, default=None)
+        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--train-path", dest="train_path", default=None)
+        p.add_argument("--val-path", dest="val_path", default=None)
+        p.add_argument("--test-path", dest="test_path", default=None)
+
+    parser = argparse.ArgumentParser(prog="sumedit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
+    p.add_argument("input")
+    p.add_argument("output")
+    p = sub.add_parser("label", help="precompute soft-label caches")
+    add_common(p)
+    p.add_argument("--split", dest="splits", action="append", choices=["train", "val", "test"], required=True)
+    p = sub.add_parser("train", help="train the editor")
+    add_common(p)
+    p = sub.add_parser("summarize", help="decode documents with a checkpoint")
+    add_common(p)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--document", required=True, help="dataset-format file to summarize")
+    p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
+    add_common(p)
+    p.add_argument("--checkpoint", required=True)
+    return parser
+
+
+def subcommands(parser):
+    [action] = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestParser:
+    def test_help_of_every_command_is_the_per_command_parsers(self):
+        # the shared options come from one `parents` parser; every help text
+        # and every parse stays as it was
+        got, want = cli.build_parser(), per_command_parser()
+        assert got.format_help() == want.format_help()
+        assert list(subcommands(got)) == list(subcommands(want)) == ["ingest", "label", "train", "summarize", "evaluate"]
+        for name, sub in subcommands(want).items():
+            assert subcommands(got)[name].format_help() == sub.format_help(), name
+        argv = ["summarize", "--checkpoint", "c", "--document", "d", "--k", "3", "--lr", "0.5", "--out", "o"]
+        parsed = vars(got.parse_args(argv))
+        assert {key: parsed[key] for key in vars(want.parse_args(argv))} == vars(want.parse_args(argv))
+
+
 def run_child(*args, **env):
     """`python <args>` with sumedit on the path and `env` added."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import soft_cross_entropy, stepwise_forward
+from reference import (
+    soft_cross_entropy,
+    stepwise_forward,
+    teacher_batch,
+    vectors_forward,
+    vectors_loss_and_gradients,
+)
 from synthetic import document_from_strings
 from sumedit import editor
 from sumedit.editor import (
@@ -17,6 +23,7 @@ from sumedit.editor import (
     REJECT,
     EditorParams,
     ForwardPass,
+    forced_batch,
     abstractions_for,
     context_from_abstractions,
     decode,
@@ -41,11 +48,21 @@ def padded(examples):
     L = max(len(e) for e, _, _ in examples)
     pad = lambda rows: np.pad(np.asarray(rows, dtype=float), ((0, L - len(rows)), (0, 0)))
     return SplitVectors(
-        e=np.stack([pad(e) for e, _, _ in examples]),
-        a=np.stack([pad(a) for _, a, _ in examples]),
+        ea=np.stack([np.concatenate([pad(e), pad(a)], axis=1) for e, a, _ in examples], axis=1),
         e_bar=np.stack([np.asarray(e_bar, dtype=float) for _, _, e_bar in examples]),
         lengths=np.array([len(e) for e, _, _ in examples]),
     )
+
+
+def forced(vectors, params, decisions):
+    """`forward` along decisions (L, B)."""
+    return forward(teacher_batch(vectors, decisions), params)
+
+
+def batch_loss(vectors, labels, decisions, params):
+    """`loss_and_gradients` of labels (B, L, 3) along decisions (B, L)."""
+    batch = teacher_batch(vectors, decisions.T, labels.transpose(1, 0, 2))
+    return loss_and_gradients(batch, params, EditorParams(params.m, params.n))
 
 
 def vector_context(e, a, e_bar):
@@ -69,7 +86,7 @@ def always(*decisions):
 
 
 def first_distribution(vectors, params):
-    return forward(vectors, params, decode(vectors, params).T).p[0, 0]
+    return forced(vectors, params, decode(vectors, params).T).p[0, 0]
 
 
 def perturb(params, rng, scale):
@@ -136,14 +153,14 @@ class TestUpdateState:
         rng = np.random.default_rng(0)
         params = init_params(3, 4, rng)
         params.W_g[:] = rng.normal(size=(4, 4))
-        run = forward(step_context(4, rng, l=2), params, always(EXTRACT, REJECT))
+        run = forced(step_context(4, rng, l=2), params, always(EXTRACT, REJECT))
         assert not np.array_equal(run.g[1, 0], np.zeros(4))
         assert np.array_equal(run.g[2, 0], run.g[1, 0])
 
     def test_zero_weight_matrix_is_identity(self):
         e = np.array([[0.5, 0.5], [1.0, -2.0]])
         ctx = vector_context(e, e, np.zeros(2))
-        run = forward(ctx, zero_params(3, 2), always(EXTRACT, EXTRACT))
+        run = forced(ctx, zero_params(3, 2), always(EXTRACT, EXTRACT))
         for i in range(2):
             assert np.array_equal(run.g[i + 1, 0], run.g[i, 0])
 
@@ -152,7 +169,7 @@ class TestUpdateState:
         ctx = vector_context([np.ones(3)], [a], np.zeros(3))
         params = zero_params(3, 3)
         params.W_g[:] = np.eye(3)
-        run = forward(ctx, params, always(ABSTRACT))
+        run = forced(ctx, params, always(ABSTRACT))
         assert np.allclose(run.g[1, 0], np.tanh(a), atol=1e-15)
 
 
@@ -198,7 +215,7 @@ class TestEdit:
         params.b[:] = [-5.0, 5.0, 0.0]
         params.W_c[0, 2 * n : 3 * n] = 1000.0
         params.W_g[:] = np.eye(n)
-        s1 = float(np.sum(np.tanh(vectors.a[0, 0])))
+        s1 = float(np.sum(np.tanh(vectors.ea[0, 0, n:])))
         assert abs(s1) > 1e-6
         params.V[2, 0] = 20.0 * np.sign(s1)
         sequence, summary = self.summary(context, params)
@@ -281,20 +298,20 @@ class TestGradients:
         # force p == y by solving for the bias with everything else zeroed
         params = zero_params(4, 6)
         params.b[:] = np.log(y[0, 0])
-        _, grads = loss_and_gradients(vectors, y, y.argmax(axis=2), params)
+        _, grads = batch_loss(vectors, y, y.argmax(axis=2), params)
         assert np.allclose(grads.b, 0.0, atol=1e-12)
         assert np.allclose(grads.V, 0.0, atol=1e-12)
 
     def test_finite_difference_single_entry(self):
         vectors, y, params = self.fixture(seed=1, l=1)
         forced = y.argmax(axis=2)
-        _, grads = loss_and_gradients(vectors, y, forced, params)
+        _, grads = batch_loss(vectors, y, forced, params)
         h = 1e-5
         i, j = 1, 2
         params.V[i, j] += h
-        up, _ = loss_and_gradients(vectors, y, forced, params)
+        up, _ = batch_loss(vectors, y, forced, params)
         params.V[i, j] -= 2 * h
-        down, _ = loss_and_gradients(vectors, y, forced, params)
+        down, _ = batch_loss(vectors, y, forced, params)
         params.V[i, j] += h
         fd = (up - down) / (2 * h)
         assert abs(fd - grads.V[i, j]) / max(abs(grads.V[i, j]), 1e-12) < 1e-4
@@ -302,7 +319,7 @@ class TestGradients:
     def test_state_gradient_zero_when_all_labels_reject(self):
         vectors, _, params = self.fixture(seed=2, l=2)
         y = np.array([[[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]]])
-        _, grads = loss_and_gradients(vectors, y, np.full((1, 2), REJECT), params)
+        _, grads = batch_loss(vectors, y, np.full((1, 2), REJECT), params)
         assert np.array_equal(grads.W_g, np.zeros_like(params.W_g))
 
 
@@ -392,7 +409,7 @@ class TestBatchedAgainstReference:
             decisions = [rng.integers(3, size=l) for l in self.LENGTHS]
             forced = np.stack([np.pad(row, (0, max(self.LENGTHS) - len(row)), constant_values=REJECT)
                                for row in decisions])
-            loss, grads = loss_and_gradients(padded(examples), padded_labels(labels), forced, params)
+            loss, grads = batch_loss(padded(examples), padded_labels(labels), forced, params)
             want_loss = 0.0
             want = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
             for example, y, row in zip(examples, labels, decisions):
@@ -415,11 +432,11 @@ class TestBatchedAgainstReference:
             for B in (1, 13):
                 vectors = padded([step_example(4, rng, l=l) for _ in range(B)])
                 labels = np.stack([rng.dirichlet(np.ones(3), size=l) for _ in range(B)])
-                run = forward(vectors, params, labels.argmax(axis=2).T)
+                run = forced(vectors, params, labels.argmax(axis=2).T)
                 want = 0.0
                 for j, y in enumerate(labels):
                     want += soft_cross_entropy(run.p[:, j], y)
-                loss, _ = loss_and_gradients(vectors, labels, labels.argmax(axis=2), params)
+                loss, _ = batch_loss(vectors, labels, labels.argmax(axis=2), params)
                 assert loss == want, (l, B)
 
     def test_decode_decisions_equal_per_example(self):
@@ -437,19 +454,31 @@ class TestBatchedAgainstReference:
         # batch's gradient is the sum of its parts' gradients
         examples, labels, params = self.batch(3)
         vectors, y = padded(examples), padded_labels(labels)
-        run = forward(vectors, params, decode(vectors, params).T)
+        batch = teacher_batch(vectors, decode(vectors, params).T)
+        run = forward(batch, params)
         for j, l in enumerate(self.LENGTHS):
             for i in range(l, max(self.LENGTHS)):
-                assert run.decisions[i, j] == REJECT
+                assert not batch.mask[i, j] and not batch.h[i, j].any()
                 assert np.array_equal(run.g[i + 1, j], run.g[i, j])
-        forced = y.argmax(axis=2)
-        _, whole = loss_and_gradients(vectors, y, forced, params)
-        parts = []
-        for index in (np.arange(3), np.arange(3, len(examples))):
-            part = vectors.take(index)
-            steps = part.e.shape[1]
-            parts.append(loss_and_gradients(part, y[index, :steps], forced[index, :steps], params)[1])
+        split = forced_batch(vectors, y.argmax(axis=2).T, y.transpose(1, 0, 2))
+        _, whole = loss_and_gradients(split, params, EditorParams(params.m, params.n))
+        parts = [loss_and_gradients(split.take(index), params, EditorParams(params.m, params.n))[1]
+                 for index in (np.arange(3), np.arange(3, len(examples)))]
         assert np.allclose(whole.flat, parts[0].flat + parts[1].flat, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(decisions=(2, 3)), dict(labels=(5, 3, 3)), dict(labels=(5, 3, 2)), dict(extracts=0)],
+        ids=["decisions-batch-major", "labels-too-long", "labels-two-wide", "no-extract"],
+    )
+    def test_forced_batch_refuses_arrays_that_do_not_fit_the_split(self, shape):
+        examples = [step_example(4, np.random.default_rng(0), l=l) for l in (2, 3, 1)][: shape.get("extracts", 3)]
+        vectors = padded(examples) if examples else encode_split([], [], [], EncoderConfig(n=4))
+        L, N = vectors.ea.shape[:2]
+        decisions = np.zeros(shape.get("decisions", (L, N)), dtype=np.intp)
+        labels = np.zeros(shape.get("labels", (L, N, 3)))
+        with pytest.raises(ValueError, match="^need L decisions and an"):
+            forced_batch(vectors, decisions, labels)
 
     def test_empty_decode(self):
         vectors = encode_split([], [], [], EncoderConfig(n=4))
@@ -460,14 +489,14 @@ class TestBatchedAgainstReference:
         vectors = padded(examples)
         whole = decode(vectors, params)
         widths = []
-        inputs = editor._inputs
+        document_vectors = editor._document_vectors
 
-        def counted_inputs(chunk, params):
-            widths.append(len(chunk.lengths))
-            return inputs(chunk, params)
+        def counted(e_bar, params):
+            widths.append(len(e_bar))
+            return document_vectors(e_bar, params)
 
         monkeypatch.setattr(editor, "DECODE_CHUNK", 3)
-        monkeypatch.setattr(editor, "_inputs", counted_inputs)
+        monkeypatch.setattr(editor, "_document_vectors", counted)
         chunked = decode(vectors, params)
         assert widths == [3, 3, 2]
         assert np.array_equal(chunked, whole)
@@ -509,9 +538,8 @@ class TestTeacherForcedAgainstStepwise:
             labels = np.where(rng.random(shape + (1,)) < share, tied, rng.dirichlet(np.ones(3), size=shape))
         # forced along the labels' argmax, whose ties break E > A > R
         forced = labels.transpose(1, 0, 2).argmax(axis=2)
-        got, want = forward(vectors, params, forced), stepwise_forward(vectors, params, forced)
-        for name in ForwardPass.__slots__:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        batch = teacher_batch(vectors, forced)
+        assert_pass_equals(forward(batch, params), batch, stepwise_forward(vectors, params, forced), np.array_equal)
 
     def test_free_running_equals_the_stepwise_reference(self):
         # `decode` takes the free-running reference's decisions, and the
@@ -523,9 +551,69 @@ class TestTeacherForcedAgainstStepwise:
             perturb(params, rng, 0.5)
             decisions, want = decode(vectors, params), stepwise_forward(vectors, params)
             assert np.array_equal(decisions, want.decisions.T)
-            got = forward(vectors, params, decisions.T)
-            for name in ForwardPass.__slots__:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            batch = teacher_batch(vectors, decisions.T)
+            assert_pass_equals(forward(batch, params), batch, want, np.array_equal)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_pass_equals(got, batch, want, equal=same_bits):
+    """Every array of `forward`'s pass, and the batch's versions and mask,
+    equal the reference pass's."""
+    for name in ForwardPass.__slots__ + ("h", "mask"):
+        assert equal(getattr(batch if name in ("h", "mask") else got, name), getattr(want, name)), name
+
+
+class TestPassAgainstVectorsReference:
+    """`loss_and_gradients` and `forward` run in place on batches cut from
+    a split's step-major record (`forced_batch`, `Batch.take`), and `decode`
+    reads one step's inputs at a time; `tests/reference.py` keeps the pass
+    that rebuilt its inputs from `SplitVectors` on every call, with a fresh
+    array for every intermediate. The float operations and their order are
+    the same, so the loss, every gradient word, every array of the pass and
+    every decoded decision agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "lengths, best",
+        [
+            ((3, 1, 7, 2, 5, 4, 6, 1, 7, 3), "random"),  # mixed lengths 1-7
+            ((5,), "random"),  # B = 1
+            ((1, 1, 1, 1), "random"),  # L = 1
+            ((1,), "random"),  # B = L = 1
+            ((4, 2, 6, 1, 3), "reject"),  # an all-REJECT best
+        ],
+        ids=["mixed", "B1", "L1", "B1-L1", "all-reject"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_training_batches_equal_the_reference(self, lengths, best, seed):
+        rng = np.random.default_rng([seed, len(lengths)])
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        vectors = padded([step_example(n, rng, l=l) for l in lengths])
+        params = init_params(m, n, rng)
+        perturb(params, rng, 0.5)
+        shape = (len(lengths), max(lengths))
+        inside = (np.arange(max(lengths)) < np.array(lengths)[:, None])[..., None]
+        labels = np.where(inside, rng.dirichlet(np.ones(3), size=shape), 0.0)
+        decisions = np.full(shape, REJECT) if best == "reject" else rng.integers(3, size=shape)
+        split = forced_batch(vectors, decisions.T, labels.transpose(1, 0, 2))
+        out = EditorParams(m, n)
+        perm = rng.permutation(len(lengths))
+        for start in range(0, len(perm), 3):  # batches as `trainer.train` cuts them
+            index = perm[start : start + 3]
+            L = int(vectors.lengths[index].max())
+            part = SplitVectors(vectors.ea[:L, index], vectors.e_bar[index], vectors.lengths[index])
+            want_loss, want = vectors_loss_and_gradients(part, labels[index, :L], decisions[index, :L], params)
+            loss, grad = loss_and_gradients(split.take(index), params, out)
+            assert grad is out
+            assert loss.hex() == want_loss.hex()
+            assert same_bits(grad.flat, want.flat)
+            batch = split.take(index)
+            assert_pass_equals(forward(batch, params), batch, vectors_forward(part, params, decisions[index, :L].T))
+        # the validation decode, against the free-running reference
+        assert same_bits(decode(vectors, params), stepwise_forward(vectors, params).decisions.T)
 
 
 class TestParams:

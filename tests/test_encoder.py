@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import teacher_batch
 from synthetic import document_from_strings
 from sumedit.editor import EditorParams, context_from_abstractions, forward
 from sumedit import encoder as encoder_mod
@@ -78,12 +79,12 @@ def encode_sentences(doc, cfg):
     """Every sentence's vector from `encode_split`, extracting the whole
     document in order."""
     order = tuple(range(len(doc)))
-    return encode_split([doc], [order], [[doc.tokens_at(i) for i in order]], cfg).e[0]
+    return encode_split([doc], [order], [[doc.tokens_at(i) for i in order]], cfg).ea[:, 0, : cfg.n]
 
 
 def encode_one_abstracted(doc, i, abstracted, cfg):
     """`encode_split`'s vector of sentence i of doc abstracted as `abstracted`."""
-    return encode_split([doc], [(i,)], [[abstracted]], cfg).a[0, 0]
+    return encode_split([doc], [(i,)], [[abstracted]], cfg).ea[0, 0, cfg.n :]
 
 
 def whole_document_encode_abstracted(document, i, abstracted, config):
@@ -103,7 +104,7 @@ def doc_vector(doc, cfg, W_d, b_d):
     params.b_d[:] = b_d
     extract = extract_lead(doc, 1)
     vectors = context_from_abstractions(doc, extract, [doc.tokens_at(0)], cfg)
-    return forward(vectors, params, np.array([[2]])).d[0]
+    return forward(teacher_batch(vectors, [[2]]), params).d[0]
 
 
 class TestEncodeSentences:
@@ -227,8 +228,8 @@ class TestEncodeAbstracted:
         abstractions = [["abs", str(i)] for i in range(4)]
         vectors = context_from_abstractions(doc, extract, abstractions, cfg)
         for row, (i, tokens) in enumerate(zip(extract.order, abstractions)):
-            assert np.array_equal(vectors.a[0, row], whole_document_encode_abstracted(doc, i, tokens, cfg))
-        assert np.array_equal(vectors.e[0], reference_encode_sentences(doc, cfg))
+            assert np.array_equal(vectors.ea[row, 0, cfg.n :], whole_document_encode_abstracted(doc, i, tokens, cfg))
+        assert np.array_equal(vectors.ea[:, 0, : cfg.n], reference_encode_sentences(doc, cfg))
 
     def test_index_out_of_range(self):
         doc = make_doc(["a b"])
@@ -272,18 +273,19 @@ def split_inputs(draw):
 def assert_equals_reference(documents, orders, abstractions, cfg):
     vectors = encode_split(documents, orders, abstractions, cfg)
     L = max((len(o) for o in orders), default=0)
-    assert vectors.e.shape == vectors.a.shape == (len(documents), L, cfg.n)
+    assert vectors.ea.shape == (L, len(documents), 2 * cfg.n)
+    e, a = vectors.ea[:, :, : cfg.n], vectors.ea[:, :, cfg.n :]
     assert vectors.e_bar.shape == (len(documents), cfg.n)
     assert vectors.lengths.tolist() == [len(o) for o in orders]
     for j, (doc, order, abstracted) in enumerate(zip(documents, orders, abstractions)):
         raw = raw_vectors(doc, cfg)
         mixed = mix_context(raw)
         l = len(order)
-        assert np.array_equal(vectors.e[j, :l], mixed[list(order)])
+        assert np.array_equal(e[:l, j], mixed[list(order)])
         want_a = [encode_abstracted(raw, i, toks, cfg) for i, toks in zip(order, abstracted)]
-        assert np.array_equal(vectors.a[j, :l], np.stack(want_a))
+        assert np.array_equal(a[:l, j], np.stack(want_a))
         assert np.array_equal(vectors.e_bar[j], mixed.mean(axis=0))
-        assert not vectors.e[j, l:].any() and not vectors.a[j, l:].any()
+        assert not vectors.ea[l:, j].any()
 
 
 class TestSplitEncoderAgainstReference:

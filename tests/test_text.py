@@ -130,6 +130,29 @@ class TestDocumentInvariants:
         with pytest.raises(ValueError, match="bad token"):
             Sentence(0, ("ok", token))
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [("ok", ""), ("", "ok"), ("a b",), ("ok", "a\tb"), ("\x1c",), ("ok", "a\u2028b"),
+         ("ok", 5), (None, "a b"), ("a b", 5), ("ok", b"x", "")],
+        ids=["empty", "empty-first", "space", "tab", "file-separator", "line-separator",
+             "int", "none-first", "space-then-int", "bytes-then-empty"],
+    )
+    def test_bad_token_raises_what_a_per_token_check_raises(self, tokens):
+        # the one join-and-split comparison falls back to checking each token
+        def per_token(tokens):
+            for t in tokens:
+                if t.split() != [t]:
+                    raise ValueError(f"bad token {t!r}")
+
+        with pytest.raises(Exception) as want:
+            per_token(tokens)
+        with pytest.raises(want.type) as got:
+            Sentence(0, tokens)
+        assert str(got.value) == str(want.value)
+
+    def test_good_tokens_kept(self):
+        assert Sentence(3, ("a", "b-c", "\u00e9")).tokens == ("a", "b-c", "\u00e9")
+
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             document_from_strings("d", [])

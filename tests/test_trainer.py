@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import sentence_stats, soft_cross_entropy
+from reference import sentence_stats, soft_cross_entropy, teacher_batch
 from synthetic import document_from_strings, make_corpus
 from sumedit import editor, trainer as trainer_mod
 from sumedit.config import ExperimentConfig
@@ -253,20 +253,32 @@ class TestTrain:
         rng = np.random.default_rng(1)
         params = init_params(4, ENC.n, rng)
         teacher = np.array(lab.best)[:, None]  # training forces the best sequence
+        batch = teacher_batch(vectors, teacher, y[:, None])
         runs = []
         for corrupt in (0.0, 5.0):
             p = params.copy()
             p.b[:] += np.array([corrupt, 0.0, -corrupt])
-            runs.append(forward(vectors, p, teacher))
+            runs.append(forward(batch, p))
             # the training loss is the one of this teacher-forced run
-            loss, _ = loss_and_gradients(vectors, y[None], teacher.T, p)
+            loss, _ = loss_and_gradients(batch, p, EditorParams(p.m, p.n))
             assert loss == soft_cross_entropy(runs[-1].p[:, 0], y)
         clean, corrupted = runs
         assert not np.allclose(clean.p[0, 0], corrupted.p[0, 0])
-        assert np.array_equal(clean.decisions, teacher)
-        assert np.array_equal(corrupted.decisions, teacher)
+        assert np.array_equal(batch.h[:, 0], forced_versions(vectors.ea[:, 0], lab.best))
         assert clean.g.shape == corrupted.g.shape == (len(y) + 1, 1, ENC.n)
         assert np.array_equal(clean.g, corrupted.g)
+
+
+def forced_versions(ea, decisions):
+    """The version each decision puts into the state, from one extract's
+    inputs ea (L, 2n): e on EXTRACT, a on ABSTRACT, zeros on REJECT and past
+    the decisions' end."""
+    n = ea.shape[1] // 2
+    versions = {EXTRACT: ea[:, :n], ABSTRACT: ea[:, n:], REJECT: np.zeros_like(ea[:, :n])}
+    h = np.zeros_like(ea[:, :n])
+    for i, decision in enumerate(decisions):
+        h[i] = versions[decision][i]
+    return h
 
 
 class InOrder:
@@ -287,21 +299,25 @@ class TestForcedAlongBest:
         assert not failures
         differ = [list(np.argmax(lab.labels, axis=1)) != list(lab.best) for lab in labeled]
         assert 0 < sum(differ) < len(differ)
-        forced = []
-        real = editor.forward
+        batches = []
+        real = trainer_mod.loss_and_gradients
 
-        def recording(vectors, params, decisions):
-            forced.append(np.array(decisions))
-            return real(vectors, params, decisions)
+        def recording(batch, params, grad):
+            batches.append(batch)
+            return real(batch, params, grad)
 
-        monkeypatch.setattr(editor, "forward", recording)
+        monkeypatch.setattr(trainer_mod, "loss_and_gradients", recording)
         pairs = list(zip(examples, labeled))
         train(pairs, [], train_config(batch_size=len(pairs), epochs=1), init_params(4, ENC.n, Stream(0)), InOrder())
-        [decisions] = forced  # step-major (L, B): one batch of every example, in order
-        assert decisions.shape == (7, len(pairs))
+        [batch] = batches  # step-major (L, B): one batch of every example, in order
+        assert batch.h.shape == (7, len(pairs), ENC.n)
+        along_argmax = 0
         for j, lab in enumerate(labeled):
-            assert decisions[: len(lab.best), j].tolist() == list(lab.best), lab.example_id
-            assert (decisions[len(lab.best) :, j] == REJECT).all()
+            assert np.array_equal(batch.h[:, j], forced_versions(batch.ea[:, j], lab.best)), lab.example_id
+            argmax = np.argmax(lab.labels, axis=1)
+            along_argmax += np.array_equal(batch.h[:, j], forced_versions(batch.ea[:, j], argmax))
+        # forcing the label argmax would fail the loop above on these examples
+        assert along_argmax < len(labeled)
 
 
 class TestStream:
