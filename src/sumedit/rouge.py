@@ -20,18 +20,12 @@ example from dense records (`SplitEntries.stats`, `SplitStats.rewards`).
 The one-example-at-a-time builder these replaced is the slow reference in
 tests/reference.py.
 
-Both paths align sentences with the bit-vector LCS of Allison & Dix (1986,
-"A bit-string longest-common-subsequence algorithm"), which keeps each row of
-the LCS table as bits over the candidate's positions, and walk the canonical
-traceback on it. `reward` aligns one pair at a time with `_lcs_positions`, one
-Python int per row. `split_entries` aligns every (version, reference
-sentence) pair of its split that shares a token at once (`_lcs_matched`):
-each row is ceil(C / 64) uint64 words for a version of C tokens, and blocks
-of pairs run the forward pass and the traceback in lockstep, with no
-per-pair Python loop.
-`_lcs_positions` is the reference the lockstep path is tested against, and
-the full-table dynamic program it replaced is the slow reference in
-tests/test_rouge.py.
+`reward` aligns one pair of sentences at a time with `_lcs_positions`, the
+textbook LCS table. `split_entries` aligns every (version, reference
+sentence) pair of its split that shares a token at once, in lockstep
+(`_lcs_matched`: the bit-vector LCS of Allison & Dix 1986, with the same
+canonical traceback); it is the program's one LCS engine, and
+`_lcs_positions` is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -120,59 +114,34 @@ def rouge_n(candidate, reference: Sequence[TokenList], n: int) -> RougeScore:
     return RougeScore(p, r, _f1(p, r))
 
 
-def _match_masks(tokens: TokenList) -> dict[str, int]:
-    """Bit j of `masks[t]` is set when `tokens[j] == t`."""
-    masks: dict[str, int] = {}
-    for j, t in enumerate(tokens):
-        masks[t] = masks.get(t, 0) | 1 << j
-    return masks
-
-
-def _lcs_positions(ref: TokenList, cand: TokenList, masks: dict[str, int]) -> list[int]:
+def _lcs_positions(ref: TokenList, cand: TokenList) -> list[int]:
     """Positions in `ref` matched by one canonical LCS alignment with `cand`,
-    in descending order; `masks` is `_match_masks(cand)`.
-
-    Row i of the LCS table dp (over `ref[:i]` and `cand[:j]`) is kept as one
-    int: bit j-1 is clear exactly where dp[i][j] = dp[i][j-1] + 1, so
-    dp[i][j] = j - popcount(row & (2^j - 1)) (Allison & Dix 1986). A
-    reference token that `cand` lacks leaves its row equal to the one above,
-    so only the rows of `hits`, the reference tokens that `cand` has, are
-    computed. The traceback is the textbook one from (|ref|, |cand|):
-    diagonal on a token match, else up when dp[i-1][j] >= dp[i][j-1], else
-    left. It goes straight up through rows outside `hits` and stops where
-    dp reaches 0.
-    """
-    if masks.keys().isdisjoint(ref):
+    in descending order: the textbook LCS table dp over `ref[:i]` and
+    `cand[:j]`, walked back from (|ref|, |cand|) until dp reaches 0, diagonal
+    on a token match, else up when dp[i-1][j] >= dp[i][j-1], else left."""
+    if set(cand).isdisjoint(ref):
         return []
-    hits = [(i, masks[t]) for i, t in enumerate(ref) if t in masks]
-    full = (1 << len(cand)) - 1
-    v = full
-    rows = [v]  # rows[k + 1] is the row of hits[k], rows[k] the one above it
-    for _, m in hits:
-        u = v & m
-        v = ((v + u) | (v - u)) & full
-        rows.append(v)
+    dp = [[0] * (len(cand) + 1)]
+    for t in ref:
+        above, row, left = dp[-1], [0], 0
+        for j, c in enumerate(cand):
+            if t == c:
+                left = above[j] + 1
+            elif above[j + 1] > left:
+                left = above[j + 1]
+            row.append(left)
+        dp.append(row)
     matched: list[int] = []
-    k, j, low = len(hits) - 1, len(cand), full
-    d = j - v.bit_count()
-    while d:
-        i, m = hits[k]
-        if m >> (j - 1) & 1:
-            matched.append(i)
-            k -= 1
+    i, j = len(ref), len(cand)
+    while dp[i][j]:
+        if ref[i - 1] == cand[j - 1]:
+            i -= 1
             j -= 1
-            d -= 1
-            low >>= 1
-            continue
-        up = j - (rows[k] & low).bit_count()
-        left = d - 1 + (rows[k + 1] >> (j - 1) & 1)
-        if up >= left:
-            k -= 1
-            d = up
+            matched.append(i)
+        elif dp[i - 1][j] >= dp[i][j - 1]:
+            i -= 1
         else:
             j -= 1
-            d = left
-            low >>= 1
     return matched
 
 
@@ -182,12 +151,11 @@ def rouge_l(candidate: Sequence[TokenList], reference: Sequence[TokenList]) -> R
     cand_total = sum(len(s) for s in candidate)
     if ref_total == 0 or cand_total == 0:
         return RougeScore.zero()
-    masks = [_match_masks(cand_sent) for cand_sent in candidate]
     matched = 0
     for ref_sent in reference:
         union: set[int] = set()
-        for cand_sent, cand_masks in zip(candidate, masks):
-            union.update(_lcs_positions(ref_sent, cand_sent, cand_masks))
+        for cand_sent in candidate:
+            union.update(_lcs_positions(ref_sent, cand_sent))
         matched += len(union)
     p = min(1.0, matched / cand_total)
     r = min(1.0, matched / ref_total)
@@ -332,16 +300,24 @@ def _lcs_matched(ref_key, ref_sentence, key, version, pos, length, sentences) ->
     `ref_sentence[r]` of its example's reference; version token `pos` of
     version `version` has key `key` (tokens no reference has are left out);
     version g has `length[g]` tokens, and its example's reference
-    `sentences[g]` sentences. A version of C tokens keeps each LCS row as
-    W = ceil(C / 64) uint64 words, and its mask for a key is the words of
-    the positions that hold it. The join of the reference tokens with the
-    masks of equal key gives every pair that shares a token, with its hits:
-    the reference tokens the version has, in order. Pairs sorted by
-    (W, hits) go in blocks of at most LCS_ENTRIES row words, and each block
-    runs `_lcs_positions` in lockstep: the forward pass over the hit rows,
-    where only the add of `(v + u) | (v - u)` carries across words (u is a
-    subset of v, so v - u is v ^ u), then the traceback over the pairs still
-    inside their table.
+    `sentences[g]` sentences.
+
+    A pair keeps row i of its LCS table dp (over the reference sentence's
+    first i tokens and the version's first j) as bits over the version's C
+    positions, in W = ceil(C / 64) uint64 words (Allison & Dix 1986): bit
+    j-1 is clear exactly where dp[i][j] = dp[i][j-1] + 1, so
+    dp[i][j] = j - popcount(row & (2^j - 1)). Row 0 is all ones; for the row
+    v above it and u = v & m, m the version's mask of reference token i (the
+    positions that hold it), row i is (v + u) | (v - u) cut to C bits. A
+    reference token the version lacks leaves the row above unchanged, so
+    only the rows of the pair's hits, the reference tokens it has, are
+    computed. The join of the reference tokens with the masks of equal key
+    gives every pair that shares a token, with its hits in order. Pairs
+    sorted by (W, hits) go in blocks of at most LCS_ENTRIES row words, and
+    each block runs in lockstep: the forward pass over the hit rows, where
+    only the add carries across words (u is a subset of v, so v - u is
+    v ^ u), then the traceback over the pairs still inside their table,
+    straight up through the rows that are not hits.
     """
     if not len(key):
         return np.zeros(0, dtype=np.int64)

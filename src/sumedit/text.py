@@ -45,7 +45,7 @@ class Sentence:
             ok = False
         if not ok:
             for t in tokens:
-                if t.split() != [t]:  # empty, or holds whitespace
+                if not isinstance(t, str) or t.split() != [t]:  # not a str, empty, or holds whitespace
                     raise ValueError(f"bad token {t!r}")
         self.index = index
         self.tokens = tokens
@@ -198,13 +198,14 @@ def load_dataset(path) -> list[Example]:
 def load_documents(path) -> list[Document]:
     """Load article documents only; highlights are optional and ignored.
 
-    Records are validated as in ingest_dataset; an empty article raises.
+    Records are validated, and empty articles rejected, as in ingest_dataset.
     """
     docs: list[Document] = []
     for lineno, rec in _records(path, highlights_required=False):
         article = _tokenized(rec["article_sentences"])
         if article is None:
-            raise DatasetError(f"{path}:{lineno}: empty article")
+            warn(__name__, "rejected record: line %d: empty article", lineno)
+            continue
         docs.append(_document(rec["id"], article))
     return docs
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from sumedit import oracle
 from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, EditorParams, forced_batch
-from sumedit.rouge import RewardWeights, _lcs_positions, _match_masks, _pooled_ngrams, f_measures
+from sumedit.rouge import RewardWeights, _lcs_positions, _pooled_ngrams, f_measures
 from sumedit.summarizers import STOPWORD_SCORE, STOPWORDS, UNSELECTED_LIKELIHOOD
 
 
@@ -215,10 +215,9 @@ def sentence_stats(versions, reference) -> SentenceStats:
     for v, sent in enumerate(versions):
         base = v * width
         cells += [base + c for c in map(column.get, chain(sent, zip(sent, sent[1:]))) if c is not None]
-        masks = _match_masks(sent)
         base = v * ref_tokens
         for ref_sent, start in zip(ref_sents, offsets.tolist()):
-            matched += [base + start + pos for pos in _lcs_positions(ref_sent, sent, masks)]
+            matched += [base + start + pos for pos in _lcs_positions(ref_sent, sent)]
     counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(versions) * width)
     counts = counts.astype(np.int64, copy=False).reshape(len(versions), width)
     lengths = np.array([len(sent) for sent in versions], dtype=np.int64)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synthetic import make_corpus
-from sumedit import cli, editor, text, trainer
+from sumedit import cli, editor, oracle, rouge, summarizers, text, trainer
 from sumedit.config import ExperimentConfig
 from sumedit.encoder import EncoderConfig
 
@@ -472,6 +472,32 @@ class TestNoCommandImportsLogging:
         assert len(failed) == 6 and all(ln.startswith("WARNING sumedit.oracle: labeling failed: ") for ln in failed)
 
 
+class TestNoCommandScoresOneSummary:
+    """Every command scores through the split-wide `split_entries` engine:
+    the per-summary `reward` and its textbook LCS table are the tests'
+    reference, and on a command's path they would be the slow one."""
+
+    @pytest.mark.parametrize("extractor", ["lead", "greedy"])
+    def test_commands_run_without_the_per_summary_scorer(self, workspace, capsys, monkeypatch, extractor):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command scored one summary at a time")
+
+        for module, name in [(rouge, "_lcs_positions"), (rouge, "rouge_l"), (rouge, "rouge_n"), (rouge, "reward"),
+                             (oracle, "reward"), (summarizers, "reward"), (trainer, "reward")]:
+            monkeypatch.setattr(module, name, refuse)
+        cfg = str(write_config(workspace, extractor=extractor))
+        ckpt = str(workspace / "out" / "checkpoint.json")
+        commands = [
+            ["ingest", str(workspace / "train.jsonl"), str(workspace / "canonical.jsonl")],
+            ["label", "--config", cfg, "--split", "train", "--split", "val", "--split", "test"],
+            ["train", "--config", cfg],
+            ["evaluate", "--config", cfg, "--checkpoint", ckpt],
+            ["summarize", "--config", cfg, "--checkpoint", ckpt, "--document", str(workspace / "test.jsonl")],
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 0, (argv[0], capsys.readouterr().err)
+
+
 def duplicate_first_id(path):
     """Append a copy of a dataset's first record with other sentences;
     returns the shared id and the new record's line number."""
@@ -707,11 +733,11 @@ class TestSummarizeAndEvaluate:
 
 
 class TestSummarizeInput:
-    def summarize(self, workspace, records):
+    def summarize(self, workspace, records, **overrides):
         path = workspace / "docs.jsonl"
         path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
-        cfg = write_config(workspace)
+        cfg = write_config(workspace, **overrides)
         return cli.main(
             ["summarize", "--config", str(cfg), "--checkpoint", str(ckpt),
              "--document", str(path)]
@@ -736,6 +762,19 @@ class TestSummarizeInput:
     def test_no_usable_records_exits_1(self, workspace, capsys):
         assert self.summarize(workspace, []) == 1
         assert capsys.readouterr().err == f"error: no usable records in {workspace / 'docs.jsonl'}\n"
+
+    @pytest.mark.parametrize("extractor, reason", [("lead", "empty article"),
+                                                   ("greedy", "empty article or highlights")])
+    def test_record_with_empty_article_is_skipped(self, workspace, capsys, extractor, reason):
+        records = [
+            {"id": "p", "article_sentences": ["a b c", "d e f"], "highlights": ["a b"]},
+            {"id": "q", "article_sentences": ["   "], "highlights": ["a b"]},
+            {"id": "r", "article_sentences": ["k l m", "n o"], "highlights": ["n o"]},
+        ]
+        assert self.summarize(workspace, records, extractor=extractor) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"WARNING sumedit.text: rejected record: line 2: {reason}\n"
+        assert [ln for ln in captured.out.splitlines() if ln.startswith("#")] == ["# p", "# r"]
 
     def test_lead_without_highlights(self, workspace, capsys):
         records = [

@@ -12,7 +12,6 @@ from sumedit import rouge
 from sumedit.rouge import (
     RewardWeights,
     _lcs_positions,
-    _match_masks,
     _ngrams,
     _pooled_ngrams,
     reward,
@@ -39,40 +38,17 @@ def brute_force_lcs(a, b):
     return best
 
 
-def lcs_positions(ref, cand):
-    return _lcs_positions(ref, cand, _match_masks(cand))
-
-
-def dp_lcs_positions(ref, cand):
-    """Slow reference for `_lcs_positions`: the full (|ref|+1) x (|cand|+1)
-    LCS table, then the same canonical traceback."""
-    nr, nc = len(ref), len(cand)
-    dp = [[0] * (nc + 1) for _ in range(nr + 1)]
-    for i in range(1, nr + 1):
-        row, prev = dp[i], dp[i - 1]
-        ri = ref[i - 1]
-        for j in range(1, nc + 1):
-            if ri == cand[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
-    matched: set[int] = set()
-    i, j = nr, nc
-    while i > 0 and j > 0:
-        if ref[i - 1] == cand[j - 1] and dp[i][j] == dp[i - 1][j - 1] + 1:
-            matched.add(i - 1)
-            i -= 1
-            j -= 1
-        elif dp[i - 1][j] >= dp[i][j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    return matched
+def assert_common_subsequence(matched, ref, cand):
+    """`matched` holds distinct positions of `ref`, in descending order,
+    whose tokens in ascending order are a subsequence of `cand`."""
+    assert matched == sorted(set(matched), reverse=True)
+    it = iter(cand)
+    assert all(ref[i] in it for i in reversed(matched))
 
 
 def reference_sentence_stats(versions, reference):
     """Slow reference for `sentence_stats`: one Counter per version and
-    n-gram order, and `dp_lcs_positions` per reference sentence."""
+    n-gram order, and `_lcs_positions` per reference sentence."""
     ref_grams = [_pooled_ngrams(reference, n) for n in (1, 2)]
     column = {g: i for i, g in enumerate(g for grams in ref_grams for g in grams)}
     offsets = np.cumsum([0] + [len(s) for s in reference])
@@ -85,7 +61,7 @@ def reference_sentence_stats(versions, reference):
                     counts[v, column[g]] += c
         counts[v, -2:] = len(sent), max(len(sent) - 1, 0)
         for ref_sent, start in zip(reference, offsets):
-            for pos in dp_lcs_positions(ref_sent, sent):
+            for pos in _lcs_positions(ref_sent, sent):
                 lcs[v, start + pos] = True
     ref_counts = np.array([c for grams in ref_grams for c in grams.values()], dtype=np.int64)
     return counts, lcs, ref_counts, len(ref_grams[0]), sum(ref_grams[1].values())
@@ -95,39 +71,35 @@ def token_lists(alphabet, sizes=(0, 8)):
     return st.lists(st.sampled_from(alphabet), min_size=sizes[0], max_size=sizes[1])
 
 
-# Alphabets of one to three tokens (many ties), sides from empty to past 64
-# and past 128 tokens.
-@st.composite
-def lcs_pairs(draw):
-    alphabet = "abc"[: draw(st.integers(1, 3))]
-    side = st.one_of(token_lists(alphabet), token_lists(alphabet, (65, 80)), token_lists(alphabet, (129, 150)))
-    return draw(side), draw(side)
-
-
 class TestLcsPositions:
-    @given(lcs_pairs())
-    def test_equals_dp_reference(self, pair):
+    @given(st.integers(1, 3).flatmap(lambda a: st.tuples(*[token_lists("abc"[:a])] * 2)))
+    def test_is_a_longest_common_subsequence(self, pair):
         ref, cand = pair
-        got = lcs_positions(ref, cand)
-        assert len(got) == len(set(got))
-        assert set(got) == dp_lcs_positions(ref, cand)
+        got = _lcs_positions(ref, cand)
+        assert_common_subsequence(got, ref, cand)
+        assert len(got) == brute_force_lcs(ref, cand)
 
-    def test_long_random_pairs_equal_dp_reference(self):
+    def test_long_random_pairs_equal_split_alignment(self):
+        """Pairs of up to 200 tokens: a common subsequence, at the positions
+        the bit-parallel `split_entries` matches."""
         rng = random.Random(0)
         for _ in range(60):
             alphabet = "abcdefgh"[: rng.randint(1, 8)]
             ref = rng.choices(alphabet, k=rng.randint(0, 200))
             cand = rng.choices(alphabet + "xy", k=rng.randint(0, 200))
-            assert set(lcs_positions(ref, cand)) == dp_lcs_positions(ref, cand)
+            got = _lcs_positions(ref, cand)
+            assert_common_subsequence(got, ref, cand)
+            assert sorted(got) == split_entries([[cand]], [[ref]]).matches[:, 1].tolist()
 
     def test_no_common_token(self):
-        assert lcs_positions(["a", "b"], ["c", "d", "c"]) == []
+        assert _lcs_positions(["a", "b"], ["c", "d", "c"]) == []
 
     def test_canonical_alignment_among_ties(self):
         # "a b" against "b a" has LCS 1 either way; the walk prefers up over
         # left on a tie, so it matches the earlier reference token
-        assert lcs_positions(["a", "b"], ["b", "a"]) == [0]
-        assert dp_lcs_positions(["a", "b"], ["b", "a"]) == {0}
+        assert _lcs_positions(["a", "b"], ["b", "a"]) == [0]
+        # a match is taken before going up, so the last "a" is matched
+        assert _lcs_positions(["a", "b", "a"], ["a"]) == [2]
 
 
 class TestSentenceStats:
@@ -388,7 +360,7 @@ def pairwise_lcs(versions, references):
         starts = list(itertools.accumulate(map(len, ref), initial=0))
         for v, version in enumerate(vs):
             for ref_sent, start in zip(ref, starts):
-                for pos in lcs_positions(ref_sent, version):
+                for pos in _lcs_positions(ref_sent, version):
                     lcs[j, v, start + pos] = True
     return lcs
 
@@ -408,7 +380,8 @@ def lcs_records(draw):
 
 class TestSplitLcs:
     """The LCS entries of `split_entries`, aligned in lockstep over all
-    pairs of a split, against one `_lcs_positions` call per pair."""
+    pairs of a split, against the textbook table of `_lcs_positions`, one
+    call per pair."""
 
     @settings(max_examples=150, deadline=None)
     @given(records=lcs_records(), entries=st.sampled_from([1, 64, rouge.LCS_ENTRIES]))

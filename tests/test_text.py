@@ -133,15 +133,15 @@ class TestDocumentInvariants:
     @pytest.mark.parametrize(
         "tokens",
         [("ok", ""), ("", "ok"), ("a b",), ("ok", "a\tb"), ("\x1c",), ("ok", "a\u2028b"),
-         ("ok", 5), (None, "a b"), ("a b", 5), ("ok", b"x", "")],
+         ("ok", 5), (None, "a b"), ("a b", 5), ("ok", b"x", ""), (b"x",)],
         ids=["empty", "empty-first", "space", "tab", "file-separator", "line-separator",
-             "int", "none-first", "space-then-int", "bytes-then-empty"],
+             "int", "none-first", "space-then-int", "bytes-then-empty", "bytes"],
     )
     def test_bad_token_raises_what_a_per_token_check_raises(self, tokens):
         # the one join-and-split comparison falls back to checking each token
         def per_token(tokens):
             for t in tokens:
-                if t.split() != [t]:
+                if not isinstance(t, str) or t.split() != [t]:
                     raise ValueError(f"bad token {t!r}")
 
         with pytest.raises(Exception) as want:
