@@ -211,6 +211,11 @@ def cmd_evaluate(args) -> int:
     params, enc_config = _load_checkpoint(cfg, args.checkpoint)
     out = _out_dir(cfg)
     pairs = _paired_split(cfg, "test", out, oracle.cache_header(cfg))
+    if cfg.extractor == "greedy":
+        # a test-time extractor never sees the reference; the greedy one
+        # picks the sentences that score best against it
+        raise ValueError("evaluate needs extractor lead: extractor greedy picks sentences by scoring them against "
+                         "the test references; set extractor to lead and rerun sumedit label --split test")
     report = trainer.evaluate(pairs, params, enc_config, cfg.reward_weights())
     report_path = out / "evaluation.json"
     with text.atomic_open(report_path) as fh:

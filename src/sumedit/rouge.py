@@ -21,11 +21,11 @@ The one-example-at-a-time builder these replaced is the slow reference in
 tests/reference.py.
 
 `reward` aligns one pair of sentences at a time with `_lcs_positions`, the
-textbook LCS table. `split_entries` aligns every (version, reference
-sentence) pair of its split that shares a token at once, in lockstep
-(`_lcs_matched`: the bit-vector LCS of Allison & Dix 1986, with the same
-canonical traceback); it is the program's one LCS engine, and
-`_lcs_positions` is the reference it is tested against.
+textbook LCS table. `split_entries` runs that table and its traceback for
+every (version, reference sentence) pair of its split that shares a token
+at once, in lockstep (`_lcs_matched`). The program and its reference run one
+recurrence, and `_lcs_positions` is the reference `_lcs_matched` is tested
+against.
 """
 from __future__ import annotations
 
@@ -269,26 +269,10 @@ def _ngrams_of(ids: list[int], lengths: list[int]) -> tuple[np.ndarray, ...]:
     return tokens, sentence, tokens[inner], tokens[inner + 1], sentence[inner]
 
 
-# Bound on the LCS row words (hits x words, over its pairs) of one block of
-# (version, reference sentence) pairs in `_lcs_matched`.
-LCS_ENTRIES = 1 << 16
-# bit b of a word, and its bits 0 .. b
-_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-_UP_TO = (_BIT << np.uint64(1)) - np.uint64(1)
-
-
-def _mask_words(key, version, pos) -> tuple[np.ndarray, ...]:
-    """The words of every version's mask of every key its tokens have, from
-    the key, the version and the position of each token: (key, version,
-    word, mask) of each nonzero word, sorted by key, version and word."""
-    order = np.lexsort((pos, version, key))
-    key, version, pos = key[order], version[order], pos[order]
-    word = pos >> 6
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = (key[1:] != key[:-1]) | (version[1:] != version[:-1]) | (word[1:] != word[:-1])
-    starts = np.flatnonzero(new)
-    mask = np.bitwise_or.reduceat(_BIT[pos & 63], starts)
-    return key[starts], version[starts], word[starts], mask
+# Bound on the padded LCS table cells ((most hits + 1) x (longest version +
+# 1), over its pairs) of one block of (version, reference sentence) pairs in
+# `_lcs_matched`; a block of one pair may exceed it.
+LCS_ENTRIES = 1 << 18
 
 
 def _lcs_matched(ref_key, ref_sentence, key, version, pos, length, sentences) -> np.ndarray:
@@ -302,122 +286,89 @@ def _lcs_matched(ref_key, ref_sentence, key, version, pos, length, sentences) ->
     version g has `length[g]` tokens, and its example's reference
     `sentences[g]` sentences.
 
-    A pair keeps row i of its LCS table dp (over the reference sentence's
-    first i tokens and the version's first j) as bits over the version's C
-    positions, in W = ceil(C / 64) uint64 words (Allison & Dix 1986): bit
-    j-1 is clear exactly where dp[i][j] = dp[i][j-1] + 1, so
-    dp[i][j] = j - popcount(row & (2^j - 1)). Row 0 is all ones; for the row
-    v above it and u = v & m, m the version's mask of reference token i (the
-    positions that hold it), row i is (v + u) | (v - u) cut to C bits. A
-    reference token the version lacks leaves the row above unchanged, so
-    only the rows of the pair's hits, the reference tokens it has, are
-    computed. The join of the reference tokens with the masks of equal key
-    gives every pair that shares a token, with its hits in order. Pairs
-    sorted by (W, hits) go in blocks of at most LCS_ENTRIES row words, and
-    each block runs in lockstep: the forward pass over the hit rows, where
-    only the add carries across words (u is a subset of v, so v - u is
-    v ^ u), then the traceback over the pairs still inside their table,
-    straight up through the rows that are not hits.
+    A reference token the version lacks leaves the row above in the pair's
+    LCS table unchanged, so only the rows of the pair's hits, the reference
+    tokens it has, are computed. The join of the reference tokens with the
+    version tokens of equal key gives every pair that shares a token, with
+    its hits in order. Pairs sorted by hits go in blocks of at most
+    LCS_ENTRIES padded table cells, and each block runs `_lcs_positions`'s
+    table and traceback in lockstep (`_lcs_block`).
     """
     if not len(key):
         return np.zeros(0, dtype=np.int64)
-    key, version, word, mask = _mask_words(key, version, pos)
-    # the join, in order of r and then of (version, word): entry e is
-    # reference token r against mask word u of its key; version g has a pair
-    # with each of the `sentences[g]` reference sentences of its example
+    order = np.lexsort((pos, version, key))
+    key, version, pos = key[order], version[order], pos[order]
+    # the join, in order of r and then of (version, pos): entry e is
+    # reference token r against version token u of its key; version g has a
+    # pair with each of the `sentences[g]` reference sentences of its example
     lo, hi = np.searchsorted(key, ref_key), np.searchsorted(key, ref_key, side="right")
     n = hi - lo
     r = np.repeat(np.arange(len(ref_key)), n)
     u = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
     pair = (np.cumsum(sentences) - sentences)[version[u]] + ref_sentence[r]
-    first_word = np.ones(len(key), dtype=bool)  # of a (key, version) mask
-    first_word[1:] = (key[1:] != key[:-1]) | (version[1:] != version[:-1])
-    hits = np.bincount(pair[first_word[u]], minlength=int(sentences.sum()))
+    first = np.ones(len(key), dtype=bool)  # of a (key, version) run: one hit per pair it joins
+    first[1:] = (key[1:] != key[:-1]) | (version[1:] != version[:-1])
+    hits = np.bincount(pair[first[u]], minlength=int(sentences.sum()))
     shared = np.flatnonzero(hits)
-    C = length[np.repeat(np.arange(len(sentences)), sentences)[shared]]
-    W = np.maximum(1, (C + 63) // 64)
-
-    # the pairs that share a token, sorted by (W, hits), so that a block has
-    # one W and its pairs with more than h hits are a suffix; a stable sort
-    # keeps each pair's entries in order of r
-    by_size = np.lexsort((hits[shared], W))
+    shared = shared[np.argsort(hits[shared], kind="stable")]
     rank = np.empty(len(hits), dtype=np.int64)
-    rank[shared[by_size]] = np.arange(len(by_size))
+    rank[shared] = np.arange(len(shared))
+    # the pairs that share a token, in ascending order of hits, so that a
+    # block's pairs with more than h hits are a suffix; a stable sort keeps
+    # each pair's entries in order of r
     order = np.argsort(rank[pair], kind="stable")
     r, u, pair = r[order], u[order], rank[pair[order]]
-    W, hits, C = W[by_size], hits[shared[by_size]], C[by_size]
-    hit = np.cumsum(first_word[u]) - 1 - (np.cumsum(hits) - hits)[pair]
+    hits, C = hits[shared], length[np.repeat(np.arange(len(sentences)), sentences)[shared]]
+    hit = np.cumsum(first[u]) - 1 - (np.cumsum(hits) - hits)[pair]
     target = version[u] * len(ref_key) + r
     matched = []
     start = 0
-    while start < len(W):
-        w = int(W[start])
-        stop = int(np.searchsorted(W, w, side="right"))
-        size = np.cumsum(hits[start:stop]) * w
-        end = start + max(1, int(np.searchsorted(size, LCS_ENTRIES, side="right")))
+    while start < len(hits):
+        # no block from `start` holds more pairs: a later pair has at least as many cells
+        most = max(1, LCS_ENTRIES // int((hits[start] + 1) * (C[start] + 1)))
+        h, c = hits[start : start + most] + 1, np.maximum.accumulate(C[start : start + most]) + 1
+        end = start + max(1, int(np.searchsorted(h * c * np.arange(1, len(h) + 1), LCS_ENTRIES, side="right")))
         e = slice(*np.searchsorted(pair, [start, end]))
-        block = slice(start, end)
-        matched.append(_lcs_block(pair[e] - start, hit[e], word[u[e]], mask[u[e]], target[e], hits[block], C[block], w))
+        matched.append(_lcs_block(pair[e] - start, hit[e], pos[u[e]], target[e], hits[start:end], C[start:end]))
         start = end
     return np.concatenate(matched)
 
 
-def _lcs_block(pair, hit, word, mask, target, hits, C, W) -> np.ndarray:
-    """`_lcs_matched` of one block of P pairs of W-word rows, in ascending
-    order of `hits`: entry e sets word `word[e]` of hit `hit[e]` of pair
-    `pair[e]` to `mask[e]` and names that hit's reference token `target[e]`;
-    pair p has `hits[p]` hits and a version of `C[p]` tokens."""
-    P, H = len(C), int(hits[-1])
-    # hit h of the pairs p >= lo[h] (those with more than h hits) is slot
-    # start[h] + p, so the slots of one hit are one slice
-    lo = np.searchsorted(hits, np.arange(H), side="right")
-    start = np.cumsum(P - lo) - (P - lo) - lo
-    slot = start[hit] + pair
-    masks = np.zeros((int(hits.sum()), W), dtype=np.uint64)
-    masks[slot, word] = mask
-    targets = np.zeros(len(masks), dtype=np.int64)
-    targets[slot] = target
-    # bits 0 .. C - 1 of each row
-    fill = np.clip(C[:, None] - 64 * np.arange(W), 0, 64)
-    full = np.where(fill == 64, ~np.uint64(0), (np.uint64(1) << np.minimum(fill, 63).astype(np.uint64)) - 1)
-    above = np.empty_like(masks)  # the row above each hit
-    v = full.copy()
-    for h, first in enumerate(lo.tolist()):
-        rows = slice(start[h] + first, start[h] + P)
-        x = v[first:]
-        above[rows] = x
-        u = x & masks[rows]
-        s = x + u
-        carry = np.zeros(len(x), dtype=bool)
-        for w in range(1, W):
-            a, b = x[:, w - 1], s[:, w - 1]
-            carry = (b < a) | (carry & (b == a))
-            s[:, w] += carry
-        v[first:] = (s | (x ^ u)) & full[first:]
-    ones = np.bitwise_count(above)
-    below = np.cumsum(ones, axis=1, dtype=np.int64) - ones  # set bits in the words below
+def _lcs_block(pair, hit, pos, target, hits, C) -> np.ndarray:
+    """`_lcs_matched` of one block of P pairs, in ascending order of `hits`:
+    entry e matches hit `hit[e]` of pair `pair[e]`, whose reference token
+    has key `target[e]`, with token `pos[e]` of the pair's version; pair p
+    has `hits[p]` hits and a version of `C[p]` tokens."""
+    P, H, W = len(C), int(hits[-1]), int(C.max())
+    # dp[p, k, j]: the LCS table of pair p over its reference sentence up to
+    # hit k (row 0: none) and its version's first j tokens; match[p, k, j]:
+    # whether hit k is the version's token j. A row never falls from left to
+    # right and rises by at most one a column, so the textbook cell is the
+    # running maximum of max(above[j], above[j-1] + match) along the row.
+    dp = np.zeros((P, H + 1, W + 1), dtype=np.min_scalar_type(H))
+    match = np.zeros(dp.shape, dtype=bool)
+    match[pair, hit + 1, pos + 1] = True
+    targets = np.zeros((P, H + 1), dtype=np.int64)
+    targets[pair, hit + 1] = target
+    for k, lo in enumerate(np.searchsorted(hits, np.arange(H), side="right").tolist()):
+        above = dp[lo:, k]  # the pairs with more than k hits
+        np.maximum.accumulate(np.maximum(above[:, 1:], above[:, :-1] + match[lo:, k + 1, 1:]), axis=1,
+                              out=dp[lo:, k + 1, 1:])
 
-    # The traceback, pair p at hit k (the row of its reference token) and
-    # column j, where the LCS table dp holds d: diagonal on a match, else up
-    # when dp one row up (the row above hit k) is at least dp one column
-    # left. Without a match dp[i][j] = max(dp[i - 1][j], dp[i][j - 1]), so
-    # that is when dp one row up is d, and d stays.
-    d = C - np.bitwise_count(v).sum(axis=1, dtype=np.int64)
-    p = np.flatnonzero(d > 0)
-    state = np.stack([p, hits[p] - 1, C[p] - 1, d[p]])  # p, k, j - 1, d
+    # The traceback, at the flat cells of the pairs while dp is positive:
+    # diagonal on a match, else up when dp one row up is at least dp one
+    # column left, else left. The table would go straight up through the
+    # reference tokens between two hits, so they have no rows.
+    dp, match = dp.ravel(), match.ravel()
+    at = (np.arange(P) * (H + 1) + hits) * (W + 1) + C
     matched = []
-    while state.shape[1]:
-        p, k, col, d = state
-        at, w, bit = start[k] + p, col >> 6, col & 63
-        match = (masks[at, w] & _BIT[bit]) != 0
-        matched.append(at[match])
-        up = col + 1 - below[at, w] - np.bitwise_count(above[at, w] & _UP_TO[bit])
-        go_up = up >= d
-        k -= match | go_up
-        col -= match | ~go_up
-        d -= match
-        state = state[:, d > 0]
-    return targets[np.concatenate(matched)]
+    while len(at):
+        diagonal = match[at]
+        matched.append(at[diagonal])
+        up = diagonal | (dp[at - W - 1] >= dp[at - 1])
+        at = at - up * (W + 1) - (diagonal | ~up)
+        at = at[dp[at] > 0]
+    return targets.ravel()[np.concatenate(matched) // (W + 1)]
 
 
 class SplitEntries:

@@ -126,8 +126,9 @@ def _records(path, highlights_required: bool = True):
     Structural problems raise DatasetError naming the file and line
     ("<path>:<line>: ..."): invalid JSON, a record that is not an object, a
     missing field (highlights may be missing unless `highlights_required`), a
-    non-string id, an id that an earlier line already has, or sentences that
-    are not a list of strings.
+    non-string id, an id with a line break (any that `str.splitlines` splits
+    on), an id that an earlier line already has, or sentences that are not a
+    list of strings.
     """
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -145,6 +146,9 @@ def _records(path, highlights_required: bool = True):
                     raise DatasetError(f"{path}:{lineno}: missing field {field!r}")
             if not isinstance(rec["id"], str):
                 raise DatasetError(f"{path}:{lineno}: id must be a string")
+            # `summarize` prints each id on a header line of its own
+            if "".join(rec["id"].splitlines()) != rec["id"]:
+                raise DatasetError(f"{path}:{lineno}: id must not contain a line break")
             first = first_line.setdefault(rec["id"], lineno)
             if first != lineno:
                 raise DatasetError(f"{path}:{lineno}: duplicate id {rec['id']!r} (first at line {first})")

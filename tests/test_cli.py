@@ -48,6 +48,9 @@ def workspace(tmp_path):
     return tmp_path
 
 
+GOOD_RECORD = {"id": "x", "article_sentences": ["a b"], "highlights": ["a b"]}
+
+
 class TestIngest:
     def test_valid_file_report(self, tmp_path, capsys):
         text.write_dataset(make_corpus(2, seed=0, k=1), tmp_path / "in.jsonl")
@@ -73,6 +76,15 @@ class TestIngest:
         assert cli.main(["ingest", str(tmp_path / "mid.jsonl"), str(tmp_path / "out.jsonl")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report == {"accepted": 3, "rejected": 0, "reject_reasons": []}
+
+    @pytest.mark.parametrize("line_break", ["\n", "\u2028"], ids=["newline", "line-separator"])
+    def test_id_with_a_line_break_is_refused(self, tmp_path, capsys, line_break):
+        """An id is one header line of `summarize`'s output."""
+        record = {"id": f"a{line_break}# b", "article_sentences": ["a b"], "highlights": ["a b"]}
+        (tmp_path / "in.jsonl").write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+        assert cli.main(["ingest", str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'in.jsonl'}:2: id must not contain a line break\n")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_unreadable_input_fails(self, tmp_path, capsys):
         rc = cli.main(["ingest", str(tmp_path / "missing.jsonl"), str(tmp_path / "out.jsonl")])
@@ -417,7 +429,7 @@ class TestLabelFailureLog:
 
 
 # Runs one command through `cli.run()`, the process entry point, and reports
-# its exit status and whether `logging` was imported.
+# its exit status and which of `logging` and `numpy.ma` were imported.
 # `cli.run()` ends a command that returns with `os._exit`, and one that
 # raises SystemExit the normal way; the probe reports the code of either.
 RUN_PROBE = (
@@ -425,7 +437,8 @@ RUN_PROBE = (
     "from sumedit import cli\n"
     "sys.argv[0] = 'sumedit'\n"
     "def report(code):\n"
-    "    print('exit', code, 'logging' in sys.modules, file=sys.stderr, flush=True)\n"
+    "    imported = [m for m in ('logging', 'numpy.ma') if m in sys.modules]\n"
+    "    print('exit', code, *imported, file=sys.stderr, flush=True)\n"
     "exit_now = os._exit\n"
     "os._exit = lambda code: report(code) or exit_now(code)\n"
     "try:\n"
@@ -440,18 +453,22 @@ def run_entry_point(*argv):
     proc = subprocess.run(
         [sys.executable, "-c", RUN_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
     )
-    _, code, imported = proc.stderr.splitlines()[-1].split()
-    return int(code), imported == "True", proc
+    _, code, *imported = proc.stderr.splitlines()[-1].split()
+    return int(code), imported, proc
 
 
 class TestNoCommandImportsLogging:
     """Warnings are lines that `text.warn` prints to stderr, so no command
     imports `logging` (and the threading and traceback modules it loads),
-    whether it warns or not."""
+    whether it warns or not. No command imports `numpy.ma` either: numpy 2.4
+    imports it on a first plain `np.unique(x)`, one without index, inverse
+    or counts, which adds about 10 ms to a command."""
 
     def test_clean_commands_do_not_import_logging(self, workspace):
-        cfg = str(write_config(workspace))
-        greedy = str(write_config(workspace, extractor="greedy"))
+        # `write_config` writes one file, so the greedy config is copied away first
+        greedy = workspace / "greedy.json"
+        greedy.write_text(write_config(workspace, extractor="greedy").read_text())
+        cfg, greedy = str(write_config(workspace)), str(greedy)
         ckpt = str(checkpoint(workspace, [0.0, 0.0, 0.0]))
         commands = [
             ["label", "--config", cfg, "--split", "train", "--split", "val", "--split", "test"],
@@ -462,12 +479,12 @@ class TestNoCommandImportsLogging:
         ]
         for argv in commands:
             code, imported, proc = run_entry_point(*argv)
-            assert (code, imported) == (0, False), (argv[0], proc.stderr)
+            assert (code, imported) == (0, []), (argv[0], proc.stderr)
 
     def test_a_failed_example_warns_without_it(self, workspace):
         cfg = str(write_config(workspace, cap=2))  # every extract has l = 3
         code, imported, proc = run_entry_point("label", "--config", cfg, "--split", "val")
-        assert (code, imported) == (1, False)
+        assert (code, "logging" in imported) == (1, False)
         failed = [ln for ln in proc.stderr.splitlines() if "labeling failed" in ln]
         assert len(failed) == 6 and all(ln.startswith("WARNING sumedit.oracle: labeling failed: ") for ln in failed)
 
@@ -495,7 +512,11 @@ class TestNoCommandScoresOneSummary:
             ["summarize", "--config", cfg, "--checkpoint", ckpt, "--document", str(workspace / "test.jsonl")],
         ]
         for argv in commands:
-            assert cli.main(argv) == 0, (argv[0], capsys.readouterr().err)
+            code, err = cli.main(argv), capsys.readouterr().err
+            if (argv[0], extractor) == ("evaluate", "greedy"):
+                assert (code, err) == (1, GREEDY_EVALUATE)
+            else:
+                assert code == 0, (argv[0], err)
 
 
 def duplicate_first_id(path):
@@ -652,7 +673,24 @@ def checkpoint(tmp_path, bias):
     return path
 
 
+GREEDY_EVALUATE = (
+    "error: evaluate needs extractor lead: extractor greedy picks sentences by scoring them against the test "
+    "references; set extractor to lead and rerun sumedit label --split test\n"
+)
+
+
 class TestSummarizeAndEvaluate:
+    def test_evaluate_refuses_greedy_extracts(self, workspace, capsys):
+        """Greedy test extracts are chosen from the references they are
+        scored against, so `evaluate` writes no report for them."""
+        ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
+        cfg = str(write_config(workspace, extractor="greedy"))
+        assert cli.main(["label", "--config", cfg, "--split", "test"]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr() == ("", GREEDY_EVALUATE)
+        assert not (workspace / "out" / "evaluation.json").exists()
+
     def test_all_extract_annotations(self, workspace, capsys):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
@@ -758,6 +796,13 @@ class TestSummarizeInput:
         assert captured.err.startswith(f"error: {workspace / 'docs.jsonl'}:1: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("line_break", ["\n", "\u2028"], ids=["newline", "line-separator"])
+    def test_id_with_a_line_break_is_refused(self, workspace, capsys, line_break):
+        """Printed, the id would make a second header: a document `b`."""
+        records = [GOOD_RECORD, {"id": f"a{line_break}# b", "article_sentences": ["a b c"]}]
+        assert self.summarize(workspace, records) == 1
+        assert capsys.readouterr() == ("", f"error: {workspace / 'docs.jsonl'}:2: id must not contain a line break\n")
 
     def test_no_usable_records_exits_1(self, workspace, capsys):
         assert self.summarize(workspace, []) == 1

@@ -365,9 +365,9 @@ def pairwise_lcs(versions, references):
     return lcs
 
 
-# Versions of 0, 1, 63, 64, 65 and 130+ tokens (one, two and three words),
-# over one to three tokens (many tied alignments) plus one no reference has;
-# reference sentences of up to 80 tokens.
+# Versions of 0, 1, 63, 64, 65 and 130+ tokens (tables up to 141 columns
+# wide), over one to three tokens (many tied alignments) plus one no
+# reference has; reference sentences of up to 80 tokens.
 @st.composite
 def lcs_records(draw):
     alphabet = "abc"[: draw(st.integers(1, 3))]
@@ -387,7 +387,7 @@ class TestSplitLcs:
     @given(records=lcs_records(), entries=st.sampled_from([1, 64, rouge.LCS_ENTRIES]))
     # no version shares a token with the reference, and one has no versions
     @example(records=[((("x",) * 70, ("x",)), (("a", "b"),)), ((), (("a",),))], entries=1)
-    # a two-word and a three-word version in one block of a few pairs
+    # an 80-token and a 130-token version, against 70- and 1-token reference sentences
     @example(records=[((("a", "b") * 40, ("b",) * 130), (("b", "a") * 35, ("a",)))], entries=64)
     def test_equals_per_pair_alignment(self, records, entries):
         versions, references = [list(vs) for vs, _ in records], [ref for _, ref in records]
@@ -398,23 +398,34 @@ class TestSplitLcs:
             got = lcs_rows(split_entries(versions, references), versions, references)
         assert got.shape == want.shape and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("entries", [1, 64])
+    @pytest.mark.parametrize("entries", [1, 64, rouge.LCS_ENTRIES])
     def test_small_blocks_equal_one_block(self, monkeypatch, entries):
-        """Blocks of one pair, and of a few pairs cut inside a group of equal
-        word count, give the rows of one block per group."""
+        """Blocks of one pair, and of a few pairs whose padded tables, (most
+        hits + 1) x (longest version + 1) cells a pair, fit in LCS_ENTRIES
+        cells, give the rows of one block of all pairs."""
         rng = random.Random(5)
         versions = [[tuple(rng.choices("abcz", k=rng.choice([3, 40, 70, 135]))) for _ in range(6)] for _ in range(4)]
         references = [[tuple(rng.choices("abc", k=rng.choice([4, 30, 90]))) for _ in range(3)] for _ in range(4)]
-        whole = split_entries(versions, references).matches
         blocks = []
         real = rouge._lcs_block
-        monkeypatch.setattr(rouge, "_lcs_block", lambda *a: (blocks.append(len(a[-2])), real(*a))[1])
+
+        def block(pair, hit, pos, target, hits, C):
+            blocks.append((len(C), (int(hits.max()) + 1) * (int(C.max()) + 1) * len(C)))
+            return real(pair, hit, pos, target, hits, C)
+
+        monkeypatch.setattr(rouge, "_lcs_block", block)
+        monkeypatch.setattr(rouge, "LCS_ENTRIES", 1 << 40)
+        whole = split_entries(versions, references).matches
+        assert len(blocks) == 1
+        blocks.clear()
         monkeypatch.setattr(rouge, "LCS_ENTRIES", entries)
         got = split_entries(versions, references)
         assert np.array_equal(got.matches, whole)
         assert np.array_equal(lcs_rows(got, versions, references), pairwise_lcs(versions, references))
         sharing = sum(bool(set(v) & set(r)) for vs, ref in zip(versions, references) for v in vs for r in ref)
-        assert sum(blocks) == sharing and (max(blocks) == 1) == (entries == 1)
+        pairs = [p for p, _ in blocks]
+        assert sum(pairs) == sharing and (max(pairs) == 1) == (entries == 1)
+        assert all(p == 1 or cells <= entries for p, cells in blocks)
 
 
 class TestRougeN:

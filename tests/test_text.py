@@ -74,6 +74,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: " + r"invalid JSON \(nested too deeply\)$"):
             load_dataset(path)
 
+    # every line break that `str.splitlines` splits on, and the pair \r\n
+    @pytest.mark.parametrize("line_break", [*"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\r\n"])
+    def test_id_with_a_line_break_names_line(self, tmp_path, line_break):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [GOOD, dict(GOOD, id=f"doc{line_break}2")])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: id must not contain a line break$"):
+            load_dataset(path)
+
+    def test_empty_id_loads(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [dict(GOOD, id="")])
+        assert [ex.document.id for ex in load_dataset(path)] == [""]
+
     def test_three_sentence_article_indices(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_lines(path, [GOOD])
