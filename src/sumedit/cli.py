@@ -13,9 +13,13 @@ layers it runs (`layers` in `build_parser`: `label` runs the oracle and
 summarizers, `train` and `evaluate` the editor and trainer, `summarize` the
 editor, encoder and summarizers) and imports them in its `cmd_*` function,
 calling them through their module attributes. Only the commands that
-extract or abstract import `summarizers`. Each command builds the label
-cache header of its resolved config once (`oracle.cache_header`): `label`
-writes it, and `train` and `evaluate` pass it to `oracle.read_label_cache`.
+extract or abstract import `summarizers`, and `label` imports no network
+code (`editor`, `encoder`). Each command builds the label cache header of
+its resolved config once (`oracle.cache_header`): `label` writes it over
+the labels of that same config (`oracle.label_dataset(examples, cfg)`), and
+`train` and `evaluate` pass it to `oracle.read_label_cache`. `summarize`
+extracts through `summarizers.extract`, or `extract_lead` on bare articles.
+`evaluate` refuses `extractor: greedy` before it reads anything, and
 `summarize` and `evaluate` refuse a config whose `hidden_m`, `encoder_n` or
 `hash_seed` disagrees with the checkpoint. `run()`, the process entry point,
 works in this order: it disables the collector, parses the arguments,
@@ -85,15 +89,13 @@ def cmd_label(args) -> int:
 
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    extractor = cfg.make_extractor()
-    abstractor = cfg.make_abstractor()
     header = oracle.cache_header(cfg)
     status = 0
     for split in args.splits:
         examples = text.load_dataset(_dataset_path(cfg, split))
         cache_path = out / f"labels_{split}.jsonl"
         start = time.monotonic()
-        labeled, _ = oracle.label_dataset(examples, extractor, abstractor, weights=cfg.reward_weights(), cap=cfg.cap)
+        labeled, _ = oracle.label_dataset(examples, cfg)
         oracle.write_label_cache(cache_path, labeled, header)
         elapsed = time.monotonic() - start
         print(f"{split}: labeled {len(labeled)}/{len(examples)} in {elapsed:.1f}s -> {cache_path}", file=sys.stderr)
@@ -151,7 +153,7 @@ def _load_checkpoint(cfg: ExperimentConfig, path):
 def _print_summary(document, extract, abstractions, row) -> None:
     """Each extracted sentence with its decision (its abstraction on A), then
     the summary that the E and A lines make."""
-    from .editor import ABSTRACT, DECISIONS, REJECT
+    from .text import ABSTRACT, DECISIONS, REJECT
 
     print(f"# {document.id}")
     kept = []
@@ -171,27 +173,28 @@ def cmd_summarize(args) -> int:
     cfg = _load_config(args)
     params, enc_config = _load_checkpoint(cfg, args.checkpoint)
     abstractor = cfg.make_abstractor()
-    greedy = cfg.extractor == "greedy"
-    if greedy:
-        # The greedy extractor scores against the reference, so highlights
-        # are required; the lead extractor works on bare articles.
+    # The greedy extractor scores against the reference, so highlights are
+    # required; the lead extractor works on bare articles, which have no
+    # reference to make an `Example` of.
+    if cfg.extractor == "greedy":
         examples = text.load_dataset(args.document)
         documents = [ex.document for ex in examples]
+
+        def extracts_of(chunk):
+            return summarizers.extract([examples[j] for j in chunk], cfg)
     else:
         documents = text.load_documents(args.document)
+
+        def extracts_of(chunk):
+            return [summarizers.extract_lead(documents[j], cfg.k) for j in chunk]
     if not documents:
         raise ValueError(f"no usable records in {args.document}")
     # Documents are extracted, encoded and decoded one decode pass at a
     # time, so memory stays bounded and each pass is printed before the
     # next is extracted.
-    for start in range(0, len(documents), editor.DECODE_CHUNK):
-        chunk = range(start, min(start + editor.DECODE_CHUNK, len(documents)))
-        if greedy:
-            extracts = summarizers.extract_greedy_oracle(
-                [examples[j] for j in chunk], cfg.k, cfg.reward_weights()
-            )
-        else:
-            extracts = [summarizers.extract_lead(documents[j], cfg.k) for j in chunk]
+    for start in range(0, len(documents), text.DECODE_CHUNK):
+        chunk = range(start, min(start + text.DECODE_CHUNK, len(documents)))
+        extracts = extracts_of(chunk)
         abstractions = [
             editor.abstractions_for(documents[j], extract, abstractor) for j, extract in zip(chunk, extracts)
         ]
@@ -208,14 +211,15 @@ def cmd_evaluate(args) -> int:
     from . import oracle, text, trainer
 
     cfg = _load_config(args)
+    if cfg.extractor == "greedy":
+        # a test-time extractor never sees the reference; the greedy one
+        # picks the sentences that score best against it. Refused before
+        # anything is read or made.
+        raise ValueError("evaluate needs extractor lead: extractor greedy picks sentences by scoring them against "
+                         "the test references; set extractor to lead and rerun sumedit label --split test")
     params, enc_config = _load_checkpoint(cfg, args.checkpoint)
     out = _out_dir(cfg)
     pairs = _paired_split(cfg, "test", out, oracle.cache_header(cfg))
-    if cfg.extractor == "greedy":
-        # a test-time extractor never sees the reference; the greedy one
-        # picks the sentences that score best against it
-        raise ValueError("evaluate needs extractor lead: extractor greedy picks sentences by scoring them against "
-                         "the test references; set extractor to lead and rerun sumedit label --split test")
     report = trainer.evaluate(pairs, params, enc_config, cfg.reward_weights())
     report_path = out / "evaluation.json"
     with text.atomic_open(report_path) as fh:

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .rouge import RewardWeights
 from .text import atomic_open, read_json_object
 
 if TYPE_CHECKING:
     from .encoder import EncoderConfig
-    from .summarizers import SalienceAbstractor
+    from .summarizers import Abstractor, ExtractResult
+    from .text import Example
 
 # Every config field of `ExperimentConfig`: the type it takes and its default.
 FIELDS = {
@@ -103,16 +104,17 @@ class ExperimentConfig:
 
         return EncoderConfig(n=self.encoder_n, hash_seed=self.hash_seed)
 
-    # `summarizers` is imported by the commands that extract or abstract
-    # only, so `train` and `evaluate` do not compile it.
-    def make_extractor(self):
-        from .summarizers import GreedyOracleExtractor, LeadExtractor
+    # One example, or one (document, extract), at a time: `summarize`
+    # abstracts through `make_abstractor`, and the benchmark's reference
+    # scoring (perfbench) calls both. `summarizers` is imported by the
+    # commands that extract or abstract only, so `train` and `evaluate` do
+    # not compile it.
+    def make_extractor(self) -> Callable[[Example], ExtractResult]:
+        from . import summarizers
 
-        if self.extractor == "greedy":
-            return GreedyOracleExtractor(k=self.k, weights=self.reward_weights())
-        return LeadExtractor(k=self.k)
+        return lambda example: summarizers.extract([example], self)[0]
 
-    def make_abstractor(self) -> SalienceAbstractor:
-        from .summarizers import SalienceAbstractor
+    def make_abstractor(self) -> Abstractor:
+        from .summarizers import abstract_extract
 
-        return SalienceAbstractor(ratio=self.abstract_ratio)
+        return lambda document, extract: abstract_extract(document, extract, self.abstract_ratio)

@@ -31,23 +31,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .text import Document, atomic_open, read_json_object
+from . import text
+from .encoder import EncoderConfig, SplitVectors, encode_split
+from .text import ABSTRACT, EXTRACT, REJECT, Document, atomic_open, read_json_object
 
 if TYPE_CHECKING:
-    # `encoder` is imported where it is used, so that `label`, which uses
-    # the decisions and `abstractions_for` but encodes nothing, does not
-    # import it; nor do `train` and `evaluate` import `summarizers`.
-    from .encoder import EncoderConfig, SplitVectors
+    # `train` and `evaluate` do not import `summarizers`
     from .summarizers import Abstractor, ExtractResult
     from .trainer import Stream
 
 LOG_CLAMP = 1e-12
-
-
-# A decision is an index into DECISIONS, the letter that files and output
-# write for it; argmax ties therefore break E > A > R.
-DECISIONS = "EAR"
-EXTRACT, ABSTRACT, REJECT = range(3)
 
 PARAM_NAMES = ("W_c", "b_c", "V", "b", "W_g", "W_d", "b_d")
 
@@ -120,8 +113,10 @@ def abstractions_for(
 ) -> tuple[tuple[str, ...], ...]:
     """Abstracted version of every extracted sentence, in extract order.
 
-    `label` and `summarize` call the abstractor through this function, which
-    the benchmark's tracer (perfbench) wraps by name."""
+    `summarize` calls the abstractor through this function, which the
+    benchmark's tracer (perfbench) wraps by name; `label` calls
+    `summarizers.abstract_extract` itself, so that it imports no network
+    code."""
     return abstractor(document, extract)
 
 
@@ -132,8 +127,6 @@ def context_from_abstractions(
     config: EncoderConfig,
 ) -> SplitVectors:
     """The vectors of one example: `encode_split` of a one-document split."""
-    from .encoder import encode_split
-
     return encode_split([document], [extract.order], [abstractions], config)
 
 
@@ -262,25 +255,20 @@ def forward(batch: Batch, params: EditorParams) -> ForwardPass:
     return ForwardPass(d, g, x, t, p, q)
 
 
-# Most extracts one batched decode pass holds at once; the arrays of a pass
-# grow with it, so longer inputs are decoded in passes of this size.
-DECODE_CHUNK = 256
-
-
 def decode(vectors: SplitVectors, params: EditorParams) -> np.ndarray:
     """Greedy free-running decode of every extract in batched passes of at
-    most DECODE_CHUNK extracts: argmax decision per step, ties E > A > R.
-    Step i needs p_i, so the steps run one after another, and a pass keeps
-    only the running state, one step's inputs and the decisions.
+    most `text.DECODE_CHUNK` extracts: argmax decision per step, ties
+    E > A > R. Step i needs p_i, so the steps run one after another, and a
+    pass keeps only the running state, one step's inputs and the decisions.
 
-    Returns the decisions (N, L), indices into DECISIONS that are REJECT past
+    Returns the decisions (N, L), indices into `text.DECISIONS`, REJECT past
     each extract's end.
     """
     N = len(vectors.lengths)
     n = params.n
     decisions = np.full((N, vectors.ea.shape[0]), REJECT, dtype=np.intp)
-    for start in range(0, N, DECODE_CHUNK):
-        chunk = slice(start, start + DECODE_CHUNK)
+    for start in range(0, N, text.DECODE_CHUNK):
+        chunk = slice(start, start + text.DECODE_CHUNK)
         lengths = vectors.lengths[chunk]
         x = np.empty((len(lengths), 4 * n))
         x[:, 2 * n : 3 * n] = 0.0
@@ -377,8 +365,6 @@ def load_checkpoint(path) -> tuple[EditorParams, EncoderConfig]:
     """The editor and encoder settings a checkpoint holds (`n` is the width
     of both). A file that is not a checkpoint of this version raises
     ValueError naming it."""
-    from .encoder import EncoderConfig
-
     payload = read_json_object(path)
     try:
         if (version := payload.get("version")) != CHECKPOINT_VERSION:

@@ -7,20 +7,21 @@ OR-ed over the `(3,)*l` grid, one decision axis at a time, and the summed
 statistics are scored with `reward`'s float expressions, so no summary is
 realized and every reward is bit-identical to `reward` on it. The best
 sequence and prefix-conditioned reward averages yield one soft label
-distribution per step. A dataset is labeled in runs of consecutive
-examples: a run's extracts come from one `summarizers.extract_batch` call,
-the statistics of its examples within the cap from one `split_entries`
-call, and its examples of one extract length share one stacked
-(N,)+(3,)*l grid and one `best_sequence` and `soft_labels` call, in
-batches of at most CHUNK_ENTRIES grid entries. Each batch gets a dense
-record of its own (`SplitEntries.stats`: its examples' 2l versions, over
-the columns and reference positions they touch); no record spans the run.
-`write_label_cache` writes them to a reproducible line-delimited JSON cache
-under the header `cache_header` builds from the resolved config;
-`read_label_cache`, its one reader, decides in one pass whether a cache
-belongs to a run.
+distribution per step. A dataset is labeled under the resolved config, in
+runs of consecutive examples: a run's extracts come from one
+`summarizers.extract` call and their abstractions from
+`summarizers.abstract_extract`, the statistics of its examples within the
+cap from one `split_entries` call, and its examples of one extract length
+share one stacked (N,)+(3,)*l grid and one `best_sequence` and
+`soft_labels` call, in batches of at most CHUNK_ENTRIES grid entries. Each
+batch gets a dense record of its own (`SplitEntries.stats`: its examples'
+2l versions, over the columns and reference positions they touch); no
+record spans the run. `write_label_cache` writes them to a reproducible
+line-delimited JSON cache under the header `cache_header` builds from the
+same config; `read_label_cache`, its one reader, decides in one pass
+whether a cache belongs to a run.
 
-A decision is an index into `editor.DECISIONS` (E = 0, A = 1, R = 2), and a
+A decision is an index into `text.DECISIONS` (E = 0, A = 1, R = 2), and a
 sequence is a tuple of them; only the cache writes their letters. An
 extract's 2l sentence versions are laid out by `sentence_versions` (the
 E versions 0..l-1, then the A versions l..2l-1), and `chosen_versions`
@@ -35,15 +36,15 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import editor, slots_eq
-from .editor import ABSTRACT, DECISIONS, EXTRACT, REJECT
+from . import slots_eq, text
 # `reward` stays a module attribute: the benchmark's tracer (perfbench) wraps
 # `oracle.reward` by name.
 from .rouge import RewardWeights, SplitStats, reward, split_entries
-from .text import Document, Example, atomic_open, json_line, warn
+from .text import ABSTRACT, DECISIONS, EXTRACT, REJECT, Document, Example, atomic_open, json_line, warn
 
 if TYPE_CHECKING:
-    from .summarizers import Abstractor, ExtractResult, Extractor
+    from .config import ExperimentConfig
+    from .summarizers import ExtractResult
 
 DEFAULT_CAP = 12
 
@@ -212,27 +213,23 @@ def soft_labels(rewards: np.ndarray, best: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _label_chunk(
-    examples: Sequence[Example],
-    extractor: Extractor,
-    abstractor: Abstractor,
-    weights: RewardWeights,
-    cap: int,
-) -> list[LabeledExample | LabelingError]:
-    """Label one run of consecutive examples: their extracts come from one
-    `extract_batch` call, the statistics of every example within the cap
-    from one `split_entries` call, and the examples of each extract length
-    l share one grid, `best_sequence` and `soft_labels` call per batch of
-    at most CHUNK_ENTRIES grid entries, on a record of the batch alone. An
-    example whose extract exceeds the cap gets a LabelingError in its
-    place. `label_dataset` calls it once per run of at most
-    `editor.DECODE_CHUNK` examples."""
+def _label_chunk(examples: Sequence[Example], cfg: ExperimentConfig) -> list[LabeledExample | LabelingError]:
+    """Label one run of consecutive examples under the resolved config:
+    their extracts come from one `summarizers.extract` call, the statistics
+    of every example within `cfg.cap` from one `split_entries` call, and the
+    examples of each extract length l share one grid, `best_sequence` and
+    `soft_labels` call per batch of at most CHUNK_ENTRIES grid entries, on a
+    record of the batch alone. An example whose extract exceeds the cap
+    gets a LabelingError in its place. `label_dataset` calls it once per
+    run of at most `text.DECODE_CHUNK` examples."""
     # imported here, so that `train` and `evaluate`, which read caches but
     # extract nothing, do not import `summarizers`
-    from .summarizers import extract_batch
+    from . import summarizers
 
-    extracts = extract_batch(extractor, examples)
-    abstractions = [editor.abstractions_for(ex.document, e, abstractor) for ex, e in zip(examples, extracts)]
+    cap, weights = cfg.cap, cfg.reward_weights()
+    extracts = summarizers.extract(examples, cfg)
+    abstractions = [summarizers.abstract_extract(ex.document, e, cfg.abstract_ratio)
+                    for ex, e in zip(examples, extracts)]
     within = [j for j, e in enumerate(extracts) if len(e.order) <= cap]
     entries = split_entries(
         [sentence_versions(examples[j], extracts[j].order, abstractions[j]) for j in within],
@@ -268,29 +265,20 @@ def _label_chunk(
     return results
 
 
-def label_example(
-    example: Example,
-    extractor: Extractor,
-    abstractor: Abstractor,
-    weights: RewardWeights = RewardWeights(),
-    cap: int = DEFAULT_CAP,
-) -> LabeledExample:
-    """Label one example; an extract past the cap raises LabelingError."""
-    (result,) = _label_chunk([example], extractor, abstractor, weights, cap)
+def label_example(example: Example, cfg: ExperimentConfig) -> LabeledExample:
+    """Label one example under the resolved config; an extract past the cap
+    raises LabelingError."""
+    (result,) = _label_chunk([example], cfg)
     if isinstance(result, LabelingError):
         raise result
     return result
 
 
-def label_dataset(
-    examples: Sequence[Example],
-    extractor: Extractor,
-    abstractor: Abstractor,
-    weights: RewardWeights = RewardWeights(),
-    cap: int = DEFAULT_CAP,
-) -> tuple[list[LabeledExample], list[str]]:
-    """Label a dataset, in runs of `editor.DECODE_CHUNK` consecutive
-    examples (the last run may be shorter), one run at a time.
+def label_dataset(examples: Sequence[Example], cfg: ExperimentConfig) -> tuple[list[LabeledExample], list[str]]:
+    """Label a dataset under the resolved config (its extractor, `k`,
+    `abstract_ratio`, reward weights and `cap`, the settings `cache_header`
+    records), in runs of `text.DECODE_CHUNK` consecutive examples (the last
+    run may be shorter), one run at a time.
 
     Returns (labeled examples in input order, per-example failure messages).
     The same inputs give the same labels, so `write_label_cache` writes a
@@ -298,9 +286,9 @@ def label_dataset(
     """
     labeled: list[LabeledExample] = []
     failures: list[str] = []
-    for start in range(0, len(examples), editor.DECODE_CHUNK):
-        run = examples[start : start + editor.DECODE_CHUNK]
-        for example, result in zip(run, _label_chunk(run, extractor, abstractor, weights, cap)):
+    for start in range(0, len(examples), text.DECODE_CHUNK):
+        run = examples[start : start + text.DECODE_CHUNK]
+        for example, result in zip(run, _label_chunk(run, cfg)):
             if isinstance(result, LabelingError):
                 failures.append(f"{example.document.id}: {result}")
                 warn(__name__, "labeling failed: %s", failures[-1])

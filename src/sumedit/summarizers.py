@@ -1,30 +1,27 @@
-"""Extractor and abstractor interfaces with deterministic defaults.
+"""The extractors and the salience abstractor, deterministic.
 
-Extractors return the selected sentence order plus a selection likelihood
-P(s) in (0, 1] for every sentence, a tuple indexed by sentence. The greedy
-oracle extractor runs on a batch of documents at once
-(`extract_greedy_oracle`), in one pass over the batch's sentences as flat
-rows: one `rouge.split_entries` call, then each step scores every
-candidate from the selection's integer ROUGE totals plus the candidate's
-marginal ones, which come from its nonzero n-gram counts and matched
-reference positions alone (clipping is per n-gram, Lin 2004, §3.1), read
-by their column and position numbers, flat over the batch. Its
-per-example callable (`GreedyOracleExtractor`) is the one-document batch,
-and `extract_batch` hands a whole batch to it. An abstractor maps
-(document, extract) to the abstractions: one non-empty token tuple per
-extracted sentence, in extract order. The salience abstractor
+An extract is the selected sentence order plus a selection likelihood
+P(s) in (0, 1] for every sentence, a tuple indexed by sentence.
+`extract(examples, cfg)` is the one dispatch on the config's extractor:
+the lead extractor (`extract_lead`) per document, or the greedy oracle
+extractor (`extract_greedy_oracle`) on the whole batch at once, in one pass
+over the batch's sentences as flat rows: one `rouge.split_entries` call,
+then each step scores every candidate from the selection's integer ROUGE
+totals plus the candidate's marginal ones, which come from its nonzero
+n-gram counts and matched reference positions alone (clipping is per
+n-gram, Lin 2004, §3.1), read by their column and position numbers, flat
+over the batch. The abstractions of an extract are one non-empty token
+tuple per extracted sentence, in extract order. The salience abstractor
 (`abstract_extract`) scores the tokens of each extracted sentence's chunk
 of up to three consecutive sentences, rescales them by the owning
 sentence's P(s) (`rescale_attention`), and compresses the center sentence
 to its most salient tokens, over flat lists of the chunk's tokens; the
 per-chunk path it replaced is the slow reference in `tests/reference.py`.
-Third-party extractors/abstractors plug in behind the same contracts
-(determinism, P(s) in (0,1], non-empty abstraction).
 """
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +32,9 @@ from .rouge import (
     BIGRAM_OVERLAP, BIGRAMS, LCS_MATCHES, TOKENS, UNIGRAM_OVERLAP, RewardWeights, f_measures, reward, split_entries,
 )
 from .text import Document, Example
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 STOPWORDS = frozenset(
     """a an and are as at be but by for from has have he her his i in is it its
@@ -63,11 +63,9 @@ class ExtractResult:
     __eq__ = slots_eq
 
 
-class Extractor(Protocol):
-    def __call__(self, example: Example) -> ExtractResult: ...
-
-
 class Abstractor(Protocol):
+    """What `ExperimentConfig.make_abstractor` returns."""
+
     def __call__(self, document: Document, extract: ExtractResult) -> tuple[tuple[str, ...], ...]: ...
 
 
@@ -167,12 +165,13 @@ def extract_greedy_oracle(
     return results
 
 
-def extract_batch(extractor: Extractor, examples: Sequence[Example]) -> list[ExtractResult]:
-    """`extractor` applied to every example; the greedy oracle extractor
-    takes them as one batch."""
-    if isinstance(extractor, GreedyOracleExtractor):
-        return extract_greedy_oracle(examples, extractor.k, extractor.weights)
-    return [extractor(ex) for ex in examples]
+def extract(examples: Sequence[Example], cfg: ExperimentConfig) -> list[ExtractResult]:
+    """The extract of every example under the config's `extractor` and `k`,
+    in input order: one `extract_greedy_oracle` batch, or `extract_lead` of
+    each document."""
+    if cfg.extractor == "greedy":
+        return extract_greedy_oracle(examples, cfg.k, cfg.reward_weights())
+    return [extract_lead(ex.document, cfg.k) for ex in examples]
 
 
 def rescale_attention(weights: Sequence[float], likelihoods: Sequence[float]) -> list[float]:
@@ -201,9 +200,12 @@ def abstract_extract(document: Document, extract: ExtractResult, ratio: float) -
     weight, ties to the earlier token) first covers `ratio` of the center's
     weight, so it is never empty.
 
-    Raises ValueError naming the example if the extract's likelihood misses
-    a chunk sentence or a chunk's weights add to zero.
+    Raises ValueError if `ratio` is outside (0, 1], and one naming the
+    example if the extract's likelihood misses a chunk sentence or a chunk's
+    weights add to zero.
     """
+    if not 0 < ratio <= 1:
+        raise ValueError("ratio must lie in (0, 1]")
     sentences, likelihood, out = document.sentences, extract.likelihood, []
     for i in extract.order:
         if not 0 <= i < len(sentences):
@@ -236,36 +238,3 @@ def abstract_extract(document: Document, extract: ExtractResult, ratio: float) -
                 break
         out.append(tuple(sentences[i].tokens[pos] for pos in sorted(kept)))
     return tuple(out)
-
-
-class LeadExtractor:
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def __call__(self, example: Example) -> ExtractResult:
-        return extract_lead(example.document, self.k)
-
-
-class GreedyOracleExtractor:
-    __slots__ = ("k", "weights")
-
-    def __init__(self, k: int, weights: RewardWeights = RewardWeights()):
-        self.k = k
-        self.weights = weights
-
-    def __call__(self, example: Example) -> ExtractResult:
-        return extract_greedy_oracle([example], self.k, self.weights)[0]
-
-
-class SalienceAbstractor:
-    __slots__ = ("ratio",)
-
-    def __init__(self, ratio: float = 0.8):
-        if not 0 < ratio <= 1:
-            raise ValueError("ratio must lie in (0, 1]")
-        self.ratio = ratio
-
-    def __call__(self, document: Document, extract: ExtractResult) -> tuple[tuple[str, ...], ...]:
-        return abstract_extract(document, extract, self.ratio)

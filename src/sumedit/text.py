@@ -3,6 +3,10 @@
 Datasets are line-delimited JSON, one record per line:
     {"id": str, "article_sentences": [str, ...], "highlights": [str, ...]}
 Strings are space-separated tokens (the corpus is assumed pre-tokenized).
+
+The decisions every layer names (E, A, R) and the run size that `label`,
+`train`, `evaluate` and `summarize` work in (DECODE_CHUNK) live here too, so
+that a command reads them without importing the network.
 """
 from __future__ import annotations
 
@@ -13,6 +17,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import slots_eq
+
+# A decision is an index into DECISIONS, the letter that files and output
+# write for it; argmax ties therefore break E > A > R.
+DECISIONS = "EAR"
+EXTRACT, ABSTRACT, REJECT = range(3)
+
+# Most extracts one batched pass holds at once: the editor decodes, and
+# `label` and `train` build their records, in runs of this size, so the
+# arrays of a run stay bounded. Readers look it up as `text.DECODE_CHUNK`
+# when they run.
+DECODE_CHUNK = 256
 
 
 def warn(name: str, message: str, *args) -> None:

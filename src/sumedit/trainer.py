@@ -27,7 +27,7 @@ sentence versions (`oracle.sentence_versions`: an extract's sentences, then
 its abstractions), so its ROUGE totals follow from the nonzero entries of
 the versions it chooses. The entries of a split are computed once (before
 the first epoch for validation), one `rouge.split_entries` record per run
-of at most `editor.DECODE_CHUNK` examples. `oracle.chosen_versions` marks
+of at most `text.DECODE_CHUNK` examples. `oracle.chosen_versions` marks
 the versions the decisions choose, `SplitEntries.totals` sums and clips
 their entries into integer totals, and `rouge.f_measures` turns those into
 F-measures bit-identical to `rouge.reward` on every summary.
@@ -41,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import editor
+from . import text
 from .config import ExperimentConfig
-from .editor import ABSTRACT, DECISIONS, REJECT, EditorParams, decode, forced_batch, loss_and_gradients
+from .editor import EditorParams, decode, forced_batch, loss_and_gradients
 from .encoder import EncoderConfig, SplitVectors, encode_split
 from .oracle import LabeledExample, chosen_versions, sentence_versions
 # `context_from_abstractions` and `reward` stay module attributes although
@@ -51,7 +51,7 @@ from .oracle import LabeledExample, chosen_versions, sentence_versions
 # `trainer.context_from_abstractions` and `trainer.reward` by name.
 from .editor import context_from_abstractions
 from .rouge import RewardWeights, SplitEntries, f_measures, reward, split_entries
-from .text import Example
+from .text import ABSTRACT, DECISIONS, REJECT, Example
 
 LabeledPair = tuple[Example, LabeledExample]
 
@@ -137,8 +137,9 @@ def _targets(pairs: Sequence[LabeledPair], vectors: SplitVectors) -> tuple[np.nd
 
 def _entries(pairs: Sequence[LabeledPair]) -> list[SplitEntries]:
     """The `split_entries` of a split's `oracle.sentence_versions` against
-    their references, one record per run of at most DECODE_CHUNK pairs."""
-    runs = (pairs[start : start + editor.DECODE_CHUNK] for start in range(0, len(pairs), editor.DECODE_CHUNK))
+    their references, one record per run of at most `text.DECODE_CHUNK`
+    pairs."""
+    runs = (pairs[start : start + text.DECODE_CHUNK] for start in range(0, len(pairs), text.DECODE_CHUNK))
     return [
         split_entries([sentence_versions(ex, lab.order, lab.abstractions) for ex, lab in run],
                       [ex.reference for ex, _ in run])

@@ -6,9 +6,10 @@ from itertools import chain
 import numpy as np
 
 from sumedit import oracle
-from sumedit.editor import ABSTRACT, EXTRACT, LOG_CLAMP, REJECT, EditorParams, forced_batch
+from sumedit.editor import LOG_CLAMP, EditorParams, forced_batch
 from sumedit.rouge import RewardWeights, _lcs_positions, _pooled_ngrams, f_measures
 from sumedit.summarizers import STOPWORD_SCORE, STOPWORDS, UNSELECTED_LIKELIHOOD
+from sumedit.text import ABSTRACT, EXTRACT, REJECT
 
 
 def soft_cross_entropy(distributions, labels) -> float:

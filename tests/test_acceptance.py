@@ -17,13 +17,8 @@ from synthetic import document_from_strings, make_corpus
 from sumedit import cli, text
 from sumedit.config import ExperimentConfig
 from sumedit.editor import (
-    ABSTRACT,
-    DECISIONS,
-    EXTRACT,
     PARAM_NAMES,
-    REJECT,
     EditorParams,
-    abstractions_for,
     context_from_abstractions,
     decode,
     forward,
@@ -33,8 +28,8 @@ from sumedit.editor import (
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
 from sumedit.oracle import enumerate_rewards, label_dataset, realize
 from sumedit.rouge import RewardWeights, reward, rouge_l, rouge_n
-from sumedit.summarizers import LeadExtractor, SalienceAbstractor, extract_lead, rescale_attention
-from sumedit.text import Example, ReferenceSummary
+from sumedit.summarizers import abstract_extract, extract_lead, rescale_attention
+from sumedit.text import ABSTRACT, DECISIONS, EXTRACT, REJECT, Example, ReferenceSummary
 from sumedit.trainer import Stream, evaluate, train
 
 E, A, R = EXTRACT, ABSTRACT, REJECT
@@ -89,7 +84,7 @@ def random_gradient_instance(seed):
     doc = document_from_strings(f"g{seed}", sents)
     cfg = EncoderConfig(n=n, hash_seed=seed)
     extract = extract_lead(doc, l)
-    abstractions = abstractions_for(doc, extract, SalienceAbstractor(0.7))
+    abstractions = abstract_extract(doc, extract, 0.7)
     vectors = context_from_abstractions(doc, extract, abstractions, cfg)
     params = init_params(m, n, rng)
     params.flat[:] += rng.normal(0, 0.3, size=params.flat.size)
@@ -303,7 +298,7 @@ def test_criterion_6_recurrence_identities():
     ex = make_example(["a b c", "d e f", "g h"], ["a b c"])
     cfg = EncoderConfig(n=10)
     extract = extract_lead(ex.document, 3)
-    abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
+    abstractions = abstract_extract(ex.document, extract, 0.8)
     vectors = context_from_abstractions(ex.document, extract, abstractions, cfg)
     params = init_params(4, 10, np.random.default_rng(0))
     params.flat[:] = 0.0
@@ -324,11 +319,10 @@ def test_criterion_7_end_to_end_learning():
     train_ex = make_corpus(2000, seed=1, k=k)
     val_ex = make_corpus(200, seed=2, k=k, id_prefix="val")
     test_ex = make_corpus(200, seed=3, k=k, id_prefix="test")
-    extractor = LeadExtractor(k + 2)
-    abstractor = SalienceAbstractor(ratio=0.95)
-    tr_lab, f1 = label_dataset(train_ex, extractor, abstractor)
-    va_lab, f2 = label_dataset(val_ex, extractor, abstractor)
-    te_lab, f3 = label_dataset(test_ex, extractor, abstractor)
+    labeling = ExperimentConfig(k=k + 2, abstract_ratio=0.95)
+    tr_lab, f1 = label_dataset(train_ex, labeling)
+    va_lab, f2 = label_dataset(val_ex, labeling)
+    te_lab, f3 = label_dataset(test_ex, labeling)
     assert not (f1 or f2 or f3)
     cfg = ExperimentConfig(encoder_n=24, hash_seed=7, batch_size=32, epochs=20, seed=0, lr=1e-4)
     enc = cfg.encoder_config()
@@ -423,7 +417,7 @@ def test_criterion_9_reproducible_cli_runs(tmp_path):
 
 def test_criterion_10_reporting():
     examples = make_corpus(3, seed=4, k=1, id_prefix="rep")
-    labeled, failures = label_dataset(examples, LeadExtractor(3), SalienceAbstractor(0.95))
+    labeled, failures = label_dataset(examples, ExperimentConfig(k=3, abstract_ratio=0.95))
     assert not failures
     pairs = list(zip(examples, labeled))
     enc = EncoderConfig(n=12, hash_seed=7)

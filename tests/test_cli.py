@@ -630,10 +630,14 @@ class TestLabelCacheHeader:
                                          ("evaluate", "test", "evaluation.json")):
             extra = ["--checkpoint", str(ckpt)] if command == "evaluate" else []
             assert cli.main([command, "--config", cfg, *extra]) == 1
-            assert capsys.readouterr().err == (
-                f"error: {workspace / 'out' / f'labels_{split}.jsonl'}: labeled with {name} {labeled}, "
-                f"config has {name} {changed}; rerun sumedit label --split {split}\n"
-            )
+            err = capsys.readouterr().err
+            if (command, changed) == ("evaluate", "greedy"):
+                assert err == GREEDY_EVALUATE  # refused before the cache is read
+            else:
+                assert err == (
+                    f"error: {workspace / 'out' / f'labels_{split}.jsonl'}: labeled with {name} {labeled}, "
+                    f"config has {name} {changed}; rerun sumedit label --split {split}\n"
+                )
             assert not (workspace / "out" / artifact).exists()
 
     # a version-1 header has no label settings
@@ -691,6 +695,16 @@ class TestSummarizeAndEvaluate:
         assert capsys.readouterr() == ("", GREEDY_EVALUATE)
         assert not (workspace / "out" / "evaluation.json").exists()
 
+    def test_evaluate_refuses_greedy_before_reading_anything(self, workspace, capsys):
+        """With no checkpoint file and no label cache, the refusal is still
+        the one that can help, and no output directory is made."""
+        out = workspace / "new-out"
+        cfg = str(write_config(workspace, extractor="greedy", out_dir=str(out)))
+        missing = str(workspace / "no-checkpoint.json")
+        assert cli.main(["evaluate", "--config", cfg, "--checkpoint", missing]) == 1
+        assert capsys.readouterr() == ("", GREEDY_EVALUATE)
+        assert not out.exists()
+
     def test_all_extract_annotations(self, workspace, capsys):
         ckpt = checkpoint(workspace, [0.0, 0.0, 0.0])
         cfg = write_config(workspace)
@@ -728,10 +742,10 @@ class TestSummarizeAndEvaluate:
         for extractor in ("lead", "greedy"):
             argv = ["summarize", "--config", str(write_config(workspace, extractor=extractor)),
                     "--checkpoint", str(ckpt), "--document", str(workspace / "test.jsonl")]
-            monkeypatch.setattr(editor, "DECODE_CHUNK", 256)
+            monkeypatch.setattr(text, "DECODE_CHUNK", 256)
             assert cli.main(argv) == 0
             whole = capsys.readouterr().out
-            monkeypatch.setattr(editor, "DECODE_CHUNK", 2)
+            monkeypatch.setattr(text, "DECODE_CHUNK", 2)
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == whole
             ids = [ex.document.id for ex in text.load_dataset(workspace / "test.jsonl")]
@@ -937,13 +951,15 @@ class TestStartup:
         assert proc.stdout.strip() == "[] 0"
 
     def test_label_never_imports_trainer(self, workspace):
+        """`label` compiles no network code: it reads the decisions and the
+        run size from `text` and abstracts through `summarizers`."""
         cfg = write_config(workspace)
         proc = run_child("-X", "importtime", "-m", "sumedit.cli", "label", "--config", str(cfg),
                          "--split", "val")
         assert proc.returncode == 0, proc.stderr
         modules = imported_modules(proc.stderr)
-        assert "sumedit.oracle" in modules
-        assert not {"sumedit.trainer", "sumedit.encoder"} & modules
+        assert {"sumedit.oracle", "sumedit.summarizers"} <= modules
+        assert not {"sumedit.editor", "sumedit.encoder", "sumedit.trainer"} & modules
 
     def test_train_and_evaluate_import_neither_numpy_random_nor_summarizers(self, workspace):
         cfg = write_config(workspace)

@@ -15,16 +15,12 @@ from reference import (
     vectors_loss_and_gradients,
 )
 from synthetic import document_from_strings
-from sumedit import editor
+from sumedit import editor, text
 from sumedit.editor import (
-    ABSTRACT,
-    EXTRACT,
     PARAM_NAMES,
-    REJECT,
     EditorParams,
     ForwardPass,
     forced_batch,
-    abstractions_for,
     context_from_abstractions,
     decode,
     forward,
@@ -35,8 +31,8 @@ from sumedit.editor import (
 )
 from sumedit.encoder import EncoderConfig, SplitVectors, encode_split
 from sumedit.oracle import realize
-from sumedit.summarizers import SalienceAbstractor, extract_lead
-from sumedit.text import Example, ReferenceSummary
+from sumedit.summarizers import abstract_extract, extract_lead
+from sumedit.text import ABSTRACT, EXTRACT, REJECT, Example, ReferenceSummary
 
 
 def zero_params(m, n):
@@ -179,7 +175,7 @@ class TestEdit:
     def context(self, sentences):
         ex = make_example(sentences)
         extract = extract_lead(ex.document, len(sentences))
-        abstractions = abstractions_for(ex.document, extract, SalienceAbstractor(0.8))
+        abstractions = abstract_extract(ex.document, extract, 0.8)
         vectors = context_from_abstractions(ex.document, extract, abstractions, self.CFG)
         return ex, extract, abstractions, vectors
 
@@ -285,8 +281,7 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         ex = make_example(["a b c", "d e f", "g h i", "j k"][: l + 1])
         extract = extract_lead(ex.document, l)
-        abstractor = SalienceAbstractor(0.7)
-        abstractions = abstractions_for(ex.document, extract, abstractor)
+        abstractions = abstract_extract(ex.document, extract, 0.7)
         vectors = context_from_abstractions(ex.document, extract, abstractions, self.CFG)
         params = init_params(4, 6, rng)
         perturb(params, rng, 0.2)
@@ -495,7 +490,7 @@ class TestBatchedAgainstReference:
             widths.append(len(e_bar))
             return document_vectors(e_bar, params)
 
-        monkeypatch.setattr(editor, "DECODE_CHUNK", 3)
+        monkeypatch.setattr(text, "DECODE_CHUNK", 3)
         monkeypatch.setattr(editor, "_document_vectors", counted)
         chunked = decode(vectors, params)
         assert widths == [3, 3, 2]

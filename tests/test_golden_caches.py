@@ -6,7 +6,9 @@ l = 1 .. 7, one extract of l = 10 and the greedy extractor at k = 4, each
 labeled by `label_dataset` and written by `write_label_cache` under a
 header of the default reward weights and cap only, plus one cache that
 `sumedit label` writes from a config file: its header carries the config's
-label settings, and its 300 examples span two runs of `editor.DECODE_CHUNK`. A change that alters the
+label settings, and its 300 examples span two runs of `text.DECODE_CHUNK`.
+On the same corpora, `summarizers.extract` gives each document the extract
+that the lead or greedy extractor gives it alone. A change that alters the
 cache format or any label on purpose updates these hashes and says so in
 CHANGES.md. Labeling uses no BLAS product, so the bytes do not depend on
 the matrix library.
@@ -18,7 +20,7 @@ more than 2e-3 in probability, far above any difference of rounding.
 
 The `train_log.jsonl`, `checkpoint.json` and `evaluation.json` of one
 seeded `sumedit label` -> `train` -> `evaluate` run are pinned too; its val
-and test splits each span two runs of `editor.DECODE_CHUNK`, so scoring
+and test splits each span two runs of `text.DECODE_CHUNK`, so scoring
 crosses a record boundary. Training sums BLAS products into its floats, so
 these three pins hold for one matrix library build (they were recorded with
 the OpenBLAS 0.3.31 that numpy bundles, on its AVX-512 SkylakeX kernels); on
@@ -34,10 +36,12 @@ import numpy as np
 import pytest
 
 from synthetic import make_example
-from sumedit import cli, editor, text
+from sumedit import cli, editor, summarizers, text
+from sumedit.config import ExperimentConfig
 from sumedit.encoder import EncoderConfig
 from sumedit.oracle import label_dataset, write_label_cache
-from sumedit.summarizers import GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
+from sumedit.rouge import RewardWeights
+from sumedit.summarizers import extract_greedy_oracle, extract_lead
 
 
 def corpus(seed, ks, prefix):
@@ -45,37 +49,60 @@ def corpus(seed, ks, prefix):
     return [make_example(f"{prefix}-{j:03d}", rng, k=k) for j, k in enumerate(ks)]
 
 
-def mixed_lead(example):
-    """Lead extract of 1 + j % 7 sentences for example j: l = 1 .. 7 in one run."""
-    j = int(example.document.id.rsplit("-", 1)[1])
-    return extract_lead(example.document, 1 + j % 7)
+def summarize_corpus():
+    return corpus(7, [j % 5 for j in range(60)], "sum")
 
 
+def mixed_lead(examples, cfg):
+    """Lead extract of 1 + j % 7 sentences for example j: l = 1 .. 7 in one
+    run. No config makes this extractor, so it stands in for
+    `summarizers.extract`."""
+    return [extract_lead(ex.document, 1 + int(ex.document.id.rsplit("-", 1)[1]) % 7) for ex in examples]
+
+
+# (examples, config fields besides abstract_ratio 0.8 or None for
+#  `mixed_lead`, extract lengths, digest)
 CASES = {
-    "lead-l4": (lambda: corpus(21, [2] * 60, "lead"), LeadExtractor(4), {4},
+    "lead-l4": (lambda: corpus(21, [2] * 60, "lead"), {"k": 4}, {4},
                 "f0a5316147a22027fb0226b49cde30d792b60fac5063d23a536c9f6c7c62f616"),
-    "mixed-l1-7": (lambda: corpus(22, [5 + j % 4 for j in range(42)], "mixed"), mixed_lead, set(range(1, 8)),
+    "mixed-l1-7": (lambda: corpus(22, [5 + j % 4 for j in range(42)], "mixed"), None, set(range(1, 8)),
                    "88bf275f75554dbba3f0aba0cdbde9e110132ed835b6b4416fb682f23b23449b"),
-    "l10": (lambda: corpus(23, [8], "ten"), LeadExtractor(10), {10},
+    "l10": (lambda: corpus(23, [8], "ten"), {"k": 10}, {10},
             "55b099392199d50588749fed2afb8f55846593d75dc678b372de115b08cbeab3"),
-    "greedy-k4": (lambda: corpus(24, [j % 9 for j in range(45)], "greedy"), GreedyOracleExtractor(4), {1, 2, 3, 4},
-                  "4de20a01410a2c3d082a7712be3e554f4e2c60c7cc483217afb90a6a9e869678"),
+    "greedy-k4": (lambda: corpus(24, [j % 9 for j in range(45)], "greedy"), {"extractor": "greedy", "k": 4},
+                  {1, 2, 3, 4}, "4de20a01410a2c3d082a7712be3e554f4e2c60c7cc483217afb90a6a9e869678"),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_cache_bytes_are_recorded(tmp_path, name):
-    examples, extractor, lengths, digest = CASES[name]
+def test_cache_bytes_are_recorded(tmp_path, monkeypatch, name):
+    examples, settings, lengths, digest = CASES[name]
+    if settings is None:
+        monkeypatch.setattr(summarizers, "extract", mixed_lead)
     path = tmp_path / "labels.jsonl"
-    labeled, failures = label_dataset(examples(), extractor, SalienceAbstractor(0.8))
+    labeled, failures = label_dataset(examples(), ExperimentConfig(abstract_ratio=0.8, **(settings or {})))
     write_label_cache(path, labeled, {"cache_version": 3, "reward_weights": [0.4, 1.0, 0.5], "cap": 12})
     assert failures == [] and {len(lab.best) for lab in labeled} == lengths
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", [*CASES, "summarize"])
+def test_extract_gives_each_document_its_own_extract(name):
+    """`extract` equals the one-example extractors it replaced: the lead
+    extract of each document, and the greedy extract of a one-example
+    batch."""
+    examples = CASES[name][0]() if name in CASES else summarize_corpus()
+    weights = RewardWeights(0.3, 0.9, 0.6)
+    for k in (3, 4, 10):
+        lead = ExperimentConfig(extractor="lead", k=k, alpha=0.3, beta=0.9, gamma=0.6)
+        greedy = ExperimentConfig(extractor="greedy", k=k, alpha=0.3, beta=0.9, gamma=0.6)
+        assert summarizers.extract(examples, lead) == [extract_lead(ex.document, k) for ex in examples]
+        assert summarizers.extract(examples, greedy) == [extract_greedy_oracle([ex], k, weights)[0] for ex in examples]
+
+
 def test_cache_written_by_label_command_is_recorded(tmp_path):
     examples = corpus(25, [2] * 300, "cli")
-    assert len(examples) > editor.DECODE_CHUNK
+    assert len(examples) > text.DECODE_CHUNK
     text.write_dataset(examples, tmp_path / "train.jsonl")
     config = {"train_path": str(tmp_path / "train.jsonl"), "k": 4, "abstract_ratio": 0.9,
               "out_dir": str(tmp_path / "out")}
@@ -98,7 +125,7 @@ SUMMARIZE_DIGESTS = {
 
 @pytest.mark.parametrize("extractor", SUMMARIZE_DIGESTS)
 def test_summarize_stdout_is_recorded(tmp_path, capsys, extractor):
-    text.write_dataset(corpus(7, [j % 5 for j in range(60)], "sum"), tmp_path / "docs.jsonl")
+    text.write_dataset(summarize_corpus(), tmp_path / "docs.jsonl")
     params = editor.init_params(16, 16, np.random.default_rng(8))
     params.flat[:] *= 3
     params.b[:] = np.random.default_rng(9).normal(0, 0.5, 3)
@@ -128,7 +155,7 @@ def pipeline_digests(tmp_path) -> dict[str, str]:
     """The sha256 of each file in PIPELINE_DIGESTS after one seeded `sumedit
     label` -> `train` -> `evaluate` run in tmp_path."""
     sizes = {"train": 24, "val": 260, "test": 260}
-    assert min(sizes["val"], sizes["test"]) > editor.DECODE_CHUNK
+    assert min(sizes["val"], sizes["test"]) > text.DECODE_CHUNK
     for seed, (split, n) in enumerate(sizes.items(), 40):
         text.write_dataset(corpus(seed, [j % 5 for j in range(n)], split), tmp_path / f"{split}.jsonl")
     config = {f"{split}_path": str(tmp_path / f"{split}.jsonl") for split in sizes}

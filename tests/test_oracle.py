@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import best_sequence, soft_labels
 from synthetic import document_from_strings
-from sumedit import oracle
+from sumedit import oracle, text
 from sumedit.config import ExperimentConfig
-from sumedit.editor import ABSTRACT, EXTRACT, REJECT, abstractions_for
 from sumedit.oracle import (
     cache_header,
     enumerate_rewards,
@@ -23,8 +22,8 @@ from sumedit.oracle import (
 )
 from sumedit.rouge import RewardWeights, SplitEntries, SplitStats, reward
 from sumedit import summarizers
-from sumedit.summarizers import ExtractResult, GreedyOracleExtractor, LeadExtractor, SalienceAbstractor, extract_lead
-from sumedit.text import Example, ReferenceSummary
+from sumedit.summarizers import ExtractResult, abstract_extract, extract_lead
+from sumedit.text import ABSTRACT, EXTRACT, REJECT, Example, ReferenceSummary
 
 E, A, R = EXTRACT, ABSTRACT, REJECT
 
@@ -383,7 +382,7 @@ class TestLabelDataset:
         """An empty split is written as a header-only cache, which a run
         refuses to train or evaluate on."""
         path = tmp_path / "labels.jsonl"
-        labeled, failures = label_dataset([], LeadExtractor(2), SalienceAbstractor(0.8))
+        labeled, failures = label_dataset([], ExperimentConfig(k=2))
         assert labeled == [] and failures == []
         write_label_cache(path, labeled, HEADER)
         (line,) = path.read_text().splitlines()
@@ -394,18 +393,18 @@ class TestLabelDataset:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        labeled, _ = label_dataset(self.EXAMPLES, ExperimentConfig(k=2))
         write_label_cache(path, labeled, HEADER)
         pairs = read_label_cache(path, HEADER, self.EXAMPLES[::-1], "train")
         assert [lab for _, lab in pairs] == labeled
         assert all(ex is want for (ex, _), want in zip(pairs, self.EXAMPLES))
 
     def test_matches_per_example_calls(self):
-        extractor, abstractor = LeadExtractor(2), SalienceAbstractor(0.8)
-        labeled, failures = label_dataset(self.EXAMPLES, extractor, abstractor)
+        cfg = ExperimentConfig(k=2)
+        labeled, failures = label_dataset(self.EXAMPLES, cfg)
         assert failures == []
         for ex, lab in zip(self.EXAMPLES, labeled):
-            direct = label_example(ex, extractor, abstractor)
+            direct = label_example(ex, cfg)
             assert lab == direct
 
     @pytest.mark.parametrize("chunk", [2, 3, 256])
@@ -424,13 +423,13 @@ class TestLabelDataset:
                          [sentence() for _ in range(int(rng.integers(1, 3)))], f"c{j}")
             for j in range(7)
         ]
-        extractor, abstractor = LeadExtractor(4), SalienceAbstractor(0.8)
-        monkeypatch.setattr(oracle.editor, "DECODE_CHUNK", chunk)
-        labeled, failures = label_dataset(examples, extractor, abstractor, cap=3)
+        cfg = ExperimentConfig(k=4, cap=3)
+        monkeypatch.setattr(text, "DECODE_CHUNK", chunk)
+        labeled, failures = label_dataset(examples, cfg)
         want, want_failures = [], []
         for ex in examples:
             try:
-                want.append(label_example(ex, extractor, abstractor, cap=3))
+                want.append(label_example(ex, cfg))
             except oracle.LabelingError as exc:
                 want_failures.append(f"{ex.document.id}: {exc}")
         assert labeled == want and failures == want_failures
@@ -453,9 +452,9 @@ class TestLabelDataset:
             make_example([sentence() for _ in range(n)], [sentence() for _ in range(int(rng.integers(1, 3)))], f"m{j}")
             for j, n in enumerate([3, 6, 1, 5, 2, 6, 4, 3, 1, 5, 2, 4, 7, 3, 5, 1])
         ]
-        extractor, abstractor = LeadExtractor(6), SalienceAbstractor(0.8)
+        cfg = ExperimentConfig(k=6, cap=5)
         paths = [tmp_path / "default.jsonl", tmp_path / "small.jsonl"]
-        want, want_failures = label_dataset(examples, extractor, abstractor, cap=5)
+        want, want_failures = label_dataset(examples, cfg)
         write_label_cache(paths[0], want, HEADER)
         grids = []
         real = oracle._grid_rewards
@@ -466,7 +465,7 @@ class TestLabelDataset:
 
         monkeypatch.setattr(oracle, "_grid_rewards", counted)
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
-        labeled, failures = label_dataset(examples, extractor, abstractor, cap=5)
+        labeled, failures = label_dataset(examples, cfg)
         write_label_cache(paths[1], labeled, HEADER)
         assert paths[1].read_bytes() == paths[0].read_bytes()
         assert labeled == want and failures == want_failures and len(failures) == 3
@@ -475,7 +474,8 @@ class TestLabelDataset:
         by_id = {ex.document.id: ex for ex in examples}
         for lab in labeled:
             ex = by_id[lab.example_id]
-            rewards = enumerate_rewards(ex, extractor(ex), lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+            extract = extract_lead(ex.document, 6)
+            rewards = enumerate_rewards(ex, extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
             best = best_sequence(rewards)
             assert lab.best == best and lab.best_reward == float(rewards[best])
             assert np.array(lab.labels).tobytes() == soft_labels(rewards, best).tobytes()
@@ -509,14 +509,15 @@ class TestLabelDataset:
         monkeypatch.setattr(SplitEntries, "stats", stats)
         monkeypatch.setattr(oracle, "_grid_rewards", grid)
         monkeypatch.setattr(oracle, "CHUNK_ENTRIES", 500)
-        labeled, failures = label_dataset(examples, LeadExtractor(7), SalienceAbstractor(0.8), cap=7)
+        labeled, failures = label_dataset(examples, ExperimentConfig(k=7, cap=7))
         assert failures == [] and sorted(k for part, _ in batches for k in part) == list(range(len(examples)))
         assert {len(lab.best) for lab in labeled} == set(range(1, 8))
         assert len(batches) > 7 and max(len(part) for part, _ in batches) > 1
         for part, (rewards,) in batches:
             for k, got in zip(part, rewards):
                 ex, lab = examples[k], labeled[k]
-                want = enumerate_rewards(ex, LeadExtractor(7)(ex), lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
+                extract = extract_lead(ex.document, 7)
+                want = enumerate_rewards(ex, extract, lab.abstractions, reward_fn=lambda s: reward(s, ex.reference))
                 assert got.tobytes() == want.tobytes()
 
     def test_equal_lengths_make_one_grid_pass(self, monkeypatch):
@@ -539,7 +540,7 @@ class TestLabelDataset:
                 return real(first, *args)
 
             monkeypatch.setattr(oracle, name, counted)
-        labeled, failures = label_dataset(examples, LeadExtractor(3), SalienceAbstractor(0.8))
+        labeled, failures = label_dataset(examples, ExperimentConfig(k=3))
         assert failures == [] and len(labeled) == 40
         assert calls == [("_grid_rewards", 40), ("best_sequence", 40), ("soft_labels", 40)]
 
@@ -558,8 +559,8 @@ class TestLabelDataset:
                          [sentence() for _ in range(int(rng.integers(1, 4)))], f"g{j}")
             for j in range(9)
         ]
-        extractor, abstractor = GreedyOracleExtractor(3), SalienceAbstractor(0.8)
-        want = [label_example(ex, extractor, abstractor) for ex in examples]
+        cfg = ExperimentConfig(extractor="greedy", k=3)
+        want = [label_example(ex, cfg) for ex in examples]
         batches = []
         real = summarizers.extract_greedy_oracle
 
@@ -568,15 +569,13 @@ class TestLabelDataset:
             return real(batch, k, weights)
 
         monkeypatch.setattr(summarizers, "extract_greedy_oracle", counted)
-        labeled, failures = label_dataset(examples, extractor, abstractor)
+        labeled, failures = label_dataset(examples, cfg)
         assert batches == [len(examples)]
         assert labeled == want and failures == []
 
     def test_cap_violation_recorded_not_fatal(self):
         ex = make_example(["s t"] * 4, ["s t"], "long")
-        labeled, failures = label_dataset(
-            [self.EXAMPLES[0], ex], LeadExtractor(4), SalienceAbstractor(0.8), cap=3
-        )
+        labeled, failures = label_dataset([self.EXAMPLES[0], ex], ExperimentConfig(k=4, cap=3))
         assert len(labeled) == 1
         assert len(failures) == 1 and "long" in failures[0]
 
@@ -584,33 +583,28 @@ class TestLabelDataset:
         """A failed example is one warning line on stderr, whoever calls
         `label_dataset`: no command has to set up a handler first."""
         ex = make_example(["s t"] * 4, ["s t"], "long")
-        label_dataset([self.EXAMPLES[0], ex], LeadExtractor(4), SalienceAbstractor(0.8), cap=3)
+        label_dataset([self.EXAMPLES[0], ex], ExperimentConfig(k=4, cap=3))
         assert capsys.readouterr() == (
             "", "WARNING sumedit.oracle: labeling failed: long: enumeration cap exceeded (l=4, cap=3)\n"
         )
 
     def test_incomplete_likelihood_raises(self):
-        def extractor(example):
-            return ExtractResult(order=(0, 1), likelihood=(1.0,))
-
+        extract = ExtractResult(order=(0, 1), likelihood=(1.0,))
         with pytest.raises(ValueError, match=r"ex-0: .*no entry for sentence 1"):
-            label_dataset(self.EXAMPLES, extractor, SalienceAbstractor(0.8))
+            abstract_extract(self.EXAMPLES[0].document, extract, 0.8)
 
     def test_degenerate_attention_raises_naming_the_example(self):
         # an all-stopword chunk scores 1e-6 per token, and 1e-6 * 5e-324
         # underflows to 0, so the chunk's normalization term is 0
         ex = make_example(["the a", "of it", "cat dog"], ["cat"], "stop")
-
-        def extractor(example):
-            return ExtractResult(order=(2, 0), likelihood=(5e-324, 5e-324, 1.0))
-
+        extract = ExtractResult(order=(2, 0), likelihood=(5e-324, 5e-324, 1.0))
         with pytest.raises(ValueError) as info:
-            label_dataset([self.EXAMPLES[0], ex], extractor, SalienceAbstractor(0.8))
+            abstract_extract(ex.document, extract, 0.8)
         assert str(info.value) == "stop: degenerate attention: normalization term is zero (chunk of extracted sentence 0)"
 
     def test_cache_write_that_raises_keeps_previous_cache(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        labeled, _ = label_dataset(self.EXAMPLES, ExperimentConfig(k=2))
         write_label_cache(path, labeled, HEADER)
         before = path.read_bytes()
         # the second record is not a LabeledExample: the write fails after
@@ -623,17 +617,16 @@ class TestLabelDataset:
     def test_byte_identical_reruns(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+            labeled, _ = label_dataset(self.EXAMPLES, ExperimentConfig(k=2))
             write_label_cache(path, labeled, HEADER)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_composed_labels_match_components(self):
-        extractor, abstractor = LeadExtractor(2), SalienceAbstractor(0.8)
-        weights = RewardWeights()
-        labeled, _ = label_dataset(self.EXAMPLES, extractor, abstractor, weights=weights)
+        weights = RewardWeights(0.3, 0.9, 0.6)
+        labeled, _ = label_dataset(self.EXAMPLES, ExperimentConfig(k=2, alpha=0.3, beta=0.9, gamma=0.6))
         for ex, lab in zip(self.EXAMPLES, labeled):
-            extract = extractor(ex)
-            abstractions = abstractions_for(ex.document, extract, abstractor)
+            extract = extract_lead(ex.document, 2)
+            abstractions = abstract_extract(ex.document, extract, 0.8)
             rewards = enumerate_rewards(ex, extract, abstractions, weights=weights)
             best = best_sequence(rewards)
             assert lab.best == best
@@ -650,7 +643,7 @@ class TestReadLabelCache:
     @pytest.fixture
     def cache(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        labeled, _ = label_dataset(self.EXAMPLES, LeadExtractor(2), SalienceAbstractor(0.8))
+        labeled, _ = label_dataset(self.EXAMPLES, ExperimentConfig(k=2))
         write_label_cache(path, labeled, HEADER)
         return path
 

@@ -9,21 +9,23 @@ import reference
 from reference import greedy_oracle
 from synthetic import document_from_strings, make_corpus
 from sumedit import summarizers
+from sumedit.config import ExperimentConfig
 from sumedit.rouge import RewardWeights, reward
 from sumedit.editor import abstractions_for
 from sumedit.summarizers import (
     UNSELECTED_LIKELIHOOD,
     ExtractResult,
-    GreedyOracleExtractor,
-    LeadExtractor,
-    SalienceAbstractor,
     abstract_extract,
-    extract_batch,
     extract_greedy_oracle,
     extract_lead,
     rescale_attention,
 )
 from sumedit.text import Example, ReferenceSummary
+
+
+def greedy(example, k, weights=RewardWeights()):
+    """The greedy extract of one example: a one-example batch."""
+    return extract_greedy_oracle([example], k, weights)[0]
 
 
 def make_example(sentences, highlights, doc_id="d"):
@@ -90,20 +92,20 @@ class TestGreedyOracle:
             ex = make_example(sentences, [sentence() for _ in range(int(rng.integers(1, 4)))])
             k = int(rng.integers(1, 6))
             w = RewardWeights(*(float(x) for x in rng.uniform(0.1, 1.0, size=3)))
-            result = GreedyOracleExtractor(k, w)(ex)
+            result = greedy(ex, k, w)
             order, likelihood = loop_greedy_oracle(ex, k, w)
             assert result.order == order
             assert result.likelihood == likelihood
 
     def test_verbatim_match_selected(self):
         ex = make_example(["a b", "c d", "the exact summary", "e f"], ["the exact summary"])
-        result = GreedyOracleExtractor(1, RewardWeights())(ex)
+        result = greedy(ex, 1, RewardWeights())
         assert result.order == (2,)
         assert result.likelihood[2] == 1.0
 
     def test_tie_prefers_lower_index(self):
         ex = make_example(["same words here", "same words here", "x y"], ["same words here"])
-        result = GreedyOracleExtractor(1, RewardWeights())(ex)
+        result = greedy(ex, 1, RewardWeights())
         assert result.order == (0,)
 
     def test_first_step_matches_exhaustive_search(self):
@@ -112,7 +114,7 @@ class TestGreedyOracle:
             ["crash at speedway", "driver lost control", "no injuries reported", "race was sunday"],
             ["driver lost control of car", "crash happened sunday at speedway"],
         )
-        result = GreedyOracleExtractor(2, w)(ex)
+        result = greedy(ex, 2, w)
         doc = ex.document
         best = max(
             range(len(doc)),
@@ -134,7 +136,7 @@ class TestGreedyOracle:
             ["a b c", "d e f", "a b d", "g h"],
             ["a b c", "d e f"],
         )
-        result = GreedyOracleExtractor(4, w)(ex)
+        result = greedy(ex, 4, w)
         assert len(set(result.order)) == len(result.order)
         running = []
         rewards = []
@@ -145,7 +147,7 @@ class TestGreedyOracle:
 
     def test_unselected_likelihood_floor(self):
         ex = make_example(["match me", "noise one", "noise two"], ["match me"])
-        result = GreedyOracleExtractor(1, RewardWeights())(ex)
+        result = greedy(ex, 1, RewardWeights())
         for i in range(3):
             assert 0 < result.likelihood[i] <= 1
         assert result.likelihood[1] == pytest.approx(1e-6)
@@ -182,7 +184,7 @@ class TestGreedyOracleBatch:
             order, likelihood = greedy_oracle(ex, k, weights)
             assert result.order == order and result.likelihood == likelihood
             assert all(i < len(ex.document) for i in result.order)  # no padding row
-            assert GreedyOracleExtractor(k, weights)(ex) == result
+            assert greedy(ex, k, weights) == result
         return results
 
     @settings(max_examples=80, deadline=None)
@@ -298,17 +300,20 @@ class TestGreedyOracleBatch:
     def test_mixed_batch(self):
         self.assert_equals_reference(self.mixed_batch(), 4)
 
-    def test_extract_batch(self, monkeypatch):
+    def test_extract(self, monkeypatch):
+        """`extract` runs the config's greedy extractor as one batch, through
+        the module attribute, and the lead one per document."""
         examples = self.mixed_batch()
-        greedy = GreedyOracleExtractor(3)
+        weights = RewardWeights(0.2, 1.0, 0.7)
         batches = []
         real = summarizers.extract_greedy_oracle
         monkeypatch.setattr(summarizers, "extract_greedy_oracle",
                             lambda batch, k, w: batches.append(len(batch)) or real(batch, k, w))
-        assert extract_batch(greedy, examples) == [greedy(ex) for ex in examples]
+        cfg = ExperimentConfig(extractor="greedy", k=3, alpha=0.2, beta=1.0, gamma=0.7)
+        assert summarizers.extract(examples, cfg) == [greedy(ex, 3, weights) for ex in examples]
         assert batches[0] == len(examples)
-        lead = LeadExtractor(2)
-        assert extract_batch(lead, examples) == [lead(ex) for ex in examples]
+        lead = ExperimentConfig(k=2)
+        assert summarizers.extract(examples, lead) == [extract_lead(ex.document, 2) for ex in examples]
 
 
 class TestMakeChunk:
@@ -428,15 +433,16 @@ class TestAbstractSalience:
         assert abstract_extract(doc, extract, 0.5) == reference.salience_abstractions(doc, extract, 0.5)
 
     def test_ratio_validated(self):
-        # when the abstractor is built, not on each call
+        doc, extract = one_extract(self.SENTENCES, self.P, order=(2, 0, 1))
         for ratio in (0.0, -0.5, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"ratio must lie in \(0, 1\]"):
-                SalienceAbstractor(ratio)
+                abstract_extract(doc, extract, ratio)
 
     def test_abstractor_is_abstract_extract(self):
         doc, extract = one_extract(self.SENTENCES, self.P, order=(2, 0, 1))
         want = abstract_extract(doc, extract, 0.5)
-        assert SalienceAbstractor(0.5)(doc, extract) == abstractions_for(doc, extract, SalienceAbstractor(0.5)) == want
+        abstractor = ExperimentConfig(abstract_ratio=0.5).make_abstractor()
+        assert abstractor(doc, extract) == abstractions_for(doc, extract, abstractor) == want
         assert want == reference.salience_abstractions(doc, extract, 0.5)
 
     def test_degenerate_attention_names_the_example(self):
@@ -505,6 +511,6 @@ class TestAbstractExtractEqualsReference:
     @pytest.mark.parametrize("ratio", [1.0, 0.95, 0.5, 1e-9])
     def test_synthetic_corpus(self, ratio):
         for ex in make_corpus(300, seed=4, k=2):
-            for extract in (extract_lead(ex.document, 4), GreedyOracleExtractor(3)(ex)):
+            for extract in (extract_lead(ex.document, 4), greedy(ex, 3)):
                 want = reference.salience_abstractions(ex.document, extract, ratio)
                 assert abstract_extract(ex.document, extract, ratio) == want

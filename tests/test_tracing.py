@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from synthetic import make_corpus
-from sumedit import cli, text
+from sumedit import cli, editor, oracle, summarizers, text
+from sumedit.config import ExperimentConfig
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
@@ -69,3 +70,28 @@ class TestInstrument:
         for name in ("oracle.label_dataset", "trainer.train", "trainer.evaluate",
                      "editor.save_checkpoint", "editor.load_checkpoint", "summarizers.abstractions_for"):
             assert tracer.calls(name) > 0, name
+
+
+class TestNamesTheBenchmarkReads:
+    """The names that `src/` keeps for `perfbench/` alone (its tracer, and
+    its reference scoring one example at a time) exist and keep their call
+    shapes."""
+
+    def test_every_layer_call_is_callable(self):
+        for name, module, attr, _, _ in tracing.LAYER_CALLS:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+        # `perfbench/checks.py` imports these two
+        assert callable(summarizers.extract_lead) and isinstance(summarizers.Abstractor, type)
+
+    @pytest.mark.parametrize("extractor", ["lead", "greedy"])
+    def test_per_example_extractor_and_abstractor(self, extractor):
+        cfg = ExperimentConfig(extractor=extractor, k=3, abstract_ratio=0.9, cap=5)
+        examples = make_corpus(4, seed=3, k=2)
+        for example, want in zip(examples, summarizers.extract(examples, cfg)):
+            extract = cfg.make_extractor()(example)
+            assert isinstance(extract, summarizers.ExtractResult) and extract == want
+            abstractions = cfg.make_abstractor()(example.document, extract)
+            assert abstractions == summarizers.abstract_extract(example.document, extract, 0.9)
+            assert editor.abstractions_for(example.document, extract, cfg.make_abstractor()) == abstractions
+            rewards = oracle.enumerate_rewards(example, extract, abstractions, reward_fn=lambda s: 0.0, cap=cfg.cap)
+            assert rewards.shape == (3,) * len(extract.order)

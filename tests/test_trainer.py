@@ -10,14 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import sentence_stats, soft_cross_entropy, teacher_batch
 from synthetic import document_from_strings, make_corpus
-from sumedit import editor, trainer as trainer_mod
+from sumedit import text, trainer as trainer_mod
 from sumedit.config import ExperimentConfig
 from sumedit.editor import (
-    ABSTRACT,
-    DECISIONS,
-    EXTRACT,
     PARAM_NAMES,
-    REJECT,
     EditorParams,
     decode,
     forward,
@@ -27,8 +23,7 @@ from sumedit.editor import (
 from sumedit.encoder import EncoderConfig, encode_split
 from sumedit.oracle import LabeledExample, label_dataset, realize
 from sumedit.rouge import RewardWeights, SplitEntries, reward, rouge_l, rouge_n
-from sumedit.summarizers import LeadExtractor, SalienceAbstractor
-from sumedit.text import Example, ReferenceSummary
+from sumedit.text import ABSTRACT, DECISIONS, EXTRACT, REJECT, Example, ReferenceSummary
 from sumedit.trainer import Stream, adam_step, evaluate, mean_reward, train
 
 ENC = EncoderConfig(n=12, hash_seed=7)
@@ -47,9 +42,7 @@ def train_config(**fields):
 
 def labeled_pairs(count, seed, id_prefix="t"):
     examples = make_corpus(count, seed=seed, k=1, id_prefix=id_prefix)
-    labeled, failures = label_dataset(
-        examples, LeadExtractor(3), SalienceAbstractor(0.95)
-    )
+    labeled, failures = label_dataset(examples, ExperimentConfig(k=3, abstract_ratio=0.95))
     assert not failures
     return list(zip(examples, labeled))
 
@@ -295,7 +288,7 @@ class TestForcedAlongBest:
 
     def test_training_forces_each_example_along_its_best_sequence(self, monkeypatch):
         examples = gen.long_extract_corpus(0, [5, 6, 7] * 4, "long")
-        labeled, failures = label_dataset(examples, LeadExtractor(7), SalienceAbstractor(0.8))
+        labeled, failures = label_dataset(examples, ExperimentConfig(k=7))
         assert not failures
         differ = [list(np.argmax(lab.labels, axis=1)) != list(lab.best) for lab in labeled]
         assert 0 < sum(differ) < len(differ)
@@ -464,7 +457,7 @@ class TestEvaluateAgainstPerSummaryScoring:
         pairs = []
         for k in (3, 1, 2):
             examples = make_corpus(4, seed=20 + k, k=1, id_prefix=f"k{k}")
-            labeled, _ = label_dataset(examples, LeadExtractor(k), SalienceAbstractor(0.95))
+            labeled, _ = label_dataset(examples, ExperimentConfig(k=k, abstract_ratio=0.95))
             pairs += zip(examples, labeled)
         weights = RewardWeights(0.3, 0.9, 0.7)
         for seed in range(3):
@@ -595,7 +588,7 @@ def reference_totals(decisions, pairs):
 
 
 class TestSplitTotalsAgainstPerExampleTotals:
-    """`_entries` cuts a split into records of at most DECODE_CHUNK
+    """`_entries` cuts a split into records of at most `text.DECODE_CHUNK`
     examples and `_totals` scores every decoded summary of them at once;
     the integer totals must be those of each example on its own."""
 
@@ -613,7 +606,7 @@ class TestSplitTotalsAgainstPerExampleTotals:
             steps = data.draw(st.sampled_from([[EXTRACT, ABSTRACT, REJECT], [REJECT], [EXTRACT], [ABSTRACT]]))
             decisions[j, :l] = data.draw(st.lists(st.sampled_from(steps), min_size=l, max_size=l))
         lengths = np.array([len(lab.order) for _, lab in pairs], dtype=np.int64)
-        with mock.patch.object(editor, "DECODE_CHUNK", chunk):
+        with mock.patch.object(text, "DECODE_CHUNK", chunk):
             records = trainer_mod._entries(pairs)
         assert len(records) == -(-len(pairs) // chunk)
         totals, ref_tokens, ref_bigrams = trainer_mod._totals(decisions, lengths, records)
